@@ -25,7 +25,6 @@ def main():
     ap.add_argument("--out", required=True, help="working directory")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--bandwidth", type=float, default=2.0)
-    ap.add_argument("--jobs", type=int, default=1)
     args = ap.parse_args()
 
     root = Path(args.out)
@@ -42,7 +41,6 @@ def main():
         frame_stride=1,
         bandwidth=args.bandwidth,
         seed=args.seed + 1000,
-        jobs=args.jobs,
     )
     doc = run_pipeline(cfg, heatmap_dir=out / "heatmaps")
 

@@ -20,9 +20,6 @@ from .detector import TrainConfig
 from .errors import BoxforgeError
 from .synth import SynthConfig, gen_dataset
 
-log = logging.getLogger("boxforge")
-
-
 def _setup_logging() -> None:
     level = os.environ.get("BOXFORGE_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
@@ -51,7 +48,6 @@ def _add_config_flags(p: argparse.ArgumentParser, need_seed: bool = False) -> No
     p.add_argument("--weight-decay", type=float, dest="weight_decay")
     p.add_argument("--nms-iou", type=float, dest="nms_iou")
     p.add_argument("--regressor-l2", type=float, dest="regressor_l2")
-    p.add_argument("--jobs", type=int)
     p.add_argument("--seed", type=int, required=need_seed)
 
 
@@ -59,7 +55,7 @@ _CONFIG_KEYS = (
     "manifest", "out_dir", "k", "top_clusters", "n_matches", "frame_stride",
     "target_cells", "theta", "bandwidth", "bandwidth_grid", "kernel",
     "lsvm_rounds", "train_steps", "learning_rate", "weight_decay", "nms_iou",
-    "regressor_l2", "seed", "jobs",
+    "regressor_l2", "seed",
 )
 
 
@@ -179,7 +175,7 @@ def run_command(args) -> int:
     elif args.command == "select-tracks":
         report = pipeline.run_select_tracks(
             cfg.manifest, _default(args, "regions", cfg, pipeline.REGIONS), out,
-            frame_stride=cfg.frame_stride, target_cells=cfg.target_cells, jobs=cfg.jobs,
+            frame_stride=cfg.frame_stride, target_cells=cfg.target_cells,
         )
     elif args.command == "match":
         report = pipeline.run_match(
@@ -188,7 +184,7 @@ def run_command(args) -> int:
             _default(args, "selections", cfg, pipeline.SELECTIONS),
             out,
             n_matches=cfg.n_matches, frame_stride=cfg.frame_stride,
-            target_cells=cfg.target_cells, jobs=cfg.jobs,
+            target_cells=cfg.target_cells,
         )
     elif args.command == "vote":
         if cfg.bandwidth is None:

@@ -9,8 +9,7 @@ the defaults below.  Exactly one of ``b`` and ``b_grid`` is active: setting
 from __future__ import annotations
 
 import dataclasses
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -36,7 +35,6 @@ _KEY_MAP = {
     "nms_iou": "nms_iou",
     "regressor_l2": "regressor_l2",
     "seed": "seed",
-    "jobs": "jobs",
 }
 
 
@@ -60,8 +58,6 @@ class PipelineConfig:
     nms_iou: float = 0.3
     regressor_l2: float = 1e-3
     seed: int = 0
-    # worker count for matching/labeling; results never depend on it
-    jobs: int = field(default_factory=lambda: os.cpu_count() or 1)
 
     def validate(self) -> None:
         positive = {
@@ -71,7 +67,6 @@ class PipelineConfig:
             "target_cells": self.target_cells,
             "theta": self.theta,
             "lsvm_rounds": self.lsvm_rounds,
-            "jobs": self.jobs,
         }
         for name, value in positive.items():
             if value <= 0:

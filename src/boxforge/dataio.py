@@ -8,14 +8,14 @@ always 4-arrays ``[x_min, y_min, x_max, y_max]``.  Aggregate documents
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .detector import BoxRegressor, LinearModel
-from .errors import MissingInputError
+from .errors import ConfigInvalidError, MissingInputError
 from .featmap import FeatureMap, FeaturePyramid, read_fmap, single_level_pyramid
 from .geometry import BBox
 from .mining import MinedRegion, MinedRegionSet, Proposal
@@ -78,12 +78,18 @@ class Manifest:
     images: tuple[ImageEntry, ...]
     videos: tuple[VideoEntry, ...]
     files: dict[str, str]
+    _images_by_id: dict[str, ImageEntry] = field(init=False, repr=False, compare=False)
+    _videos_by_id: dict[str, VideoEntry] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_images_by_id", _index(self.images, "image_id", "image"))
+        object.__setattr__(self, "_videos_by_id", _index(self.videos, "video_id", "video"))
 
     def image(self, image_id: str) -> ImageEntry:
-        for entry in self.images:
-            if entry.image_id == image_id:
-                return entry
-        raise MissingInputError(f"image {image_id} not in manifest")
+        entry = self._images_by_id.get(image_id)
+        if entry is None:
+            raise MissingInputError(f"image {image_id} not in manifest")
+        return entry
 
     def path(self, key: str) -> Path:
         if key not in self.files:
@@ -94,13 +100,24 @@ class Manifest:
         return read_fmap(self.root / self.image(image_id).fmap_path)
 
     def load_video_pyramids(self, video_id: str) -> list[FeaturePyramid]:
-        for entry in self.videos:
-            if entry.video_id == video_id:
-                return [
-                    single_level_pyramid(read_fmap(self.root / p), self.cell_stride)
-                    for p in entry.frame_paths
-                ]
-        raise MissingInputError(f"video {video_id} not in manifest")
+        entry = self._videos_by_id.get(video_id)
+        if entry is None:
+            raise MissingInputError(f"video {video_id} not in manifest")
+        return [
+            single_level_pyramid(read_fmap(self.root / p), self.cell_stride)
+            for p in entry.frame_paths
+        ]
+
+
+def _index(entries, id_attr: str, kind: str) -> dict:
+    """id -> entry; a repeated id is refused rather than shadowed."""
+    by_id = {}
+    for entry in entries:
+        key = getattr(entry, id_attr)
+        if key in by_id:
+            raise ConfigInvalidError(f"manifest lists {kind} id {key!r} twice")
+        by_id[key] = entry
+    return by_id
 
 
 def load_manifest(path: str | Path) -> Manifest:

@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     ConfigInvalidError,
@@ -285,14 +286,48 @@ def map_window_to_pixels(
     )
 
 
+# Byte cap on the float64 window matrix built at once while scanning a level.
+SCAN_BLOCK_BYTES = 64 << 20
+
+
+def _placement_scores(data: np.ndarray, qf: np.ndarray, nq: float, h: int, w: int) -> np.ndarray:
+    """Cosine score of every (cy, cx) placement of an h x w window on one map.
+
+    Placements become rows of a float64 window matrix, built in blocks under
+    :data:`SCAN_BLOCK_BYTES`.  ``np.vecdot`` runs the same per-row dot kernel
+    as ``np.dot`` and ``np.linalg.norm`` on one flattened window, so every
+    score is bit-identical to scoring the placements one at a time.
+    """
+    windows = sliding_window_view(data, (h, w, data.shape[2]))[:, :, 0]
+    ny, nx = windows.shape[:2]
+    scores = np.zeros((ny, nx))
+    if nq < 1e-12:
+        return scores
+    row_bytes = 8 * qf.size
+    cols = min(nx, max(1, SCAN_BLOCK_BYTES // row_bytes))
+    rows = max(1, SCAN_BLOCK_BYTES // (row_bytes * nx)) if cols == nx else 1
+    for y0 in range(0, ny, rows):
+        for x0 in range(0, nx, cols):
+            block = windows[y0 : y0 + rows, x0 : x0 + cols]
+            mat = block.astype(np.float64, order="C").reshape(-1, qf.size)
+            norms = np.sqrt(np.vecdot(mat, mat))
+            cos = np.zeros(len(mat))
+            np.divide(np.vecdot(mat, qf), nq * norms, out=cos, where=norms >= 1e-12)
+            # clamp the last-ulp overshoot of near-parallel vectors
+            scores[y0 : y0 + rows, x0 : x0 + cols] = np.clip(cos, -1.0, 1.0).reshape(
+                block.shape[:2]
+            )
+    return scores
+
+
 def slide_match(query: QueryWindow, pyramid: FeaturePyramid, top_n: int) -> list[MatchHit]:
     """Score every valid placement of the query on every level, keep the best.
 
     Returns up to ``top_n`` hits sorted by score descending with the
     deterministic tie-break (level, cell_y, cell_x ascending), so the result
-    is independent of scan order and worker count.  Zero-norm windows (query
-    or placement) score 0 instead of erroring, which keeps padded or blank
-    frames from poisoning a scan.
+    is independent of scan order.  Zero-norm windows (query or placement)
+    score 0 instead of erroring, which keeps padded or blank frames from
+    poisoning a scan.
 
     Raises :class:`WindowTooLargeError` when the query fits no level.
     """
@@ -301,42 +336,38 @@ def slide_match(query: QueryWindow, pyramid: FeaturePyramid, top_n: int) -> list
     qf = np.asarray(query.data, dtype=np.float64).reshape(-1)
     nq = float(np.linalg.norm(qf))
     w, h = query.w_cells, query.h_cells
-    scored: list[tuple[float, int, int, int]] = []
-    fits_any = False
-    for level_idx, (scale, fmap) in enumerate(pyramid.levels):
+    scores, levels, ys, xs = [], [], [], []
+    for level_idx, (_scale, fmap) in enumerate(pyramid.levels):
         if fmap.channels != query.channels:
             raise ValueError(
                 f"channel mismatch: query {query.channels} vs level {fmap.channels}"
             )
         if w > fmap.width or h > fmap.height:
             continue
-        fits_any = True
-        data = fmap.data
-        for cy in range(fmap.height - h + 1):
-            for cx in range(fmap.width - w + 1):
-                wf = data[cy : cy + h, cx : cx + w, :].astype(np.float64).reshape(-1)
-                nw = float(np.linalg.norm(wf))
-                if nq < 1e-12 or nw < 1e-12:
-                    score = 0.0
-                else:
-                    # clamp the last-ulp overshoot of near-parallel vectors
-                    score = min(1.0, max(-1.0, float(np.dot(qf, wf) / (nq * nw))))
-                scored.append((score, level_idx, cy, cx))
-    if not fits_any:
+        level_scores = _placement_scores(fmap.data, qf, nq, h, w)
+        cy, cx = np.indices(level_scores.shape)
+        scores.append(level_scores.reshape(-1))
+        levels.append(np.full(level_scores.size, level_idx))
+        ys.append(cy.reshape(-1))
+        xs.append(cx.reshape(-1))
+    if not scores:
         raise WindowTooLargeError(
             f"query of {h}x{w} cells fits no level of the pyramid"
         )
-    scored.sort(key=lambda s: (-s[0], s[1], s[2], s[3]))
+    score, level, y, x = (np.concatenate(a) for a in (scores, levels, ys, xs))
+    order = np.lexsort((x, y, level, -score))[:top_n]
     hits = []
-    for score, level_idx, cy, cx in scored[:top_n]:
-        scale = pyramid.levels[level_idx][0]
+    for i in order.tolist():
+        li, cy, cx = int(level[i]), int(y[i]), int(x[i])
         hits.append(
             MatchHit(
-                level_idx=level_idx,
+                level_idx=li,
                 cell_x=cx,
                 cell_y=cy,
-                pixel_box=map_window_to_pixels(scale, cx, cy, w, h, pyramid.cell_stride),
-                score=score,
+                pixel_box=map_window_to_pixels(
+                    pyramid.levels[li][0], cx, cy, w, h, pyramid.cell_stride
+                ),
+                score=float(score[i]),
             )
         )
     return hits

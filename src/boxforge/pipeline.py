@@ -2,17 +2,15 @@
 
 Every stage reads its inputs from disk, writes its outputs plus a stage
 report under ``<out>/reports/``, and is deterministic for fixed inputs and
-seed: worker count only changes wall time, never results.  ``run_pipeline``
-chains the stages in order, so running them individually produces the same
-artifacts.
+seed.  ``run_pipeline`` chains the stages in order, so running them
+individually produces the same artifacts.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Callable, Optional, Sequence, TypeVar
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -29,7 +27,7 @@ from .detector import (
     lsvm_update,
     train_linear,
 )
-from .errors import EmptyPoolError, MissingInputError
+from .errors import DimensionMismatchError, EmptyPoolError, MissingInputError
 from .featmap import build_query_window, pool_box_feature
 from .geometry import BBox, clip_box, iou, nms
 from .metrics import aggregate, average_precision, corloc, error_histogram
@@ -49,9 +47,6 @@ from .transfer import (
 )
 from .voting import VoteSpace, export_heatmap, select_pseudo_gt
 
-T = TypeVar("T")
-U = TypeVar("U")
-
 REGIONS = "regions.jsonl"
 SELECTIONS = "selections.jsonl"
 TRANSFERS = "transfers.jsonl"
@@ -61,14 +56,6 @@ REGRESSOR = "regressor.json"
 DETECTIONS_BBOXREG = "detections_bboxreg.jsonl"
 METRICS = "metrics.json"
 BANDWIDTH_REPORT = "bandwidth_report.json"
-
-
-def _parallel_map(fn: Callable[[T], U], items: Sequence[T], jobs: int) -> list[U]:
-    """Order-preserving map; results are independent of ``jobs``."""
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 def _write_report(out_dir: Path, stage: str, report: dict) -> dict:
@@ -147,7 +134,6 @@ def run_select_tracks(
     out_dir: str | Path,
     frame_stride: int = 8,
     target_cells: int = 48,
-    jobs: int = 1,
 ) -> dict:
     """Pick the best-supported candidate track box in every sampled frame."""
     t0 = time.perf_counter()
@@ -160,11 +146,9 @@ def run_select_tracks(
     tracks_by_video = dataio.read_tracks(manifest.path("tracks"))
 
     region_order = [r.region_id for r in mined.regions]
-    per_region = _parallel_map(
-        lambda rid: match_region_per_frame(rid, queries[rid], videos, frame_stride),
-        region_order,
-        jobs,
-    )
+    per_region = [
+        match_region_per_frame(rid, queries[rid], videos, frame_stride) for rid in region_order
+    ]
     evidence: dict[tuple[str, int], list[tuple[BBox, float]]] = {}
     for matches in per_region:
         for key, match in matches.items():
@@ -201,7 +185,6 @@ def run_match(
     n_matches: int = 20,
     frame_stride: int = 8,
     target_cells: int = 48,
-    jobs: int = 1,
 ) -> dict:
     """Match every mined region into the videos and transfer track boxes back."""
     t0 = time.perf_counter()
@@ -215,11 +198,10 @@ def run_match(
     region_boxes = {r.region_id: (r.image_id, r.box) for r in mined.regions}
 
     region_order = [r.region_id for r in mined.regions]
-    per_region = _parallel_map(
-        lambda rid: match_region_to_videos(rid, queries[rid], videos, n_matches, frame_stride),
-        region_order,
-        jobs,
-    )
+    per_region = [
+        match_region_to_videos(rid, queries[rid], videos, n_matches, frame_stride)
+        for rid in region_order
+    ]
     transfers = []
     n_matches_total = 0
     dropped_total = 0
@@ -444,6 +426,7 @@ def run_regress(
     detections = dataio.read_detections(detections_path)
     fmap_cache = {}
     refined = []
+    n_fallbacks = 0
     for image_id, box, score in detections:
         fmap = fmap_cache.get(image_id)
         if fmap is None:
@@ -452,7 +435,8 @@ def run_regress(
         feature = pool_box_feature(fmap, box, manifest.cell_stride)
         try:
             new_box = apply_regressor(regressor, feature, box)
-        except Exception:
+        except DimensionMismatchError:
+            n_fallbacks += 1
             new_box = box
         entry = manifest.image(image_id)
         clipped = clip_box(new_box, entry.size[0], entry.size[1])
@@ -465,6 +449,7 @@ def run_regress(
             "stage": "regress",
             "n_pairs": len(pairs),
             "n_detections": len(refined),
+            "n_regressor_fallbacks": n_fallbacks,
             "elapsed_s": time.perf_counter() - t0,
         },
     )
@@ -662,12 +647,12 @@ def run_pipeline(cfg: PipelineConfig, heatmap_dir: Optional[str | Path] = None) 
     run_mine(cfg.manifest, out, k=cfg.k, top_clusters=cfg.top_clusters)
     run_select_tracks(
         cfg.manifest, out / REGIONS, out,
-        frame_stride=cfg.frame_stride, target_cells=cfg.target_cells, jobs=cfg.jobs,
+        frame_stride=cfg.frame_stride, target_cells=cfg.target_cells,
     )
     run_match(
         cfg.manifest, out / REGIONS, out / SELECTIONS, out,
         n_matches=cfg.n_matches, frame_stride=cfg.frame_stride,
-        target_cells=cfg.target_cells, jobs=cfg.jobs,
+        target_cells=cfg.target_cells,
     )
     bandwidth = cfg.bandwidth
     if bandwidth is None:

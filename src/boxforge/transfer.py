@@ -52,11 +52,6 @@ def sampled_frame_indices(n_frames: int, frame_stride: int) -> list[int]:
     return list(range(0, n_frames, frame_stride))
 
 
-def _hit_sort_key(m: VideoMatch):
-    h = m.hit
-    return (-h.score, h.video_id, h.frame_idx, h.level_idx, h.cell_y, h.cell_x)
-
-
 def match_region_to_videos(
     region_id: str,
     query: QueryWindow,
@@ -70,23 +65,25 @@ def match_region_to_videos(
     (video_id, frame_idx, level, y, x) tie-break.  Raises
     :class:`NoFramesError` when sampling yields no frames at all.
     """
-    matches: list[VideoMatch] = []
+    ranked = []
     any_frames = False
     for video_id, frames in videos:
         for frame_idx in sampled_frame_indices(len(frames), frame_stride):
             any_frames = True
-            hits = slide_match(query, frames[frame_idx], top_n=n)
-            matches.extend(
-                VideoMatch(
-                    region_id=region_id,
-                    hit=replace(hit, video_id=video_id, frame_idx=frame_idx),
-                )
-                for hit in hits
-            )
+            for hit in slide_match(query, frames[frame_idx], top_n=n):
+                key = (-hit.score, video_id, frame_idx, hit.level_idx, hit.cell_y, hit.cell_x)
+                ranked.append((key, hit))
     if not any_frames:
         raise NoFramesError("no sampled frames in any video")
-    matches.sort(key=_hit_sort_key)
-    return matches[:n]
+    # rank first, so only the n kept hits are copied with their frame
+    ranked.sort(key=lambda r: r[0])
+    return [
+        VideoMatch(
+            region_id=region_id,
+            hit=replace(hit, video_id=video_id, frame_idx=frame_idx),
+        )
+        for (_score, video_id, frame_idx, *_), hit in ranked[:n]
+    ]
 
 
 def match_region_per_frame(

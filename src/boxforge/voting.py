@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigInvalidError, IoFailureError, NoPointsError
+from .errors import ConfigInvalidError, DegenerateBoxError, IoFailureError, NoPointsError
 from .geometry import BBox, clip_box
 
 GAUSSIAN = "gaussian"
@@ -151,7 +151,7 @@ def select_pseudo_gt(
         return None
     try:
         raw = BBox(*[float(c) for c in mode])
-    except Exception:
+    except DegenerateBoxError:
         return None
     box = clip_box(raw, image_bounds[0], image_bounds[1])
     if box is None:

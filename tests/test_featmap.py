@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from boxforge import featmap
 from boxforge.errors import (
     ConfigInvalidError,
     OutOfBoundsError,
@@ -14,6 +15,7 @@ from boxforge.errors import (
 from boxforge.featmap import (
     FeatureMap,
     FeaturePyramid,
+    QueryWindow,
     build_query_window,
     cosine_sim,
     extract_window,
@@ -242,6 +244,56 @@ class TestSlideMatch:
         hits = slide_match(q, single_level_pyramid(fmap_from(other)), top_n=1)
         assert (hits[0].cell_x, hits[0].cell_y) == (2, 1)
         assert hits[0].score == pytest.approx(1.0, abs=1e-6)
+
+
+def _scan(query, pyramid, top_n):
+    return [(h.score, h.level_idx, h.cell_y, h.cell_x) for h in slide_match(query, pyramid, top_n)]
+
+
+class TestSlideMatchScanOracle:
+    """The array scan must equal the one-placement-at-a-time oracle exactly."""
+
+    def test_pyramid_with_level_smaller_than_window(self):
+        rng = np.random.default_rng(11)
+        base = random_fmap(rng, 12, 14, 5)
+        pyr = FeaturePyramid(
+            levels=(
+                (1.0, base),
+                (0.7, random_fmap(rng, 8, 10, 5)),
+                (0.5, random_fmap(rng, 3, 9, 5)),  # shorter than the window
+            ),
+            cell_stride=4.0,
+        )
+        q = extract_window(base, (3, 2, 5, 4))
+        n = 12 * 14  # more than the placements of the two levels that fit
+        hits = _scan(q, pyr, n)
+        assert hits == slide_match_oracle(q, pyr, n)
+        assert {level for _, level, _, _ in hits} == {0, 1}
+
+    def test_zero_norm_placements_and_zero_query(self):
+        rng = np.random.default_rng(12)
+        arr = rng.normal(size=(9, 10, 3))
+        arr[:5, :6, :] = 0.0
+        pyr = single_level_pyramid(fmap_from(arr))
+        q = extract_window(fmap_from(arr), (4, 5, 3, 3))
+        assert _scan(q, pyr, 80) == slide_match_oracle(q, pyr, 80)
+        zero_q = QueryWindow(w_cells=3, h_cells=3, channels=3, data=np.zeros(27))
+        hits = _scan(zero_q, pyr, 80)
+        assert hits == slide_match_oracle(zero_q, pyr, 80)
+        assert all(score == 0.0 for score, _, _, _ in hits)
+
+    @pytest.mark.parametrize("cap_rows", [0.5, 1, 3, 7, 25])
+    def test_level_scanned_in_blocks(self, monkeypatch, cap_rows):
+        rng = np.random.default_rng(13)
+        fm = random_fmap(rng, 11, 13, 4)
+        pyr = single_level_pyramid(fm)
+        q = resample_window(fm, (2, 3, 5, 4), (4, 3))
+        n = 9 * 10
+        whole = _scan(q, pyr, n)
+        # cap_rows placement rows of 4x3x4 float64 values per block
+        monkeypatch.setattr(featmap, "SCAN_BLOCK_BYTES", int(cap_rows * 8 * q.data.size))
+        blocked = _scan(q, pyr, n)
+        assert blocked == whole == slide_match_oracle(q, pyr, n)
 
 
 class TestPyramidValidation:

@@ -3,13 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from boxforge import cli, dataio
+from boxforge import cli, dataio, pipeline
 from boxforge.config import PipelineConfig, build_config, parse_config_file
-from boxforge.errors import ConfigInvalidError
+from boxforge.errors import ConfigInvalidError, MissingInputError
 from boxforge.geometry import BBox
 from boxforge.metrics import corloc
 from boxforge.pipeline import run_pipeline
 from boxforge.synth import SynthConfig, gen_dataset
+from boxforge.voting import PseudoGT
 
 # Matching profile for the synthetic data: planted objects occupy ~30 cells
 # on a stride-1 single-level map, every frame is cheap enough to sample.
@@ -69,6 +70,12 @@ class TestConfigFile:
         cfg_file.write_text("bogus = 1\n")
         with pytest.raises(ConfigInvalidError):
             parse_config_file(cfg_file)
+
+    def test_removed_jobs_key_rejected(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("jobs = 1\n")
+        with pytest.raises(ConfigInvalidError, match="unknown key 'jobs'"):
+            build_config(str(cfg_file))
 
     def test_validation_catches_bad_values(self):
         with pytest.raises(ConfigInvalidError):
@@ -226,3 +233,63 @@ class TestDataIoRoundTrips:
         gts = [PseudoGT(image_id="a", box=BBox(0, 0, 2, 2), vote=21.5, support=20, updated=True)]
         dataio.write_pseudo_gts(tmp_path / "p.jsonl", gts)
         assert dataio.read_pseudo_gts(tmp_path / "p.jsonl") == {"a": gts[0]}
+
+
+class TestManifest:
+    @pytest.mark.parametrize("section", ["images", "videos"])
+    def test_duplicate_id_refused(self, synth_dir, tmp_path, section):
+        doc = json.loads((synth_dir / "manifest.json").read_text())
+        doc[section].append(dict(doc[section][0]))
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigInvalidError, match="twice"):
+            dataio.load_manifest(path)
+
+    def test_lookups_by_id(self, synth_dir):
+        manifest = dataio.load_manifest(synth_dir / "manifest.json")
+        for entry in manifest.images:
+            assert manifest.image(entry.image_id) is entry
+        with pytest.raises(MissingInputError):
+            manifest.image("no_such_image")
+        with pytest.raises(MissingInputError):
+            manifest.load_video_pyramids("no_such_video")
+
+
+class TestRegressFallbacks:
+    @pytest.fixture()
+    def regress_inputs(self, tmp_path):
+        """A dataset whose proposal features are one entry longer than the
+        pooled box features, plus pseudo GT and detections on its GT boxes."""
+        data = tmp_path / "data"
+        gen_dataset(SynthConfig(seed=0, n_videos=1, frames_per_video=2), data)
+        rows = dataio.read_jsonl(data / "proposals.jsonl")
+        for row in rows:
+            row["feature"].append(0.0)
+        dataio.write_jsonl(data / "proposals.jsonl", rows)
+        gt = dataio.read_gt(data / "gt.jsonl")["obj"]
+        gts = [
+            PseudoGT(image_id=image_id, box=boxes[0], vote=30.0, support=30)
+            for image_id, boxes in sorted(gt.items())
+        ]
+        dataio.write_pseudo_gts(tmp_path / "pgt.jsonl", gts)
+        dataio.write_detections(
+            tmp_path / "det.jsonl", [(g.image_id, g.box, 1.0) for g in gts]
+        )
+        return data / "manifest.json", tmp_path / "pgt.jsonl", tmp_path / "det.jsonl", gts
+
+    def test_dimension_mismatch_counted_as_fallback(self, regress_inputs, tmp_path):
+        manifest, pgt, det, gts = regress_inputs
+        report = pipeline.run_regress(manifest, pgt, det, tmp_path / "out")
+        assert report["n_regressor_fallbacks"] == len(gts) > 0
+        refined = dataio.read_detections(tmp_path / "out" / pipeline.DETECTIONS_BBOXREG)
+        assert [box for _, box, _ in refined] == [g.box for g in gts]
+
+    def test_unrelated_error_propagates(self, regress_inputs, tmp_path, monkeypatch):
+        manifest, pgt, det, _ = regress_inputs
+
+        def broken(regressor, feature, box):
+            raise RuntimeError("not a dimension mismatch")
+
+        monkeypatch.setattr(pipeline, "apply_regressor", broken)
+        with pytest.raises(RuntimeError):
+            pipeline.run_regress(manifest, pgt, det, tmp_path / "out")

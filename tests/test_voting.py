@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from boxforge import voting
 from boxforge.errors import ConfigInvalidError, NoPointsError
 from boxforge.geometry import BBox
 from boxforge.voting import (
@@ -235,3 +236,17 @@ class TestExportHeatmap:
     def test_accepts_bbox_list(self, tmp_path):
         counts = export_heatmap([BBox(0, 0, 2, 2)], (4, 4), tmp_path / "b.pgm")
         assert counts.sum() == 4
+
+
+class TestSelectPseudoGtErrors:
+    def test_inverted_mode_is_absent(self):
+        s = space([[7, 1, 1, 6]] * 25, b=2.0)
+        assert select_pseudo_gt(s, theta=20.0, image_bounds=(16, 16)) is None
+
+    def test_unrelated_error_propagates(self, monkeypatch):
+        def broken(*coords):
+            raise RuntimeError("not a degenerate box")
+
+        monkeypatch.setattr(voting, "BBox", broken)
+        with pytest.raises(RuntimeError):
+            select_pseudo_gt(space([[1, 1, 7, 6]] * 25, b=2.0), theta=20.0, image_bounds=(16, 16))
