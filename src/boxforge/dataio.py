@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .detector import BoxRegressor, LinearModel
-from .errors import ConfigInvalidError, MissingInputError
+from .errors import ConfigInvalidError, DimensionMismatchError, MissingInputError
 from .featmap import FeatureMap, FeaturePyramid, read_fmap, single_level_pyramid
 from .geometry import BBox
 from .mining import MinedRegion, MinedRegionSet, Proposal
@@ -165,10 +165,31 @@ def write_proposals(path: str | Path, proposals: Sequence[Proposal]) -> None:
 
 
 def read_proposals(path: str | Path) -> tuple[dict[str, list[Proposal]], dict[str, str]]:
-    """Returns (proposals per image, image label map); indices follow file order."""
+    """Returns (proposals per image, image label map); indices follow file order.
+
+    Every feature must be finite and as long as the first row's; a row that
+    is not raises :class:`ConfigInvalidError` or
+    :class:`DimensionMismatchError` naming it.
+    """
     by_image: dict[str, list[Proposal]] = {}
     labels: dict[str, str] = {}
-    for row in read_jsonl(path):
+    rows = read_jsonl(path)
+    features = [np.asarray(row["feature"], dtype=np.float64) for row in rows]
+    for n, (row, feature) in enumerate(zip(rows, features), start=1):
+        if feature.size != features[0].size:
+            raise DimensionMismatchError(
+                f"{path} row {n} (image {row['image_id']}): feature length {feature.size}, "
+                f"row 1 has {features[0].size}"
+            )
+    if rows:
+        # one check over the stacked features; the row loop only compares lengths
+        finite = np.isfinite(np.stack([f.reshape(-1) for f in features])).all(axis=1)
+        if not finite.all():
+            n = int(np.argmin(finite))
+            raise ConfigInvalidError(
+                f"{path} row {n + 1} (image {rows[n]['image_id']}): non-finite feature"
+            )
+    for row, feature in zip(rows, features):
         image_id = row["image_id"]
         props = by_image.setdefault(image_id, [])
         props.append(
@@ -176,7 +197,7 @@ def read_proposals(path: str | Path) -> tuple[dict[str, list[Proposal]], dict[st
                 image_id=image_id,
                 index=len(props),
                 box=BBox.from_list(row["box"]),
-                feature=np.asarray(row["feature"], dtype=np.float64),
+                feature=feature,
                 label=row["label"],
             )
         )

@@ -61,9 +61,5 @@ class MissingInputError(BoxforgeError):
     """A required input file does not exist."""
 
 
-class StageFailureError(BoxforgeError):
-    """A pipeline stage failed; wraps the underlying error."""
-
-
 class IoFailureError(BoxforgeError):
     """A filesystem write failed."""

@@ -94,13 +94,6 @@ class MinedRegionSet:
         return out
 
 
-def _safe_cosine(a: np.ndarray, na: float, b: np.ndarray, nb: float) -> float:
-    # Zero-norm descriptors are degenerate; score them 0 rather than erroring.
-    if na < 1e-12 or nb < 1e-12:
-        return 0.0
-    return float(np.dot(a, b) / (na * nb))
-
-
 def build_clusters(
     proposals_by_image: Mapping[str, Sequence[Proposal]],
     labels: Mapping[str, str],
@@ -111,46 +104,65 @@ def build_clusters(
     The champion of a seed in another image is that image's single most
     cosine-similar proposal (tie: lowest index).  Members are the k best
     champions ordered by (similarity desc, image_id asc, index asc), which
-    makes the output invariant to proposal file ordering.
+    makes the output invariant to proposal file ordering.  A zero-norm
+    descriptor scores 0 against everything.
+
+    Features are stacked into one float64 matrix in sorted image order and
+    scored one seed image at a time: a block of that image's rows against
+    every proposal, so memory stays at (proposals in one image) x (all
+    proposals) rather than the full square.  Dots and norms come from
+    ``np.vecdot``, which runs the same per-pair kernel as ``np.dot``, and
+    each similarity is ``a.b / (|a| |b|)``, so every float is bit-identical
+    to scoring the pairs one at a time.  A BLAS matrix product sums in a
+    different order, and pre-normalised rows round differently, so both
+    can flip a champion on a last-ulp tie.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     image_ids = sorted(proposals_by_image)
     if not image_ids:
         raise EmptyDatasetError("no images in proposal dataset")
-    feats: dict[str, list[np.ndarray]] = {}
-    norms: dict[str, list[float]] = {}
     for img in image_ids:
-        props = proposals_by_image[img]
-        if not props:
+        if not proposals_by_image[img]:
             raise EmptyDatasetError(f"image {img} has no proposals")
-        feats[img] = [np.asarray(p.feature, dtype=np.float64).reshape(-1) for p in props]
-        norms[img] = [float(np.linalg.norm(f)) for f in feats[img]]
+    props = [p for img in image_ids for p in proposals_by_image[img]]
+    feats = np.stack([np.asarray(p.feature, dtype=np.float64).reshape(-1) for p in props])
+    if not np.isfinite(feats).all():
+        raise ValueError("proposal features must be finite")
+    norms = np.sqrt(np.vecdot(feats, feats))
+    live = norms >= 1e-12
+    sizes = np.array([len(proposals_by_image[img]) for img in image_ids])
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    owner = np.repeat(np.arange(len(image_ids)), sizes)
+    positive = np.array([labels.get(img) == POSITIVE for img in image_ids])
 
     clusters: list[Cluster] = []
-    for img in image_ids:
-        for i, seed in enumerate(proposals_by_image[img]):
-            sf, sn = feats[img][i], norms[img][i]
-            champions: list[tuple[float, str, int]] = []
-            for other in image_ids:
-                if other == img:
-                    continue
-                best_sim = -math.inf
-                best_j = -1
-                for j in range(len(proposals_by_image[other])):
-                    sim = _safe_cosine(sf, sn, feats[other][j], norms[other][j])
-                    if sim > best_sim:
-                        best_sim, best_j = sim, j
-                champions.append((best_sim, other, best_j))
-            champions.sort(key=lambda c: (-c[0], c[1], c[2]))
-            members = tuple(
-                (proposals_by_image[image][j], sim)
-                for sim, image, j in champions[:k]
-            )
-            positive_count = int(labels.get(img) == POSITIVE) + sum(
-                1 for p, _ in members if labels.get(p.image_id) == POSITIVE
-            )
-            clusters.append(Cluster(seed=seed, members=members, positive_count=positive_count))
+    for s, img in enumerate(image_ids):
+        rows = slice(starts[s], ends[s])
+        sim = np.zeros((sizes[s], len(props)))
+        np.divide(
+            np.vecdot(feats[rows, None, :], feats),
+            np.outer(norms[rows], norms),
+            out=sim,
+            where=np.outer(live[rows], live),
+        )
+        # champions in image order; argmax keeps the lowest index on ties
+        others = [o for o in range(len(image_ids)) if o != s]
+        champ = np.empty((sizes[s], len(others)), dtype=np.intp)
+        for col, o in enumerate(others):
+            champ[:, col] = starts[o] + np.argmax(sim[:, starts[o] : ends[o]], axis=1)
+        champ_sim = np.take_along_axis(sim, champ, axis=1)
+        # stable on -sim, so equal similarities stay in image order
+        order = np.argsort(-champ_sim, axis=1, kind="stable")[:, :k]
+        top = np.take_along_axis(champ, order, axis=1)
+        top_sim = np.take_along_axis(champ_sim, order, axis=1)
+        counts = int(positive[s]) + positive[owner[top]].sum(axis=1)
+        for seed, idx, sims, count in zip(
+            proposals_by_image[img], top.tolist(), top_sim.tolist(), counts.tolist()
+        ):
+            members = tuple((props[j], sim_j) for j, sim_j in zip(idx, sims))
+            clusters.append(Cluster(seed=seed, members=members, positive_count=count))
     return clusters
 
 

@@ -108,12 +108,21 @@ def oracle_dedup(ranked):
 
 
 def cluster_signature(c: Cluster):
-    return (c.seed.prop_id, tuple(p.prop_id for p, _ in c.members), c.positive_count)
+    # similarities compare as exact floats, not approximately
+    return (c.seed.prop_id, tuple((p.prop_id, s) for p, s in c.members), c.positive_count)
 
 
 def oracle_signature(c):
     seed, members, count = c
-    return (seed.prop_id, tuple(p.prop_id for p, _ in members), count)
+    return (seed.prop_id, tuple((p.prop_id, s) for p, s in members), count)
+
+
+def assert_matches_oracle(by_image, labels, k):
+    got = build_clusters(by_image, labels, k)
+    want = oracle_build(by_image, labels, k)
+    assert [cluster_signature(c) for c in got] == [oracle_signature(c) for c in want]
+    assert all(type(s) is float for c in got for _, s in c.members)
+    return got
 
 
 # --- build_clusters ----------------------------------------------------------
@@ -163,6 +172,90 @@ class TestBuildClusters:
         got = build_clusters(by_image, labels, 2)
         want = oracle_build(by_image, labels, 2)
         assert [cluster_signature(c) for c in got] == [oracle_signature(c) for c in want]
+
+    def test_zero_norm_seed_and_candidate_score_zero(self):
+        by_image, labels = dataset(
+            {
+                "a": ("pos", [[0.0, 0.0], [1.0, 0.0]]),
+                "b": ("pos", [[0.0, 0.0], [-1.0, 0.0]]),
+                "c": ("neg", [[0.5, 0.5]]),
+            }
+        )
+        clusters = assert_matches_oracle(by_image, labels, 2)
+        zero_seed = next(c for c in clusters if c.seed.prop_id == "a#0")
+        # every candidate ties at 0, so each champion is its image's first proposal
+        assert [(p.prop_id, s) for p, s in zero_seed.members] == [("b#0", 0.0), ("c#0", 0.0)]
+        # b#0 (zero norm, 0) beats b#1 (anti-parallel, -1) as a's champion in b
+        seed_a1 = next(c for c in clusters if c.seed.prop_id == "a#1")
+        assert dict((p.image_id, (p.prop_id, s)) for p, s in seed_a1.members)["b"] == ("b#0", 0.0)
+
+    def test_duplicate_features_tie_break(self):
+        f = [0.3, -0.7, 0.2]
+        by_image, labels = dataset(
+            {
+                "b": ("pos", [[1.0, 0.0, 0.0], f, f]),
+                "a": ("pos", [f]),
+                "c": ("neg", [f, f]),
+                "d": ("pos", [[0.0, 1.0, 0.0], f]),
+            }
+        )
+        clusters = assert_matches_oracle(by_image, labels, 3)
+        seed = next(c for c in clusters if c.seed.prop_id == "a#0")
+        # within an image the lowest index wins; across images, image id order
+        assert [p.prop_id for p, _ in seed.members] == ["b#1", "c#0", "d#1"]
+        assert len({s for _, s in seed.members}) == 1
+
+    def test_many_equal_champions_stay_in_image_order(self):
+        # enough tied champions that an unstable sort would reorder them
+        rng = np.random.default_rng(22)
+        layout = {f"t{j:02d}": ("pos", [[1.0, 2.0]]) for j in range(40)}
+        layout.update({f"u{j:02d}": ("neg", [rng.normal(size=2)]) for j in range(20)})
+        by_image, labels = dataset(layout)
+        clusters = assert_matches_oracle(by_image, labels, 59)
+        seed = next(c for c in clusters if c.seed.prop_id == "t00#0")
+        tied = [p.image_id for p, s in seed.members if s == seed.members[0][1]]
+        assert tied == [f"t{j:02d}" for j in range(1, 40)]
+
+    @pytest.mark.parametrize("k", [0, 3, 4, 9])
+    def test_k_edge_values_match_oracle(self, k):
+        rng = np.random.default_rng(20 + k)
+        layout = {
+            f"im{j}": ("pos" if j < 2 else "neg", [rng.normal(size=3) for _ in range(j % 3 + 1)])
+            for j in range(4)
+        }
+        by_image, labels = dataset(layout)
+        clusters = assert_matches_oracle(by_image, labels, k)
+        # k >= n_images - 1 keeps a champion from every other image
+        assert all(len(c.members) == min(k, 3) for c in clusters)
+
+    def test_single_proposal_images(self):
+        rng = np.random.default_rng(21)
+        by_image, labels = dataset(
+            {f"s{j}": ("pos" if j % 2 else "neg", [rng.normal(size=4)]) for j in range(5)}
+        )
+        assert_matches_oracle(by_image, labels, 2)
+
+    def test_single_image_has_no_members(self):
+        by_image, labels = dataset({"only": ("pos", [[1.0, 0.0], [0.0, 1.0]])})
+        clusters = assert_matches_oracle(by_image, labels, 3)
+        assert [(c.members, c.positive_count) for c in clusters] == [((), 1), ((), 1)]
+
+    def test_all_negative_similarities_still_pick_a_champion(self):
+        by_image, labels = dataset(
+            {
+                "a": ("pos", [[1.0, 0.5]]),
+                "b": ("pos", [[-1.0, -0.2], [-0.3, -1.0], [-2.0, -1.0]]),
+            }
+        )
+        clusters = assert_matches_oracle(by_image, labels, 1)
+        member, sim = clusters[0].members[0]
+        assert sim < 0
+        assert member.prop_id == "b#1"
+
+    def test_non_finite_feature_refused(self):
+        by_image, labels = dataset({"a": ("pos", [[1.0, 0.0]]), "b": ("pos", [[np.nan, 1.0]])})
+        with pytest.raises(ValueError, match="finite"):
+            build_clusters(by_image, labels, 1)
 
     def test_invariant_to_image_iteration_order(self):
         rng = np.random.default_rng(12)

@@ -5,7 +5,7 @@ import pytest
 
 from boxforge import cli, dataio, pipeline
 from boxforge.config import PipelineConfig, build_config, parse_config_file
-from boxforge.errors import ConfigInvalidError, MissingInputError
+from boxforge.errors import ConfigInvalidError, DimensionMismatchError, MissingInputError
 from boxforge.geometry import BBox
 from boxforge.metrics import corloc
 from boxforge.pipeline import run_pipeline
@@ -200,6 +200,75 @@ class TestReports:
         a = run_pipeline(cfg)
         b = run_pipeline(cfg)
         assert a == b
+
+
+    def test_mine_report_counts_proposals_and_pairs(self, synth_dir, tmp_path):
+        report = pipeline.run_mine(synth_dir / "manifest.json", tmp_path / "m")
+        by_image, _ = dataio.read_proposals(synth_dir / "proposals.jsonl")
+        sizes = [len(props) for props in by_image.values()]
+        total = sum(sizes)
+        assert report["n_proposals"] == total == report["n_clusters"]
+        # ordered cross-image pairs, counted independently of the closed form
+        assert report["n_proposal_pairs"] == sum(
+            len(by_image[a]) * len(by_image[b]) for a in by_image for b in by_image if a != b
+        )
+        saved = json.loads((tmp_path / "m" / "reports" / "mine.json").read_text())
+        assert saved["n_proposal_pairs"] == report["n_proposal_pairs"] > 0
+
+    def test_bandwidth_report_is_byte_reproducible(self, synth_dir, tmp_path):
+        manifest = synth_dir / "manifest.json"
+        out = tmp_path / "cv"
+        common = ["--manifest", manifest, "--out", out,
+                  "--target-cells", 30, "--frame-stride", 1]
+        assert run_cli("mine", *common) == 0
+        assert run_cli("select-tracks", *common) == 0
+        assert run_cli("match", *common) == 0
+        runs = []
+        for _ in range(2):
+            assert run_cli("cv-bandwidth", *common, "--seed", 7,
+                           "--bandwidth-grid", "1,2") == 0
+            runs.append((out / pipeline.BANDWIDTH_REPORT).read_bytes())
+        assert runs[0] == runs[1]
+        assert "elapsed_s" not in json.loads(runs[0])
+        assert "elapsed_s" in json.loads((out / "reports" / "cv_bandwidth.json").read_text())
+
+
+class TestProposalValidation:
+    @staticmethod
+    def write(path, features):
+        dataio.write_jsonl(
+            path,
+            (
+                {"image_id": f"im{i // 2}", "label": "pos", "box": [0, 0, 4, 4], "feature": f}
+                for i, f in enumerate(features)
+            ),
+        )
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_feature_refused_naming_row(self, tmp_path, bad):
+        path = tmp_path / "proposals.jsonl"
+        self.write(path, [[1.0, 0.0], [0.0, 1.0], [1.0, bad]])
+        with pytest.raises(ConfigInvalidError, match=r"row 3 \(image im1\)"):
+            dataio.read_proposals(path)
+
+    def test_feature_length_mismatch_refused_naming_row(self, tmp_path):
+        path = tmp_path / "proposals.jsonl"
+        self.write(path, [[1.0, 0.0], [0.0, 1.0, 2.0], [1.0, 1.0]])
+        with pytest.raises(DimensionMismatchError, match=r"row 2 \(image im0\).*length 3.*has 2"):
+            dataio.read_proposals(path)
+
+    def test_mine_cli_reports_bad_proposals(self, synth_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in ("manifest.json", "proposals.jsonl"):
+            (data / name).write_bytes((synth_dir / name).read_bytes())
+        rows = dataio.read_jsonl(data / "proposals.jsonl")
+        rows[4]["feature"][0] = float("nan")
+        dataio.write_jsonl(data / "proposals.jsonl", rows)
+        assert run_cli("mine", "--manifest", data / "manifest.json", "--out", tmp_path / "o") != 0
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigInvalidError"
+        assert "row 5" in err["message"]
 
 
 class TestDataIoRoundTrips:
