@@ -8,9 +8,10 @@ always 4-arrays ``[x_min, y_min, x_max, y_max]``.  Aggregate documents
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -24,8 +25,26 @@ from .transfer import TransferredBox
 from .voting import PseudoGT
 
 
+def _write_atomic(path: str | Path, write: Callable[[TextIO], None]) -> None:
+    """Run ``write`` on a temp file beside ``path``, then rename it into place.
+
+    A reader never sees a half-written file: on any error the temp file is
+    removed and whatever ``path`` held before is left untouched.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def dump_json(obj, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    _write_atomic(path, lambda fh: fh.write(text))
 
 
 def load_json(path: str | Path):
@@ -36,9 +55,11 @@ def load_json(path: str | Path):
 
 
 def write_jsonl(path: str | Path, rows: Iterable[Mapping]) -> None:
-    with open(path, "w") as fh:
+    def write(fh: TextIO) -> None:
         for row in rows:
             fh.write(json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n")
+
+    _write_atomic(path, write)
 
 
 def read_jsonl(path: str | Path) -> list[dict]:

@@ -65,45 +65,98 @@ class PseudoGT:
     updated: bool = False
 
 
+# Upper bound on the four (seeds, points) float64 coordinate-difference planes
+# of one batched kernel pass; small enough that mean-shift leaves peak memory
+# flat.
+ASCENT_BLOCK_BYTES = 64 << 10
+
+
+def _block_rows(n_points: int) -> int:
+    return max(1, ASCENT_BLOCK_BYTES // (n_points * 4 * 8))
+
+
+def _scaled_sq_dists(locs: np.ndarray, space: VoteSpace) -> np.ndarray:
+    """(R, N) squared distances from each location to each point, in bandwidths.
+
+    Builds one (R, N) difference plane per coordinate and adds the squares
+    left to right, which is the order ``np.sum`` takes along a row of four:
+    each value equals ``np.sum(d * d, axis=1)`` with ``d = (points - l) / b``.
+    """
+    cols = np.ascontiguousarray(space.points.T)
+    d = cols[:, None, :] - locs.T[:, :, None]
+    d /= space.bandwidth
+    np.multiply(d, d, out=d)
+    sq = d[0] + d[1]
+    sq += d[2]
+    sq += d[3]
+    return sq
+
+
 def _kernel_values(kernel: str, sq_dist: np.ndarray) -> np.ndarray:
+    """Kernel values of ``sq_dist``, computed in place."""
     if kernel == GAUSSIAN:
-        return np.exp(-0.5 * sq_dist)
-    return np.maximum(0.0, 1.0 - sq_dist)
+        sq_dist *= -0.5
+        return np.exp(sq_dist, out=sq_dist)
+    np.subtract(1.0, sq_dist, out=sq_dist)
+    return np.maximum(0.0, sq_dist, out=sq_dist)
+
+
+def _votes(locs: np.ndarray, space: VoteSpace) -> np.ndarray:
+    """Vote sums at each row of ``locs`` (R, 4), in blocks of rows."""
+    votes = np.empty(len(locs))
+    rows = _block_rows(space.n_points)
+    for start in range(0, len(locs), rows):
+        sq = _scaled_sq_dists(locs[start:start + rows], space)
+        votes[start:start + rows] = np.sum(_kernel_values(space.kernel, sq), axis=1)
+    return votes
 
 
 def vote_value(l: np.ndarray, space: VoteSpace) -> float:
     """Kernel-weighted vote sum at location ``l`` (a 4-vector)."""
-    l = np.asarray(l, dtype=np.float64).reshape(4)
+    l = np.asarray(l, dtype=np.float64).reshape(1, 4)
     if space.n_points == 0:
         return 0.0
-    diff = (space.points - l) / space.bandwidth
-    sq = np.sum(diff * diff, axis=1)
-    return float(np.sum(_kernel_values(space.kernel, sq)))
+    return float(_votes(l, space)[0])
 
 
-def _ascend(seed: np.ndarray, space: VoteSpace, tol: float, max_iter: int) -> np.ndarray:
-    """Mean-shift ascent from one seed to a local mode of the vote field."""
+def _ascend_all(space: VoteSpace, tol: float, max_iter: int) -> np.ndarray:
+    """Mean-shift ascent from every point at once; row i is seed i's mode.
+
+    Each pass moves the still-active seeds, block by block, to the weighted
+    mean of the points.  A seed stops when its weights sum to zero (it stays
+    put) or its step falls below ``tol`` (it keeps the step).  The weighted
+    sum is one matrix-vector product per seed, so every mode is bit-identical
+    to ascending the seeds one at a time.
+    """
     pts = space.points
-    b = space.bandwidth
-    m = seed.astype(np.float64).copy()
+    modes = pts.copy()
+    active = np.arange(space.n_points)
+    rows = _block_rows(space.n_points)
     for _ in range(max_iter):
-        diff = (pts - m) / b
-        sq = np.sum(diff * diff, axis=1)
-        if space.kernel == GAUSSIAN:
-            w = np.exp(-0.5 * sq)
-        else:
-            # The Epanechnikov profile's shadow is the flat kernel: the mean
-            # of the points within one bandwidth.
-            w = (sq < 1.0).astype(np.float64)
-        total = float(np.sum(w))
-        if total <= 0.0:
+        moving = []
+        for start in range(0, active.size, rows):
+            idx = active[start:start + rows]
+            sq = _scaled_sq_dists(modes[idx], space)
+            if space.kernel == GAUSSIAN:
+                w = _kernel_values(GAUSSIAN, sq)
+            else:
+                # The Epanechnikov profile's shadow is the flat kernel: the mean
+                # of the points within one bandwidth.
+                w = (sq < 1.0).astype(np.float64)
+            total = np.sum(w, axis=1)
+            live = total > 0.0
+            if not live.all():
+                idx, w, total = idx[live], w[live], total[live]
+            new = (w[:, None, :] @ pts)[:, 0, :]
+            new /= total[:, None]
+            delta = new - modes[idx]
+            step = np.sqrt(np.vecdot(delta, delta))
+            modes[idx] = new
+            moving.append(idx[~(step < tol)])
+        active = np.concatenate(moving)
+        if not active.size:
             break
-        new = (w @ pts) / total
-        step = float(np.linalg.norm(new - m))
-        m = new
-        if step < tol:
-            break
-    return m
+    return modes
 
 
 def mean_shift_modes(
@@ -115,18 +168,20 @@ def mean_shift_modes(
 
     Ascent is seeded at every point; converged locations within 0.5*b of an
     already-kept mode merge into it (the kept one has the higher vote).
+    Ties in vote are ordered by the mode's coordinates.
     Raises :class:`NoPointsError` on an empty space.
     """
     if space.n_points == 0:
         raise NoPointsError("mean shift requires at least one vote point")
     if tol is None:
         tol = 1e-3 * space.bandwidth
-    converged = [_ascend(space.points[i], space, tol, max_iter) for i in range(space.n_points)]
-    scored = [(m, vote_value(m, space)) for m in converged]
-    scored.sort(key=lambda mv: (-mv[1], tuple(mv[0])))
+    converged = _ascend_all(space, tol, max_iter)
+    votes = _votes(converged, space)
+    x0, y0, x1, y1 = converged.T
+    order = np.lexsort((y1, x1, y0, x0, -votes))
     merge_radius = 0.5 * space.bandwidth
     modes: list[tuple[np.ndarray, float]] = []
-    for m, v in scored:
+    for m, v in zip(converged[order], votes[order].tolist()):
         if all(float(np.linalg.norm(m - km)) > merge_radius for km, _ in modes):
             modes.append((m, v))
     return modes
@@ -180,14 +235,21 @@ def export_heatmap(
         arr = np.array([b.as_list() for b in points], dtype=np.float64)
     else:
         arr = np.asarray(points, dtype=np.float64).reshape(-1, 4)
-    counts = np.zeros((height, width), dtype=np.int64)
-    for x0, y0, x1, y1 in arr:
-        ix0 = int(np.clip(np.floor(x0), 0, width))
-        iy0 = int(np.clip(np.floor(y0), 0, height))
-        ix1 = int(np.clip(np.ceil(x1), 0, width))
-        iy1 = int(np.clip(np.ceil(y1), 0, height))
-        if ix1 > ix0 and iy1 > iy0:
-            counts[iy0:iy1, ix0:ix1] += 1
+    # Each box covers pixels [floor(x0), ceil(x1)) x [floor(y0), ceil(y1))
+    # clipped to the image; mark its corners in a difference grid and
+    # integrate along both axes.  Marks on the last row or column only reach
+    # pixels outside the image, so the integral runs over the image alone.
+    limit = np.array([width, height])
+    ix0, iy0 = np.clip(np.floor(arr[:, :2]), 0, limit).astype(np.int64).T
+    ix1, iy1 = np.clip(np.ceil(arr[:, 2:]), 0, limit).astype(np.int64).T
+    keep = (ix1 > ix0) & (iy1 > iy0)
+    ix0, iy0, ix1, iy1 = ix0[keep], iy0[keep], ix1[keep], iy1[keep]
+    edges = np.zeros((height + 1, width + 1), dtype=np.int64)
+    np.add.at(edges, (iy0, ix0), 1)
+    np.add.at(edges, (iy0, ix1), -1)
+    np.add.at(edges, (iy1, ix0), -1)
+    np.add.at(edges, (iy1, ix1), 1)
+    counts = edges[:height, :width].cumsum(axis=0).cumsum(axis=1)
     peak = int(counts.max())
     if peak > 0:
         img = ((counts * 255) // peak).astype(np.uint8)

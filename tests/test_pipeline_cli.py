@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import boxforge
 from boxforge import cli, dataio, pipeline
 from boxforge.config import PipelineConfig, build_config, parse_config_file
 from boxforge.errors import ConfigInvalidError, DimensionMismatchError, MissingInputError
@@ -302,6 +307,59 @@ class TestDataIoRoundTrips:
         gts = [PseudoGT(image_id="a", box=BBox(0, 0, 2, 2), vote=21.5, support=20, updated=True)]
         dataio.write_pseudo_gts(tmp_path / "p.jsonl", gts)
         assert dataio.read_pseudo_gts(tmp_path / "p.jsonl") == {"a": gts[0]}
+
+
+class TestAtomicWrites:
+    @staticmethod
+    def rows_then_crash():
+        yield {"a": 1}
+        yield {"a": 2}
+        raise RuntimeError("crashed mid-write")
+
+    def test_failed_jsonl_write_keeps_previous_bytes(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        dataio.write_jsonl(path, [{"old": True}])
+        before = path.read_bytes()
+        with pytest.raises(RuntimeError):
+            dataio.write_jsonl(path, self.rows_then_crash())
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["rows.jsonl"]
+
+    def test_failed_first_write_leaves_nothing(self, tmp_path):
+        with pytest.raises(RuntimeError):
+            dataio.write_jsonl(tmp_path / "rows.jsonl", self.rows_then_crash())
+        assert os.listdir(tmp_path) == []
+
+    def test_failed_json_dump_keeps_previous_bytes(self, tmp_path, monkeypatch):
+        path = tmp_path / "doc.json"
+        dataio.dump_json({"old": 1}, path)
+        before = path.read_bytes()
+
+        def broken_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(dataio.os, "replace", broken_replace)
+        with pytest.raises(OSError):
+            dataio.dump_json({"new": 2}, path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["doc.json"]
+
+    def test_overwrite_replaces_bytes(self, tmp_path):
+        path = tmp_path / "doc.json"
+        dataio.dump_json({"old": 1}, path)
+        dataio.dump_json({"new": 2}, path)
+        assert json.loads(path.read_text()) == {"new": 2}
+        assert os.listdir(tmp_path) == ["doc.json"]
+
+
+def test_python_dash_m_boxforge_help():
+    env = {**os.environ, "PYTHONPATH": str(Path(boxforge.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "boxforge", "--help"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert "pipeline" in proc.stdout
 
 
 class TestManifest:

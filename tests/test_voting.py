@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from boxforge import voting
@@ -11,6 +11,7 @@ from boxforge.geometry import BBox
 from boxforge.voting import (
     EPANECHNIKOV,
     GAUSSIAN,
+    KERNELS,
     VoteSpace,
     export_heatmap,
     mean_shift_modes,
@@ -132,6 +133,154 @@ class TestMeanShiftModes:
         assert votes == sorted(votes, reverse=True)
 
 
+# ---- reference mean-shift: one seed at a time, per-seed matrix-vector sums ----
+
+
+def _oracle_kernel_values(kernel, sq_dist):
+    if kernel == GAUSSIAN:
+        return np.exp(-0.5 * sq_dist)
+    return np.maximum(0.0, 1.0 - sq_dist)
+
+
+def oracle_vote_value(l, space):
+    l = np.asarray(l, dtype=np.float64).reshape(4)
+    if space.n_points == 0:
+        return 0.0
+    diff = (space.points - l) / space.bandwidth
+    sq = np.sum(diff * diff, axis=1)
+    return float(np.sum(_oracle_kernel_values(space.kernel, sq)))
+
+
+def oracle_ascend(seed, space, tol, max_iter):
+    pts = space.points
+    b = space.bandwidth
+    m = seed.astype(np.float64).copy()
+    for _ in range(max_iter):
+        diff = (pts - m) / b
+        sq = np.sum(diff * diff, axis=1)
+        if space.kernel == GAUSSIAN:
+            w = np.exp(-0.5 * sq)
+        else:
+            w = (sq < 1.0).astype(np.float64)
+        total = float(np.sum(w))
+        if total <= 0.0:
+            break
+        new = (w @ pts) / total
+        step = float(np.linalg.norm(new - m))
+        m = new
+        if step < tol:
+            break
+    return m
+
+
+def mean_shift_oracle(space, tol=None, max_iter=200):
+    if tol is None:
+        tol = 1e-3 * space.bandwidth
+    converged = [oracle_ascend(space.points[i], space, tol, max_iter) for i in range(space.n_points)]
+    scored = [(m, oracle_vote_value(m, space)) for m in converged]
+    scored.sort(key=lambda mv: (-mv[1], tuple(mv[0])))
+    merge_radius = 0.5 * space.bandwidth
+    modes = []
+    for m, v in scored:
+        if all(float(np.linalg.norm(m - km)) > merge_radius for km, _ in modes):
+            modes.append((m, v))
+    return modes
+
+
+def assert_modes_match_oracle(s, **kwargs):
+    got = mean_shift_modes(s, **kwargs)
+    want = mean_shift_oracle(s, **kwargs)
+    assert len(got) == len(want)
+    for (m, v), (wm, wv) in zip(got, want):
+        assert np.array_equal(m, wm)
+        assert v == wv
+    return got
+
+
+def cloud(rng, n, n_centers=3, spread=2.0, grid=None):
+    centers = rng.uniform(0, 40, size=(n_centers, 4))
+    pts = centers[rng.integers(0, n_centers, n)] + rng.normal(scale=spread, size=(n, 4))
+    return np.round(pts / grid) * grid if grid else pts
+
+
+# Gaussian weights of far-apart points underflow to zero by design.
+@pytest.mark.filterwarnings("ignore:underflow encountered:RuntimeWarning")
+class TestMeanShiftMatchesOracle:
+    @settings(max_examples=40)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 60),
+        st.integers(1, 4),
+        st.floats(0.3, 6.0),
+        st.sampled_from(KERNELS),
+        st.sampled_from([None, 0.5, 1.0]),
+    )
+    def test_random_spaces(self, seed, n, n_centers, b, kernel, grid):
+        rng = np.random.default_rng(seed)
+        pts = cloud(rng, n, n_centers, spread=rng.uniform(0.2, 4.0), grid=grid)
+        assert_modes_match_oracle(space(pts, b=b, kernel=kernel))
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_seeds_converge_at_different_iterations(self, kernel):
+        s = space(cloud(np.random.default_rng(7), 30, spread=2.0), b=4.0, kernel=kernel)
+        tol = 1e-3 * s.bandwidth
+        iters = set()
+        for p in s.points:
+            final = oracle_ascend(p, s, tol, 200)
+            iters.add(next(k for k in range(201) if np.array_equal(oracle_ascend(p, s, tol, k), final)))
+        assert len(iters) >= 3
+        assert_modes_match_oracle(s)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("max_iter", [0, 1])
+    def test_zero_and_one_iteration(self, kernel, max_iter):
+        s = space(cloud(np.random.default_rng(8), 25), b=2.0, kernel=kernel)
+        modes = assert_modes_match_oracle(s, max_iter=max_iter)
+        if max_iter == 0:
+            assert all(any(np.array_equal(m, p) for p in s.points) for m, _ in modes)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_zero_tolerance_runs_every_iteration(self, kernel):
+        s = space(cloud(np.random.default_rng(9), 15), b=2.0, kernel=kernel)
+        assert_modes_match_oracle(s, tol=0.0, max_iter=50)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_tied_votes_ordered_by_coordinates(self, kernel):
+        # three triples too far apart to weigh on each other score exactly
+        # 3.0 each; they are listed out of coordinate order
+        triples = [[100, 0, 104, 4]] * 3 + [[0, 100, 4, 104]] * 3 + [[0, 0, 4, 4]] * 3
+        modes = assert_modes_match_oracle(space(triples, b=1.0, kernel=kernel))
+        assert [v for _, v in modes] == [3.0, 3.0, 3.0]
+        assert [m.tolist() for m, _ in modes] == [[0, 0, 4, 4], [0, 100, 4, 104], [100, 0, 104, 4]]
+
+    def test_flat_kernel_excludes_points_exactly_one_bandwidth_away(self):
+        s = space([[0, 0, 0, 0], [2, 0, 0, 0]], b=2.0, kernel=EPANECHNIKOV)
+        modes = assert_modes_match_oracle(s)
+        assert [m.tolist() for m, _ in modes] == [[0, 0, 0, 0], [2, 0, 0, 0]]
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_single_point(self, kernel):
+        modes = assert_modes_match_oracle(space([[1.5, 2.0, 7.25, 9.0]], kernel=kernel))
+        assert len(modes) == 1 and modes[0][1] == 1.0
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_small_blocks(self, monkeypatch, kernel, rows):
+        # 3 rows per block does not divide the 20 points
+        n = 20
+        monkeypatch.setattr(voting, "ASCENT_BLOCK_BYTES", rows * n * 4 * 8)
+        assert voting._block_rows(n) == rows
+        s = space(cloud(np.random.default_rng(10), n, spread=3.0), b=2.0, kernel=kernel)
+        assert_modes_match_oracle(s)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_vote_value_matches_oracle_exactly(self, kernel):
+        rng = np.random.default_rng(11)
+        s = space(cloud(rng, 40), b=1.5, kernel=kernel)
+        for l in rng.uniform(0, 40, size=(20, 4)):
+            assert vote_value(l, s) == oracle_vote_value(l, s)
+
+
 class TestSelectPseudoGt:
     def test_25_coincident_boxes_with_theta_20(self):
         s = space([[1, 1, 7, 6]] * 25, b=2.0)
@@ -236,6 +385,60 @@ class TestExportHeatmap:
     def test_accepts_bbox_list(self, tmp_path):
         counts = export_heatmap([BBox(0, 0, 2, 2)], (4, 4), tmp_path / "b.pgm")
         assert counts.sum() == 4
+
+
+def heatmap_oracle(arr, width, height):
+    """Per-box slice-add counts and the PGM bytes made from them."""
+    counts = np.zeros((height, width), dtype=np.int64)
+    for x0, y0, x1, y1 in arr:
+        ix0 = int(np.clip(np.floor(x0), 0, width))
+        iy0 = int(np.clip(np.floor(y0), 0, height))
+        ix1 = int(np.clip(np.ceil(x1), 0, width))
+        iy1 = int(np.clip(np.ceil(y1), 0, height))
+        if ix1 > ix0 and iy1 > iy0:
+            counts[iy0:iy1, ix0:ix1] += 1
+    peak = int(counts.max())
+    img = (counts * 255) // peak if peak > 0 else counts
+    return counts, f"P5\n{width} {height}\n255\n".encode("ascii") + img.astype(np.uint8).tobytes()
+
+
+class TestExportHeatmapMatchesOracle:
+    EDGE_BOXES = [
+        [-3.0, -2.0, 4.0, 3.0],  # past the top-left corner
+        [5.5, 4.2, 30.0, 25.0],  # past the bottom-right corner, fractional start
+        [-10.0, 2.0, 40.0, 3.5],  # wider than the image
+        [2.0, -5.0, 3.0, 50.0],  # taller than the image
+        [0.1, 0.9, 0.2, 1.1],  # fractional corners inside one pixel column
+        [12.0, 3.0, 20.0, 6.0],  # starts on the right edge: zero area
+        [3.0, 10.0, 6.0, 14.0],  # starts on the bottom edge: zero area
+        [-8.0, -8.0, -1.0, -1.0],  # entirely above-left: zero area
+        [4.0, 4.0, 4.0, 7.0],  # zero width
+        [8.0, 2.0, 6.0, 5.0],  # inverted x: zero area
+        [1.0, 8.0, 3.0, 6.5],  # inverted y: zero area
+    ]
+
+    def check(self, arr, size, tmp_path):
+        path = tmp_path / "h.pgm"
+        counts = export_heatmap(np.asarray(arr, dtype=np.float64).reshape(-1, 4), size, path)
+        want_counts, want_bytes = heatmap_oracle(np.asarray(arr).reshape(-1, 4), *size)
+        assert np.array_equal(counts, want_counts)
+        assert path.read_bytes() == want_bytes
+
+    def test_edges_fractions_and_zero_area(self, tmp_path):
+        self.check(self.EDGE_BOXES, (12, 10), tmp_path)
+
+    def test_only_zero_area_boxes(self, tmp_path):
+        self.check(self.EDGE_BOXES[5:], (12, 10), tmp_path)
+
+    def test_empty_point_set(self, tmp_path):
+        self.check(np.zeros((0, 4)), (7, 3), tmp_path)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_boxes(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        corners = rng.uniform(-6, 26, size=(60, 2, 2))
+        boxes = np.concatenate([corners.min(axis=1), corners.max(axis=1)], axis=1)
+        self.check(boxes, (int(rng.integers(1, 21)), int(rng.integers(1, 21))), tmp_path)
 
 
 class TestSelectPseudoGtErrors:
