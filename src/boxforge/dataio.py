@@ -29,7 +29,9 @@ def _write_atomic(path: str | Path, write: Callable[[TextIO], None]) -> None:
     """Run ``write`` on a temp file beside ``path``, then rename it into place.
 
     A reader never sees a half-written file: on any error the temp file is
-    removed and whatever ``path`` held before is left untouched.
+    removed and whatever ``path`` held before is left untouched.  The temp
+    file is not fsynced, so this holds when the process dies, not after a
+    power loss or OS crash.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")

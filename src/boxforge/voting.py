@@ -75,16 +75,21 @@ def _block_rows(n_points: int) -> int:
     return max(1, ASCENT_BLOCK_BYTES // (n_points * 4 * 8))
 
 
-def _scaled_sq_dists(locs: np.ndarray, space: VoteSpace) -> np.ndarray:
+def _point_columns(space: VoteSpace) -> np.ndarray:
+    """The space's points as a contiguous (4, N) array, one row per coordinate."""
+    return np.ascontiguousarray(space.points.T)
+
+
+def _scaled_sq_dists(locs: np.ndarray, cols: np.ndarray, bandwidth: float) -> np.ndarray:
     """(R, N) squared distances from each location to each point, in bandwidths.
 
-    Builds one (R, N) difference plane per coordinate and adds the squares
-    left to right, which is the order ``np.sum`` takes along a row of four:
-    each value equals ``np.sum(d * d, axis=1)`` with ``d = (points - l) / b``.
+    ``cols`` is the space's :func:`_point_columns`.  Builds one (R, N)
+    difference plane per coordinate and adds the squares left to right, which
+    is the order ``np.sum`` takes along a row of four: each value equals
+    ``np.sum(d * d, axis=1)`` with ``d = (points - l) / b``.
     """
-    cols = np.ascontiguousarray(space.points.T)
     d = cols[:, None, :] - locs.T[:, :, None]
-    d /= space.bandwidth
+    d /= bandwidth
     np.multiply(d, d, out=d)
     sq = d[0] + d[1]
     sq += d[2]
@@ -104,9 +109,10 @@ def _kernel_values(kernel: str, sq_dist: np.ndarray) -> np.ndarray:
 def _votes(locs: np.ndarray, space: VoteSpace) -> np.ndarray:
     """Vote sums at each row of ``locs`` (R, 4), in blocks of rows."""
     votes = np.empty(len(locs))
+    cols = _point_columns(space)
     rows = _block_rows(space.n_points)
     for start in range(0, len(locs), rows):
-        sq = _scaled_sq_dists(locs[start:start + rows], space)
+        sq = _scaled_sq_dists(locs[start:start + rows], cols, space.bandwidth)
         votes[start:start + rows] = np.sum(_kernel_values(space.kernel, sq), axis=1)
     return votes
 
@@ -129,6 +135,7 @@ def _ascend_all(space: VoteSpace, tol: float, max_iter: int) -> np.ndarray:
     to ascending the seeds one at a time.
     """
     pts = space.points
+    cols = _point_columns(space)
     modes = pts.copy()
     active = np.arange(space.n_points)
     rows = _block_rows(space.n_points)
@@ -136,7 +143,7 @@ def _ascend_all(space: VoteSpace, tol: float, max_iter: int) -> np.ndarray:
         moving = []
         for start in range(0, active.size, rows):
             idx = active[start:start + rows]
-            sq = _scaled_sq_dists(modes[idx], space)
+            sq = _scaled_sq_dists(modes[idx], cols, space.bandwidth)
             if space.kernel == GAUSSIAN:
                 w = _kernel_values(GAUSSIAN, sq)
             else:
