@@ -62,7 +62,7 @@ def main():
     cv = run_cv_bandwidth(
         manifest, out / "transfers.jsonl", out / "selections.jsonl", out,
         args.grid, TrainConfig(seed=args.seed + 1000), frame_stride=1,
-    )
+    ).report
     print(f"\ncross-validation over {args.grid}: AP per b = {cv['ap_per_b']}")
     print(f"selected b = {cv['best_b']}")
     describe(cv["best_b"])

@@ -232,7 +232,7 @@ def run_command(args) -> int:
             out, cfg.bandwidth_grid, _train_config(cfg),
             kernel=cfg.kernel, theta=cfg.theta,
             frame_stride=cfg.frame_stride, nms_iou=cfg.nms_iou,
-        )
+        ).report
     else:  # pragma: no cover - argparse enforces choices
         raise BoxforgeError(f"unknown command {args.command}")
     print(json.dumps({k: v for k, v in report.items() if k != "elapsed_s"}))

@@ -10,12 +10,13 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .detector import BoxRegressor, LinearModel
+from .detector import BoxRegressor, ImageProposals, LinearModel
 from .errors import ConfigInvalidError, DimensionMismatchError, MissingInputError
 from .featmap import FeatureMap, FeaturePyramid, read_fmap, single_level_pyramid
 from .geometry import BBox
@@ -53,7 +54,10 @@ def load_json(path: str | Path):
     p = Path(path)
     if not p.exists():
         raise MissingInputError(f"missing input file: {p}")
-    return json.loads(p.read_text())
+    try:
+        return json.loads(p.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigInvalidError(f"{p} line {exc.lineno}: malformed JSON ({exc.msg})") from exc
 
 
 def write_jsonl(path: str | Path, rows: Iterable[Mapping]) -> None:
@@ -70,10 +74,16 @@ def read_jsonl(path: str | Path) -> list[dict]:
         raise MissingInputError(f"missing input file: {p}")
     rows = []
     with open(p) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 rows.append(json.loads(line))
+            except json.JSONDecodeError as exc:
+                raise ConfigInvalidError(
+                    f"{p} line {lineno}: malformed JSON row ({exc.msg})"
+                ) from exc
     return rows
 
 
@@ -167,6 +177,44 @@ def load_manifest(path: str | Path) -> Manifest:
         videos=videos,
         files=dict(doc.get("files", {})),
     )
+
+
+class Dataset:
+    """A dataset opened for one run: its manifest, plus the proposals and
+    tracks, each parsed on first use and then kept for every later stage.
+
+    Feature maps are read on demand and never kept, since at full scale
+    they outgrow memory.
+    """
+
+    def __init__(self, manifest: Manifest):
+        self.manifest = manifest
+
+    @cached_property
+    def proposals(self) -> tuple[dict[str, list[Proposal]], dict[str, str]]:
+        """:func:`read_proposals` of the manifest's proposal file."""
+        return read_proposals(self.manifest.path("proposals"))
+
+    @cached_property
+    def images(self) -> dict[str, ImageProposals]:
+        """Each image's proposals as arrays, in image-id order."""
+        by_image, labels = self.proposals
+        return {
+            image_id: ImageProposals.from_boxes(
+                labels[image_id],
+                [p.box for p in by_image[image_id]],
+                [p.feature for p in by_image[image_id]],
+            )
+            for image_id in sorted(by_image)
+        }
+
+    @cached_property
+    def tracks(self) -> dict[str, list[Track]]:
+        return read_tracks(self.manifest.path("tracks"))
+
+
+def open_dataset(manifest_path: str | Path) -> Dataset:
+    return Dataset(load_manifest(manifest_path))
 
 
 # --- proposals.jsonl: {image_id, label, box, feature} ---------------------

@@ -18,7 +18,7 @@ from typing import Callable, Mapping, Optional, Sequence, TypeVar
 import numpy as np
 
 from .errors import DimensionMismatchError, EmptyPoolError
-from .geometry import BBox, iou, nms
+from .geometry import BBox, box_array, iou, iou_rows, nms
 from .voting import PseudoGT
 
 T = TypeVar("T")
@@ -71,6 +71,28 @@ class BoxRegressor:
 
 
 @dataclass(frozen=True)
+class ImageProposals:
+    """One image's proposals in file order: boxes, their corner rows and
+    their float64 feature rows."""
+
+    label: str
+    boxes: tuple[BBox, ...]
+    coords: np.ndarray  # (N, 4)
+    features: np.ndarray  # (N, D)
+
+    @classmethod
+    def from_boxes(
+        cls, label: str, boxes: Sequence[BBox], features: Sequence[np.ndarray]
+    ) -> "ImageProposals":
+        return cls(
+            label=label,
+            boxes=tuple(boxes),
+            coords=box_array(boxes),
+            features=np.stack([np.asarray(f, dtype=np.float64).reshape(-1) for f in features]),
+        )
+
+
+@dataclass(frozen=True)
 class TrainConfig:
     steps: int = 300
     learning_rate: float = 0.1
@@ -98,16 +120,18 @@ def assign_rcnn_labels(
         return LabelAssignment(positives=(), negatives=tuple(ids), ignored=())
     if pseudo_gt is None:
         return LabelAssignment(positives=(), negatives=(), ignored=tuple(ids))
-    negatives, ignored = [], []
-    for pid, box in proposals:
-        overlap = iou(box, pseudo_gt)
-        if HARD_NEG_LOW <= overlap <= HARD_NEG_HIGH:
-            negatives.append(pid)
-        else:
-            ignored.append(pid)
+    hard = hard_negative_mask(box_array([box for _, box in proposals]), pseudo_gt).tolist()
+    negatives = [pid for pid, h in zip(ids, hard) if h]
+    ignored = [pid for pid, h in zip(ids, hard) if not h]
     return LabelAssignment(
         positives=(PSEUDO_GT_ID,), negatives=tuple(negatives), ignored=tuple(ignored)
     )
+
+
+def hard_negative_mask(coords: np.ndarray, pseudo_gt: BBox) -> np.ndarray:
+    """Which proposal rows (N, 4 corners) fall in the 0.1-0.3 IOU hard-negative band."""
+    overlap = iou_rows(coords, pseudo_gt)
+    return (HARD_NEG_LOW <= overlap) & (overlap <= HARD_NEG_HIGH)
 
 
 def assign_finetune_labels(
@@ -131,12 +155,12 @@ def assign_finetune_labels(
     )
 
 
-def _draw(pool: Sequence[T], n: int, rng: np.random.Generator) -> list[T]:
-    if len(pool) >= n:
-        idx = rng.permutation(len(pool))[:n]
-    else:
-        idx = rng.integers(0, len(pool), size=n)
-    return [pool[int(i)] for i in idx]
+def _draw(pool_size: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Positions of ``n`` draws from a pool: without replacement when it is
+    large enough, with replacement otherwise."""
+    if pool_size >= n:
+        return rng.permutation(pool_size)[:n]
+    return rng.integers(0, pool_size, size=n)
 
 
 def sample_minibatch(
@@ -151,7 +175,9 @@ def sample_minibatch(
     itself.  Deterministic given the generator state."""
     if not positives or not negatives:
         raise EmptyPoolError("minibatch sampling needs non-empty positive and negative pools")
-    return _draw(positives, n_pos, rng) + _draw(negatives, n_neg, rng)
+    pos = _draw(len(positives), n_pos, rng)
+    neg = _draw(len(negatives), n_neg, rng)
+    return [positives[int(i)] for i in pos] + [negatives[int(i)] for i in neg]
 
 
 def hinge_objective(
@@ -186,13 +212,17 @@ def train_linear(
     b = 0.0
     if config.steps <= 0:
         return LinearModel(weights=w, bias=b, category_id=category_id)
-    pos_idx = [int(i) for i in np.flatnonzero(y > 0)]
-    neg_idx = [int(i) for i in np.flatnonzero(y < 0)]
-    if not pos_idx or not neg_idx:
+    pos_idx = np.flatnonzero(y > 0)
+    neg_idx = np.flatnonzero(y < 0)
+    if not pos_idx.size or not neg_idx.size:
         raise EmptyPoolError("training needs at least one positive and one negative")
     rng = np.random.default_rng(config.seed)
     for _ in range(config.steps):
-        batch = sample_minibatch(pos_idx, neg_idx, rng, config.batch_pos, config.batch_neg)
+        # the draws of sample_minibatch, taken from the index arrays directly
+        batch = np.concatenate((
+            pos_idx[_draw(pos_idx.size, config.batch_pos, rng)],
+            neg_idx[_draw(neg_idx.size, config.batch_neg, rng)],
+        ))
         Xb, yb = X[batch], y[batch]
         margins = yb * (Xb @ w + b)
         viol = margins < 1.0
@@ -210,7 +240,7 @@ def train_linear(
 
 def lsvm_update(
     model: LinearModel,
-    images: Mapping[str, tuple[str, Sequence[tuple[str, BBox, np.ndarray]]]],
+    images: Mapping[str, ImageProposals],
     pseudo_gts: Mapping[str, PseudoGT],
     nms_iou: float = 0.3,
 ) -> dict[str, PseudoGT]:
@@ -224,30 +254,28 @@ def lsvm_update(
     """
     updated: dict[str, PseudoGT] = {}
     for image_id in sorted(images):
-        label, props = images[image_id]
-        if label != "pos":
+        image = images[image_id]
+        if image.label != "pos":
             continue
         existing = pseudo_gts.get(image_id)
-        if not props:
+        if not image.boxes:
             if existing is not None:
                 updated[image_id] = existing
             continue
-        boxes = [box for _, box, _ in props]
-        feats = np.stack([np.asarray(f, dtype=np.float64) for _, _, f in props])
-        scores = model.score(feats)
-        keep = nms(boxes, [float(s) for s in scores], nms_iou)
-        detections = [(boxes[i], float(scores[i])) for i in keep]
+        scores = model.score(image.features)
+        keep = nms(image.boxes, scores.tolist(), nms_iou)
         if existing is None:
-            box, score = detections[0]
+            top = keep[0]
             updated[image_id] = PseudoGT(
-                image_id=image_id, box=box, vote=score, support=0, updated=True
+                image_id=image_id, box=image.boxes[top], vote=float(scores[top]),
+                support=0, updated=True,
             )
             continue
-        eligible = [d for d in detections if iou(d[0], existing.box) >= LSVM_LEASH_IOU]
-        if not eligible:
+        leashed = iou_rows(image.coords[keep], existing.box) >= LSVM_LEASH_IOU
+        if not leashed.any():
             updated[image_id] = existing
             continue
-        new_box = eligible[0][0]
+        new_box = image.boxes[keep[int(np.argmax(leashed))]]
         if new_box == existing.box:
             updated[image_id] = existing
         else:

@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import DegenerateBoxError
 
 
@@ -76,6 +78,29 @@ def iou(a: BBox, b: BBox) -> float:
     if inter <= 0.0:
         return 0.0
     return inter / (a.area + b.area - inter)
+
+
+def box_array(boxes: Sequence[BBox]) -> np.ndarray:
+    """Boxes as an (N, 4) float64 array of corner rows."""
+    return np.array([b.as_list() for b in boxes], dtype=np.float64).reshape(-1, 4)
+
+
+def iou_rows(coords: np.ndarray, box: BBox) -> np.ndarray:
+    """IOU of every row of ``coords`` (N, 4 corners) with ``box``.
+
+    Runs the operations of :func:`iou` elementwise and in the same order,
+    so entry i equals ``iou(BBox(*coords[i]), box)`` exactly (an overlap
+    whose area underflows to 0 divides to 0, as ``iou`` returns).
+    """
+    x0, y0, x1, y1 = coords.T
+    iw = np.minimum(x1, box.x_max) - np.maximum(x0, box.x_min)
+    ih = np.minimum(y1, box.y_max) - np.maximum(y0, box.y_min)
+    inter = iw * ih
+    hit = (iw > 0.0) & (ih > 0.0)
+    out = np.zeros(len(coords))
+    area = (x1[hit] - x0[hit]) * (y1[hit] - y0[hit])
+    out[hit] = inter[hit] / (area + box.area - inter[hit])
+    return out
 
 
 def contains(outer: BBox, inner: BBox) -> bool:

@@ -4,11 +4,19 @@ Every stage reads its inputs from disk, writes its outputs plus a stage
 report under ``<out>/reports/``, and is deterministic for fixed inputs and
 seed.  ``run_pipeline`` chains the stages in order, so running them
 individually produces the same artifacts.
+
+A stage takes either a manifest path, which it opens, or a
+:class:`~boxforge.dataio.Dataset` already open: ``run_pipeline`` opens the
+dataset once and hands it to every stage, so the manifest, proposals and
+tracks are parsed once per run.  It also hands cross-validation's winning
+pseudo GT and detector to the vote and initial train stages, which write
+them rather than computing them again.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -19,17 +27,18 @@ from .config import PipelineConfig
 from .detector import (
     FINETUNE_POS_IOU,
     BoxRegressor,
+    LinearModel,
     TrainConfig,
     apply_regressor,
-    assign_rcnn_labels,
     cross_validate_bandwidth,
     fit_bbox_regressor,
+    hard_negative_mask,
     lsvm_update,
     train_linear,
 )
 from .errors import DimensionMismatchError, EmptyPoolError, MissingInputError
 from .featmap import build_query_window, pool_box_feature
-from .geometry import BBox, clip_box, iou, nms
+from .geometry import BBox, clip_box, iou_rows, nms
 from .metrics import aggregate, average_precision, corloc, error_histogram
 from .mining import (
     POSITIVE,
@@ -45,7 +54,7 @@ from .transfer import (
     retrieve_boxes,
     sampled_frame_indices,
 )
-from .voting import VoteSpace, export_heatmap, select_pseudo_gt
+from .voting import PseudoGT, VoteSpace, export_heatmap, select_pseudo_gt
 
 REGIONS = "regions.jsonl"
 SELECTIONS = "selections.jsonl"
@@ -56,6 +65,13 @@ REGRESSOR = "regressor.json"
 DETECTIONS_BBOXREG = "detections_bboxreg.jsonl"
 METRICS = "metrics.json"
 BANDWIDTH_REPORT = "bandwidth_report.json"
+
+
+def _open(dataset: dataio.Dataset | str | Path) -> dataio.Dataset:
+    """The dataset itself, or the one its manifest path names, opened."""
+    if isinstance(dataset, dataio.Dataset):
+        return dataset
+    return dataio.open_dataset(dataset)
 
 
 def _write_report(out_dir: Path, stage: str, report: dict) -> dict:
@@ -71,7 +87,7 @@ def _default_k(labels: dict[str, str]) -> int:
 
 
 def run_mine(
-    manifest_path: str | Path,
+    dataset: dataio.Dataset | str | Path,
     out_dir: str | Path,
     k: Optional[int] = None,
     top_clusters: int = 200,
@@ -80,8 +96,7 @@ def run_mine(
     t0 = time.perf_counter()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = dataio.load_manifest(manifest_path)
-    by_image, labels = dataio.read_proposals(manifest.path("proposals"))
+    by_image, labels = _open(dataset).proposals
     if k is None:
         k = _default_k(labels)
     sizes = [len(props) for props in by_image.values()]
@@ -134,7 +149,7 @@ def _load_videos(manifest):
 
 
 def run_select_tracks(
-    manifest_path: str | Path,
+    dataset: dataio.Dataset | str | Path,
     regions_path: str | Path,
     out_dir: str | Path,
     frame_stride: int = 8,
@@ -144,11 +159,11 @@ def run_select_tracks(
     t0 = time.perf_counter()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = dataio.load_manifest(manifest_path)
+    ds = _open(dataset)
     mined = dataio.read_regions(regions_path)
-    queries = _load_region_queries(manifest, mined.regions, target_cells)
-    videos = _load_videos(manifest)
-    tracks_by_video = dataio.read_tracks(manifest.path("tracks"))
+    queries = _load_region_queries(ds.manifest, mined.regions, target_cells)
+    videos = _load_videos(ds.manifest)
+    tracks_by_video = ds.tracks
 
     region_order = [r.region_id for r in mined.regions]
     per_region = [
@@ -183,7 +198,7 @@ def run_select_tracks(
 
 
 def run_match(
-    manifest_path: str | Path,
+    dataset: dataio.Dataset | str | Path,
     regions_path: str | Path,
     selections_path: str | Path,
     out_dir: str | Path,
@@ -195,7 +210,7 @@ def run_match(
     t0 = time.perf_counter()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = dataio.load_manifest(manifest_path)
+    manifest = _open(dataset).manifest
     mined = dataio.read_regions(regions_path)
     selections = dataio.read_selections(selections_path)
     queries = _load_region_queries(manifest, mined.regions, target_cells)
@@ -230,35 +245,57 @@ def run_match(
     )
 
 
+def vote_pseudo_gts(
+    manifest: dataio.Manifest,
+    boxes_by_image: dict[str, list[BBox]],
+    bandwidth: float,
+    kernel: str,
+    theta: float,
+) -> dict[str, PseudoGT]:
+    """Mean-shift each image's transferred boxes; image id -> pseudo GT, for
+    the images whose top mode passes ``theta``."""
+    gts = {}
+    for image_id in sorted(boxes_by_image):
+        space = VoteSpace.from_boxes(boxes_by_image[image_id], bandwidth=bandwidth, kernel=kernel)
+        entry = manifest.image(image_id)
+        gt = select_pseudo_gt(space, theta=theta, image_bounds=entry.size, image_id=image_id)
+        if gt is not None:
+            gts[image_id] = gt
+    return gts
+
+
 def run_vote(
-    manifest_path: str | Path,
+    dataset: dataio.Dataset | str | Path,
     transfers_path: str | Path,
     out_dir: str | Path,
     bandwidth: float,
     kernel: str = "gaussian",
     theta: float = 20.0,
     heatmap_dir: Optional[str | Path] = None,
+    pseudo_gts: Optional[dict[str, PseudoGT]] = None,
 ) -> dict:
-    """Mean-shift the per-image vote spaces into pseudo-GT boxes."""
+    """Mean-shift the per-image vote spaces into pseudo-GT boxes.
+
+    ``pseudo_gts`` is this vote's result when the caller already has it
+    (cross-validation voted with the same transfers, bandwidth, kernel and
+    theta); it is written as is.
+    """
     t0 = time.perf_counter()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = dataio.load_manifest(manifest_path)
+    manifest = _open(dataset).manifest
     boxes_by_image = dataio.read_transfer_boxes(transfers_path)
-    gts = []
-    for image_id in sorted(boxes_by_image):
-        boxes = boxes_by_image[image_id]
-        space = VoteSpace.from_boxes(boxes, bandwidth=bandwidth, kernel=kernel)
-        entry = manifest.image(image_id)
-        gt = select_pseudo_gt(space, theta=theta, image_bounds=entry.size, image_id=image_id)
-        if gt is not None:
-            gts.append(gt)
-        if heatmap_dir is not None:
-            hdir = Path(heatmap_dir)
-            hdir.mkdir(parents=True, exist_ok=True)
-            size = (int(entry.size[0]), int(entry.size[1]))
-            export_heatmap(space.points, size, hdir / f"{image_id}.pgm")
-    dataio.write_pseudo_gts(out / PSEUDO_GT, gts)
+    if pseudo_gts is None:
+        pseudo_gts = vote_pseudo_gts(manifest, boxes_by_image, bandwidth, kernel, theta)
+    if heatmap_dir is not None:
+        hdir = Path(heatmap_dir)
+        hdir.mkdir(parents=True, exist_ok=True)
+        for image_id in sorted(boxes_by_image):
+            width, height = manifest.image(image_id).size
+            export_heatmap(
+                boxes_by_image[image_id], (int(width), int(height)), hdir / f"{image_id}.pgm"
+            )
+    dataio.write_pseudo_gts(out / PSEUDO_GT, [pseudo_gts[i] for i in sorted(pseudo_gts)])
     return _write_report(
         out,
         "vote",
@@ -268,85 +305,90 @@ def run_vote(
             "kernel": kernel,
             "theta": theta,
             "n_images_with_transfers": len(boxes_by_image),
-            "n_pseudo_gt": len(gts),
+            "n_pseudo_gt": len(pseudo_gts),
             "elapsed_s": time.perf_counter() - t0,
         },
     )
 
 
-def _load_image_proposals(manifest):
-    """image_id -> (label, [(prop_id, box, feature)]) in file order."""
-    by_image, labels = dataio.read_proposals(manifest.path("proposals"))
-    images = {}
-    for image_id in sorted(by_image):
-        props = [(p.prop_id, p.box, p.feature) for p in by_image[image_id]]
-        images[image_id] = (labels[image_id], props)
-    return images
-
-
-def _training_corpus(manifest, images, pseudo_gts):
+def _training_corpus(ds: dataio.Dataset, pseudo_gts):
     """Pseudo-GT pooled features as positives, band and negative-image
-    proposals as negatives."""
-    feats: list[np.ndarray] = []
-    labels: list[float] = []
-    for image_id in sorted(images):
-        label, props = images[image_id]
-        if label == POSITIVE:
+    proposals as negatives, image by image in id order."""
+    manifest = ds.manifest
+    blocks: list[np.ndarray] = []
+    labels: list[np.ndarray] = []
+    for image_id, image in ds.images.items():
+        if image.label == POSITIVE:
             gt = pseudo_gts.get(image_id)
-            assignment = assign_rcnn_labels(
-                [(pid, box) for pid, box, _ in props], gt.box if gt else None, label
-            )
-            if gt is not None:
-                fmap = manifest.load_image_fmap(image_id)
-                feats.append(pool_box_feature(fmap, gt.box, manifest.cell_stride))
-                labels.append(1.0)
-            negatives = set(assignment.negatives)
-            for pid, _box, feature in props:
-                if pid in negatives:
-                    feats.append(np.asarray(feature, dtype=np.float64))
-                    labels.append(-1.0)
+            if gt is None:
+                continue  # without a pseudo GT every proposal is ignored
+            fmap = manifest.load_image_fmap(image_id)
+            blocks.append(pool_box_feature(fmap, gt.box, manifest.cell_stride)[None, :])
+            labels.append(np.ones(1))
+            negatives = image.features[hard_negative_mask(image.coords, gt.box)]
         else:
-            for _pid, _box, feature in props:
-                feats.append(np.asarray(feature, dtype=np.float64))
-                labels.append(-1.0)
-    if not feats:
+            negatives = image.features
+        blocks.append(negatives)
+        labels.append(np.full(len(negatives), -1.0))
+    if not sum(len(y) for y in labels):
         raise EmptyPoolError("no training examples")
-    return np.stack(feats), np.asarray(labels)
+    return np.concatenate(blocks), np.concatenate(labels)
+
+
+@dataclass(frozen=True)
+class DetectorFit:
+    """A trained detector and the size of its training set."""
+
+    model: LinearModel
+    n_examples: int
+    n_positives: int
+
+
+def fit_detector(
+    ds: dataio.Dataset, pseudo_gts: dict[str, PseudoGT], train_config: TrainConfig
+) -> DetectorFit:
+    """Train the linear detector on the pseudo GT; raises
+    :class:`EmptyPoolError` when there is nothing to train on."""
+    X, y = _training_corpus(ds, pseudo_gts)
+    model = train_linear(X, y, train_config, category_id=ds.manifest.categories[0])
+    return DetectorFit(model=model, n_examples=int(X.shape[0]), n_positives=int(np.sum(y > 0)))
 
 
 def _detect(images, model, nms_iou):
     detections = []
     for image_id in sorted(images):
-        _label, props = images[image_id]
-        if not props:
+        image = images[image_id]
+        if not image.boxes:
             continue
-        boxes = [box for _, box, _ in props]
-        feats = np.stack([np.asarray(f, dtype=np.float64) for _, _, f in props])
-        scores = model.score(feats)
-        for i in nms(boxes, [float(s) for s in scores], nms_iou):
-            detections.append((image_id, boxes[i], float(scores[i])))
+        scores = model.score(image.features)
+        for i in nms(image.boxes, scores.tolist(), nms_iou):
+            detections.append((image_id, image.boxes[i], float(scores[i])))
     return detections
 
 
 def run_train(
-    manifest_path: str | Path,
+    dataset: dataio.Dataset | str | Path,
     pseudo_gt_path: str | Path,
     out_dir: str | Path,
     train_config: TrainConfig,
     nms_iou: float = 0.3,
     tag: str = "initial",
+    fit: Optional[DetectorFit] = None,
 ) -> dict:
-    """Train the linear detector on the pseudo GT and emit its detections."""
+    """Train the linear detector on the pseudo GT and emit its detections.
+
+    ``fit`` is this training's result when the caller already has it
+    (cross-validation trained on the same pseudo GT with the same config);
+    its model is written as is.
+    """
     t0 = time.perf_counter()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = dataio.load_manifest(manifest_path)
-    images = _load_image_proposals(manifest)
-    pseudo_gts = dataio.read_pseudo_gts(pseudo_gt_path)
-    X, y = _training_corpus(manifest, images, pseudo_gts)
-    model = train_linear(X, y, train_config, category_id=manifest.categories[0])
-    dataio.write_model(out / f"model_{tag}.json", model)
-    detections = _detect(images, model, nms_iou)
+    ds = _open(dataset)
+    if fit is None:
+        fit = fit_detector(ds, dataio.read_pseudo_gts(pseudo_gt_path), train_config)
+    dataio.write_model(out / f"model_{tag}.json", fit.model)
+    detections = _detect(ds.images, fit.model, nms_iou)
     dataio.write_detections(out / f"detections_{tag}.jsonl", detections)
     return _write_report(
         out,
@@ -354,8 +396,8 @@ def run_train(
         {
             "stage": "train",
             "tag": tag,
-            "n_train_examples": int(X.shape[0]),
-            "n_positives": int(np.sum(y > 0)),
+            "n_train_examples": fit.n_examples,
+            "n_positives": fit.n_positives,
             "n_detections": len(detections),
             "seed": train_config.seed,
             "elapsed_s": time.perf_counter() - t0,
@@ -364,7 +406,7 @@ def run_train(
 
 
 def run_update(
-    manifest_path: str | Path,
+    dataset: dataio.Dataset | str | Path,
     model_path: str | Path,
     pseudo_gt_path: str | Path,
     out_dir: str | Path,
@@ -375,11 +417,10 @@ def run_update(
     t0 = time.perf_counter()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = dataio.load_manifest(manifest_path)
-    images = _load_image_proposals(manifest)
+    ds = _open(dataset)
     model = dataio.read_model(model_path)
     before = dataio.read_pseudo_gts(pseudo_gt_path)
-    after = lsvm_update(model, images, before, nms_iou=nms_iou)
+    after = lsvm_update(model, ds.images, before, nms_iou=nms_iou)
     ordered = [after[i] for i in sorted(after)]
     dataio.write_pseudo_gts(out / out_name, ordered)
     return _write_report(
@@ -399,7 +440,7 @@ def run_update(
 
 
 def run_regress(
-    manifest_path: str | Path,
+    dataset: dataio.Dataset | str | Path,
     pseudo_gt_path: str | Path,
     detections_path: str | Path,
     out_dir: str | Path,
@@ -409,23 +450,22 @@ def run_regress(
     t0 = time.perf_counter()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = dataio.load_manifest(manifest_path)
-    images = _load_image_proposals(manifest)
+    ds = _open(dataset)
+    manifest = ds.manifest
+    images = ds.images
     pseudo_gts = dataio.read_pseudo_gts(pseudo_gt_path)
     pairs = []
     for image_id in sorted(pseudo_gts):
-        if image_id not in images:
+        image = images.get(image_id)
+        if image is None:
             continue
         gt = pseudo_gts[image_id]
-        _label, props = images[image_id]
-        for _pid, box, feature in props:
-            if iou(box, gt.box) >= FINETUNE_POS_IOU:
-                pairs.append((np.asarray(feature, dtype=np.float64), box, gt.box))
+        for i in np.flatnonzero(iou_rows(image.coords, gt.box) >= FINETUNE_POS_IOU):
+            pairs.append((image.features[i], image.boxes[i], gt.box))
     if pairs:
         regressor = fit_bbox_regressor(pairs, l2=l2)
     else:
-        dim = len(next(iter(images.values()))[1][0][2])
-        regressor = BoxRegressor.identity(dim)
+        regressor = BoxRegressor.identity(next(iter(images.values())).features.shape[1])
     dataio.write_regressor(out / REGRESSOR, regressor)
 
     detections = dataio.read_detections(detections_path)
@@ -472,7 +512,7 @@ def _pgt_boxes(pseudo_gts):
 
 
 def run_eval(
-    manifest_path: str | Path,
+    dataset: dataio.Dataset | str | Path,
     out_dir: str | Path,
     initial_pgt_path: Optional[str | Path] = None,
     updated_pgt_path: Optional[str | Path] = None,
@@ -487,7 +527,7 @@ def run_eval(
     t0 = time.perf_counter()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = dataio.load_manifest(manifest_path)
+    manifest = _open(dataset).manifest
     category = manifest.categories[0]
     gt = _category_gt(manifest, category)
     detections_paths = detections_paths or {}
@@ -551,18 +591,20 @@ def _half_box(box: BBox) -> BBox:
     )
 
 
-def _video_detection_ap(manifest, model, selections, frame_stride, nms_iou):
-    """AP of the detector on sampled video frames, with the selected track
-    boxes as (noisy) ground truth.  The per-frame proposal pool is the
-    candidate track boxes plus a centered half-size sub-box of each, so a
-    detector that never learned tightness ranks loose parts above the
-    object and loses precision."""
-    tracks_by_video = dataio.read_tracks(manifest.path("tracks"))
-    detections = []
+def _video_frames(ds: dataio.Dataset, selections, frame_stride):
+    """The sampled frames a detector is scored on, as ``(frames, gt)``:
+    ``(frame_key, boxes, pooled features)`` per frame, and each frame's
+    selected track box as (noisy) ground truth.
+
+    The per-frame proposal pool is the candidate track boxes plus a
+    centered half-size sub-box of each, so a detector that never learned
+    tightness ranks loose parts above the object and loses precision."""
+    manifest = ds.manifest
+    frames = []
     gt: dict[str, list[BBox]] = {}
     for entry in manifest.videos:
         pyramids = manifest.load_video_pyramids(entry.video_id)
-        tracks = tracks_by_video.get(entry.video_id, [])
+        tracks = ds.tracks.get(entry.video_id, [])
         for frame_idx in sampled_frame_indices(len(pyramids), frame_stride):
             sel = selections.get((entry.video_id, frame_idx))
             if sel is None:
@@ -578,16 +620,48 @@ def _video_detection_ap(manifest, model, selections, frame_stride, nms_iou):
             feats = np.stack(
                 [pool_box_feature(fmap, box, manifest.cell_stride) for box in boxes]
             )
-            scores = model.score(feats)
-            for i in nms(boxes, [float(s) for s in scores], nms_iou):
-                detections.append((frame_key, boxes[i], float(scores[i])))
+            frames.append((frame_key, boxes, feats))
+    return frames, gt
+
+
+def _video_detection_ap(frames, gt, model, nms_iou) -> float:
+    """AP of the detector on the :func:`_video_frames` frames."""
     if not gt:
         return 0.0
+    detections = []
+    for frame_key, boxes, feats in frames:
+        scores = model.score(feats)
+        for i in nms(boxes, scores.tolist(), nms_iou):
+            detections.append((frame_key, boxes[i], float(scores[i])))
     return average_precision(detections, gt)
 
 
+@dataclass(frozen=True)
+class BandwidthTrial:
+    """What cross-validation computed at one grid bandwidth."""
+
+    pseudo_gts: dict[str, PseudoGT]
+    fit: Optional[DetectorFit]  # None when there was nothing to train on
+
+
+@dataclass(frozen=True)
+class CrossValidation:
+    """The cv-bandwidth stage report and every grid bandwidth's trial."""
+
+    report: dict
+    trials: dict[float, BandwidthTrial]
+
+    @property
+    def best_b(self) -> float:
+        return self.report["best_b"]
+
+    @property
+    def winner(self) -> BandwidthTrial:
+        return self.trials[self.best_b]
+
+
 def run_cv_bandwidth(
-    manifest_path: str | Path,
+    dataset: dataio.Dataset | str | Path,
     transfers_path: str | Path,
     selections_path: str | Path,
     out_dir: str | Path,
@@ -597,38 +671,44 @@ def run_cv_bandwidth(
     theta: float = 20.0,
     frame_stride: int = 8,
     nms_iou: float = 0.3,
-) -> dict:
-    """Pick the voting bandwidth whose detector best recovers the selected tracks."""
+) -> CrossValidation:
+    """Pick the voting bandwidth whose detector best recovers the selected tracks.
+
+    Each grid bandwidth is voted and trained on exactly as the vote and
+    train stages would; the video frames the detectors are scored on are
+    pooled once, when the first detector needs them.
+    """
     t0 = time.perf_counter()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = dataio.load_manifest(manifest_path)
-    images = _load_image_proposals(manifest)
+    ds = _open(dataset)
     boxes_by_image = dataio.read_transfer_boxes(transfers_path)
     selections = dataio.read_selections(selections_path)
+    trials: dict[float, BandwidthTrial] = {}
+    video = None  # (frames, gt), pooled when the first detector needs them
 
     def evaluate(b: float) -> float:
-        gts = {}
-        for image_id in sorted(boxes_by_image):
-            space = VoteSpace.from_boxes(boxes_by_image[image_id], bandwidth=b, kernel=kernel)
-            entry = manifest.image(image_id)
-            gt = select_pseudo_gt(space, theta=theta, image_bounds=entry.size, image_id=image_id)
-            if gt is not None:
-                gts[image_id] = gt
-        if not gts:
+        nonlocal video
+        gts = vote_pseudo_gts(ds.manifest, boxes_by_image, b, kernel, theta)
+        fit = None
+        if gts:
+            try:
+                fit = fit_detector(ds, gts, train_config)
+            except EmptyPoolError:
+                pass
+        trials[b] = BandwidthTrial(pseudo_gts=gts, fit=fit)
+        if fit is None:
             return 0.0
-        try:
-            X, y = _training_corpus(manifest, images, gts)
-            model = train_linear(X, y, train_config, category_id=manifest.categories[0])
-        except EmptyPoolError:
-            return 0.0
-        return _video_detection_ap(manifest, model, selections, frame_stride, nms_iou)
+        if video is None:
+            video = _video_frames(ds, selections, frame_stride)
+        return _video_detection_ap(*video, fit.model, nms_iou)
 
     best_b, scores = cross_validate_bandwidth(bandwidth_grid, evaluate)
     doc = {"best_b": best_b, "ap_per_b": {str(b): scores[b] for b in sorted(scores)}}
     # the artifact stays byte-reproducible; only the stage report is timed
     dataio.dump_json(doc, out / BANDWIDTH_REPORT)
-    return _write_report(out, "cv_bandwidth", {**doc, "elapsed_s": time.perf_counter() - t0})
+    report = _write_report(out, "cv_bandwidth", {**doc, "elapsed_s": time.perf_counter() - t0})
+    return CrossValidation(report=report, trials=trials)
 
 
 def run_pipeline(cfg: PipelineConfig, heatmap_dir: Optional[str | Path] = None) -> dict:
@@ -644,49 +724,55 @@ def run_pipeline(cfg: PipelineConfig, heatmap_dir: Optional[str | Path] = None) 
         weight_decay=cfg.weight_decay,
         seed=cfg.seed,
     )
+    ds = dataio.open_dataset(cfg.manifest)
 
-    run_mine(cfg.manifest, out, k=cfg.k, top_clusters=cfg.top_clusters)
+    run_mine(ds, out, k=cfg.k, top_clusters=cfg.top_clusters)
     run_select_tracks(
-        cfg.manifest, out / REGIONS, out,
+        ds, out / REGIONS, out,
         frame_stride=cfg.frame_stride, target_cells=cfg.target_cells,
     )
     run_match(
-        cfg.manifest, out / REGIONS, out / SELECTIONS, out,
+        ds, out / REGIONS, out / SELECTIONS, out,
         n_matches=cfg.n_matches, frame_stride=cfg.frame_stride,
         target_cells=cfg.target_cells,
     )
     bandwidth = cfg.bandwidth
+    winner_gts, winner_fit = None, None
     if bandwidth is None:
         cv = run_cv_bandwidth(
-            cfg.manifest, out / TRANSFERS, out / SELECTIONS, out,
+            ds, out / TRANSFERS, out / SELECTIONS, out,
             cfg.bandwidth_grid, train_config,
             kernel=cfg.kernel, theta=cfg.theta,
             frame_stride=cfg.frame_stride, nms_iou=cfg.nms_iou,
         )
-        bandwidth = cv["best_b"]
+        bandwidth = cv.best_b
+        winner_gts, winner_fit = cv.winner.pseudo_gts, cv.winner.fit
     run_vote(
-        cfg.manifest, out / TRANSFERS, out,
+        ds, out / TRANSFERS, out,
         bandwidth=bandwidth, kernel=cfg.kernel, theta=cfg.theta, heatmap_dir=heatmap_dir,
+        pseudo_gts=winner_gts,
     )
+    # without a winning detector (fixed bandwidth, or an empty pool) this trains
     run_train(
-        cfg.manifest, out / PSEUDO_GT, out, train_config, nms_iou=cfg.nms_iou, tag="initial"
+        ds, out / PSEUDO_GT, out, train_config, nms_iou=cfg.nms_iou, tag="initial",
+        fit=winner_fit,
     )
     current_pgt = out / PSEUDO_GT
     for round_idx in range(cfg.lsvm_rounds):
         model_tag = "initial" if round_idx == 0 else "updated"
         run_update(
-            cfg.manifest, out / f"model_{model_tag}.json", current_pgt, out,
+            ds, out / f"model_{model_tag}.json", current_pgt, out,
             nms_iou=cfg.nms_iou,
         )
         current_pgt = out / PSEUDO_GT_UPDATED
         run_train(
-            cfg.manifest, current_pgt, out, train_config, nms_iou=cfg.nms_iou, tag="updated"
+            ds, current_pgt, out, train_config, nms_iou=cfg.nms_iou, tag="updated"
         )
     run_regress(
-        cfg.manifest, current_pgt, out / "detections_updated.jsonl", out, l2=cfg.regressor_l2
+        ds, current_pgt, out / "detections_updated.jsonl", out, l2=cfg.regressor_l2
     )
     metrics_doc = run_eval(
-        cfg.manifest,
+        ds,
         out,
         initial_pgt_path=out / PSEUDO_GT,
         updated_pgt_path=current_pgt if cfg.lsvm_rounds > 0 else None,

@@ -166,18 +166,14 @@ def _ascend_all(space: VoteSpace, tol: float, max_iter: int) -> np.ndarray:
     return modes
 
 
-def mean_shift_modes(
-    space: VoteSpace,
-    tol: Optional[float] = None,
-    max_iter: int = 200,
-) -> list[tuple[np.ndarray, float]]:
-    """Modes of the vote field, highest vote first.
+MAX_ITER = 200
 
-    Ascent is seeded at every point; converged locations within 0.5*b of an
-    already-kept mode merge into it (the kept one has the higher vote).
-    Ties in vote are ordered by the mode's coordinates.
-    Raises :class:`NoPointsError` on an empty space.
-    """
+
+def _ranked_ascents(
+    space: VoteSpace, tol: Optional[float], max_iter: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every seed's converged location and its vote, highest vote first,
+    ties ordered by the location's coordinates."""
     if space.n_points == 0:
         raise NoPointsError("mean shift requires at least one vote point")
     if tol is None:
@@ -186,9 +182,25 @@ def mean_shift_modes(
     votes = _votes(converged, space)
     x0, y0, x1, y1 = converged.T
     order = np.lexsort((y1, x1, y0, x0, -votes))
+    return converged[order], votes[order]
+
+
+def mean_shift_modes(
+    space: VoteSpace,
+    tol: Optional[float] = None,
+    max_iter: int = MAX_ITER,
+) -> list[tuple[np.ndarray, float]]:
+    """Modes of the vote field, highest vote first.
+
+    Ascent is seeded at every point; converged locations within 0.5*b of an
+    already-kept mode merge into it (the kept one has the higher vote).
+    Ties in vote are ordered by the mode's coordinates.
+    Raises :class:`NoPointsError` on an empty space.
+    """
+    locations, votes = _ranked_ascents(space, tol, max_iter)
     merge_radius = 0.5 * space.bandwidth
     modes: list[tuple[np.ndarray, float]] = []
-    for m, v in zip(converged[order], votes[order].tolist()):
+    for m, v in zip(locations, votes.tolist()):
         if all(float(np.linalg.norm(m - km)) > merge_radius for km, _ in modes):
             modes.append((m, v))
     return modes
@@ -208,7 +220,9 @@ def select_pseudo_gt(
     """
     if space.n_points == 0:
         return None
-    mode, vote = mean_shift_modes(space)[0]
+    # the top mode is the first ranked ascent: merging only decides what follows it
+    locations, votes = _ranked_ascents(space, None, MAX_ITER)
+    mode, vote = locations[0], float(votes[0])
     if vote < theta:
         return None
     try:

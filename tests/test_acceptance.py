@@ -14,6 +14,7 @@ import pytest
 from boxforge import dataio
 from boxforge.config import PipelineConfig
 from boxforge.detector import (
+    ImageProposals,
     TrainConfig,
     apply_box_targets,
     assign_finetune_labels,
@@ -382,7 +383,7 @@ def test_criterion_7_detector_eval_plumbing():
     assert corloc({"a": prop_at(0.5)}, {"a": [gt_box]}) == 0.0
     assert corloc({"a": prop_at(0.5001)}, {"a": [gt_box]}) == 1.0
     images = {
-        "img": ("pos", [("half", prop_at(0.5), np.array([1.0, 0.0]))]),
+        "img": ImageProposals.from_boxes("pos", [prop_at(0.5)], [np.array([1.0, 0.0])]),
     }
     existing = {"img": __import__("boxforge.voting", fromlist=["PseudoGT"]).PseudoGT(
         image_id="img", box=gt_box, vote=20.0, support=20)}
@@ -467,7 +468,7 @@ def test_criterion_9_bandwidth_failure_mode(tmp_path):
     cv = run_cv_bandwidth(
         manifest, out / "transfers.jsonl", out / "selections.jsonl", out,
         [2.0, oversized, 32.0], TrainConfig(seed=TRAIN_SEED), frame_stride=1,
-    )
+    ).report
     best_b = cv["best_b"]
     assert best_b == 2.0
     assert cv["ap_per_b"]["2.0"] > cv["ap_per_b"][str(oversized)]

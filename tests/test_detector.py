@@ -1,8 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
+from boxforge import dataio, detector
 from boxforge.detector import (
     PSEUDO_GT_ID,
+    ImageProposals,
     LinearModel,
     TrainConfig,
     apply_box_targets,
@@ -128,6 +132,83 @@ class TestSampleMinibatch:
             sample_minibatch([], [1], np.random.default_rng(0))
 
 
+def list_draw(pool, n, rng):
+    """The minibatch draw as a list comprehension over a Python list pool,
+    the form train_linear used before its pools became index arrays."""
+    if len(pool) >= n:
+        idx = rng.permutation(len(pool))[:n]
+    else:
+        idx = rng.integers(0, len(pool), size=n)
+    return [pool[int(i)] for i in idx]
+
+
+def list_draw_train_linear(features, labels, config, category_id=""):
+    """train_linear with list pools and list_draw minibatches."""
+    X = np.asarray(features, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.float64).reshape(-1)
+    dim = X.shape[1]
+    w = np.zeros(dim)
+    b = 0.0
+    pos_idx = [int(i) for i in np.flatnonzero(y > 0)]
+    neg_idx = [int(i) for i in np.flatnonzero(y < 0)]
+    rng = np.random.default_rng(config.seed)
+    for _ in range(config.steps):
+        batch = list_draw(pos_idx, config.batch_pos, rng) + list_draw(
+            neg_idx, config.batch_neg, rng
+        )
+        Xb, yb = X[batch], y[batch]
+        margins = yb * (Xb @ w + b)
+        viol = margins < 1.0
+        m = len(batch)
+        grad_w = 2.0 * config.weight_decay * w - (yb[viol] @ Xb[viol]) / m
+        grad_b = -float(np.sum(yb[viol])) / m
+        w = w - config.learning_rate * grad_w
+        b = b - config.learning_rate * grad_b
+    if hinge_objective(w, b, X, y, config.weight_decay) > hinge_objective(
+        np.zeros(dim), 0.0, X, y, config.weight_decay
+    ):
+        return LinearModel(weights=np.zeros(dim), bias=0.0, category_id=category_id)
+    return LinearModel(weights=w, bias=b, category_id=category_id)
+
+
+def shuffled_pools(n_pos, n_neg, dim=5, seed=0):
+    """Features and labels with the positives scattered among the negatives."""
+    rng = np.random.default_rng(seed)
+    y = rng.permutation(np.array([1.0] * n_pos + [-1.0] * n_neg))
+    X = rng.normal(size=(y.size, dim)) + y[:, None]
+    return X, y
+
+
+# positive and negative pools smaller than, equal to and larger than the
+# default 32/96 batch halves
+POOL_SIZES = [(5, 40), (32, 96), (50, 200), (32, 40), (5, 200)]
+
+
+class TestArrayDrawsMatchListDraws:
+    @pytest.mark.parametrize("n_pos,n_neg", POOL_SIZES)
+    def test_batches_identical(self, n_pos, n_neg):
+        _X, y = shuffled_pools(n_pos, n_neg)
+        pos_idx, neg_idx = np.flatnonzero(y > 0), np.flatnonzero(y < 0)
+        old_rng, new_rng = np.random.default_rng(3), np.random.default_rng(3)
+        for _ in range(25):
+            old = list_draw(pos_idx.tolist(), 32, old_rng)
+            old += list_draw(neg_idx.tolist(), 96, old_rng)
+            new = np.concatenate((
+                pos_idx[detector._draw(pos_idx.size, 32, new_rng)],
+                neg_idx[detector._draw(neg_idx.size, 96, new_rng)],
+            ))
+            assert new.tolist() == old
+
+    @pytest.mark.parametrize("n_pos,n_neg", POOL_SIZES)
+    def test_model_bytes_identical(self, tmp_path, n_pos, n_neg):
+        X, y = shuffled_pools(n_pos, n_neg, seed=n_pos + n_neg)
+        cfg = TrainConfig(steps=60, learning_rate=0.2, seed=9)
+        dataio.write_model(tmp_path / "old.json", list_draw_train_linear(X, y, cfg, "obj"))
+        dataio.write_model(tmp_path / "new.json", train_linear(X, y, cfg, "obj"))
+        assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
+        assert json.loads((tmp_path / "new.json").read_text())["bias"] != 0.0
+
+
 def separable_toy(n=40, seed=3):
     rng = np.random.default_rng(seed)
     pos = rng.normal(size=(n, 2)) + np.array([3.0, 3.0])
@@ -184,15 +265,17 @@ class TestTrainLinear:
 def images_fixture():
     """One positive image with a planted high-score proposal, one negative."""
     target = np.array([1.0, 0.0])
-    props_pos = [
-        ("pos#0", box(2, 2, 8, 8), target),          # the object
-        ("pos#1", box(2, 2, 7, 8), target * 0.8),     # near-duplicate, lower score
-        ("pos#2", box(12, 12, 15, 15), np.array([0.0, 1.0])),
-    ]
-    props_neg = [("neg#0", box(0, 0, 4, 4), np.array([0.0, 1.0]))]
     return {
-        "img_pos": ("pos", props_pos),
-        "img_neg": ("neg", props_neg),
+        "img_pos": ImageProposals.from_boxes(
+            "pos",
+            [
+                box(2, 2, 8, 8),  # the object
+                box(2, 2, 7, 8),  # near-duplicate, lower score
+                box(12, 12, 15, 15),
+            ],
+            [target, target * 0.8, np.array([0.0, 1.0])],
+        ),
+        "img_neg": ImageProposals.from_boxes("neg", [box(0, 0, 4, 4)], [np.array([0.0, 1.0])]),
     }
 
 
@@ -228,6 +311,19 @@ class TestLsvmUpdate:
         from boxforge.geometry import iou
 
         assert iou(new.box, existing.box) >= 0.5
+
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_highest_scoring_eligible_detection_wins(self, first):
+        # both halves keep 0.6 IOU with the existing box and only 0.2 with
+        # each other, so NMS keeps both and the better-scored one is adopted
+        halves = [box(0, 0, 10, 6), box(0, 4, 10, 10)]
+        feats = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
+        images = {"img": ImageProposals.from_boxes("pos", halves, feats)}
+        existing = PseudoGT(image_id="img", box=box(0, 0, 10, 10), vote=21.0, support=21)
+        model = model_toward([1.0, 0.5] if first == 0 else [0.5, 1.0])
+        updated = lsvm_update(model, images, {"img": existing})
+        assert updated["img"].box == halves[first]
+        assert updated["img"].updated is True
 
     def test_count_never_decreases(self):
         existing = {"img_pos": PseudoGT(image_id="img_pos", box=GT, vote=20.0, support=20)}

@@ -5,10 +5,12 @@ import hypothesis.strategies as st
 from boxforge.errors import DegenerateBoxError
 from boxforge.geometry import (
     BBox,
+    box_array,
     clip_box,
     contains,
     intersection_area,
     iou,
+    iou_rows,
     nms,
     transfer_box,
 )
@@ -101,6 +103,46 @@ def pixel_iou_oracle(a: BBox, b: BBox) -> float:
 @given(int_boxes, int_boxes)
 def test_iou_matches_pixel_counting_oracle(a, b):
     assert iou(a, b) == pytest.approx(pixel_iou_oracle(a, b), abs=1e-9)
+
+
+# small integer and half-integer boxes: many shared, touching and nested edges
+near_box = st.builds(
+    lambda x, y, w, h: box(x / 2, y / 2, (x + w) / 2, (y + h) / 2),
+    st.integers(0, 24), st.integers(0, 24), st.integers(1, 16), st.integers(1, 16),
+)
+
+
+# overlapping boxes with arbitrary mantissas, so rounding order shows
+unit = st.floats(0.0, 10.0, allow_nan=False)
+overlapping_box = st.builds(
+    lambda x, y, w, h: BBox(x, y, x + w, y + h), unit, unit, unit.map(lambda v: v + 0.5),
+    unit.map(lambda v: v + 0.5),
+)
+any_box = st.one_of(near_box, overlapping_box, boxes())
+
+
+class TestIouRows:
+    @given(st.lists(any_box, max_size=12), any_box)
+    def test_equals_pairwise_iou_exactly(self, rows, other):
+        assert iou_rows(box_array(rows), other).tolist() == [iou(r, other) for r in rows]
+
+    def test_edge_cases(self):
+        ref = box(0, 0, 10, 10)
+        rows = [
+            box(10, 0, 20, 10),  # touching edge
+            box(10, 10, 20, 20),  # touching corner
+            box(30, 30, 40, 40),  # disjoint
+            box(2, 2, 5, 5),  # inside
+            ref,  # identical
+            box(-5, -5, 15, 15),  # contains
+            box(5, 5, 15, 15),  # partial
+        ]
+        got = iou_rows(box_array(rows), ref).tolist()
+        assert got == [iou(r, ref) for r in rows]
+        assert got[:3] == [0.0, 0.0, 0.0] and got[4] == 1.0
+
+    def test_no_rows(self):
+        assert iou_rows(box_array([]), box(0, 0, 1, 1)).shape == (0,)
 
 
 class TestTransferBox:

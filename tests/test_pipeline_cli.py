@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,8 +11,15 @@ import pytest
 import boxforge
 from boxforge import cli, dataio, pipeline
 from boxforge.config import PipelineConfig, build_config, parse_config_file
-from boxforge.errors import ConfigInvalidError, DimensionMismatchError, MissingInputError
-from boxforge.geometry import BBox
+from boxforge.errors import (
+    ConfigInvalidError,
+    DimensionMismatchError,
+    EmptyPoolError,
+    MissingInputError,
+)
+from boxforge.detector import TrainConfig, fit_bbox_regressor, lsvm_update
+from boxforge.featmap import pool_box_feature
+from boxforge.geometry import BBox, iou, nms
 from boxforge.metrics import corloc
 from boxforge.pipeline import run_pipeline
 from boxforge.synth import SynthConfig, gen_dataset
@@ -31,6 +39,24 @@ def synth_dir(tmp_path_factory):
 
 def run_cli(*argv):
     return cli.main([str(a) for a in argv])
+
+
+def assert_same_outputs(chained, piped):
+    """Every file the stage chain wrote has the pipeline's bytes; stage
+    reports match in every field but their timing."""
+    def listing(root):
+        return {p.relative_to(root).as_posix(): p for p in root.rglob("*") if p.is_file()}
+
+    ours, theirs = listing(chained), listing(piped)
+    assert set(ours) == set(theirs) - {"reports/pipeline.json"}
+    for rel, path in sorted(ours.items()):
+        if rel.startswith("reports/"):
+            a, b = json.loads(path.read_text()), json.loads(theirs[rel].read_text())
+            a.pop("elapsed_s")
+            b.pop("elapsed_s")
+            assert a == b, rel
+        else:
+            assert path.read_bytes() == theirs[rel].read_bytes(), rel
 
 
 class TestConfigFile:
@@ -119,6 +145,41 @@ class TestCliStages:
         piped_doc = json.loads((piped / "metrics.json").read_text())
         assert chained_doc == piped_doc
         assert doc["mean_corloc"] == piped_doc["mean_corloc"]
+        assert_same_outputs(chained, piped)
+
+    def test_cv_stage_chain_matches_pipeline(self, synth_dir, tmp_path):
+        """cv-bandwidth, then the stages at its best bandwidth, write what a
+        pipeline run that hands cross-validation's winner forward writes."""
+        manifest = synth_dir / "manifest.json"
+        chained = tmp_path / "chained"
+        common = ["--manifest", manifest, "--out", chained,
+                  "--target-cells", 30, "--frame-stride", 1]
+        assert run_cli("mine", *common) == 0
+        assert run_cli("select-tracks", *common) == 0
+        assert run_cli("match", *common) == 0
+        # on this data every grid bandwidth votes differently and the best is
+        # neither end of the grid
+        assert run_cli("cv-bandwidth", *common, "--seed", 7, "--bandwidth-grid", "1,2,4,8") == 0
+        best_b = json.loads((chained / pipeline.BANDWIDTH_REPORT).read_text())["best_b"]
+        assert run_cli("vote", *common, "--bandwidth", best_b) == 0
+        assert run_cli("train", *common, "--seed", 7) == 0
+        assert run_cli("update", *common) == 0
+        assert run_cli(
+            "train", *common, "--seed", 7,
+            "--pseudo-gt", chained / "pseudo_gt_updated.jsonl", "--tag", "updated",
+        ) == 0
+        assert run_cli("regress", *common) == 0
+        assert run_cli(
+            "eval", *common, "--updated-pseudo-gt", chained / "pseudo_gt_updated.jsonl"
+        ) == 0
+
+        piped = tmp_path / "piped"
+        run_pipeline(PipelineConfig(
+            manifest=str(manifest), out_dir=str(piped), seed=7, target_cells=30,
+            frame_stride=1, bandwidth_grid=(1.0, 2.0, 4.0, 8.0),
+        ))
+        assert json.loads((piped / "reports" / "pipeline.json").read_text())["bandwidth"] == best_b
+        assert_same_outputs(chained, piped)
 
     def test_vote_with_unreachable_theta_writes_empty_set(self, synth_dir, tmp_path):
         manifest = synth_dir / "manifest.json"
@@ -236,6 +297,221 @@ class TestReports:
         assert runs[0] == runs[1]
         assert "elapsed_s" not in json.loads(runs[0])
         assert "elapsed_s" in json.loads((out / "reports" / "cv_bandwidth.json").read_text())
+
+
+class TestEachIntermediateOnce:
+    """A pipeline run with a bandwidth grid parses each input once, votes
+    once per grid bandwidth and trains once per detector it needs."""
+
+    GRID = (1.0, 2.0, 4.0)
+
+    @staticmethod
+    def count(monkeypatch, module, name, calls, record=None):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            result = original(*args, **kwargs)
+            calls.append(record(*args, result=result) if record else None)
+            return result
+
+        monkeypatch.setattr(module, name, counted)
+
+    @pytest.mark.parametrize("lsvm_rounds", [1, 2])
+    def test_counts(self, synth_dir, tmp_path, monkeypatch, lsvm_rounds):
+        parsed, manifests, votes, fits, pyramids = [], [], [], [], []
+        self.count(monkeypatch, dataio, "read_proposals", parsed)
+        self.count(monkeypatch, dataio, "load_manifest", manifests)
+        self.count(monkeypatch, dataio.Manifest, "load_video_pyramids", pyramids)
+        self.count(
+            monkeypatch, pipeline, "select_pseudo_gt", votes,
+            record=lambda space, result, **kw: (space.bandwidth, result is not None),
+        )
+        self.count(monkeypatch, pipeline, "train_linear", fits)
+        out = tmp_path / "run"
+        run_pipeline(PipelineConfig(
+            manifest=str(synth_dir / "manifest.json"), out_dir=str(out), seed=7,
+            target_cells=30, frame_stride=1, bandwidth_grid=self.GRID,
+            lsvm_rounds=lsvm_rounds,
+        ))
+        assert len(parsed) == 1
+        assert len(manifests) == 1
+        n_images = len(dataio.read_transfer_boxes(out / pipeline.TRANSFERS))
+        assert n_images > 0
+        assert len(votes) == len(self.GRID) * n_images
+        # the synthetic data has negative images, so a bandwidth with any
+        # pseudo GT has a training pool
+        with_pool = {b for b, found in votes if found}
+        assert with_pool
+        assert len(fits) == len(with_pool) + lsvm_rounds
+        # select-tracks, match and cross-validation each read every video once
+        n_videos = len(dataio.load_manifest(synth_dir / "manifest.json").videos)
+        assert len(pyramids) == 3 * n_videos
+
+    def test_winner_without_a_detector_trains_as_before(self, synth_dir, tmp_path):
+        """No grid bandwidth finds a pseudo GT, so cross-validation trains
+        nothing and the initial train stage fails on the empty pool itself."""
+        cfg = PipelineConfig(
+            manifest=str(synth_dir / "manifest.json"), out_dir=str(tmp_path / "run"),
+            seed=7, target_cells=30, frame_stride=1, bandwidth_grid=(1.0, 2.0),
+            theta=1e9,
+        )
+        with pytest.raises(EmptyPoolError, match="at least one positive"):
+            run_pipeline(cfg)
+        assert dataio.read_pseudo_gts(tmp_path / "run" / pipeline.PSEUDO_GT) == {}
+
+
+def per_proposal_images(manifest):
+    """image_id -> (label, [(prop_id, box, feature)]): proposals as the
+    per-proposal stage code held them."""
+    by_image, labels = dataio.read_proposals(manifest.path("proposals"))
+    return {
+        image_id: (labels[image_id], [(p.prop_id, p.box, p.feature) for p in by_image[image_id]])
+        for image_id in sorted(by_image)
+    }
+
+
+def per_proposal_corpus(manifest, images, pseudo_gts):
+    feats, labels = [], []
+    for image_id in sorted(images):
+        label, props = images[image_id]
+        if label == "pos":
+            gt = pseudo_gts.get(image_id)
+            if gt is None:
+                continue
+            fmap = manifest.load_image_fmap(image_id)
+            feats.append(pool_box_feature(fmap, gt.box, manifest.cell_stride))
+            labels.append(1.0)
+            for _pid, box, feature in props:
+                if 0.1 <= iou(box, gt.box) <= 0.3:
+                    feats.append(np.asarray(feature, dtype=np.float64))
+                    labels.append(-1.0)
+        else:
+            for _pid, _box, feature in props:
+                feats.append(np.asarray(feature, dtype=np.float64))
+                labels.append(-1.0)
+    return np.stack(feats), np.asarray(labels)
+
+
+def per_proposal_detect(images, model, nms_iou):
+    detections = []
+    for image_id in sorted(images):
+        _label, props = images[image_id]
+        boxes = [box for _, box, _ in props]
+        feats = np.stack([np.asarray(f, dtype=np.float64) for _, _, f in props])
+        scores = model.score(feats)
+        for i in nms(boxes, [float(s) for s in scores], nms_iou):
+            detections.append((image_id, boxes[i], float(scores[i])))
+    return detections
+
+
+def per_proposal_lsvm_update(model, images, pseudo_gts, nms_iou):
+    updated = {}
+    for image_id in sorted(images):
+        label, props = images[image_id]
+        if label != "pos":
+            continue
+        existing = pseudo_gts.get(image_id)
+        boxes = [box for _, box, _ in props]
+        scores = model.score(np.stack([np.asarray(f, dtype=np.float64) for _, _, f in props]))
+        keep = nms(boxes, [float(s) for s in scores], nms_iou)
+        detections = [(boxes[i], float(scores[i])) for i in keep]
+        if existing is None:
+            box, score = detections[0]
+            updated[image_id] = PseudoGT(image_id=image_id, box=box, vote=score, support=0,
+                                         updated=True)
+            continue
+        eligible = [d for d in detections if iou(d[0], existing.box) >= 0.5]
+        if not eligible or eligible[0][0] == existing.box:
+            updated[image_id] = existing
+        else:
+            updated[image_id] = dataclasses.replace(existing, box=eligible[0][0], updated=True)
+    for image_id, gt in pseudo_gts.items():
+        updated.setdefault(image_id, gt)
+    return updated
+
+
+class TestArrayStagesMatchPerProposalCode:
+    """Training, detection, latent update and regression read proposals as
+    per-image arrays; they give exactly what the per-proposal loops gave."""
+
+    @pytest.fixture()
+    def inputs(self, synth_dir):
+        ds = dataio.open_dataset(synth_dir / "manifest.json")
+        gt = dataio.read_gt(synth_dir / "gt.jsonl")["obj"]
+        # every other positive image gets its true box, shifted so that some
+        # proposals fall in the hard-negative band; the rest have none
+        pseudo_gts = {}
+        for n, image_id in enumerate(sorted(gt)):
+            if n % 2 == 0:
+                b = gt[image_id][0]
+                box = BBox(b.x_min + 0.5, b.y_min, b.x_max + 0.5, b.y_max + 0.25)
+                pseudo_gts[image_id] = PseudoGT(image_id=image_id, box=box, vote=25.0, support=25)
+        return ds, per_proposal_images(ds.manifest), pseudo_gts
+
+    def test_corpus_detections_and_update(self, inputs):
+        ds, images, pseudo_gts = inputs
+        X, y = pipeline._training_corpus(ds, pseudo_gts)
+        X_ref, y_ref = per_proposal_corpus(ds.manifest, images, pseudo_gts)
+        assert X.dtype == X_ref.dtype and np.array_equal(X, X_ref)
+        assert y.dtype == y_ref.dtype and np.array_equal(y, y_ref)
+        assert 0 < np.sum(y > 0) < np.sum(y < 0)
+
+        model = pipeline.fit_detector(ds, pseudo_gts, TrainConfig(steps=50, seed=3)).model
+        assert pipeline._detect(ds.images, model, 0.3) == per_proposal_detect(images, model, 0.3)
+        got = lsvm_update(model, ds.images, pseudo_gts, nms_iou=0.3)
+        want = per_proposal_lsvm_update(model, images, pseudo_gts, 0.3)
+        assert got == want
+        assert any(g.updated for g in got.values())
+
+    def test_regressor_pairs(self, inputs, tmp_path):
+        ds, images, pseudo_gts = inputs
+        dataio.write_pseudo_gts(tmp_path / "pgt.jsonl", list(pseudo_gts.values()))
+        dataio.write_detections(tmp_path / "det.jsonl", [])
+        report = pipeline.run_regress(ds, tmp_path / "pgt.jsonl", tmp_path / "det.jsonl", tmp_path)
+        pairs = [
+            (np.asarray(feature, dtype=np.float64), box, pseudo_gts[image_id].box)
+            for image_id in sorted(pseudo_gts)
+            for _pid, box, feature in images[image_id][1]
+            if iou(box, pseudo_gts[image_id].box) >= 0.6
+        ]
+        assert report["n_pairs"] == len(pairs) > 0
+        dataio.write_regressor(tmp_path / "want.json", fit_bbox_regressor(pairs, l2=1e-3))
+        assert (tmp_path / pipeline.REGRESSOR).read_bytes() == (tmp_path / "want.json").read_bytes()
+
+
+class TestMalformedJson:
+    def copy_dataset(self, synth_dir, tmp_path):
+        data = tmp_path / "data"
+        data.mkdir()
+        for path in synth_dir.iterdir():
+            if path.is_file():
+                (data / path.name).write_bytes(path.read_bytes())
+        return data
+
+    def test_malformed_manifest_is_a_config_error(self, synth_dir, tmp_path, capsys):
+        data = self.copy_dataset(synth_dir, tmp_path)
+        (data / "manifest.json").write_text("{\n  not json\n")
+        code = run_cli("mine", "--manifest", data / "manifest.json", "--out", tmp_path / "o")
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigInvalidError"
+        assert "manifest.json line 2" in err["message"]
+
+    def test_truncated_jsonl_row_is_a_config_error(self, synth_dir, tmp_path, capsys):
+        data = self.copy_dataset(synth_dir, tmp_path)
+        lines = (data / "proposals.jsonl").read_text().splitlines(keepends=True)
+        (data / "proposals.jsonl").write_text("".join(lines[:5]) + lines[5][: len(lines[5]) // 2])
+        code = run_cli("mine", "--manifest", data / "manifest.json", "--out", tmp_path / "o")
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigInvalidError"
+        assert "proposals.jsonl line 6" in err["message"]
+
+    def test_line_numbers_count_blank_lines(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        path.write_text('{"a": 1}\n\n{"a": 2}\n{"a": \n')
+        with pytest.raises(ConfigInvalidError, match="rows.jsonl line 4"):
+            dataio.read_jsonl(path)
 
 
 class TestProposalValidation:

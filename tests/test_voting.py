@@ -6,12 +6,13 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from boxforge import voting
-from boxforge.errors import ConfigInvalidError, NoPointsError
-from boxforge.geometry import BBox
+from boxforge.errors import ConfigInvalidError, DegenerateBoxError, NoPointsError
+from boxforge.geometry import BBox, clip_box
 from boxforge.voting import (
     EPANECHNIKOV,
     GAUSSIAN,
     KERNELS,
+    PseudoGT,
     VoteSpace,
     export_heatmap,
     mean_shift_modes,
@@ -281,7 +282,44 @@ class TestMeanShiftMatchesOracle:
             assert vote_value(l, s) == oracle_vote_value(l, s)
 
 
+def select_pseudo_gt_oracle(space, theta, image_bounds, image_id=""):
+    """select_pseudo_gt as defined on the full merged mode list."""
+    mode, vote = mean_shift_modes(space)[0]
+    if vote < theta:
+        return None
+    try:
+        raw = BBox(*[float(c) for c in mode])
+    except DegenerateBoxError:
+        return None
+    box = clip_box(raw, image_bounds[0], image_bounds[1])
+    if box is None:
+        return None
+    support = int(np.sum(np.linalg.norm(space.points - mode, axis=1) <= space.bandwidth))
+    return PseudoGT(image_id=image_id, box=box, vote=vote, support=support)
+
+
 class TestSelectPseudoGt:
+    @pytest.mark.filterwarnings("ignore:underflow encountered:RuntimeWarning")
+    @settings(max_examples=40)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 50),
+        st.integers(1, 4),
+        st.floats(0.3, 6.0),
+        st.sampled_from(KERNELS),
+        st.sampled_from([None, 0.5]),
+        st.floats(0.0, 8.0),
+    )
+    def test_top_mode_matches_merged_mode_list(self, seed, n, n_centers, b, kernel, grid, theta):
+        rng = np.random.default_rng(seed)
+        pts = cloud(rng, n, n_centers, spread=rng.uniform(0.2, 3.0), grid=grid)
+        pts[:, 2:] += 12.0  # mostly well-formed boxes; some stay inverted
+        s = space(pts, b=b, kernel=kernel)
+        bounds = (45.0, 45.0)
+        assert select_pseudo_gt(s, theta, bounds, "i") == select_pseudo_gt_oracle(
+            s, theta, bounds, "i"
+        )
+
     def test_25_coincident_boxes_with_theta_20(self):
         s = space([[1, 1, 7, 6]] * 25, b=2.0)
         gt = select_pseudo_gt(s, theta=20.0, image_bounds=(16, 16), image_id="img")
