@@ -13,7 +13,7 @@ import argparse
 from pathlib import Path
 
 from boxforge import dataio
-from boxforge.detector import TrainConfig
+from boxforge.config import PipelineConfig
 from boxforge.geometry import iou
 from boxforge.pipeline import (
     run_cv_bandwidth,
@@ -39,14 +39,17 @@ def main():
     out = root / "run"
     truth = gen_multi_instance_case(SynthConfig(seed=args.seed), data)
     manifest = str(data / "manifest.json")
+    cfg = PipelineConfig(
+        frame_stride=1, target_cells=30, n_matches=20,
+        bandwidth_grid=tuple(args.grid), seed=args.seed + 1000,
+    )
 
-    run_mine(manifest, out)
-    run_select_tracks(manifest, out / "regions.jsonl", out, frame_stride=1, target_cells=30)
-    run_match(manifest, out / "regions.jsonl", out / "selections.jsonl", out,
-              n_matches=20, frame_stride=1, target_cells=30)
+    run_mine(manifest, out, cfg)
+    run_select_tracks(manifest, out / "regions.jsonl", out, cfg)
+    run_match(manifest, out / "regions.jsonl", out / "selections.jsonl", out, cfg)
 
     def describe(bandwidth):
-        run_vote(manifest, out / "transfers.jsonl", out, bandwidth=bandwidth, theta=20.0)
+        run_vote(manifest, out / "transfers.jsonl", out, cfg, bandwidth=bandwidth)
         pgts = dataio.read_pseudo_gts(out / "pseudo_gt.jsonl")
         print(f"\nbandwidth b = {bandwidth}")
         merged = 0
@@ -60,8 +63,7 @@ def main():
     describe(args.oversized)
 
     cv = run_cv_bandwidth(
-        manifest, out / "transfers.jsonl", out / "selections.jsonl", out,
-        args.grid, TrainConfig(seed=args.seed + 1000), frame_stride=1,
+        manifest, out / "transfers.jsonl", out / "selections.jsonl", out, cfg
     ).report
     print(f"\ncross-validation over {args.grid}: AP per b = {cv['ap_per_b']}")
     print(f"selected b = {cv['best_b']}")

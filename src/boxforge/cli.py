@@ -8,6 +8,7 @@ the log level (DEBUG, INFO, WARNING, ...).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -15,10 +16,12 @@ import sys
 from pathlib import Path
 
 from . import pipeline
-from .config import build_config
-from .detector import TrainConfig
+from .config import SETTINGS, PipelineConfig, build_config
 from .errors import BoxforgeError
 from .synth import SynthConfig, gen_dataset
+
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(PipelineConfig)}
+
 
 def _setup_logging() -> None:
     level = os.environ.get("BOXFORGE_LOG", "WARNING").upper()
@@ -28,49 +31,16 @@ def _setup_logging() -> None:
 
 def _add_config_flags(p: argparse.ArgumentParser, need_seed: bool = False) -> None:
     p.add_argument("--config", help="key=value config file")
-    p.add_argument("--manifest", help="dataset manifest.json")
-    p.add_argument("--out", dest="out_dir", help="output directory")
-    p.add_argument("--k", type=int, help="nearest neighbors per cluster")
-    p.add_argument("--top-clusters", type=int, dest="top_clusters")
-    p.add_argument("--n-matches", type=int, dest="n_matches")
-    p.add_argument("--frame-stride", type=int, dest="frame_stride")
-    p.add_argument("--target-cells", type=int, dest="target_cells")
-    p.add_argument("--theta", type=float)
-    p.add_argument("--bandwidth", type=float, dest="bandwidth")
-    p.add_argument(
-        "--bandwidth-grid", dest="bandwidth_grid",
-        type=lambda s: tuple(float(x) for x in s.split(",")),
-    )
-    p.add_argument("--kernel", choices=["gaussian", "epanechnikov"])
-    p.add_argument("--lsvm-rounds", type=int, dest="lsvm_rounds")
-    p.add_argument("--steps", type=int, dest="train_steps")
-    p.add_argument("--lr", type=float, dest="learning_rate")
-    p.add_argument("--weight-decay", type=float, dest="weight_decay")
-    p.add_argument("--nms-iou", type=float, dest="nms_iou")
-    p.add_argument("--regressor-l2", type=float, dest="regressor_l2")
-    p.add_argument("--seed", type=int, required=need_seed)
+    for setting in SETTINGS:
+        p.add_argument(
+            setting.flag, dest=setting.field,
+            required=need_seed and setting.field == "seed",
+            help=f"config key {setting.key} (default {_DEFAULTS[setting.field]})",
+        )
 
 
-_CONFIG_KEYS = (
-    "manifest", "out_dir", "k", "top_clusters", "n_matches", "frame_stride",
-    "target_cells", "theta", "bandwidth", "bandwidth_grid", "kernel",
-    "lsvm_rounds", "train_steps", "learning_rate", "weight_decay", "nms_iou",
-    "regressor_l2", "seed",
-)
-
-
-def _config_from_args(args) -> "pipeline.PipelineConfig":
-    overrides = {key: getattr(args, key, None) for key in _CONFIG_KEYS}
-    return build_config(getattr(args, "config", None), overrides)
-
-
-def _train_config(cfg) -> TrainConfig:
-    return TrainConfig(
-        steps=cfg.train_steps,
-        learning_rate=cfg.learning_rate,
-        weight_decay=cfg.weight_decay,
-        seed=cfg.seed,
-    )
+def _config_from_args(args) -> PipelineConfig:
+    return build_config(args.config, {s.field: getattr(args, s.field) for s in SETTINGS})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -163,7 +133,7 @@ def run_command(args) -> int:
 
     cfg = _config_from_args(args)
     if args.command == "pipeline":
-        doc = pipeline.run_pipeline(cfg, heatmap_dir=getattr(args, "heatmaps", None))
+        doc = pipeline.run_pipeline(cfg, heatmap_dir=args.heatmaps)
         print(json.dumps({"mean_corloc": doc["mean_corloc"], "map": doc["map"]}))
         return 0
     if cfg.manifest is None:
@@ -171,47 +141,41 @@ def run_command(args) -> int:
     out = _out(cfg)
 
     if args.command == "mine":
-        report = pipeline.run_mine(cfg.manifest, out, k=cfg.k, top_clusters=cfg.top_clusters)
+        report = pipeline.run_mine(cfg.manifest, out, cfg)
     elif args.command == "select-tracks":
         report = pipeline.run_select_tracks(
-            cfg.manifest, _default(args, "regions", cfg, pipeline.REGIONS), out,
-            frame_stride=cfg.frame_stride, target_cells=cfg.target_cells,
+            cfg.manifest, _default(args, "regions", cfg, pipeline.REGIONS), out, cfg
         )
     elif args.command == "match":
         report = pipeline.run_match(
             cfg.manifest,
             _default(args, "regions", cfg, pipeline.REGIONS),
             _default(args, "selections", cfg, pipeline.SELECTIONS),
-            out,
-            n_matches=cfg.n_matches, frame_stride=cfg.frame_stride,
-            target_cells=cfg.target_cells,
+            out, cfg,
         )
     elif args.command == "vote":
-        if cfg.bandwidth is None:
-            raise BoxforgeError("vote needs --bandwidth (or b in the config file)")
         report = pipeline.run_vote(
-            cfg.manifest, _default(args, "transfers", cfg, pipeline.TRANSFERS), out,
-            bandwidth=cfg.bandwidth, kernel=cfg.kernel, theta=cfg.theta,
-            heatmap_dir=getattr(args, "heatmaps", None),
+            cfg.manifest, _default(args, "transfers", cfg, pipeline.TRANSFERS), out, cfg,
+            heatmap_dir=args.heatmaps,
         )
     elif args.command == "train":
         report = pipeline.run_train(
-            cfg.manifest, _default(args, "pseudo_gt", cfg, pipeline.PSEUDO_GT), out,
-            _train_config(cfg), nms_iou=cfg.nms_iou, tag=args.tag,
+            cfg.manifest, _default(args, "pseudo_gt", cfg, pipeline.PSEUDO_GT), out, cfg,
+            tag=args.tag,
         )
     elif args.command == "update":
         report = pipeline.run_update(
             cfg.manifest,
             _default(args, "model", cfg, "model_initial.json"),
             _default(args, "pseudo_gt", cfg, pipeline.PSEUDO_GT),
-            out, nms_iou=cfg.nms_iou,
+            out, cfg,
         )
     elif args.command == "regress":
         report = pipeline.run_regress(
             cfg.manifest,
             _default(args, "pseudo_gt", cfg, pipeline.PSEUDO_GT_UPDATED),
             _default(args, "detections", cfg, "detections_updated.jsonl"),
-            out, l2=cfg.regressor_l2,
+            out, cfg,
         )
     elif args.command == "eval":
         report = pipeline.run_eval(
@@ -229,9 +193,7 @@ def run_command(args) -> int:
             cfg.manifest,
             _default(args, "transfers", cfg, pipeline.TRANSFERS),
             _default(args, "selections", cfg, pipeline.SELECTIONS),
-            out, cfg.bandwidth_grid, _train_config(cfg),
-            kernel=cfg.kernel, theta=cfg.theta,
-            frame_stride=cfg.frame_stride, nms_iou=cfg.nms_iou,
+            out, cfg,
         ).report
     else:  # pragma: no cover - argparse enforces choices
         raise BoxforgeError(f"unknown command {args.command}")

@@ -1,9 +1,14 @@
-"""Pipeline configuration: dataclass defaults, key=value files, overrides.
+"""Pipeline configuration: dataclass defaults, key=value files, CLI flags.
 
 A config file is flat text, one ``key = value`` per line, ``#`` comments;
 lists are comma-separated.  CLI flags override file values, which override
 the defaults below.  Exactly one of ``b`` and ``b_grid`` is active: setting
 ``b`` fixes the voting bandwidth, otherwise ``b_grid`` is cross-validated.
+
+:data:`SETTINGS` is the one list of settings: each field's config-file key,
+CLI flag and value parser.  A flag value is parsed from its text by the same
+parser as the file value, so both fail with the same
+:class:`ConfigInvalidError`.
 """
 
 from __future__ import annotations
@@ -11,31 +16,10 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
+from .detector import TrainConfig
 from .errors import ConfigInvalidError
-
-# Config-file key -> dataclass field.
-_KEY_MAP = {
-    "manifest": "manifest",
-    "out_dir": "out_dir",
-    "k": "k",
-    "C": "top_clusters",
-    "n": "n_matches",
-    "frame_stride": "frame_stride",
-    "target_cells": "target_cells",
-    "theta": "theta",
-    "b": "bandwidth",
-    "b_grid": "bandwidth_grid",
-    "kernel": "kernel",
-    "lsvm_rounds": "lsvm_rounds",
-    "steps": "train_steps",
-    "lr": "learning_rate",
-    "weight_decay": "weight_decay",
-    "nms_iou": "nms_iou",
-    "regressor_l2": "regressor_l2",
-    "seed": "seed",
-}
 
 
 @dataclass(frozen=True)
@@ -83,23 +67,66 @@ class PipelineConfig:
             raise ConfigInvalidError(f"unknown kernel {self.kernel!r}")
         if self.train_steps < 0 or self.learning_rate <= 0 or self.weight_decay < 0:
             raise ConfigInvalidError("invalid training hyperparameters")
+        if not 0.0 <= self.nms_iou <= 1.0:
+            raise ConfigInvalidError(f"nms_iou must be in [0, 1], got {self.nms_iou}")
+        if not self.regressor_l2 >= 0.0:
+            raise ConfigInvalidError(f"regressor_l2 must be >= 0, got {self.regressor_l2}")
+
+    def train_config(self) -> TrainConfig:
+        """The detector's SGD settings."""
+        return TrainConfig(
+            steps=self.train_steps,
+            learning_rate=self.learning_rate,
+            weight_decay=self.weight_decay,
+            seed=self.seed,
+        )
 
 
-def _parse_value(field_name: str, raw: str):
-    raw = raw.strip()
-    if field_name == "bandwidth_grid":
-        return tuple(float(x) for x in raw.split(",") if x.strip())
-    if field_name in ("manifest", "out_dir", "kernel"):
-        return raw
-    if field_name in ("theta", "bandwidth", "learning_rate", "weight_decay", "nms_iou", "regressor_l2"):
-        return float(raw)
-    return int(raw)
+def _floats(raw: str) -> tuple[float, ...]:
+    return tuple(float(x) for x in raw.split(",") if x.strip())
+
+
+class Setting(NamedTuple):
+    field: str  # PipelineConfig field
+    key: str  # config-file key
+    flag: str  # CLI flag
+    parse: Callable[[str], object]
+
+
+SETTINGS = (
+    Setting("manifest", "manifest", "--manifest", str),
+    Setting("out_dir", "out_dir", "--out", str),
+    Setting("k", "k", "--k", int),
+    Setting("top_clusters", "C", "--top-clusters", int),
+    Setting("n_matches", "n", "--n-matches", int),
+    Setting("frame_stride", "frame_stride", "--frame-stride", int),
+    Setting("target_cells", "target_cells", "--target-cells", int),
+    Setting("theta", "theta", "--theta", float),
+    Setting("bandwidth", "b", "--bandwidth", float),
+    Setting("bandwidth_grid", "b_grid", "--bandwidth-grid", _floats),
+    Setting("kernel", "kernel", "--kernel", str),
+    Setting("lsvm_rounds", "lsvm_rounds", "--lsvm-rounds", int),
+    Setting("train_steps", "steps", "--steps", int),
+    Setting("learning_rate", "lr", "--lr", float),
+    Setting("weight_decay", "weight_decay", "--weight-decay", float),
+    Setting("nms_iou", "nms_iou", "--nms-iou", float),
+    Setting("regressor_l2", "regressor_l2", "--regressor-l2", float),
+    Setting("seed", "seed", "--seed", int),
+)
+_BY_KEY = {s.key: s for s in SETTINGS}
+_BY_FIELD = {s.field: s for s in SETTINGS}
+
+
+def _parse(setting: Setting, raw: str, where: str):
+    try:
+        return setting.parse(raw)
+    except ValueError as exc:
+        raise ConfigInvalidError(f"{where}: bad value for {setting.key}: {exc}") from exc
 
 
 def parse_config_file(path: str | Path) -> dict:
     """Parse a key=value config file into dataclass-field keyword arguments."""
     fields = {}
-    seen_keys = set()
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -107,34 +134,30 @@ def parse_config_file(path: str | Path) -> dict:
         if "=" not in stripped:
             raise ConfigInvalidError(f"{path}:{lineno}: expected key = value, got {line!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in _KEY_MAP:
+        if key not in _BY_KEY:
             raise ConfigInvalidError(f"{path}:{lineno}: unknown key {key!r}")
-        seen_keys.add(key)
-        try:
-            fields[_KEY_MAP[key]] = _parse_value(_KEY_MAP[key], raw)
-        except ValueError as exc:
-            raise ConfigInvalidError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
-    if "b" in seen_keys and "b_grid" in seen_keys:
+        setting = _BY_KEY[key]
+        fields[setting.field] = _parse(setting, raw, f"{path}:{lineno}")
+    if "bandwidth" in fields and "bandwidth_grid" in fields:
         raise ConfigInvalidError(f"{path}: b and b_grid are mutually exclusive")
     return fields
 
 
 def build_config(
-    file_path: Optional[str] = None, overrides: Optional[dict] = None
+    file_path: Optional[str] = None, overrides: Optional[dict[str, Optional[str]]] = None
 ) -> PipelineConfig:
-    """Defaults <- config file <- explicit overrides, then validate."""
-    fields: dict = {}
-    if file_path:
-        fields.update(parse_config_file(file_path))
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            fields[key] = value
+    """Defaults <- config file <- overrides, then validate.
+
+    ``overrides`` maps field names to flag text as typed on the command line
+    (None for a flag not given); it is parsed as a file value would be.
+    """
+    fields = parse_config_file(file_path) if file_path else {}
+    for name, raw in (overrides or {}).items():
+        if raw is not None:
+            setting = _BY_FIELD[name]
+            fields[name] = _parse(setting, raw, setting.flag)
     if "bandwidth" in fields and "bandwidth_grid" in fields:
         raise ConfigInvalidError("b and b_grid are mutually exclusive")
-    valid_names = {f.name for f in dataclasses.fields(PipelineConfig)}
-    unknown = set(fields) - valid_names
-    if unknown:
-        raise ConfigInvalidError(f"unknown config fields: {sorted(unknown)}")
     cfg = PipelineConfig(**fields)
     cfg.validate()
     return cfg

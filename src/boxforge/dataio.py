@@ -50,12 +50,26 @@ def dump_json(obj, path: str | Path) -> None:
     _write_atomic(path, lambda fh: fh.write(text))
 
 
+class _Row(dict):
+    """A parsed JSON object whose missing keys raise
+    :class:`ConfigInvalidError` naming where it was read, not ``KeyError``."""
+
+    __slots__ = ("where",)
+
+    def __init__(self, where: str, pairs: dict):
+        super().__init__(pairs)
+        self.where = where
+
+    def __missing__(self, key):
+        raise ConfigInvalidError(f"{self.where}: missing key {key!r}")
+
+
 def load_json(path: str | Path):
     p = Path(path)
     if not p.exists():
         raise MissingInputError(f"missing input file: {p}")
     try:
-        return json.loads(p.read_text())
+        return json.loads(p.read_text(), object_hook=lambda pairs: _Row(str(p), pairs))
     except json.JSONDecodeError as exc:
         raise ConfigInvalidError(f"{p} line {exc.lineno}: malformed JSON ({exc.msg})") from exc
 
@@ -78,12 +92,11 @@ def read_jsonl(path: str | Path) -> list[dict]:
             line = line.strip()
             if not line:
                 continue
+            where = f"{p} line {lineno}"
             try:
-                rows.append(json.loads(line))
+                rows.append(json.loads(line, object_hook=lambda pairs: _Row(where, pairs)))
             except json.JSONDecodeError as exc:
-                raise ConfigInvalidError(
-                    f"{p} line {lineno}: malformed JSON row ({exc.msg})"
-                ) from exc
+                raise ConfigInvalidError(f"{where}: malformed JSON row ({exc.msg})") from exc
     return rows
 
 

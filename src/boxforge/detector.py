@@ -2,43 +2,31 @@
 
 Label assignment keeps the pseudo-GT box as the only positive exemplar and
 turns proposals that barely overlap it (IOU in [0.1, 0.3]) into hard
-negatives; fine-tune style assignment additionally promotes proposals with
-IOU >= 0.6 to positives.  The classifier is a hinge-loss linear model
-trained on 32/96 positive/negative minibatches, the latent update re-scores
-proposals to fill or refine pseudo-GT boxes, and box regression is ridge on
-the usual center/log-size targets.
+negatives; box regression trains on the proposals with IOU >= 0.6.  The
+classifier is a hinge-loss linear model trained on 32/96 positive/negative
+minibatches, the latent update re-scores proposals to fill or refine
+pseudo-GT boxes, and box regression is ridge on the usual center/log-size
+targets.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Optional, Sequence, TypeVar
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatchError, EmptyPoolError
-from .geometry import BBox, box_array, iou, iou_rows, nms
+from .geometry import BBox, box_array, iou_rows, nms
 from .voting import PseudoGT
-
-T = TypeVar("T")
-
-# Sentinel id under which the pseudo-GT box itself enters an assignment.
-PSEUDO_GT_ID = "__pseudo_gt__"
 
 HARD_NEG_LOW = 0.1
 HARD_NEG_HIGH = 0.3
-FINETUNE_POS_IOU = 0.6
+REGRESSION_IOU = 0.6
 LSVM_LEASH_IOU = 0.5
-
-
-@dataclass(frozen=True)
-class LabelAssignment:
-    """Positive / negative / ignored proposal ids for one image."""
-
-    positives: tuple[str, ...]
-    negatives: tuple[str, ...]
-    ignored: tuple[str, ...]
+BATCH_POS = 32  # positives per SGD minibatch
+BATCH_NEG = 96  # negatives per SGD minibatch
 
 
 @dataclass(frozen=True)
@@ -97,35 +85,7 @@ class TrainConfig:
     steps: int = 300
     learning_rate: float = 0.1
     weight_decay: float = 1e-4
-    batch_pos: int = 32
-    batch_neg: int = 96
     seed: int = 0
-
-
-def assign_rcnn_labels(
-    proposals: Sequence[tuple[str, BBox]],
-    pseudo_gt: Optional[BBox],
-    image_label: str,
-) -> LabelAssignment:
-    """Classifier-stage labels for one image.
-
-    Negative image: every proposal is negative.  Positive image without a
-    pseudo GT: every proposal is ignored.  Positive image with a pseudo GT:
-    the GT itself (under :data:`PSEUDO_GT_ID`) is the positive, proposals
-    with 0.1 <= IOU <= 0.3 against it are hard negatives, everything else is
-    ignored so that other instances of the object are never labeled negative.
-    """
-    ids = [pid for pid, _ in proposals]
-    if image_label != "pos":
-        return LabelAssignment(positives=(), negatives=tuple(ids), ignored=())
-    if pseudo_gt is None:
-        return LabelAssignment(positives=(), negatives=(), ignored=tuple(ids))
-    hard = hard_negative_mask(box_array([box for _, box in proposals]), pseudo_gt).tolist()
-    negatives = [pid for pid, h in zip(ids, hard) if h]
-    ignored = [pid for pid, h in zip(ids, hard) if not h]
-    return LabelAssignment(
-        positives=(PSEUDO_GT_ID,), negatives=tuple(negatives), ignored=tuple(ignored)
-    )
 
 
 def hard_negative_mask(coords: np.ndarray, pseudo_gt: BBox) -> np.ndarray:
@@ -134,50 +94,13 @@ def hard_negative_mask(coords: np.ndarray, pseudo_gt: BBox) -> np.ndarray:
     return (HARD_NEG_LOW <= overlap) & (overlap <= HARD_NEG_HIGH)
 
 
-def assign_finetune_labels(
-    proposals: Sequence[tuple[str, BBox]],
-    pseudo_gt: Optional[BBox],
-) -> LabelAssignment:
-    """Fine-tune-stage labels: IOU >= 0.6 positive, 0.1-0.3 negative, else ignored."""
-    if pseudo_gt is None:
-        return LabelAssignment(positives=(), negatives=(), ignored=tuple(p for p, _ in proposals))
-    positives, negatives, ignored = [], [], []
-    for pid, box in proposals:
-        overlap = iou(box, pseudo_gt)
-        if overlap >= FINETUNE_POS_IOU:
-            positives.append(pid)
-        elif HARD_NEG_LOW <= overlap <= HARD_NEG_HIGH:
-            negatives.append(pid)
-        else:
-            ignored.append(pid)
-    return LabelAssignment(
-        positives=tuple(positives), negatives=tuple(negatives), ignored=tuple(ignored)
-    )
-
-
 def _draw(pool_size: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """Positions of ``n`` draws from a pool: without replacement when it is
-    large enough, with replacement otherwise."""
+    large enough, so an exactly-sized pool comes back as a permutation of
+    itself, and with replacement otherwise."""
     if pool_size >= n:
         return rng.permutation(pool_size)[:n]
     return rng.integers(0, pool_size, size=n)
-
-
-def sample_minibatch(
-    positives: Sequence[T],
-    negatives: Sequence[T],
-    rng: np.random.Generator,
-    n_pos: int = 32,
-    n_neg: int = 96,
-) -> list[T]:
-    """Uniform 32/96 minibatch; sampling is with replacement only when a pool
-    is too small, so an exactly-sized pool comes back as a permutation of
-    itself.  Deterministic given the generator state."""
-    if not positives or not negatives:
-        raise EmptyPoolError("minibatch sampling needs non-empty positive and negative pools")
-    pos = _draw(len(positives), n_pos, rng)
-    neg = _draw(len(negatives), n_neg, rng)
-    return [positives[int(i)] for i in pos] + [negatives[int(i)] for i in neg]
 
 
 def hinge_objective(
@@ -218,10 +141,9 @@ def train_linear(
         raise EmptyPoolError("training needs at least one positive and one negative")
     rng = np.random.default_rng(config.seed)
     for _ in range(config.steps):
-        # the draws of sample_minibatch, taken from the index arrays directly
         batch = np.concatenate((
-            pos_idx[_draw(pos_idx.size, config.batch_pos, rng)],
-            neg_idx[_draw(neg_idx.size, config.batch_neg, rng)],
+            pos_idx[_draw(pos_idx.size, BATCH_POS, rng)],
+            neg_idx[_draw(neg_idx.size, BATCH_NEG, rng)],
         ))
         Xb, yb = X[batch], y[batch]
         margins = yb * (Xb @ w + b)
@@ -308,6 +230,22 @@ def apply_box_targets(proposal: BBox, targets: np.ndarray) -> BBox:
     w = proposal.width * math.exp(tw)
     h = proposal.height * math.exp(th)
     return BBox(cx - 0.5 * w, cy - 0.5 * h, cx + 0.5 * w, cy + 0.5 * h)
+
+
+def regression_pairs(
+    images: Mapping[str, ImageProposals], pseudo_gts: Mapping[str, PseudoGT]
+) -> list[tuple[np.ndarray, BBox, BBox]]:
+    """``(feature, proposal, pseudo GT)`` for every proposal with IOU >= 0.6
+    against its image's pseudo GT, image by image in id order."""
+    pairs = []
+    for image_id in sorted(pseudo_gts):
+        image = images.get(image_id)
+        if image is None:
+            continue
+        gt = pseudo_gts[image_id]
+        for i in np.flatnonzero(iou_rows(image.coords, gt.box) >= REGRESSION_IOU):
+            pairs.append((image.features[i], image.boxes[i], gt.box))
+    return pairs
 
 
 def fit_bbox_regressor(

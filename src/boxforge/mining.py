@@ -21,6 +21,8 @@ from .geometry import BBox, iou
 
 POSITIVE = "pos"
 NEGATIVE = "neg"
+DEDUP_IOU = 0.25  # overlap above which a region duplicates a kept one
+DEDUP_FRAC = 0.10  # share of duplicate regions that drops a cluster
 
 
 @dataclass(frozen=True)
@@ -179,22 +181,22 @@ def rank_clusters(clusters: Sequence[Cluster]) -> list[Cluster]:
     )
 
 
-def dedup_clusters(ranked: Sequence[Cluster], iou_thresh: float = 0.25, frac: float = 0.10) -> list[Cluster]:
+def dedup_clusters(ranked: Sequence[Cluster]) -> list[Cluster]:
     """Greedily drop clusters that are near-duplicates of already-kept ones.
 
     Scanning in rank order, a cluster is removed when at least
-    ``ceil(frac * size)`` of its regions (seed included) have IOU above
-    ``iou_thresh`` with a same-image region of any kept cluster.  Output is
+    ``ceil(DEDUP_FRAC * size)`` of its regions (seed included) have IOU above
+    ``DEDUP_IOU`` with a same-image region of any kept cluster.  Output is
     always a subsequence of the input.
     """
     kept: list[Cluster] = []
     kept_boxes: dict[str, list[BBox]] = {}
     for cluster in ranked:
         regions = cluster.all_regions()
-        needed = math.ceil(frac * len(regions))
+        needed = math.ceil(DEDUP_FRAC * len(regions))
         overlapping = 0
         for region in regions:
-            if any(iou(region.box, b) > iou_thresh for b in kept_boxes.get(region.image_id, ())):
+            if any(iou(region.box, b) > DEDUP_IOU for b in kept_boxes.get(region.image_id, ())):
                 overlapping += 1
                 if overlapping >= needed:
                     break

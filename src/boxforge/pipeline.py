@@ -11,6 +11,10 @@ dataset once and hands it to every stage, so the manifest, proposals and
 tracks are parsed once per run.  It also hands cross-validation's winning
 pseudo GT and detector to the vote and initial train stages, which write
 them rather than computing them again.
+
+Every setting a stage reads comes from the run's
+:class:`~boxforge.config.PipelineConfig`; its other arguments are artifact
+paths and those hand-offs.
 """
 
 from __future__ import annotations
@@ -18,14 +22,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from . import dataio
 from .config import PipelineConfig
 from .detector import (
-    FINETUNE_POS_IOU,
     BoxRegressor,
     LinearModel,
     TrainConfig,
@@ -34,11 +37,17 @@ from .detector import (
     fit_bbox_regressor,
     hard_negative_mask,
     lsvm_update,
+    regression_pairs,
     train_linear,
 )
-from .errors import DimensionMismatchError, EmptyPoolError, MissingInputError
+from .errors import (
+    ConfigInvalidError,
+    DimensionMismatchError,
+    EmptyPoolError,
+    MissingInputError,
+)
 from .featmap import build_query_window, pool_box_feature
-from .geometry import BBox, clip_box, iou_rows, nms
+from .geometry import BBox, clip_box, nms
 from .metrics import aggregate, average_precision, corloc, error_histogram
 from .mining import (
     POSITIVE,
@@ -89,22 +98,20 @@ def _default_k(labels: dict[str, str]) -> int:
 def run_mine(
     dataset: dataio.Dataset | str | Path,
     out_dir: str | Path,
-    k: Optional[int] = None,
-    top_clusters: int = 200,
+    cfg: PipelineConfig,
 ) -> dict:
     """Cluster, rank, dedup, and select the mined positive region set."""
     t0 = time.perf_counter()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     by_image, labels = _open(dataset).proposals
-    if k is None:
-        k = _default_k(labels)
+    k = _default_k(labels) if cfg.k is None else cfg.k
     sizes = [len(props) for props in by_image.values()]
     n_proposals = sum(sizes)
     clusters = build_clusters(by_image, labels, k)
     ranked = rank_clusters(clusters)
     deduped = dedup_clusters(ranked)
-    mined = select_positive_regions(deduped, labels, top_c=top_clusters)
+    mined = select_positive_regions(deduped, labels, top_c=cfg.top_clusters)
     dataio.write_regions(out / REGIONS, mined)
     return _write_report(
         out,
@@ -152,8 +159,7 @@ def run_select_tracks(
     dataset: dataio.Dataset | str | Path,
     regions_path: str | Path,
     out_dir: str | Path,
-    frame_stride: int = 8,
-    target_cells: int = 48,
+    cfg: PipelineConfig,
 ) -> dict:
     """Pick the best-supported candidate track box in every sampled frame."""
     t0 = time.perf_counter()
@@ -161,13 +167,14 @@ def run_select_tracks(
     out.mkdir(parents=True, exist_ok=True)
     ds = _open(dataset)
     mined = dataio.read_regions(regions_path)
-    queries = _load_region_queries(ds.manifest, mined.regions, target_cells)
+    queries = _load_region_queries(ds.manifest, mined.regions, cfg.target_cells)
     videos = _load_videos(ds.manifest)
     tracks_by_video = ds.tracks
 
     region_order = [r.region_id for r in mined.regions]
     per_region = [
-        match_region_per_frame(rid, queries[rid], videos, frame_stride) for rid in region_order
+        match_region_per_frame(rid, queries[rid], videos, cfg.frame_stride)
+        for rid in region_order
     ]
     evidence: dict[tuple[str, int], list[tuple[BBox, float]]] = {}
     for matches in per_region:
@@ -177,7 +184,7 @@ def run_select_tracks(
     selections = []
     for video_id, frames in videos:
         tracks = tracks_by_video.get(video_id, [])
-        for frame_idx in sampled_frame_indices(len(frames), frame_stride):
+        for frame_idx in sampled_frame_indices(len(frames), cfg.frame_stride):
             candidates = candidates_at_frame(tracks, frame_idx)
             sel = select_track_per_frame(
                 candidates, evidence.get((video_id, frame_idx), []), video_id, frame_idx
@@ -202,9 +209,7 @@ def run_match(
     regions_path: str | Path,
     selections_path: str | Path,
     out_dir: str | Path,
-    n_matches: int = 20,
-    frame_stride: int = 8,
-    target_cells: int = 48,
+    cfg: PipelineConfig,
 ) -> dict:
     """Match every mined region into the videos and transfer track boxes back."""
     t0 = time.perf_counter()
@@ -213,13 +218,13 @@ def run_match(
     manifest = _open(dataset).manifest
     mined = dataio.read_regions(regions_path)
     selections = dataio.read_selections(selections_path)
-    queries = _load_region_queries(manifest, mined.regions, target_cells)
+    queries = _load_region_queries(manifest, mined.regions, cfg.target_cells)
     videos = _load_videos(manifest)
     region_boxes = {r.region_id: (r.image_id, r.box) for r in mined.regions}
 
     region_order = [r.region_id for r in mined.regions]
     per_region = [
-        match_region_to_videos(rid, queries[rid], videos, n_matches, frame_stride)
+        match_region_to_videos(rid, queries[rid], videos, cfg.n_matches, cfg.frame_stride)
         for rid in region_order
     ]
     transfers = []
@@ -249,16 +254,17 @@ def vote_pseudo_gts(
     manifest: dataio.Manifest,
     boxes_by_image: dict[str, list[BBox]],
     bandwidth: float,
-    kernel: str,
-    theta: float,
+    cfg: PipelineConfig,
 ) -> dict[str, PseudoGT]:
-    """Mean-shift each image's transferred boxes; image id -> pseudo GT, for
-    the images whose top mode passes ``theta``."""
+    """Mean-shift each image's transferred boxes with ``cfg``'s kernel;
+    image id -> pseudo GT, for the images whose top mode passes ``cfg.theta``."""
     gts = {}
     for image_id in sorted(boxes_by_image):
-        space = VoteSpace.from_boxes(boxes_by_image[image_id], bandwidth=bandwidth, kernel=kernel)
+        space = VoteSpace.from_boxes(
+            boxes_by_image[image_id], bandwidth=bandwidth, kernel=cfg.kernel
+        )
         entry = manifest.image(image_id)
-        gt = select_pseudo_gt(space, theta=theta, image_bounds=entry.size, image_id=image_id)
+        gt = select_pseudo_gt(space, theta=cfg.theta, image_bounds=entry.size, image_id=image_id)
         if gt is not None:
             gts[image_id] = gt
     return gts
@@ -268,25 +274,29 @@ def run_vote(
     dataset: dataio.Dataset | str | Path,
     transfers_path: str | Path,
     out_dir: str | Path,
-    bandwidth: float,
-    kernel: str = "gaussian",
-    theta: float = 20.0,
+    cfg: PipelineConfig,
+    bandwidth: Optional[float] = None,
     heatmap_dir: Optional[str | Path] = None,
     pseudo_gts: Optional[dict[str, PseudoGT]] = None,
 ) -> dict:
     """Mean-shift the per-image vote spaces into pseudo-GT boxes.
 
-    ``pseudo_gts`` is this vote's result when the caller already has it
-    (cross-validation voted with the same transfers, bandwidth, kernel and
-    theta); it is written as is.
+    ``bandwidth`` is the one cross-validation chose; without it the vote
+    uses ``cfg.bandwidth``.  ``pseudo_gts`` is this vote's result when the
+    caller already has it (cross-validation voted with the same transfers,
+    bandwidth, kernel and theta); it is written as is.
     """
+    if bandwidth is None:
+        bandwidth = cfg.bandwidth
+    if bandwidth is None:
+        raise ConfigInvalidError("vote needs a bandwidth: b in the config file or --bandwidth")
     t0 = time.perf_counter()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = _open(dataset).manifest
     boxes_by_image = dataio.read_transfer_boxes(transfers_path)
     if pseudo_gts is None:
-        pseudo_gts = vote_pseudo_gts(manifest, boxes_by_image, bandwidth, kernel, theta)
+        pseudo_gts = vote_pseudo_gts(manifest, boxes_by_image, bandwidth, cfg)
     if heatmap_dir is not None:
         hdir = Path(heatmap_dir)
         hdir.mkdir(parents=True, exist_ok=True)
@@ -302,8 +312,8 @@ def run_vote(
         {
             "stage": "vote",
             "bandwidth": bandwidth,
-            "kernel": kernel,
-            "theta": theta,
+            "kernel": cfg.kernel,
+            "theta": cfg.theta,
             "n_images_with_transfers": len(boxes_by_image),
             "n_pseudo_gt": len(pseudo_gts),
             "elapsed_s": time.perf_counter() - t0,
@@ -370,8 +380,7 @@ def run_train(
     dataset: dataio.Dataset | str | Path,
     pseudo_gt_path: str | Path,
     out_dir: str | Path,
-    train_config: TrainConfig,
-    nms_iou: float = 0.3,
+    cfg: PipelineConfig,
     tag: str = "initial",
     fit: Optional[DetectorFit] = None,
 ) -> dict:
@@ -386,9 +395,9 @@ def run_train(
     out.mkdir(parents=True, exist_ok=True)
     ds = _open(dataset)
     if fit is None:
-        fit = fit_detector(ds, dataio.read_pseudo_gts(pseudo_gt_path), train_config)
+        fit = fit_detector(ds, dataio.read_pseudo_gts(pseudo_gt_path), cfg.train_config())
     dataio.write_model(out / f"model_{tag}.json", fit.model)
-    detections = _detect(ds.images, fit.model, nms_iou)
+    detections = _detect(ds.images, fit.model, cfg.nms_iou)
     dataio.write_detections(out / f"detections_{tag}.jsonl", detections)
     return _write_report(
         out,
@@ -399,7 +408,7 @@ def run_train(
             "n_train_examples": fit.n_examples,
             "n_positives": fit.n_positives,
             "n_detections": len(detections),
-            "seed": train_config.seed,
+            "seed": cfg.seed,
             "elapsed_s": time.perf_counter() - t0,
         },
     )
@@ -410,8 +419,7 @@ def run_update(
     model_path: str | Path,
     pseudo_gt_path: str | Path,
     out_dir: str | Path,
-    nms_iou: float = 0.3,
-    out_name: str = PSEUDO_GT_UPDATED,
+    cfg: PipelineConfig,
 ) -> dict:
     """Latent update: fill missing pseudo GTs, refine existing ones."""
     t0 = time.perf_counter()
@@ -420,9 +428,8 @@ def run_update(
     ds = _open(dataset)
     model = dataio.read_model(model_path)
     before = dataio.read_pseudo_gts(pseudo_gt_path)
-    after = lsvm_update(model, ds.images, before, nms_iou=nms_iou)
-    ordered = [after[i] for i in sorted(after)]
-    dataio.write_pseudo_gts(out / out_name, ordered)
+    after = lsvm_update(model, ds.images, before, nms_iou=cfg.nms_iou)
+    dataio.write_pseudo_gts(out / PSEUDO_GT_UPDATED, [after[i] for i in sorted(after)])
     return _write_report(
         out,
         "update",
@@ -444,7 +451,7 @@ def run_regress(
     pseudo_gt_path: str | Path,
     detections_path: str | Path,
     out_dir: str | Path,
-    l2: float = 1e-3,
+    cfg: PipelineConfig,
 ) -> dict:
     """Fit the box regressor on well-overlapping proposals and refine detections."""
     t0 = time.perf_counter()
@@ -453,17 +460,9 @@ def run_regress(
     ds = _open(dataset)
     manifest = ds.manifest
     images = ds.images
-    pseudo_gts = dataio.read_pseudo_gts(pseudo_gt_path)
-    pairs = []
-    for image_id in sorted(pseudo_gts):
-        image = images.get(image_id)
-        if image is None:
-            continue
-        gt = pseudo_gts[image_id]
-        for i in np.flatnonzero(iou_rows(image.coords, gt.box) >= FINETUNE_POS_IOU):
-            pairs.append((image.features[i], image.boxes[i], gt.box))
+    pairs = regression_pairs(images, dataio.read_pseudo_gts(pseudo_gt_path))
     if pairs:
-        regressor = fit_bbox_regressor(pairs, l2=l2)
+        regressor = fit_bbox_regressor(pairs, l2=cfg.regressor_l2)
     else:
         regressor = BoxRegressor.identity(next(iter(images.values())).features.shape[1])
     dataio.write_regressor(out / REGRESSOR, regressor)
@@ -665,14 +664,10 @@ def run_cv_bandwidth(
     transfers_path: str | Path,
     selections_path: str | Path,
     out_dir: str | Path,
-    bandwidth_grid: Sequence[float],
-    train_config: TrainConfig,
-    kernel: str = "gaussian",
-    theta: float = 20.0,
-    frame_stride: int = 8,
-    nms_iou: float = 0.3,
+    cfg: PipelineConfig,
 ) -> CrossValidation:
-    """Pick the voting bandwidth whose detector best recovers the selected tracks.
+    """Pick the ``cfg.bandwidth_grid`` bandwidth whose detector best recovers
+    the selected tracks.
 
     Each grid bandwidth is voted and trained on exactly as the vote and
     train stages would; the video frames the detectors are scored on are
@@ -684,12 +679,13 @@ def run_cv_bandwidth(
     ds = _open(dataset)
     boxes_by_image = dataio.read_transfer_boxes(transfers_path)
     selections = dataio.read_selections(selections_path)
+    train_config = cfg.train_config()
     trials: dict[float, BandwidthTrial] = {}
     video = None  # (frames, gt), pooled when the first detector needs them
 
     def evaluate(b: float) -> float:
         nonlocal video
-        gts = vote_pseudo_gts(ds.manifest, boxes_by_image, b, kernel, theta)
+        gts = vote_pseudo_gts(ds.manifest, boxes_by_image, b, cfg)
         fit = None
         if gts:
             try:
@@ -700,10 +696,10 @@ def run_cv_bandwidth(
         if fit is None:
             return 0.0
         if video is None:
-            video = _video_frames(ds, selections, frame_stride)
-        return _video_detection_ap(*video, fit.model, nms_iou)
+            video = _video_frames(ds, selections, cfg.frame_stride)
+        return _video_detection_ap(*video, fit.model, cfg.nms_iou)
 
-    best_b, scores = cross_validate_bandwidth(bandwidth_grid, evaluate)
+    best_b, scores = cross_validate_bandwidth(cfg.bandwidth_grid, evaluate)
     doc = {"best_b": best_b, "ap_per_b": {str(b): scores[b] for b in sorted(scores)}}
     # the artifact stays byte-reproducible; only the stage report is timed
     dataio.dump_json(doc, out / BANDWIDTH_REPORT)
@@ -718,59 +714,30 @@ def run_pipeline(cfg: PipelineConfig, heatmap_dir: Optional[str | Path] = None) 
     t0 = time.perf_counter()
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    train_config = TrainConfig(
-        steps=cfg.train_steps,
-        learning_rate=cfg.learning_rate,
-        weight_decay=cfg.weight_decay,
-        seed=cfg.seed,
-    )
     ds = dataio.open_dataset(cfg.manifest)
 
-    run_mine(ds, out, k=cfg.k, top_clusters=cfg.top_clusters)
-    run_select_tracks(
-        ds, out / REGIONS, out,
-        frame_stride=cfg.frame_stride, target_cells=cfg.target_cells,
-    )
-    run_match(
-        ds, out / REGIONS, out / SELECTIONS, out,
-        n_matches=cfg.n_matches, frame_stride=cfg.frame_stride,
-        target_cells=cfg.target_cells,
-    )
+    run_mine(ds, out, cfg)
+    run_select_tracks(ds, out / REGIONS, out, cfg)
+    run_match(ds, out / REGIONS, out / SELECTIONS, out, cfg)
     bandwidth = cfg.bandwidth
     winner_gts, winner_fit = None, None
     if bandwidth is None:
-        cv = run_cv_bandwidth(
-            ds, out / TRANSFERS, out / SELECTIONS, out,
-            cfg.bandwidth_grid, train_config,
-            kernel=cfg.kernel, theta=cfg.theta,
-            frame_stride=cfg.frame_stride, nms_iou=cfg.nms_iou,
-        )
+        cv = run_cv_bandwidth(ds, out / TRANSFERS, out / SELECTIONS, out, cfg)
         bandwidth = cv.best_b
         winner_gts, winner_fit = cv.winner.pseudo_gts, cv.winner.fit
     run_vote(
-        ds, out / TRANSFERS, out,
-        bandwidth=bandwidth, kernel=cfg.kernel, theta=cfg.theta, heatmap_dir=heatmap_dir,
-        pseudo_gts=winner_gts,
+        ds, out / TRANSFERS, out, cfg,
+        bandwidth=bandwidth, heatmap_dir=heatmap_dir, pseudo_gts=winner_gts,
     )
     # without a winning detector (fixed bandwidth, or an empty pool) this trains
-    run_train(
-        ds, out / PSEUDO_GT, out, train_config, nms_iou=cfg.nms_iou, tag="initial",
-        fit=winner_fit,
-    )
+    run_train(ds, out / PSEUDO_GT, out, cfg, tag="initial", fit=winner_fit)
     current_pgt = out / PSEUDO_GT
     for round_idx in range(cfg.lsvm_rounds):
         model_tag = "initial" if round_idx == 0 else "updated"
-        run_update(
-            ds, out / f"model_{model_tag}.json", current_pgt, out,
-            nms_iou=cfg.nms_iou,
-        )
+        run_update(ds, out / f"model_{model_tag}.json", current_pgt, out, cfg)
         current_pgt = out / PSEUDO_GT_UPDATED
-        run_train(
-            ds, current_pgt, out, train_config, nms_iou=cfg.nms_iou, tag="updated"
-        )
-    run_regress(
-        ds, current_pgt, out / "detections_updated.jsonl", out, l2=cfg.regressor_l2
-    )
+        run_train(ds, current_pgt, out, cfg, tag="updated")
+    run_regress(ds, current_pgt, out / "detections_updated.jsonl", out, cfg)
     metrics_doc = run_eval(
         ds,
         out,

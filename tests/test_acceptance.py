@@ -15,16 +15,15 @@ from boxforge import dataio
 from boxforge.config import PipelineConfig
 from boxforge.detector import (
     ImageProposals,
-    TrainConfig,
     apply_box_targets,
-    assign_finetune_labels,
-    assign_rcnn_labels,
     box_regression_targets,
+    hard_negative_mask,
     lsvm_update,
     LinearModel,
+    regression_pairs,
 )
 from boxforge.featmap import FeatureMap, QueryWindow, extract_window, single_level_pyramid, slide_match
-from boxforge.geometry import BBox, iou, transfer_box
+from boxforge.geometry import BBox, box_array, iou, transfer_box
 from boxforge.metrics import average_precision, corloc
 from boxforge.mining import (
     best_region_per_image,
@@ -42,7 +41,7 @@ from boxforge.pipeline import (
 )
 from boxforge.synth import SynthConfig, gen_dataset, gen_multi_instance_case
 from boxforge.tracks import evaluate_selection
-from boxforge.voting import EPANECHNIKOV, GAUSSIAN, VoteSpace, select_pseudo_gt
+from boxforge.voting import EPANECHNIKOV, GAUSSIAN, PseudoGT, VoteSpace, select_pseudo_gt
 
 from test_mining import (
     cluster_signature,
@@ -363,21 +362,18 @@ def test_criterion_7_detector_eval_plumbing():
     def prop_at(iou_value):
         return BBox(0, 0, 10 * iou_value, 10)
 
-    rcnn = assign_rcnn_labels(
-        [("at10", prop_at(0.1)), ("at30", prop_at(0.3)),
-         ("below", prop_at(0.0999)), ("above", prop_at(0.3001))],
-        gt_box, "pos",
+    # the hard-negative band, as training applies it, is inclusive at both ends
+    band = hard_negative_mask(
+        box_array([prop_at(0.1), prop_at(0.3), prop_at(0.0999), prop_at(0.3001)]), gt_box
     )
-    assert set(rcnn.negatives) == {"at10", "at30"}
-    assert set(rcnn.ignored) == {"below", "above"}
+    assert band.tolist() == [True, True, False, False]
 
-    ft = assign_finetune_labels(
-        [("at60", prop_at(0.6)), ("just_below", prop_at(0.5999)), ("band", prop_at(0.2))],
-        gt_box,
-    )
-    assert ft.positives == ("at60",)
-    assert ft.ignored == ("just_below",)
-    assert ft.negatives == ("band",)
+    # box regression trains on the proposals at IOU >= 0.6 only
+    props = [prop_at(0.6), prop_at(0.5999), prop_at(0.2)]
+    images = {"img": ImageProposals.from_boxes("pos", props, [np.ones(2)] * 3)}
+    gts = {"img": PseudoGT(image_id="img", box=gt_box, vote=20.0, support=20)}
+    assert [p for _, p, _ in regression_pairs(images, gts)] == [prop_at(0.6)]
+    assert hard_negative_mask(box_array(props), gt_box).tolist() == [False, False, True]
 
     # 0.5 threshold: CorLoc is strict, the latent-update leash is inclusive
     assert corloc({"a": prop_at(0.5)}, {"a": [gt_box]}) == 0.0
@@ -385,8 +381,7 @@ def test_criterion_7_detector_eval_plumbing():
     images = {
         "img": ImageProposals.from_boxes("pos", [prop_at(0.5)], [np.array([1.0, 0.0])]),
     }
-    existing = {"img": __import__("boxforge.voting", fromlist=["PseudoGT"]).PseudoGT(
-        image_id="img", box=gt_box, vote=20.0, support=20)}
+    existing = {"img": PseudoGT(image_id="img", box=gt_box, vote=20.0, support=20)}
     model = LinearModel(weights=np.array([1.0, 0.0]), bias=0.0)
     updated = lsvm_update(model, images, existing)
     assert updated["img"].box == prop_at(0.5)  # IOU exactly 0.5 is eligible
@@ -444,14 +439,17 @@ def test_criterion_9_bandwidth_failure_mode(tmp_path):
     truth = gen_multi_instance_case(SynthConfig(seed=0), data)
     manifest = str(data / "manifest.json")
     out = tmp_path / "out"
-    run_mine(manifest, out)
-    run_select_tracks(manifest, out / "regions.jsonl", out,
-                      frame_stride=1, target_cells=30)
-    run_match(manifest, out / "regions.jsonl", out / "selections.jsonl", out,
-              n_matches=20, frame_stride=1, target_cells=30)
+    oversized = 12.0
+    cfg = PipelineConfig(
+        frame_stride=1, target_cells=30, n_matches=20,
+        bandwidth_grid=(2.0, oversized, 32.0), seed=TRAIN_SEED,
+    )
+    run_mine(manifest, out, cfg)
+    run_select_tracks(manifest, out / "regions.jsonl", out, cfg)
+    run_match(manifest, out / "regions.jsonl", out / "selections.jsonl", out, cfg)
 
     def localization_failures(bandwidth):
-        run_vote(manifest, out / "transfers.jsonl", out, bandwidth=bandwidth, theta=20.0)
+        run_vote(manifest, out / "transfers.jsonl", out, cfg, bandwidth=bandwidth)
         pgts = dataio.read_pseudo_gts(out / "pseudo_gt.jsonl")
         failures = sum(
             1
@@ -460,14 +458,12 @@ def test_criterion_9_bandwidth_failure_mode(tmp_path):
         )
         return failures, len(pgts)
 
-    oversized = 12.0
     fail_big, n_big = localization_failures(oversized)
     assert n_big > 0
     assert fail_big >= 1, "oversized bandwidth should merge instances"
 
     cv = run_cv_bandwidth(
-        manifest, out / "transfers.jsonl", out / "selections.jsonl", out,
-        [2.0, oversized, 32.0], TrainConfig(seed=TRAIN_SEED), frame_stride=1,
+        manifest, out / "transfers.jsonl", out / "selections.jsonl", out, cfg
     ).report
     best_b = cv["best_b"]
     assert best_b == 2.0

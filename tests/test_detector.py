@@ -3,26 +3,28 @@ import json
 import numpy as np
 import pytest
 
-from boxforge import dataio, detector
+from types import SimpleNamespace
+
+from boxforge import dataio, detector, pipeline
 from boxforge.detector import (
-    PSEUDO_GT_ID,
+    BATCH_NEG,
+    BATCH_POS,
     ImageProposals,
     LinearModel,
     TrainConfig,
     apply_box_targets,
     apply_regressor,
-    assign_finetune_labels,
-    assign_rcnn_labels,
     box_regression_targets,
     cross_validate_bandwidth,
     fit_bbox_regressor,
+    hard_negative_mask,
     hinge_objective,
     lsvm_update,
-    sample_minibatch,
+    regression_pairs,
     train_linear,
 )
 from boxforge.errors import DimensionMismatchError, EmptyPoolError
-from boxforge.geometry import BBox
+from boxforge.geometry import BBox, box_array, iou
 from boxforge.voting import PseudoGT
 
 
@@ -35,101 +37,127 @@ GT = box(0, 0, 10, 10)
 
 def proposal_with_iou(target_iou):
     """A box sharing GT's left edge whose IOU with GT is exactly target_iou."""
-    # box (0,0,w,10): iou = w/ (10 + ... ) for w<=10: inter=10w, union=100+10w-10w... -> w*10/(100)
-    # use width w <= 10: iou = 10w / (100 + 10w - 10w) = w/10
+    # box (0,0,w,10) with w <= 10 lies inside GT: iou = 10w / 100 = w / 10
     w = target_iou * 10.0
     return box(0, 0, w, 10)
 
 
+def in_band(*ious):
+    """hard_negative_mask over proposals at the given IOUs with GT."""
+    return hard_negative_mask(box_array([proposal_with_iou(v) for v in ious]), GT).tolist()
+
+
+def one_hot_images(label, boxes):
+    """One image whose proposal features are one-hot rows, so a training
+    row names the proposal it came from."""
+    return {"img": ImageProposals.from_boxes(label, boxes, list(np.eye(len(boxes))))}
+
+
+def no_gt_dataset(images):
+    """A dataset holding only proposals: enough for a training corpus
+    without pseudo GT, which pools no feature map."""
+    return SimpleNamespace(manifest=None, images=images)
+
+
 class TestRcnnLabels:
+    """Classifier-stage labels as training applies them: the band check of
+    :func:`hard_negative_mask`, and the corpus of ``pipeline._training_corpus``."""
+
     def test_band_is_negative(self):
-        a = assign_rcnn_labels([("p", proposal_with_iou(0.2))], GT, "pos")
-        assert a.negatives == ("p",)
-        assert a.positives == (PSEUDO_GT_ID,)
+        assert in_band(0.2) == [True]
 
     def test_above_band_ignored(self):
-        a = assign_rcnn_labels([("p", proposal_with_iou(0.5))], GT, "pos")
-        assert a.ignored == ("p",)
+        assert in_band(0.5) == [False]
 
     def test_boundaries_inclusive(self):
-        props = [("lo", proposal_with_iou(0.1)), ("hi", proposal_with_iou(0.3))]
-        a = assign_rcnn_labels(props, GT, "pos")
-        assert set(a.negatives) == {"lo", "hi"}
+        assert in_band(0.1, 0.3) == [True, True]
 
     def test_just_outside_band_ignored(self):
-        props = [("lo", proposal_with_iou(0.09)), ("hi", proposal_with_iou(0.31))]
-        a = assign_rcnn_labels(props, GT, "pos")
-        assert set(a.ignored) == {"lo", "hi"}
+        assert in_band(0.09, 0.31) == [False, False]
 
     def test_negative_image_all_negative(self):
-        props = [("a", GT), ("b", proposal_with_iou(0.2))]
-        a = assign_rcnn_labels(props, None, "neg")
-        assert a.negatives == ("a", "b") and not a.positives and not a.ignored
+        images = one_hot_images("neg", [GT, proposal_with_iou(0.2)])
+        X, y = pipeline._training_corpus(no_gt_dataset(images), {})
+        assert np.array_equal(X, np.eye(2)) and y.tolist() == [-1.0, -1.0]
 
     def test_positive_image_without_gt_all_ignored(self):
-        a = assign_rcnn_labels([("a", GT)], None, "pos")
-        assert a.ignored == ("a",) and not a.positives and not a.negatives
+        images = {
+            **one_hot_images("pos", [GT]),
+            "neg": ImageProposals.from_boxes("neg", [GT], [np.array([0.0])]),
+        }
+        X, y = pipeline._training_corpus(no_gt_dataset(images), {})
+        # only the negative image's proposal enters
+        assert X.shape == (1, 1) and y.tolist() == [-1.0]
 
     def test_proposals_partitioned(self):
-        props = [(f"p{i}", proposal_with_iou(0.05 + 0.09 * i)) for i in range(10)]
-        a = assign_rcnn_labels(props, GT, "pos")
-        ids = {p for p, _ in props}
-        assert set(a.negatives) | set(a.ignored) == ids
-        assert not (set(a.negatives) & set(a.ignored))
+        ious = [0.05 + 0.09 * i for i in range(10)]
+        band = in_band(*ious)
+        assert band == [0.1 <= iou(proposal_with_iou(v), GT) <= 0.3 for v in ious]
+        assert 0 < sum(band) < len(band)
 
 
 class TestFinetuneLabels:
+    """The IOU >= 0.6 rule, as box regression selects its training pairs
+    (:func:`regression_pairs`), against the hard-negative band."""
+
+    @staticmethod
+    def pairs(*ious):
+        boxes = [proposal_with_iou(v) for v in ious]
+        gts = {"img": PseudoGT(image_id="img", box=GT, vote=20.0, support=20)}
+        return [p for _, p, _ in regression_pairs(one_hot_images("pos", boxes), gts)]
+
     def test_high_iou_positive(self):
-        a = assign_finetune_labels([("p", proposal_with_iou(0.7))], GT)
-        assert a.positives == ("p",)
+        assert self.pairs(0.7) == [proposal_with_iou(0.7)]
 
     def test_band_negative(self):
-        a = assign_finetune_labels([("p", proposal_with_iou(0.2))], GT)
-        assert a.negatives == ("p",)
+        assert self.pairs(0.2) == [] and in_band(0.2) == [True]
 
     def test_midrange_ignored(self):
-        a = assign_finetune_labels([("p", proposal_with_iou(0.45))], GT)
-        assert a.ignored == ("p",)
+        assert self.pairs(0.45) == [] and in_band(0.45) == [False]
 
     def test_boundary_point_six_is_positive(self):
-        a = assign_finetune_labels([("p", proposal_with_iou(0.6))], GT)
-        assert a.positives == ("p",)
+        assert self.pairs(0.6) == [proposal_with_iou(0.6)]
 
     def test_no_gt_all_ignored(self):
-        a = assign_finetune_labels([("p", GT)], None)
-        assert a.ignored == ("p",)
+        assert regression_pairs(one_hot_images("pos", [GT]), {}) == []
 
     def test_exhaustive_exclusive_partition(self):
-        props = [(f"p{i}", proposal_with_iou(i / 20)) for i in range(1, 20)]
-        a = assign_finetune_labels(props, GT)
-        all_ids = {p for p, _ in props}
-        buckets = [set(a.positives), set(a.negatives), set(a.ignored)]
-        assert set.union(*buckets) == all_ids
-        assert sum(len(b) for b in buckets) == len(all_ids)
+        ious = [i / 20 for i in range(1, 20)]
+        boxes = [proposal_with_iou(v) for v in ious]
+        gts = {"img": PseudoGT(image_id="img", box=GT, vote=20.0, support=20)}
+        pairs = regression_pairs(one_hot_images("pos", boxes), gts)
+        # the feature rows are one-hot, so each pair names its proposal
+        positive = {int(np.argmax(f)) for f, _, _ in pairs}
+        negative = {i for i, h in enumerate(in_band(*ious)) if h}
+        assert positive == {i for i, v in enumerate(ious) if v >= 0.6}
+        assert not positive & negative
+        assert pairs[0][1] == boxes[min(positive)]
 
 
 class TestSampleMinibatch:
+    """Minibatch draws: ``_draw`` on its own and through ``train_linear``."""
+
     def test_exact_pools_come_back_whole(self):
         rng = np.random.default_rng(0)
-        pos = list(range(32))
-        neg = list(range(100, 196))
-        batch = sample_minibatch(pos, neg, rng)
-        assert sorted(batch[:32]) == pos
-        assert sorted(batch[32:]) == neg
+        assert sorted(detector._draw(BATCH_POS, BATCH_POS, rng)) == list(range(BATCH_POS))
+        assert sorted(detector._draw(BATCH_NEG, BATCH_NEG, rng)) == list(range(BATCH_NEG))
 
     def test_single_positive_repeats(self):
         rng = np.random.default_rng(1)
-        batch = sample_minibatch(["only"], list(range(96)), rng)
-        assert batch[:32] == ["only"] * 32
+        assert detector._draw(1, BATCH_POS, rng).tolist() == [0] * BATCH_POS
 
     def test_deterministic_given_seed(self):
-        a = sample_minibatch(list(range(100)), list(range(300)), np.random.default_rng(7))
-        b = sample_minibatch(list(range(100)), list(range(300)), np.random.default_rng(7))
-        assert a == b
+        a = detector._draw(300, BATCH_NEG, np.random.default_rng(7))
+        b = detector._draw(300, BATCH_NEG, np.random.default_rng(7))
+        assert np.array_equal(a, b)
+        X, y = shuffled_pools(5, 200)
+        first = train_linear(X, y, TrainConfig(steps=20, seed=7))
+        second = train_linear(X, y, TrainConfig(steps=20, seed=7))
+        assert np.array_equal(first.weights, second.weights) and first.bias == second.bias
 
     def test_empty_pool_raises(self):
         with pytest.raises(EmptyPoolError):
-            sample_minibatch([], [1], np.random.default_rng(0))
+            train_linear(np.zeros((3, 2)), -np.ones(3), TrainConfig(steps=1))
 
 
 def list_draw(pool, n, rng):
@@ -153,9 +181,7 @@ def list_draw_train_linear(features, labels, config, category_id=""):
     neg_idx = [int(i) for i in np.flatnonzero(y < 0)]
     rng = np.random.default_rng(config.seed)
     for _ in range(config.steps):
-        batch = list_draw(pos_idx, config.batch_pos, rng) + list_draw(
-            neg_idx, config.batch_neg, rng
-        )
+        batch = list_draw(pos_idx, BATCH_POS, rng) + list_draw(neg_idx, BATCH_NEG, rng)
         Xb, yb = X[batch], y[batch]
         margins = yb * (Xb @ w + b)
         viol = margins < 1.0

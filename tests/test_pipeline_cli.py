@@ -10,7 +10,7 @@ import pytest
 
 import boxforge
 from boxforge import cli, dataio, pipeline
-from boxforge.config import PipelineConfig, build_config, parse_config_file
+from boxforge.config import SETTINGS, PipelineConfig, build_config, parse_config_file
 from boxforge.errors import (
     ConfigInvalidError,
     DimensionMismatchError,
@@ -82,7 +82,7 @@ class TestConfigFile:
     def test_overrides_beat_file(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("n = 10\n")
-        cfg = build_config(str(cfg_file), {"n_matches": 33})
+        cfg = build_config(str(cfg_file), {"n_matches": "33"})
         assert cfg.n_matches == 33
 
     def test_bandwidth_grid_list(self, tmp_path):
@@ -113,6 +113,82 @@ class TestConfigFile:
             PipelineConfig(theta=-1.0).validate()
         with pytest.raises(ConfigInvalidError):
             PipelineConfig(kernel="box").validate()
+
+
+# A value other than the default for every setting, as typed in a file or
+# after a flag, and a value each must refuse.  manifest and out_dir are
+# paths: no text is malformed for them.
+SAMPLE_TEXT = {
+    "manifest": "data/manifest.json", "out_dir": "run", "k": "3", "top_clusters": "150",
+    "n_matches": "10", "frame_stride": "2", "target_cells": "30", "theta": "12.5",
+    "bandwidth": "2.5", "bandwidth_grid": "1,2,", "kernel": "epanechnikov",
+    "lsvm_rounds": "2", "train_steps": "50", "learning_rate": "0.05",
+    "weight_decay": "0.01", "nms_iou": "0.5", "regressor_l2": "10", "seed": "7",
+}
+BAD_TEXT = {
+    "k": "abc", "top_clusters": "0", "n_matches": "1.5", "frame_stride": "-1",
+    "target_cells": "x", "theta": "-3", "bandwidth": "wide", "bandwidth_grid": "1,x",
+    "kernel": "box", "lsvm_rounds": "0", "train_steps": "-1", "learning_rate": "0",
+    "weight_decay": "-1", "nms_iou": "1.5", "regressor_l2": "-5", "seed": "s",
+}
+
+
+class TestSettingsSurface:
+    """Every setting has one config-file key and one CLI flag, and both
+    parse the same text the same way."""
+
+    def test_table_covers_every_field(self):
+        names = [s.field for s in SETTINGS]
+        assert sorted(names) == sorted(f.name for f in dataclasses.fields(PipelineConfig))
+        assert len({s.key for s in SETTINGS}) == len({s.flag for s in SETTINGS}) == len(names)
+        assert set(SAMPLE_TEXT) == set(names)
+        assert set(BAD_TEXT) == set(names) - {"manifest", "out_dir"}
+
+    @staticmethod
+    def from_flags(*argv):
+        return cli._config_from_args(cli.build_parser().parse_args(["mine", *argv]))
+
+    @pytest.mark.parametrize("setting", SETTINGS, ids=lambda s: s.field)
+    def test_file_key_and_flag_agree(self, setting, tmp_path):
+        text = SAMPLE_TEXT[setting.field]
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"{setting.key} = {text}\n")
+        from_file = build_config(str(cfg_file))
+        assert from_file == self.from_flags(setting.flag, text)
+        assert from_file != PipelineConfig()
+
+    def test_trailing_comma_grid_agrees(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("b_grid = 1,2,\n")
+        from_flag = self.from_flags("--bandwidth-grid", "1,2,")
+        assert from_flag == build_config(str(cfg_file))
+        assert from_flag.bandwidth_grid == (1.0, 2.0)
+
+    @pytest.mark.parametrize("field", sorted(BAD_TEXT))
+    def test_bad_value_is_a_config_error_from_either_source(
+        self, field, synth_dir, tmp_path, capsys
+    ):
+        setting = next(s for s in SETTINGS if s.field == field)
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"{setting.key} = {BAD_TEXT[field]}\n")
+        out = tmp_path / "out"
+        common = ["mine", "--manifest", synth_dir / "manifest.json", "--out", out]
+        for extra in (["--config", cfg_file], [setting.flag, BAD_TEXT[field]]):
+            assert run_cli(*common, *extra) == 1
+            err = json.loads(capsys.readouterr().err.strip())
+            assert err["error"] == "ConfigInvalidError"
+        assert not out.exists()  # refused before any stage ran
+
+    @pytest.mark.parametrize("flag,value", [("--nms-iou", "1.5"), ("--regressor-l2", "-5")])
+    def test_pipeline_refuses_bad_value_before_any_stage(
+        self, flag, value, synth_dir, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        code = run_cli("pipeline", "--manifest", synth_dir / "manifest.json", "--out", out,
+                       "--seed", 0, flag, value)
+        assert code == 1
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigInvalidError"
+        assert not out.exists()
 
 
 class TestCliStages:
@@ -269,7 +345,7 @@ class TestReports:
 
 
     def test_mine_report_counts_proposals_and_pairs(self, synth_dir, tmp_path):
-        report = pipeline.run_mine(synth_dir / "manifest.json", tmp_path / "m")
+        report = pipeline.run_mine(synth_dir / "manifest.json", tmp_path / "m", PipelineConfig())
         by_image, _ = dataio.read_proposals(synth_dir / "proposals.jsonl")
         sizes = [len(props) for props in by_image.values()]
         total = sum(sizes)
@@ -467,7 +543,9 @@ class TestArrayStagesMatchPerProposalCode:
         ds, images, pseudo_gts = inputs
         dataio.write_pseudo_gts(tmp_path / "pgt.jsonl", list(pseudo_gts.values()))
         dataio.write_detections(tmp_path / "det.jsonl", [])
-        report = pipeline.run_regress(ds, tmp_path / "pgt.jsonl", tmp_path / "det.jsonl", tmp_path)
+        report = pipeline.run_regress(
+            ds, tmp_path / "pgt.jsonl", tmp_path / "det.jsonl", tmp_path, PipelineConfig()
+        )
         pairs = [
             (np.asarray(feature, dtype=np.float64), box, pseudo_gts[image_id].box)
             for image_id in sorted(pseudo_gts)
@@ -506,6 +584,42 @@ class TestMalformedJson:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ConfigInvalidError"
         assert "proposals.jsonl line 6" in err["message"]
+
+    @pytest.mark.parametrize("name,row,key,where", [
+        ("proposals.jsonl", 2, "box", "proposals.jsonl line 3"),
+        ("manifest.json", None, "cell_stride", "manifest.json"),
+    ])
+    def test_missing_field_is_a_config_error(
+        self, synth_dir, tmp_path, capsys, name, row, key, where
+    ):
+        data = self.copy_dataset(synth_dir, tmp_path)
+        path = data / name
+        if row is None:
+            doc = json.loads(path.read_text())
+            del doc[key]
+            path.write_text(json.dumps(doc))
+        else:
+            rows = dataio.read_jsonl(path)
+            del rows[row][key]
+            dataio.write_jsonl(path, rows)
+        code = run_cli("mine", "--manifest", data / "manifest.json", "--out", tmp_path / "o")
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigInvalidError"
+        assert err["message"].endswith(f"{where}: missing key {key!r}")
+
+    @pytest.mark.parametrize("reader,text,message", [
+        (dataio.read_detections, '{"image_id": "a", "box": [0, 0, 1, 1]}', "line 1: missing key 'score'"),
+        (dataio.read_pseudo_gts, '\n{"image_id": "a", "box": [0, 0, 1, 1]}', "line 2: missing key 'vote'"),
+        (dataio.read_tracks,
+         '{"video_id": "v", "track_id": 0, "rank": 0, "frames": [{"box": [0, 0, 1, 1]}]}',
+         "line 1: missing key 't'"),
+    ])
+    def test_readers_name_file_line_and_key(self, tmp_path, reader, text, message):
+        path = tmp_path / "rows.jsonl"
+        path.write_text(text + "\n")
+        with pytest.raises(ConfigInvalidError, match=f"rows.jsonl {message}"):
+            reader(path)
 
     def test_line_numbers_count_blank_lines(self, tmp_path):
         path = tmp_path / "rows.jsonl"
@@ -682,7 +796,7 @@ class TestRegressFallbacks:
 
     def test_dimension_mismatch_counted_as_fallback(self, regress_inputs, tmp_path):
         manifest, pgt, det, gts = regress_inputs
-        report = pipeline.run_regress(manifest, pgt, det, tmp_path / "out")
+        report = pipeline.run_regress(manifest, pgt, det, tmp_path / "out", PipelineConfig())
         assert report["n_regressor_fallbacks"] == len(gts) > 0
         refined = dataio.read_detections(tmp_path / "out" / pipeline.DETECTIONS_BBOXREG)
         assert [box for _, box, _ in refined] == [g.box for g in gts]
@@ -695,4 +809,4 @@ class TestRegressFallbacks:
 
         monkeypatch.setattr(pipeline, "apply_regressor", broken)
         with pytest.raises(RuntimeError):
-            pipeline.run_regress(manifest, pgt, det, tmp_path / "out")
+            pipeline.run_regress(manifest, pgt, det, tmp_path / "out", PipelineConfig())
