@@ -53,19 +53,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--n-pos-images", type=int, default=8)
-    p.add_argument("--n-neg-images", type=int, default=8)
-    p.add_argument("--n-videos", type=int, default=2)
-    p.add_argument("--frames-per-video", type=int, default=16)
-    p.add_argument("--map-height", type=int, default=16)
-    p.add_argument("--map-width", type=int, default=16)
-    p.add_argument("--channels", type=int, default=8)
-    p.add_argument("--signature-strength", type=float, default=4.0)
-    p.add_argument("--n-distractors", type=int, default=2)
-    p.add_argument("--multi-instance-prob", type=float, default=0.0)
-    p.add_argument("--proposals-per-image", type=int, default=12)
-    p.add_argument("--noise-sigma", type=float, default=0.05)
+    for f in dataclasses.fields(SynthConfig):
+        p.add_argument(
+            "--" + f.name.replace("_", "-"), type=type(f.default), default=f.default,
+            required=f.name == "seed",
+        )
 
     for name, need_seed in (
         ("mine", False), ("select-tracks", False), ("match", False),
@@ -85,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "train":
             p.add_argument("--tag", default="initial", help="artifact name suffix")
         if name == "update":
-            p.add_argument("--model", help="model json (default: <out>/model_initial.json)")
+            p.add_argument("--model", help=f"model json (default: <out>/{pipeline.MODEL_INITIAL})")
         if name == "regress":
             p.add_argument("--detections", help="detections to refine")
         if name == "eval":
@@ -112,22 +104,8 @@ def _default(args, attr: str, cfg, filename: str) -> str:
 
 def run_command(args) -> int:
     if args.command == "synth":
-        config = SynthConfig(
-            seed=args.seed,
-            n_pos_images=args.n_pos_images,
-            n_neg_images=args.n_neg_images,
-            n_videos=args.n_videos,
-            frames_per_video=args.frames_per_video,
-            map_height=args.map_height,
-            map_width=args.map_width,
-            channels=args.channels,
-            signature_strength=args.signature_strength,
-            n_distractors=args.n_distractors,
-            multi_instance_prob=args.multi_instance_prob,
-            proposals_per_image=args.proposals_per_image,
-            noise_sigma=args.noise_sigma,
-        )
-        gen_dataset(config, args.out)
+        fields = {f.name: getattr(args, f.name) for f in dataclasses.fields(SynthConfig)}
+        gen_dataset(SynthConfig(**fields), args.out)
         print(json.dumps({"out": args.out, "manifest": str(Path(args.out) / "manifest.json")}))
         return 0
 
@@ -166,7 +144,7 @@ def run_command(args) -> int:
     elif args.command == "update":
         report = pipeline.run_update(
             cfg.manifest,
-            _default(args, "model", cfg, "model_initial.json"),
+            _default(args, "model", cfg, pipeline.MODEL_INITIAL),
             _default(args, "pseudo_gt", cfg, pipeline.PSEUDO_GT),
             out, cfg,
         )
@@ -174,7 +152,7 @@ def run_command(args) -> int:
         report = pipeline.run_regress(
             cfg.manifest,
             _default(args, "pseudo_gt", cfg, pipeline.PSEUDO_GT_UPDATED),
-            _default(args, "detections", cfg, "detections_updated.jsonl"),
+            _default(args, "detections", cfg, pipeline.DETECTIONS_UPDATED),
             out, cfg,
         )
     elif args.command == "eval":
@@ -183,8 +161,8 @@ def run_command(args) -> int:
             initial_pgt_path=_default(args, "initial_pgt", cfg, pipeline.PSEUDO_GT),
             updated_pgt_path=getattr(args, "updated_pgt", None),
             detections_paths={
-                "initial": _default(args, "det_initial", cfg, "detections_initial.jsonl"),
-                "updated": _default(args, "det_updated", cfg, "detections_updated.jsonl"),
+                "initial": _default(args, "det_initial", cfg, pipeline.DETECTIONS_INITIAL),
+                "updated": _default(args, "det_updated", cfg, pipeline.DETECTIONS_UPDATED),
                 "updated_bboxreg": _default(args, "det_bboxreg", cfg, pipeline.DETECTIONS_BBOXREG),
             },
         )

@@ -16,11 +16,11 @@ from typing import Callable, Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .detector import BoxRegressor, ImageProposals, LinearModel
+from .detector import BoxRegressor, LinearModel
 from .errors import ConfigInvalidError, DimensionMismatchError, MissingInputError
 from .featmap import FeatureMap, FeaturePyramid, read_fmap, single_level_pyramid
 from .geometry import BBox
-from .mining import MinedRegion, MinedRegionSet, Proposal
+from .mining import ImageProposals, MinedRegion, MinedRegionSet
 from .tracks import FrameSelection, Track
 from .transfer import TransferredBox
 from .voting import PseudoGT
@@ -51,8 +51,8 @@ def dump_json(obj, path: str | Path) -> None:
 
 
 class _Row(dict):
-    """A parsed JSON object whose missing keys raise
-    :class:`ConfigInvalidError` naming where it was read, not ``KeyError``."""
+    """A parsed JSON object whose missing keys, and values of the wrong
+    type, raise :class:`ConfigInvalidError` naming where it was read."""
 
     __slots__ = ("where",)
 
@@ -63,15 +63,54 @@ class _Row(dict):
     def __missing__(self, key):
         raise ConfigInvalidError(f"{self.where}: missing key {key!r}")
 
+    def typed(self, key: str, convert: Callable):
+        """``convert`` of the value at ``key``; a value it refuses with
+        ``TypeError`` or ``ValueError`` is refused like a missing one."""
+        try:
+            return convert(self[key])
+        except (TypeError, ValueError) as exc:
+            raise ConfigInvalidError(f"{self.where}: bad value for key {key!r} ({exc})") from exc
 
-def load_json(path: str | Path):
+
+def _of(kind: type) -> Callable:
+    """A converter that passes a value of ``kind`` as is and refuses any other."""
+
+    def check(value):
+        if not isinstance(value, kind):
+            raise TypeError(f"expected {kind.__name__}, got {value!r}")
+        return value
+
+    return check
+
+
+_text = _of(str)
+
+
+def _array(value) -> np.ndarray:
+    return np.asarray(value, dtype=np.float64)
+
+
+def _objects(value) -> list[_Row]:
+    if not isinstance(value, list) or not all(isinstance(v, _Row) for v in value):
+        raise TypeError("expected a list of objects")
+    return value
+
+
+def _object(value, where: str) -> _Row:
+    if not isinstance(value, _Row):
+        raise ConfigInvalidError(f"{where}: expected a JSON object")
+    return value
+
+
+def load_json(path: str | Path) -> _Row:
     p = Path(path)
     if not p.exists():
         raise MissingInputError(f"missing input file: {p}")
     try:
-        return json.loads(p.read_text(), object_hook=lambda pairs: _Row(str(p), pairs))
+        doc = json.loads(p.read_text(), object_hook=lambda pairs: _Row(str(p), pairs))
     except json.JSONDecodeError as exc:
         raise ConfigInvalidError(f"{p} line {exc.lineno}: malformed JSON ({exc.msg})") from exc
+    return _object(doc, str(p))
 
 
 def write_jsonl(path: str | Path, rows: Iterable[Mapping]) -> None:
@@ -82,7 +121,7 @@ def write_jsonl(path: str | Path, rows: Iterable[Mapping]) -> None:
     _write_atomic(path, write)
 
 
-def read_jsonl(path: str | Path) -> list[dict]:
+def read_jsonl(path: str | Path) -> list[_Row]:
     p = Path(path)
     if not p.exists():
         raise MissingInputError(f"missing input file: {p}")
@@ -94,9 +133,10 @@ def read_jsonl(path: str | Path) -> list[dict]:
                 continue
             where = f"{p} line {lineno}"
             try:
-                rows.append(json.loads(line, object_hook=lambda pairs: _Row(where, pairs)))
+                row = json.loads(line, object_hook=lambda pairs: _Row(where, pairs))
             except json.JSONDecodeError as exc:
                 raise ConfigInvalidError(f"{where}: malformed JSON row ({exc.msg})") from exc
+            rows.append(_object(row, where))
     return rows
 
 
@@ -171,24 +211,24 @@ def load_manifest(path: str | Path) -> Manifest:
     doc = load_json(p)
     images = tuple(
         ImageEntry(
-            image_id=e["id"],
-            label=e["label"],
-            fmap_path=Path(e["fmap"]),
-            size=(float(e["size"][0]), float(e["size"][1])),
+            image_id=e.typed("id", _text),
+            label=e.typed("label", _text),
+            fmap_path=e.typed("fmap", Path),
+            size=e.typed("size", lambda size: (float(size[0]), float(size[1]))),
         )
-        for e in doc["images"]
+        for e in doc.typed("images", _objects)
     )
     videos = tuple(
-        VideoEntry(video_id=e["id"], frame_paths=tuple(Path(f) for f in e["frames"]))
-        for e in doc["videos"]
+        VideoEntry(e.typed("id", _text), e.typed("frames", lambda fs: tuple(map(Path, fs))))
+        for e in doc.typed("videos", _objects)
     )
     return Manifest(
         root=p.parent,
-        cell_stride=float(doc["cell_stride"]),
-        categories=tuple(doc["categories"]),
+        cell_stride=doc.typed("cell_stride", float),
+        categories=doc.typed("categories", lambda names: tuple(_text(n) for n in names)),
         images=images,
         videos=videos,
-        files=dict(doc.get("files", {})),
+        files=doc.typed("files", dict) if "files" in doc else {},
     )
 
 
@@ -204,22 +244,19 @@ class Dataset:
         self.manifest = manifest
 
     @cached_property
-    def proposals(self) -> tuple[dict[str, list[Proposal]], dict[str, str]]:
-        """:func:`read_proposals` of the manifest's proposal file."""
-        return read_proposals(self.manifest.path("proposals"))
-
-    @cached_property
     def images(self) -> dict[str, ImageProposals]:
-        """Each image's proposals as arrays, in image-id order."""
-        by_image, labels = self.proposals
-        return {
-            image_id: ImageProposals.from_boxes(
-                labels[image_id],
-                [p.box for p in by_image[image_id]],
-                [p.feature for p in by_image[image_id]],
-            )
-            for image_id in sorted(by_image)
-        }
+        """:func:`read_proposals` of the manifest's proposal file; an image
+        whose label is not its manifest entry's is refused."""
+        path = self.manifest.path("proposals")
+        images = read_proposals(path)
+        for image_id, image in images.items():
+            label = self.manifest.image(image_id).label
+            if image.label != label:
+                raise ConfigInvalidError(
+                    f"image {image_id} is labelled {image.label!r} in {path} "
+                    f"but {label!r} in the manifest"
+                )
+        return images
 
     @cached_property
     def tracks(self) -> dict[str, list[Track]]:
@@ -233,32 +270,32 @@ def open_dataset(manifest_path: str | Path) -> Dataset:
 # --- proposals.jsonl: {image_id, label, box, feature} ---------------------
 
 
-def write_proposals(path: str | Path, proposals: Sequence[Proposal]) -> None:
+def write_proposals(path: str | Path, images: Mapping[str, ImageProposals]) -> None:
+    """One row per proposal, image by image in the mapping's order."""
     write_jsonl(
         path,
         (
             {
-                "image_id": p.image_id,
-                "label": p.label,
-                "box": p.box.as_list(),
-                "feature": [float(x) for x in np.asarray(p.feature).reshape(-1)],
+                "image_id": image_id,
+                "label": image.label,
+                "box": box.as_list(),
+                "feature": [float(x) for x in feature],
             }
-            for p in proposals
+            for image_id, image in images.items()
+            for box, feature in zip(image.boxes, image.features)
         ),
     )
 
 
-def read_proposals(path: str | Path) -> tuple[dict[str, list[Proposal]], dict[str, str]]:
-    """Returns (proposals per image, image label map); indices follow file order.
+def read_proposals(path: str | Path) -> dict[str, ImageProposals]:
+    """Each image's proposals, in image-id order; indices follow file order.
 
-    Every feature must be finite and as long as the first row's; a row that
-    is not raises :class:`ConfigInvalidError` or
-    :class:`DimensionMismatchError` naming it.
+    Every feature must be finite and as long as the first row's, and every
+    row of an image must carry the same label; a row that does not raises
+    :class:`ConfigInvalidError` or :class:`DimensionMismatchError` naming it.
     """
-    by_image: dict[str, list[Proposal]] = {}
-    labels: dict[str, str] = {}
     rows = read_jsonl(path)
-    features = [np.asarray(row["feature"], dtype=np.float64) for row in rows]
+    features = [row.typed("feature", lambda f: _array(f).reshape(-1)) for row in rows]
     for n, (row, feature) in enumerate(zip(rows, features), start=1):
         if feature.size != features[0].size:
             raise DimensionMismatchError(
@@ -267,26 +304,26 @@ def read_proposals(path: str | Path) -> tuple[dict[str, list[Proposal]], dict[st
             )
     if rows:
         # one check over the stacked features; the row loop only compares lengths
-        finite = np.isfinite(np.stack([f.reshape(-1) for f in features])).all(axis=1)
+        finite = np.isfinite(np.stack(features)).all(axis=1)
         if not finite.all():
             n = int(np.argmin(finite))
             raise ConfigInvalidError(
                 f"{path} row {n + 1} (image {rows[n]['image_id']}): non-finite feature"
             )
+    grouped: dict[str, tuple[str, list[BBox], list[np.ndarray]]] = {}
     for row, feature in zip(rows, features):
-        image_id = row["image_id"]
-        props = by_image.setdefault(image_id, [])
-        props.append(
-            Proposal(
-                image_id=image_id,
-                index=len(props),
-                box=BBox.from_list(row["box"]),
-                feature=feature,
-                label=row["label"],
+        image_id, label = row.typed("image_id", _text), row.typed("label", _text)
+        first_label, boxes, feats = grouped.setdefault(image_id, (label, [], []))
+        if label != first_label:
+            raise ConfigInvalidError(
+                f"{row.where} (image {image_id}): label {label!r}, "
+                f"an earlier row of the image has {first_label!r}"
             )
-        )
-        labels[image_id] = row["label"]
-    return by_image, labels
+        boxes.append(row.typed("box", BBox.from_list))
+        feats.append(feature)
+    return {
+        image_id: ImageProposals.from_boxes(*grouped[image_id]) for image_id in sorted(grouped)
+    }
 
 
 # --- regions.jsonl: mined positive regions with provenance ----------------
@@ -311,11 +348,11 @@ def write_regions(path: str | Path, mined: MinedRegionSet) -> None:
 def read_regions(path: str | Path) -> MinedRegionSet:
     regions = tuple(
         MinedRegion(
-            region_id=row["region_id"],
-            image_id=row["image_id"],
-            box=BBox.from_list(row["box"]),
-            cluster_id=row["cluster_id"],
-            cluster_rank=int(row["cluster_rank"]),
+            region_id=row.typed("region_id", _text),
+            image_id=row.typed("image_id", _text),
+            box=row.typed("box", BBox.from_list),
+            cluster_id=row.typed("cluster_id", _text),
+            cluster_rank=row.typed("cluster_rank", int),
         )
         for row in read_jsonl(path)
     )
@@ -348,10 +385,13 @@ def read_tracks(path: str | Path) -> dict[str, list[Track]]:
     by_video: dict[str, list[Track]] = {}
     for row in read_jsonl(path):
         track = Track(
-            video_id=row["video_id"],
-            track_id=int(row["track_id"]),
-            rank=int(row["rank"]),
-            frames=tuple((int(f["t"]), BBox.from_list(f["box"])) for f in row["frames"]),
+            video_id=row.typed("video_id", _text),
+            track_id=row.typed("track_id", int),
+            rank=row.typed("rank", int),
+            frames=tuple(
+                (f.typed("t", int), f.typed("box", BBox.from_list))
+                for f in row.typed("frames", _objects)
+            ),
         )
         by_video.setdefault(track.video_id, []).append(track)
     return by_video
@@ -377,11 +417,11 @@ def read_selections(path: str | Path) -> dict[tuple[str, int], FrameSelection]:
     out: dict[tuple[str, int], FrameSelection] = {}
     for row in read_jsonl(path):
         sel = FrameSelection(
-            video_id=row["video_id"],
-            frame_idx=int(row["frame_idx"]),
-            box=BBox.from_list(row["box"]),
-            score=float(row["score"]),
-            track_id=int(row["track_id"]),
+            video_id=row.typed("video_id", _text),
+            frame_idx=row.typed("frame_idx", int),
+            box=row.typed("box", BBox.from_list),
+            score=row.typed("score", float),
+            track_id=row.typed("track_id", int),
         )
         out[(sel.video_id, sel.frame_idx)] = sel
     return out
@@ -411,7 +451,7 @@ def read_transfer_boxes(path: str | Path) -> dict[str, list[BBox]]:
     """Transferred boxes grouped per image (the voting stage's input)."""
     out: dict[str, list[BBox]] = {}
     for row in read_jsonl(path):
-        out.setdefault(row["image_id"], []).append(BBox.from_list(row["box"]))
+        out.setdefault(row.typed("image_id", _text), []).append(row.typed("box", BBox.from_list))
     return out
 
 
@@ -438,11 +478,11 @@ def read_pseudo_gts(path: str | Path) -> dict[str, PseudoGT]:
     out: dict[str, PseudoGT] = {}
     for row in read_jsonl(path):
         gt = PseudoGT(
-            image_id=row["image_id"],
-            box=BBox.from_list(row["box"]),
-            vote=float(row["vote"]),
-            support=int(row["support"]),
-            updated=bool(row["updated"]),
+            image_id=row.typed("image_id", _text),
+            box=row.typed("box", BBox.from_list),
+            vote=row.typed("vote", float),
+            support=row.typed("support", int),
+            updated=row.typed("updated", _of(bool)),
         )
         out[gt.image_id] = gt
     return out
@@ -465,9 +505,9 @@ def read_gt(path: str | Path) -> dict[str, dict[str, list[BBox]]]:
     """category -> image_id -> GT boxes."""
     out: dict[str, dict[str, list[BBox]]] = {}
     for row in read_jsonl(path):
-        out.setdefault(row["category"], {}).setdefault(row["image_id"], []).extend(
-            BBox.from_list(b) for b in row["boxes"]
-        )
+        out.setdefault(row.typed("category", _text), {}).setdefault(
+            row.typed("image_id", _text), []
+        ).extend(row.typed("boxes", lambda boxes: [BBox.from_list(b) for b in boxes]))
     return out
 
 
@@ -483,7 +523,7 @@ def write_detections(path: str | Path, rows: Sequence[tuple[str, BBox, float]]) 
 
 def read_detections(path: str | Path) -> list[tuple[str, BBox, float]]:
     return [
-        (row["image_id"], BBox.from_list(row["box"]), float(row["score"]))
+        (row.typed("image_id", _text), row.typed("box", BBox.from_list), row.typed("score", float))
         for row in read_jsonl(path)
     ]
 
@@ -506,8 +546,8 @@ def write_model(path: str | Path, model: LinearModel) -> None:
 def read_model(path: str | Path) -> LinearModel:
     doc = load_json(path)
     return LinearModel(
-        weights=np.asarray(doc["weights"], dtype=np.float64),
-        bias=float(doc["bias"]),
+        weights=doc.typed("weights", _array),
+        bias=doc.typed("bias", float),
         category_id=doc.get("category_id", ""),
     )
 
@@ -526,6 +566,6 @@ def write_regressor(path: str | Path, reg: BoxRegressor) -> None:
 def read_regressor(path: str | Path) -> BoxRegressor:
     doc = load_json(path)
     return BoxRegressor(
-        weights=np.asarray(doc["weights"], dtype=np.float64),
-        biases=np.asarray(doc["biases"], dtype=np.float64),
+        weights=doc.typed("weights", _array),
+        biases=doc.typed("biases", _array),
     )

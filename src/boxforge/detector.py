@@ -18,7 +18,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, EmptyPoolError
-from .geometry import BBox, box_array, iou_rows, nms
+from .geometry import BBox, iou_rows, nms
+from .mining import POSITIVE, ImageProposals
 from .voting import PseudoGT
 
 HARD_NEG_LOW = 0.1
@@ -56,28 +57,6 @@ class BoxRegressor:
     @classmethod
     def identity(cls, dim: int) -> "BoxRegressor":
         return cls(weights=np.zeros((4, dim)), biases=np.zeros(4))
-
-
-@dataclass(frozen=True)
-class ImageProposals:
-    """One image's proposals in file order: boxes, their corner rows and
-    their float64 feature rows."""
-
-    label: str
-    boxes: tuple[BBox, ...]
-    coords: np.ndarray  # (N, 4)
-    features: np.ndarray  # (N, D)
-
-    @classmethod
-    def from_boxes(
-        cls, label: str, boxes: Sequence[BBox], features: Sequence[np.ndarray]
-    ) -> "ImageProposals":
-        return cls(
-            label=label,
-            boxes=tuple(boxes),
-            coords=box_array(boxes),
-            features=np.stack([np.asarray(f, dtype=np.float64).reshape(-1) for f in features]),
-        )
 
 
 @dataclass(frozen=True)
@@ -177,13 +156,9 @@ def lsvm_update(
     updated: dict[str, PseudoGT] = {}
     for image_id in sorted(images):
         image = images[image_id]
-        if image.label != "pos":
+        if image.label != POSITIVE:
             continue
         existing = pseudo_gts.get(image_id)
-        if not image.boxes:
-            if existing is not None:
-                updated[image_id] = existing
-            continue
         scores = model.score(image.features)
         keep = nms(image.boxes, scores.tolist(), nms_iou)
         if existing is None:

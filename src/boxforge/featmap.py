@@ -251,14 +251,7 @@ def build_query_window(
     The box is snapped to the covering cell rectangle, then resampled to the
     shape the sizing heuristic assigns for its aspect ratio.
     """
-    x0 = int(math.floor(box.x_min / cell_stride))
-    y0 = int(math.floor(box.y_min / cell_stride))
-    x1 = int(math.ceil(box.x_max / cell_stride))
-    y1 = int(math.ceil(box.y_max / cell_stride))
-    x0 = max(0, min(x0, fmap.width - 1))
-    y0 = max(0, min(y0, fmap.height - 1))
-    x1 = max(x0 + 1, min(x1, fmap.width))
-    y1 = max(y0 + 1, min(y1, fmap.height))
+    x0, y0, x1, y1 = _cell_rect(fmap, box, cell_stride)
     shape = window_shape_for_box(box, target_cells=target_cells)
     return resample_window(
         fmap,

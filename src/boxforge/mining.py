@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import EmptyDatasetError, NoPositivesError
-from .geometry import BBox, iou
+from .geometry import BBox, box_array, iou
 
 POSITIVE = "pos"
 NEGATIVE = "neg"
@@ -26,14 +26,40 @@ DEDUP_FRAC = 0.10  # share of duplicate regions that drops a cluster
 
 
 @dataclass(frozen=True)
+class ImageProposals:
+    """One image's label and its proposals in file order: boxes, their
+    corner rows and their float64 feature rows.  This is the one in-memory
+    form of ``proposals.jsonl``, read by mining, training, the latent
+    update and box regression alike."""
+
+    label: str
+    boxes: tuple[BBox, ...]
+    coords: np.ndarray  # (N, 4)
+    features: np.ndarray  # (N, D)
+
+    @classmethod
+    def from_boxes(
+        cls, label: str, boxes: Sequence[BBox], features: Sequence[np.ndarray]
+    ) -> "ImageProposals":
+        return cls(
+            label=label,
+            boxes=tuple(boxes),
+            coords=box_array(boxes),
+            features=np.stack([np.asarray(f, dtype=np.float64).reshape(-1) for f in features]),
+        )
+
+    def __len__(self) -> int:
+        return len(self.boxes)
+
+
+@dataclass(frozen=True)
 class Proposal:
-    """One region proposal: its image, in-image index, box, and descriptor."""
+    """One region proposal named by its image and in-image index; its
+    descriptor is row ``index`` of that image's :class:`ImageProposals`."""
 
     image_id: str
     index: int
     box: BBox
-    feature: np.ndarray
-    label: str = POSITIVE
 
     @property
     def prop_id(self) -> str:
@@ -89,18 +115,8 @@ class MinedRegionSet:
     regions: tuple[MinedRegion, ...]
     source_cluster_ids: tuple[str, ...]
 
-    def by_image(self) -> dict[str, list[MinedRegion]]:
-        out: dict[str, list[MinedRegion]] = {}
-        for r in self.regions:
-            out.setdefault(r.image_id, []).append(r)
-        return out
 
-
-def build_clusters(
-    proposals_by_image: Mapping[str, Sequence[Proposal]],
-    labels: Mapping[str, str],
-    k: int,
-) -> list[Cluster]:
+def build_clusters(proposals_by_image: Mapping[str, ImageProposals], k: int) -> list[Cluster]:
     """Cluster every proposal with its k most similar per-image champions.
 
     The champion of a seed in another image is that image's single most
@@ -109,7 +125,7 @@ def build_clusters(
     makes the output invariant to proposal file ordering.  A zero-norm
     descriptor scores 0 against everything.
 
-    Features are stacked into one float64 matrix in sorted image order and
+    The images' feature matrices are concatenated in sorted image order and
     scored one seed image at a time: a block of that image's rows against
     every proposal, so memory stays at (proposals in one image) x (all
     proposals) rather than the full square.  Dots and norms come from
@@ -124,20 +140,22 @@ def build_clusters(
     image_ids = sorted(proposals_by_image)
     if not image_ids:
         raise EmptyDatasetError("no images in proposal dataset")
-    for img in image_ids:
-        if not proposals_by_image[img]:
-            raise EmptyDatasetError(f"image {img} has no proposals")
-    props = [p for img in image_ids for p in proposals_by_image[img]]
-    feats = np.stack([np.asarray(p.feature, dtype=np.float64).reshape(-1) for p in props])
+    images = [proposals_by_image[img] for img in image_ids]
+    props = [
+        Proposal(img, index, box)
+        for img, image in zip(image_ids, images)
+        for index, box in enumerate(image.boxes)
+    ]
+    feats = np.concatenate([image.features for image in images])
     if not np.isfinite(feats).all():
         raise ValueError("proposal features must be finite")
     norms = np.sqrt(np.vecdot(feats, feats))
     live = norms >= 1e-12
-    sizes = np.array([len(proposals_by_image[img]) for img in image_ids])
+    sizes = np.array([len(image) for image in images])
     ends = np.cumsum(sizes)
     starts = ends - sizes
     owner = np.repeat(np.arange(len(image_ids)), sizes)
-    positive = np.array([labels.get(img) == POSITIVE for img in image_ids])
+    positive = np.array([image.label == POSITIVE for image in images])
 
     clusters: list[Cluster] = []
     for s, img in enumerate(image_ids):
@@ -161,7 +179,7 @@ def build_clusters(
         top_sim = np.take_along_axis(champ_sim, order, axis=1)
         counts = int(positive[s]) + positive[owner[top]].sum(axis=1)
         for seed, idx, sims, count in zip(
-            proposals_by_image[img], top.tolist(), top_sim.tolist(), counts.tolist()
+            props[rows], top.tolist(), top_sim.tolist(), counts.tolist()
         ):
             members = tuple((props[j], sim_j) for j, sim_j in zip(idx, sims))
             clusters.append(Cluster(seed=seed, members=members, positive_count=count))

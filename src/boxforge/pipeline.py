@@ -70,6 +70,9 @@ SELECTIONS = "selections.jsonl"
 TRANSFERS = "transfers.jsonl"
 PSEUDO_GT = "pseudo_gt.jsonl"
 PSEUDO_GT_UPDATED = "pseudo_gt_updated.jsonl"
+MODEL_INITIAL = "model_initial.json"
+DETECTIONS_INITIAL = "detections_initial.jsonl"
+DETECTIONS_UPDATED = "detections_updated.jsonl"
 REGRESSOR = "regressor.json"
 DETECTIONS_BBOXREG = "detections_bboxreg.jsonl"
 METRICS = "metrics.json"
@@ -104,11 +107,12 @@ def run_mine(
     t0 = time.perf_counter()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    by_image, labels = _open(dataset).proposals
+    images = _open(dataset).images
+    labels = {image_id: image.label for image_id, image in images.items()}
     k = _default_k(labels) if cfg.k is None else cfg.k
-    sizes = [len(props) for props in by_image.values()]
+    sizes = [len(image) for image in images.values()]
     n_proposals = sum(sizes)
-    clusters = build_clusters(by_image, labels, k)
+    clusters = build_clusters(images, k)
     ranked = rank_clusters(clusters)
     deduped = dedup_clusters(ranked)
     mined = select_positive_regions(deduped, labels, top_c=cfg.top_clusters)
@@ -368,8 +372,6 @@ def _detect(images, model, nms_iou):
     detections = []
     for image_id in sorted(images):
         image = images[image_id]
-        if not image.boxes:
-            continue
         scores = model.score(image.features)
         for i in nms(image.boxes, scores.tolist(), nms_iou):
             detections.append((image_id, image.boxes[i], float(scores[i])))
@@ -737,15 +739,15 @@ def run_pipeline(cfg: PipelineConfig, heatmap_dir: Optional[str | Path] = None) 
         run_update(ds, out / f"model_{model_tag}.json", current_pgt, out, cfg)
         current_pgt = out / PSEUDO_GT_UPDATED
         run_train(ds, current_pgt, out, cfg, tag="updated")
-    run_regress(ds, current_pgt, out / "detections_updated.jsonl", out, cfg)
+    run_regress(ds, current_pgt, out / DETECTIONS_UPDATED, out, cfg)
     metrics_doc = run_eval(
         ds,
         out,
         initial_pgt_path=out / PSEUDO_GT,
         updated_pgt_path=current_pgt if cfg.lsvm_rounds > 0 else None,
         detections_paths={
-            "initial": out / "detections_initial.jsonl",
-            "updated": out / "detections_updated.jsonl",
+            "initial": out / DETECTIONS_INITIAL,
+            "updated": out / DETECTIONS_UPDATED,
             "updated_bboxreg": out / DETECTIONS_BBOXREG,
         },
     )

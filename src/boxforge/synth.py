@@ -26,7 +26,7 @@ from .dataio import dump_json, write_gt, write_proposals, write_tracks
 from .errors import ConfigInvalidError
 from .featmap import FeatureMap, pool_box_feature, write_fmap
 from .geometry import BBox
-from .mining import NEGATIVE, POSITIVE, Proposal
+from .mining import NEGATIVE, POSITIVE, ImageProposals
 from .tracks import Track
 
 CATEGORY = "obj"
@@ -168,7 +168,7 @@ def gen_dataset(config: SynthConfig, out_dir: str | Path) -> SynthTruth:
     distractor_sigs = sigs[1:]
 
     image_entries = []
-    proposals: list[Proposal] = []
+    proposals: dict[str, ImageProposals] = {}
     gt_rows: list[tuple[str, str, list[BBox]]] = []
     gt_boxes: dict[str, list[BBox]] = {}
 
@@ -183,16 +183,9 @@ def gen_dataset(config: SynthConfig, out_dir: str | Path) -> SynthTruth:
         while len(boxes) < config.proposals_per_image:
             boxes.append(_random_box(rng, W, H))
         fmap = FeatureMap(data=arr.astype(np.float32))
-        for idx, box in enumerate(boxes):
-            proposals.append(
-                Proposal(
-                    image_id=image_id,
-                    index=idx,
-                    box=box,
-                    feature=pool_box_feature(fmap, box),
-                    label=label,
-                )
-            )
+        proposals[image_id] = ImageProposals.from_boxes(
+            label, boxes, [pool_box_feature(fmap, box) for box in boxes]
+        )
 
     # Positive images: one planted category block, sometimes two.
     for i in range(config.n_pos_images):

@@ -50,6 +50,7 @@ from test_mining import (
     oracle_dedup,
     oracle_rank,
     oracle_signature,
+    per_proposal,
 )
 
 # Matching profile for the synthetic datasets: objects cover ~30 stride-1
@@ -246,8 +247,8 @@ def test_criterion_4_mining_equivalence():
             layout[f"im{j}"] = ("pos" if rng.random() < 0.6 else "neg", items)
         by_image, labels = make_dataset(layout)
         k = int(rng.integers(0, n_images + 1))
-        got = dedup_clusters(rank_clusters(build_clusters(by_image, labels, k)))
-        want = oracle_dedup(oracle_rank(oracle_build(by_image, labels, k)))
+        got = dedup_clusters(rank_clusters(build_clusters(by_image, k)))
+        want = oracle_dedup(oracle_rank(oracle_build(per_proposal(by_image), labels, k)))
         assert [cluster_signature(c) for c in got] == [
             oracle_signature(c) for c in want
         ], f"trial {trial} diverged from the exhaustive implementation"

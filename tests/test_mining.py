@@ -1,4 +1,5 @@
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from boxforge.errors import EmptyDatasetError, NoPositivesError
 from boxforge.geometry import BBox, iou
 from boxforge.mining import (
     Cluster,
+    ImageProposals,
     MinedRegionSet,
     Proposal,
     best_region_per_image,
@@ -17,30 +19,47 @@ from boxforge.mining import (
 )
 
 
-def prop(image_id, index, feature, box=None, label="pos"):
-    return Proposal(
-        image_id=image_id,
-        index=index,
-        box=box or BBox(0, 0, 10, 10),
-        feature=np.asarray(feature, dtype=np.float64),
-        label=label,
-    )
+def prop(image_id, index, box=None):
+    return Proposal(image_id=image_id, index=index, box=box or BBox(0, 0, 10, 10))
 
 
 def dataset(layout):
-    """layout: {image_id: (label, [features]) or (label, [(feature, box)])}"""
-    by_image, labels = {}, {}
+    """layout: {image_id: (label, [features]) or (label, [(feature, box)])}
+    -> ({image_id: ImageProposals}, {image_id: label})"""
+    images, labels = {}, {}
     for image_id, (label, items) in layout.items():
-        props = []
-        for i, item in enumerate(items):
-            if isinstance(item, tuple):
-                feature, box = item
-            else:
-                feature, box = item, None
-            props.append(prop(image_id, i, feature, box, label))
-        by_image[image_id] = props
+        pairs = [item if isinstance(item, tuple) else (item, None) for item in items]
+        images[image_id] = ImageProposals.from_boxes(
+            label,
+            [box or BBox(0, 0, 10, 10) for _, box in pairs],
+            [np.asarray(feature, dtype=np.float64) for feature, _ in pairs],
+        )
         labels[image_id] = label
-    return by_image, labels
+    return images, labels
+
+
+class OracleProposal(NamedTuple):
+    """A proposal as the oracle reads it: one object per row, with its feature."""
+
+    image_id: str
+    index: int
+    box: BBox
+    feature: np.ndarray
+
+    @property
+    def prop_id(self):
+        return f"{self.image_id}#{self.index}"
+
+
+def per_proposal(images):
+    """The oracle's input: each image's proposals as one object per row."""
+    return {
+        image_id: [
+            OracleProposal(image_id, i, box, image.features[i])
+            for i, box in enumerate(image.boxes)
+        ]
+        for image_id, image in images.items()
+    }
 
 
 # --- independent exhaustive implementation used as the oracle ---------------
@@ -117,9 +136,9 @@ def oracle_signature(c):
     return (seed.prop_id, tuple((p.prop_id, s) for p, s in members), count)
 
 
-def assert_matches_oracle(by_image, labels, k):
-    got = build_clusters(by_image, labels, k)
-    want = oracle_build(by_image, labels, k)
+def assert_matches_oracle(images, labels, k):
+    got = build_clusters(images, k)
+    want = oracle_build(per_proposal(images), labels, k)
     assert [cluster_signature(c) for c in got] == [oracle_signature(c) for c in want]
     assert all(type(s) is float for c in got for _, s in c.members)
     return got
@@ -133,7 +152,7 @@ class TestBuildClusters:
         by_image, labels = dataset(
             {"a": ("pos", [[1, 0]]), "b": ("pos", [[0, 1]])}
         )
-        clusters = build_clusters(by_image, labels, 0)
+        clusters = build_clusters(by_image, 0)
         assert all(not c.members for c in clusters)
         assert len(clusters) == 2
 
@@ -141,7 +160,7 @@ class TestBuildClusters:
         by_image, labels = dataset(
             {f"i{j}": ("pos", [[1.0, 0.0]]) for j in range(3)}
         )
-        clusters = build_clusters(by_image, labels, 2)
+        clusters = build_clusters(by_image, 2)
         for c in clusters:
             assert len(c.members) == 2
             assert all(s == pytest.approx(1.0) for _, s in c.members)
@@ -149,7 +168,7 @@ class TestBuildClusters:
 
     def test_empty_dataset(self):
         with pytest.raises(EmptyDatasetError):
-            build_clusters({}, {}, 1)
+            build_clusters({}, 1)
 
     def test_champion_is_per_image_best(self):
         by_image, labels = dataset(
@@ -158,7 +177,7 @@ class TestBuildClusters:
                 "b": ("pos", [[0.9, 0.1], [1.0, 0.0]]),
             }
         )
-        clusters = build_clusters(by_image, labels, 1)
+        clusters = build_clusters(by_image, 1)
         seed_a = next(c for c in clusters if c.seed.image_id == "a")
         assert seed_a.members[0][0].prop_id == "b#1"
 
@@ -169,8 +188,8 @@ class TestBuildClusters:
             for j in range(4)
         }
         by_image, labels = dataset(layout)
-        got = build_clusters(by_image, labels, 2)
-        want = oracle_build(by_image, labels, 2)
+        got = build_clusters(by_image, 2)
+        want = oracle_build(per_proposal(by_image), labels, 2)
         assert [cluster_signature(c) for c in got] == [oracle_signature(c) for c in want]
 
     def test_zero_norm_seed_and_candidate_score_zero(self):
@@ -255,26 +274,24 @@ class TestBuildClusters:
     def test_non_finite_feature_refused(self):
         by_image, labels = dataset({"a": ("pos", [[1.0, 0.0]]), "b": ("pos", [[np.nan, 1.0]])})
         with pytest.raises(ValueError, match="finite"):
-            build_clusters(by_image, labels, 1)
+            build_clusters(by_image, 1)
 
     def test_invariant_to_image_iteration_order(self):
         rng = np.random.default_rng(12)
         layout = {f"im{j}": ("pos", [rng.normal(size=3) for _ in range(2)]) for j in range(3)}
         by_image, labels = dataset(layout)
         reversed_view = {k: by_image[k] for k in reversed(list(by_image))}
-        a = build_clusters(by_image, labels, 2)
-        b = build_clusters(reversed_view, labels, 2)
+        a = build_clusters(by_image, 2)
+        b = build_clusters(reversed_view, 2)
         assert [cluster_signature(c) for c in a] == [cluster_signature(c) for c in b]
 
 
 # --- rank_clusters -----------------------------------------------------------
 
 
-def make_cluster(seed_img, seed_idx, count, member_sims, label="pos"):
-    seed = prop(seed_img, seed_idx, [1.0, 0.0], label=label)
-    members = tuple(
-        (prop(f"m{i}", 0, [1.0, 0.0]), s) for i, s in enumerate(member_sims)
-    )
+def make_cluster(seed_img, seed_idx, count, member_sims):
+    seed = prop(seed_img, seed_idx)
+    members = tuple((prop(f"m{i}", 0), s) for i, s in enumerate(member_sims))
     return Cluster(seed=seed, members=members, positive_count=count)
 
 
@@ -313,10 +330,8 @@ class TestRankClusters:
 
 def overlap_cluster(seed_img, seed_idx, member_boxes):
     """Cluster whose members sit at given (image, box) spots."""
-    seed = prop(seed_img, seed_idx, [1.0, 0.0], box=member_boxes[0][1])
-    members = tuple(
-        (prop(img, seed_idx + 10, [1.0, 0.0], box=b), 0.9) for img, b in member_boxes[1:]
-    )
+    seed = prop(seed_img, seed_idx, box=member_boxes[0][1])
+    members = tuple((prop(img, seed_idx + 10, box=b), 0.9) for img, b in member_boxes[1:])
     return Cluster(seed=seed, members=members, positive_count=len(member_boxes))
 
 
@@ -367,8 +382,8 @@ class TestDedupClusters:
 
 class TestSelectPositiveRegions:
     def test_negative_members_discarded(self):
-        seed = prop("neg0", 0, [1, 0], label="neg")
-        member = (prop("neg1", 0, [1, 0], label="neg"), 0.9)
+        seed = prop("neg0", 0)
+        member = (prop("neg1", 0), 0.9)
         c = Cluster(seed=seed, members=(member,), positive_count=0)
         labels = {"neg0": "neg", "neg1": "neg"}
         with pytest.raises(NoPositivesError):
@@ -376,7 +391,7 @@ class TestSelectPositiveRegions:
 
     def test_top_c_larger_than_cluster_count(self):
         by_image, labels = dataset({"a": ("pos", [[1, 0]]), "b": ("pos", [[1, 0]])})
-        clusters = rank_clusters(build_clusters(by_image, labels, 1))
+        clusters = rank_clusters(build_clusters(by_image, 1))
         mined = select_positive_regions(clusters, labels, top_c=10_000)
         assert len(mined.source_cluster_ids) == len(clusters)
 
@@ -388,7 +403,7 @@ class TestSelectPositiveRegions:
             "n": ("neg", [([0.0, 1.0], box_a)]),
         }
         by_image, labels = dataset(layout)
-        clusters = rank_clusters(build_clusters(by_image, labels, 2))
+        clusters = rank_clusters(build_clusters(by_image, 2))
         mined = select_positive_regions(clusters, labels, top_c=200)
         got = {(r.image_id, tuple(r.box.as_list())) for r in mined.regions}
         assert got == {("a", tuple(box_a.as_list())), ("b", tuple(box_b.as_list()))}
@@ -436,6 +451,6 @@ def test_full_mining_chain_matches_oracle_random():
             layout[f"im{j}"] = ("pos" if rng.random() < 0.5 else "neg", items)
         by_image, labels = dataset(layout)
         k = int(rng.integers(0, n_images))
-        got = dedup_clusters(rank_clusters(build_clusters(by_image, labels, k)))
-        want = oracle_dedup(oracle_rank(oracle_build(by_image, labels, k)))
+        got = dedup_clusters(rank_clusters(build_clusters(by_image, k)))
+        want = oracle_dedup(oracle_rank(oracle_build(per_proposal(by_image), labels, k)))
         assert [cluster_signature(c) for c in got] == [oracle_signature(c) for c in want]

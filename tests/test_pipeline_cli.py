@@ -346,7 +346,7 @@ class TestReports:
 
     def test_mine_report_counts_proposals_and_pairs(self, synth_dir, tmp_path):
         report = pipeline.run_mine(synth_dir / "manifest.json", tmp_path / "m", PipelineConfig())
-        by_image, _ = dataio.read_proposals(synth_dir / "proposals.jsonl")
+        by_image = dataio.read_proposals(synth_dir / "proposals.jsonl")
         sizes = [len(props) for props in by_image.values()]
         total = sum(sizes)
         assert report["n_proposals"] == total == report["n_clusters"]
@@ -438,12 +438,16 @@ class TestEachIntermediateOnce:
 
 def per_proposal_images(manifest):
     """image_id -> (label, [(prop_id, box, feature)]): proposals as the
-    per-proposal stage code held them."""
-    by_image, labels = dataio.read_proposals(manifest.path("proposals"))
-    return {
-        image_id: (labels[image_id], [(p.prop_id, p.box, p.feature) for p in by_image[image_id]])
-        for image_id in sorted(by_image)
-    }
+    per-proposal stage code held them, parsed row by row."""
+    images = {}
+    for row in dataio.read_jsonl(manifest.path("proposals")):
+        label, props = images.setdefault(row["image_id"], (row["label"], []))
+        props.append((
+            f"{row['image_id']}#{len(props)}",
+            BBox.from_list(row["box"]),
+            np.asarray(row["feature"], dtype=np.float64),
+        ))
+    return {image_id: images[image_id] for image_id in sorted(images)}
 
 
 def per_proposal_corpus(manifest, images, pseudo_gts):
@@ -608,12 +612,60 @@ class TestMalformedJson:
         assert err["error"] == "ConfigInvalidError"
         assert err["message"].endswith(f"{where}: missing key {key!r}")
 
+    @pytest.mark.parametrize("command,name,key,value,where", [
+        ("mine", "proposals.jsonl", "box", [0, 0, "x", 4], "proposals.jsonl line 3"),
+        ("mine", "proposals.jsonl", "feature", ["x"] * 16, "proposals.jsonl line 3"),
+        ("mine", "manifest.json", "size", ["wide", 16], "manifest.json"),
+        ("match", pipeline.SELECTIONS, "frame_idx", "x", "selections.jsonl line 1"),
+        ("train", pipeline.PSEUDO_GT, "vote", "high", "pseudo_gt.jsonl line 1"),
+    ])
+    def test_wrong_type_field_is_a_config_error(
+        self, synth_dir, tmp_path, capsys, command, name, key, value, where
+    ):
+        data = self.copy_dataset(synth_dir, tmp_path)
+        out = tmp_path / "o"
+        out.mkdir()
+        box = [0, 0, 4, 4]
+        dataio.write_jsonl(out / pipeline.REGIONS, [{
+            "region_id": "r00000", "image_id": "pos_000", "box": box,
+            "cluster_id": "pos_000#0", "cluster_rank": 0,
+        }])
+        dataio.write_jsonl(out / pipeline.SELECTIONS, [{
+            "video_id": "vid_000", "frame_idx": 0, "track_id": 0, "box": box, "score": 1.0,
+        }])
+        dataio.write_jsonl(out / pipeline.PSEUDO_GT, [{
+            "image_id": "pos_000", "box": box, "vote": 25.0, "support": 25, "updated": False,
+        }])
+        if name == "manifest.json":
+            doc = json.loads((data / name).read_text())
+            doc["images"][0][key] = value
+            (data / name).write_text(json.dumps(doc))
+        else:
+            path = data / name if name == "proposals.jsonl" else out / name
+            rows = dataio.read_jsonl(path)
+            rows[2 if name == "proposals.jsonl" else 0][key] = value
+            dataio.write_jsonl(path, rows)
+        code = run_cli(command, "--manifest", data / "manifest.json", "--out", out, "--seed", 0)
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigInvalidError"
+        assert f"{where}: bad value for key {key!r}" in err["message"]
+
     @pytest.mark.parametrize("reader,text,message", [
         (dataio.read_detections, '{"image_id": "a", "box": [0, 0, 1, 1]}', "line 1: missing key 'score'"),
         (dataio.read_pseudo_gts, '\n{"image_id": "a", "box": [0, 0, 1, 1]}', "line 2: missing key 'vote'"),
         (dataio.read_tracks,
          '{"video_id": "v", "track_id": 0, "rank": 0, "frames": [{"box": [0, 0, 1, 1]}]}',
          "line 1: missing key 't'"),
+        (dataio.read_tracks,
+         '{"video_id": "v", "track_id": 0, "rank": 0, "frames": [{"t": [1], "box": [0, 0, 1, 1]}]}',
+         "line 1: bad value for key 't'"),
+        (dataio.read_detections, '{"image_id": 7, "box": [0, 0, 1, 1], "score": 1}',
+         "line 1: bad value for key 'image_id'"),
+        (dataio.read_detections, '[1, 2]', "line 1: expected a JSON object"),
+        (dataio.read_pseudo_gts,
+         '{"image_id": "a", "box": [0, 0, 1, 1], "vote": 1, "support": 1, "updated": "false"}',
+         "line 1: bad value for key 'updated'"),
     ])
     def test_readers_name_file_line_and_key(self, tmp_path, reader, text, message):
         path = tmp_path / "rows.jsonl"
@@ -664,6 +716,103 @@ class TestProposalValidation:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ConfigInvalidError"
         assert "row 5" in err["message"]
+
+
+class TestImageLabels:
+    """Each image's label is stored once: every proposal row of an image and
+    its manifest entry must agree, or ``boxforge mine`` refuses the input."""
+
+    @pytest.fixture()
+    def data(self, synth_dir, tmp_path):
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in ("manifest.json", "proposals.jsonl"):
+            (data / name).write_bytes((synth_dir / name).read_bytes())
+        return data
+
+    def mine(self, data, tmp_path, capsys, relabel):
+        rows = dataio.read_jsonl(data / "proposals.jsonl")
+        for n, row in enumerate(rows):
+            relabel(n, row)
+        dataio.write_jsonl(data / "proposals.jsonl", rows)
+        code = run_cli("mine", "--manifest", data / "manifest.json", "--out", tmp_path / "o")
+        assert code == 1
+        return json.loads(capsys.readouterr().err.strip())
+
+    def test_row_disagreeing_with_an_earlier_row_refused(self, data, tmp_path, capsys):
+        def relabel(n, row):
+            if n == 1:
+                assert row["image_id"] == "pos_000"
+                row["label"] = "neg"
+
+        err = self.mine(data, tmp_path, capsys, relabel)
+        assert err["error"] == "ConfigInvalidError"
+        assert "proposals.jsonl line 2 (image pos_000): label 'neg'" in err["message"]
+
+    def test_image_disagreeing_with_the_manifest_refused(self, data, tmp_path, capsys):
+        def relabel(n, row):
+            if row["image_id"] == "pos_003":
+                row["label"] = "neg"
+
+        err = self.mine(data, tmp_path, capsys, relabel)
+        assert err["error"] == "ConfigInvalidError"
+        assert err["message"].startswith("image pos_003 is labelled 'neg'")
+        assert err["message"].endswith("but 'pos' in the manifest")
+
+    def test_image_missing_from_the_manifest_refused(self, data, tmp_path, capsys):
+        def relabel(n, row):
+            if row["image_id"] == "neg_001":
+                row["image_id"] = "stray"
+
+        err = self.mine(data, tmp_path, capsys, relabel)
+        assert err == {"error": "MissingInputError", "message": "image stray not in manifest"}
+
+
+SYNTH_FLAGS = [
+    ("--seed", "seed", 9),
+    ("--n-pos-images", "n_pos_images", 5),
+    ("--n-neg-images", "n_neg_images", 6),
+    ("--n-videos", "n_videos", 3),
+    ("--frames-per-video", "frames_per_video", 7),
+    ("--map-height", "map_height", 20),
+    ("--map-width", "map_width", 21),
+    ("--channels", "channels", 10),
+    ("--signature-strength", "signature_strength", 2.5),
+    ("--n-distractors", "n_distractors", 3),
+    ("--multi-instance-prob", "multi_instance_prob", 0.25),
+    ("--proposals-per-image", "proposals_per_image", 9),
+    ("--noise-sigma", "noise_sigma", 0.125),
+]
+
+
+class TestSynthFlags:
+    """``boxforge synth`` has one flag per :class:`SynthConfig` field."""
+
+    @pytest.fixture()
+    def configs(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "gen_dataset", lambda config, out: seen.append(config))
+        return seen
+
+    def test_flags_cover_every_field(self):
+        assert [name for _, name, _ in SYNTH_FLAGS] == [
+            f.name for f in dataclasses.fields(SynthConfig)
+        ]
+
+    @pytest.mark.parametrize("flag,name,value", SYNTH_FLAGS)
+    def test_flag_reaches_the_config(self, configs, tmp_path, flag, name, value):
+        argv = ["synth", "--out", tmp_path, "--seed", 1, flag, value]
+        assert run_cli(*argv) == 0
+        [config] = configs
+        assert config == dataclasses.replace(SynthConfig(seed=1), **{name: value})
+        assert type(getattr(config, name)) is type(value)
+
+    def test_defaults_and_required_seed(self, configs, tmp_path):
+        assert run_cli("synth", "--out", tmp_path, "--seed", 4) == 0
+        assert configs == [SynthConfig(seed=4)]
+        with pytest.raises(SystemExit) as exc:
+            run_cli("synth", "--out", tmp_path)
+        assert exc.value.code == 2
 
 
 class TestDataIoRoundTrips:
