@@ -8,7 +8,6 @@ always 4-arrays ``[x_min, y_min, x_max, y_max]``.  Aggregate documents
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -16,8 +15,9 @@ from typing import Callable, Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
+from .atomic import write_atomic
 from .detector import BoxRegressor, LinearModel
-from .errors import ConfigInvalidError, DimensionMismatchError, MissingInputError
+from .errors import ConfigInvalidError, DegenerateBoxError, DimensionMismatchError, MissingInputError
 from .featmap import FeatureMap, FeaturePyramid, read_fmap, single_level_pyramid
 from .geometry import BBox
 from .mining import ImageProposals, MinedRegion, MinedRegionSet
@@ -26,28 +26,9 @@ from .transfer import TransferredBox
 from .voting import PseudoGT
 
 
-def _write_atomic(path: str | Path, write: Callable[[TextIO], None]) -> None:
-    """Run ``write`` on a temp file beside ``path``, then rename it into place.
-
-    A reader never sees a half-written file: on any error the temp file is
-    removed and whatever ``path`` held before is left untouched.  The temp
-    file is not fsynced, so this holds when the process dies, not after a
-    power loss or OS crash.
-    """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w") as fh:
-            write(fh)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def dump_json(obj, path: str | Path) -> None:
     text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    _write_atomic(path, lambda fh: fh.write(text))
+    write_atomic(path, lambda fh: fh.write(text))
 
 
 class _Row(dict):
@@ -65,10 +46,11 @@ class _Row(dict):
 
     def typed(self, key: str, convert: Callable):
         """``convert`` of the value at ``key``; a value it refuses with
-        ``TypeError`` or ``ValueError`` is refused like a missing one."""
+        ``TypeError``, ``ValueError`` or ``DegenerateBoxError`` is refused
+        like a missing one."""
         try:
             return convert(self[key])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, DegenerateBoxError) as exc:
             raise ConfigInvalidError(f"{self.where}: bad value for key {key!r} ({exc})") from exc
 
 
@@ -84,6 +66,15 @@ def _of(kind: type) -> Callable:
 
 
 _text = _of(str)
+
+
+def _integer(value) -> int:
+    """``value`` as an int; booleans and non-integral numbers are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected an integer, got {value!r}")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
 
 
 def _array(value) -> np.ndarray:
@@ -118,7 +109,7 @@ def write_jsonl(path: str | Path, rows: Iterable[Mapping]) -> None:
         for row in rows:
             fh.write(json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n")
 
-    _write_atomic(path, write)
+    write_atomic(path, write)
 
 
 def read_jsonl(path: str | Path) -> list[_Row]:
@@ -352,7 +343,7 @@ def read_regions(path: str | Path) -> MinedRegionSet:
             image_id=row.typed("image_id", _text),
             box=row.typed("box", BBox.from_list),
             cluster_id=row.typed("cluster_id", _text),
-            cluster_rank=row.typed("cluster_rank", int),
+            cluster_rank=row.typed("cluster_rank", _integer),
         )
         for row in read_jsonl(path)
     )
@@ -386,10 +377,10 @@ def read_tracks(path: str | Path) -> dict[str, list[Track]]:
     for row in read_jsonl(path):
         track = Track(
             video_id=row.typed("video_id", _text),
-            track_id=row.typed("track_id", int),
-            rank=row.typed("rank", int),
+            track_id=row.typed("track_id", _integer),
+            rank=row.typed("rank", _integer),
             frames=tuple(
-                (f.typed("t", int), f.typed("box", BBox.from_list))
+                (f.typed("t", _integer), f.typed("box", BBox.from_list))
                 for f in row.typed("frames", _objects)
             ),
         )
@@ -418,10 +409,10 @@ def read_selections(path: str | Path) -> dict[tuple[str, int], FrameSelection]:
     for row in read_jsonl(path):
         sel = FrameSelection(
             video_id=row.typed("video_id", _text),
-            frame_idx=row.typed("frame_idx", int),
+            frame_idx=row.typed("frame_idx", _integer),
             box=row.typed("box", BBox.from_list),
             score=row.typed("score", float),
-            track_id=row.typed("track_id", int),
+            track_id=row.typed("track_id", _integer),
         )
         out[(sel.video_id, sel.frame_idx)] = sel
     return out
@@ -481,7 +472,7 @@ def read_pseudo_gts(path: str | Path) -> dict[str, PseudoGT]:
             image_id=row.typed("image_id", _text),
             box=row.typed("box", BBox.from_list),
             vote=row.typed("vote", float),
-            support=row.typed("support", int),
+            support=row.typed("support", _integer),
             updated=row.typed("updated", _of(bool)),
         )
         out[gt.image_id] = gt

@@ -25,6 +25,7 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .atomic import write_atomic
 from .errors import (
     ConfigInvalidError,
     OutOfBoundsError,
@@ -411,7 +412,7 @@ def write_fmap(path: str | Path, fmap: FeatureMap) -> None:
     header = FMAP_MAGIC + bytes([FMAP_VERSION]) + struct.pack(
         "<III", fmap.height, fmap.width, fmap.channels
     )
-    Path(path).write_bytes(header + payload)
+    write_atomic(path, lambda fh: fh.write(header + payload), binary=True)
 
 
 def read_fmap(path: str | Path) -> FeatureMap:
@@ -443,7 +444,8 @@ def save_pyramid(dirpath: str | Path, pyramid: FeaturePyramid) -> None:
     sidecar = {"cell_stride": pyramid.cell_stride, "levels": levels}
     if pyramid.base_max_dim is not None:
         sidecar["base_max_dim"] = pyramid.base_max_dim
-    (d / "pyramid.json").write_text(json.dumps(sidecar, indent=2, sort_keys=True))
+    text = json.dumps(sidecar, indent=2, sort_keys=True)
+    write_atomic(d / "pyramid.json", lambda fh: fh.write(text))
 
 
 def load_pyramid(dirpath: str | Path) -> FeaturePyramid:

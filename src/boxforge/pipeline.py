@@ -22,7 +22,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -63,7 +63,7 @@ from .transfer import (
     retrieve_boxes,
     sampled_frame_indices,
 )
-from .voting import PseudoGT, VoteSpace, export_heatmap, select_pseudo_gt
+from .voting import PseudoGT, VoteSpace, export_heatmap, ranked_ascents, select_pseudo_gt
 
 REGIONS = "regions.jsonl"
 SELECTIONS = "selections.jsonl"
@@ -257,20 +257,24 @@ def run_match(
 def vote_pseudo_gts(
     manifest: dataio.Manifest,
     boxes_by_image: dict[str, list[BBox]],
-    bandwidth: float,
+    bandwidths: Sequence[float],
     cfg: PipelineConfig,
-) -> dict[str, PseudoGT]:
-    """Mean-shift each image's transferred boxes with ``cfg``'s kernel;
-    image id -> pseudo GT, for the images whose top mode passes ``cfg.theta``."""
-    gts = {}
+) -> dict[float, dict[str, PseudoGT]]:
+    """Mean-shift each image's transferred boxes at every bandwidth with
+    ``cfg``'s kernel, in one ascent per image; bandwidth -> (image id ->
+    pseudo GT), for the images whose top mode passes ``cfg.theta``."""
+    gts: dict[float, dict[str, PseudoGT]] = {b: {} for b in bandwidths}
     for image_id in sorted(boxes_by_image):
-        space = VoteSpace.from_boxes(
-            boxes_by_image[image_id], bandwidth=bandwidth, kernel=cfg.kernel
-        )
-        entry = manifest.image(image_id)
-        gt = select_pseudo_gt(space, theta=cfg.theta, image_bounds=entry.size, image_id=image_id)
-        if gt is not None:
-            gts[image_id] = gt
+        points = np.array([box.as_list() for box in boxes_by_image[image_id]], dtype=np.float64)
+        spaces = [VoteSpace(points=points, bandwidth=b, kernel=cfg.kernel) for b in gts]
+        rankings = ranked_ascents(spaces[0].points, list(gts), cfg.kernel)
+        size = manifest.image(image_id).size
+        for space, ranking in zip(spaces, rankings):
+            gt = select_pseudo_gt(
+                space, theta=cfg.theta, image_bounds=size, image_id=image_id, ranking=ranking
+            )
+            if gt is not None:
+                gts[space.bandwidth][image_id] = gt
     return gts
 
 
@@ -300,7 +304,7 @@ def run_vote(
     manifest = _open(dataset).manifest
     boxes_by_image = dataio.read_transfer_boxes(transfers_path)
     if pseudo_gts is None:
-        pseudo_gts = vote_pseudo_gts(manifest, boxes_by_image, bandwidth, cfg)
+        pseudo_gts = vote_pseudo_gts(manifest, boxes_by_image, [bandwidth], cfg)[bandwidth]
     if heatmap_dir is not None:
         hdir = Path(heatmap_dir)
         hdir.mkdir(parents=True, exist_ok=True)
@@ -671,9 +675,11 @@ def run_cv_bandwidth(
     """Pick the ``cfg.bandwidth_grid`` bandwidth whose detector best recovers
     the selected tracks.
 
-    Each grid bandwidth is voted and trained on exactly as the vote and
-    train stages would; the video frames the detectors are scored on are
-    pooled once, when the first detector needs them.
+    The whole grid is voted up front, one mean-shift ascent per image; each
+    bandwidth's pseudo GT is what the vote stage would find, and it is
+    trained on exactly as the train stage would.  The video frames the
+    detectors are scored on are pooled once, when the first detector needs
+    them.
     """
     t0 = time.perf_counter()
     out = Path(out_dir)
@@ -683,11 +689,12 @@ def run_cv_bandwidth(
     selections = dataio.read_selections(selections_path)
     train_config = cfg.train_config()
     trials: dict[float, BandwidthTrial] = {}
+    voted = vote_pseudo_gts(ds.manifest, boxes_by_image, cfg.bandwidth_grid, cfg)
     video = None  # (frames, gt), pooled when the first detector needs them
 
     def evaluate(b: float) -> float:
         nonlocal video
-        gts = vote_pseudo_gts(ds.manifest, boxes_by_image, b, cfg)
+        gts = voted[b]
         fit = None
         if gts:
             try:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -68,28 +68,29 @@ class PseudoGT:
 # Upper bound on the four (seeds, points) float64 coordinate-difference planes
 # of one batched kernel pass; small enough that mean-shift leaves peak memory
 # flat.
-ASCENT_BLOCK_BYTES = 64 << 10
+ASCENT_BLOCK_BYTES = 256 << 10
 
 
 def _block_rows(n_points: int) -> int:
     return max(1, ASCENT_BLOCK_BYTES // (n_points * 4 * 8))
 
 
-def _point_columns(space: VoteSpace) -> np.ndarray:
-    """The space's points as a contiguous (4, N) array, one row per coordinate."""
-    return np.ascontiguousarray(space.points.T)
+def _point_columns(points: np.ndarray) -> np.ndarray:
+    """``points`` as a contiguous (4, N) array, one row per coordinate."""
+    return np.ascontiguousarray(points.T)
 
 
-def _scaled_sq_dists(locs: np.ndarray, cols: np.ndarray, bandwidth: float) -> np.ndarray:
-    """(R, N) squared distances from each location to each point, in bandwidths.
+def _scaled_sq_dists(locs: np.ndarray, cols: np.ndarray, b_rows: np.ndarray) -> np.ndarray:
+    """(R, N) squared distances from each location to each point, row r in
+    bandwidths ``b_rows[r]``.
 
-    ``cols`` is the space's :func:`_point_columns`.  Builds one (R, N)
+    ``cols`` is the points' :func:`_point_columns`.  Builds one (R, N)
     difference plane per coordinate and adds the squares left to right, which
     is the order ``np.sum`` takes along a row of four: each value equals
     ``np.sum(d * d, axis=1)`` with ``d = (points - l) / b``.
     """
     d = cols[:, None, :] - locs.T[:, :, None]
-    d /= bandwidth
+    d /= b_rows[None, :, None]
     np.multiply(d, d, out=d)
     sq = d[0] + d[1]
     sq += d[2]
@@ -106,14 +107,16 @@ def _kernel_values(kernel: str, sq_dist: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, sq_dist, out=sq_dist)
 
 
-def _votes(locs: np.ndarray, space: VoteSpace) -> np.ndarray:
-    """Vote sums at each row of ``locs`` (R, 4), in blocks of rows."""
+def _votes(locs: np.ndarray, b_rows: np.ndarray, pts: np.ndarray, kernel: str) -> np.ndarray:
+    """Vote sums of ``pts`` at each row of ``locs`` (R, 4), row r in
+    bandwidths ``b_rows[r]``, in blocks of rows."""
     votes = np.empty(len(locs))
-    cols = _point_columns(space)
-    rows = _block_rows(space.n_points)
+    cols = _point_columns(pts)
+    rows = _block_rows(len(pts))
     for start in range(0, len(locs), rows):
-        sq = _scaled_sq_dists(locs[start:start + rows], cols, space.bandwidth)
-        votes[start:start + rows] = np.sum(_kernel_values(space.kernel, sq), axis=1)
+        block = slice(start, start + rows)
+        sq = _scaled_sq_dists(locs[block], cols, b_rows[block])
+        votes[block] = np.sum(_kernel_values(kernel, sq), axis=1)
     return votes
 
 
@@ -122,29 +125,37 @@ def vote_value(l: np.ndarray, space: VoteSpace) -> float:
     l = np.asarray(l, dtype=np.float64).reshape(1, 4)
     if space.n_points == 0:
         return 0.0
-    return float(_votes(l, space)[0])
+    b_rows = np.array([space.bandwidth], dtype=np.float64)
+    return float(_votes(l, b_rows, space.points, space.kernel)[0])
 
 
-def _ascend_all(space: VoteSpace, tol: float, max_iter: int) -> np.ndarray:
-    """Mean-shift ascent from every point at once; row i is seed i's mode.
+def _ascend_all(
+    pts: np.ndarray,
+    seeds: np.ndarray,
+    b_rows: np.ndarray,
+    tol_rows: np.ndarray,
+    kernel: str,
+    max_iter: int,
+) -> np.ndarray:
+    """Mean-shift ascent from every seed at once; row i is seed i's mode.
 
-    Each pass moves the still-active seeds, block by block, to the weighted
-    mean of the points.  A seed stops when its weights sum to zero (it stays
-    put) or its step falls below ``tol`` (it keeps the step).  The weighted
-    sum is one matrix-vector product per seed, so every mode is bit-identical
-    to ascending the seeds one at a time.
+    Seed i ascends over all of ``pts`` at bandwidth ``b_rows[i]``.  Each
+    pass moves the still-active seeds, block by block, to the weighted mean
+    of the points.  A seed stops when its weights sum to zero (it stays put)
+    or its step falls below ``tol_rows[i]`` (it keeps the step).  The
+    weighted sum is one matrix-vector product per seed, so every mode is
+    bit-identical to ascending the seeds one at a time.
     """
-    pts = space.points
-    cols = _point_columns(space)
-    modes = pts.copy()
-    active = np.arange(space.n_points)
-    rows = _block_rows(space.n_points)
+    cols = _point_columns(pts)
+    modes = seeds.copy()
+    active = np.arange(len(seeds))
+    rows = _block_rows(len(pts))
     for _ in range(max_iter):
         moving = []
         for start in range(0, active.size, rows):
             idx = active[start:start + rows]
-            sq = _scaled_sq_dists(modes[idx], cols, space.bandwidth)
-            if space.kernel == GAUSSIAN:
+            sq = _scaled_sq_dists(modes[idx], cols, b_rows[idx])
+            if kernel == GAUSSIAN:
                 w = _kernel_values(GAUSSIAN, sq)
             else:
                 # The Epanechnikov profile's shadow is the flat kernel: the mean
@@ -159,30 +170,68 @@ def _ascend_all(space: VoteSpace, tol: float, max_iter: int) -> np.ndarray:
             delta = new - modes[idx]
             step = np.sqrt(np.vecdot(delta, delta))
             modes[idx] = new
-            moving.append(idx[~(step < tol)])
+            moving.append(idx[~(step < tol_rows[idx])])
         active = np.concatenate(moving)
         if not active.size:
             break
     return modes
 
 
+def _distinct_rows(pts: np.ndarray) -> np.ndarray:
+    """The rows of ``pts`` with their duplicates dropped, in sorted order.
+
+    Rows count as duplicates only when bit-identical: a seed that never
+    moves keeps its start, so -0.0 and 0.0 must both start a seed.
+    """
+    ordered = pts[np.lexsort(pts.T[::-1])]
+    bits = ordered.view(np.int64)
+    first = np.ones(len(ordered), dtype=bool)
+    first[1:] = np.any(bits[1:] != bits[:-1], axis=1)
+    return ordered[first]
+
+
 MAX_ITER = 200
 
 
-def _ranked_ascents(
-    space: VoteSpace, tol: Optional[float], max_iter: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Every seed's converged location and its vote, highest vote first,
-    ties ordered by the location's coordinates."""
-    if space.n_points == 0:
+class RankedAscents(NamedTuple):
+    """Where each seed's ascent converged and the vote there, highest vote
+    first, ties ordered by the location's coordinates."""
+
+    locations: np.ndarray
+    votes: np.ndarray
+
+
+def ranked_ascents(
+    points: np.ndarray,
+    bandwidths: Sequence[float],
+    kernel: str,
+    tol: Optional[float] = None,
+    max_iter: int = MAX_ITER,
+) -> list[RankedAscents]:
+    """Each bandwidth's mean-shift ascents over one image's ``points``, an
+    (N, 4) float64 array such as :attr:`VoteSpace.points`.
+
+    Entry k ranks the ascents at ``bandwidths[k]``, seeded once per distinct
+    point: a seed's path depends only on where it starts and on the points,
+    so a repeated point would only repeat an ascent.  Every point, repeats
+    included, still weighs in the kernel sums.  All bandwidths ascend
+    together in one active set; ``tol`` defaults to 1e-3 times each
+    bandwidth.  Raises :class:`NoPointsError` when ``points`` is empty.
+    """
+    if len(points) == 0:
         raise NoPointsError("mean shift requires at least one vote point")
-    if tol is None:
-        tol = 1e-3 * space.bandwidth
-    converged = _ascend_all(space, tol, max_iter)
-    votes = _votes(converged, space)
-    x0, y0, x1, y1 = converged.T
-    order = np.lexsort((y1, x1, y0, x0, -votes))
-    return converged[order], votes[order]
+    seeds = _distinct_rows(points)
+    n_b = len(bandwidths)
+    b_rows = np.repeat(np.asarray(bandwidths, dtype=np.float64), len(seeds))
+    tol_rows = 1e-3 * b_rows if tol is None else np.full(len(b_rows), float(tol))
+    modes = _ascend_all(points, np.tile(seeds, (n_b, 1)), b_rows, tol_rows, kernel, max_iter)
+    votes = _votes(modes, b_rows, points, kernel)
+    ranked = []
+    for locations, vote in zip(modes.reshape(n_b, -1, 4), votes.reshape(n_b, -1)):
+        x0, y0, x1, y1 = locations.T
+        order = np.lexsort((y1, x1, y0, x0, -vote))
+        ranked.append(RankedAscents(locations[order], vote[order]))
+    return ranked
 
 
 def mean_shift_modes(
@@ -197,7 +246,9 @@ def mean_shift_modes(
     Ties in vote are ordered by the mode's coordinates.
     Raises :class:`NoPointsError` on an empty space.
     """
-    locations, votes = _ranked_ascents(space, tol, max_iter)
+    [(locations, votes)] = ranked_ascents(
+        space.points, [space.bandwidth], space.kernel, tol, max_iter
+    )
     merge_radius = 0.5 * space.bandwidth
     modes: list[tuple[np.ndarray, float]] = []
     for m, v in zip(locations, votes.tolist()):
@@ -211,18 +262,22 @@ def select_pseudo_gt(
     theta: float = 20.0,
     image_bounds: tuple[float, float] = (float("inf"), float("inf")),
     image_id: str = "",
+    ranking: Optional[RankedAscents] = None,
 ) -> Optional[PseudoGT]:
     """The highest-vote mode as a pseudo-GT box, or None.
 
     Absent when the space is empty, the best vote falls below ``theta``, or
     the mode clips to nothing inside the image.  ``support`` counts the
-    points within one bandwidth of the mode.
+    points within one bandwidth of the mode.  ``ranking`` is the space's
+    :func:`ranked_ascents` entry when the caller already has it; without it
+    the space is ascended here.
     """
     if space.n_points == 0:
         return None
+    if ranking is None:
+        [ranking] = ranked_ascents(space.points, [space.bandwidth], space.kernel)
     # the top mode is the first ranked ascent: merging only decides what follows it
-    locations, votes = _ranked_ascents(space, None, MAX_ITER)
-    mode, vote = locations[0], float(votes[0])
+    mode, vote = ranking.locations[0], float(ranking.votes[0])
     if vote < theta:
         return None
     try:

@@ -1,11 +1,12 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from boxforge import featmap
+from boxforge import atomic, featmap
 from boxforge.errors import (
     ConfigInvalidError,
     OutOfBoundsError,
@@ -362,6 +363,60 @@ class TestFmapIo:
         assert [s for s, _ in back.levels] == [s for s, _ in levels]
         for (_, a), (_, b) in zip(levels, back.levels):
             assert np.array_equal(a.data, b.data)
+
+
+
+class TestAtomicWrites:
+    """FMAP and ``pyramid.json`` writes go through a temp file: a write that
+    fails leaves the earlier file as it was and no temp file behind."""
+
+    @staticmethod
+    def refuse_renames_onto(monkeypatch, name):
+        rename = atomic.os.replace
+
+        def refuse(src, dst):
+            if Path(dst).name == name:
+                raise OSError("no space left on device")
+            rename(src, dst)
+
+        monkeypatch.setattr(atomic.os, "replace", refuse)
+
+    @staticmethod
+    def snapshot(directory):
+        return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+    def test_failed_fmap_write_keeps_earlier_file(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(10)
+        write_fmap(tmp_path / "a.fmap", random_fmap(rng, 3, 4, 2))
+        before = self.snapshot(tmp_path)
+        self.refuse_renames_onto(monkeypatch, "a.fmap")
+        with pytest.raises(OSError):
+            write_fmap(tmp_path / "a.fmap", random_fmap(rng, 5, 5, 2))
+        assert self.snapshot(tmp_path) == before
+
+    def test_failed_sidecar_write_keeps_earlier_sidecar(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(11)
+        d = tmp_path / "pyr"
+        level = ((1.0, random_fmap(rng, 6, 6, 2)),)
+        save_pyramid(d, FeaturePyramid(levels=level, cell_stride=8.0))
+        before = self.snapshot(d)
+        self.refuse_renames_onto(monkeypatch, "pyramid.json")
+        with pytest.raises(OSError):
+            save_pyramid(d, FeaturePyramid(levels=level, cell_stride=16.0))
+        assert self.snapshot(d) == before
+        assert load_pyramid(d).cell_stride == 8.0
+
+    def test_write_failing_midway_leaves_no_temp_file(self, tmp_path):
+        path = tmp_path / "a.fmap"
+        path.write_bytes(b"earlier")
+
+        def partial(fh):
+            fh.write(b"FMAP")
+            raise RuntimeError("interrupted")
+
+        with pytest.raises(RuntimeError):
+            atomic.write_atomic(path, partial, binary=True)
+        assert self.snapshot(tmp_path) == {"a.fmap": b"earlier"}
 
 
 class TestPooling:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import boxforge
-from boxforge import cli, dataio, pipeline
+from boxforge import atomic, cli, dataio, pipeline
 from boxforge.config import SETTINGS, PipelineConfig, build_config, parse_config_file
 from boxforge.errors import (
     ConfigInvalidError,
@@ -435,6 +435,29 @@ class TestEachIntermediateOnce:
             run_pipeline(cfg)
         assert dataio.read_pseudo_gts(tmp_path / "run" / pipeline.PSEUDO_GT) == {}
 
+    def test_grid_trials_equal_single_bandwidth_votes(self, synth_dir, tmp_path):
+        """Cross-validation votes the whole grid in one ascent per image; each
+        bandwidth's trial pseudo GT is what voting at that bandwidth alone finds."""
+        grid = (1.0, 2.0, 4.0, 8.0)
+        out = tmp_path / "run"
+        cfg = PipelineConfig(
+            manifest=str(synth_dir / "manifest.json"), out_dir=str(out), seed=7,
+            target_cells=30, frame_stride=1, bandwidth_grid=grid,
+        )
+        ds = dataio.open_dataset(cfg.manifest)
+        pipeline.run_mine(ds, out, cfg)
+        pipeline.run_select_tracks(ds, out / pipeline.REGIONS, out, cfg)
+        pipeline.run_match(ds, out / pipeline.REGIONS, out / pipeline.SELECTIONS, out, cfg)
+        cv = pipeline.run_cv_bandwidth(
+            ds, out / pipeline.TRANSFERS, out / pipeline.SELECTIONS, out, cfg
+        )
+        boxes = dataio.read_transfer_boxes(out / pipeline.TRANSFERS)
+        trials = [cv.trials[b].pseudo_gts for b in grid]
+        for b, trial in zip(grid, trials):
+            assert trial == pipeline.vote_pseudo_gts(ds.manifest, boxes, [b], cfg)[b]
+        # on this data every grid bandwidth votes differently
+        assert all(trials[i] != trials[j] for i in range(len(grid)) for j in range(i))
+
 
 def per_proposal_images(manifest):
     """image_id -> (label, [(prop_id, box, feature)]): proposals as the
@@ -614,6 +637,7 @@ class TestMalformedJson:
 
     @pytest.mark.parametrize("command,name,key,value,where", [
         ("mine", "proposals.jsonl", "box", [0, 0, "x", 4], "proposals.jsonl line 3"),
+        ("mine", "proposals.jsonl", "box", [4, 0, 0, 4], "proposals.jsonl line 3"),
         ("mine", "proposals.jsonl", "feature", ["x"] * 16, "proposals.jsonl line 3"),
         ("mine", "manifest.json", "size", ["wide", 16], "manifest.json"),
         ("match", pipeline.SELECTIONS, "frame_idx", "x", "selections.jsonl line 1"),
@@ -666,6 +690,12 @@ class TestMalformedJson:
         (dataio.read_pseudo_gts,
          '{"image_id": "a", "box": [0, 0, 1, 1], "vote": 1, "support": 1, "updated": "false"}',
          "line 1: bad value for key 'updated'"),
+        (dataio.read_selections,
+         '{"video_id": "v", "frame_idx": 1.5, "track_id": 0, "box": [0, 0, 1, 1], "score": 1}',
+         "line 1: bad value for key 'frame_idx'"),
+        (dataio.read_selections,
+         '{"video_id": "v", "frame_idx": 1, "track_id": true, "box": [0, 0, 1, 1], "score": 1}',
+         "line 1: bad value for key 'track_id'"),
     ])
     def test_readers_name_file_line_and_key(self, tmp_path, reader, text, message):
         path = tmp_path / "rows.jsonl"
@@ -877,7 +907,7 @@ class TestAtomicWrites:
         def broken_replace(src, dst):
             raise OSError("disk full")
 
-        monkeypatch.setattr(dataio.os, "replace", broken_replace)
+        monkeypatch.setattr(atomic.os, "replace", broken_replace)
         with pytest.raises(OSError):
             dataio.dump_json({"new": 2}, path)
         assert path.read_bytes() == before

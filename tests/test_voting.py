@@ -174,18 +174,28 @@ def oracle_ascend(seed, space, tol, max_iter):
     return m
 
 
-def mean_shift_oracle(space, tol=None, max_iter=200):
+def ranked_ascents_oracle(space, tol=None, max_iter=200):
+    """(location, vote) of the ascent from every point, repeats included,
+    highest vote first, ties ordered by the location's coordinates."""
     if tol is None:
         tol = 1e-3 * space.bandwidth
     converged = [oracle_ascend(space.points[i], space, tol, max_iter) for i in range(space.n_points)]
     scored = [(m, oracle_vote_value(m, space)) for m in converged]
     scored.sort(key=lambda mv: (-mv[1], tuple(mv[0])))
-    merge_radius = 0.5 * space.bandwidth
+    return scored
+
+
+def merge_modes(scored, bandwidth):
+    merge_radius = 0.5 * bandwidth
     modes = []
     for m, v in scored:
         if all(float(np.linalg.norm(m - km)) > merge_radius for km, _ in modes):
             modes.append((m, v))
     return modes
+
+
+def mean_shift_oracle(space, tol=None, max_iter=200):
+    return merge_modes(ranked_ascents_oracle(space, tol, max_iter), space.bandwidth)
 
 
 def assert_modes_match_oracle(s, **kwargs):
@@ -196,6 +206,14 @@ def assert_modes_match_oracle(s, **kwargs):
         assert np.array_equal(m, wm)
         assert v == wv
     return got
+
+
+def distinct_runs(locations):
+    """``locations`` (sorted rows) with each row equal to the one before it dropped."""
+    locations = np.asarray(locations, dtype=np.float64).reshape(-1, 4)
+    keep = np.ones(len(locations), dtype=bool)
+    keep[1:] = np.any(locations[1:] != locations[:-1], axis=1)
+    return locations[keep]
 
 
 def cloud(rng, n, n_centers=3, spread=2.0, grid=None):
@@ -273,6 +291,55 @@ class TestMeanShiftMatchesOracle:
         assert voting._block_rows(n) == rows
         s = space(cloud(np.random.default_rng(10), n, spread=3.0), b=2.0, kernel=kernel)
         assert_modes_match_oracle(s)
+
+    @staticmethod
+    def assert_joint_ascent_matches_oracle(pts, bandwidths, kernel, **kwargs):
+        """One joint ascent over ``bandwidths`` gives, for each bandwidth,
+        the per-space oracle's ranking (repeated rows aside) and modes."""
+        pts = np.asarray(pts, dtype=np.float64)
+        ranked = voting.ranked_ascents(pts, bandwidths, kernel, **kwargs)
+        assert len(ranked) == len(bandwidths)
+        for b, (locations, votes) in zip(bandwidths, ranked):
+            s = space(pts, b=b, kernel=kernel)
+            want = ranked_ascents_oracle(s, **kwargs)
+            assert np.array_equal(distinct_runs(locations), distinct_runs([m for m, _ in want]))
+            got = merge_modes(zip(locations, votes.tolist()), b)
+            oracle = mean_shift_oracle(s, **kwargs)
+            assert len(got) == len(oracle)
+            for (m, v), (wm, wv) in zip(got, oracle):
+                assert np.array_equal(m, wm)
+                assert v == wv
+        return ranked
+
+    @settings(max_examples=30)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 60),
+        st.lists(st.floats(0.3, 6.0), min_size=1, max_size=4),
+        st.sampled_from(KERNELS),
+        st.sampled_from([None, 0.5, 1.0, 3.0]),
+    )
+    def test_joint_ascent_over_mixed_bandwidths(self, seed, n, bandwidths, kernel, grid):
+        rng = np.random.default_rng(seed)
+        pts = cloud(rng, n, int(rng.integers(1, 5)), spread=rng.uniform(0.2, 4.0), grid=grid)
+        self.assert_joint_ascent_matches_oracle(pts, bandwidths, kernel)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_joint_ascent_over_duplicate_heavy_space(self, kernel):
+        pts = cloud(np.random.default_rng(12), 120, n_centers=2, spread=0.6, grid=2.0)
+        n_distinct = len(np.unique(pts, axis=0))
+        assert n_distinct < len(pts) // 4
+        ranked = self.assert_joint_ascent_matches_oracle(pts, [0.5, 2.0, 1.0, 6.0], kernel)
+        # one ascent per distinct point, not per point
+        assert all(len(locations) == n_distinct for locations, _ in ranked)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("tol,max_iter", [(0.05, 200), (None, 0), (None, 1), (0.0, 1)])
+    def test_joint_ascent_with_explicit_tolerance_and_iterations(self, kernel, tol, max_iter):
+        pts = cloud(np.random.default_rng(13), 40, spread=2.0, grid=0.5)
+        self.assert_joint_ascent_matches_oracle(
+            pts, [1.0, 3.0, 2.0], kernel, tol=tol, max_iter=max_iter
+        )
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_vote_value_matches_oracle_exactly(self, kernel):
