@@ -20,6 +20,7 @@ from typing import Callable, NamedTuple, Optional
 
 from .detector import TrainConfig
 from .errors import ConfigInvalidError
+from .voting import GAUSSIAN, KERNELS
 
 
 @dataclass(frozen=True)
@@ -34,7 +35,7 @@ class PipelineConfig:
     theta: float = 20.0
     bandwidth: Optional[float] = None
     bandwidth_grid: tuple[float, ...] = (100.0, 250.0, 500.0, 1000.0)
-    kernel: str = "gaussian"
+    kernel: str = GAUSSIAN
     lsvm_rounds: int = 1
     train_steps: int = 300
     learning_rate: float = 0.1
@@ -63,7 +64,7 @@ class PipelineConfig:
             raise ConfigInvalidError("one of b or b_grid must be present")
         if any(b <= 0 for b in self.bandwidth_grid):
             raise ConfigInvalidError("b_grid entries must be positive")
-        if self.kernel not in ("gaussian", "epanechnikov"):
+        if self.kernel not in KERNELS:
             raise ConfigInvalidError(f"unknown kernel {self.kernel!r}")
         if self.train_steps < 0 or self.learning_rate <= 0 or self.weight_decay < 0:
             raise ConfigInvalidError("invalid training hyperparameters")

@@ -17,8 +17,8 @@ import numpy as np
 
 from .atomic import write_atomic
 from .detector import BoxRegressor, LinearModel
-from .errors import ConfigInvalidError, DegenerateBoxError, DimensionMismatchError, MissingInputError
-from .featmap import FeatureMap, FeaturePyramid, read_fmap, single_level_pyramid
+from .errors import ConfigInvalidError, DegenerateBoxError, MissingInputError
+from .featmap import FeatureMap, FeaturePyramid, pool_box_feature, read_fmap, single_level_pyramid
 from .geometry import BBox
 from .mining import ImageProposals, MinedRegion, MinedRegionSet
 from .tracks import FrameSelection, Track
@@ -75,6 +75,13 @@ def _integer(value) -> int:
     if isinstance(value, float) and not value.is_integer():
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
+
+
+def _real(value) -> float:
+    """``value`` as a float; booleans and non-numbers (``"1.5"``) are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
 
 
 def _array(value) -> np.ndarray:
@@ -205,7 +212,7 @@ def load_manifest(path: str | Path) -> Manifest:
             image_id=e.typed("id", _text),
             label=e.typed("label", _text),
             fmap_path=e.typed("fmap", Path),
-            size=e.typed("size", lambda size: (float(size[0]), float(size[1]))),
+            size=e.typed("size", lambda size: (_real(size[0]), _real(size[1]))),
         )
         for e in doc.typed("images", _objects)
     )
@@ -215,7 +222,7 @@ def load_manifest(path: str | Path) -> Manifest:
     )
     return Manifest(
         root=p.parent,
-        cell_stride=doc.typed("cell_stride", float),
+        cell_stride=doc.typed("cell_stride", _real),
         categories=doc.typed("categories", lambda names: tuple(_text(n) for n in names)),
         images=images,
         videos=videos,
@@ -224,8 +231,9 @@ def load_manifest(path: str | Path) -> Manifest:
 
 
 class Dataset:
-    """A dataset opened for one run: its manifest, plus the proposals and
-    tracks, each parsed on first use and then kept for every later stage.
+    """A dataset opened for one run: its manifest, plus the proposals (with
+    their pooled descriptors) and tracks, each read on first use and then
+    kept for every later stage.
 
     Feature maps are read on demand and never kept, since at full scale
     they outgrow memory.
@@ -236,18 +244,7 @@ class Dataset:
 
     @cached_property
     def images(self) -> dict[str, ImageProposals]:
-        """:func:`read_proposals` of the manifest's proposal file; an image
-        whose label is not its manifest entry's is refused."""
-        path = self.manifest.path("proposals")
-        images = read_proposals(path)
-        for image_id, image in images.items():
-            label = self.manifest.image(image_id).label
-            if image.label != label:
-                raise ConfigInvalidError(
-                    f"image {image_id} is labelled {image.label!r} in {path} "
-                    f"but {label!r} in the manifest"
-                )
-        return images
+        return read_proposals(self.manifest)
 
     @cached_property
     def tracks(self) -> dict[str, list[Track]]:
@@ -258,63 +255,59 @@ def open_dataset(manifest_path: str | Path) -> Dataset:
     return Dataset(load_manifest(manifest_path))
 
 
-# --- proposals.jsonl: {image_id, label, box, feature} ---------------------
+# --- proposals.jsonl: {image_id, label, box} ------------------------------
 
 
-def write_proposals(path: str | Path, images: Mapping[str, ImageProposals]) -> None:
-    """One row per proposal, image by image in the mapping's order."""
+def write_proposals(path: str | Path, images: Mapping[str, tuple[str, Sequence[BBox]]]) -> None:
+    """One row per proposal, image by image in the mapping's order; each
+    image maps to its label and its boxes."""
     write_jsonl(
         path,
         (
-            {
-                "image_id": image_id,
-                "label": image.label,
-                "box": box.as_list(),
-                "feature": [float(x) for x in feature],
-            }
-            for image_id, image in images.items()
-            for box, feature in zip(image.boxes, image.features)
+            {"image_id": image_id, "label": label, "box": box.as_list()}
+            for image_id, (label, boxes) in images.items()
+            for box in boxes
         ),
     )
 
 
-def read_proposals(path: str | Path) -> dict[str, ImageProposals]:
-    """Each image's proposals, in image-id order; indices follow file order.
+def read_proposals(manifest: Manifest) -> dict[str, ImageProposals]:
+    """Each image's proposals in the manifest's proposal file, in image-id
+    order; indices follow file order.  A proposal's descriptor is
+    :func:`pool_box_feature` of its box on its image's FMAP, read once per
+    image; a ``feature`` key in a row is not read.
 
-    Every feature must be finite and as long as the first row's, and every
-    row of an image must carry the same label; a row that does not raises
-    :class:`ConfigInvalidError` or :class:`DimensionMismatchError` naming it.
+    Every row of an image must carry the same label, and it must be the
+    image's label in the manifest.  A row or an image that disagrees raises
+    :class:`ConfigInvalidError`, and an image the manifest does not list
+    :class:`MissingInputError`, before any FMAP is read.
     """
-    rows = read_jsonl(path)
-    features = [row.typed("feature", lambda f: _array(f).reshape(-1)) for row in rows]
-    for n, (row, feature) in enumerate(zip(rows, features), start=1):
-        if feature.size != features[0].size:
-            raise DimensionMismatchError(
-                f"{path} row {n} (image {row['image_id']}): feature length {feature.size}, "
-                f"row 1 has {features[0].size}"
-            )
-    if rows:
-        # one check over the stacked features; the row loop only compares lengths
-        finite = np.isfinite(np.stack(features)).all(axis=1)
-        if not finite.all():
-            n = int(np.argmin(finite))
-            raise ConfigInvalidError(
-                f"{path} row {n + 1} (image {rows[n]['image_id']}): non-finite feature"
-            )
-    grouped: dict[str, tuple[str, list[BBox], list[np.ndarray]]] = {}
-    for row, feature in zip(rows, features):
+    path = manifest.path("proposals")
+    grouped: dict[str, tuple[str, list[BBox]]] = {}
+    for row in read_jsonl(path):
         image_id, label = row.typed("image_id", _text), row.typed("label", _text)
-        first_label, boxes, feats = grouped.setdefault(image_id, (label, [], []))
+        first_label, boxes = grouped.setdefault(image_id, (label, []))
         if label != first_label:
             raise ConfigInvalidError(
                 f"{row.where} (image {image_id}): label {label!r}, "
                 f"an earlier row of the image has {first_label!r}"
             )
         boxes.append(row.typed("box", BBox.from_list))
-        feats.append(feature)
-    return {
-        image_id: ImageProposals.from_boxes(*grouped[image_id]) for image_id in sorted(grouped)
-    }
+    image_ids = sorted(grouped)
+    for image_id in image_ids:
+        label, listed = grouped[image_id][0], manifest.image(image_id).label
+        if label != listed:
+            raise ConfigInvalidError(
+                f"image {image_id} is labelled {label!r} in {path} "
+                f"but {listed!r} in the manifest"
+            )
+    images = {}
+    for image_id in image_ids:
+        label, boxes = grouped[image_id]
+        fmap = manifest.load_image_fmap(image_id)
+        features = [pool_box_feature(fmap, box, manifest.cell_stride) for box in boxes]
+        images[image_id] = ImageProposals.from_boxes(label, boxes, features)
+    return images
 
 
 # --- regions.jsonl: mined positive regions with provenance ----------------
@@ -411,7 +404,7 @@ def read_selections(path: str | Path) -> dict[tuple[str, int], FrameSelection]:
             video_id=row.typed("video_id", _text),
             frame_idx=row.typed("frame_idx", _integer),
             box=row.typed("box", BBox.from_list),
-            score=row.typed("score", float),
+            score=row.typed("score", _real),
             track_id=row.typed("track_id", _integer),
         )
         out[(sel.video_id, sel.frame_idx)] = sel
@@ -471,7 +464,7 @@ def read_pseudo_gts(path: str | Path) -> dict[str, PseudoGT]:
         gt = PseudoGT(
             image_id=row.typed("image_id", _text),
             box=row.typed("box", BBox.from_list),
-            vote=row.typed("vote", float),
+            vote=row.typed("vote", _real),
             support=row.typed("support", _integer),
             updated=row.typed("updated", _of(bool)),
         )
@@ -514,7 +507,7 @@ def write_detections(path: str | Path, rows: Sequence[tuple[str, BBox, float]]) 
 
 def read_detections(path: str | Path) -> list[tuple[str, BBox, float]]:
     return [
-        (row.typed("image_id", _text), row.typed("box", BBox.from_list), row.typed("score", float))
+        (row.typed("image_id", _text), row.typed("box", BBox.from_list), row.typed("score", _real))
         for row in read_jsonl(path)
     ]
 
@@ -538,7 +531,7 @@ def read_model(path: str | Path) -> LinearModel:
     doc = load_json(path)
     return LinearModel(
         weights=doc.typed("weights", _array),
-        bias=doc.typed("bias", float),
+        bias=doc.typed("bias", _real),
         category_id=doc.get("category_id", ""),
     )
 

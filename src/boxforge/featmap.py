@@ -385,19 +385,19 @@ def pool_box_feature(fmap: FeatureMap, box: BBox, cell_stride: float = 1.0) -> n
     the box covers; the second are the mean over a 2-cell ring around it
     (zeros when the ring is empty).  Including the surround makes the
     descriptor sensitive to whether a box is tight: a sub-box of an object
-    sees the object in its surround, a tight box sees background.  This is
-    the convention shared by the synthetic generator and the detector
-    stages, so pseudo-GT boxes can be featurized the same way proposals
-    were.
+    sees the object in its surround, a tight box sees background.  It is the
+    one descriptor of every box the pipeline scores or regresses: proposals
+    (pooled by ``dataio.read_proposals``), pseudo-GT boxes, detections and
+    video-frame boxes.
     """
     x0, y0, x1, y1 = _cell_rect(fmap, box, cell_stride)
     data = fmap.data.astype(np.float64)
-    inner = data[y0:y1, x0:x1, :].mean(axis=(0, 1))
+    inner_sum = data[y0:y1, x0:x1, :].sum(axis=(0, 1))
+    inner = inner_sum / ((y1 - y0) * (x1 - x0))  # the bits of .mean(axis=(0, 1))
     m = POOL_SURROUND_MARGIN
     ox0, oy0 = max(0, x0 - m), max(0, y0 - m)
     ox1, oy1 = min(fmap.width, x1 + m), min(fmap.height, y1 + m)
     outer_sum = data[oy0:oy1, ox0:ox1, :].sum(axis=(0, 1))
-    inner_sum = data[y0:y1, x0:x1, :].sum(axis=(0, 1))
     ring_cells = (oy1 - oy0) * (ox1 - ox0) - (y1 - y0) * (x1 - x0)
     if ring_cells > 0:
         ring = (outer_sum - inner_sum) / ring_cells

@@ -28,9 +28,9 @@ DEDUP_FRAC = 0.10  # share of duplicate regions that drops a cluster
 @dataclass(frozen=True)
 class ImageProposals:
     """One image's label and its proposals in file order: boxes, their
-    corner rows and their float64 feature rows.  This is the one in-memory
-    form of ``proposals.jsonl``, read by mining, training, the latent
-    update and box regression alike."""
+    corner rows and their float64 descriptor rows (pooled from the image's
+    feature map).  This is the one in-memory form of ``proposals.jsonl``,
+    read by mining, training, the latent update and box regression alike."""
 
     label: str
     boxes: tuple[BBox, ...]

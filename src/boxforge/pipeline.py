@@ -40,12 +40,7 @@ from .detector import (
     regression_pairs,
     train_linear,
 )
-from .errors import (
-    ConfigInvalidError,
-    DimensionMismatchError,
-    EmptyPoolError,
-    MissingInputError,
-)
+from .errors import ConfigInvalidError, EmptyPoolError, MissingInputError
 from .featmap import build_query_window, pool_box_feature
 from .geometry import BBox, clip_box, nms
 from .metrics import aggregate, average_precision, corloc, error_histogram
@@ -330,8 +325,10 @@ def run_vote(
 
 
 def _training_corpus(ds: dataio.Dataset, pseudo_gts):
-    """Pseudo-GT pooled features as positives, band and negative-image
-    proposals as negatives, image by image in id order."""
+    """Pseudo-GT boxes as positives, band and negative-image proposals as
+    negatives, image by image in id order; every example is described by
+    :func:`pool_box_feature` on its image's FMAP, the proposals' as
+    :func:`dataio.read_proposals` pooled them."""
     manifest = ds.manifest
     blocks: list[np.ndarray] = []
     labels: list[np.ndarray] = []
@@ -459,7 +456,8 @@ def run_regress(
     out_dir: str | Path,
     cfg: PipelineConfig,
 ) -> dict:
-    """Fit the box regressor on well-overlapping proposals and refine detections."""
+    """Fit the box regressor on well-overlapping proposals and refine
+    detections; both are described by :func:`pool_box_feature` on the FMAP."""
     t0 = time.perf_counter()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -476,18 +474,13 @@ def run_regress(
     detections = dataio.read_detections(detections_path)
     fmap_cache = {}
     refined = []
-    n_fallbacks = 0
     for image_id, box, score in detections:
         fmap = fmap_cache.get(image_id)
         if fmap is None:
             fmap = manifest.load_image_fmap(image_id)
             fmap_cache[image_id] = fmap
         feature = pool_box_feature(fmap, box, manifest.cell_stride)
-        try:
-            new_box = apply_regressor(regressor, feature, box)
-        except DimensionMismatchError:
-            n_fallbacks += 1
-            new_box = box
+        new_box = apply_regressor(regressor, feature, box)
         entry = manifest.image(image_id)
         clipped = clip_box(new_box, entry.size[0], entry.size[1])
         refined.append((image_id, clipped if clipped is not None else box, score))
@@ -499,7 +492,6 @@ def run_regress(
             "stage": "regress",
             "n_pairs": len(pairs),
             "n_detections": len(refined),
-            "n_regressor_fallbacks": n_fallbacks,
             "elapsed_s": time.perf_counter() - t0,
         },
     )

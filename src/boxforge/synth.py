@@ -6,8 +6,8 @@ blocks of the category signature at random locations and sizes; negative
 images carry only distractor-signature blocks.  Each video contains one
 moving planted object whose trajectory is the true candidate track among 8
 random-walk distractor tracks.  Proposals per image are the planted boxes,
-jittered copies, a context box, distractor boxes, and random boxes, each
-described by the mean-pooled cell feature of its extent.
+jittered copies, a context box, distractor boxes, and random boxes; the
+pipeline describes each by pooling its image's feature map over it.
 
 Signatures are drawn once per dataset and orthonormalized, which makes
 cosine matching analytically predictable: a planted block matches itself
@@ -24,9 +24,9 @@ import numpy as np
 
 from .dataio import dump_json, write_gt, write_proposals, write_tracks
 from .errors import ConfigInvalidError
-from .featmap import FeatureMap, pool_box_feature, write_fmap
+from .featmap import FeatureMap, write_fmap
 from .geometry import BBox
-from .mining import NEGATIVE, POSITIVE, ImageProposals
+from .mining import NEGATIVE, POSITIVE
 from .tracks import Track
 
 CATEGORY = "obj"
@@ -168,7 +168,7 @@ def gen_dataset(config: SynthConfig, out_dir: str | Path) -> SynthTruth:
     distractor_sigs = sigs[1:]
 
     image_entries = []
-    proposals: dict[str, ImageProposals] = {}
+    proposals: dict[str, tuple[str, list[BBox]]] = {}
     gt_rows: list[tuple[str, str, list[BBox]]] = []
     gt_boxes: dict[str, list[BBox]] = {}
 
@@ -178,14 +178,11 @@ def gen_dataset(config: SynthConfig, out_dir: str | Path) -> SynthTruth:
         arr = rng.normal(0.0, config.noise_sigma, size=(H, W, C))
         return arr + BACKGROUND_STRENGTH * background
 
-    def _add_proposals(image_id: str, label: str, arr: np.ndarray, structured: list[BBox]) -> None:
+    def _add_proposals(image_id: str, label: str, structured: list[BBox]) -> None:
         boxes = list(structured)
         while len(boxes) < config.proposals_per_image:
             boxes.append(_random_box(rng, W, H))
-        fmap = FeatureMap(data=arr.astype(np.float32))
-        proposals[image_id] = ImageProposals.from_boxes(
-            label, boxes, [pool_box_feature(fmap, box) for box in boxes]
-        )
+        proposals[image_id] = (label, boxes)
 
     # Positive images: one planted category block, sometimes two.
     for i in range(config.n_pos_images):
@@ -211,7 +208,7 @@ def gen_dataset(config: SynthConfig, out_dir: str | Path) -> SynthTruth:
         structured = list(instances)
         structured.extend(_jitter_boxes(rng, instances[0], W, H))
         structured.append(_context_box(instances[0], W, H))
-        _add_proposals(image_id, POSITIVE, arr, structured)
+        _add_proposals(image_id, POSITIVE, structured)
         image_entries.append(
             {"id": image_id, "label": POSITIVE, "fmap": f"fmaps/{image_id}.fmap", "size": [W, H]}
         )
@@ -233,7 +230,7 @@ def gen_dataset(config: SynthConfig, out_dir: str | Path) -> SynthTruth:
             box = BBox(x0, y0, x0 + bw, y0 + bh)
             _plant(arr, box, sig, config.signature_strength)
             structured.append(box)
-        _add_proposals(image_id, NEGATIVE, arr, structured)
+        _add_proposals(image_id, NEGATIVE, structured)
         image_entries.append(
             {"id": image_id, "label": NEGATIVE, "fmap": f"fmaps/{image_id}.fmap", "size": [W, H]}
         )

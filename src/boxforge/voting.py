@@ -16,6 +16,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from .atomic import write_atomic
 from .errors import ConfigInvalidError, DegenerateBoxError, IoFailureError, NoPointsError
 from .geometry import BBox, clip_box
 
@@ -333,7 +334,7 @@ def export_heatmap(
         img = np.zeros((height, width), dtype=np.uint8)
     header = f"P5\n{width} {height}\n255\n".encode("ascii")
     try:
-        Path(path).write_bytes(header + img.tobytes())
+        write_atomic(path, lambda fh: fh.write(header + img.tobytes()), binary=True)
     except OSError as exc:
         raise IoFailureError(f"failed to write heatmap {path}: {exc}") from exc
     return counts

@@ -434,6 +434,17 @@ class TestPooling:
         feat = pool_box_feature(fmap_from(arr), BBox(0, 0, 4, 4))
         assert feat.tolist() == [2.0, 0.0]
 
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 11), st.integers(0, 11), st.integers(1, 12), st.integers(1, 12),
+    )
+    def test_interior_has_the_bits_of_the_mean(self, seed, x0, y0, w, h):
+        arr = np.random.default_rng(seed).normal(size=(12, 12, 3)).astype(np.float32)
+        x1, y1 = min(12, x0 + w), min(12, y0 + h)
+        want = arr.astype(np.float64)[y0:y1, x0:x1, :].mean(axis=(0, 1))
+        feat = pool_box_feature(fmap_from(arr), BBox(x0, y0, x1, y1))
+        assert np.array_equal(feat[:3], want)
+
 
 def test_build_query_window_snaps_and_resamples():
     rng = np.random.default_rng(10)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -11,12 +12,7 @@ import pytest
 import boxforge
 from boxforge import atomic, cli, dataio, pipeline
 from boxforge.config import SETTINGS, PipelineConfig, build_config, parse_config_file
-from boxforge.errors import (
-    ConfigInvalidError,
-    DimensionMismatchError,
-    EmptyPoolError,
-    MissingInputError,
-)
+from boxforge.errors import ConfigInvalidError, EmptyPoolError, MissingInputError
 from boxforge.detector import TrainConfig, fit_bbox_regressor, lsvm_update
 from boxforge.featmap import pool_box_feature
 from boxforge.geometry import BBox, iou, nms
@@ -346,7 +342,7 @@ class TestReports:
 
     def test_mine_report_counts_proposals_and_pairs(self, synth_dir, tmp_path):
         report = pipeline.run_mine(synth_dir / "manifest.json", tmp_path / "m", PipelineConfig())
-        by_image = dataio.read_proposals(synth_dir / "proposals.jsonl")
+        by_image = dataio.read_proposals(dataio.load_manifest(synth_dir / "manifest.json"))
         sizes = [len(props) for props in by_image.values()]
         total = sum(sizes)
         assert report["n_proposals"] == total == report["n_clusters"]
@@ -461,14 +457,16 @@ class TestEachIntermediateOnce:
 
 def per_proposal_images(manifest):
     """image_id -> (label, [(prop_id, box, feature)]): proposals as the
-    per-proposal stage code held them, parsed row by row."""
+    per-proposal stage code held them, parsed and pooled row by row."""
     images = {}
     for row in dataio.read_jsonl(manifest.path("proposals")):
         label, props = images.setdefault(row["image_id"], (row["label"], []))
+        box = BBox.from_list(row["box"])
+        fmap = manifest.load_image_fmap(row["image_id"])
         props.append((
             f"{row['image_id']}#{len(props)}",
-            BBox.from_list(row["box"]),
-            np.asarray(row["feature"], dtype=np.float64),
+            box,
+            pool_box_feature(fmap, box, manifest.cell_stride),
         ))
     return {image_id: images[image_id] for image_id in sorted(images)}
 
@@ -638,10 +636,11 @@ class TestMalformedJson:
     @pytest.mark.parametrize("command,name,key,value,where", [
         ("mine", "proposals.jsonl", "box", [0, 0, "x", 4], "proposals.jsonl line 3"),
         ("mine", "proposals.jsonl", "box", [4, 0, 0, 4], "proposals.jsonl line 3"),
-        ("mine", "proposals.jsonl", "feature", ["x"] * 16, "proposals.jsonl line 3"),
+        ("mine", "manifest.json", "cell_stride", True, "manifest.json"),
         ("mine", "manifest.json", "size", ["wide", 16], "manifest.json"),
         ("match", pipeline.SELECTIONS, "frame_idx", "x", "selections.jsonl line 1"),
         ("train", pipeline.PSEUDO_GT, "vote", "high", "pseudo_gt.jsonl line 1"),
+        ("mine", "manifest.json", "size", [True, 16], "manifest.json"),
     ])
     def test_wrong_type_field_is_a_config_error(
         self, synth_dir, tmp_path, capsys, command, name, key, value, where
@@ -662,7 +661,7 @@ class TestMalformedJson:
         }])
         if name == "manifest.json":
             doc = json.loads((data / name).read_text())
-            doc["images"][0][key] = value
+            (doc if key in doc else doc["images"][0])[key] = value
             (data / name).write_text(json.dumps(doc))
         else:
             path = data / name if name == "proposals.jsonl" else out / name
@@ -696,12 +695,24 @@ class TestMalformedJson:
         (dataio.read_selections,
          '{"video_id": "v", "frame_idx": 1, "track_id": true, "box": [0, 0, 1, 1], "score": 1}',
          "line 1: bad value for key 'track_id'"),
+        (dataio.read_selections,
+         '{"video_id": "v", "frame_idx": 1, "track_id": 0, "box": [0, 0, 1, 1], "score": true}',
+         "line 1: bad value for key 'score'"),
+        (dataio.read_pseudo_gts,
+         '{"image_id": "a", "box": [0, 0, 1, 1], "vote": "1.5", "support": 1, "updated": false}',
+         "line 1: bad value for key 'vote'"),
     ])
     def test_readers_name_file_line_and_key(self, tmp_path, reader, text, message):
         path = tmp_path / "rows.jsonl"
         path.write_text(text + "\n")
         with pytest.raises(ConfigInvalidError, match=f"rows.jsonl {message}"):
             reader(path)
+
+    def test_model_bias_refuses_a_numeric_string(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text('{"weights": [1.0], "bias": "0.5"}')
+        with pytest.raises(ConfigInvalidError, match="model.json: bad value for key 'bias'"):
+            dataio.read_model(path)
 
     def test_line_numbers_count_blank_lines(self, tmp_path):
         path = tmp_path / "rows.jsonl"
@@ -710,42 +721,36 @@ class TestMalformedJson:
             dataio.read_jsonl(path)
 
 
-class TestProposalValidation:
-    @staticmethod
-    def write(path, features):
-        dataio.write_jsonl(
-            path,
-            (
-                {"image_id": f"im{i // 2}", "label": "pos", "box": [0, 0, 4, 4], "feature": f}
-                for i, f in enumerate(features)
-            ),
-        )
+class TestProposalDescriptors:
+    """Every proposal descriptor is pooled from its image's FMAP; a
+    ``feature`` key in ``proposals.jsonl`` is not read."""
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
-    def test_non_finite_feature_refused_naming_row(self, tmp_path, bad):
-        path = tmp_path / "proposals.jsonl"
-        self.write(path, [[1.0, 0.0], [0.0, 1.0], [1.0, bad]])
-        with pytest.raises(ConfigInvalidError, match=r"row 3 \(image im1\)"):
-            dataio.read_proposals(path)
+    def test_descriptors_are_pooled_from_the_fmap(self, synth_dir):
+        ds = dataio.open_dataset(synth_dir / "manifest.json")
+        manifest = ds.manifest
+        assert len(ds.images) == len(manifest.images)
+        for image_id, image in ds.images.items():
+            fmap = manifest.load_image_fmap(image_id)
+            want = np.stack(
+                [pool_box_feature(fmap, box, manifest.cell_stride) for box in image.boxes]
+            )
+            assert image.features.dtype == want.dtype and np.array_equal(image.features, want)
 
-    def test_feature_length_mismatch_refused_naming_row(self, tmp_path):
-        path = tmp_path / "proposals.jsonl"
-        self.write(path, [[1.0, 0.0], [0.0, 1.0, 2.0], [1.0, 1.0]])
-        with pytest.raises(DimensionMismatchError, match=r"row 2 \(image im0\).*length 3.*has 2"):
-            dataio.read_proposals(path)
-
-    def test_mine_cli_reports_bad_proposals(self, synth_dir, tmp_path, capsys):
+    def test_feature_column_changes_no_output(self, synth_dir, tmp_path):
         data = tmp_path / "data"
-        data.mkdir()
-        for name in ("manifest.json", "proposals.jsonl"):
-            (data / name).write_bytes((synth_dir / name).read_bytes())
+        shutil.copytree(synth_dir, data)
         rows = dataio.read_jsonl(data / "proposals.jsonl")
-        rows[4]["feature"][0] = float("nan")
+        for n, row in enumerate(rows):
+            row["feature"] = [float("nan")] + [0.5] * (n % 3)
         dataio.write_jsonl(data / "proposals.jsonl", rows)
-        assert run_cli("mine", "--manifest", data / "manifest.json", "--out", tmp_path / "o") != 0
-        err = json.loads(capsys.readouterr().err.strip())
-        assert err["error"] == "ConfigInvalidError"
-        assert "row 5" in err["message"]
+        assert "NaN" in (data / "proposals.jsonl").read_text()
+        for root, out in ((synth_dir, tmp_path / "plain"), (data, tmp_path / "with_column")):
+            assert run_cli("pipeline", "--manifest", root / "manifest.json", "--out", out,
+                           "--seed", 0, "--target-cells", 30, "--frame-stride", 1,
+                           "--bandwidth", 2.0) == 0
+        # the pipeline report holds only the bandwidth and the run time
+        (tmp_path / "with_column" / "reports" / "pipeline.json").unlink()
+        assert_same_outputs(tmp_path / "with_column", tmp_path / "plain")
 
 
 class TestImageLabels:
@@ -954,14 +959,9 @@ class TestManifest:
 class TestRegressFallbacks:
     @pytest.fixture()
     def regress_inputs(self, tmp_path):
-        """A dataset whose proposal features are one entry longer than the
-        pooled box features, plus pseudo GT and detections on its GT boxes."""
+        """A dataset plus pseudo GT and detections on its GT boxes."""
         data = tmp_path / "data"
         gen_dataset(SynthConfig(seed=0, n_videos=1, frames_per_video=2), data)
-        rows = dataio.read_jsonl(data / "proposals.jsonl")
-        for row in rows:
-            row["feature"].append(0.0)
-        dataio.write_jsonl(data / "proposals.jsonl", rows)
         gt = dataio.read_gt(data / "gt.jsonl")["obj"]
         gts = [
             PseudoGT(image_id=image_id, box=boxes[0], vote=30.0, support=30)
@@ -972,13 +972,6 @@ class TestRegressFallbacks:
             tmp_path / "det.jsonl", [(g.image_id, g.box, 1.0) for g in gts]
         )
         return data / "manifest.json", tmp_path / "pgt.jsonl", tmp_path / "det.jsonl", gts
-
-    def test_dimension_mismatch_counted_as_fallback(self, regress_inputs, tmp_path):
-        manifest, pgt, det, gts = regress_inputs
-        report = pipeline.run_regress(manifest, pgt, det, tmp_path / "out", PipelineConfig())
-        assert report["n_regressor_fallbacks"] == len(gts) > 0
-        refined = dataio.read_detections(tmp_path / "out" / pipeline.DETECTIONS_BBOXREG)
-        assert [box for _, box, _ in refined] == [g.box for g in gts]
 
     def test_unrelated_error_propagates(self, regress_inputs, tmp_path, monkeypatch):
         manifest, pgt, det, _ = regress_inputs

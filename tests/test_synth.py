@@ -97,7 +97,7 @@ class TestStructure:
     def test_proposal_counts_and_planted_box_present(self, dataset):
         root, truth = dataset
         cfg = SynthConfig(seed=3)
-        by_image = dataio.read_proposals(root / "proposals.jsonl")
+        by_image = dataio.read_proposals(dataio.load_manifest(root / "manifest.json"))
         for image_id, props in by_image.items():
             assert len(props) == cfg.proposals_per_image
         for image_id, boxes in truth.gt_boxes.items():
@@ -148,7 +148,7 @@ def test_noiseless_identity_match(tmp_path):
 
 def test_rank_one_cluster_is_dominated_by_positives(tmp_path):
     gen_dataset(SynthConfig(seed=0), tmp_path)
-    by_image = dataio.read_proposals(tmp_path / "proposals.jsonl")
+    by_image = dataio.read_proposals(dataio.load_manifest(tmp_path / "manifest.json"))
     kept = dedup_clusters(rank_clusters(build_clusters(by_image, 4)))
     top = kept[0]
     assert top.positive_count / top.size >= 0.9
@@ -156,7 +156,7 @@ def test_rank_one_cluster_is_dominated_by_positives(tmp_path):
 
 def test_rank_one_cluster_members_localize_planted_boxes(tmp_path):
     truth = gen_dataset(SynthConfig(seed=0), tmp_path)
-    by_image = dataio.read_proposals(tmp_path / "proposals.jsonl")
+    by_image = dataio.read_proposals(dataio.load_manifest(tmp_path / "manifest.json"))
     kept = dedup_clusters(rank_clusters(build_clusters(by_image, 4)))
     regions = kept[0].all_regions()
     hits = sum(

@@ -1,12 +1,13 @@
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from boxforge import voting
-from boxforge.errors import ConfigInvalidError, DegenerateBoxError, NoPointsError
+from boxforge import atomic, voting
+from boxforge.errors import ConfigInvalidError, DegenerateBoxError, IoFailureError, NoPointsError
 from boxforge.geometry import BBox, clip_box
 from boxforge.voting import (
     EPANECHNIKOV,
@@ -490,6 +491,20 @@ class TestExportHeatmap:
     def test_accepts_bbox_list(self, tmp_path):
         counts = export_heatmap([BBox(0, 0, 2, 2)], (4, 4), tmp_path / "b.pgm")
         assert counts.sum() == 4
+
+    def test_refused_rename_keeps_earlier_pgm(self, tmp_path, monkeypatch):
+        path = tmp_path / "h.pgm"
+        export_heatmap(np.array([[0, 0, 8, 6]]), (8, 6), path)
+        before = path.read_bytes()
+
+        def refused(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(atomic.os, "replace", refused)
+        with pytest.raises(IoFailureError, match="failed to write heatmap"):
+            export_heatmap(np.zeros((0, 4)), (8, 6), path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["h.pgm"]
 
 
 def heatmap_oracle(arr, width, height):
