@@ -40,16 +40,17 @@ def main():
     truth = gen_multi_instance_case(SynthConfig(seed=args.seed), data)
     manifest = str(data / "manifest.json")
     cfg = PipelineConfig(
-        frame_stride=1, target_cells=30, n_matches=20,
+        out_dir=str(out), frame_stride=1, target_cells=30, n_matches=20,
         bandwidth_grid=tuple(args.grid), seed=args.seed + 1000,
     )
 
-    run_mine(manifest, out, cfg)
-    run_select_tracks(manifest, out / "regions.jsonl", out, cfg)
-    run_match(manifest, out / "regions.jsonl", out / "selections.jsonl", out, cfg)
+    ds = dataio.open_dataset(manifest)
+    run_mine(ds, cfg)
+    run_select_tracks(ds, cfg)
+    run_match(ds, cfg)
 
     def describe(bandwidth):
-        run_vote(manifest, out / "transfers.jsonl", out, cfg, bandwidth=bandwidth)
+        run_vote(ds, cfg, bandwidth=bandwidth)
         pgts = dataio.read_pseudo_gts(out / "pseudo_gt.jsonl")
         print(f"\nbandwidth b = {bandwidth}")
         merged = 0
@@ -62,9 +63,7 @@ def main():
 
     describe(args.oversized)
 
-    cv = run_cv_bandwidth(
-        manifest, out / "transfers.jsonl", out / "selections.jsonl", out, cfg
-    ).report
+    cv = run_cv_bandwidth(ds, cfg).report
     print(f"\ncross-validation over {args.grid}: AP per b = {cv['ap_per_b']}")
     print(f"selected b = {cv['best_b']}")
     describe(cv["best_b"])

@@ -42,7 +42,7 @@ def main():
         bandwidth=args.bandwidth,
         seed=args.seed + 1000,
     )
-    doc = run_pipeline(cfg, heatmap_dir=out / "heatmaps")
+    doc = run_pipeline(cfg, heatmaps=out / "heatmaps")
 
     mined = dataio.read_regions(out / "regions.jsonl")
     baseline = {img: r.box for img, r in best_region_per_image(mined).items()}

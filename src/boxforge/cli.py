@@ -3,6 +3,11 @@
 Exit code 0 on success; on failure a machine-readable JSON error object is
 printed to stderr and the exit code is nonzero.  ``BOXFORGE_LOG`` selects
 the log level (DEBUG, INFO, WARNING, ...).
+
+:data:`COMMANDS` has one row per stage subcommand: the pipeline function it
+runs, whether ``--seed`` is required, and the flags it passes to the stage
+by keyword, its input artifacts and ``--tag``/``--heatmaps``.  An artifact
+flag left unset is the default file the stage reads under ``--out``.
 """
 
 from __future__ import annotations
@@ -14,9 +19,11 @@ import logging
 import os
 import sys
 from pathlib import Path
+from typing import NamedTuple, Optional
 
 from . import pipeline
 from .config import SETTINGS, PipelineConfig, build_config
+from .dataio import open_dataset
 from .errors import BoxforgeError
 from .synth import SynthConfig, gen_dataset
 
@@ -43,6 +50,53 @@ def _config_from_args(args) -> PipelineConfig:
     return build_config(args.config, {s.field: getattr(args, s.field) for s in SETTINGS})
 
 
+class Flag(NamedTuple):
+    flag: str
+    dest: str  # the stage's keyword argument
+    help: Optional[str] = None
+
+
+class Command(NamedTuple):
+    name: str  # subcommand
+    stage: str  # the pipeline function it runs, looked up when it runs
+    need_seed: bool = False
+    flags: tuple[Flag, ...] = ()  # the stage's input artifacts and options
+
+
+_REGIONS = Flag("--regions", "regions", "regions.jsonl (default: <out>/regions.jsonl)")
+_SELECTIONS = Flag("--selections", "selections", "selections.jsonl")
+_TRANSFERS = Flag("--transfers", "transfers", "transfers.jsonl")
+_PSEUDO_GT = Flag("--pseudo-gt", "pseudo_gt", "pseudo_gt.jsonl")
+_HEATMAPS = Flag("--heatmaps", "heatmaps", "directory for vote heatmap PGMs")
+
+COMMANDS = (
+    Command("mine", "run_mine"),
+    Command("select-tracks", "run_select_tracks", flags=(_REGIONS,)),
+    Command("match", "run_match", flags=(_REGIONS, _SELECTIONS)),
+    Command("vote", "run_vote", flags=(_TRANSFERS, _HEATMAPS)),
+    Command("train", "run_train", need_seed=True, flags=(
+        _PSEUDO_GT, Flag("--tag", "tag", "artifact name suffix"),
+    )),
+    Command("update", "run_update", flags=(
+        _PSEUDO_GT,
+        Flag("--model", "model", f"model json (default: <out>/{pipeline.MODEL_INITIAL})"),
+    )),
+    Command("regress", "run_regress", flags=(
+        _PSEUDO_GT, Flag("--detections", "detections", "detections to refine"),
+    )),
+    Command("eval", "run_eval", flags=(
+        Flag("--initial-pseudo-gt", "initial_pgt"),
+        Flag("--updated-pseudo-gt", "updated_pgt"),
+        Flag("--detections", "det_initial"),
+        Flag("--detections-updated", "det_updated"),
+        Flag("--detections-bboxreg", "det_bboxreg"),
+    )),
+    Command("cv-bandwidth", "run_cv_bandwidth", need_seed=True, flags=(_SELECTIONS, _TRANSFERS)),
+    Command("pipeline", "run_pipeline", need_seed=True, flags=(_HEATMAPS,)),
+)
+_BY_NAME = {c.name: c for c in COMMANDS}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="boxforge",
@@ -59,47 +113,12 @@ def build_parser() -> argparse.ArgumentParser:
             required=f.name == "seed",
         )
 
-    for name, need_seed in (
-        ("mine", False), ("select-tracks", False), ("match", False),
-        ("vote", False), ("train", True), ("update", False), ("regress", False),
-        ("eval", False), ("cv-bandwidth", True), ("pipeline", True),
-    ):
-        p = sub.add_parser(name, help=f"run the {name} stage")
-        _add_config_flags(p, need_seed=need_seed)
-        if name in ("select-tracks", "match"):
-            p.add_argument("--regions", help="regions.jsonl (default: <out>/regions.jsonl)")
-        if name in ("match", "cv-bandwidth"):
-            p.add_argument("--selections", help="selections.jsonl")
-        if name in ("vote", "cv-bandwidth"):
-            p.add_argument("--transfers", help="transfers.jsonl")
-        if name in ("train", "update", "regress"):
-            p.add_argument("--pseudo-gt", dest="pseudo_gt", help="pseudo_gt.jsonl")
-        if name == "train":
-            p.add_argument("--tag", default="initial", help="artifact name suffix")
-        if name == "update":
-            p.add_argument("--model", help=f"model json (default: <out>/{pipeline.MODEL_INITIAL})")
-        if name == "regress":
-            p.add_argument("--detections", help="detections to refine")
-        if name == "eval":
-            p.add_argument("--initial-pseudo-gt", dest="initial_pgt")
-            p.add_argument("--updated-pseudo-gt", dest="updated_pgt")
-            p.add_argument("--detections", dest="det_initial")
-            p.add_argument("--detections-updated", dest="det_updated")
-            p.add_argument("--detections-bboxreg", dest="det_bboxreg")
-        if name in ("vote", "pipeline"):
-            p.add_argument("--heatmaps", help="directory for vote heatmap PGMs")
+    for command in COMMANDS:
+        p = sub.add_parser(command.name, help=f"run the {command.name} stage")
+        _add_config_flags(p, need_seed=command.need_seed)
+        for flag in command.flags:
+            p.add_argument(flag.flag, dest=flag.dest, help=flag.help)
     return parser
-
-
-def _out(cfg) -> Path:
-    if cfg.out_dir is None:
-        raise BoxforgeError("--out is required")
-    return Path(cfg.out_dir)
-
-
-def _default(args, attr: str, cfg, filename: str) -> str:
-    value = getattr(args, attr, None)
-    return value if value else str(_out(cfg) / filename)
 
 
 def run_command(args) -> int:
@@ -110,72 +129,21 @@ def run_command(args) -> int:
         return 0
 
     cfg = _config_from_args(args)
-    if args.command == "pipeline":
-        doc = pipeline.run_pipeline(cfg, heatmap_dir=args.heatmaps)
+    command = _BY_NAME[args.command]
+    given = {f.dest: v for f in command.flags if (v := getattr(args, f.dest)) is not None}
+    stage = getattr(pipeline, command.stage)
+    if command.name == "pipeline":
+        doc = stage(cfg, **given)
         print(json.dumps({"mean_corloc": doc["mean_corloc"], "map": doc["map"]}))
         return 0
     if cfg.manifest is None:
         raise BoxforgeError("--manifest is required")
-    out = _out(cfg)
-
-    if args.command == "mine":
-        report = pipeline.run_mine(cfg.manifest, out, cfg)
-    elif args.command == "select-tracks":
-        report = pipeline.run_select_tracks(
-            cfg.manifest, _default(args, "regions", cfg, pipeline.REGIONS), out, cfg
-        )
-    elif args.command == "match":
-        report = pipeline.run_match(
-            cfg.manifest,
-            _default(args, "regions", cfg, pipeline.REGIONS),
-            _default(args, "selections", cfg, pipeline.SELECTIONS),
-            out, cfg,
-        )
-    elif args.command == "vote":
-        report = pipeline.run_vote(
-            cfg.manifest, _default(args, "transfers", cfg, pipeline.TRANSFERS), out, cfg,
-            heatmap_dir=args.heatmaps,
-        )
-    elif args.command == "train":
-        report = pipeline.run_train(
-            cfg.manifest, _default(args, "pseudo_gt", cfg, pipeline.PSEUDO_GT), out, cfg,
-            tag=args.tag,
-        )
-    elif args.command == "update":
-        report = pipeline.run_update(
-            cfg.manifest,
-            _default(args, "model", cfg, pipeline.MODEL_INITIAL),
-            _default(args, "pseudo_gt", cfg, pipeline.PSEUDO_GT),
-            out, cfg,
-        )
-    elif args.command == "regress":
-        report = pipeline.run_regress(
-            cfg.manifest,
-            _default(args, "pseudo_gt", cfg, pipeline.PSEUDO_GT_UPDATED),
-            _default(args, "detections", cfg, pipeline.DETECTIONS_UPDATED),
-            out, cfg,
-        )
-    elif args.command == "eval":
-        report = pipeline.run_eval(
-            cfg.manifest, out,
-            initial_pgt_path=_default(args, "initial_pgt", cfg, pipeline.PSEUDO_GT),
-            updated_pgt_path=getattr(args, "updated_pgt", None),
-            detections_paths={
-                "initial": _default(args, "det_initial", cfg, pipeline.DETECTIONS_INITIAL),
-                "updated": _default(args, "det_updated", cfg, pipeline.DETECTIONS_UPDATED),
-                "updated_bboxreg": _default(args, "det_bboxreg", cfg, pipeline.DETECTIONS_BBOXREG),
-            },
-        )
-    elif args.command == "cv-bandwidth":
-        report = pipeline.run_cv_bandwidth(
-            cfg.manifest,
-            _default(args, "transfers", cfg, pipeline.TRANSFERS),
-            _default(args, "selections", cfg, pipeline.SELECTIONS),
-            out, cfg,
-        ).report
-    else:  # pragma: no cover - argparse enforces choices
-        raise BoxforgeError(f"unknown command {args.command}")
-    print(json.dumps({k: v for k, v in report.items() if k != "elapsed_s"}))
+    if cfg.out_dir is None:
+        raise BoxforgeError("--out is required")
+    result = stage(open_dataset(cfg.manifest), cfg, **given)
+    if isinstance(result, pipeline.CrossValidation):
+        result = result.report
+    print(json.dumps({k: v for k, v in result.items() if k != "elapsed_s"}))
     return 0
 
 

@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence, TextIO
+from typing import Callable, Iterable, Mapping, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -154,7 +154,12 @@ class VideoEntry:
 
 @dataclass(frozen=True)
 class Manifest:
-    """Parsed manifest.json: the dataset's table of contents."""
+    """Parsed manifest.json: the dataset's table of contents.
+
+    Every feature map it reads must have the channel count of the first one
+    it read; a map with another count is refused with
+    :class:`ConfigInvalidError` naming both files.
+    """
 
     root: Path
     cell_stride: float
@@ -164,6 +169,9 @@ class Manifest:
     files: dict[str, str]
     _images_by_id: dict[str, ImageEntry] = field(init=False, repr=False, compare=False)
     _videos_by_id: dict[str, VideoEntry] = field(init=False, repr=False, compare=False)
+    _first_fmap: Optional[tuple[Path, int]] = field(
+        default=None, init=False, repr=False, compare=False
+    )  # (path, channels) of the first map read
 
     def __post_init__(self):
         object.__setattr__(self, "_images_by_id", _index(self.images, "image_id", "image"))
@@ -180,15 +188,27 @@ class Manifest:
             raise MissingInputError(f"manifest lists no {key!r} file")
         return self.root / self.files[key]
 
+    def _read_fmap(self, relpath: Path) -> FeatureMap:
+        path = self.root / relpath
+        fmap = read_fmap(path)
+        if self._first_fmap is None:
+            object.__setattr__(self, "_first_fmap", (path, fmap.channels))
+        first, channels = self._first_fmap
+        if fmap.channels != channels:
+            raise ConfigInvalidError(
+                f"{path}: {fmap.channels} channels, but {first} has {channels}"
+            )
+        return fmap
+
     def load_image_fmap(self, image_id: str) -> FeatureMap:
-        return read_fmap(self.root / self.image(image_id).fmap_path)
+        return self._read_fmap(self.image(image_id).fmap_path)
 
     def load_video_pyramids(self, video_id: str) -> list[FeaturePyramid]:
         entry = self._videos_by_id.get(video_id)
         if entry is None:
             raise MissingInputError(f"video {video_id} not in manifest")
         return [
-            single_level_pyramid(read_fmap(self.root / p), self.cell_stride)
+            single_level_pyramid(self._read_fmap(p), self.cell_stride)
             for p in entry.frame_paths
         ]
 
@@ -235,8 +255,12 @@ class Dataset:
     their pooled descriptors) and tracks, each read on first use and then
     kept for every later stage.
 
-    Feature maps are read on demand and never kept, since at full scale
-    they outgrow memory.
+    Feature maps are not kept: :func:`read_proposals` reads each image's map
+    once to pool its proposals, and a stage that needs a map again (query
+    windows, pseudo-GT and detection descriptors, video frames) reads it
+    from disk.  Keeping them would not outgrow memory: an image's kept
+    descriptors take 16·N·C bytes (N proposals, 2·C float64 each) against
+    4·H·W·C for its map.
     """
 
     def __init__(self, manifest: Manifest):

@@ -30,7 +30,8 @@ class ImageProposals:
     """One image's label and its proposals in file order: boxes, their
     corner rows and their float64 descriptor rows (pooled from the image's
     feature map).  This is the one in-memory form of ``proposals.jsonl``,
-    read by mining, training, the latent update and box regression alike."""
+    read by mining, training, the latent update and box regression alike;
+    cross-validation holds each scored video frame's boxes in it too."""
 
     label: str
     boxes: tuple[BBox, ...]

@@ -1,20 +1,22 @@
 """File-driven pipeline stages behind the CLI subcommands.
 
-Every stage reads its inputs from disk, writes its outputs plus a stage
-report under ``<out>/reports/``, and is deterministic for fixed inputs and
-seed.  ``run_pipeline`` chains the stages in order, so running them
-individually produces the same artifacts.
+Every stage has one calling shape, ``run_x(ds, cfg, *, <artifact>=None,
+<hand-off>=None)``.  It reads the open :class:`~boxforge.dataio.Dataset`
+``ds`` and every setting from the run's
+:class:`~boxforge.config.PipelineConfig` ``cfg``, and writes its outputs plus
+a stage report under ``cfg.out_dir`` (reports in ``<out>/reports/``).  An
+input artifact left unset is the file the stage before it wrote there: for
+example ``run_regress`` reads ``pseudo_gt_updated.jsonl`` and
+``detections_updated.jsonl``.  Stages are deterministic for fixed inputs and
+seed.
 
-A stage takes either a manifest path, which it opens, or a
-:class:`~boxforge.dataio.Dataset` already open: ``run_pipeline`` opens the
-dataset once and hands it to every stage, so the manifest, proposals and
-tracks are parsed once per run.  It also hands cross-validation's winning
-pseudo GT and detector to the vote and initial train stages, which write
-them rather than computing them again.
-
-Every setting a stage reads comes from the run's
-:class:`~boxforge.config.PipelineConfig`; its other arguments are artifact
-paths and those hand-offs.
+``run_pipeline`` opens the dataset once and chains the stages in order, so
+the manifest, proposals and tracks are parsed once per run and running the
+stages one by one writes the same artifacts.  It passes only what differs
+from the defaults: the updated pseudo GT that the updated train and eval
+read, the updated model and pseudo GT that each update round after the
+first reads, and cross-validation's winning pseudo GT and detector, which
+the vote and initial train stages write rather than computing them again.
 """
 
 from __future__ import annotations
@@ -42,10 +44,11 @@ from .detector import (
 )
 from .errors import ConfigInvalidError, EmptyPoolError, MissingInputError
 from .featmap import build_query_window, pool_box_feature
-from .geometry import BBox, clip_box, nms
+from .geometry import BBox, box_array, clip_box, nms
 from .metrics import aggregate, average_precision, corloc, error_histogram
 from .mining import (
     POSITIVE,
+    ImageProposals,
     build_clusters,
     dedup_clusters,
     rank_clusters,
@@ -74,18 +77,30 @@ METRICS = "metrics.json"
 BANDWIDTH_REPORT = "bandwidth_report.json"
 
 
-def _open(dataset: dataio.Dataset | str | Path) -> dataio.Dataset:
-    """The dataset itself, or the one its manifest path names, opened."""
-    if isinstance(dataset, dataio.Dataset):
-        return dataset
-    return dataio.open_dataset(dataset)
+class _Stage:
+    """One stage's run: its output directory ``cfg.out_dir``, created on
+    entry, and its clock."""
 
+    def __init__(self, cfg: PipelineConfig, name: str):
+        if cfg.out_dir is None:
+            raise MissingInputError(f"{name} needs out_dir")
+        self.t0 = time.perf_counter()
+        self.name = name
+        self.out = Path(cfg.out_dir)
+        self.out.mkdir(parents=True, exist_ok=True)
 
-def _write_report(out_dir: Path, stage: str, report: dict) -> dict:
-    reports = out_dir / "reports"
-    reports.mkdir(parents=True, exist_ok=True)
-    dataio.dump_json(report, reports / f"{stage}.json")
-    return report
+    def input(self, path: Optional[str | Path], default: str) -> Path:
+        """``path``, or when it is unset the file ``default`` in the output
+        directory."""
+        return Path(path) if path else self.out / default
+
+    def report(self, fields: dict) -> dict:
+        """``fields`` and the elapsed time, written as ``reports/<name>.json``."""
+        report = {**fields, "elapsed_s": time.perf_counter() - self.t0}
+        reports = self.out / "reports"
+        reports.mkdir(exist_ok=True)
+        dataio.dump_json(report, reports / f"{self.name}.json")
+        return report
 
 
 def _default_k(labels: dict[str, str]) -> int:
@@ -93,16 +108,10 @@ def _default_k(labels: dict[str, str]) -> int:
     return -(-n_pos // 2)
 
 
-def run_mine(
-    dataset: dataio.Dataset | str | Path,
-    out_dir: str | Path,
-    cfg: PipelineConfig,
-) -> dict:
+def run_mine(ds: dataio.Dataset, cfg: PipelineConfig) -> dict:
     """Cluster, rank, dedup, and select the mined positive region set."""
-    t0 = time.perf_counter()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    images = _open(dataset).images
+    stage = _Stage(cfg, "mine")
+    images = ds.images
     labels = {image_id: image.label for image_id, image in images.items()}
     k = _default_k(labels) if cfg.k is None else cfg.k
     sizes = [len(image) for image in images.values()]
@@ -111,22 +120,17 @@ def run_mine(
     ranked = rank_clusters(clusters)
     deduped = dedup_clusters(ranked)
     mined = select_positive_regions(deduped, labels, top_c=cfg.top_clusters)
-    dataio.write_regions(out / REGIONS, mined)
-    return _write_report(
-        out,
-        "mine",
-        {
-            "stage": "mine",
-            "k": k,
-            "n_proposals": n_proposals,
-            # ordered (seed, candidate) pairs from different images
-            "n_proposal_pairs": sum(n * (n_proposals - n) for n in sizes),
-            "n_clusters": len(clusters),
-            "n_kept_clusters": len(deduped),
-            "n_regions": len(mined.regions),
-            "elapsed_s": time.perf_counter() - t0,
-        },
-    )
+    dataio.write_regions(stage.out / REGIONS, mined)
+    return stage.report({
+        "stage": "mine",
+        "k": k,
+        "n_proposals": n_proposals,
+        # ordered (seed, candidate) pairs from different images
+        "n_proposal_pairs": sum(n * (n_proposals - n) for n in sizes),
+        "n_clusters": len(clusters),
+        "n_kept_clusters": len(deduped),
+        "n_regions": len(mined.regions),
+    })
 
 
 def _load_region_queries(manifest, regions, target_cells):
@@ -155,17 +159,11 @@ def _load_videos(manifest):
 
 
 def run_select_tracks(
-    dataset: dataio.Dataset | str | Path,
-    regions_path: str | Path,
-    out_dir: str | Path,
-    cfg: PipelineConfig,
+    ds: dataio.Dataset, cfg: PipelineConfig, *, regions: Optional[str | Path] = None
 ) -> dict:
     """Pick the best-supported candidate track box in every sampled frame."""
-    t0 = time.perf_counter()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    ds = _open(dataset)
-    mined = dataio.read_regions(regions_path)
+    stage = _Stage(cfg, "select_tracks")
+    mined = dataio.read_regions(stage.input(regions, REGIONS))
     queries = _load_region_queries(ds.manifest, mined.regions, cfg.target_cells)
     videos = _load_videos(ds.manifest)
     tracks_by_video = ds.tracks
@@ -190,33 +188,26 @@ def run_select_tracks(
             )
             if sel is not None:
                 selections.append(sel)
-    dataio.write_selections(out / SELECTIONS, selections)
-    return _write_report(
-        out,
-        "select_tracks",
-        {
-            "stage": "select_tracks",
-            "n_regions": len(region_order),
-            "n_selections": len(selections),
-            "elapsed_s": time.perf_counter() - t0,
-        },
-    )
+    dataio.write_selections(stage.out / SELECTIONS, selections)
+    return stage.report({
+        "stage": "select_tracks",
+        "n_regions": len(region_order),
+        "n_selections": len(selections),
+    })
 
 
 def run_match(
-    dataset: dataio.Dataset | str | Path,
-    regions_path: str | Path,
-    selections_path: str | Path,
-    out_dir: str | Path,
+    ds: dataio.Dataset,
     cfg: PipelineConfig,
+    *,
+    regions: Optional[str | Path] = None,
+    selections: Optional[str | Path] = None,
 ) -> dict:
     """Match every mined region into the videos and transfer track boxes back."""
-    t0 = time.perf_counter()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = _open(dataset).manifest
-    mined = dataio.read_regions(regions_path)
-    selections = dataio.read_selections(selections_path)
+    stage = _Stage(cfg, "match")
+    manifest = ds.manifest
+    mined = dataio.read_regions(stage.input(regions, REGIONS))
+    selected = dataio.read_selections(stage.input(selections, SELECTIONS))
     queries = _load_region_queries(manifest, mined.regions, cfg.target_cells)
     videos = _load_videos(manifest)
     region_boxes = {r.region_id: (r.image_id, r.box) for r in mined.regions}
@@ -231,22 +222,17 @@ def run_match(
     dropped_total = 0
     for matches in per_region:
         n_matches_total += len(matches)
-        emitted, dropped = retrieve_boxes(matches, region_boxes, selections)
+        emitted, dropped = retrieve_boxes(matches, region_boxes, selected)
         transfers.extend(emitted)
         dropped_total += dropped
-    dataio.write_transfers(out / TRANSFERS, transfers)
-    return _write_report(
-        out,
-        "match",
-        {
-            "stage": "match",
-            "n_regions": len(region_order),
-            "n_matches": n_matches_total,
-            "n_transfers": len(transfers),
-            "n_degenerate_dropped": dropped_total,
-            "elapsed_s": time.perf_counter() - t0,
-        },
-    )
+    dataio.write_transfers(stage.out / TRANSFERS, transfers)
+    return stage.report({
+        "stage": "match",
+        "n_regions": len(region_order),
+        "n_matches": n_matches_total,
+        "n_transfers": len(transfers),
+        "n_degenerate_dropped": dropped_total,
+    })
 
 
 def vote_pseudo_gts(
@@ -260,7 +246,7 @@ def vote_pseudo_gts(
     pseudo GT), for the images whose top mode passes ``cfg.theta``."""
     gts: dict[float, dict[str, PseudoGT]] = {b: {} for b in bandwidths}
     for image_id in sorted(boxes_by_image):
-        points = np.array([box.as_list() for box in boxes_by_image[image_id]], dtype=np.float64)
+        points = box_array(boxes_by_image[image_id])
         spaces = [VoteSpace(points=points, bandwidth=b, kernel=cfg.kernel) for b in gts]
         rankings = ranked_ascents(spaces[0].points, list(gts), cfg.kernel)
         size = manifest.image(image_id).size
@@ -274,15 +260,16 @@ def vote_pseudo_gts(
 
 
 def run_vote(
-    dataset: dataio.Dataset | str | Path,
-    transfers_path: str | Path,
-    out_dir: str | Path,
+    ds: dataio.Dataset,
     cfg: PipelineConfig,
+    *,
+    transfers: Optional[str | Path] = None,
+    heatmaps: Optional[str | Path] = None,
     bandwidth: Optional[float] = None,
-    heatmap_dir: Optional[str | Path] = None,
     pseudo_gts: Optional[dict[str, PseudoGT]] = None,
 ) -> dict:
-    """Mean-shift the per-image vote spaces into pseudo-GT boxes.
+    """Mean-shift the per-image vote spaces into pseudo-GT boxes, and write
+    one heatmap per image into the directory ``heatmaps`` when it is set.
 
     ``bandwidth`` is the one cross-validation chose; without it the vote
     uses ``cfg.bandwidth``.  ``pseudo_gts`` is this vote's result when the
@@ -293,35 +280,28 @@ def run_vote(
         bandwidth = cfg.bandwidth
     if bandwidth is None:
         raise ConfigInvalidError("vote needs a bandwidth: b in the config file or --bandwidth")
-    t0 = time.perf_counter()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = _open(dataset).manifest
-    boxes_by_image = dataio.read_transfer_boxes(transfers_path)
+    stage = _Stage(cfg, "vote")
+    manifest = ds.manifest
+    boxes_by_image = dataio.read_transfer_boxes(stage.input(transfers, TRANSFERS))
     if pseudo_gts is None:
         pseudo_gts = vote_pseudo_gts(manifest, boxes_by_image, [bandwidth], cfg)[bandwidth]
-    if heatmap_dir is not None:
-        hdir = Path(heatmap_dir)
+    if heatmaps is not None:
+        hdir = Path(heatmaps)
         hdir.mkdir(parents=True, exist_ok=True)
         for image_id in sorted(boxes_by_image):
             width, height = manifest.image(image_id).size
             export_heatmap(
                 boxes_by_image[image_id], (int(width), int(height)), hdir / f"{image_id}.pgm"
             )
-    dataio.write_pseudo_gts(out / PSEUDO_GT, [pseudo_gts[i] for i in sorted(pseudo_gts)])
-    return _write_report(
-        out,
-        "vote",
-        {
-            "stage": "vote",
-            "bandwidth": bandwidth,
-            "kernel": cfg.kernel,
-            "theta": cfg.theta,
-            "n_images_with_transfers": len(boxes_by_image),
-            "n_pseudo_gt": len(pseudo_gts),
-            "elapsed_s": time.perf_counter() - t0,
-        },
-    )
+    dataio.write_pseudo_gts(stage.out / PSEUDO_GT, [pseudo_gts[i] for i in sorted(pseudo_gts)])
+    return stage.report({
+        "stage": "vote",
+        "bandwidth": bandwidth,
+        "kernel": cfg.kernel,
+        "theta": cfg.theta,
+        "n_images_with_transfers": len(boxes_by_image),
+        "n_pseudo_gt": len(pseudo_gts),
+    })
 
 
 def _training_corpus(ds: dataio.Dataset, pseudo_gts):
@@ -370,6 +350,9 @@ def fit_detector(
 
 
 def _detect(images, model, nms_iou):
+    """``(key, box, score)`` for every box of every pool in ``images`` (key ->
+    :class:`ImageProposals`, of an image or a video frame) that the model
+    scores and NMS keeps, pool by pool in key order."""
     detections = []
     for image_id in sorted(images):
         image = images[image_id]
@@ -380,101 +363,85 @@ def _detect(images, model, nms_iou):
 
 
 def run_train(
-    dataset: dataio.Dataset | str | Path,
-    pseudo_gt_path: str | Path,
-    out_dir: str | Path,
+    ds: dataio.Dataset,
     cfg: PipelineConfig,
+    *,
+    pseudo_gt: Optional[str | Path] = None,
     tag: str = "initial",
     fit: Optional[DetectorFit] = None,
 ) -> dict:
-    """Train the linear detector on the pseudo GT and emit its detections.
+    """Train the linear detector on the pseudo GT and emit its detections,
+    both named with ``tag``.
 
     ``fit`` is this training's result when the caller already has it
     (cross-validation trained on the same pseudo GT with the same config);
     its model is written as is.
     """
-    t0 = time.perf_counter()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    ds = _open(dataset)
+    stage = _Stage(cfg, f"train_{tag}")
     if fit is None:
-        fit = fit_detector(ds, dataio.read_pseudo_gts(pseudo_gt_path), cfg.train_config())
-    dataio.write_model(out / f"model_{tag}.json", fit.model)
+        pgts = dataio.read_pseudo_gts(stage.input(pseudo_gt, PSEUDO_GT))
+        fit = fit_detector(ds, pgts, cfg.train_config())
+    dataio.write_model(stage.out / f"model_{tag}.json", fit.model)
     detections = _detect(ds.images, fit.model, cfg.nms_iou)
-    dataio.write_detections(out / f"detections_{tag}.jsonl", detections)
-    return _write_report(
-        out,
-        f"train_{tag}",
-        {
-            "stage": "train",
-            "tag": tag,
-            "n_train_examples": fit.n_examples,
-            "n_positives": fit.n_positives,
-            "n_detections": len(detections),
-            "seed": cfg.seed,
-            "elapsed_s": time.perf_counter() - t0,
-        },
-    )
+    dataio.write_detections(stage.out / f"detections_{tag}.jsonl", detections)
+    return stage.report({
+        "stage": "train",
+        "tag": tag,
+        "n_train_examples": fit.n_examples,
+        "n_positives": fit.n_positives,
+        "n_detections": len(detections),
+        "seed": cfg.seed,
+    })
 
 
 def run_update(
-    dataset: dataio.Dataset | str | Path,
-    model_path: str | Path,
-    pseudo_gt_path: str | Path,
-    out_dir: str | Path,
+    ds: dataio.Dataset,
     cfg: PipelineConfig,
+    *,
+    model: Optional[str | Path] = None,
+    pseudo_gt: Optional[str | Path] = None,
 ) -> dict:
     """Latent update: fill missing pseudo GTs, refine existing ones."""
-    t0 = time.perf_counter()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    ds = _open(dataset)
-    model = dataio.read_model(model_path)
-    before = dataio.read_pseudo_gts(pseudo_gt_path)
-    after = lsvm_update(model, ds.images, before, nms_iou=cfg.nms_iou)
-    dataio.write_pseudo_gts(out / PSEUDO_GT_UPDATED, [after[i] for i in sorted(after)])
-    return _write_report(
-        out,
-        "update",
-        {
-            "stage": "update",
-            "n_before": len(before),
-            "n_after": len(after),
-            "n_filled": len(after) - len(before),
-            "n_moved": sum(
-                1 for i, g in after.items() if i in before and g.box != before[i].box
-            ),
-            "elapsed_s": time.perf_counter() - t0,
-        },
-    )
+    stage = _Stage(cfg, "update")
+    detector = dataio.read_model(stage.input(model, MODEL_INITIAL))
+    before = dataio.read_pseudo_gts(stage.input(pseudo_gt, PSEUDO_GT))
+    after = lsvm_update(detector, ds.images, before, nms_iou=cfg.nms_iou)
+    dataio.write_pseudo_gts(stage.out / PSEUDO_GT_UPDATED, [after[i] for i in sorted(after)])
+    return stage.report({
+        "stage": "update",
+        "n_before": len(before),
+        "n_after": len(after),
+        "n_filled": len(after) - len(before),
+        "n_moved": sum(1 for i, g in after.items() if i in before and g.box != before[i].box),
+    })
 
 
 def run_regress(
-    dataset: dataio.Dataset | str | Path,
-    pseudo_gt_path: str | Path,
-    detections_path: str | Path,
-    out_dir: str | Path,
+    ds: dataio.Dataset,
     cfg: PipelineConfig,
+    *,
+    pseudo_gt: Optional[str | Path] = None,
+    detections: Optional[str | Path] = None,
 ) -> dict:
     """Fit the box regressor on well-overlapping proposals and refine
     detections; both are described by :func:`pool_box_feature` on the FMAP."""
-    t0 = time.perf_counter()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    ds = _open(dataset)
+    stage = _Stage(cfg, "regress")
     manifest = ds.manifest
     images = ds.images
-    pairs = regression_pairs(images, dataio.read_pseudo_gts(pseudo_gt_path))
+    pairs = regression_pairs(
+        images, dataio.read_pseudo_gts(stage.input(pseudo_gt, PSEUDO_GT_UPDATED))
+    )
     if pairs:
         regressor = fit_bbox_regressor(pairs, l2=cfg.regressor_l2)
     else:
         regressor = BoxRegressor.identity(next(iter(images.values())).features.shape[1])
-    dataio.write_regressor(out / REGRESSOR, regressor)
+    dataio.write_regressor(stage.out / REGRESSOR, regressor)
 
-    detections = dataio.read_detections(detections_path)
     fmap_cache = {}
     refined = []
-    for image_id, box, score in detections:
+    for image_id, box, score in dataio.read_detections(
+        stage.input(detections, DETECTIONS_UPDATED)
+    ):
         fmap = fmap_cache.get(image_id)
         if fmap is None:
             fmap = manifest.load_image_fmap(image_id)
@@ -484,17 +451,8 @@ def run_regress(
         entry = manifest.image(image_id)
         clipped = clip_box(new_box, entry.size[0], entry.size[1])
         refined.append((image_id, clipped if clipped is not None else box, score))
-    dataio.write_detections(out / DETECTIONS_BBOXREG, refined)
-    return _write_report(
-        out,
-        "regress",
-        {
-            "stage": "regress",
-            "n_pairs": len(pairs),
-            "n_detections": len(refined),
-            "elapsed_s": time.perf_counter() - t0,
-        },
-    )
+    dataio.write_detections(stage.out / DETECTIONS_BBOXREG, refined)
+    return stage.report({"stage": "regress", "n_pairs": len(pairs), "n_detections": len(refined)})
 
 
 def _category_gt(manifest, category):
@@ -509,29 +467,30 @@ def _pgt_boxes(pseudo_gts):
 
 
 def run_eval(
-    dataset: dataio.Dataset | str | Path,
-    out_dir: str | Path,
-    initial_pgt_path: Optional[str | Path] = None,
-    updated_pgt_path: Optional[str | Path] = None,
-    detections_paths: Optional[dict[str, str | Path]] = None,
+    ds: dataio.Dataset,
+    cfg: PipelineConfig,
+    *,
+    initial_pgt: Optional[str | Path] = None,
+    updated_pgt: Optional[str | Path] = None,
+    det_initial: Optional[str | Path] = None,
+    det_updated: Optional[str | Path] = None,
+    det_bboxreg: Optional[str | Path] = None,
 ) -> dict:
     """Compute CorLoc (both accountings), error cases, and AP into metrics.json.
 
     The top-level per-category block reflects the best available artifacts
     (updated pseudo GT over initial; regressed detections over plain); the
-    ``ablation`` block reports each provided variant separately.
+    ``ablation`` block reports each variant whose file exists separately.
+    The updated pseudo GT is read only when ``updated_pgt`` is given.
     """
-    t0 = time.perf_counter()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = _open(dataset).manifest
+    stage = _Stage(cfg, "eval")
+    manifest = ds.manifest
     category = manifest.categories[0]
     gt = _category_gt(manifest, category)
-    detections_paths = detections_paths or {}
 
     ablation = {}
     primary_pgt = None
-    for tag, path in (("initial", initial_pgt_path), ("updated", updated_pgt_path)):
+    for tag, path in (("initial", stage.input(initial_pgt, PSEUDO_GT)), ("updated", updated_pgt)):
         if path is None or not Path(path).exists():
             continue
         pgts = dataio.read_pseudo_gts(path)
@@ -547,9 +506,12 @@ def run_eval(
 
     primary_ap = 0.0
     primary_det_tag = None
-    for tag in ("initial", "updated", "updated_bboxreg"):
-        path = detections_paths.get(tag)
-        if path is None or not Path(path).exists():
+    for tag, path in (
+        ("initial", stage.input(det_initial, DETECTIONS_INITIAL)),
+        ("updated", stage.input(det_updated, DETECTIONS_UPDATED)),
+        ("updated_bboxreg", stage.input(det_bboxreg, DETECTIONS_BBOXREG)),
+    ):
+        if not path.exists():
             continue
         ap = average_precision(dataio.read_detections(path), gt)
         ablation.setdefault(tag, {})["ap"] = ap
@@ -568,15 +530,10 @@ def run_eval(
     doc = aggregate(per_category)
     doc["ablation"] = ablation
     doc["primary"] = {"pseudo_gt": tag, "detections": primary_det_tag}
-    dataio.dump_json(doc, out / METRICS)
-    report = {
-        "stage": "eval",
-        "category": category,
-        "mean_corloc": doc["mean_corloc"],
-        "map": doc["map"],
-        "elapsed_s": time.perf_counter() - t0,
-    }
-    _write_report(out, "eval", report)
+    dataio.dump_json(doc, stage.out / METRICS)
+    stage.report({
+        "stage": "eval", "category": category, "mean_corloc": doc["mean_corloc"], "map": doc["map"],
+    })
     return doc
 
 
@@ -590,14 +547,14 @@ def _half_box(box: BBox) -> BBox:
 
 def _video_frames(ds: dataio.Dataset, selections, frame_stride):
     """The sampled frames a detector is scored on, as ``(frames, gt)``:
-    ``(frame_key, boxes, pooled features)`` per frame, and each frame's
-    selected track box as (noisy) ground truth.
+    frame key -> the frame's boxes with their pooled features, and each
+    frame's selected track box as (noisy) ground truth.
 
     The per-frame proposal pool is the candidate track boxes plus a
     centered half-size sub-box of each, so a detector that never learned
     tightness ranks loose parts above the object and loses precision."""
     manifest = ds.manifest
-    frames = []
+    frames: dict[str, ImageProposals] = {}
     gt: dict[str, list[BBox]] = {}
     for entry in manifest.videos:
         pyramids = manifest.load_video_pyramids(entry.video_id)
@@ -614,23 +571,9 @@ def _video_frames(ds: dataio.Dataset, selections, frame_stride):
             fmap = pyramids[frame_idx].levels[0][1]
             boxes = [box for _, box in candidates]
             boxes.extend(_half_box(box) for _, box in candidates)
-            feats = np.stack(
-                [pool_box_feature(fmap, box, manifest.cell_stride) for box in boxes]
-            )
-            frames.append((frame_key, boxes, feats))
+            feats = [pool_box_feature(fmap, box, manifest.cell_stride) for box in boxes]
+            frames[frame_key] = ImageProposals.from_boxes(POSITIVE, boxes, feats)
     return frames, gt
-
-
-def _video_detection_ap(frames, gt, model, nms_iou) -> float:
-    """AP of the detector on the :func:`_video_frames` frames."""
-    if not gt:
-        return 0.0
-    detections = []
-    for frame_key, boxes, feats in frames:
-        scores = model.score(feats)
-        for i in nms(boxes, scores.tolist(), nms_iou):
-            detections.append((frame_key, boxes[i], float(scores[i])))
-    return average_precision(detections, gt)
 
 
 @dataclass(frozen=True)
@@ -658,11 +601,11 @@ class CrossValidation:
 
 
 def run_cv_bandwidth(
-    dataset: dataio.Dataset | str | Path,
-    transfers_path: str | Path,
-    selections_path: str | Path,
-    out_dir: str | Path,
+    ds: dataio.Dataset,
     cfg: PipelineConfig,
+    *,
+    selections: Optional[str | Path] = None,
+    transfers: Optional[str | Path] = None,
 ) -> CrossValidation:
     """Pick the ``cfg.bandwidth_grid`` bandwidth whose detector best recovers
     the selected tracks.
@@ -671,14 +614,11 @@ def run_cv_bandwidth(
     bandwidth's pseudo GT is what the vote stage would find, and it is
     trained on exactly as the train stage would.  The video frames the
     detectors are scored on are pooled once, when the first detector needs
-    them.
+    them, and detected on as the train stage detects on images.
     """
-    t0 = time.perf_counter()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    ds = _open(dataset)
-    boxes_by_image = dataio.read_transfer_boxes(transfers_path)
-    selections = dataio.read_selections(selections_path)
+    stage = _Stage(cfg, "cv_bandwidth")
+    boxes_by_image = dataio.read_transfer_boxes(stage.input(transfers, TRANSFERS))
+    selected = dataio.read_selections(stage.input(selections, SELECTIONS))
     train_config = cfg.train_config()
     trials: dict[float, BandwidthTrial] = {}
     voted = vote_pseudo_gts(ds.manifest, boxes_by_image, cfg.bandwidth_grid, cfg)
@@ -697,66 +637,42 @@ def run_cv_bandwidth(
         if fit is None:
             return 0.0
         if video is None:
-            video = _video_frames(ds, selections, cfg.frame_stride)
-        return _video_detection_ap(*video, fit.model, cfg.nms_iou)
+            video = _video_frames(ds, selected, cfg.frame_stride)
+        frames, gt = video
+        return average_precision(_detect(frames, fit.model, cfg.nms_iou), gt) if gt else 0.0
 
     best_b, scores = cross_validate_bandwidth(cfg.bandwidth_grid, evaluate)
     doc = {"best_b": best_b, "ap_per_b": {str(b): scores[b] for b in sorted(scores)}}
     # the artifact stays byte-reproducible; only the stage report is timed
-    dataio.dump_json(doc, out / BANDWIDTH_REPORT)
-    report = _write_report(out, "cv_bandwidth", {**doc, "elapsed_s": time.perf_counter() - t0})
-    return CrossValidation(report=report, trials=trials)
+    dataio.dump_json(doc, stage.out / BANDWIDTH_REPORT)
+    return CrossValidation(report=stage.report(doc), trials=trials)
 
 
-def run_pipeline(cfg: PipelineConfig, heatmap_dir: Optional[str | Path] = None) -> dict:
+def run_pipeline(cfg: PipelineConfig, heatmaps: Optional[str | Path] = None) -> dict:
     """Run every stage in order; returns the final metrics document."""
     if cfg.manifest is None or cfg.out_dir is None:
         raise MissingInputError("pipeline needs both manifest and out_dir")
-    t0 = time.perf_counter()
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    stage = _Stage(cfg, "pipeline")
     ds = dataio.open_dataset(cfg.manifest)
 
-    run_mine(ds, out, cfg)
-    run_select_tracks(ds, out / REGIONS, out, cfg)
-    run_match(ds, out / REGIONS, out / SELECTIONS, out, cfg)
+    run_mine(ds, cfg)
+    run_select_tracks(ds, cfg)
+    run_match(ds, cfg)
     bandwidth = cfg.bandwidth
     winner_gts, winner_fit = None, None
     if bandwidth is None:
-        cv = run_cv_bandwidth(ds, out / TRANSFERS, out / SELECTIONS, out, cfg)
+        cv = run_cv_bandwidth(ds, cfg)
         bandwidth = cv.best_b
         winner_gts, winner_fit = cv.winner.pseudo_gts, cv.winner.fit
-    run_vote(
-        ds, out / TRANSFERS, out, cfg,
-        bandwidth=bandwidth, heatmap_dir=heatmap_dir, pseudo_gts=winner_gts,
-    )
+    run_vote(ds, cfg, heatmaps=heatmaps, bandwidth=bandwidth, pseudo_gts=winner_gts)
     # without a winning detector (fixed bandwidth, or an empty pool) this trains
-    run_train(ds, out / PSEUDO_GT, out, cfg, tag="initial", fit=winner_fit)
-    current_pgt = out / PSEUDO_GT
+    run_train(ds, cfg, fit=winner_fit)
+    updated = stage.out / PSEUDO_GT_UPDATED
+    later_round = {"model": stage.out / "model_updated.json", "pseudo_gt": updated}
     for round_idx in range(cfg.lsvm_rounds):
-        model_tag = "initial" if round_idx == 0 else "updated"
-        run_update(ds, out / f"model_{model_tag}.json", current_pgt, out, cfg)
-        current_pgt = out / PSEUDO_GT_UPDATED
-        run_train(ds, current_pgt, out, cfg, tag="updated")
-    run_regress(ds, current_pgt, out / DETECTIONS_UPDATED, out, cfg)
-    metrics_doc = run_eval(
-        ds,
-        out,
-        initial_pgt_path=out / PSEUDO_GT,
-        updated_pgt_path=current_pgt if cfg.lsvm_rounds > 0 else None,
-        detections_paths={
-            "initial": out / DETECTIONS_INITIAL,
-            "updated": out / DETECTIONS_UPDATED,
-            "updated_bboxreg": out / DETECTIONS_BBOXREG,
-        },
-    )
-    _write_report(
-        out,
-        "pipeline",
-        {
-            "stage": "pipeline",
-            "bandwidth": bandwidth,
-            "elapsed_s": time.perf_counter() - t0,
-        },
-    )
+        run_update(ds, cfg, **(later_round if round_idx else {}))
+        run_train(ds, cfg, pseudo_gt=updated, tag="updated")
+    run_regress(ds, cfg)
+    metrics_doc = run_eval(ds, cfg, updated_pgt=updated)
+    stage.report({"stage": "pipeline", "bandwidth": bandwidth})
     return metrics_doc

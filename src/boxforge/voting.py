@@ -18,7 +18,7 @@ import numpy as np
 
 from .atomic import write_atomic
 from .errors import ConfigInvalidError, DegenerateBoxError, IoFailureError, NoPointsError
-from .geometry import BBox, clip_box
+from .geometry import BBox, box_array, clip_box
 
 GAUSSIAN = "gaussian"
 EPANECHNIKOV = "epanechnikov"
@@ -47,8 +47,7 @@ class VoteSpace:
 
     @classmethod
     def from_boxes(cls, boxes: Sequence[BBox], bandwidth: float, kernel: str = GAUSSIAN) -> "VoteSpace":
-        pts = np.array([b.as_list() for b in boxes], dtype=np.float64).reshape(-1, 4)
-        return cls(points=pts, bandwidth=bandwidth, kernel=kernel)
+        return cls(points=box_array(boxes), bandwidth=bandwidth, kernel=kernel)
 
     @property
     def n_points(self) -> int:
@@ -309,7 +308,7 @@ def export_heatmap(
     if width < 1 or height < 1:
         raise ConfigInvalidError(f"invalid image size {image_size}")
     if len(points) and isinstance(points[0], BBox):
-        arr = np.array([b.as_list() for b in points], dtype=np.float64)
+        arr = box_array(points)
     else:
         arr = np.asarray(points, dtype=np.float64).reshape(-1, 4)
     # Each box covers pixels [floor(x0), ceil(x1)) x [floor(y0), ceil(y1))

@@ -442,15 +442,16 @@ def test_criterion_9_bandwidth_failure_mode(tmp_path):
     out = tmp_path / "out"
     oversized = 12.0
     cfg = PipelineConfig(
-        frame_stride=1, target_cells=30, n_matches=20,
+        out_dir=str(out), frame_stride=1, target_cells=30, n_matches=20,
         bandwidth_grid=(2.0, oversized, 32.0), seed=TRAIN_SEED,
     )
-    run_mine(manifest, out, cfg)
-    run_select_tracks(manifest, out / "regions.jsonl", out, cfg)
-    run_match(manifest, out / "regions.jsonl", out / "selections.jsonl", out, cfg)
+    ds = dataio.open_dataset(manifest)
+    run_mine(ds, cfg)
+    run_select_tracks(ds, cfg)
+    run_match(ds, cfg)
 
     def localization_failures(bandwidth):
-        run_vote(manifest, out / "transfers.jsonl", out, cfg, bandwidth=bandwidth)
+        run_vote(ds, cfg, bandwidth=bandwidth)
         pgts = dataio.read_pseudo_gts(out / "pseudo_gt.jsonl")
         failures = sum(
             1
@@ -463,9 +464,7 @@ def test_criterion_9_bandwidth_failure_mode(tmp_path):
     assert n_big > 0
     assert fail_big >= 1, "oversized bandwidth should merge instances"
 
-    cv = run_cv_bandwidth(
-        manifest, out / "transfers.jsonl", out / "selections.jsonl", out, cfg
-    ).report
+    cv = run_cv_bandwidth(ds, cfg).report
     best_b = cv["best_b"]
     assert best_b == 2.0
     assert cv["ap_per_b"]["2.0"] > cv["ap_per_b"][str(oversized)]

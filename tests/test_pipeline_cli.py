@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import boxforge
-from boxforge import atomic, cli, dataio, pipeline
+from boxforge import atomic, cli, dataio, featmap, pipeline
 from boxforge.config import SETTINGS, PipelineConfig, build_config, parse_config_file
 from boxforge.errors import ConfigInvalidError, EmptyPoolError, MissingInputError
 from boxforge.detector import TrainConfig, fit_bbox_regressor, lsvm_update
@@ -299,6 +299,148 @@ class TestCliStages:
         assert pgms and pgms[0].read_bytes().startswith(b"P5\n")
 
 
+# Each stage subcommand's input-artifact flags, and the file under --out its
+# stage reads when the flag is unset (None: read only when given).
+ARTIFACTS = {
+    "mine": {},
+    "select-tracks": {"--regions": "regions.jsonl"},
+    "match": {"--regions": "regions.jsonl", "--selections": "selections.jsonl"},
+    "vote": {"--transfers": "transfers.jsonl"},
+    "train": {"--pseudo-gt": "pseudo_gt.jsonl"},
+    "update": {"--pseudo-gt": "pseudo_gt.jsonl", "--model": "model_initial.json"},
+    "regress": {
+        "--pseudo-gt": "pseudo_gt_updated.jsonl", "--detections": "detections_updated.jsonl",
+    },
+    "eval": {
+        "--initial-pseudo-gt": "pseudo_gt.jsonl",
+        "--updated-pseudo-gt": None,
+        "--detections": "detections_initial.jsonl",
+        "--detections-updated": "detections_updated.jsonl",
+        "--detections-bboxreg": "detections_bboxreg.jsonl",
+    },
+    "cv-bandwidth": {"--selections": "selections.jsonl", "--transfers": "transfers.jsonl"},
+}
+OPTIONS = {"train": ["--tag"], "vote": ["--heatmaps"], "pipeline": ["--heatmaps"]}
+STAGE_ARGS = {
+    "vote": ["--bandwidth", 2.0],
+    "train": ["--seed", 7],
+    "cv-bandwidth": ["--seed", 7, "--bandwidth-grid", "1,2"],
+}
+READERS = (
+    "read_regions", "read_selections", "read_transfer_boxes", "read_pseudo_gts",
+    "read_model", "read_detections",
+)
+
+
+class TestCommandTable:
+    """``cli.COMMANDS`` is the one list of subcommands and their flags, and a
+    stage reads the file its subcommand's unset flag stands for."""
+
+    @pytest.fixture(scope="class")
+    def run_dir(self, synth_dir, tmp_path_factory):
+        out = tmp_path_factory.mktemp("run")
+        run_pipeline(PipelineConfig(
+            manifest=str(synth_dir / "manifest.json"), out_dir=str(out), seed=7, **PROFILE
+        ))
+        return out
+
+    @staticmethod
+    def spy(monkeypatch) -> list[Path]:
+        read = []
+        for name in READERS:
+            def recorded(path, *args, _original=getattr(dataio, name), **kwargs):
+                read.append(Path(path))
+                return _original(path, *args, **kwargs)
+
+            monkeypatch.setattr(dataio, name, recorded)
+        return read
+
+    def test_table_pins_every_stage_flag(self):
+        table = {c.name: [f.flag for f in c.flags] for c in cli.COMMANDS}
+        assert table == {
+            name: list(ARTIFACTS.get(name, {})) + OPTIONS.get(name, [])
+            for name in [*ARTIFACTS, "pipeline"]
+        }
+        parser = cli.build_parser()
+        for command in cli.COMMANDS:
+            for flag in command.flags:
+                args = parser.parse_args([command.name, "--seed", "1", flag.flag, "given"])
+                assert getattr(args, flag.dest) == "given"
+
+    @pytest.mark.parametrize("name", sorted(ARTIFACTS))
+    def test_unset_flag_reads_the_default_file(
+        self, name, synth_dir, run_dir, tmp_path, monkeypatch
+    ):
+        out = tmp_path / "out"
+        shutil.copytree(run_dir, out)
+        common = ["--manifest", synth_dir / "manifest.json", "--out", out,
+                  "--target-cells", 30, "--frame-stride", 1, *STAGE_ARGS.get(name, [])]
+        read = self.spy(monkeypatch)
+        assert run_cli(name, *common) == 0
+        assert sorted(read) == sorted(out / f for f in ARTIFACTS[name].values() if f)
+
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        flags, given = [], []
+        for flag, default in ARTIFACTS[name].items():
+            path = elsewhere / flag.lstrip("-")
+            shutil.copy(out / (default or pipeline.PSEUDO_GT_UPDATED), path)
+            flags += [flag, path]
+            given.append(path)
+        read.clear()
+        assert run_cli(name, *common, *flags) == 0
+        assert sorted(read) == sorted(given)
+
+    @pytest.mark.parametrize("stage", [
+        "run_mine", "run_select_tracks", "run_match", "run_vote", "run_train",
+        "run_update", "run_regress", "run_eval", "run_cv_bandwidth",
+    ])
+    def test_stage_without_out_dir_is_refused(self, stage, synth_dir):
+        ds = dataio.open_dataset(synth_dir / "manifest.json")
+        with pytest.raises(MissingInputError, match="needs out_dir"):
+            getattr(pipeline, stage)(ds, PipelineConfig(bandwidth=2.0))
+
+
+class TestFmapChannels:
+    """Every feature map of a dataset has one channel count; a map with
+    another is refused naming its file."""
+
+    @staticmethod
+    def add_channel(data, relpath) -> tuple[Path, int]:
+        path = data / relpath
+        fmap = featmap.read_fmap(path)
+        featmap.write_fmap(path, featmap.FeatureMap(np.concatenate(
+            [fmap.data, fmap.data[:, :, :1]], axis=2
+        )))
+        return path, fmap.channels
+
+    @staticmethod
+    def refused(capsys, path, channels):
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigInvalidError"
+        assert err["message"].startswith(f"{path}: {channels + 1} channels, but ")
+        assert err["message"].endswith(f".fmap has {channels}")
+
+    def test_image_map(self, synth_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(synth_dir, data)
+        path, channels = self.add_channel(data, "fmaps/pos_003.fmap")
+        code = run_cli("mine", "--manifest", data / "manifest.json", "--out", tmp_path / "o")
+        assert code == 1
+        self.refused(capsys, path, channels)
+
+    def test_video_frame(self, synth_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(synth_dir, data)
+        common = ["--manifest", data / "manifest.json", "--out", tmp_path / "o",
+                  "--target-cells", 30, "--frame-stride", 1]
+        assert run_cli("mine", *common) == 0
+        capsys.readouterr()
+        path, channels = self.add_channel(data, "fmaps/vid_000/frame_003.fmap")
+        assert run_cli("select-tracks", *common) == 1
+        self.refused(capsys, path, channels)
+
+
 class TestEvalCli:
     def test_empty_predictions_include_missed_corloc_zero(self, synth_dir, tmp_path):
         gt = dataio.read_gt(synth_dir / "gt.jsonl")["obj"]
@@ -341,7 +483,10 @@ class TestReports:
 
 
     def test_mine_report_counts_proposals_and_pairs(self, synth_dir, tmp_path):
-        report = pipeline.run_mine(synth_dir / "manifest.json", tmp_path / "m", PipelineConfig())
+        report = pipeline.run_mine(
+            dataio.open_dataset(synth_dir / "manifest.json"),
+            PipelineConfig(out_dir=str(tmp_path / "m")),
+        )
         by_image = dataio.read_proposals(dataio.load_manifest(synth_dir / "manifest.json"))
         sizes = [len(props) for props in by_image.values()]
         total = sum(sizes)
@@ -441,12 +586,10 @@ class TestEachIntermediateOnce:
             target_cells=30, frame_stride=1, bandwidth_grid=grid,
         )
         ds = dataio.open_dataset(cfg.manifest)
-        pipeline.run_mine(ds, out, cfg)
-        pipeline.run_select_tracks(ds, out / pipeline.REGIONS, out, cfg)
-        pipeline.run_match(ds, out / pipeline.REGIONS, out / pipeline.SELECTIONS, out, cfg)
-        cv = pipeline.run_cv_bandwidth(
-            ds, out / pipeline.TRANSFERS, out / pipeline.SELECTIONS, out, cfg
-        )
+        pipeline.run_mine(ds, cfg)
+        pipeline.run_select_tracks(ds, cfg)
+        pipeline.run_match(ds, cfg)
+        cv = pipeline.run_cv_bandwidth(ds, cfg)
         boxes = dataio.read_transfer_boxes(out / pipeline.TRANSFERS)
         trials = [cv.trials[b].pseudo_gts for b in grid]
         for b, trial in zip(grid, trials):
@@ -569,7 +712,8 @@ class TestArrayStagesMatchPerProposalCode:
         dataio.write_pseudo_gts(tmp_path / "pgt.jsonl", list(pseudo_gts.values()))
         dataio.write_detections(tmp_path / "det.jsonl", [])
         report = pipeline.run_regress(
-            ds, tmp_path / "pgt.jsonl", tmp_path / "det.jsonl", tmp_path, PipelineConfig()
+            ds, PipelineConfig(out_dir=str(tmp_path)),
+            pseudo_gt=tmp_path / "pgt.jsonl", detections=tmp_path / "det.jsonl",
         )
         pairs = [
             (np.asarray(feature, dtype=np.float64), box, pseudo_gts[image_id].box)
@@ -981,4 +1125,7 @@ class TestRegressFallbacks:
 
         monkeypatch.setattr(pipeline, "apply_regressor", broken)
         with pytest.raises(RuntimeError):
-            pipeline.run_regress(manifest, pgt, det, tmp_path / "out", PipelineConfig())
+            pipeline.run_regress(
+                dataio.open_dataset(manifest), PipelineConfig(out_dir=str(tmp_path / "out")),
+                pseudo_gt=pgt, detections=det,
+            )
