@@ -12,7 +12,6 @@ from .featmap import (
     FeaturePyramid,
     MatchHit,
     QueryWindow,
-    cosine_sim,
     read_fmap,
     slide_match,
     window_shape_for_box,
@@ -31,7 +30,6 @@ __all__ = [
     "QueryWindow",
     "VoteSpace",
     "contains",
-    "cosine_sim",
     "iou",
     "mean_shift_modes",
     "nms",

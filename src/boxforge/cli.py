@@ -86,7 +86,7 @@ COMMANDS = (
     )),
     Command("eval", "run_eval", flags=(
         Flag("--initial-pseudo-gt", "initial_pgt"),
-        Flag("--updated-pseudo-gt", "updated_pgt"),
+        Flag("--updated-pseudo-gt", "updated_pgt", f"default: <out>/{pipeline.PSEUDO_GT_UPDATED}"),
         Flag("--detections", "det_initial"),
         Flag("--detections-updated", "det_updated"),
         Flag("--detections-bboxreg", "det_bboxreg"),

@@ -84,6 +84,19 @@ def _real(value) -> float:
     return float(value)
 
 
+def _positive(value) -> float:
+    value = _real(value)
+    if not value > 0:
+        raise ValueError(f"expected a positive number, got {value!r}")
+    return value
+
+
+def _names(value) -> tuple[str, ...]:
+    if not value:
+        raise ValueError("expected at least one name")
+    return tuple(_text(n) for n in value)
+
+
 def _array(value) -> np.ndarray:
     return np.asarray(value, dtype=np.float64)
 
@@ -242,8 +255,8 @@ def load_manifest(path: str | Path) -> Manifest:
     )
     return Manifest(
         root=p.parent,
-        cell_stride=doc.typed("cell_stride", _real),
-        categories=doc.typed("categories", lambda names: tuple(_text(n) for n in names)),
+        cell_stride=doc.typed("cell_stride", _positive),
+        categories=doc.typed("categories", _names),
         images=images,
         videos=videos,
         files=doc.typed("files", dict) if "files" in doc else {},

@@ -9,10 +9,6 @@ class DegenerateBoxError(BoxforgeError):
     """A box violates the strictly-positive-area invariant."""
 
 
-class ZeroVectorError(BoxforgeError):
-    """Cosine similarity was asked for a (near-)zero vector."""
-
-
 class OutOfBoundsError(BoxforgeError):
     """A cell rectangle leaves its feature map."""
 

@@ -9,13 +9,12 @@ FMAP binary format (bit-exact):
     (height, width, channels) | ``height*width*channels`` little-endian
     IEEE-754 float32 values in (y, x, c) row-major order.
 
-A pyramid on disk is a directory of FMAP files plus a ``pyramid.json``
-sidecar listing ``cell_stride`` and the per-level ``(scale, file)`` pairs.
+On disk a frame is one FMAP file at scale 1.0; ``manifest.json`` names it
+and gives the ``cell_stride`` it is read with.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import struct
 from dataclasses import dataclass
@@ -26,12 +25,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .atomic import write_atomic
-from .errors import (
-    ConfigInvalidError,
-    OutOfBoundsError,
-    WindowTooLargeError,
-    ZeroVectorError,
-)
+from .errors import ConfigInvalidError, OutOfBoundsError, WindowTooLargeError
 from .geometry import BBox
 
 FMAP_MAGIC = b"FMAP"
@@ -72,14 +66,11 @@ class FeatureMap:
 class FeaturePyramid:
     """Ordered (scale, map) levels, scales strictly decreasing.
 
-    ``cell_stride`` is pixels per cell at scale 1.0.  ``base_max_dim`` is
-    informational sidecar metadata (the pixel size the scale-1 frame was
-    resized to); no computation reads it.
+    ``cell_stride`` is pixels per cell at scale 1.0.
     """
 
     levels: tuple[tuple[float, FeatureMap], ...]
     cell_stride: float
-    base_max_dim: Optional[int] = None
 
     def __post_init__(self):
         if not 1 <= len(self.levels) <= 7:
@@ -103,15 +94,13 @@ class FeaturePyramid:
 class QueryWindow:
     """A flattened w_cells x h_cells x channels feature window.
 
-    ``data`` is 1-D in the same (y, x, c) order the maps use.  ``source``
-    optionally records (image_id, pixel box) provenance.
+    ``data`` is 1-D in the same (y, x, c) order the maps use.
     """
 
     w_cells: int
     h_cells: int
     channels: int
     data: np.ndarray
-    source: Optional[tuple[str, BBox]] = None
 
     def __post_init__(self):
         if self.w_cells < 1 or self.h_cells < 1:
@@ -134,23 +123,6 @@ class MatchHit:
     score: float
     video_id: str = ""
     frame_idx: int = -1
-
-
-def cosine_sim(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity of two equal-length vectors.
-
-    Raises :class:`ZeroVectorError` when either norm is below 1e-12; callers
-    that scan noisy windows treat that as similarity 0.
-    """
-    uf = np.asarray(u, dtype=np.float64).reshape(-1)
-    vf = np.asarray(v, dtype=np.float64).reshape(-1)
-    if uf.shape != vf.shape:
-        raise ValueError(f"length mismatch {uf.shape} vs {vf.shape}")
-    nu = float(np.linalg.norm(uf))
-    nv = float(np.linalg.norm(vf))
-    if nu < 1e-12 or nv < 1e-12:
-        raise ZeroVectorError("degenerate feature vector with near-zero norm")
-    return float(np.dot(uf, vf) / (nu * nv))
 
 
 def window_shape_for_box(box: BBox, target_cells: int = 48) -> tuple[int, int]:
@@ -182,11 +154,7 @@ def window_shape_for_box(box: BBox, target_cells: int = 48) -> tuple[int, int]:
     return (max(2, w), max(2, h))
 
 
-def extract_window(
-    fmap: FeatureMap,
-    cell_rect: tuple[int, int, int, int],
-    source: Optional[tuple[str, BBox]] = None,
-) -> QueryWindow:
+def extract_window(fmap: FeatureMap, cell_rect: tuple[int, int, int, int]) -> QueryWindow:
     """Slice the (x, y, w, h) cell rectangle into a flattened query window."""
     x, y, w, h = cell_rect
     if w < 1 or h < 1:
@@ -196,14 +164,13 @@ def extract_window(
             f"cell rect {cell_rect} outside {fmap.height}x{fmap.width} map"
         )
     data = np.ascontiguousarray(fmap.data[y : y + h, x : x + w, :]).reshape(-1)
-    return QueryWindow(w_cells=w, h_cells=h, channels=fmap.channels, data=data, source=source)
+    return QueryWindow(w_cells=w, h_cells=h, channels=fmap.channels, data=data)
 
 
 def resample_window(
     fmap: FeatureMap,
     cell_rect: tuple[int, int, int, int],
     out_shape: tuple[int, int],
-    source: Optional[tuple[str, BBox]] = None,
 ) -> QueryWindow:
     """Extract a cell rect and bilinearly resample it to (w_cells, h_cells).
 
@@ -213,7 +180,7 @@ def resample_window(
     x, y, w, h = cell_rect
     out_w, out_h = out_shape
     if (out_w, out_h) == (w, h):
-        return extract_window(fmap, cell_rect, source=source)
+        return extract_window(fmap, cell_rect)
     if x < 0 or y < 0 or w < 1 or h < 1 or x + w > fmap.width or y + h > fmap.height:
         raise OutOfBoundsError(
             f"cell rect {cell_rect} outside {fmap.height}x{fmap.width} map"
@@ -236,7 +203,6 @@ def resample_window(
         h_cells=out_h,
         channels=fmap.channels,
         data=np.ascontiguousarray(out).reshape(-1),
-        source=source,
     )
 
 
@@ -245,7 +211,6 @@ def build_query_window(
     box: BBox,
     cell_stride: float = 1.0,
     target_cells: int = 48,
-    source_image: str = "",
 ) -> QueryWindow:
     """Build the canonical matching window for a pixel box on its own map.
 
@@ -254,12 +219,7 @@ def build_query_window(
     """
     x0, y0, x1, y1 = _cell_rect(fmap, box, cell_stride)
     shape = window_shape_for_box(box, target_cells=target_cells)
-    return resample_window(
-        fmap,
-        (x0, y0, x1 - x0, y1 - y0),
-        shape,
-        source=(source_image, box),
-    )
+    return resample_window(fmap, (x0, y0, x1 - x0, y1 - y0), shape)
 
 
 def map_window_to_pixels(
@@ -429,37 +389,10 @@ def read_fmap(path: str | Path) -> FeatureMap:
             f"{path}: payload length {len(raw)} != expected {expected}"
         )
     data = np.frombuffer(raw[17:], dtype="<f4").reshape(h, w, c).astype(np.float32)
-    return FeatureMap(data=data)
-
-
-def save_pyramid(dirpath: str | Path, pyramid: FeaturePyramid) -> None:
-    """Write per-level FMAP files plus the pyramid.json sidecar."""
-    d = Path(dirpath)
-    d.mkdir(parents=True, exist_ok=True)
-    levels = []
-    for i, (scale, fmap) in enumerate(pyramid.levels):
-        fname = f"level_{i:02d}.fmap"
-        write_fmap(d / fname, fmap)
-        levels.append({"scale": scale, "file": fname})
-    sidecar = {"cell_stride": pyramid.cell_stride, "levels": levels}
-    if pyramid.base_max_dim is not None:
-        sidecar["base_max_dim"] = pyramid.base_max_dim
-    text = json.dumps(sidecar, indent=2, sort_keys=True)
-    write_atomic(d / "pyramid.json", lambda fh: fh.write(text))
-
-
-def load_pyramid(dirpath: str | Path) -> FeaturePyramid:
-    d = Path(dirpath)
-    sidecar = json.loads((d / "pyramid.json").read_text())
-    levels = tuple(
-        (float(entry["scale"]), read_fmap(d / entry["file"]))
-        for entry in sidecar["levels"]
-    )
-    return FeaturePyramid(
-        levels=levels,
-        cell_stride=float(sidecar["cell_stride"]),
-        base_max_dim=sidecar.get("base_max_dim"),
-    )
+    try:
+        return FeatureMap(data=data)
+    except ConfigInvalidError as exc:
+        raise ConfigInvalidError(f"{path}: {exc}") from None
 
 
 def single_level_pyramid(fmap: FeatureMap, cell_stride: float = 1.0) -> FeaturePyramid:

@@ -13,10 +13,10 @@ seed.
 ``run_pipeline`` opens the dataset once and chains the stages in order, so
 the manifest, proposals and tracks are parsed once per run and running the
 stages one by one writes the same artifacts.  It passes only what differs
-from the defaults: the updated pseudo GT that the updated train and eval
-read, the updated model and pseudo GT that each update round after the
-first reads, and cross-validation's winning pseudo GT and detector, which
-the vote and initial train stages write rather than computing them again.
+from the defaults: the updated pseudo GT that the updated train reads, the
+updated model and pseudo GT that each update round after the first reads,
+and cross-validation's winning pseudo GT and detector, which the vote and
+initial train stages write rather than computing them again.
 """
 
 from __future__ import annotations
@@ -79,13 +79,15 @@ BANDWIDTH_REPORT = "bandwidth_report.json"
 
 class _Stage:
     """One stage's run: its output directory ``cfg.out_dir``, created on
-    entry, and its clock."""
+    entry, and its clock.  Its report is ``reports/<name>.json``, or
+    ``reports/<name>_<tag>.json`` when the stage is run with a ``tag``."""
 
-    def __init__(self, cfg: PipelineConfig, name: str):
+    def __init__(self, cfg: PipelineConfig, name: str, tag: Optional[str] = None):
         if cfg.out_dir is None:
             raise MissingInputError(f"{name} needs out_dir")
         self.t0 = time.perf_counter()
         self.name = name
+        self.file = name if tag is None else f"{name}_{tag}"
         self.out = Path(cfg.out_dir)
         self.out.mkdir(parents=True, exist_ok=True)
 
@@ -95,11 +97,12 @@ class _Stage:
         return Path(path) if path else self.out / default
 
     def report(self, fields: dict) -> dict:
-        """``fields`` and the elapsed time, written as ``reports/<name>.json``."""
-        report = {**fields, "elapsed_s": time.perf_counter() - self.t0}
+        """The stage's name, ``fields`` and the elapsed time, written as its
+        report."""
+        report = {"stage": self.name, **fields, "elapsed_s": time.perf_counter() - self.t0}
         reports = self.out / "reports"
         reports.mkdir(exist_ok=True)
-        dataio.dump_json(report, reports / f"{self.name}.json")
+        dataio.dump_json(report, reports / f"{self.file}.json")
         return report
 
 
@@ -122,7 +125,6 @@ def run_mine(ds: dataio.Dataset, cfg: PipelineConfig) -> dict:
     mined = select_positive_regions(deduped, labels, top_c=cfg.top_clusters)
     dataio.write_regions(stage.out / REGIONS, mined)
     return stage.report({
-        "stage": "mine",
         "k": k,
         "n_proposals": n_proposals,
         # ordered (seed, candidate) pairs from different images
@@ -146,7 +148,6 @@ def _load_region_queries(manifest, regions, target_cells):
             region.box,
             cell_stride=manifest.cell_stride,
             target_cells=target_cells,
-            source_image=region.image_id,
         )
     return queries
 
@@ -190,7 +191,6 @@ def run_select_tracks(
                 selections.append(sel)
     dataio.write_selections(stage.out / SELECTIONS, selections)
     return stage.report({
-        "stage": "select_tracks",
         "n_regions": len(region_order),
         "n_selections": len(selections),
     })
@@ -227,7 +227,6 @@ def run_match(
         dropped_total += dropped
     dataio.write_transfers(stage.out / TRANSFERS, transfers)
     return stage.report({
-        "stage": "match",
         "n_regions": len(region_order),
         "n_matches": n_matches_total,
         "n_transfers": len(transfers),
@@ -295,7 +294,6 @@ def run_vote(
             )
     dataio.write_pseudo_gts(stage.out / PSEUDO_GT, [pseudo_gts[i] for i in sorted(pseudo_gts)])
     return stage.report({
-        "stage": "vote",
         "bandwidth": bandwidth,
         "kernel": cfg.kernel,
         "theta": cfg.theta,
@@ -377,7 +375,7 @@ def run_train(
     (cross-validation trained on the same pseudo GT with the same config);
     its model is written as is.
     """
-    stage = _Stage(cfg, f"train_{tag}")
+    stage = _Stage(cfg, "train", tag)
     if fit is None:
         pgts = dataio.read_pseudo_gts(stage.input(pseudo_gt, PSEUDO_GT))
         fit = fit_detector(ds, pgts, cfg.train_config())
@@ -385,7 +383,6 @@ def run_train(
     detections = _detect(ds.images, fit.model, cfg.nms_iou)
     dataio.write_detections(stage.out / f"detections_{tag}.jsonl", detections)
     return stage.report({
-        "stage": "train",
         "tag": tag,
         "n_train_examples": fit.n_examples,
         "n_positives": fit.n_positives,
@@ -408,7 +405,6 @@ def run_update(
     after = lsvm_update(detector, ds.images, before, nms_iou=cfg.nms_iou)
     dataio.write_pseudo_gts(stage.out / PSEUDO_GT_UPDATED, [after[i] for i in sorted(after)])
     return stage.report({
-        "stage": "update",
         "n_before": len(before),
         "n_after": len(after),
         "n_filled": len(after) - len(before),
@@ -452,7 +448,7 @@ def run_regress(
         clipped = clip_box(new_box, entry.size[0], entry.size[1])
         refined.append((image_id, clipped if clipped is not None else box, score))
     dataio.write_detections(stage.out / DETECTIONS_BBOXREG, refined)
-    return stage.report({"stage": "regress", "n_pairs": len(pairs), "n_detections": len(refined)})
+    return stage.report({"n_pairs": len(pairs), "n_detections": len(refined)})
 
 
 def _category_gt(manifest, category):
@@ -481,7 +477,6 @@ def run_eval(
     The top-level per-category block reflects the best available artifacts
     (updated pseudo GT over initial; regressed detections over plain); the
     ``ablation`` block reports each variant whose file exists separately.
-    The updated pseudo GT is read only when ``updated_pgt`` is given.
     """
     stage = _Stage(cfg, "eval")
     manifest = ds.manifest
@@ -490,8 +485,11 @@ def run_eval(
 
     ablation = {}
     primary_pgt = None
-    for tag, path in (("initial", stage.input(initial_pgt, PSEUDO_GT)), ("updated", updated_pgt)):
-        if path is None or not Path(path).exists():
+    for tag, path in (
+        ("initial", stage.input(initial_pgt, PSEUDO_GT)),
+        ("updated", stage.input(updated_pgt, PSEUDO_GT_UPDATED)),
+    ):
+        if not path.exists():
             continue
         pgts = dataio.read_pseudo_gts(path)
         boxes = _pgt_boxes(pgts)
@@ -531,9 +529,7 @@ def run_eval(
     doc["ablation"] = ablation
     doc["primary"] = {"pseudo_gt": tag, "detections": primary_det_tag}
     dataio.dump_json(doc, stage.out / METRICS)
-    stage.report({
-        "stage": "eval", "category": category, "mean_corloc": doc["mean_corloc"], "map": doc["map"],
-    })
+    stage.report({"category": category, "mean_corloc": doc["mean_corloc"], "map": doc["map"]})
     return doc
 
 
@@ -673,6 +669,6 @@ def run_pipeline(cfg: PipelineConfig, heatmaps: Optional[str | Path] = None) -> 
         run_update(ds, cfg, **(later_round if round_idx else {}))
         run_train(ds, cfg, pseudo_gt=updated, tag="updated")
     run_regress(ds, cfg)
-    metrics_doc = run_eval(ds, cfg, updated_pgt=updated)
-    stage.report({"stage": "pipeline", "bandwidth": bandwidth})
+    metrics_doc = run_eval(ds, cfg)
+    stage.report({"bandwidth": bandwidth})
     return metrics_doc

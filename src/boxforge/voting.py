@@ -45,10 +45,6 @@ class VoteSpace:
             raise ConfigInvalidError(f"unknown kernel {self.kernel!r}, expected one of {KERNELS}")
         object.__setattr__(self, "points", pts.reshape(-1, 4))
 
-    @classmethod
-    def from_boxes(cls, boxes: Sequence[BBox], bandwidth: float, kernel: str = GAUSSIAN) -> "VoteSpace":
-        return cls(points=box_array(boxes), bandwidth=bandwidth, kernel=kernel)
-
     @property
     def n_points(self) -> int:
         return self.points.shape[0]

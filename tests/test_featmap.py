@@ -11,21 +11,17 @@ from boxforge.errors import (
     ConfigInvalidError,
     OutOfBoundsError,
     WindowTooLargeError,
-    ZeroVectorError,
 )
 from boxforge.featmap import (
     FeatureMap,
     FeaturePyramid,
     QueryWindow,
     build_query_window,
-    cosine_sim,
     extract_window,
-    load_pyramid,
     map_window_to_pixels,
     pool_box_feature,
     read_fmap,
     resample_window,
-    save_pyramid,
     single_level_pyramid,
     slide_match,
     window_shape_for_box,
@@ -40,27 +36,6 @@ def fmap_from(arr):
 
 def random_fmap(rng, h, w, c):
     return fmap_from(rng.normal(size=(h, w, c)))
-
-
-class TestCosine:
-    def test_self_similarity(self):
-        u = np.array([1.0, 2.0, 3.0])
-        assert cosine_sim(u, u) == pytest.approx(1.0)
-
-    def test_orthogonal(self):
-        assert cosine_sim([1.0, 0.0], [0.0, 1.0]) == 0.0
-
-    def test_scale_invariant(self):
-        u = np.array([0.3, -1.2, 4.0])
-        assert cosine_sim(u, 2.0 * u) == pytest.approx(1.0)
-
-    def test_zero_vector_raises(self):
-        with pytest.raises(ZeroVectorError):
-            cosine_sim([0.0, 0.0], [1.0, 0.0])
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            cosine_sim([1.0], [1.0, 2.0])
 
 
 def shape_oracle(aspect, target):
@@ -341,6 +316,21 @@ class TestFmapIo:
         with pytest.raises(ConfigInvalidError):
             read_fmap(tmp_path / "bad.fmap")
 
+    def test_non_finite_error_names_the_file(self, tmp_path):
+        arr = np.ones((2, 3, 2), dtype=np.float32)
+        write_fmap(tmp_path / "nan.fmap", fmap_from(arr))
+        raw = bytearray((tmp_path / "nan.fmap").read_bytes())
+        raw[17:21] = np.array([np.nan], dtype="<f4").tobytes()
+        (tmp_path / "nan.fmap").write_bytes(bytes(raw))
+        with pytest.raises(ConfigInvalidError, match="nan.fmap: .*non-finite"):
+            read_fmap(tmp_path / "nan.fmap")
+
+    def test_empty_dimension_error_names_the_file(self, tmp_path):
+        header = np.array([0, 3, 2], dtype="<u4").tobytes()
+        (tmp_path / "empty.fmap").write_bytes(b"FMAP" + bytes([1]) + header)
+        with pytest.raises(ConfigInvalidError, match="empty.fmap: .*empty dimension"):
+            read_fmap(tmp_path / "empty.fmap")
+
     def test_rejects_truncated_payload(self, tmp_path):
         rng = np.random.default_rng(8)
         fm = random_fmap(rng, 2, 2, 2)
@@ -350,25 +340,10 @@ class TestFmapIo:
         with pytest.raises(ConfigInvalidError):
             read_fmap(tmp_path / "c.fmap")
 
-    def test_pyramid_sidecar_round_trip(self, tmp_path):
-        rng = np.random.default_rng(9)
-        levels = tuple(
-            ((2 ** -0.5) ** i, random_fmap(rng, 8 - i, 8 - i, 2)) for i in range(3)
-        )
-        pyr = FeaturePyramid(levels=levels, cell_stride=16.0, base_max_dim=1713)
-        save_pyramid(tmp_path / "pyr", pyr)
-        back = load_pyramid(tmp_path / "pyr")
-        assert back.cell_stride == 16.0
-        assert back.base_max_dim == 1713
-        assert [s for s, _ in back.levels] == [s for s, _ in levels]
-        for (_, a), (_, b) in zip(levels, back.levels):
-            assert np.array_equal(a.data, b.data)
-
-
 
 class TestAtomicWrites:
-    """FMAP and ``pyramid.json`` writes go through a temp file: a write that
-    fails leaves the earlier file as it was and no temp file behind."""
+    """FMAP writes go through a temp file: a write that fails leaves the
+    earlier file as it was and no temp file behind."""
 
     @staticmethod
     def refuse_renames_onto(monkeypatch, name):
@@ -393,18 +368,6 @@ class TestAtomicWrites:
         with pytest.raises(OSError):
             write_fmap(tmp_path / "a.fmap", random_fmap(rng, 5, 5, 2))
         assert self.snapshot(tmp_path) == before
-
-    def test_failed_sidecar_write_keeps_earlier_sidecar(self, tmp_path, monkeypatch):
-        rng = np.random.default_rng(11)
-        d = tmp_path / "pyr"
-        level = ((1.0, random_fmap(rng, 6, 6, 2)),)
-        save_pyramid(d, FeaturePyramid(levels=level, cell_stride=8.0))
-        before = self.snapshot(d)
-        self.refuse_renames_onto(monkeypatch, "pyramid.json")
-        with pytest.raises(OSError):
-            save_pyramid(d, FeaturePyramid(levels=level, cell_stride=16.0))
-        assert self.snapshot(d) == before
-        assert load_pyramid(d).cell_stride == 8.0
 
     def test_write_failing_midway_leaves_no_temp_file(self, tmp_path):
         path = tmp_path / "a.fmap"
@@ -451,4 +414,3 @@ def test_build_query_window_snaps_and_resamples():
     fm = random_fmap(rng, 16, 16, 4)
     q = build_query_window(fm, BBox(3, 4, 9, 9), cell_stride=1.0, target_cells=30)
     assert (q.w_cells, q.h_cells) == window_shape_for_box(BBox(3, 4, 9, 9), 30)
-    assert q.source[1] == BBox(3, 4, 9, 9)

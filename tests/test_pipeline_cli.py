@@ -204,9 +204,7 @@ class TestCliStages:
             "--pseudo-gt", chained / "pseudo_gt_updated.jsonl", "--tag", "updated",
         ) == 0
         assert run_cli("regress", *common) == 0
-        assert run_cli(
-            "eval", *common, "--updated-pseudo-gt", chained / "pseudo_gt_updated.jsonl"
-        ) == 0
+        assert run_cli("eval", *common) == 0
 
         piped = tmp_path / "piped"
         cfg = PipelineConfig(
@@ -219,7 +217,7 @@ class TestCliStages:
         assert doc["mean_corloc"] == piped_doc["mean_corloc"]
         assert_same_outputs(chained, piped)
 
-    def test_cv_stage_chain_matches_pipeline(self, synth_dir, tmp_path):
+    def test_cv_stage_chain_matches_pipeline(self, synth_dir, tmp_path, capsys):
         """cv-bandwidth, then the stages at its best bandwidth, write what a
         pipeline run that hands cross-validation's winner forward writes."""
         manifest = synth_dir / "manifest.json"
@@ -232,7 +230,10 @@ class TestCliStages:
         # on this data every grid bandwidth votes differently and the best is
         # neither end of the grid
         assert run_cli("cv-bandwidth", *common, "--seed", 7, "--bandwidth-grid", "1,2,4,8") == 0
+        printed = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert printed["stage"] == "cv_bandwidth"
         best_b = json.loads((chained / pipeline.BANDWIDTH_REPORT).read_text())["best_b"]
+        assert printed["best_b"] == best_b
         assert run_cli("vote", *common, "--bandwidth", best_b) == 0
         assert run_cli("train", *common, "--seed", 7) == 0
         assert run_cli("update", *common) == 0
@@ -241,9 +242,7 @@ class TestCliStages:
             "--pseudo-gt", chained / "pseudo_gt_updated.jsonl", "--tag", "updated",
         ) == 0
         assert run_cli("regress", *common) == 0
-        assert run_cli(
-            "eval", *common, "--updated-pseudo-gt", chained / "pseudo_gt_updated.jsonl"
-        ) == 0
+        assert run_cli("eval", *common) == 0
 
         piped = tmp_path / "piped"
         run_pipeline(PipelineConfig(
@@ -300,7 +299,7 @@ class TestCliStages:
 
 
 # Each stage subcommand's input-artifact flags, and the file under --out its
-# stage reads when the flag is unset (None: read only when given).
+# stage reads when the flag is unset.
 ARTIFACTS = {
     "mine": {},
     "select-tracks": {"--regions": "regions.jsonl"},
@@ -313,7 +312,7 @@ ARTIFACTS = {
     },
     "eval": {
         "--initial-pseudo-gt": "pseudo_gt.jsonl",
-        "--updated-pseudo-gt": None,
+        "--updated-pseudo-gt": "pseudo_gt_updated.jsonl",
         "--detections": "detections_initial.jsonl",
         "--detections-updated": "detections_updated.jsonl",
         "--detections-bboxreg": "detections_bboxreg.jsonl",
@@ -377,19 +376,35 @@ class TestCommandTable:
                   "--target-cells", 30, "--frame-stride", 1, *STAGE_ARGS.get(name, [])]
         read = self.spy(monkeypatch)
         assert run_cli(name, *common) == 0
-        assert sorted(read) == sorted(out / f for f in ARTIFACTS[name].values() if f)
+        assert sorted(read) == sorted(out / f for f in ARTIFACTS[name].values())
 
         elsewhere = tmp_path / "elsewhere"
         elsewhere.mkdir()
         flags, given = [], []
         for flag, default in ARTIFACTS[name].items():
             path = elsewhere / flag.lstrip("-")
-            shutil.copy(out / (default or pipeline.PSEUDO_GT_UPDATED), path)
+            shutil.copy(out / default, path)
             flags += [flag, path]
             given.append(path)
         read.clear()
         assert run_cli(name, *common, *flags) == 0
         assert sorted(read) == sorted(given)
+
+    def test_eval_scores_the_updated_pseudo_gt_when_it_exists(
+        self, synth_dir, run_dir, tmp_path
+    ):
+        out = tmp_path / "out"
+        shutil.copytree(run_dir, out)
+        common = ["--manifest", synth_dir / "manifest.json", "--out", out]
+        assert run_cli("eval", *common) == 0
+        assert (out / pipeline.METRICS).read_bytes() == (run_dir / pipeline.METRICS).read_bytes()
+        assert json.loads((out / pipeline.METRICS).read_text())["primary"]["pseudo_gt"] == "updated"
+
+        (out / pipeline.PSEUDO_GT_UPDATED).unlink()
+        assert run_cli("eval", *common) == 0
+        doc = json.loads((out / pipeline.METRICS).read_text())
+        assert doc["primary"]["pseudo_gt"] == "initial"
+        assert "corloc_all" not in doc["ablation"]["updated"]
 
     @pytest.mark.parametrize("stage", [
         "run_mine", "run_select_tracks", "run_match", "run_vote", "run_train",
@@ -441,6 +456,20 @@ class TestFmapChannels:
         self.refused(capsys, path, channels)
 
 
+def test_non_finite_image_map_refused_naming_its_file(synth_dir, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(synth_dir, data)
+    path = data / "fmaps/pos_002.fmap"
+    raw = bytearray(path.read_bytes())
+    raw[17:21] = np.array([np.nan], dtype="<f4").tobytes()
+    path.write_bytes(bytes(raw))
+    code = run_cli("mine", "--manifest", data / "manifest.json", "--out", tmp_path / "o")
+    assert code == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ConfigInvalidError"
+    assert err["message"] == f"{path}: feature map contains non-finite values"
+
+
 class TestEvalCli:
     def test_empty_predictions_include_missed_corloc_zero(self, synth_dir, tmp_path):
         gt = dataio.read_gt(synth_dir / "gt.jsonl")["obj"]
@@ -471,6 +500,12 @@ class TestReports:
         assert {"mine.json", "select_tracks.json", "match.json", "vote.json",
                 "train_initial.json", "update.json", "train_updated.json",
                 "regress.json", "eval.json", "pipeline.json"} <= names
+        for path in (out / "reports").glob("*.json"):
+            report = json.loads(path.read_text())
+            if path.stem.startswith("train_"):
+                assert (report["stage"], report["tag"]) == ("train", path.stem[len("train_"):])
+            else:
+                assert report["stage"] == path.stem
 
     def test_rerun_overwrites_with_identical_semantics(self, synth_dir, tmp_path):
         out = tmp_path / "twice"
@@ -785,6 +820,9 @@ class TestMalformedJson:
         ("match", pipeline.SELECTIONS, "frame_idx", "x", "selections.jsonl line 1"),
         ("train", pipeline.PSEUDO_GT, "vote", "high", "pseudo_gt.jsonl line 1"),
         ("mine", "manifest.json", "size", [True, 16], "manifest.json"),
+        ("pipeline", "manifest.json", "cell_stride", 0, "manifest.json"),
+        ("pipeline", "manifest.json", "cell_stride", -1, "manifest.json"),
+        ("pipeline", "manifest.json", "categories", [], "manifest.json"),
     ])
     def test_wrong_type_field_is_a_config_error(
         self, synth_dir, tmp_path, capsys, command, name, key, value, where
@@ -1089,6 +1127,25 @@ class TestManifest:
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfigInvalidError, match="twice"):
             dataio.load_manifest(path)
+
+    @pytest.mark.parametrize("key,value", [
+        ("cell_stride", 0), ("cell_stride", -1), ("categories", []),
+    ])
+    def test_bad_value_refused_before_anything_is_written(
+        self, synth_dir, tmp_path, capsys, key, value
+    ):
+        doc = json.loads((synth_dir / "manifest.json").read_text())
+        doc[key] = value
+        data = tmp_path / "data"
+        shutil.copytree(synth_dir, data)
+        (data / "manifest.json").write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        code = run_cli("mine", "--manifest", data / "manifest.json", "--out", out)
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigInvalidError"
+        assert f"manifest.json: bad value for key {key!r}" in err["message"]
+        assert not out.exists()
 
     def test_lookups_by_id(self, synth_dir):
         manifest = dataio.load_manifest(synth_dir / "manifest.json")

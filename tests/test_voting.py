@@ -92,10 +92,6 @@ class TestVoteSpaceValidation:
         with pytest.raises(ConfigInvalidError):
             VoteSpace(points=np.zeros((3, 3)), bandwidth=1.0)
 
-    def test_from_boxes(self):
-        s = VoteSpace.from_boxes([BBox(0, 1, 2, 3)], bandwidth=1.0)
-        assert s.points.tolist() == [[0.0, 1.0, 2.0, 3.0]]
-
 
 class TestMeanShiftModes:
     @pytest.mark.parametrize("kernel", [GAUSSIAN, EPANECHNIKOV])
