@@ -216,14 +216,27 @@ class Manifest:
     def load_image_fmap(self, image_id: str) -> FeatureMap:
         return self._read_fmap(self.image(image_id).fmap_path)
 
-    def load_video_pyramids(self, video_id: str) -> list[FeaturePyramid]:
+    def load_video_pyramids(self, video_id: str) -> VideoPyramids:
         entry = self._videos_by_id.get(video_id)
         if entry is None:
             raise MissingInputError(f"video {video_id} not in manifest")
-        return [
-            single_level_pyramid(self._read_fmap(p), self.cell_stride)
-            for p in entry.frame_paths
-        ]
+        return VideoPyramids(self, entry.frame_paths)
+
+
+@dataclass(frozen=True)
+class VideoPyramids(Sequence[FeaturePyramid]):
+    """A video's scale-1.0 frame pyramids by frame number; indexing a frame
+    reads its FMAP, again on every access, so a stage reads what it samples."""
+
+    manifest: Manifest
+    paths: tuple[Path, ...]
+
+    def __len__(self) -> int:
+        return len(self.paths)
+
+    def __getitem__(self, frame_idx: int) -> FeaturePyramid:
+        fmap = self.manifest._read_fmap(self.paths[frame_idx])
+        return single_level_pyramid(fmap, self.manifest.cell_stride)
 
 
 def _index(entries, id_attr: str, kind: str) -> dict:

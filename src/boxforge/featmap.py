@@ -1,8 +1,9 @@
 """Feature-map storage, pyramids, and dense sliding-window cosine matching.
 
 A feature map is an ``(height, width, channels)`` grid of real activations;
-matching slides a fixed-shape query window over every placement of every
-pyramid level and scores it with cosine similarity.
+matching slides fixed-shape query windows over every placement of every
+pyramid level and scores them with cosine similarity, all the queries of one
+frame in one :func:`scan_queries` that groups them by window shape.
 
 FMAP binary format (bit-exact):
     magic bytes ``FMAP`` | version byte ``0x01`` | three little-endian u32
@@ -19,7 +20,7 @@ import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -140,17 +141,12 @@ def window_shape_for_box(box: BBox, target_cells: int = 48) -> tuple[int, int]:
     log_aspect = math.log(aspect)
     lo = max(1, math.floor(target_cells * 5.0 / 6.0))
     hi = math.ceil(target_cells * 7.0 / 6.0)
-    best: Optional[tuple[float, int, int, int, int]] = None
-    for w in range(1, hi + 1):
-        for h in range(max(1, -(-lo // w)), hi // w + 1):
-            area = w * h
-            if not lo <= area <= hi:
-                continue
-            key = (abs(math.log(w / h) - log_aspect), abs(area - target_cells), w, h)
-            if best is None or key < best:
-                best = key
-    assert best is not None
-    w, h = best[2], best[3]
+    _, _, w, h = min(
+        (abs(math.log(w / h) - log_aspect), abs(w * h - target_cells), w, h)
+        for w in range(1, hi + 1)
+        for h in range(max(1, -(-lo // w)), hi // w + 1)
+        if lo <= w * h <= hi
+    )
     return (max(2, w), max(2, h))
 
 
@@ -244,87 +240,94 @@ def map_window_to_pixels(
 SCAN_BLOCK_BYTES = 64 << 20
 
 
-def _placement_scores(data: np.ndarray, qf: np.ndarray, nq: float, h: int, w: int) -> np.ndarray:
-    """Cosine score of every (cy, cx) placement of an h x w window on one map.
-
-    Placements become rows of a float64 window matrix, built in blocks under
-    :data:`SCAN_BLOCK_BYTES`.  ``np.vecdot`` runs the same per-row dot kernel
-    as ``np.dot`` and ``np.linalg.norm`` on one flattened window, so every
-    score is bit-identical to scoring the placements one at a time.
-    """
+def _placement_scores(
+    data: np.ndarray, queries: np.ndarray, norms: np.ndarray, h: int, w: int
+) -> np.ndarray:
+    """Cosine scores, (G, ny, nx), of G same-shape queries (rows of
+    ``queries``, with their ``norms``) at every placement of an h x w window
+    on one map.  One float64 window matrix (placements as rows, built in
+    blocks under :data:`SCAN_BLOCK_BYTES`) and its norms serve all G queries.
+    ``np.vecdot``, broadcast over queries and placements, runs the per-row
+    dot kernel of ``np.dot`` and ``np.linalg.norm`` on one flattened window,
+    so every score is bit-identical to scoring one query at one placement; a
+    GEMM (``queries @ mat.T``) would sum in another order."""
     windows = sliding_window_view(data, (h, w, data.shape[2]))[:, :, 0]
     ny, nx = windows.shape[:2]
-    scores = np.zeros((ny, nx))
-    if nq < 1e-12:
-        return scores
-    row_bytes = 8 * qf.size
+    g, size = queries.shape
+    scores = np.zeros((g, ny, nx))
+    row_bytes = 8 * size
     cols = min(nx, max(1, SCAN_BLOCK_BYTES // row_bytes))
     rows = max(1, SCAN_BLOCK_BYTES // (row_bytes * nx)) if cols == nx else 1
     for y0 in range(0, ny, rows):
         for x0 in range(0, nx, cols):
             block = windows[y0 : y0 + rows, x0 : x0 + cols]
-            mat = block.astype(np.float64, order="C").reshape(-1, qf.size)
-            norms = np.sqrt(np.vecdot(mat, mat))
-            cos = np.zeros(len(mat))
-            np.divide(np.vecdot(mat, qf), nq * norms, out=cos, where=norms >= 1e-12)
+            mat = block.astype(np.float64, order="C").reshape(-1, size)
+            mat_norms = np.sqrt(np.vecdot(mat, mat))
+            cos = np.zeros((g, len(mat)))
+            np.divide(
+                np.vecdot(mat[None], queries[:, None]), norms[:, None] * mat_norms, out=cos,
+                where=(norms[:, None] >= 1e-12) & (mat_norms >= 1e-12),
+            )
             # clamp the last-ulp overshoot of near-parallel vectors
-            scores[y0 : y0 + rows, x0 : x0 + cols] = np.clip(cos, -1.0, 1.0).reshape(
-                block.shape[:2]
+            scores[:, y0 : y0 + rows, x0 : x0 + cols] = np.clip(cos, -1.0, 1.0).reshape(
+                g, *block.shape[:2]
             )
     return scores
 
 
-def slide_match(query: QueryWindow, pyramid: FeaturePyramid, top_n: int) -> list[MatchHit]:
-    """Score every valid placement of the query on every level, keep the best.
+def scan_queries(
+    queries: Sequence[QueryWindow], pyramid: FeaturePyramid, top_n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each query's ``top_n`` best placements over every pyramid level:
+    ``score`` (queries, top_n) and ``place`` (queries, top_n, 3) of (level,
+    cell_y, cell_x).  Row q ranks query q's placements by score descending
+    with the (level, cell_y, cell_x) ascending tie-break, then pads with
+    score ``-inf`` at place -1.  Queries of one window shape share each
+    level's window matrix.  Zero-norm windows (query or placement) score 0
+    instead of erroring, which keeps blank frames from poisoning a scan.
 
-    Returns up to ``top_n`` hits sorted by score descending with the
-    deterministic tie-break (level, cell_y, cell_x ascending), so the result
-    is independent of scan order.  Zero-norm windows (query or placement)
-    score 0 instead of erroring, which keeps padded or blank frames from
-    poisoning a scan.
-
-    Raises :class:`WindowTooLargeError` when the query fits no level.
+    Raises :class:`WindowTooLargeError` when a query fits no level, and
+    ``ValueError`` when a query's channel count differs from a level's.
     """
     if top_n < 1:
         raise ValueError(f"top_n must be >= 1, got {top_n}")
-    qf = np.asarray(query.data, dtype=np.float64).reshape(-1)
-    nq = float(np.linalg.norm(qf))
-    w, h = query.w_cells, query.h_cells
-    scores, levels, ys, xs = [], [], [], []
-    for level_idx, (_scale, fmap) in enumerate(pyramid.levels):
-        if fmap.channels != query.channels:
-            raise ValueError(
-                f"channel mismatch: query {query.channels} vs level {fmap.channels}"
-            )
-        if w > fmap.width or h > fmap.height:
-            continue
-        level_scores = _placement_scores(fmap.data, qf, nq, h, w)
-        cy, cx = np.indices(level_scores.shape)
-        scores.append(level_scores.reshape(-1))
-        levels.append(np.full(level_scores.size, level_idx))
-        ys.append(cy.reshape(-1))
-        xs.append(cx.reshape(-1))
-    if not scores:
-        raise WindowTooLargeError(
-            f"query of {h}x{w} cells fits no level of the pyramid"
-        )
-    score, level, y, x = (np.concatenate(a) for a in (scores, levels, ys, xs))
-    order = np.lexsort((x, y, level, -score))[:top_n]
-    hits = []
-    for i in order.tolist():
-        li, cy, cx = int(level[i]), int(y[i]), int(x[i])
-        hits.append(
-            MatchHit(
-                level_idx=li,
-                cell_x=cx,
-                cell_y=cy,
-                pixel_box=map_window_to_pixels(
-                    pyramid.levels[li][0], cx, cy, w, h, pyramid.cell_stride
-                ),
-                score=float(score[i]),
-            )
-        )
-    return hits
+    for q in queries:
+        for _scale, fmap in pyramid.levels:
+            if fmap.channels != q.channels:
+                raise ValueError(f"channel mismatch: query {q.channels} vs level {fmap.channels}")
+    score = np.full((len(queries), top_n), -np.inf)
+    place = np.full((len(queries), top_n, 3), -1)
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, query in enumerate(queries):
+        groups.setdefault((query.w_cells, query.h_cells), []).append(i)
+    for (w, h), members in groups.items():
+        flat = np.stack([np.asarray(queries[i].data, np.float64).reshape(-1) for i in members])
+        norms = np.array([np.linalg.norm(qf) for qf in flat])
+        parts, places = [], []
+        for level_idx, (_scale, fmap) in enumerate(pyramid.levels):
+            if w <= fmap.width and h <= fmap.height:
+                level_scores = _placement_scores(fmap.data, flat, norms, h, w)
+                parts.append(level_scores.reshape(len(members), -1))
+                cy, cx = np.indices(level_scores.shape[1:]).reshape(2, -1)
+                places.append(np.stack([np.full(cy.size, level_idx), cy, cx], axis=1))
+        if not parts:
+            raise WindowTooLargeError(f"query of {h}x{w} cells fits no level of the pyramid")
+        scores = np.concatenate(parts, axis=1)
+        # placements run in (level, y, x) order, which a stable sort keeps on ties
+        order = np.argsort(-scores, axis=1, kind="stable")[:, :top_n]
+        score[members, : order.shape[1]] = np.take_along_axis(scores, order, axis=1)
+        place[members, : order.shape[1]] = np.concatenate(places)[order]
+    return score, place
+
+
+def slide_match(query: QueryWindow, pyramid: FeaturePyramid, top_n: int) -> list[MatchHit]:
+    """:func:`scan_queries` of one query, as hits with their pixel boxes."""
+    (score,), (place,) = scan_queries([query], pyramid, top_n)
+    w, h, stride = query.w_cells, query.h_cells, pyramid.cell_stride
+    return [
+        MatchHit(li, cx, cy, map_window_to_pixels(pyramid.levels[li][0], cx, cy, w, h, stride), s)
+        for s, (li, cy, cx) in zip(score.tolist(), place.tolist()) if s > -np.inf
+    ]
 
 
 POOL_SURROUND_MARGIN = 2

@@ -13,14 +13,16 @@ seed.
 ``run_pipeline`` opens the dataset once and chains the stages in order, so
 the manifest, proposals and tracks are parsed once per run and running the
 stages one by one writes the same artifacts.  It passes only what differs
-from the defaults: the updated pseudo GT that the updated train reads, the
-updated model and pseudo GT that each update round after the first reads,
-and cross-validation's winning pseudo GT and detector, which the vote and
-initial train stages write rather than computing them again.
+from the defaults: select-tracks' match table, which match takes instead of
+scanning the frames again; the updated pseudo GT that the updated train
+reads; the updated model and pseudo GT of each update round after the
+first; and cross-validation's winning pseudo GT and detector, which the vote
+and initial train stages write rather than computing them again.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -55,12 +57,7 @@ from .mining import (
     select_positive_regions,
 )
 from .tracks import candidates_at_frame, select_track_per_frame
-from .transfer import (
-    match_region_per_frame,
-    match_region_to_videos,
-    retrieve_boxes,
-    sampled_frame_indices,
-)
+from .transfer import RegionMatches, match_regions, retrieve_boxes, sampled_frame_indices
 from .voting import PseudoGT, VoteSpace, export_heatmap, ranked_ascents, select_pseudo_gt
 
 REGIONS = "regions.jsonl"
@@ -92,8 +89,10 @@ class _Stage:
         self.out.mkdir(parents=True, exist_ok=True)
 
     def input(self, path: Optional[str | Path], default: str) -> Path:
-        """``path``, or when it is unset the file ``default`` in the output
-        directory."""
+        """``path``, which must exist, or when it is unset the file
+        ``default`` in the output directory."""
+        if path and not Path(path).exists():
+            raise MissingInputError(f"missing input file: {path}")
         return Path(path) if path else self.out / default
 
     def report(self, fields: dict) -> dict:
@@ -135,65 +134,51 @@ def run_mine(ds: dataio.Dataset, cfg: PipelineConfig) -> dict:
     })
 
 
-def _load_region_queries(manifest, regions, target_cells):
-    fmap_cache: dict[str, object] = {}
-    queries = {}
-    for region in regions:
-        fmap = fmap_cache.get(region.image_id)
-        if fmap is None:
-            fmap = manifest.load_image_fmap(region.image_id)
-            fmap_cache[region.image_id] = fmap
-        queries[region.region_id] = build_query_window(
-            fmap,
-            region.box,
-            cell_stride=manifest.cell_stride,
-            target_cells=target_cells,
+def _match_table(ds: dataio.Dataset, cfg: PipelineConfig, mined) -> RegionMatches:
+    """Every mined region's query scanned once over every sampled frame."""
+    manifest = ds.manifest
+    load_fmap = functools.cache(manifest.load_image_fmap)  # one read per image
+    queries = {
+        r.region_id: build_query_window(
+            load_fmap(r.image_id), r.box, manifest.cell_stride, cfg.target_cells
         )
-    return queries
+        for r in mined.regions
+    }
+    videos = [(e.video_id, manifest.load_video_pyramids(e.video_id)) for e in manifest.videos]
+    return match_regions(queries, videos, cfg.n_matches, cfg.frame_stride)
 
 
-def _load_videos(manifest):
-    return [
-        (entry.video_id, manifest.load_video_pyramids(entry.video_id))
-        for entry in manifest.videos
-    ]
+@dataclass(frozen=True)
+class TrackSelection:
+    """The select-tracks stage report and the match table it scanned."""
+
+    report: dict
+    matches: RegionMatches
 
 
 def run_select_tracks(
     ds: dataio.Dataset, cfg: PipelineConfig, *, regions: Optional[str | Path] = None
-) -> dict:
-    """Pick the best-supported candidate track box in every sampled frame."""
+) -> TrackSelection:
+    """Pick the best-supported candidate track box in every sampled frame;
+    the match table it scans (``cfg.n_matches`` hits per frame) is handed on."""
     stage = _Stage(cfg, "select_tracks")
     mined = dataio.read_regions(stage.input(regions, REGIONS))
-    queries = _load_region_queries(ds.manifest, mined.regions, cfg.target_cells)
-    videos = _load_videos(ds.manifest)
-    tracks_by_video = ds.tracks
-
-    region_order = [r.region_id for r in mined.regions]
-    per_region = [
-        match_region_per_frame(rid, queries[rid], videos, cfg.frame_stride)
-        for rid in region_order
-    ]
+    table = _match_table(ds, cfg, mined)
     evidence: dict[tuple[str, int], list[tuple[BBox, float]]] = {}
-    for matches in per_region:
-        for key, match in matches.items():
+    for r in range(len(table.region_ids)):
+        for key, match in table.per_frame(r).items():
             evidence.setdefault(key, []).append((match.hit.pixel_box, match.sim))
 
     selections = []
-    for video_id, frames in videos:
-        tracks = tracks_by_video.get(video_id, [])
-        for frame_idx in sampled_frame_indices(len(frames), cfg.frame_stride):
-            candidates = candidates_at_frame(tracks, frame_idx)
-            sel = select_track_per_frame(
-                candidates, evidence.get((video_id, frame_idx), []), video_id, frame_idx
-            )
-            if sel is not None:
-                selections.append(sel)
+    for video_id, frame_idx, *_ in table.frames:
+        candidates = candidates_at_frame(ds.tracks.get(video_id, []), frame_idx)
+        frame_evidence = evidence.get((video_id, frame_idx), [])
+        sel = select_track_per_frame(candidates, frame_evidence, video_id, frame_idx)
+        if sel is not None:
+            selections.append(sel)
     dataio.write_selections(stage.out / SELECTIONS, selections)
-    return stage.report({
-        "n_regions": len(region_order),
-        "n_selections": len(selections),
-    })
+    report = stage.report({"n_regions": len(mined.regions), "n_selections": len(selections)})
+    return TrackSelection(report=report, matches=table)
 
 
 def run_match(
@@ -202,35 +187,26 @@ def run_match(
     *,
     regions: Optional[str | Path] = None,
     selections: Optional[str | Path] = None,
+    matches: Optional[RegionMatches] = None,
 ) -> dict:
-    """Match every mined region into the videos and transfer track boxes back."""
+    """Match every mined region into the videos and transfer track boxes
+    back.  ``matches`` is select-tracks' table when the caller has it (the
+    same regions, videos and config); without it the frames are scanned."""
     stage = _Stage(cfg, "match")
-    manifest = ds.manifest
     mined = dataio.read_regions(stage.input(regions, REGIONS))
     selected = dataio.read_selections(stage.input(selections, SELECTIONS))
-    queries = _load_region_queries(manifest, mined.regions, cfg.target_cells)
-    videos = _load_videos(manifest)
+    if matches is None:
+        matches = _match_table(ds, cfg, mined)
     region_boxes = {r.region_id: (r.image_id, r.box) for r in mined.regions}
 
-    region_order = [r.region_id for r in mined.regions]
-    per_region = [
-        match_region_to_videos(rid, queries[rid], videos, cfg.n_matches, cfg.frame_stride)
-        for rid in region_order
-    ]
-    transfers = []
-    n_matches_total = 0
-    dropped_total = 0
-    for matches in per_region:
-        n_matches_total += len(matches)
-        emitted, dropped = retrieve_boxes(matches, region_boxes, selected)
-        transfers.extend(emitted)
-        dropped_total += dropped
+    top = [m for r in range(len(matches.region_ids)) for m in matches.top(r)]
+    transfers, dropped = retrieve_boxes(top, region_boxes, selected)
     dataio.write_transfers(stage.out / TRANSFERS, transfers)
     return stage.report({
-        "n_regions": len(region_order),
-        "n_matches": n_matches_total,
+        "n_regions": len(mined.regions),
+        "n_matches": len(top),
         "n_transfers": len(transfers),
-        "n_degenerate_dropped": dropped_total,
+        "n_degenerate_dropped": dropped,
     })
 
 
@@ -433,16 +409,12 @@ def run_regress(
         regressor = BoxRegressor.identity(next(iter(images.values())).features.shape[1])
     dataio.write_regressor(stage.out / REGRESSOR, regressor)
 
-    fmap_cache = {}
+    load_fmap = functools.cache(manifest.load_image_fmap)  # one read per image
     refined = []
     for image_id, box, score in dataio.read_detections(
         stage.input(detections, DETECTIONS_UPDATED)
     ):
-        fmap = fmap_cache.get(image_id)
-        if fmap is None:
-            fmap = manifest.load_image_fmap(image_id)
-            fmap_cache[image_id] = fmap
-        feature = pool_box_feature(fmap, box, manifest.cell_stride)
+        feature = pool_box_feature(load_fmap(image_id), box, manifest.cell_stride)
         new_box = apply_regressor(regressor, feature, box)
         entry = manifest.image(image_id)
         clipped = clip_box(new_box, entry.size[0], entry.size[1])
@@ -456,10 +428,6 @@ def _category_gt(manifest, category):
     if category not in gt:
         raise MissingInputError(f"gt.jsonl has no boxes for category {category!r}")
     return gt[category]
-
-
-def _pgt_boxes(pseudo_gts):
-    return {image_id: g.box for image_id, g in pseudo_gts.items()}
 
 
 def run_eval(
@@ -476,7 +444,8 @@ def run_eval(
 
     The top-level per-category block reflects the best available artifacts
     (updated pseudo GT over initial; regressed detections over plain); the
-    ``ablation`` block reports each variant whose file exists separately.
+    ``ablation`` block reports each variant whose file exists separately; an
+    unset input whose default file is absent is skipped.
     """
     stage = _Stage(cfg, "eval")
     manifest = ds.manifest
@@ -492,7 +461,7 @@ def run_eval(
         if not path.exists():
             continue
         pgts = dataio.read_pseudo_gts(path)
-        boxes = _pgt_boxes(pgts)
+        boxes = {image_id: g.box for image_id, g in pgts.items()}
         ablation[tag] = {
             "corloc_all": corloc(boxes, gt, include_missed=True),
             "corloc_found": corloc(boxes, gt, include_missed=False),
@@ -652,8 +621,7 @@ def run_pipeline(cfg: PipelineConfig, heatmaps: Optional[str | Path] = None) -> 
     ds = dataio.open_dataset(cfg.manifest)
 
     run_mine(ds, cfg)
-    run_select_tracks(ds, cfg)
-    run_match(ds, cfg)
+    run_match(ds, cfg, matches=run_select_tracks(ds, cfg).matches)
     bandwidth = cfg.bandwidth
     winner_gts, winner_fit = None, None
     if bandwidth is None:

@@ -1,22 +1,25 @@
 """Match mined regions into video frames and retrieve tracked boxes.
 
-Each region's query window is slid over every sampled frame of every video;
-the globally best matches bring their frame's selected track box back to the
-region's image through the box-transfer rule.
+:func:`match_regions` scans all regions' query windows over each sampled
+frame once, into a :class:`RegionMatches` table of every (region, frame)'s
+best placements.  Track selection reads each frame's best hit from it;
+matching takes each region's globally best hits, which bring their frame's
+selected track box back to the region's image by the box-transfer rule.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .errors import DegenerateBoxError, NoFramesError
-from .featmap import FeaturePyramid, MatchHit, QueryWindow, slide_match
+from .featmap import FeaturePyramid, MatchHit, QueryWindow, map_window_to_pixels, scan_queries
 from .geometry import BBox, intersection_area, transfer_box
 from .tracks import FrameSelection
 
-# A video is (video_id, ordered per-frame pyramids).
-VideoFrames = tuple[str, Sequence[FeaturePyramid]]
+VideoFrames = tuple[str, Sequence[FeaturePyramid]]  # (video_id, pyramids by frame number)
 
 
 @dataclass(frozen=True)
@@ -52,60 +55,81 @@ def sampled_frame_indices(n_frames: int, frame_stride: int) -> list[int]:
     return list(range(0, n_frames, frame_stride))
 
 
-def match_region_to_videos(
-    region_id: str,
-    query: QueryWindow,
-    videos: Sequence[VideoFrames],
-    n: int = 20,
-    frame_stride: int = 8,
-) -> list[VideoMatch]:
-    """The n globally best hits across all sampled frames of all videos.
+@dataclass(frozen=True)
+class RegionMatches:
+    """Each region's ``n`` best placements in each sampled frame, as
+    :func:`scan_queries` ranks them: ``score`` (regions, frames, n) and
+    ``place`` (regions, frames, n, 3) of (level, cell_y, cell_x).  A frame
+    keeps the ``cell_stride`` and level scales its pixel boxes need; no
+    feature map is held."""
 
-    Sorted by similarity descending with the deterministic
-    (video_id, frame_idx, level, y, x) tie-break.  Raises
-    :class:`NoFramesError` when sampling yields no frames at all.
-    """
-    ranked = []
-    any_frames = False
-    for video_id, frames in videos:
-        for frame_idx in sampled_frame_indices(len(frames), frame_stride):
-            any_frames = True
-            for hit in slide_match(query, frames[frame_idx], top_n=n):
-                key = (-hit.score, video_id, frame_idx, hit.level_idx, hit.cell_y, hit.cell_x)
-                ranked.append((key, hit))
-    if not any_frames:
-        raise NoFramesError("no sampled frames in any video")
-    # rank first, so only the n kept hits are copied with their frame
-    ranked.sort(key=lambda r: r[0])
-    return [
-        VideoMatch(
-            region_id=region_id,
-            hit=replace(hit, video_id=video_id, frame_idx=frame_idx),
-        )
-        for (_score, video_id, frame_idx, *_), hit in ranked[:n]
+    region_ids: tuple[str, ...]
+    shapes: tuple[tuple[int, int], ...]  # each region's (w_cells, h_cells)
+    # each sampled frame's (video_id, frame_idx, cell_stride, level scales)
+    frames: tuple[tuple[str, int, float, tuple[float, ...]], ...]
+    score: np.ndarray
+    place: np.ndarray
+
+    def _match(self, r: int, f: int, k: int) -> VideoMatch:
+        video_id, frame_idx, cell_stride, scales = self.frames[f]
+        li, cy, cx = self.place[r, f, k].tolist()
+        box = map_window_to_pixels(scales[li], cx, cy, *self.shapes[r], cell_stride)
+        hit = MatchHit(li, cx, cy, box, float(self.score[r, f, k]), video_id, frame_idx)
+        return VideoMatch(region_id=self.region_ids[r], hit=hit)
+
+    def per_frame(self, r: int) -> dict[tuple[str, int], VideoMatch]:
+        """Region ``r``'s best hit in each sampled frame, keyed by
+        (video_id, frame_idx): the evidence track selection consumes."""
+        return {(v, i): self._match(r, f, 0) for f, (v, i, *_) in enumerate(self.frames)}
+
+    def top(self, r: int) -> list[VideoMatch]:
+        """Region ``r``'s n globally best hits, by similarity descending with
+        the (video_id, frame_idx, level, y, x) tie-break, video ids compared
+        as strings.  Raises :class:`NoFramesError` without sampled frames."""
+        if not self.frames:
+            raise NoFramesError("no sampled frames in any video")
+        rank = {v: i for i, v in enumerate(sorted({v for v, *_ in self.frames}))}
+        n = self.score.shape[2]
+        video_rank, frame_idx = np.repeat([(rank[v], i) for v, i, *_ in self.frames], n, axis=0).T
+        score = self.score[r].reshape(-1)
+        level, cell_y, cell_x = self.place[r].reshape(-1, 3).T
+        order = np.lexsort((cell_x, cell_y, level, frame_idx, video_rank, -score))[:n]
+        # padding (-inf) sorts last, so it is cut unless the region has under n hits
+        return [self._match(r, *divmod(i, n)) for i in order.tolist() if score[i] > -np.inf]
+
+
+def match_regions(
+    queries: Mapping[str, QueryWindow], videos: Sequence[VideoFrames], n: int = 20,
+    frame_stride: int = 8,
+) -> RegionMatches:
+    """Scan the queries (region id -> window) over every sampled frame, one
+    :func:`scan_queries` per frame, keeping each (region, frame)'s ``n``
+    best placements.  Each sampled frame is indexed, and so read, once."""
+    windows = list(queries.values())
+    sampled = [
+        (video_id, frame_idx, pyramids)
+        for video_id, pyramids in videos
+        for frame_idx in sampled_frame_indices(len(pyramids), frame_stride)
     ]
+    score = np.empty((len(windows), len(sampled), n))
+    place = np.empty((len(windows), len(sampled), n, 3), dtype=np.int64)
+    frames = []
+    for f, (video_id, frame_idx, pyramids) in enumerate(sampled):
+        pyramid = pyramids[frame_idx]
+        scales = tuple(s for s, _ in pyramid.levels)
+        frames.append((video_id, frame_idx, pyramid.cell_stride, scales))
+        score[:, f], place[:, f] = scan_queries(windows, pyramid, n)
+    shapes = tuple((q.w_cells, q.h_cells) for q in windows)
+    return RegionMatches(tuple(queries), shapes, tuple(frames), score, place)
 
 
-def match_region_per_frame(
-    region_id: str,
-    query: QueryWindow,
-    videos: Sequence[VideoFrames],
-    frame_stride: int = 8,
-) -> dict[tuple[str, int], VideoMatch]:
-    """The single best hit per sampled frame, keyed by (video_id, frame_idx).
+# One-region views of the table, which the benchmark's tracer wraps by name.
+def match_region_to_videos(region_id, query, videos, n=20, frame_stride=8) -> list[VideoMatch]:
+    return match_regions({region_id: query}, videos, n, frame_stride).top(0)
 
-    This is the match evidence the track-selection stage consumes.
-    """
-    out: dict[tuple[str, int], VideoMatch] = {}
-    for video_id, frames in videos:
-        for frame_idx in sampled_frame_indices(len(frames), frame_stride):
-            hits = slide_match(query, frames[frame_idx], top_n=1)
-            if hits:
-                out[(video_id, frame_idx)] = VideoMatch(
-                    region_id=region_id,
-                    hit=replace(hits[0], video_id=video_id, frame_idx=frame_idx),
-                )
-    return out
+
+def match_region_per_frame(region_id, query, videos, frame_stride=8) -> dict:
+    return match_regions({region_id: query}, videos, 1, frame_stride).per_frame(0)
 
 
 def retrieve_boxes(
@@ -125,8 +149,7 @@ def retrieve_boxes(
         selection = selections.get((match.hit.video_id, match.hit.frame_idx))
         if selection is None:
             continue
-        t = selection.box
-        v = match.hit.pixel_box
+        t, v = selection.box, match.hit.pixel_box
         if intersection_area(v, t) <= 0.0:
             continue
         image_id, r = region_boxes[match.region_id]
@@ -135,16 +158,9 @@ def retrieve_boxes(
         except DegenerateBoxError:
             dropped += 1
             continue
-        transfers.append(
-            TransferredBox(
-                image_id=image_id,
-                box=box,
-                region_id=match.region_id,
-                video_id=match.hit.video_id,
-                frame_idx=match.hit.frame_idx,
-                sim=match.sim,
-                match_box=v,
-                track_box=t,
-            )
-        )
+        transfers.append(TransferredBox(
+            image_id=image_id, box=box, region_id=match.region_id,
+            video_id=match.hit.video_id, frame_idx=match.hit.frame_idx, sim=match.sim,
+            match_box=v, track_box=t,
+        ))
     return transfers, dropped

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from boxforge import atomic, featmap
@@ -22,6 +22,7 @@ from boxforge.featmap import (
     pool_box_feature,
     read_fmap,
     resample_window,
+    scan_queries,
     single_level_pyramid,
     slide_match,
     window_shape_for_box,
@@ -270,6 +271,55 @@ class TestSlideMatchScanOracle:
         monkeypatch.setattr(featmap, "SCAN_BLOCK_BYTES", int(cap_rows * 8 * q.data.size))
         blocked = _scan(q, pyr, n)
         assert blocked == whole == slide_match_oracle(q, pyr, n)
+
+
+
+class TestGroupedScan:
+    """Queries of mixed window shapes scanned together on one pyramid: each
+    query's rows equal what the one-placement oracle finds for it alone."""
+
+    SHAPES = [(2, 2), (3, 2), (2, 3), (4, 3)]  # (w_cells, h_cells)
+
+    @settings(max_examples=25, derandomize=True)
+    @given(
+        shapes=st.lists(st.sampled_from(SHAPES), min_size=2, max_size=7),
+        zero_at=st.integers(0, 6),
+        block_bytes=st.sampled_from([8, 100, 600, 64 << 20]),
+        top_n=st.integers(1, 70),
+        seed=st.integers(0, 2**16),
+    )
+    def test_each_query_equals_the_oracle(self, shapes, zero_at, block_bytes, top_n, seed):
+        rng = np.random.default_rng(seed)
+        c = int(rng.integers(1, 4))
+        base = rng.normal(size=(int(rng.integers(5, 9)), int(rng.integers(5, 9)), c))
+        base[: int(rng.integers(2, 5)), : int(rng.integers(2, 5)), :] = 0.0  # zero-norm placements
+        pyr = FeaturePyramid(
+            levels=(
+                (1.0, fmap_from(base)),
+                (0.7, random_fmap(rng, 4, 5, c)),
+                (0.5, random_fmap(rng, 2, 3, c)),  # too short for 2x3 and 4x3 windows
+            ),
+            cell_stride=4.0,
+        )
+        queries = []
+        for i, (w, h) in enumerate(shapes):
+            if i == zero_at % len(shapes):
+                queries.append(QueryWindow(w_cells=w, h_cells=h, channels=c, data=np.zeros(w * h * c)))
+            elif i % 2:
+                queries.append(QueryWindow(w_cells=w, h_cells=h, channels=c,
+                                           data=rng.normal(size=w * h * c)))
+            else:
+                x, y = int(rng.integers(0, base.shape[1] - w + 1)), int(rng.integers(0, base.shape[0] - h + 1))
+                queries.append(extract_window(fmap_from(base), (x, y, w, h)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(featmap, "SCAN_BLOCK_BYTES", block_bytes)
+            score, place = scan_queries(queries, pyr, top_n)
+        assert score.shape == place.shape[:2] == (len(queries), top_n)
+        for q, query in enumerate(queries):
+            want = slide_match_oracle(query, pyr, top_n)
+            got = [(s, *where) for s, where in zip(score[q].tolist(), place[q].tolist())]
+            assert got[: len(want)] == want
+            assert got[len(want):] == [(-np.inf, -1, -1, -1)] * (top_n - len(want))
 
 
 class TestPyramidValidation:

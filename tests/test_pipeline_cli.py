@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from collections import Counter
 import os
 import shutil
 import subprocess
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import boxforge
-from boxforge import atomic, cli, dataio, featmap, pipeline
+from boxforge import atomic, cli, dataio, featmap, pipeline, transfer
 from boxforge.config import SETTINGS, PipelineConfig, build_config, parse_config_file
 from boxforge.errors import ConfigInvalidError, EmptyPoolError, MissingInputError
 from boxforge.detector import TrainConfig, fit_bbox_regressor, lsvm_update
@@ -187,24 +188,29 @@ class TestSettingsSurface:
         assert not out.exists()
 
 
+def run_stage_chain(manifest, out, frame_stride):
+    """Every stage subcommand in pipeline order at a fixed bandwidth of 2."""
+    common = ["--manifest", manifest, "--out", out,
+              "--target-cells", 30, "--frame-stride", frame_stride]
+    assert run_cli("mine", *common) == 0
+    assert run_cli("select-tracks", *common) == 0
+    assert run_cli("match", *common) == 0
+    assert run_cli("vote", *common, "--bandwidth", 2.0) == 0
+    assert run_cli("train", *common, "--seed", 7) == 0
+    assert run_cli("update", *common) == 0
+    assert run_cli(
+        "train", *common, "--seed", 7,
+        "--pseudo-gt", out / "pseudo_gt_updated.jsonl", "--tag", "updated",
+    ) == 0
+    assert run_cli("regress", *common) == 0
+    assert run_cli("eval", *common) == 0
+
+
 class TestCliStages:
     def test_full_stage_chain_matches_pipeline(self, synth_dir, tmp_path):
         manifest = synth_dir / "manifest.json"
         chained = tmp_path / "chained"
-        common = ["--manifest", manifest, "--out", chained,
-                  "--target-cells", 30, "--frame-stride", 1]
-        assert run_cli("mine", *common) == 0
-        assert run_cli("select-tracks", *common) == 0
-        assert run_cli("match", *common) == 0
-        assert run_cli("vote", *common, "--bandwidth", 2.0) == 0
-        assert run_cli("train", *common, "--seed", 7) == 0
-        assert run_cli("update", *common) == 0
-        assert run_cli(
-            "train", *common, "--seed", 7,
-            "--pseudo-gt", chained / "pseudo_gt_updated.jsonl", "--tag", "updated",
-        ) == 0
-        assert run_cli("regress", *common) == 0
-        assert run_cli("eval", *common) == 0
+        run_stage_chain(manifest, chained, 1)
 
         piped = tmp_path / "piped"
         cfg = PipelineConfig(
@@ -216,6 +222,31 @@ class TestCliStages:
         assert chained_doc == piped_doc
         assert doc["mean_corloc"] == piped_doc["mean_corloc"]
         assert_same_outputs(chained, piped)
+
+    def test_two_videos_at_stride_two_chain_matches_pipeline(self, tmp_path, monkeypatch):
+        """The match stage run alone scans the frames again; its table equals
+        the one select-tracks hands on in a pipeline run, which opens only
+        the sampled frames."""
+        gen_dataset(SynthConfig(seed=0, n_videos=2, frames_per_video=7), tmp_path / "data")
+        manifest = tmp_path / "data" / "manifest.json"
+        chained = tmp_path / "chained"
+        run_stage_chain(manifest, chained, 2)
+
+        reads = []
+        original = dataio.read_fmap
+        monkeypatch.setattr(dataio, "read_fmap", lambda path: reads.append(Path(path)) or original(path))
+        piped = tmp_path / "piped"
+        run_pipeline(PipelineConfig(
+            manifest=str(manifest), out_dir=str(piped), seed=7, target_cells=30,
+            frame_stride=2, bandwidth=2.0,
+        ))
+        assert_same_outputs(chained, piped)
+        assert json.loads((piped / "reports" / "match.json").read_text())["n_transfers"] > 0
+        videos = dataio.load_manifest(manifest).videos
+        assert len(videos) == 2
+        frames = {tmp_path / "data" / p: i for video in videos for i, p in enumerate(video.frame_paths)}
+        read_frames = [frames[p] for p in reads if p in frames]
+        assert read_frames and all(i % 2 == 0 for i in read_frames)
 
     def test_cv_stage_chain_matches_pipeline(self, synth_dir, tmp_path, capsys):
         """cv-bandwidth, then the stages at its best bandwidth, write what a
@@ -406,6 +437,21 @@ class TestCommandTable:
         assert doc["primary"]["pseudo_gt"] == "initial"
         assert "corloc_all" not in doc["ablation"]["updated"]
 
+    @pytest.mark.parametrize("flag", sorted(ARTIFACTS["eval"]))
+    def test_eval_refuses_a_named_input_that_does_not_exist(
+        self, flag, synth_dir, run_dir, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        shutil.copytree(run_dir, out)
+        missing = tmp_path / "nonexistent" / "input.jsonl"
+        code = run_cli("eval", "--manifest", synth_dir / "manifest.json", "--out", out,
+                       flag, missing)
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "MissingInputError",
+                       "message": f"missing input file: {missing}"}
+        assert (out / pipeline.METRICS).read_bytes() == (run_dir / pipeline.METRICS).read_bytes()
+
     @pytest.mark.parametrize("stage", [
         "run_mine", "run_select_tracks", "run_match", "run_vote", "run_train",
         "run_update", "run_regress", "run_eval", "run_cv_bandwidth",
@@ -571,9 +617,16 @@ class TestEachIntermediateOnce:
     @pytest.mark.parametrize("lsvm_rounds", [1, 2])
     def test_counts(self, synth_dir, tmp_path, monkeypatch, lsvm_rounds):
         parsed, manifests, votes, fits, pyramids = [], [], [], [], []
+        scans, fmap_reads = [], []
         self.count(monkeypatch, dataio, "read_proposals", parsed)
         self.count(monkeypatch, dataio, "load_manifest", manifests)
         self.count(monkeypatch, dataio.Manifest, "load_video_pyramids", pyramids)
+        self.count(monkeypatch, dataio, "read_fmap", fmap_reads,
+                   record=lambda path, result: Path(path))
+        self.count(
+            monkeypatch, transfer, "scan_queries", scans,
+            record=lambda queries, pyramid, top_n, result: len(queries),
+        )
         self.count(
             monkeypatch, pipeline, "select_pseudo_gt", votes,
             record=lambda space, result, **kw: (space.bandwidth, result is not None),
@@ -595,9 +648,17 @@ class TestEachIntermediateOnce:
         with_pool = {b for b, found in votes if found}
         assert with_pool
         assert len(fits) == len(with_pool) + lsvm_rounds
-        # select-tracks, match and cross-validation each read every video once
-        n_videos = len(dataio.load_manifest(synth_dir / "manifest.json").videos)
-        assert len(pyramids) == 3 * n_videos
+        manifest = dataio.load_manifest(synth_dir / "manifest.json")
+        frames = [manifest.root / p for video in manifest.videos for p in video.frame_paths]
+        # one scan per sampled frame (stride 1: every frame) covers every
+        # region, so each (region, frame) pair is scored exactly once
+        n_regions = len(dataio.read_regions(out / pipeline.REGIONS).regions)
+        assert n_regions > 0
+        assert scans == [n_regions] * len(frames)
+        # select-tracks and cross-validation each open every video and read
+        # each of its frames once; match takes select-tracks' table
+        assert len(pyramids) == 2 * len(manifest.videos)
+        assert Counter(p for p in fmap_reads if p in frames) == {p: 2 for p in frames}
 
     def test_winner_without_a_detector_trains_as_before(self, synth_dir, tmp_path):
         """No grid bandwidth finds a pseudo GT, so cross-validation trains
