@@ -1,7 +1,8 @@
 """File formats shared by the pipeline stages.
 
 Everything row-oriented is JSON-lines with one object per line; boxes are
-always 4-arrays ``[x_min, y_min, x_max, y_max]``.  Aggregate documents
+always 4-arrays ``[x_min, y_min, x_max, y_max]``.  A record file's keys are
+stated once, in its schema table (``REGION_SCHEMA``, ...).  Aggregate documents
 (manifest, models, metrics) are sorted-key JSON so reruns are diffable.
 """
 
@@ -20,7 +21,7 @@ from .detector import BoxRegressor, LinearModel
 from .errors import ConfigInvalidError, DegenerateBoxError, MissingInputError
 from .featmap import FeatureMap, FeaturePyramid, pool_box_feature, read_fmap, single_level_pyramid
 from .geometry import BBox
-from .mining import ImageProposals, MinedRegion, MinedRegionSet
+from .mining import ImageProposals, MinedRegion
 from .tracks import FrameSelection, Track
 from .transfer import TransferredBox
 from .voting import PseudoGT
@@ -360,44 +361,96 @@ def read_proposals(manifest: Manifest) -> dict[str, ImageProposals]:
     return images
 
 
-# --- regions.jsonl: mined positive regions with provenance ----------------
+# --- record artifacts: one schema per file --------------------------------
+# A schema maps each key of a file's rows, in the order its reader checks
+# them, to the converter that checks the key's value.  It is the one
+# statement of the format: each file's writer and reader go through
+# _write_rows and _read_rows, and a record's fields follow the schema's
+# key order.
+
+REGION_SCHEMA = {
+    "region_id": _text, "image_id": _text, "box": BBox.from_list,
+    "cluster_id": _text, "cluster_rank": _integer,
+}
+SELECTION_SCHEMA = {
+    "video_id": _text, "frame_idx": _integer, "box": BBox.from_list,
+    "score": _real, "track_id": _integer,
+}
+TRANSFER_SCHEMA = {
+    "image_id": _text, "box": BBox.from_list, "region_id": _text,
+    "video_id": _text, "frame_idx": _integer, "sim": _real,
+}
+PSEUDO_GT_SCHEMA = {
+    "image_id": _text, "box": BBox.from_list, "vote": _real,
+    "support": _integer, "updated": _of(bool),
+}
+DETECTION_SCHEMA = {"image_id": _text, "box": BBox.from_list, "score": _real}
 
 
-def write_regions(path: str | Path, mined: MinedRegionSet) -> None:
-    write_jsonl(
-        path,
-        (
-            {
-                "region_id": r.region_id,
-                "image_id": r.image_id,
-                "box": r.box.as_list(),
-                "cluster_id": r.cluster_id,
-                "cluster_rank": r.cluster_rank,
-            }
-            for r in mined.regions
-        ),
-    )
+def _write_rows(path: str | Path, schema: Mapping[str, Callable], records: Iterable) -> None:
+    """One row per record: each schema key with the record's attribute of
+    that name (of a tuple record, its field in key order); a box is written
+    as its corner list."""
+
+    def row(record) -> dict:
+        values = record if isinstance(record, tuple) else (getattr(record, k) for k in schema)
+        return {k: v.as_list() if isinstance(v, BBox) else v for k, v in zip(schema, values)}
+
+    write_jsonl(path, map(row, records))
 
 
-def read_regions(path: str | Path) -> MinedRegionSet:
-    regions = tuple(
-        MinedRegion(
-            region_id=row.typed("region_id", _text),
-            image_id=row.typed("image_id", _text),
-            box=row.typed("box", BBox.from_list),
-            cluster_id=row.typed("cluster_id", _text),
-            cluster_rank=row.typed("cluster_rank", _integer),
-        )
-        for row in read_jsonl(path)
-    )
-    seen: list[str] = []
-    for r in sorted(regions, key=lambda r: r.cluster_rank):
-        if r.cluster_id not in seen:
-            seen.append(r.cluster_id)
-    return MinedRegionSet(regions=regions, source_cluster_ids=tuple(seen))
+def _read_rows(path: str | Path, schema: Mapping[str, Callable], make=lambda *v: v) -> list:
+    """``make`` of each row's values, converted key by key in schema order."""
+    return [make(*(row.typed(k, read) for k, read in schema.items())) for row in read_jsonl(path)]
 
 
-# --- tracks.jsonl / selections.jsonl --------------------------------------
+def write_regions(path: str | Path, regions: Sequence[MinedRegion]) -> None:
+    _write_rows(path, REGION_SCHEMA, regions)
+
+
+def read_regions(path: str | Path) -> list[MinedRegion]:
+    return _read_rows(path, REGION_SCHEMA, MinedRegion)
+
+
+def write_selections(path: str | Path, selections: Sequence[FrameSelection]) -> None:
+    _write_rows(path, SELECTION_SCHEMA, selections)
+
+
+def read_selections(path: str | Path) -> dict[tuple[str, int], FrameSelection]:
+    selections = _read_rows(path, SELECTION_SCHEMA, FrameSelection)
+    return {(s.video_id, s.frame_idx): s for s in selections}
+
+
+def write_transfers(path: str | Path, transfers: Sequence[TransferredBox]) -> None:
+    _write_rows(path, TRANSFER_SCHEMA, transfers)
+
+
+def read_transfer_boxes(path: str | Path) -> dict[str, list[BBox]]:
+    """Transferred boxes grouped per image (the voting stage's input); only
+    the ``image_id`` and ``box`` keys are read."""
+    out: dict[str, list[BBox]] = {}
+    for image_id, box in _read_rows(path, {k: TRANSFER_SCHEMA[k] for k in ("image_id", "box")}):
+        out.setdefault(image_id, []).append(box)
+    return out
+
+
+def write_pseudo_gts(path: str | Path, gts: Sequence[PseudoGT]) -> None:
+    _write_rows(path, PSEUDO_GT_SCHEMA, gts)
+
+
+def read_pseudo_gts(path: str | Path) -> dict[str, PseudoGT]:
+    return {g.image_id: g for g in _read_rows(path, PSEUDO_GT_SCHEMA, PseudoGT)}
+
+
+def write_detections(path: str | Path, rows: Sequence[tuple[str, BBox, float]]) -> None:
+    _write_rows(path, DETECTION_SCHEMA, rows)
+
+
+def read_detections(path: str | Path) -> list[tuple[str, BBox, float]]:
+    return _read_rows(path, DETECTION_SCHEMA)
+
+
+# --- tracks.jsonl: {video_id, track_id, rank, frames: [{t, box}]} ----------
 
 
 def write_tracks(path: str | Path, tracks: Sequence[Track]) -> None:
@@ -431,97 +484,6 @@ def read_tracks(path: str | Path) -> dict[str, list[Track]]:
     return by_video
 
 
-def write_selections(path: str | Path, selections: Sequence[FrameSelection]) -> None:
-    write_jsonl(
-        path,
-        (
-            {
-                "video_id": s.video_id,
-                "frame_idx": s.frame_idx,
-                "track_id": s.track_id,
-                "box": s.box.as_list(),
-                "score": s.score,
-            }
-            for s in selections
-        ),
-    )
-
-
-def read_selections(path: str | Path) -> dict[tuple[str, int], FrameSelection]:
-    out: dict[tuple[str, int], FrameSelection] = {}
-    for row in read_jsonl(path):
-        sel = FrameSelection(
-            video_id=row.typed("video_id", _text),
-            frame_idx=row.typed("frame_idx", _integer),
-            box=row.typed("box", BBox.from_list),
-            score=row.typed("score", _real),
-            track_id=row.typed("track_id", _integer),
-        )
-        out[(sel.video_id, sel.frame_idx)] = sel
-    return out
-
-
-# --- transfers.jsonl: {image_id, box, region_id, video_id, frame_idx, sim}
-
-
-def write_transfers(path: str | Path, transfers: Sequence[TransferredBox]) -> None:
-    write_jsonl(
-        path,
-        (
-            {
-                "image_id": t.image_id,
-                "box": t.box.as_list(),
-                "region_id": t.region_id,
-                "video_id": t.video_id,
-                "frame_idx": t.frame_idx,
-                "sim": t.sim,
-            }
-            for t in transfers
-        ),
-    )
-
-
-def read_transfer_boxes(path: str | Path) -> dict[str, list[BBox]]:
-    """Transferred boxes grouped per image (the voting stage's input)."""
-    out: dict[str, list[BBox]] = {}
-    for row in read_jsonl(path):
-        out.setdefault(row.typed("image_id", _text), []).append(row.typed("box", BBox.from_list))
-    return out
-
-
-# --- pseudo_gt.jsonl -------------------------------------------------------
-
-
-def write_pseudo_gts(path: str | Path, gts: Sequence[PseudoGT]) -> None:
-    write_jsonl(
-        path,
-        (
-            {
-                "image_id": g.image_id,
-                "box": g.box.as_list(),
-                "vote": g.vote,
-                "support": g.support,
-                "updated": g.updated,
-            }
-            for g in gts
-        ),
-    )
-
-
-def read_pseudo_gts(path: str | Path) -> dict[str, PseudoGT]:
-    out: dict[str, PseudoGT] = {}
-    for row in read_jsonl(path):
-        gt = PseudoGT(
-            image_id=row.typed("image_id", _text),
-            box=row.typed("box", BBox.from_list),
-            vote=row.typed("vote", _real),
-            support=row.typed("support", _integer),
-            updated=row.typed("updated", _of(bool)),
-        )
-        out[gt.image_id] = gt
-    return out
-
-
 # --- gt.jsonl: {image_id, category, boxes} ---------------------------------
 
 
@@ -543,23 +505,6 @@ def read_gt(path: str | Path) -> dict[str, dict[str, list[BBox]]]:
             row.typed("image_id", _text), []
         ).extend(row.typed("boxes", lambda boxes: [BBox.from_list(b) for b in boxes]))
     return out
-
-
-# --- detections.jsonl: {image_id, box, score} -------------------------------
-
-
-def write_detections(path: str | Path, rows: Sequence[tuple[str, BBox, float]]) -> None:
-    write_jsonl(
-        path,
-        ({"image_id": i, "box": b.as_list(), "score": s} for i, b, s in rows),
-    )
-
-
-def read_detections(path: str | Path) -> list[tuple[str, BBox, float]]:
-    return [
-        (row.typed("image_id", _text), row.typed("box", BBox.from_list), row.typed("score", _real))
-        for row in read_jsonl(path)
-    ]
 
 
 # --- model / regressor JSON --------------------------------------------------

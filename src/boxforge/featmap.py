@@ -354,13 +354,13 @@ def pool_box_feature(fmap: FeatureMap, box: BBox, cell_stride: float = 1.0) -> n
     video-frame boxes.
     """
     x0, y0, x1, y1 = _cell_rect(fmap, box, cell_stride)
-    data = fmap.data.astype(np.float64)
-    inner_sum = data[y0:y1, x0:x1, :].sum(axis=(0, 1))
-    inner = inner_sum / ((y1 - y0) * (x1 - x0))  # the bits of .mean(axis=(0, 1))
     m = POOL_SURROUND_MARGIN
     ox0, oy0 = max(0, x0 - m), max(0, y0 - m)
     ox1, oy1 = min(fmap.width, x1 + m), min(fmap.height, y1 + m)
-    outer_sum = data[oy0:oy1, ox0:ox1, :].sum(axis=(0, 1))
+    outer = fmap.data[oy0:oy1, ox0:ox1, :].astype(np.float64)
+    inner_sum = outer[y0 - oy0 : y1 - oy0, x0 - ox0 : x1 - ox0, :].sum(axis=(0, 1))
+    inner = inner_sum / ((y1 - y0) * (x1 - x0))  # the bits of .mean(axis=(0, 1))
+    outer_sum = outer.sum(axis=(0, 1))
     ring_cells = (oy1 - oy0) * (ox1 - ox0) - (y1 - y0) * (x1 - x0)
     if ring_cells > 0:
         ring = (outer_sum - inner_sum) / ring_cells

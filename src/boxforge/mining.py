@@ -109,14 +109,6 @@ class MinedRegion:
     cluster_rank: int
 
 
-@dataclass(frozen=True)
-class MinedRegionSet:
-    """The positive region pool, plus the rank-ordered contributing clusters."""
-
-    regions: tuple[MinedRegion, ...]
-    source_cluster_ids: tuple[str, ...]
-
-
 def build_clusters(proposals_by_image: Mapping[str, ImageProposals], k: int) -> list[Cluster]:
     """Cluster every proposal with its k most similar per-image champions.
 
@@ -231,17 +223,16 @@ def select_positive_regions(
     deduped: Sequence[Cluster],
     labels: Mapping[str, str],
     top_c: int = 200,
-) -> MinedRegionSet:
+) -> list[MinedRegion]:
     """Union of positive-image regions from the top-C clusters.
 
     Duplicate (image, box) pairs collapse to their first (best-ranked)
     occurrence.  Raises :class:`NoPositivesError` when nothing survives,
     which signals that mining failed for the category.
     """
-    chosen = list(deduped[: max(0, top_c)])
     seen: set[tuple[str, tuple[float, float, float, float]]] = set()
     regions: list[MinedRegion] = []
-    for rank, cluster in enumerate(chosen):
+    for rank, cluster in enumerate(deduped[: max(0, top_c)]):
         for region in cluster.all_regions():
             if labels.get(region.image_id) != POSITIVE:
                 continue
@@ -260,20 +251,17 @@ def select_positive_regions(
             )
     if not regions:
         raise NoPositivesError("no positive regions mined; category mining failed")
-    return MinedRegionSet(
-        regions=tuple(regions),
-        source_cluster_ids=tuple(c.cluster_id for c in chosen),
-    )
+    return regions
 
 
-def best_region_per_image(mined: MinedRegionSet) -> dict[str, MinedRegion]:
+def best_region_per_image(mined: Sequence[MinedRegion]) -> dict[str, MinedRegion]:
     """Per image, the region from the best-ranked contributing cluster.
 
     This is the single-region baseline a detector would be trained on
     without any video transfer.
     """
     best: dict[str, MinedRegion] = {}
-    for region in mined.regions:
+    for region in mined:
         cur = best.get(region.image_id)
         if cur is None or (region.cluster_rank, region.region_id) < (cur.cluster_rank, cur.region_id):
             best[region.image_id] = region

@@ -130,7 +130,7 @@ def run_mine(ds: dataio.Dataset, cfg: PipelineConfig) -> dict:
         "n_proposal_pairs": sum(n * (n_proposals - n) for n in sizes),
         "n_clusters": len(clusters),
         "n_kept_clusters": len(deduped),
-        "n_regions": len(mined.regions),
+        "n_regions": len(mined),
     })
 
 
@@ -142,7 +142,7 @@ def _match_table(ds: dataio.Dataset, cfg: PipelineConfig, mined) -> RegionMatche
         r.region_id: build_query_window(
             load_fmap(r.image_id), r.box, manifest.cell_stride, cfg.target_cells
         )
-        for r in mined.regions
+        for r in mined
     }
     videos = [(e.video_id, manifest.load_video_pyramids(e.video_id)) for e in manifest.videos]
     return match_regions(queries, videos, cfg.n_matches, cfg.frame_stride)
@@ -177,7 +177,7 @@ def run_select_tracks(
         if sel is not None:
             selections.append(sel)
     dataio.write_selections(stage.out / SELECTIONS, selections)
-    report = stage.report({"n_regions": len(mined.regions), "n_selections": len(selections)})
+    report = stage.report({"n_regions": len(mined), "n_selections": len(selections)})
     return TrackSelection(report=report, matches=table)
 
 
@@ -197,13 +197,13 @@ def run_match(
     selected = dataio.read_selections(stage.input(selections, SELECTIONS))
     if matches is None:
         matches = _match_table(ds, cfg, mined)
-    region_boxes = {r.region_id: (r.image_id, r.box) for r in mined.regions}
+    region_boxes = {r.region_id: (r.image_id, r.box) for r in mined}
 
     top = [m for r in range(len(matches.region_ids)) for m in matches.top(r)]
     transfers, dropped = retrieve_boxes(top, region_boxes, selected)
     dataio.write_transfers(stage.out / TRANSFERS, transfers)
     return stage.report({
-        "n_regions": len(mined.regions),
+        "n_regions": len(mined),
         "n_matches": len(top),
         "n_transfers": len(transfers),
         "n_degenerate_dropped": dropped,

@@ -11,8 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
+import numpy as np
+
 from .errors import ConfigInvalidError, NoGroundTruthError
-from .geometry import BBox, iou
+from .geometry import BBox, box_array, iou, iou_rows
 
 
 @dataclass(frozen=True)
@@ -49,11 +51,14 @@ class FrameSelection:
     track_id: int
 
 
-def score_track_box(
-    t: BBox, frame_matches: Sequence[tuple[BBox, float]]
-) -> float:
-    """sum of IOU(v_i, t) * sim_i over the frame's (match box, similarity) pairs."""
-    return sum(iou(v, t) * sim for v, sim in frame_matches)
+def score_track_boxes(
+    boxes: Sequence[BBox], frame_matches: Sequence[tuple[BBox, float]]
+) -> list[float]:
+    """Per box t, the sum of IOU(v_i, t) * sim_i over the frame's (match box,
+    similarity) pairs, added left to right (the bits of the per-pair sum)."""
+    coords = box_array([v for v, _ in frame_matches])
+    sims = np.array([sim for _, sim in frame_matches], dtype=np.float64)
+    return [sum((iou_rows(coords, t) * sims).tolist()) for t in boxes]
 
 
 def select_track_per_frame(
@@ -70,10 +75,10 @@ def select_track_per_frame(
     """
     if not candidates:
         return None
-    best_id, best_box = min(candidates, key=lambda c: c[0])
-    best_score = score_track_box(best_box, frame_matches)
-    for track_id, box in candidates:
-        score = score_track_box(box, frame_matches)
+    scores = score_track_boxes([box for _, box in candidates], frame_matches)
+    scored = [(track_id, box, score) for (track_id, box), score in zip(candidates, scores)]
+    best_id, best_box, best_score = min(scored, key=lambda c: c[0])
+    for track_id, box, score in scored:
         if score > best_score or (score == best_score and track_id < best_id):
             best_id, best_box, best_score = track_id, box, score
     return FrameSelection(

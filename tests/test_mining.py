@@ -9,7 +9,6 @@ from boxforge.geometry import BBox, iou
 from boxforge.mining import (
     Cluster,
     ImageProposals,
-    MinedRegionSet,
     Proposal,
     best_region_per_image,
     build_clusters,
@@ -393,7 +392,7 @@ class TestSelectPositiveRegions:
         by_image, labels = dataset({"a": ("pos", [[1, 0]]), "b": ("pos", [[1, 0]])})
         clusters = rank_clusters(build_clusters(by_image, 1))
         mined = select_positive_regions(clusters, labels, top_c=10_000)
-        assert len(mined.source_cluster_ids) == len(clusters)
+        assert {r.image_id for r in mined} == {"a", "b"}
 
     def test_duplicates_collapsed_and_union_correct(self):
         box_a, box_b = BBox(0, 0, 5, 5), BBox(10, 10, 20, 20)
@@ -405,9 +404,9 @@ class TestSelectPositiveRegions:
         by_image, labels = dataset(layout)
         clusters = rank_clusters(build_clusters(by_image, 2))
         mined = select_positive_regions(clusters, labels, top_c=200)
-        got = {(r.image_id, tuple(r.box.as_list())) for r in mined.regions}
+        got = {(r.image_id, tuple(r.box.as_list())) for r in mined}
         assert got == {("a", tuple(box_a.as_list())), ("b", tuple(box_b.as_list()))}
-        assert all(labels[r.image_id] == "pos" for r in mined.regions)
+        assert all(labels[r.image_id] == "pos" for r in mined)
 
     def test_best_region_per_image_prefers_lower_rank(self):
         regions = (
@@ -415,8 +414,7 @@ class TestSelectPositiveRegions:
             _mined("r1", "a", 0),
             _mined("r2", "b", 1),
         )
-        mined = MinedRegionSet(regions=regions, source_cluster_ids=("c0", "c1", "c2"))
-        best = best_region_per_image(mined)
+        best = best_region_per_image(regions)
         assert best["a"].region_id == "r1"
         assert best["b"].region_id == "r2"
 

@@ -18,8 +18,10 @@ from boxforge.detector import TrainConfig, fit_bbox_regressor, lsvm_update
 from boxforge.featmap import pool_box_feature
 from boxforge.geometry import BBox, iou, nms
 from boxforge.metrics import corloc
+from boxforge.mining import MinedRegion
 from boxforge.pipeline import run_pipeline
 from boxforge.synth import SynthConfig, gen_dataset
+from boxforge.tracks import FrameSelection
 from boxforge.voting import PseudoGT
 
 # Matching profile for the synthetic data: planted objects occupy ~30 cells
@@ -652,7 +654,7 @@ class TestEachIntermediateOnce:
         frames = [manifest.root / p for video in manifest.videos for p in video.frame_paths]
         # one scan per sampled frame (stride 1: every frame) covers every
         # region, so each (region, frame) pair is scored exactly once
-        n_regions = len(dataio.read_regions(out / pipeline.REGIONS).regions)
+        n_regions = len(dataio.read_regions(out / pipeline.REGIONS))
         assert n_regions > 0
         assert scans == [n_regions] * len(frames)
         # select-tracks and cross-validation each open every video and read
@@ -1093,12 +1095,31 @@ class TestSynthFlags:
         assert exc.value.code == 2
 
 
-class TestDataIoRoundTrips:
-    def test_detections_round_trip(self, tmp_path):
-        rows = [("img", BBox(0, 0, 4, 4), 0.75), ("img2", BBox(1, 1, 2, 3), -1.0)]
-        dataio.write_detections(tmp_path / "d.jsonl", rows)
-        assert dataio.read_detections(tmp_path / "d.jsonl") == rows
+# Each record artifact's schema, writer, records (their fields all distinct,
+# so a field read into the wrong place shows), reader and what it reads back.
+BOX, BOX2 = BBox(0, 0, 4, 4), BBox(1, 1, 2, 3)
+REGION = MinedRegion("r00000", "pos_000", BOX, "pos_000#0", 3)
+SELECTION = FrameSelection("vid_000", 4, BOX, 0.5, 2)
+PSEUDO_GT = PseudoGT("pos_000", BOX, 21.5, 20, True)
+DETECTIONS = [("img", BOX, 0.75), ("img2", BOX2, -1.0)]
+RECORD_FILES = {
+    "regions.jsonl": (dataio.REGION_SCHEMA, dataio.write_regions, [REGION],
+                      dataio.read_regions, [REGION]),
+    "selections.jsonl": (dataio.SELECTION_SCHEMA, dataio.write_selections, [SELECTION],
+                         dataio.read_selections, {("vid_000", 4): SELECTION}),
+    "transfers.jsonl": (dataio.TRANSFER_SCHEMA, dataio.write_transfers,
+                        [transfer.TransferredBox("pos_000", BOX, "r00000", "vid_000", 4, 0.25,
+                                                 BOX2, BOX2)],
+                        dataio.read_transfer_boxes, {"pos_000": [BOX]}),
+    "pseudo_gt.jsonl": (dataio.PSEUDO_GT_SCHEMA, dataio.write_pseudo_gts, [PSEUDO_GT],
+                        dataio.read_pseudo_gts, {"pos_000": PSEUDO_GT}),
+    "detections*.jsonl": (dataio.DETECTION_SCHEMA, dataio.write_detections, DETECTIONS,
+                          dataio.read_detections, DETECTIONS),
+}
+TRANSFER_KEYS_READ = ("image_id", "box")
 
+
+class TestDataIoRoundTrips:
     def test_model_round_trip(self, tmp_path):
         from boxforge.detector import LinearModel
 
@@ -1118,12 +1139,38 @@ class TestDataIoRoundTrips:
         assert np.array_equal(back.weights, reg.weights)
         assert np.array_equal(back.biases, reg.biases)
 
-    def test_pseudo_gt_round_trip(self, tmp_path):
-        from boxforge.voting import PseudoGT
+    @pytest.mark.parametrize("name", RECORD_FILES)
+    def test_record_round_trip(self, tmp_path, name):
+        _, write, records, read, expected = RECORD_FILES[name]
+        write(tmp_path / "rows.jsonl", records)
+        assert read(tmp_path / "rows.jsonl") == expected
 
-        gts = [PseudoGT(image_id="a", box=BBox(0, 0, 2, 2), vote=21.5, support=20, updated=True)]
-        dataio.write_pseudo_gts(tmp_path / "p.jsonl", gts)
-        assert dataio.read_pseudo_gts(tmp_path / "p.jsonl") == {"a": gts[0]}
+    @pytest.mark.parametrize("name,key", [
+        (name, key) for name, (schema, *_) in RECORD_FILES.items() for key in schema
+    ])
+    def test_dropping_a_schema_key_is_refused(self, tmp_path, name, key):
+        _, write, records, read, expected = RECORD_FILES[name]
+        path = tmp_path / "rows.jsonl"
+        write(path, records[:1])
+        rows = dataio.read_jsonl(path)
+        del rows[0][key]
+        dataio.write_jsonl(path, rows)
+        if name == "transfers.jsonl" and key not in TRANSFER_KEYS_READ:
+            assert read(path) == expected  # voting reads only the image and the box
+            return
+        with pytest.raises(ConfigInvalidError) as exc:
+            read(path)
+        assert str(exc.value) == f"{path} line 1: missing key {key!r}"
+
+    def test_readme_lists_each_schemas_keys(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        table = readme[readme.index("| file | schema |"):].split("\n\n")[0]
+        listed = {}
+        for line in table.splitlines()[2:]:
+            name, keys = (cell.strip().strip("`") for cell in line.strip("|").split(" | "))
+            listed[name] = keys
+        for name, (schema, *_) in RECORD_FILES.items():
+            assert listed[name] == "{" + ", ".join(schema) + "}"
 
 
 class TestAtomicWrites:

@@ -1,15 +1,15 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
 from boxforge.errors import ConfigInvalidError, NoGroundTruthError
-from boxforge.geometry import BBox
+from boxforge.geometry import BBox, iou
 from boxforge.tracks import (
     FrameSelection,
     Track,
     candidates_at_frame,
     evaluate_selection,
-    score_track_box,
+    score_track_boxes,
     select_track_per_frame,
 )
 
@@ -32,12 +32,25 @@ def test_track_box_at():
     assert t.box_at(2) is None
 
 
+def score_track_box(t, frame_matches):
+    """The per-pair sum the scoring is defined by."""
+    return sum(iou(v, t) * sim for v, sim in frame_matches)
+
+
+# Integer corners on a small grid, so drawn boxes often touch or coincide.
+grid_boxes = st.builds(
+    lambda x, y, w, h: box(x, y, x + w, y + h),
+    st.integers(0, 12), st.integers(0, 12), st.integers(1, 8), st.integers(1, 8),
+)
+sims = st.floats(min_value=-1.0, max_value=1.0, width=32)  # no float64 underflow in iou * sim
+
+
 class TestScoreTrackBox:
     def test_empty_sum(self):
-        assert score_track_box(UNIT, []) == 0.0
+        assert score_track_boxes([UNIT], []) == [0.0]
 
     def test_single_term(self):
-        assert score_track_box(UNIT, [(UNIT, 0.8)]) == pytest.approx(0.8)
+        assert score_track_boxes([UNIT], [(UNIT, 0.8)]) == [pytest.approx(0.8)]
 
     def test_three_terms_match_manual_sum(self):
         t = box(0, 0, 10, 10)
@@ -46,10 +59,19 @@ class TestScoreTrackBox:
             (box(5, 0, 15, 10), 0.5),   # iou 1/3
             (box(20, 20, 30, 30), 0.7), # iou 0
         ]
-        assert score_track_box(t, matches) == pytest.approx(1 * 0.9 + (1 / 3) * 0.5)
+        assert score_track_boxes([t], matches) == [pytest.approx(1 * 0.9 + (1 / 3) * 0.5)]
 
     def test_negative_sims_contribute(self):
-        assert score_track_box(UNIT, [(UNIT, -0.5)]) == pytest.approx(-0.5)
+        assert score_track_boxes([UNIT], [(UNIT, -0.5)]) == [pytest.approx(-0.5)]
+
+    @given(st.lists(grid_boxes, max_size=4), st.lists(st.tuples(grid_boxes, sims), max_size=10))
+    @example([UNIT], [])
+    @example([UNIT], [(box(10, 0, 20, 10), 0.9), (box(10, 10, 20, 20), -0.4)])  # touching
+    @example([UNIT, box(5, 0, 15, 10)], [(UNIT, -0.5), (box(0, 0, 5, 10), 0.3)])
+    def test_has_the_bits_of_the_per_pair_sum(self, boxes, frame_matches):
+        assert score_track_boxes(boxes, frame_matches) == [
+            score_track_box(t, frame_matches) for t in boxes
+        ]
 
 
 class TestSelectTrackPerFrame:
