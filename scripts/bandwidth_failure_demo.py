@@ -63,7 +63,7 @@ def main():
 
     describe(args.oversized)
 
-    cv = run_cv_bandwidth(ds, cfg).report
+    cv = run_cv_bandwidth(ds, cfg)
     print(f"\ncross-validation over {args.grid}: AP per b = {cv['ap_per_b']}")
     print(f"selected b = {cv['best_b']}")
     describe(cv["best_b"])

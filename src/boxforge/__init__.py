@@ -17,7 +17,7 @@ from .featmap import (
     window_shape_for_box,
     write_fmap,
 )
-from .voting import PseudoGT, VoteSpace, mean_shift_modes, select_pseudo_gt, vote_value
+from .voting import PseudoGT, VoteSpace, mean_shift_modes, select_pseudo_gt
 
 __version__ = "0.1.0"
 
@@ -37,7 +37,6 @@ __all__ = [
     "select_pseudo_gt",
     "slide_match",
     "transfer_box",
-    "vote_value",
     "window_shape_for_box",
     "write_fmap",
     "__version__",

@@ -141,8 +141,6 @@ def run_command(args) -> int:
     if cfg.out_dir is None:
         raise BoxforgeError("--out is required")
     result = stage(open_dataset(cfg.manifest), cfg, **given)
-    if not isinstance(result, dict):  # a stage that hands more on
-        result = result.report
     print(json.dumps({k: v for k, v in result.items() if k != "elapsed_s"}))
     return 0
 

@@ -92,10 +92,19 @@ def _positive(value) -> float:
     return value
 
 
+def _size(value) -> tuple[float, float]:
+    width, height = value
+    return _positive(width), _positive(height)
+
+
 def _names(value) -> tuple[str, ...]:
     if not value:
         raise ValueError("expected at least one name")
     return tuple(_text(n) for n in value)
+
+
+def _paths(value) -> tuple[Path, ...]:
+    return tuple(map(Path, _names(value)))
 
 
 def _array(value) -> np.ndarray:
@@ -259,12 +268,12 @@ def load_manifest(path: str | Path) -> Manifest:
             image_id=e.typed("id", _text),
             label=e.typed("label", _text),
             fmap_path=e.typed("fmap", Path),
-            size=e.typed("size", lambda size: (_real(size[0]), _real(size[1]))),
+            size=e.typed("size", _size),
         )
         for e in doc.typed("images", _objects)
     )
     videos = tuple(
-        VideoEntry(e.typed("id", _text), e.typed("frames", lambda fs: tuple(map(Path, fs))))
+        VideoEntry(e.typed("id", _text), e.typed("frames", _paths))
         for e in doc.typed("videos", _objects)
     )
     return Manifest(
@@ -280,7 +289,8 @@ def load_manifest(path: str | Path) -> Manifest:
 class Dataset:
     """A dataset opened for one run: its manifest, plus the proposals (with
     their pooled descriptors) and tracks, each read on first use and then
-    kept for every later stage.
+    kept for every later stage, and the results stages share through
+    :meth:`memo`.
 
     Feature maps are not kept: :func:`read_proposals` reads each image's map
     once to pool its proposals, and a stage that needs a map again (query
@@ -292,6 +302,7 @@ class Dataset:
 
     def __init__(self, manifest: Manifest):
         self.manifest = manifest
+        self._memo: dict = {}
 
     @cached_property
     def images(self) -> dict[str, ImageProposals]:
@@ -299,7 +310,24 @@ class Dataset:
 
     @cached_property
     def tracks(self) -> dict[str, list[Track]]:
-        return read_tracks(self.manifest.path("tracks"))
+        """Each manifest video's tracks; a track of a video the manifest
+        does not list is refused."""
+        path = self.manifest.path("tracks")
+        tracks = read_tracks(path)
+        unknown = sorted(set(tracks) - {v.video_id for v in self.manifest.videos})
+        if unknown:
+            raise ConfigInvalidError(f"{path}: video {unknown[0]!r} is not in the manifest")
+        return tracks
+
+    def memo(self, compute: Callable, *args):
+        """``compute(self, *args)``, computed once per distinct ``args`` (hashable
+        values, compared by value) and then returned to every later caller, who
+        must not mutate it.  ``compute`` must read nothing but the dataset and
+        ``args``; a call that raises is not remembered."""
+        key = (compute, args)
+        if key not in self._memo:
+            self._memo[key] = compute(self, *args)
+        return self._memo[key]
 
 
 def open_dataset(manifest_path: str | Path) -> Dataset:

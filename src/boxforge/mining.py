@@ -85,10 +85,6 @@ class Cluster:
     def cluster_id(self) -> str:
         return self.seed.prop_id
 
-    @property
-    def size(self) -> int:
-        return len(self.members) + 1
-
     def mean_member_similarity(self) -> float:
         if not self.members:
             return 0.0

@@ -1,23 +1,22 @@
 """File-driven pipeline stages behind the CLI subcommands.
 
-Every stage has one calling shape, ``run_x(ds, cfg, *, <artifact>=None,
-<hand-off>=None)``.  It reads the open :class:`~boxforge.dataio.Dataset`
-``ds`` and every setting from the run's
-:class:`~boxforge.config.PipelineConfig` ``cfg``, and writes its outputs plus
-a stage report under ``cfg.out_dir`` (reports in ``<out>/reports/``).  An
-input artifact left unset is the file the stage before it wrote there: for
-example ``run_regress`` reads ``pseudo_gt_updated.jsonl`` and
-``detections_updated.jsonl``.  Stages are deterministic for fixed inputs and
-seed.
+Every stage has one calling shape, ``run_x(ds, cfg, *, <artifact>=None)``.
+It reads the open :class:`~boxforge.dataio.Dataset` ``ds`` and every
+setting from the run's :class:`~boxforge.config.PipelineConfig` ``cfg``,
+writes its outputs plus a stage report under ``cfg.out_dir`` (reports in
+``<out>/reports/``) and returns the report.  An input artifact left unset is
+the file the stage before it wrote there: for example ``run_regress`` reads
+``pseudo_gt_updated.jsonl`` and ``detections_updated.jsonl``.  Stages are
+deterministic for fixed inputs and seed.
 
-``run_pipeline`` opens the dataset once and chains the stages in order, so
-the manifest, proposals and tracks are parsed once per run and running the
-stages one by one writes the same artifacts.  It passes only what differs
-from the defaults: select-tracks' match table, which match takes instead of
-scanning the frames again; the updated pseudo GT that the updated train
-reads; the updated model and pseudo GT of each update round after the
-first; and cross-validation's winning pseudo GT and detector, which the vote
-and initial train stages write rather than computing them again.
+The match table, the vote and each detector are computed through
+:meth:`~boxforge.dataio.Dataset.memo`, keyed by the values they are computed
+from, so a stage reuses an earlier stage's result only for equal inputs.
+``run_pipeline`` opens the dataset once and chains the stages in order,
+passing only what differs from the defaults: the bandwidth cross-validation
+chose, the updated pseudo GT that the updated train reads, and the updated
+model and pseudo GT of each update round after the first.  Running the
+stages one by one writes the same artifacts.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import functools
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -134,36 +133,34 @@ def run_mine(ds: dataio.Dataset, cfg: PipelineConfig) -> dict:
     })
 
 
-def _match_table(ds: dataio.Dataset, cfg: PipelineConfig, mined) -> RegionMatches:
+def _match_table(ds, mined, target_cells, n_matches, frame_stride) -> RegionMatches:
     """Every mined region's query scanned once over every sampled frame."""
     manifest = ds.manifest
     load_fmap = functools.cache(manifest.load_image_fmap)  # one read per image
     queries = {
         r.region_id: build_query_window(
-            load_fmap(r.image_id), r.box, manifest.cell_stride, cfg.target_cells
+            load_fmap(r.image_id), r.box, manifest.cell_stride, target_cells
         )
         for r in mined
     }
     videos = [(e.video_id, manifest.load_video_pyramids(e.video_id)) for e in manifest.videos]
-    return match_regions(queries, videos, cfg.n_matches, cfg.frame_stride)
+    return match_regions(queries, videos, n_matches, frame_stride)
 
 
-@dataclass(frozen=True)
-class TrackSelection:
-    """The select-tracks stage report and the match table it scanned."""
-
-    report: dict
-    matches: RegionMatches
+def _matches(ds: dataio.Dataset, cfg: PipelineConfig, mined) -> RegionMatches:
+    """The match table of the regions ``mined``, scanned once per dataset."""
+    return ds.memo(_match_table, tuple(mined), cfg.target_cells, cfg.n_matches, cfg.frame_stride)
 
 
 def run_select_tracks(
     ds: dataio.Dataset, cfg: PipelineConfig, *, regions: Optional[str | Path] = None
-) -> TrackSelection:
-    """Pick the best-supported candidate track box in every sampled frame;
-    the match table it scans (``cfg.n_matches`` hits per frame) is handed on."""
+) -> dict:
+    """Pick the best-supported candidate track box in every sampled frame,
+    from the match table (``cfg.n_matches`` hits per frame) that match
+    reads too."""
     stage = _Stage(cfg, "select_tracks")
     mined = dataio.read_regions(stage.input(regions, REGIONS))
-    table = _match_table(ds, cfg, mined)
+    table = _matches(ds, cfg, mined)
     evidence: dict[tuple[str, int], list[tuple[BBox, float]]] = {}
     for r in range(len(table.region_ids)):
         for key, match in table.per_frame(r).items():
@@ -177,8 +174,7 @@ def run_select_tracks(
         if sel is not None:
             selections.append(sel)
     dataio.write_selections(stage.out / SELECTIONS, selections)
-    report = stage.report({"n_regions": len(mined), "n_selections": len(selections)})
-    return TrackSelection(report=report, matches=table)
+    return stage.report({"n_regions": len(mined), "n_selections": len(selections)})
 
 
 def run_match(
@@ -187,16 +183,13 @@ def run_match(
     *,
     regions: Optional[str | Path] = None,
     selections: Optional[str | Path] = None,
-    matches: Optional[RegionMatches] = None,
 ) -> dict:
     """Match every mined region into the videos and transfer track boxes
-    back.  ``matches`` is select-tracks' table when the caller has it (the
-    same regions, videos and config); without it the frames are scanned."""
+    back."""
     stage = _Stage(cfg, "match")
     mined = dataio.read_regions(stage.input(regions, REGIONS))
     selected = dataio.read_selections(stage.input(selections, SELECTIONS))
-    if matches is None:
-        matches = _match_table(ds, cfg, mined)
+    matches = _matches(ds, cfg, mined)
     region_boxes = {r.region_id: (r.image_id, r.box) for r in mined}
 
     top = [m for r in range(len(matches.region_ids)) for m in matches.top(r)]
@@ -211,27 +204,35 @@ def run_match(
 
 
 def vote_pseudo_gts(
-    manifest: dataio.Manifest,
-    boxes_by_image: dict[str, list[BBox]],
+    ds: dataio.Dataset,
+    boxes_by_image: Iterable[tuple[str, Sequence[BBox]]],
     bandwidths: Sequence[float],
-    cfg: PipelineConfig,
+    kernel: str,
+    theta: float,
 ) -> dict[float, dict[str, PseudoGT]]:
-    """Mean-shift each image's transferred boxes at every bandwidth with
-    ``cfg``'s kernel, in one ascent per image; bandwidth -> (image id ->
-    pseudo GT), for the images whose top mode passes ``cfg.theta``."""
+    """Mean-shift each image's transferred boxes, given as ``(image id,
+    boxes)`` pairs in image-id order, at every bandwidth with ``kernel``, in
+    one ascent per image; bandwidth -> (image id -> pseudo GT), for the
+    images whose top mode passes ``theta``."""
     gts: dict[float, dict[str, PseudoGT]] = {b: {} for b in bandwidths}
-    for image_id in sorted(boxes_by_image):
-        points = box_array(boxes_by_image[image_id])
-        spaces = [VoteSpace(points=points, bandwidth=b, kernel=cfg.kernel) for b in gts]
-        rankings = ranked_ascents(spaces[0].points, list(gts), cfg.kernel)
-        size = manifest.image(image_id).size
+    for image_id, boxes in boxes_by_image:
+        points = box_array(boxes)
+        spaces = [VoteSpace(points=points, bandwidth=b, kernel=kernel) for b in gts]
+        rankings = ranked_ascents(spaces[0].points, list(gts), kernel)
+        size = ds.manifest.image(image_id).size
         for space, ranking in zip(spaces, rankings):
             gt = select_pseudo_gt(
-                space, theta=cfg.theta, image_bounds=size, image_id=image_id, ranking=ranking
+                space, theta=theta, image_bounds=size, image_id=image_id, ranking=ranking
             )
             if gt is not None:
                 gts[space.bandwidth][image_id] = gt
     return gts
+
+
+def _voted(ds: dataio.Dataset, cfg: PipelineConfig, boxes_by_image, bandwidths):
+    """The vote of ``boxes_by_image`` (image id -> boxes), once per dataset."""
+    pairs = tuple((i, tuple(boxes_by_image[i])) for i in sorted(boxes_by_image))
+    return ds.memo(vote_pseudo_gts, pairs, tuple(bandwidths), cfg.kernel, cfg.theta)
 
 
 def run_vote(
@@ -241,15 +242,13 @@ def run_vote(
     transfers: Optional[str | Path] = None,
     heatmaps: Optional[str | Path] = None,
     bandwidth: Optional[float] = None,
-    pseudo_gts: Optional[dict[str, PseudoGT]] = None,
 ) -> dict:
     """Mean-shift the per-image vote spaces into pseudo-GT boxes, and write
     one heatmap per image into the directory ``heatmaps`` when it is set.
 
-    ``bandwidth`` is the one cross-validation chose; without it the vote
-    uses ``cfg.bandwidth``.  ``pseudo_gts`` is this vote's result when the
-    caller already has it (cross-validation voted with the same transfers,
-    bandwidth, kernel and theta); it is written as is.
+    ``bandwidth`` is the one cross-validation chose from
+    ``cfg.bandwidth_grid``, read from its vote of the whole grid; without
+    it the vote uses ``cfg.bandwidth``.
     """
     if bandwidth is None:
         bandwidth = cfg.bandwidth
@@ -258,8 +257,9 @@ def run_vote(
     stage = _Stage(cfg, "vote")
     manifest = ds.manifest
     boxes_by_image = dataio.read_transfer_boxes(stage.input(transfers, TRANSFERS))
-    if pseudo_gts is None:
-        pseudo_gts = vote_pseudo_gts(manifest, boxes_by_image, [bandwidth], cfg)[bandwidth]
+    chosen = cfg.bandwidth is None and bandwidth in cfg.bandwidth_grid
+    grid = cfg.bandwidth_grid if chosen else (bandwidth,)
+    pseudo_gts = _voted(ds, cfg, boxes_by_image, grid)[bandwidth]
     if heatmaps is not None:
         hdir = Path(heatmaps)
         hdir.mkdir(parents=True, exist_ok=True)
@@ -313,14 +313,17 @@ class DetectorFit:
     n_positives: int
 
 
-def fit_detector(
-    ds: dataio.Dataset, pseudo_gts: dict[str, PseudoGT], train_config: TrainConfig
-) -> DetectorFit:
-    """Train the linear detector on the pseudo GT; raises
-    :class:`EmptyPoolError` when there is nothing to train on."""
-    X, y = _training_corpus(ds, pseudo_gts)
+def fit_detector(ds: dataio.Dataset, pseudo_gts, train_config: TrainConfig) -> DetectorFit:
+    """Train the linear detector on ``pseudo_gts``, (image id, pseudo GT)
+    pairs; raises :class:`EmptyPoolError` when there is nothing to train on."""
+    X, y = _training_corpus(ds, dict(pseudo_gts))
     model = train_linear(X, y, train_config, category_id=ds.manifest.categories[0])
     return DetectorFit(model=model, n_examples=int(X.shape[0]), n_positives=int(np.sum(y > 0)))
+
+
+def _fitted(ds: dataio.Dataset, cfg: PipelineConfig, pseudo_gts: dict[str, PseudoGT]):
+    """The detector trained on ``pseudo_gts``, once per dataset."""
+    return ds.memo(fit_detector, tuple(sorted(pseudo_gts.items())), cfg.train_config())
 
 
 def _detect(images, model, nms_iou):
@@ -342,19 +345,11 @@ def run_train(
     *,
     pseudo_gt: Optional[str | Path] = None,
     tag: str = "initial",
-    fit: Optional[DetectorFit] = None,
 ) -> dict:
     """Train the linear detector on the pseudo GT and emit its detections,
-    both named with ``tag``.
-
-    ``fit`` is this training's result when the caller already has it
-    (cross-validation trained on the same pseudo GT with the same config);
-    its model is written as is.
-    """
+    both named with ``tag``."""
     stage = _Stage(cfg, "train", tag)
-    if fit is None:
-        pgts = dataio.read_pseudo_gts(stage.input(pseudo_gt, PSEUDO_GT))
-        fit = fit_detector(ds, pgts, cfg.train_config())
+    fit = _fitted(ds, cfg, dataio.read_pseudo_gts(stage.input(pseudo_gt, PSEUDO_GT)))
     dataio.write_model(stage.out / f"model_{tag}.json", fit.model)
     detections = _detect(ds.images, fit.model, cfg.nms_iou)
     dataio.write_detections(stage.out / f"detections_{tag}.jsonl", detections)
@@ -541,76 +536,42 @@ def _video_frames(ds: dataio.Dataset, selections, frame_stride):
     return frames, gt
 
 
-@dataclass(frozen=True)
-class BandwidthTrial:
-    """What cross-validation computed at one grid bandwidth."""
-
-    pseudo_gts: dict[str, PseudoGT]
-    fit: Optional[DetectorFit]  # None when there was nothing to train on
-
-
-@dataclass(frozen=True)
-class CrossValidation:
-    """The cv-bandwidth stage report and every grid bandwidth's trial."""
-
-    report: dict
-    trials: dict[float, BandwidthTrial]
-
-    @property
-    def best_b(self) -> float:
-        return self.report["best_b"]
-
-    @property
-    def winner(self) -> BandwidthTrial:
-        return self.trials[self.best_b]
-
-
 def run_cv_bandwidth(
     ds: dataio.Dataset,
     cfg: PipelineConfig,
     *,
     selections: Optional[str | Path] = None,
     transfers: Optional[str | Path] = None,
-) -> CrossValidation:
+) -> dict:
     """Pick the ``cfg.bandwidth_grid`` bandwidth whose detector best recovers
     the selected tracks.
 
-    The whole grid is voted up front, one mean-shift ascent per image; each
-    bandwidth's pseudo GT is what the vote stage would find, and it is
-    trained on exactly as the train stage would.  The video frames the
-    detectors are scored on are pooled once, when the first detector needs
-    them, and detected on as the train stage detects on images.
+    The whole grid is voted up front, one mean-shift ascent per image, as
+    the vote stage votes a chosen grid bandwidth; each bandwidth's pseudo GT
+    is trained on as the train stage trains on it.  The video frames the
+    detectors are scored on are pooled once and detected on as the train
+    stage detects on images.
     """
     stage = _Stage(cfg, "cv_bandwidth")
     boxes_by_image = dataio.read_transfer_boxes(stage.input(transfers, TRANSFERS))
     selected = dataio.read_selections(stage.input(selections, SELECTIONS))
-    train_config = cfg.train_config()
-    trials: dict[float, BandwidthTrial] = {}
-    voted = vote_pseudo_gts(ds.manifest, boxes_by_image, cfg.bandwidth_grid, cfg)
-    video = None  # (frames, gt), pooled when the first detector needs them
+    voted = _voted(ds, cfg, boxes_by_image, cfg.bandwidth_grid)
+    frames, gt = _video_frames(ds, selected, cfg.frame_stride)
 
     def evaluate(b: float) -> float:
-        nonlocal video
-        gts = voted[b]
-        fit = None
-        if gts:
-            try:
-                fit = fit_detector(ds, gts, train_config)
-            except EmptyPoolError:
-                pass
-        trials[b] = BandwidthTrial(pseudo_gts=gts, fit=fit)
-        if fit is None:
+        if not voted[b]:  # with zero SGD steps an empty pool trains a zero model
             return 0.0
-        if video is None:
-            video = _video_frames(ds, selected, cfg.frame_stride)
-        frames, gt = video
-        return average_precision(_detect(frames, fit.model, cfg.nms_iou), gt) if gt else 0.0
+        try:
+            model = _fitted(ds, cfg, voted[b]).model
+        except EmptyPoolError:
+            return 0.0
+        return average_precision(_detect(frames, model, cfg.nms_iou), gt) if gt else 0.0
 
     best_b, scores = cross_validate_bandwidth(cfg.bandwidth_grid, evaluate)
     doc = {"best_b": best_b, "ap_per_b": {str(b): scores[b] for b in sorted(scores)}}
     # the artifact stays byte-reproducible; only the stage report is timed
     dataio.dump_json(doc, stage.out / BANDWIDTH_REPORT)
-    return CrossValidation(report=stage.report(doc), trials=trials)
+    return stage.report(doc)
 
 
 def run_pipeline(cfg: PipelineConfig, heatmaps: Optional[str | Path] = None) -> dict:
@@ -621,16 +582,13 @@ def run_pipeline(cfg: PipelineConfig, heatmaps: Optional[str | Path] = None) -> 
     ds = dataio.open_dataset(cfg.manifest)
 
     run_mine(ds, cfg)
-    run_match(ds, cfg, matches=run_select_tracks(ds, cfg).matches)
+    run_select_tracks(ds, cfg)
+    run_match(ds, cfg)
     bandwidth = cfg.bandwidth
-    winner_gts, winner_fit = None, None
     if bandwidth is None:
-        cv = run_cv_bandwidth(ds, cfg)
-        bandwidth = cv.best_b
-        winner_gts, winner_fit = cv.winner.pseudo_gts, cv.winner.fit
-    run_vote(ds, cfg, heatmaps=heatmaps, bandwidth=bandwidth, pseudo_gts=winner_gts)
-    # without a winning detector (fixed bandwidth, or an empty pool) this trains
-    run_train(ds, cfg, fit=winner_fit)
+        bandwidth = run_cv_bandwidth(ds, cfg)["best_b"]
+    run_vote(ds, cfg, heatmaps=heatmaps, bandwidth=bandwidth)
+    run_train(ds, cfg)
     updated = stage.out / PSEUDO_GT_UPDATED
     later_round = {"model": stage.out / "model_updated.json", "pseudo_gt": updated}
     for round_idx in range(cfg.lsvm_rounds):

@@ -116,15 +116,6 @@ def _votes(locs: np.ndarray, b_rows: np.ndarray, pts: np.ndarray, kernel: str) -
     return votes
 
 
-def vote_value(l: np.ndarray, space: VoteSpace) -> float:
-    """Kernel-weighted vote sum at location ``l`` (a 4-vector)."""
-    l = np.asarray(l, dtype=np.float64).reshape(1, 4)
-    if space.n_points == 0:
-        return 0.0
-    b_rows = np.array([space.bandwidth], dtype=np.float64)
-    return float(_votes(l, b_rows, space.points, space.kernel)[0])
-
-
 def _ascend_all(
     pts: np.ndarray,
     seeds: np.ndarray,

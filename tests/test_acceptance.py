@@ -464,7 +464,7 @@ def test_criterion_9_bandwidth_failure_mode(tmp_path):
     assert n_big > 0
     assert fail_big >= 1, "oversized bandwidth should merge instances"
 
-    cv = run_cv_bandwidth(ds, cfg).report
+    cv = run_cv_bandwidth(ds, cfg)
     best_b = cv["best_b"]
     assert best_b == 2.0
     assert cv["ap_per_b"]["2.0"] > cv["ap_per_b"][str(oversized)]

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 from collections import Counter
 import os
@@ -399,6 +400,16 @@ class TestCommandTable:
                 args = parser.parse_args([command.name, "--seed", "1", flag.flag, "given"])
                 assert getattr(args, flag.dest) == "given"
 
+    def test_stage_keywords_are_its_flags(self):
+        """A stage takes by keyword only its subcommand's flags, plus the
+        bandwidth cross-validation chose, so no stage takes another's result."""
+        for command in cli.COMMANDS:
+            params = inspect.signature(getattr(pipeline, command.stage)).parameters
+            flags = {f.dest for f in command.flags}
+            if command.stage == "run_vote":
+                flags.add("bandwidth")
+            assert set(params) - {"ds", "cfg"} == flags, command.name
+
     @pytest.mark.parametrize("name", sorted(ARTIFACTS))
     def test_unset_flag_reads_the_default_file(
         self, name, synth_dir, run_dir, tmp_path, monkeypatch
@@ -601,7 +612,7 @@ class TestReports:
 
 class TestEachIntermediateOnce:
     """A pipeline run with a bandwidth grid parses each input once, votes
-    once per grid bandwidth and trains once per detector it needs."""
+    once per grid bandwidth and trains once per distinct pseudo-GT set."""
 
     GRID = (1.0, 2.0, 4.0)
 
@@ -619,7 +630,7 @@ class TestEachIntermediateOnce:
     @pytest.mark.parametrize("lsvm_rounds", [1, 2])
     def test_counts(self, synth_dir, tmp_path, monkeypatch, lsvm_rounds):
         parsed, manifests, votes, fits, pyramids = [], [], [], [], []
-        scans, fmap_reads = [], []
+        scans, fmap_reads, updates = [], [], []
         self.count(monkeypatch, dataio, "read_proposals", parsed)
         self.count(monkeypatch, dataio, "load_manifest", manifests)
         self.count(monkeypatch, dataio.Manifest, "load_video_pyramids", pyramids)
@@ -631,9 +642,13 @@ class TestEachIntermediateOnce:
         )
         self.count(
             monkeypatch, pipeline, "select_pseudo_gt", votes,
-            record=lambda space, result, **kw: (space.bandwidth, result is not None),
+            record=lambda space, result: (space.bandwidth, result),
         )
         self.count(monkeypatch, pipeline, "train_linear", fits)
+        self.count(
+            monkeypatch, pipeline, "lsvm_update", updates,
+            record=lambda model, images, before, result: result,
+        )
         out = tmp_path / "run"
         run_pipeline(PipelineConfig(
             manifest=str(synth_dir / "manifest.json"), out_dir=str(out), seed=7,
@@ -646,10 +661,16 @@ class TestEachIntermediateOnce:
         assert n_images > 0
         assert len(votes) == len(self.GRID) * n_images
         # the synthetic data has negative images, so a bandwidth with any
-        # pseudo GT has a training pool
-        with_pool = {b for b, found in votes if found}
-        assert with_pool
-        assert len(fits) == len(with_pool) + lsvm_rounds
+        # pseudo GT has a training pool; the winner's set trains the initial
+        # detector, and an update round that changes nothing trains no more
+        voted = {b: {} for b in self.GRID}
+        for b, gt in votes:
+            if gt is not None:
+                voted[b][gt.image_id] = gt
+        assert all(voted.values())
+        assert len(updates) == lsvm_rounds
+        trained = {tuple(sorted(gts.items())) for gts in [*voted.values(), *updates]}
+        assert len(fits) == len(trained)
         manifest = dataio.load_manifest(synth_dir / "manifest.json")
         frames = [manifest.root / p for video in manifest.videos for p in video.frame_paths]
         # one scan per sampled frame (stride 1: every frame) covers every
@@ -687,13 +708,64 @@ class TestEachIntermediateOnce:
         pipeline.run_mine(ds, cfg)
         pipeline.run_select_tracks(ds, cfg)
         pipeline.run_match(ds, cfg)
-        cv = pipeline.run_cv_bandwidth(ds, cfg)
+        pipeline.run_cv_bandwidth(ds, cfg)
         boxes = dataio.read_transfer_boxes(out / pipeline.TRANSFERS)
-        trials = [cv.trials[b].pseudo_gts for b in grid]
+        pairs = tuple((i, tuple(boxes[i])) for i in sorted(boxes))
+        voted = ds.memo(pipeline.vote_pseudo_gts, pairs, grid, cfg.kernel, cfg.theta)
+        trials = [voted[b] for b in grid]
         for b, trial in zip(grid, trials):
-            assert trial == pipeline.vote_pseudo_gts(ds.manifest, boxes, [b], cfg)[b]
+            alone = pipeline.vote_pseudo_gts(ds, pairs, (b,), cfg.kernel, cfg.theta)
+            assert trial == alone[b]
         # on this data every grid bandwidth votes differently
         assert all(trials[i] != trials[j] for i in range(len(grid)) for j in range(i))
+
+
+class TestMemo:
+    """``Dataset.memo`` reuses a result only for equal inputs."""
+
+    def test_computed_once_per_distinct_args_and_failures_forgotten(self, synth_dir):
+        ds = dataio.open_dataset(synth_dir / "manifest.json")
+        calls = []
+
+        def compute(dataset, x):
+            calls.append(x)
+            if x < 0:
+                raise EmptyPoolError("negative")
+            return [dataset, x]
+
+        first = ds.memo(compute, 1)
+        assert first == [ds, 1] and ds.memo(compute, 1) is first
+        assert ds.memo(compute, 2) == [ds, 2]
+        for _ in range(2):
+            with pytest.raises(EmptyPoolError):
+                ds.memo(compute, -1)
+        assert calls == [1, 2, -1, -1]
+        assert dataio.open_dataset(synth_dir / "manifest.json").memo(compute, 1) is not first
+
+    def test_match_after_regions_change_scans_the_new_regions(self, synth_dir, tmp_path):
+        cfg = PipelineConfig(
+            manifest=str(synth_dir / "manifest.json"), out_dir=str(tmp_path / "run"),
+            seed=7, **PROFILE,
+        )
+        ds = dataio.open_dataset(cfg.manifest)
+        pipeline.run_mine(ds, cfg)
+        pipeline.run_select_tracks(ds, cfg)
+        regions = tmp_path / "run" / pipeline.REGIONS
+        mined = dataio.read_regions(regions)
+        pipeline.run_match(ds, cfg)
+        all_regions = (tmp_path / "run" / pipeline.TRANSFERS).read_bytes()
+        dataio.write_regions(regions, mined[: len(mined) // 2])
+        pipeline.run_match(ds, cfg)
+
+        fresh = tmp_path / "fresh"
+        fresh.mkdir()
+        for name in (pipeline.REGIONS, pipeline.SELECTIONS):
+            shutil.copy(tmp_path / "run" / name, fresh / name)
+        fresh_cfg = dataclasses.replace(cfg, out_dir=str(fresh))
+        pipeline.run_match(dataio.open_dataset(cfg.manifest), fresh_cfg)
+        subset = (tmp_path / "run" / pipeline.TRANSFERS).read_bytes()
+        assert subset == (fresh / pipeline.TRANSFERS).read_bytes()
+        assert subset != all_regions
 
 
 def per_proposal_images(manifest):
@@ -1254,6 +1326,41 @@ class TestManifest:
         assert err["error"] == "ConfigInvalidError"
         assert f"manifest.json: bad value for key {key!r}" in err["message"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("images", "size", [0, 0]), ("images", "size", [-16, 16]), ("images", "size", [16]),
+        ("videos", "frames", []),
+    ])
+    def test_bad_entry_refused_before_anything_is_written(
+        self, synth_dir, tmp_path, capsys, section, key, value
+    ):
+        doc = json.loads((synth_dir / "manifest.json").read_text())
+        doc[section][0][key] = value
+        data = tmp_path / "data"
+        shutil.copytree(synth_dir, data)
+        (data / "manifest.json").write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        code = run_cli("mine", "--manifest", data / "manifest.json", "--out", out)
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigInvalidError"
+        assert f"manifest.json: bad value for key {key!r}" in err["message"]
+        assert not out.exists()
+
+    def test_track_of_an_unlisted_video_refused(self, synth_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(synth_dir, data)
+        rows = dataio.read_jsonl(data / "tracks.jsonl")
+        rows[-1]["video_id"] = "no_such_video"
+        dataio.write_jsonl(data / "tracks.jsonl", rows)
+        code = run_cli("pipeline", "--manifest", data / "manifest.json", "--out", tmp_path / "o",
+                       "--seed", 7, "--target-cells", 30, "--frame-stride", 1, "--bandwidth", 2)
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {
+            "error": "ConfigInvalidError",
+            "message": f"{data / 'tracks.jsonl'}: video 'no_such_video' is not in the manifest",
+        }
 
     def test_lookups_by_id(self, synth_dir):
         manifest = dataio.load_manifest(synth_dir / "manifest.json")

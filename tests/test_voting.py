@@ -18,8 +18,17 @@ from boxforge.voting import (
     export_heatmap,
     mean_shift_modes,
     select_pseudo_gt,
-    vote_value,
 )
+
+
+def vote_value(l, space):
+    """Kernel-weighted vote sum at location ``l`` (a 4-vector), through the
+    blocked kernel sum ``voting._votes`` that ranks every mean-shift mode."""
+    l = np.asarray(l, dtype=np.float64).reshape(1, 4)
+    if space.n_points == 0:
+        return 0.0
+    b_rows = np.array([space.bandwidth], dtype=np.float64)
+    return float(voting._votes(l, b_rows, space.points, space.kernel)[0])
 
 
 def space(points, b=1.0, kernel=GAUSSIAN):
