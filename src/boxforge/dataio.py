@@ -26,6 +26,8 @@ from .tracks import FrameSelection, Track
 from .transfer import TransferredBox
 from .voting import PseudoGT
 
+MANIFEST_VERSION = 1  # a manifest without "format_version" is read as this one
+
 
 def dump_json(obj, path: str | Path) -> None:
     text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
@@ -263,6 +265,10 @@ def _index(entries, id_attr: str, kind: str) -> dict:
 def load_manifest(path: str | Path) -> Manifest:
     p = Path(path)
     doc = load_json(p)
+    if "format_version" in doc and doc.typed("format_version", _integer) != MANIFEST_VERSION:
+        raise ConfigInvalidError(
+            f"{p}: bad value for key 'format_version' (expected {MANIFEST_VERSION})"
+        )
     images = tuple(
         ImageEntry(
             image_id=e.typed("id", _text),
@@ -567,12 +573,4 @@ def write_regressor(path: str | Path, reg: BoxRegressor) -> None:
             "biases": [float(b) for b in reg.biases],
         },
         path,
-    )
-
-
-def read_regressor(path: str | Path) -> BoxRegressor:
-    doc = load_json(path)
-    return BoxRegressor(
-        weights=doc.typed("weights", _array),
-        biases=doc.typed("biases", _array),
     )

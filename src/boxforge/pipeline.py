@@ -9,7 +9,7 @@ the file the stage before it wrote there: for example ``run_regress`` reads
 ``pseudo_gt_updated.jsonl`` and ``detections_updated.jsonl``.  Stages are
 deterministic for fixed inputs and seed.
 
-The match table, the vote and each detector are computed through
+The scan, the vote and each detector are computed through
 :meth:`~boxforge.dataio.Dataset.memo`, keyed by the values they are computed
 from, so a stage reuses an earlier stage's result only for equal inputs.
 ``run_pipeline`` opens the dataset once and chains the stages in order,
@@ -55,8 +55,8 @@ from .mining import (
     rank_clusters,
     select_positive_regions,
 )
-from .tracks import candidates_at_frame, select_track_per_frame
-from .transfer import RegionMatches, match_regions, retrieve_boxes, sampled_frame_indices
+from .tracks import FrameSelection, candidates_at_frame, select_track_per_frame
+from .transfer import match_regions, retrieve_boxes, sampled_frame_indices
 from .voting import PseudoGT, VoteSpace, export_heatmap, ranked_ascents, select_pseudo_gt
 
 REGIONS = "regions.jsonl"
@@ -133,8 +133,8 @@ def run_mine(ds: dataio.Dataset, cfg: PipelineConfig) -> dict:
     })
 
 
-def _match_table(ds, mined, target_cells, n_matches, frame_stride) -> RegionMatches:
-    """Every mined region's query scanned once over every sampled frame."""
+def _scan(ds, mined, target_cells, n_matches, frame_stride):
+    """Each region's query scanned once over every sampled frame: (selections, top hits)."""
     manifest = ds.manifest
     load_fmap = functools.cache(manifest.load_image_fmap)  # one read per image
     queries = {
@@ -144,35 +144,28 @@ def _match_table(ds, mined, target_cells, n_matches, frame_stride) -> RegionMatc
         for r in mined
     }
     videos = [(e.video_id, manifest.load_video_pyramids(e.video_id)) for e in manifest.videos]
-    return match_regions(queries, videos, n_matches, frame_stride)
+
+    def select(video_id: str, frame_idx: int, hits) -> Optional[FrameSelection]:
+        candidates = candidates_at_frame(ds.tracks.get(video_id, []), frame_idx)
+        evidence = [(hit.pixel_box, hit.score) for hit in hits]  # in region order
+        return select_track_per_frame(candidates, evidence, video_id, frame_idx)
+
+    return match_regions(queries, videos, select, n_matches, frame_stride)
 
 
-def _matches(ds: dataio.Dataset, cfg: PipelineConfig, mined) -> RegionMatches:
-    """The match table of the regions ``mined``, scanned once per dataset."""
-    return ds.memo(_match_table, tuple(mined), cfg.target_cells, cfg.n_matches, cfg.frame_stride)
+def _scanned(ds: dataio.Dataset, cfg: PipelineConfig, mined):
+    """The scan of the regions ``mined``, once per dataset."""
+    return ds.memo(_scan, tuple(mined), cfg.target_cells, cfg.n_matches, cfg.frame_stride)
 
 
 def run_select_tracks(
     ds: dataio.Dataset, cfg: PipelineConfig, *, regions: Optional[str | Path] = None
 ) -> dict:
     """Pick the best-supported candidate track box in every sampled frame,
-    from the match table (``cfg.n_matches`` hits per frame) that match
-    reads too."""
+    as the scan (whose top hits match reads) reaches the frame."""
     stage = _Stage(cfg, "select_tracks")
     mined = dataio.read_regions(stage.input(regions, REGIONS))
-    table = _matches(ds, cfg, mined)
-    evidence: dict[tuple[str, int], list[tuple[BBox, float]]] = {}
-    for r in range(len(table.region_ids)):
-        for key, match in table.per_frame(r).items():
-            evidence.setdefault(key, []).append((match.hit.pixel_box, match.sim))
-
-    selections = []
-    for video_id, frame_idx, *_ in table.frames:
-        candidates = candidates_at_frame(ds.tracks.get(video_id, []), frame_idx)
-        frame_evidence = evidence.get((video_id, frame_idx), [])
-        sel = select_track_per_frame(candidates, frame_evidence, video_id, frame_idx)
-        if sel is not None:
-            selections.append(sel)
+    selections, _ = _scanned(ds, cfg, mined)
     dataio.write_selections(stage.out / SELECTIONS, selections)
     return stage.report({"n_regions": len(mined), "n_selections": len(selections)})
 
@@ -189,10 +182,10 @@ def run_match(
     stage = _Stage(cfg, "match")
     mined = dataio.read_regions(stage.input(regions, REGIONS))
     selected = dataio.read_selections(stage.input(selections, SELECTIONS))
-    matches = _matches(ds, cfg, mined)
+    _, top_matches = _scanned(ds, cfg, mined)
     region_boxes = {r.region_id: (r.image_id, r.box) for r in mined}
 
-    top = [m for r in range(len(matches.region_ids)) for m in matches.top(r)]
+    top = [m for r in range(len(top_matches.region_ids)) for m in top_matches.matches(r)]
     transfers, dropped = retrieve_boxes(top, region_boxes, selected)
     dataio.write_transfers(stage.out / TRANSFERS, transfers)
     return stage.report({

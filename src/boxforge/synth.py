@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 import numpy as np
 
-from .dataio import dump_json, write_gt, write_proposals, write_tracks
+from .dataio import MANIFEST_VERSION, dump_json, write_gt, write_proposals, write_tracks
 from .errors import ConfigInvalidError
 from .featmap import FeatureMap, write_fmap
 from .geometry import BBox
@@ -296,7 +296,7 @@ def gen_dataset(config: SynthConfig, out_dir: str | Path) -> SynthTruth:
     )
     dump_json(
         {
-            "format_version": 1,
+            "format_version": MANIFEST_VERSION,
             "cell_stride": 1.0,
             "categories": [CATEGORY],
             "images": image_entries,

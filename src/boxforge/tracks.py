@@ -8,6 +8,7 @@ match boxes ``v_i``.  The highest-scoring candidate wins the frame.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -34,9 +35,10 @@ class Track:
             )
 
     def box_at(self, frame_idx: int) -> Optional[BBox]:
-        for f, box in self.frames:
-            if f == frame_idx:
-                return box
+        """The box at ``frame_idx`` (by bisection), or None if the track skips it."""
+        i = bisect_left(self.frames, frame_idx, key=lambda fb: fb[0])
+        if i < len(self.frames) and self.frames[i][0] == frame_idx:
+            return self.frames[i][1]
         return None
 
 

@@ -1,16 +1,17 @@
 """Match mined regions into video frames and retrieve tracked boxes.
 
 :func:`match_regions` scans all regions' query windows over each sampled
-frame once, into a :class:`RegionMatches` table of every (region, frame)'s
-best placements.  Track selection reads each frame's best hit from it;
-matching takes each region's globally best hits, which bring their frame's
-selected track box back to the region's image by the box-transfer rule.
+frame once, handing each region's best hit in the frame to track selection
+and merging the frame's rows into each region's running top ``n``.  It keeps
+about regions × n × 64 bytes however many frames it samples.  Matching
+brings each top hit's selected track box back to the region's image by the
+box-transfer rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -56,80 +57,85 @@ def sampled_frame_indices(n_frames: int, frame_stride: int) -> list[int]:
 
 
 @dataclass(frozen=True)
-class RegionMatches:
-    """Each region's ``n`` best placements in each sampled frame, as
-    :func:`scan_queries` ranks them: ``score`` (regions, frames, n) and
-    ``place`` (regions, frames, n, 3) of (level, cell_y, cell_x).  A frame
-    keeps the ``cell_stride`` and level scales its pixel boxes need; no
-    feature map is held."""
+class TopMatches:
+    """Each region's ``n`` best placements over every sampled frame, by score
+    descending with the (video_id, frame_idx, level, y, x) tie-break, video
+    ids compared as strings.  Row ``(r, k)`` is ``score`` (regions, n),
+    ``key`` (regions, n, 5) of (index in ``video_ids``, frame_idx, level,
+    cell_y, cell_x) and ``geom`` (regions, n, 2) of the frame's (cell_stride,
+    level scale), all its pixel box needs.  Padding rows score ``-inf``."""
 
     region_ids: tuple[str, ...]
     shapes: tuple[tuple[int, int], ...]  # each region's (w_cells, h_cells)
-    # each sampled frame's (video_id, frame_idx, cell_stride, level scales)
-    frames: tuple[tuple[str, int, float, tuple[float, ...]], ...]
+    video_ids: tuple[str, ...]  # in string order
     score: np.ndarray
-    place: np.ndarray
+    key: np.ndarray
+    geom: np.ndarray
 
-    def _match(self, r: int, f: int, k: int) -> VideoMatch:
-        video_id, frame_idx, cell_stride, scales = self.frames[f]
-        li, cy, cx = self.place[r, f, k].tolist()
-        box = map_window_to_pixels(scales[li], cx, cy, *self.shapes[r], cell_stride)
-        hit = MatchHit(li, cx, cy, box, float(self.score[r, f, k]), video_id, frame_idx)
-        return VideoMatch(region_id=self.region_ids[r], hit=hit)
-
-    def per_frame(self, r: int) -> dict[tuple[str, int], VideoMatch]:
-        """Region ``r``'s best hit in each sampled frame, keyed by
-        (video_id, frame_idx): the evidence track selection consumes."""
-        return {(v, i): self._match(r, f, 0) for f, (v, i, *_) in enumerate(self.frames)}
-
-    def top(self, r: int) -> list[VideoMatch]:
-        """Region ``r``'s n globally best hits, by similarity descending with
-        the (video_id, frame_idx, level, y, x) tie-break, video ids compared
-        as strings.  Raises :class:`NoFramesError` without sampled frames."""
-        if not self.frames:
+    def matches(self, r: int) -> list[VideoMatch]:
+        """Region ``r``'s top hits; :class:`NoFramesError` without sampled frames."""
+        if self.score[r, 0] == -np.inf:  # a scanned frame gives every region a hit
             raise NoFramesError("no sampled frames in any video")
-        rank = {v: i for i, v in enumerate(sorted({v for v, *_ in self.frames}))}
-        n = self.score.shape[2]
-        video_rank, frame_idx = np.repeat([(rank[v], i) for v, i, *_ in self.frames], n, axis=0).T
-        score = self.score[r].reshape(-1)
-        level, cell_y, cell_x = self.place[r].reshape(-1, 3).T
-        order = np.lexsort((cell_x, cell_y, level, frame_idx, video_rank, -score))[:n]
-        # padding (-inf) sorts last, so it is cut unless the region has under n hits
-        return [self._match(r, *divmod(i, n)) for i in order.tolist() if score[i] > -np.inf]
+        rows = zip(self.score[r].tolist(), self.key[r].tolist(), self.geom[r].tolist())
+        return [VideoMatch(self.region_ids[r], _hit(self.video_ids, self.shapes[r], *row))
+                for row in rows if row[0] > -np.inf]
+
+
+def _hit(video_ids, shape, score, key, geom) -> MatchHit:
+    """The hit of one (score, key, geom) row of a region of window ``shape``."""
+    (v, frame_idx, li, cy, cx), (stride, scale) = key, geom
+    box = map_window_to_pixels(scale, cx, cy, *shape, stride)
+    return MatchHit(li, cx, cy, box, score, video_ids[v], frame_idx)
 
 
 def match_regions(
-    queries: Mapping[str, QueryWindow], videos: Sequence[VideoFrames], n: int = 20,
-    frame_stride: int = 8,
-) -> RegionMatches:
-    """Scan the queries (region id -> window) over every sampled frame, one
-    :func:`scan_queries` per frame, keeping each (region, frame)'s ``n``
-    best placements.  Each sampled frame is indexed, and so read, once."""
+    queries: Mapping[str, QueryWindow], videos: Sequence[VideoFrames], on_frame: Callable,
+    n: int = 20, frame_stride: int = 8,
+) -> tuple[list, TopMatches]:
+    """Scan the queries (region id -> window) over every sampled frame in
+    ``videos`` order, one :func:`scan_queries` per frame, each frame indexed
+    (and so read) once.  Each scan is used as it is made: ``on_frame(video_id,
+    frame_idx, hits)`` gets every region's best hit in the frame, in region
+    order, then the frame's rows are merged into the running top ``n``.
+    Returns the callback's results that are not None, in frame order, and
+    the :class:`TopMatches`."""
     windows = list(queries.values())
-    sampled = [
-        (video_id, frame_idx, pyramids)
-        for video_id, pyramids in videos
-        for frame_idx in sampled_frame_indices(len(pyramids), frame_stride)
-    ]
-    score = np.empty((len(windows), len(sampled), n))
-    place = np.empty((len(windows), len(sampled), n, 3), dtype=np.int64)
-    frames = []
-    for f, (video_id, frame_idx, pyramids) in enumerate(sampled):
-        pyramid = pyramids[frame_idx]
-        scales = tuple(s for s, _ in pyramid.levels)
-        frames.append((video_id, frame_idx, pyramid.cell_stride, scales))
-        score[:, f], place[:, f] = scan_queries(windows, pyramid, n)
-    shapes = tuple((q.w_cells, q.h_cells) for q in windows)
-    return RegionMatches(tuple(queries), shapes, tuple(frames), score, place)
+    shapes = tuple((w.w_cells, w.h_cells) for w in windows)
+    video_ids = tuple(sorted(v for v, _ in videos))
+    rank = {v: i for i, v in enumerate(video_ids)}
+    region = np.arange(len(windows))[:, None]
+    # columns [:n] hold each region's running top n, columns [n:] the frame's rows
+    score = np.full((len(windows), 2 * n), -np.inf)
+    key, geom = np.full(score.shape + (5,), -1), np.zeros(score.shape + (2,))
+    results = []
+    for video_id, pyramids in videos:
+        for frame_idx in sampled_frame_indices(len(pyramids), frame_stride):
+            pyramid = pyramids[frame_idx]
+            score[:, n:], place = scan_queries(windows, pyramid, n)
+            key[:, n:, :2], key[:, n:, 2:] = (rank[video_id], frame_idx), place
+            geom[:, n:, 0] = pyramid.cell_stride
+            geom[:, n:, 1] = np.take([s for s, _ in pyramid.levels], place[..., 0])
+            best = zip(shapes, *(a[:, n].tolist() for a in (score, key, geom)))
+            result = on_frame(video_id, frame_idx, [_hit(video_ids, *row) for row in best])
+            if result is not None:
+                results.append(result)
+            # np.lexsort sorts by its last key first: -score, then the key columns
+            order = np.lexsort((*np.moveaxis(key[..., ::-1], 2, 0), -score), axis=1)[:, :n]
+            for a in (score, key, geom):
+                a[:, :n] = a[region, order]
+    top = (a[:, :n].copy() for a in (score, key, geom))
+    return results, TopMatches(tuple(queries), shapes, video_ids, *top)
 
 
-# One-region views of the table, which the benchmark's tracer wraps by name.
+# One-region views of the scan; no stage calls them, the benchmark's tracer wraps them by name.
 def match_region_to_videos(region_id, query, videos, n=20, frame_stride=8) -> list[VideoMatch]:
-    return match_regions({region_id: query}, videos, n, frame_stride).top(0)
+    _, top = match_regions({region_id: query}, videos, lambda *_: None, n, frame_stride)
+    return top.matches(0)
 
 
 def match_region_per_frame(region_id, query, videos, frame_stride=8) -> dict:
-    return match_regions({region_id: query}, videos, 1, frame_stride).per_frame(0)
+    best = lambda v, frame_idx, hits: ((v, frame_idx), VideoMatch(region_id, hits[0]))
+    return dict(match_regions({region_id: query}, videos, best, 1, frame_stride)[0])
 
 
 def retrieve_boxes(

@@ -679,9 +679,29 @@ class TestEachIntermediateOnce:
         assert n_regions > 0
         assert scans == [n_regions] * len(frames)
         # select-tracks and cross-validation each open every video and read
-        # each of its frames once; match takes select-tracks' table
+        # each of its frames once; match takes the top hits of the scan that
+        # select-tracks ran
         assert len(pyramids) == 2 * len(manifest.videos)
         assert Counter(p for p in fmap_reads if p in frames) == {p: 2 for p in frames}
+
+    def test_no_sampled_frame(self, synth_dir, tmp_path, capsys):
+        """A manifest without videos samples no frame: select-tracks writes
+        an empty selections.jsonl and match fails with NoFramesError."""
+        data = tmp_path / "data"
+        shutil.copytree(synth_dir, data)
+        doc = json.loads((data / "manifest.json").read_text())
+        doc["videos"] = []
+        (data / "manifest.json").write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        common = ["--manifest", data / "manifest.json", "--out", out, "--target-cells", 30]
+        assert run_cli("mine", *common) == 0
+        assert dataio.read_regions(out / pipeline.REGIONS)
+        assert run_cli("select-tracks", *common) == 0
+        assert (out / pipeline.SELECTIONS).read_text() == ""
+        capsys.readouterr()
+        assert run_cli("match", *common) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "NoFramesError", "message": "no sampled frames in any video"}
 
     def test_winner_without_a_detector_trains_as_before(self, synth_dir, tmp_path):
         """No grid bandwidth finds a pseudo GT, so cross-validation trains
@@ -1207,7 +1227,10 @@ class TestDataIoRoundTrips:
         reg = BoxRegressor(weights=np.arange(8, dtype=np.float64).reshape(4, 2),
                            biases=np.array([0.1, 0.2, 0.3, 0.4]))
         dataio.write_regressor(tmp_path / "r.json", reg)
-        back = dataio.read_regressor(tmp_path / "r.json")
+        # no stage reads a regressor back, so the reader lives here
+        doc = dataio.load_json(tmp_path / "r.json")
+        back = BoxRegressor(weights=np.asarray(doc["weights"], dtype=np.float64),
+                            biases=np.asarray(doc["biases"], dtype=np.float64))
         assert np.array_equal(back.weights, reg.weights)
         assert np.array_equal(back.biases, reg.biases)
 
@@ -1310,6 +1333,8 @@ class TestManifest:
 
     @pytest.mark.parametrize("key,value", [
         ("cell_stride", 0), ("cell_stride", -1), ("categories", []),
+        ("format_version", 9), ("format_version", 0), ("format_version", "1"),
+        ("format_version", True),
     ])
     def test_bad_value_refused_before_anything_is_written(
         self, synth_dir, tmp_path, capsys, key, value
@@ -1326,6 +1351,16 @@ class TestManifest:
         assert err["error"] == "ConfigInvalidError"
         assert f"manifest.json: bad value for key {key!r}" in err["message"]
         assert not out.exists()
+
+    def test_format_version_may_be_left_out(self, synth_dir, tmp_path):
+        doc = json.loads((synth_dir / "manifest.json").read_text())
+        assert doc.pop("format_version") == dataio.MANIFEST_VERSION
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(doc))
+        fields = lambda m: (m.cell_stride, m.categories, m.images, m.videos, m.files)
+        assert fields(dataio.load_manifest(path)) == fields(
+            dataio.load_manifest(synth_dir / "manifest.json")
+        )
 
     @pytest.mark.parametrize("section,key,value", [
         ("images", "size", [0, 0]), ("images", "size", [-16, 16]), ("images", "size", [16]),

@@ -32,6 +32,24 @@ def test_track_box_at():
     assert t.box_at(2) is None
 
 
+def linear_box_at(track, frame_idx):
+    """The frame-by-frame scan ``Track.box_at`` replaced by bisection."""
+    for f, b in track.frames:
+        if f == frame_idx:
+            return b
+    return None
+
+
+@given(st.lists(st.integers(0, 60), max_size=12, unique=True), st.integers(-2, 62))
+def test_track_box_at_equals_linear_scan(indices, frame_idx):
+    """Gapped frame indices, each with its own box; every index, the first
+    and last, and frames the track skips or never reaches."""
+    frames = tuple((f, box(f, 0, f + 1, 1)) for f in sorted(indices))
+    t = Track(video_id="v", track_id=0, rank=1, frames=frames)
+    for f in {frame_idx, *indices, *(f + 1 for f in indices), *(f - 1 for f in indices)}:
+        assert t.box_at(f) is linear_box_at(t, f)
+
+
 def score_track_box(t, frame_matches):
     """The per-pair sum the scoring is defined by."""
     return sum(iou(v, t) * sim for v, sim in frame_matches)

@@ -1,11 +1,31 @@
+import gc
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given
+import hypothesis.strategies as st
 
 from boxforge.errors import NoFramesError
-from boxforge.featmap import FeatureMap, extract_window, single_level_pyramid
+from boxforge.featmap import (
+    FeatureMap,
+    FeaturePyramid,
+    MatchHit,
+    extract_window,
+    map_window_to_pixels,
+    scan_queries,
+    single_level_pyramid,
+)
 from boxforge.geometry import BBox, transfer_box
 from boxforge.tracks import FrameSelection
-from boxforge.transfer import match_regions, retrieve_boxes, sampled_frame_indices
+from boxforge.transfer import (
+    VideoMatch,
+    match_region_per_frame,
+    match_regions,
+    retrieve_boxes,
+    sampled_frame_indices,
+)
 
 
 def fmap_from(arr):
@@ -16,9 +36,56 @@ def video(rng, n_frames, h=8, w=8, c=3):
     return [single_level_pyramid(fmap_from(rng.normal(size=(h, w, c)))) for _ in range(n_frames)]
 
 
+def no_selection(video_id, frame_idx, hits):
+    return None
+
+
 def top(region_id, query, videos, n=20, frame_stride=8):
-    """One region's global top-n hits from the match table."""
-    return match_regions({region_id: query}, videos, n, frame_stride).top(0)
+    """One region's global top-n hits from the streamed scan."""
+    return match_regions({region_id: query}, videos, no_selection, n, frame_stride)[1].matches(0)
+
+
+def best_hits(video_id, frame_idx, hits):
+    """A frame callback that keeps the frame's best hits as they come."""
+    return video_id, frame_idx, hits
+
+
+def table_top(queries, videos, n, frame_stride):
+    """Each region's n globally best hits ranked from a full table of every
+    (region, sampled frame)'s n best rows: the ranking the streamed scan
+    replaces, kept as its oracle."""
+    windows = list(queries.values())
+    frames = [
+        (video_id, frame_idx, pyramids[frame_idx])
+        for video_id, pyramids in videos
+        for frame_idx in sampled_frame_indices(len(pyramids), frame_stride)
+    ]
+    if not frames:
+        raise NoFramesError("no sampled frames in any video")
+    scanned = [scan_queries(windows, pyramid, n) for _, _, pyramid in frames]
+    score = np.stack([s for s, _ in scanned], axis=1)  # (regions, frames, n)
+    place = np.stack([p for _, p in scanned], axis=1)  # (regions, frames, n, 3)
+    rank = {v: i for i, v in enumerate(sorted({v for v, _, _ in frames}))}
+    video_rank, frame_idx = np.repeat([(rank[v], i) for v, i, _ in frames], n, axis=0).T
+    out = []
+    for r, (region_id, q) in enumerate(queries.items()):
+        flat = score[r].reshape(-1)
+        level, cell_y, cell_x = place[r].reshape(-1, 3).T
+        order = np.lexsort((cell_x, cell_y, level, frame_idx, video_rank, -flat))[:n]
+        matches = []
+        for i in order.tolist():
+            if flat[i] == -np.inf:
+                continue
+            f, k = divmod(i, n)
+            video_id, fi, pyramid = frames[f]
+            li, cy, cx = place[r, f, k].tolist()
+            box = map_window_to_pixels(
+                pyramid.levels[li][0], cx, cy, q.w_cells, q.h_cells, pyramid.cell_stride
+            )
+            hit = MatchHit(li, cx, cy, box, float(flat[i]), video_id, fi)
+            matches.append(VideoMatch(region_id=region_id, hit=hit))
+        out.append(matches)
+    return out
 
 
 def test_sampled_frame_indices_phase_zero():
@@ -126,22 +193,100 @@ class TestMatchRegionsTop:
             "r1": extract_window(base, (0, 0, 2, 2)),
             "r2": extract_window(base, (4, 3, 3, 2)),  # the shape of r0
         }
-        table = match_regions(queries, videos, 4, frame_stride=1)
-        assert table.region_ids == ("r0", "r1", "r2")
-        assert [f[:2] for f in table.frames] == [("va", 0), ("va", 1), ("va", 2), ("vb", 0), ("vb", 1)]
+        frames, scan = match_regions(queries, videos, best_hits, 4, frame_stride=1)
+        assert scan.region_ids == ("r0", "r1", "r2")
+        assert [f[:2] for f in frames] == [("va", 0), ("va", 1), ("va", 2), ("vb", 0), ("vb", 1)]
         for r, (region_id, q) in enumerate(queries.items()):
-            alone = match_regions({region_id: q}, videos, 4, frame_stride=1)
-            assert table.top(r) == alone.top(0)
-            assert table.per_frame(r) == alone.per_frame(0)
+            alone_frames, alone = match_regions({region_id: q}, videos, best_hits, 4, frame_stride=1)
+            assert scan.matches(r) == alone.matches(0)
+            assert [hits[r] for *_, hits in frames] == [hits[0] for *_, hits in alone_frames]
 
 
 def test_per_frame_keys_and_best():
     rng = np.random.default_rng(26)
     frames = video(rng, 5)
     q = extract_window(frames[2].levels[0][1], (1, 1, 2, 2))
-    per_frame = match_regions({"r0": q}, [("v", frames)], 1, frame_stride=2).per_frame(0)
+    per_frame = match_region_per_frame("r0", q, [("v", frames)], frame_stride=2)
     assert set(per_frame) == {("v", 0), ("v", 2), ("v", 4)}
     assert per_frame[("v", 2)].sim == pytest.approx(1.0, abs=1e-6)
+
+
+class TestStreamedScan:
+    """The running top-n against the full table it replaces."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(st.sampled_from(["v9", "v10", "va", "b"]), min_size=1, max_size=3, unique=True),
+        st.lists(st.integers(1, 4), min_size=3, max_size=3),
+        st.integers(1, 2),
+        st.integers(1, 12),
+        st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=1, max_size=4),
+    )
+    def test_running_top_n_equals_full_table_ranking(
+        self, seed, video_ids, n_frames, frame_stride, n, shapes
+    ):
+        """Frames repeat a pool of three maps, so scores tie across frames
+        and videos; a 4x4 window on a 4x5 map has 2 placements, under n."""
+        rng = np.random.default_rng(seed)
+        pool = [
+            single_level_pyramid(fmap_from(rng.normal(size=(4, 5, 2))), cell_stride=2.0),
+            FeaturePyramid(((1.0, fmap_from(rng.normal(size=(6, 5, 2)))),
+                            (0.5, fmap_from(rng.normal(size=(4, 4, 2))))), cell_stride=3.0),
+            single_level_pyramid(fmap_from(np.zeros((4, 4, 2)))),  # zero-norm windows score 0
+        ]
+        videos = [
+            (v, [pool[i] for i in rng.integers(0, len(pool), size=k)])
+            for v, k in zip(video_ids, n_frames)
+        ]
+        base = pool[0].levels[0][1]
+        queries = {
+            f"r{i}": extract_window(base, (i % 2, 0, w, h)) for i, (w, h) in enumerate(shapes)
+        }
+        frames, scan = match_regions(queries, videos, best_hits, n, frame_stride)
+        want = table_top(queries, videos, n, frame_stride)
+        assert [scan.matches(r) for r in range(len(queries))] == want
+        # each sampled frame's callback saw every region's best hit, in region order
+        sampled = [
+            (v, pyramids, i) for v, pyramids in videos
+            for i in sampled_frame_indices(len(pyramids), frame_stride)
+        ]
+        assert [(v, i) for v, i, _ in frames] == [(v, i) for v, _, i in sampled]
+        for (_, _, hits), (video_id, pyramids, frame_idx) in zip(frames, sampled):
+            best = table_top(queries, [(video_id, [pyramids[frame_idx]])], 1, 1)
+            assert hits == [replace(m.hit, frame_idx=frame_idx) for (m,) in best]
+
+    def test_kept_result_does_not_grow_with_frames(self):
+        """Doubling the sampled frames at a fixed region count leaves the
+        kept result, and the scan's traced memory, the same size; a table of
+        every (region, frame)'s n rows would add regions x frames x n x 32 B."""
+        rng = np.random.default_rng(35)
+        n, n_frames = 50, 40
+        frames = video(rng, 2 * n_frames, h=10, w=10, c=2)
+        base = frames[0].levels[0][1]
+        queries = {f"r{i}": extract_window(base, (i % 4, i % 3, 2 + i % 3, 2)) for i in range(16)}
+
+        def scan(n_sampled):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                _, kept = match_regions(queries, [("v", frames[:n_sampled])], no_selection, n, 1)
+                gc.collect()
+                current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return kept, current - before, peak - before
+
+        scan(2 * n_frames)  # warm numpy's small-allocation caches
+        kept_f, current_f, peak_f = scan(n_frames)
+        kept_2f, current_2f, peak_2f = scan(2 * n_frames)
+        arrays = lambda kept: [(a.shape, a.nbytes) for a in (kept.score, kept.key, kept.geom)]
+        assert arrays(kept_f) == arrays(kept_2f) == [
+            ((16, n), 16 * n * 8), ((16, n, 5), 16 * n * 40), ((16, n, 2), 16 * n * 16)
+        ]
+        table_growth = len(queries) * n_frames * n * 32
+        assert current_2f - current_f < table_growth / 10
+        assert peak_2f - peak_f < table_growth / 10
 
 
 def selection(video_id, frame_idx, box):
