@@ -13,14 +13,13 @@ parser as the file value, so both fail with the same
 
 from __future__ import annotations
 
-import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
 from .detector import TrainConfig
 from .errors import ConfigInvalidError
-from .voting import GAUSSIAN, KERNELS
 
 
 @dataclass(frozen=True)
@@ -35,7 +34,6 @@ class PipelineConfig:
     theta: float = 20.0
     bandwidth: Optional[float] = None
     bandwidth_grid: tuple[float, ...] = (100.0, 250.0, 500.0, 1000.0)
-    kernel: str = GAUSSIAN
     lsvm_rounds: int = 1
     train_steps: int = 300
     learning_rate: float = 0.1
@@ -45,6 +43,13 @@ class PipelineConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        for setting in SETTINGS:  # NaN and inf would slip past the range checks below
+            value = getattr(self, setting.field)
+            values = value if isinstance(value, tuple) else (value,)
+            if setting.parse in (float, _floats) and not all(
+                math.isfinite(v) for v in values if v is not None
+            ):
+                raise ConfigInvalidError(f"{setting.key} must be finite, got {value}")
         positive = {
             "top_clusters": self.top_clusters,
             "n_matches": self.n_matches,
@@ -64,8 +69,6 @@ class PipelineConfig:
             raise ConfigInvalidError("one of b or b_grid must be present")
         if any(b <= 0 for b in self.bandwidth_grid):
             raise ConfigInvalidError("b_grid entries must be positive")
-        if self.kernel not in KERNELS:
-            raise ConfigInvalidError(f"unknown kernel {self.kernel!r}")
         if self.train_steps < 0 or self.learning_rate <= 0 or self.weight_decay < 0:
             raise ConfigInvalidError("invalid training hyperparameters")
         if not 0.0 <= self.nms_iou <= 1.0:
@@ -105,7 +108,6 @@ SETTINGS = (
     Setting("theta", "theta", "--theta", float),
     Setting("bandwidth", "b", "--bandwidth", float),
     Setting("bandwidth_grid", "b_grid", "--bandwidth-grid", _floats),
-    Setting("kernel", "kernel", "--kernel", str),
     Setting("lsvm_rounds", "lsvm_rounds", "--lsvm-rounds", int),
     Setting("train_steps", "steps", "--steps", int),
     Setting("learning_rate", "lr", "--lr", float),

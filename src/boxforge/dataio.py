@@ -356,6 +356,20 @@ def write_proposals(path: str | Path, images: Mapping[str, tuple[str, Sequence[B
     )
 
 
+def _box_inside(size: tuple[float, float]) -> Callable:
+    """A box converter that refuses a box reaching outside the closed image
+    rectangle ``[0, width] x [0, height]``."""
+    width, height = size
+
+    def check(coords) -> BBox:
+        box = BBox.from_list(coords)
+        if box.x_min < 0 or box.y_min < 0 or box.x_max > width or box.y_max > height:
+            raise ValueError(f"{box.as_list()} lies outside the {width:g}x{height:g} image")
+        return box
+
+    return check
+
+
 def read_proposals(manifest: Manifest) -> dict[str, ImageProposals]:
     """Each image's proposals in the manifest's proposal file, in image-id
     order; indices follow file order.  A proposal's descriptor is
@@ -363,7 +377,8 @@ def read_proposals(manifest: Manifest) -> dict[str, ImageProposals]:
     image; a ``feature`` key in a row is not read.
 
     Every row of an image must carry the same label, and it must be the
-    image's label in the manifest.  A row or an image that disagrees raises
+    image's label in the manifest; every box must lie inside its image's
+    ``size``.  A row or an image that disagrees raises
     :class:`ConfigInvalidError`, and an image the manifest does not list
     :class:`MissingInputError`, before any FMAP is read.
     """
@@ -377,7 +392,7 @@ def read_proposals(manifest: Manifest) -> dict[str, ImageProposals]:
                 f"{row.where} (image {image_id}): label {label!r}, "
                 f"an earlier row of the image has {first_label!r}"
             )
-        boxes.append(row.typed("box", BBox.from_list))
+        boxes.append(row.typed("box", _box_inside(manifest.image(image_id).size)))
     image_ids = sorted(grouped)
     for image_id in image_ids:
         label, listed = grouped[image_id][0], manifest.image(image_id).label

@@ -22,6 +22,8 @@ stages one by one writes the same artifacts.
 from __future__ import annotations
 
 import functools
+import json
+import logging
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -72,6 +74,8 @@ DETECTIONS_BBOXREG = "detections_bboxreg.jsonl"
 METRICS = "metrics.json"
 BANDWIDTH_REPORT = "bandwidth_report.json"
 
+log = logging.getLogger(__name__)
+
 
 class _Stage:
     """One stage's run: its output directory ``cfg.out_dir``, created on
@@ -96,11 +100,13 @@ class _Stage:
 
     def report(self, fields: dict) -> dict:
         """The stage's name, ``fields`` and the elapsed time, written as its
-        report."""
+        report and logged at INFO as one line: the report's name, then the
+        report as sorted JSON."""
         report = {"stage": self.name, **fields, "elapsed_s": time.perf_counter() - self.t0}
         reports = self.out / "reports"
         reports.mkdir(exist_ok=True)
         dataio.dump_json(report, reports / f"{self.file}.json")
+        log.info("%s %s", self.file, json.dumps(report, sort_keys=True))
         return report
 
 
@@ -200,18 +206,17 @@ def vote_pseudo_gts(
     ds: dataio.Dataset,
     boxes_by_image: Iterable[tuple[str, Sequence[BBox]]],
     bandwidths: Sequence[float],
-    kernel: str,
     theta: float,
 ) -> dict[float, dict[str, PseudoGT]]:
     """Mean-shift each image's transferred boxes, given as ``(image id,
-    boxes)`` pairs in image-id order, at every bandwidth with ``kernel``, in
-    one ascent per image; bandwidth -> (image id -> pseudo GT), for the
-    images whose top mode passes ``theta``."""
+    boxes)`` pairs in image-id order, at every bandwidth, in one ascent per
+    image; bandwidth -> (image id -> pseudo GT), for the images whose top
+    mode passes ``theta``."""
     gts: dict[float, dict[str, PseudoGT]] = {b: {} for b in bandwidths}
     for image_id, boxes in boxes_by_image:
         points = box_array(boxes)
-        spaces = [VoteSpace(points=points, bandwidth=b, kernel=kernel) for b in gts]
-        rankings = ranked_ascents(spaces[0].points, list(gts), kernel)
+        spaces = [VoteSpace(points=points, bandwidth=b) for b in gts]
+        rankings = ranked_ascents(spaces[0].points, list(gts))
         size = ds.manifest.image(image_id).size
         for space, ranking in zip(spaces, rankings):
             gt = select_pseudo_gt(
@@ -225,7 +230,7 @@ def vote_pseudo_gts(
 def _voted(ds: dataio.Dataset, cfg: PipelineConfig, boxes_by_image, bandwidths):
     """The vote of ``boxes_by_image`` (image id -> boxes), once per dataset."""
     pairs = tuple((i, tuple(boxes_by_image[i])) for i in sorted(boxes_by_image))
-    return ds.memo(vote_pseudo_gts, pairs, tuple(bandwidths), cfg.kernel, cfg.theta)
+    return ds.memo(vote_pseudo_gts, pairs, tuple(bandwidths), cfg.theta)
 
 
 def run_vote(
@@ -258,13 +263,12 @@ def run_vote(
         hdir.mkdir(parents=True, exist_ok=True)
         for image_id in sorted(boxes_by_image):
             width, height = manifest.image(image_id).size
-            export_heatmap(
-                boxes_by_image[image_id], (int(width), int(height)), hdir / f"{image_id}.pgm"
-            )
+            path = hdir / f"{image_id}.pgm"
+            export_heatmap(box_array(boxes_by_image[image_id]), (int(width), int(height)), path)
     dataio.write_pseudo_gts(stage.out / PSEUDO_GT, [pseudo_gts[i] for i in sorted(pseudo_gts)])
     return stage.report({
         "bandwidth": bandwidth,
-        "kernel": cfg.kernel,
+        "kernel": "gaussian",
         "theta": cfg.theta,
         "n_images_with_transfers": len(boxes_by_image),
         "n_pseudo_gt": len(pseudo_gts),

@@ -2,10 +2,9 @@
 
 Every transferred box casts a unit vote at its corner coordinates
 ``[x_min, y_min, x_max, y_max]``; the vote field at a location l is
-``sum_i K((l - p_i) / b)``.  Kernels are normalized so K(0) = 1: a location
-coinciding with m identical boxes scores exactly m, which makes the vote
-threshold read as an effective supporter count.  The argmax location is
-unaffected by this rescaling.
+``sum_i K((l - p_i) / b)`` with the Gaussian kernel ``K(u) = exp(-|u|^2 / 2)``.
+K(0) = 1: a location coinciding with m identical boxes scores exactly m,
+which makes the vote threshold read as an effective supporter count.
 """
 
 from __future__ import annotations
@@ -18,11 +17,7 @@ import numpy as np
 
 from .atomic import write_atomic
 from .errors import ConfigInvalidError, DegenerateBoxError, IoFailureError, NoPointsError
-from .geometry import BBox, box_array, clip_box
-
-GAUSSIAN = "gaussian"
-EPANECHNIKOV = "epanechnikov"
-KERNELS = (GAUSSIAN, EPANECHNIKOV)
+from .geometry import BBox, clip_box
 
 
 @dataclass(frozen=True)
@@ -31,7 +26,6 @@ class VoteSpace:
 
     points: np.ndarray
     bandwidth: float
-    kernel: str = GAUSSIAN
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64)
@@ -41,8 +35,6 @@ class VoteSpace:
             raise ConfigInvalidError("vote points must be finite")
         if self.bandwidth <= 0:
             raise ConfigInvalidError(f"bandwidth must be positive, got {self.bandwidth}")
-        if self.kernel not in KERNELS:
-            raise ConfigInvalidError(f"unknown kernel {self.kernel!r}, expected one of {KERNELS}")
         object.__setattr__(self, "points", pts.reshape(-1, 4))
 
     @property
@@ -94,16 +86,13 @@ def _scaled_sq_dists(locs: np.ndarray, cols: np.ndarray, b_rows: np.ndarray) -> 
     return sq
 
 
-def _kernel_values(kernel: str, sq_dist: np.ndarray) -> np.ndarray:
-    """Kernel values of ``sq_dist``, computed in place."""
-    if kernel == GAUSSIAN:
-        sq_dist *= -0.5
-        return np.exp(sq_dist, out=sq_dist)
-    np.subtract(1.0, sq_dist, out=sq_dist)
-    return np.maximum(0.0, sq_dist, out=sq_dist)
+def _kernel_values(sq_dist: np.ndarray) -> np.ndarray:
+    """Gaussian kernel values ``exp(-sq_dist / 2)``, computed in place."""
+    sq_dist *= -0.5
+    return np.exp(sq_dist, out=sq_dist)
 
 
-def _votes(locs: np.ndarray, b_rows: np.ndarray, pts: np.ndarray, kernel: str) -> np.ndarray:
+def _votes(locs: np.ndarray, b_rows: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Vote sums of ``pts`` at each row of ``locs`` (R, 4), row r in
     bandwidths ``b_rows[r]``, in blocks of rows."""
     votes = np.empty(len(locs))
@@ -112,7 +101,7 @@ def _votes(locs: np.ndarray, b_rows: np.ndarray, pts: np.ndarray, kernel: str) -
     for start in range(0, len(locs), rows):
         block = slice(start, start + rows)
         sq = _scaled_sq_dists(locs[block], cols, b_rows[block])
-        votes[block] = np.sum(_kernel_values(kernel, sq), axis=1)
+        votes[block] = np.sum(_kernel_values(sq), axis=1)
     return votes
 
 
@@ -121,7 +110,6 @@ def _ascend_all(
     seeds: np.ndarray,
     b_rows: np.ndarray,
     tol_rows: np.ndarray,
-    kernel: str,
     max_iter: int,
 ) -> np.ndarray:
     """Mean-shift ascent from every seed at once; row i is seed i's mode.
@@ -141,13 +129,7 @@ def _ascend_all(
         moving = []
         for start in range(0, active.size, rows):
             idx = active[start:start + rows]
-            sq = _scaled_sq_dists(modes[idx], cols, b_rows[idx])
-            if kernel == GAUSSIAN:
-                w = _kernel_values(GAUSSIAN, sq)
-            else:
-                # The Epanechnikov profile's shadow is the flat kernel: the mean
-                # of the points within one bandwidth.
-                w = (sq < 1.0).astype(np.float64)
+            w = _kernel_values(_scaled_sq_dists(modes[idx], cols, b_rows[idx]))
             total = np.sum(w, axis=1)
             live = total > 0.0
             if not live.all():
@@ -191,7 +173,6 @@ class RankedAscents(NamedTuple):
 def ranked_ascents(
     points: np.ndarray,
     bandwidths: Sequence[float],
-    kernel: str,
     tol: Optional[float] = None,
     max_iter: int = MAX_ITER,
 ) -> list[RankedAscents]:
@@ -211,8 +192,8 @@ def ranked_ascents(
     n_b = len(bandwidths)
     b_rows = np.repeat(np.asarray(bandwidths, dtype=np.float64), len(seeds))
     tol_rows = 1e-3 * b_rows if tol is None else np.full(len(b_rows), float(tol))
-    modes = _ascend_all(points, np.tile(seeds, (n_b, 1)), b_rows, tol_rows, kernel, max_iter)
-    votes = _votes(modes, b_rows, points, kernel)
+    modes = _ascend_all(points, np.tile(seeds, (n_b, 1)), b_rows, tol_rows, max_iter)
+    votes = _votes(modes, b_rows, points)
     ranked = []
     for locations, vote in zip(modes.reshape(n_b, -1, 4), votes.reshape(n_b, -1)):
         x0, y0, x1, y1 = locations.T
@@ -233,9 +214,7 @@ def mean_shift_modes(
     Ties in vote are ordered by the mode's coordinates.
     Raises :class:`NoPointsError` on an empty space.
     """
-    [(locations, votes)] = ranked_ascents(
-        space.points, [space.bandwidth], space.kernel, tol, max_iter
-    )
+    [(locations, votes)] = ranked_ascents(space.points, [space.bandwidth], tol, max_iter)
     merge_radius = 0.5 * space.bandwidth
     modes: list[tuple[np.ndarray, float]] = []
     for m, v in zip(locations, votes.tolist()):
@@ -262,7 +241,7 @@ def select_pseudo_gt(
     if space.n_points == 0:
         return None
     if ranking is None:
-        [ranking] = ranked_ascents(space.points, [space.bandwidth], space.kernel)
+        [ranking] = ranked_ascents(space.points, [space.bandwidth])
     # the top mode is the first ranked ascent: merging only decides what follows it
     mode, vote = ranking.locations[0], float(ranking.votes[0])
     if vote < theta:
@@ -280,13 +259,13 @@ def select_pseudo_gt(
 
 
 def export_heatmap(
-    points: np.ndarray | Sequence[BBox],
+    points: np.ndarray,
     image_size: tuple[int, int],
     path: str | Path,
 ) -> np.ndarray:
     """Write a grayscale PGM counting how many transferred boxes cover each pixel.
 
-    ``points`` are box corner 4-vectors (or BBox values).  Intensities are
+    ``points`` are box corner 4-vectors, one row per box.  Intensities are
     max-normalized to 0..255 with integer floor division; an empty point set
     produces an all-zero image.  Returns the count grid for callers that
     want the raw values.
@@ -294,10 +273,7 @@ def export_heatmap(
     width, height = image_size
     if width < 1 or height < 1:
         raise ConfigInvalidError(f"invalid image size {image_size}")
-    if len(points) and isinstance(points[0], BBox):
-        arr = box_array(points)
-    else:
-        arr = np.asarray(points, dtype=np.float64).reshape(-1, 4)
+    arr = np.asarray(points, dtype=np.float64).reshape(-1, 4)
     # Each box covers pixels [floor(x0), ceil(x1)) x [floor(y0), ceil(y1))
     # clipped to the image; mark its corners in a difference grid and
     # integrate along both axes.  Marks on the last row or column only reach

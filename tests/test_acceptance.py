@@ -41,7 +41,7 @@ from boxforge.pipeline import (
 )
 from boxforge.synth import SynthConfig, gen_dataset, gen_multi_instance_case
 from boxforge.tracks import evaluate_selection
-from boxforge.voting import EPANECHNIKOV, GAUSSIAN, PseudoGT, VoteSpace, select_pseudo_gt
+from boxforge.voting import PseudoGT, VoteSpace, select_pseudo_gt
 
 from test_mining import (
     cluster_signature,
@@ -176,7 +176,7 @@ def test_criterion_2_matching_oracle():
 # --------------------------------------------------------------------------
 
 
-def grid_max_vote(points, b, kernel):
+def grid_max_vote(points, b):
     lo = points.min(axis=0)
     hi = points.max(axis=0)
     axes = [np.arange(lo[d], hi[d] + b / 4, b / 4) for d in range(4)]
@@ -185,10 +185,7 @@ def grid_max_vote(points, b, kernel):
     for start in range(0, len(grid), 20000):
         chunk = grid[start : start + 20000]
         d2 = ((chunk[:, None, :] - points[None, :, :]) ** 2).sum(-1) / (b * b)
-        if kernel == GAUSSIAN:
-            votes = np.exp(-0.5 * d2).sum(-1)
-        else:
-            votes = np.maximum(0.0, 1.0 - d2).sum(-1)
+        votes = np.exp(-0.5 * d2).sum(-1)
         best = max(best, float(votes.max()))
     return best
 
@@ -198,7 +195,6 @@ def test_criterion_3_voting_oracle():
     rng = np.random.default_rng(303)
     for trial in range(30):
         b = float(rng.uniform(1.0, 3.0))
-        kernel = GAUSSIAN if trial % 2 == 0 else EPANECHNIKOV
         base = np.array([10.0, 10.0, 10.0 + 8 * b, 10.0 + 8 * b])
         n1 = int(rng.integers(5, 25))
         cloud = [base + rng.normal(scale=0.5 * b, size=4) for _ in range(n1)]
@@ -207,18 +203,15 @@ def test_criterion_3_voting_oracle():
             n2 = int(rng.integers(3, 40 - n1))
             cloud += [base + shift + rng.normal(scale=0.5 * b, size=4) for _ in range(n2)]
         points = np.array(cloud)
-        space = VoteSpace(points=points, bandwidth=b, kernel=kernel)
+        space = VoteSpace(points=points, bandwidth=b)
         gt = select_pseudo_gt(space, theta=0.0, image_bounds=(1e9, 1e9))
         assert gt is not None
-        assert gt.vote >= grid_max_vote(points, b, kernel) * 0.99
+        assert gt.vote >= grid_max_vote(points, b) * 0.99
 
-    for kernel in (GAUSSIAN, EPANECHNIKOV):
-        for m in (1, 7, 33):
-            space = VoteSpace(
-                points=np.tile([4.0, 4.0, 9.0, 9.0], (m, 1)), bandwidth=2.0, kernel=kernel
-            )
-            gt = select_pseudo_gt(space, theta=0.0, image_bounds=(64, 64))
-            assert gt.vote == float(m)
+    for m in (1, 7, 33):
+        space = VoteSpace(points=np.tile([4.0, 4.0, 9.0, 9.0], (m, 1)), bandwidth=2.0)
+        gt = select_pseudo_gt(space, theta=0.0, image_bounds=(64, 64))
+        assert gt.vote == float(m)
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
     report("criterion-3 voting oracle",

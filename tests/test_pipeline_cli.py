@@ -69,7 +69,6 @@ class TestConfigFile:
             "n = 10\n"
             "theta = 12.5\n"
             "b = 2.0\n"
-            "kernel = epanechnikov\n"
         )
         cfg = build_config(str(cfg_file))
         assert cfg.k == 4
@@ -77,7 +76,6 @@ class TestConfigFile:
         assert cfg.n_matches == 10
         assert cfg.theta == 12.5
         assert cfg.bandwidth == 2.0
-        assert cfg.kernel == "epanechnikov"
 
     def test_overrides_beat_file(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
@@ -108,11 +106,21 @@ class TestConfigFile:
         with pytest.raises(ConfigInvalidError, match="unknown key 'jobs'"):
             build_config(str(cfg_file))
 
+    def test_removed_kernel_key_rejected(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("kernel = gaussian\n")
+        with pytest.raises(ConfigInvalidError, match="unknown key 'kernel'"):
+            build_config(str(cfg_file))
+
+    def test_removed_kernel_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["pipeline", "--seed", "0", "--kernel", "gaussian"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --kernel gaussian" in capsys.readouterr().err
+
     def test_validation_catches_bad_values(self):
         with pytest.raises(ConfigInvalidError):
             PipelineConfig(theta=-1.0).validate()
-        with pytest.raises(ConfigInvalidError):
-            PipelineConfig(kernel="box").validate()
 
 
 # A value other than the default for every setting, as typed in a file or
@@ -121,16 +129,29 @@ class TestConfigFile:
 SAMPLE_TEXT = {
     "manifest": "data/manifest.json", "out_dir": "run", "k": "3", "top_clusters": "150",
     "n_matches": "10", "frame_stride": "2", "target_cells": "30", "theta": "12.5",
-    "bandwidth": "2.5", "bandwidth_grid": "1,2,", "kernel": "epanechnikov",
-    "lsvm_rounds": "2", "train_steps": "50", "learning_rate": "0.05",
-    "weight_decay": "0.01", "nms_iou": "0.5", "regressor_l2": "10", "seed": "7",
+    "bandwidth": "2.5", "bandwidth_grid": "1,2,", "lsvm_rounds": "2", "train_steps": "50",
+    "learning_rate": "0.05", "weight_decay": "0.01", "nms_iou": "0.5", "regressor_l2": "10",
+    "seed": "7",
 }
 BAD_TEXT = {
     "k": "abc", "top_clusters": "0", "n_matches": "1.5", "frame_stride": "-1",
     "target_cells": "x", "theta": "-3", "bandwidth": "wide", "bandwidth_grid": "1,x",
-    "kernel": "box", "lsvm_rounds": "0", "train_steps": "-1", "learning_rate": "0",
+    "lsvm_rounds": "0", "train_steps": "-1", "learning_rate": "0",
     "weight_decay": "-1", "nms_iou": "1.5", "regressor_l2": "-5", "seed": "s",
 }
+FLOAT_FIELDS = [
+    "theta", "bandwidth", "bandwidth_grid", "learning_rate", "weight_decay", "nms_iou",
+    "regressor_l2",
+]
+
+
+def shown_default(value):
+    """A setting's default as README's settings table writes it."""
+    if value is None:
+        return "none"
+    if isinstance(value, tuple):
+        return ",".join(f"{v:g}" for v in value)
+    return str(value)
 
 
 class TestSettingsSurface:
@@ -143,6 +164,19 @@ class TestSettingsSurface:
         assert len({s.key for s in SETTINGS}) == len({s.flag for s in SETTINGS}) == len(names)
         assert set(SAMPLE_TEXT) == set(names)
         assert set(BAD_TEXT) == set(names) - {"manifest", "out_dir"}
+        assert set(FLOAT_FIELDS) == {
+            f.name for f in dataclasses.fields(PipelineConfig) if "float" in str(f.type)
+        }
+
+    def test_readme_table_lists_every_setting_in_order(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        table = readme[readme.index("| key | flag | default | meaning |"):].split("\n\n")[0]
+        rows = [
+            tuple(cell.strip().strip("`") for cell in line.strip("|").split(" | ")[:3])
+            for line in table.splitlines()[2:]
+        ]
+        defaults = {f.name: f.default for f in dataclasses.fields(PipelineConfig)}
+        assert rows == [(s.key, s.flag, shown_default(defaults[s.field])) for s in SETTINGS]
 
     @staticmethod
     def from_flags(*argv):
@@ -178,6 +212,24 @@ class TestSettingsSurface:
             err = json.loads(capsys.readouterr().err.strip())
             assert err["error"] == "ConfigInvalidError"
         assert not out.exists()  # refused before any stage ran
+
+    @pytest.mark.parametrize("text", ["nan", "inf"])
+    @pytest.mark.parametrize("field", FLOAT_FIELDS)
+    def test_non_finite_value_refused_naming_its_key(
+        self, field, text, synth_dir, tmp_path, capsys
+    ):
+        setting = next(s for s in SETTINGS if s.field == field)
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"{setting.key} = {text}\n")
+        out = tmp_path / "out"
+        common = ["pipeline", "--manifest", synth_dir / "manifest.json", "--out", out,
+                  "--seed", 0]
+        for extra in (["--config", cfg_file], [setting.flag, text]):
+            assert run_cli(*common, *extra) == 1
+            err = json.loads(capsys.readouterr().err.strip())
+            assert err["error"] == "ConfigInvalidError"
+            assert err["message"].startswith(f"{setting.key} must be")
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag,value", [("--nms-iou", "1.5"), ("--regressor-l2", "-5")])
     def test_pipeline_refuses_bad_value_before_any_stage(
@@ -731,10 +783,10 @@ class TestEachIntermediateOnce:
         pipeline.run_cv_bandwidth(ds, cfg)
         boxes = dataio.read_transfer_boxes(out / pipeline.TRANSFERS)
         pairs = tuple((i, tuple(boxes[i])) for i in sorted(boxes))
-        voted = ds.memo(pipeline.vote_pseudo_gts, pairs, grid, cfg.kernel, cfg.theta)
+        voted = ds.memo(pipeline.vote_pseudo_gts, pairs, grid, cfg.theta)
         trials = [voted[b] for b in grid]
         for b, trial in zip(grid, trials):
-            alone = pipeline.vote_pseudo_gts(ds, pairs, (b,), cfg.kernel, cfg.theta)
+            alone = pipeline.vote_pseudo_gts(ds, pairs, (b,), cfg.theta)
             assert trial == alone[b]
         # on this data every grid bandwidth votes differently
         assert all(trials[i] != trials[j] for i in range(len(grid)) for j in range(i))
@@ -1138,6 +1190,68 @@ class TestImageLabels:
 
         err = self.mine(data, tmp_path, capsys, relabel)
         assert err == {"error": "MissingInputError", "message": "image stray not in manifest"}
+
+
+class TestProposalBoxes:
+    """Every proposal box lies inside the closed rectangle of its image's
+    manifest ``size``; ``boxforge mine`` refuses any other box before it
+    reads a feature map."""
+
+    @pytest.fixture()
+    def data(self, synth_dir, tmp_path):
+        return shutil.copytree(synth_dir, tmp_path / "data")
+
+    def mine(self, data, tmp_path, make_box):
+        """Run ``mine`` with the third proposal's box replaced by
+        ``make_box`` of its image's manifest entry."""
+        rows = dataio.read_jsonl(data / "proposals.jsonl")
+        manifest = dataio.load_manifest(data / "manifest.json")
+        rows[2]["box"] = make_box(manifest.image(rows[2]["image_id"]))
+        dataio.write_jsonl(data / "proposals.jsonl", rows)
+        return run_cli("mine", "--manifest", data / "manifest.json", "--out", tmp_path / "o")
+
+    @pytest.mark.parametrize("box", [[-50, -50, -40, -40], [0, 0, 1e6, 1e6], [-1, 0, 4, 4]])
+    def test_box_outside_its_image_refused(self, data, tmp_path, capsys, monkeypatch, box):
+        reads = []
+        monkeypatch.setattr(dataio, "read_fmap", reads.append)
+        assert self.mine(data, tmp_path, lambda image: box) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigInvalidError"
+        where = data / "proposals.jsonl"
+        assert err["message"].startswith(f"{where} line 3: bad value for key 'box'")
+        assert "lies outside" in err["message"]
+        assert reads == []
+
+    def test_box_touching_the_image_edges_accepted(self, data, tmp_path):
+        assert self.mine(data, tmp_path, lambda image: [0, 0, *image.size]) == 0
+
+
+def test_info_log_has_one_line_per_stage_in_order(synth_dir, tmp_path):
+    """``BOXFORGE_LOG=INFO`` logs each stage's report as it is written, and
+    the default level logs nothing."""
+    env = {**os.environ, "PYTHONPATH": str(Path(boxforge.__file__).parents[1])}
+    argv = [sys.executable, "-m", "boxforge", "pipeline", "--manifest",
+            str(synth_dir / "manifest.json"), "--seed", "0", "--target-cells", "30",
+            "--frame-stride", "1", "--bandwidth", "2.0"]
+    logged = {}
+    for level in ("WARNING", "INFO"):
+        out = tmp_path / level
+        proc = subprocess.run([*argv, "--out", str(out)], env={**env, "BOXFORGE_LOG": level},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0
+        logged[level] = proc.stderr.splitlines()
+    assert logged["WARNING"] == []
+    names = []
+    for line in logged["INFO"]:
+        level, logger, name, report = line.split(" ", 3)
+        assert (level, logger) == ("INFO", "boxforge.pipeline:")
+        written = (tmp_path / "INFO" / "reports" / f"{name}.json").read_text()
+        assert json.loads(report) == json.loads(written)
+        names.append(name)
+    assert names == [
+        "mine", "select_tracks", "match", "vote", "train_initial", "update", "train_updated",
+        "regress", "eval", "pipeline",
+    ]
 
 
 SYNTH_FLAGS = [

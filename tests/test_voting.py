@@ -8,11 +8,8 @@ import hypothesis.strategies as st
 
 from boxforge import atomic, voting
 from boxforge.errors import ConfigInvalidError, DegenerateBoxError, IoFailureError, NoPointsError
-from boxforge.geometry import BBox, clip_box
+from boxforge.geometry import BBox, box_array, clip_box
 from boxforge.voting import (
-    EPANECHNIKOV,
-    GAUSSIAN,
-    KERNELS,
     PseudoGT,
     VoteSpace,
     export_heatmap,
@@ -28,22 +25,19 @@ def vote_value(l, space):
     if space.n_points == 0:
         return 0.0
     b_rows = np.array([space.bandwidth], dtype=np.float64)
-    return float(voting._votes(l, b_rows, space.points, space.kernel)[0])
+    return float(voting._votes(l, b_rows, space.points)[0])
 
 
-def space(points, b=1.0, kernel=GAUSSIAN):
-    return VoteSpace(points=np.asarray(points, dtype=np.float64), bandwidth=b, kernel=kernel)
+def space(points, b=1.0):
+    return VoteSpace(points=np.asarray(points, dtype=np.float64), bandwidth=b)
 
 
-def oracle_vote(l, points, b, kernel):
-    """Independent kernel-sum evaluation."""
+def oracle_vote(l, points, b):
+    """Independent Gaussian kernel-sum evaluation."""
     total = 0.0
     for p in points:
         d2 = sum((li - pi) ** 2 for li, pi in zip(l, p)) / (b * b)
-        if kernel == GAUSSIAN:
-            total += math.exp(-0.5 * d2)
-        else:
-            total += max(0.0, 1.0 - d2)
+        total += math.exp(-0.5 * d2)
     return total
 
 
@@ -52,21 +46,15 @@ class TestVoteValue:
         s = space([[1, 2, 3, 4]])
         assert vote_value([1, 2, 3, 4], s) == 1.0
 
-    @pytest.mark.parametrize("kernel", [GAUSSIAN, EPANECHNIKOV])
-    def test_m_coincident_points_score_exactly_m(self, kernel):
+    def test_m_coincident_points_score_exactly_m(self):
         for m in (1, 5, 25):
-            s = space([[2, 2, 8, 8]] * m, b=3.0, kernel=kernel)
+            s = space([[2, 2, 8, 8]] * m, b=3.0)
             assert vote_value([2, 2, 8, 8], s) == float(m)
 
     def test_two_points_one_bandwidth_apart_gaussian(self):
         b = 4.0
         s = space([[0, 0, 0, 0], [b, 0, 0, 0]], b=b)
         assert vote_value([0, 0, 0, 0], s) == pytest.approx(1.0 + math.exp(-0.5))
-
-    def test_epanechnikov_compact_support(self):
-        s = space([[0, 0, 0, 0]], b=2.0, kernel=EPANECHNIKOV)
-        assert vote_value([2, 0, 0, 0], s) == 0.0
-        assert vote_value([1, 0, 0, 0], s) == pytest.approx(0.75)
 
     @given(st.floats(-50, 50), st.floats(-50, 50), st.floats(-50, 50), st.floats(-50, 50))
     def test_translation_equivariance(self, dx, dy, dz, dw):
@@ -80,12 +68,9 @@ class TestVoteValue:
     def test_matches_independent_oracle(self):
         rng = np.random.default_rng(40)
         pts = rng.normal(size=(12, 4)) * 3
-        for kernel in (GAUSSIAN, EPANECHNIKOV):
-            s = space(pts, b=1.7, kernel=kernel)
-            l = rng.normal(size=4)
-            assert vote_value(l, s) == pytest.approx(
-                oracle_vote(l, pts, 1.7, kernel), rel=1e-12
-            )
+        s = space(pts, b=1.7)
+        l = rng.normal(size=4)
+        assert vote_value(l, s) == pytest.approx(oracle_vote(l, pts, 1.7), rel=1e-12)
 
 
 class TestVoteSpaceValidation:
@@ -93,19 +78,14 @@ class TestVoteSpaceValidation:
         with pytest.raises(ConfigInvalidError):
             space([[0, 0, 1, 1]], b=0.0)
 
-    def test_rejects_bad_kernel(self):
-        with pytest.raises(ConfigInvalidError):
-            VoteSpace(points=np.zeros((1, 4)), bandwidth=1.0, kernel="box")
-
     def test_rejects_wrong_width(self):
         with pytest.raises(ConfigInvalidError):
             VoteSpace(points=np.zeros((3, 3)), bandwidth=1.0)
 
 
 class TestMeanShiftModes:
-    @pytest.mark.parametrize("kernel", [GAUSSIAN, EPANECHNIKOV])
-    def test_coincident_points_single_mode(self, kernel):
-        s = space([[3, 4, 9, 11]] * 6, b=2.0, kernel=kernel)
+    def test_coincident_points_single_mode(self):
+        s = space([[3, 4, 9, 11]] * 6, b=2.0)
         modes = mean_shift_modes(s)
         assert len(modes) == 1
         assert modes[0][0] == pytest.approx([3, 4, 9, 11])
@@ -128,7 +108,7 @@ class TestMeanShiftModes:
 
         # grid-search oracle: the reported best mode beats a b/4-pitch grid
         grid_best = max(
-            oracle_vote([x, 0, 0, 0], s.points, b, GAUSSIAN)
+            oracle_vote([x, 0, 0, 0], s.points, b)
             for x in np.arange(-1, 11.25, b / 4)
         )
         assert modes[0][1] >= grid_best - 1e-6
@@ -143,19 +123,13 @@ class TestMeanShiftModes:
 # ---- reference mean-shift: one seed at a time, per-seed matrix-vector sums ----
 
 
-def _oracle_kernel_values(kernel, sq_dist):
-    if kernel == GAUSSIAN:
-        return np.exp(-0.5 * sq_dist)
-    return np.maximum(0.0, 1.0 - sq_dist)
-
-
 def oracle_vote_value(l, space):
     l = np.asarray(l, dtype=np.float64).reshape(4)
     if space.n_points == 0:
         return 0.0
     diff = (space.points - l) / space.bandwidth
     sq = np.sum(diff * diff, axis=1)
-    return float(np.sum(_oracle_kernel_values(space.kernel, sq)))
+    return float(np.sum(np.exp(-0.5 * sq)))
 
 
 def oracle_ascend(seed, space, tol, max_iter):
@@ -165,10 +139,7 @@ def oracle_ascend(seed, space, tol, max_iter):
     for _ in range(max_iter):
         diff = (pts - m) / b
         sq = np.sum(diff * diff, axis=1)
-        if space.kernel == GAUSSIAN:
-            w = np.exp(-0.5 * sq)
-        else:
-            w = (sq < 1.0).astype(np.float64)
+        w = np.exp(-0.5 * sq)
         total = float(np.sum(w))
         if total <= 0.0:
             break
@@ -237,17 +208,15 @@ class TestMeanShiftMatchesOracle:
         st.integers(1, 60),
         st.integers(1, 4),
         st.floats(0.3, 6.0),
-        st.sampled_from(KERNELS),
         st.sampled_from([None, 0.5, 1.0]),
     )
-    def test_random_spaces(self, seed, n, n_centers, b, kernel, grid):
+    def test_random_spaces(self, seed, n, n_centers, b, grid):
         rng = np.random.default_rng(seed)
         pts = cloud(rng, n, n_centers, spread=rng.uniform(0.2, 4.0), grid=grid)
-        assert_modes_match_oracle(space(pts, b=b, kernel=kernel))
+        assert_modes_match_oracle(space(pts, b=b))
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_seeds_converge_at_different_iterations(self, kernel):
-        s = space(cloud(np.random.default_rng(7), 30, spread=2.0), b=4.0, kernel=kernel)
+    def test_seeds_converge_at_different_iterations(self):
+        s = space(cloud(np.random.default_rng(7), 30, spread=2.0), b=4.0)
         tol = 1e-3 * s.bandwidth
         iters = set()
         for p in s.points:
@@ -256,57 +225,47 @@ class TestMeanShiftMatchesOracle:
         assert len(iters) >= 3
         assert_modes_match_oracle(s)
 
-    @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("max_iter", [0, 1])
-    def test_zero_and_one_iteration(self, kernel, max_iter):
-        s = space(cloud(np.random.default_rng(8), 25), b=2.0, kernel=kernel)
+    def test_zero_and_one_iteration(self, max_iter):
+        s = space(cloud(np.random.default_rng(8), 25), b=2.0)
         modes = assert_modes_match_oracle(s, max_iter=max_iter)
         if max_iter == 0:
             assert all(any(np.array_equal(m, p) for p in s.points) for m, _ in modes)
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_zero_tolerance_runs_every_iteration(self, kernel):
-        s = space(cloud(np.random.default_rng(9), 15), b=2.0, kernel=kernel)
+    def test_zero_tolerance_runs_every_iteration(self):
+        s = space(cloud(np.random.default_rng(9), 15), b=2.0)
         assert_modes_match_oracle(s, tol=0.0, max_iter=50)
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_tied_votes_ordered_by_coordinates(self, kernel):
+    def test_tied_votes_ordered_by_coordinates(self):
         # three triples too far apart to weigh on each other score exactly
         # 3.0 each; they are listed out of coordinate order
         triples = [[100, 0, 104, 4]] * 3 + [[0, 100, 4, 104]] * 3 + [[0, 0, 4, 4]] * 3
-        modes = assert_modes_match_oracle(space(triples, b=1.0, kernel=kernel))
+        modes = assert_modes_match_oracle(space(triples, b=1.0))
         assert [v for _, v in modes] == [3.0, 3.0, 3.0]
         assert [m.tolist() for m, _ in modes] == [[0, 0, 4, 4], [0, 100, 4, 104], [100, 0, 104, 4]]
 
-    def test_flat_kernel_excludes_points_exactly_one_bandwidth_away(self):
-        s = space([[0, 0, 0, 0], [2, 0, 0, 0]], b=2.0, kernel=EPANECHNIKOV)
-        modes = assert_modes_match_oracle(s)
-        assert [m.tolist() for m, _ in modes] == [[0, 0, 0, 0], [2, 0, 0, 0]]
-
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_single_point(self, kernel):
-        modes = assert_modes_match_oracle(space([[1.5, 2.0, 7.25, 9.0]], kernel=kernel))
+    def test_single_point(self):
+        modes = assert_modes_match_oracle(space([[1.5, 2.0, 7.25, 9.0]]))
         assert len(modes) == 1 and modes[0][1] == 1.0
 
-    @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("rows", [1, 3])
-    def test_small_blocks(self, monkeypatch, kernel, rows):
+    def test_small_blocks(self, monkeypatch, rows):
         # 3 rows per block does not divide the 20 points
         n = 20
         monkeypatch.setattr(voting, "ASCENT_BLOCK_BYTES", rows * n * 4 * 8)
         assert voting._block_rows(n) == rows
-        s = space(cloud(np.random.default_rng(10), n, spread=3.0), b=2.0, kernel=kernel)
+        s = space(cloud(np.random.default_rng(10), n, spread=3.0), b=2.0)
         assert_modes_match_oracle(s)
 
     @staticmethod
-    def assert_joint_ascent_matches_oracle(pts, bandwidths, kernel, **kwargs):
+    def assert_joint_ascent_matches_oracle(pts, bandwidths, **kwargs):
         """One joint ascent over ``bandwidths`` gives, for each bandwidth,
         the per-space oracle's ranking (repeated rows aside) and modes."""
         pts = np.asarray(pts, dtype=np.float64)
-        ranked = voting.ranked_ascents(pts, bandwidths, kernel, **kwargs)
+        ranked = voting.ranked_ascents(pts, bandwidths, **kwargs)
         assert len(ranked) == len(bandwidths)
         for b, (locations, votes) in zip(bandwidths, ranked):
-            s = space(pts, b=b, kernel=kernel)
+            s = space(pts, b=b)
             want = ranked_ascents_oracle(s, **kwargs)
             assert np.array_equal(distinct_runs(locations), distinct_runs([m for m, _ in want]))
             got = merge_modes(zip(locations, votes.tolist()), b)
@@ -322,35 +281,29 @@ class TestMeanShiftMatchesOracle:
         st.integers(0, 2**32 - 1),
         st.integers(1, 60),
         st.lists(st.floats(0.3, 6.0), min_size=1, max_size=4),
-        st.sampled_from(KERNELS),
         st.sampled_from([None, 0.5, 1.0, 3.0]),
     )
-    def test_joint_ascent_over_mixed_bandwidths(self, seed, n, bandwidths, kernel, grid):
+    def test_joint_ascent_over_mixed_bandwidths(self, seed, n, bandwidths, grid):
         rng = np.random.default_rng(seed)
         pts = cloud(rng, n, int(rng.integers(1, 5)), spread=rng.uniform(0.2, 4.0), grid=grid)
-        self.assert_joint_ascent_matches_oracle(pts, bandwidths, kernel)
+        self.assert_joint_ascent_matches_oracle(pts, bandwidths)
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_joint_ascent_over_duplicate_heavy_space(self, kernel):
+    def test_joint_ascent_over_duplicate_heavy_space(self):
         pts = cloud(np.random.default_rng(12), 120, n_centers=2, spread=0.6, grid=2.0)
         n_distinct = len(np.unique(pts, axis=0))
         assert n_distinct < len(pts) // 4
-        ranked = self.assert_joint_ascent_matches_oracle(pts, [0.5, 2.0, 1.0, 6.0], kernel)
+        ranked = self.assert_joint_ascent_matches_oracle(pts, [0.5, 2.0, 1.0, 6.0])
         # one ascent per distinct point, not per point
         assert all(len(locations) == n_distinct for locations, _ in ranked)
 
-    @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("tol,max_iter", [(0.05, 200), (None, 0), (None, 1), (0.0, 1)])
-    def test_joint_ascent_with_explicit_tolerance_and_iterations(self, kernel, tol, max_iter):
+    def test_joint_ascent_with_explicit_tolerance_and_iterations(self, tol, max_iter):
         pts = cloud(np.random.default_rng(13), 40, spread=2.0, grid=0.5)
-        self.assert_joint_ascent_matches_oracle(
-            pts, [1.0, 3.0, 2.0], kernel, tol=tol, max_iter=max_iter
-        )
+        self.assert_joint_ascent_matches_oracle(pts, [1.0, 3.0, 2.0], tol=tol, max_iter=max_iter)
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_vote_value_matches_oracle_exactly(self, kernel):
+    def test_vote_value_matches_oracle_exactly(self):
         rng = np.random.default_rng(11)
-        s = space(cloud(rng, 40), b=1.5, kernel=kernel)
+        s = space(cloud(rng, 40), b=1.5)
         for l in rng.uniform(0, 40, size=(20, 4)):
             assert vote_value(l, s) == oracle_vote_value(l, s)
 
@@ -379,15 +332,14 @@ class TestSelectPseudoGt:
         st.integers(1, 50),
         st.integers(1, 4),
         st.floats(0.3, 6.0),
-        st.sampled_from(KERNELS),
         st.sampled_from([None, 0.5]),
         st.floats(0.0, 8.0),
     )
-    def test_top_mode_matches_merged_mode_list(self, seed, n, n_centers, b, kernel, grid, theta):
+    def test_top_mode_matches_merged_mode_list(self, seed, n, n_centers, b, grid, theta):
         rng = np.random.default_rng(seed)
         pts = cloud(rng, n, n_centers, spread=rng.uniform(0.2, 3.0), grid=grid)
         pts[:, 2:] += 12.0  # mostly well-formed boxes; some stay inverted
-        s = space(pts, b=b, kernel=kernel)
+        s = space(pts, b=b)
         bounds = (45.0, 45.0)
         assert select_pseudo_gt(s, theta, bounds, "i") == select_pseudo_gt_oracle(
             s, theta, bounds, "i"
@@ -493,8 +445,8 @@ class TestExportHeatmap:
         assert np.array_equal(counts, oracle)
         assert set(np.unique(img)) == {0, 127, 255}
 
-    def test_accepts_bbox_list(self, tmp_path):
-        counts = export_heatmap([BBox(0, 0, 2, 2)], (4, 4), tmp_path / "b.pgm")
+    def test_counts_box_array_rows(self, tmp_path):
+        counts = export_heatmap(box_array([BBox(0, 0, 2, 2)]), (4, 4), tmp_path / "b.pgm")
         assert counts.sum() == 4
 
     def test_refused_rename_keeps_earlier_pgm(self, tmp_path, monkeypatch):
