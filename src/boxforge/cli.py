@@ -2,7 +2,7 @@
 
 Exit code 0 on success; on failure a machine-readable JSON error object is
 printed to stderr and the exit code is nonzero.  ``BOXFORGE_LOG`` selects
-the log level (DEBUG, INFO, WARNING, ...).
+the log level (DEBUG, INFO, WARNING, ...); any other name is refused.
 
 :data:`COMMANDS` has one row per stage subcommand: the pipeline function it
 runs, whether ``--seed`` is required, and the flags it passes to the stage
@@ -24,16 +24,21 @@ from typing import NamedTuple, Optional
 from . import pipeline
 from .config import SETTINGS, PipelineConfig, build_config
 from .dataio import open_dataset
-from .errors import BoxforgeError
+from .errors import BoxforgeError, ConfigInvalidError
 from .synth import SynthConfig, gen_dataset
 
 _DEFAULTS = {f.name: f.default for f in dataclasses.fields(PipelineConfig)}
 
 
 def _setup_logging() -> None:
-    level = os.environ.get("BOXFORGE_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
+    """Log at the level ``BOXFORGE_LOG`` names (any case; WARNING when
+    unset); a name that is not a logging level is refused."""
+    name = os.environ.get("BOXFORGE_LOG", "WARNING")
+    level = logging.getLevelName(name.upper())
+    if not isinstance(level, int):
+        raise ConfigInvalidError(f"BOXFORGE_LOG={name!r} is not a logging level "
+                                 "(DEBUG, INFO, WARNING, ERROR or CRITICAL)")
+    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
 def _add_config_flags(p: argparse.ArgumentParser, need_seed: bool = False) -> None:
@@ -146,10 +151,10 @@ def run_command(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _setup_logging()
         return run_command(args)
     except BoxforgeError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Optional, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -136,19 +136,26 @@ def load_json(path: str | Path) -> _Row:
     return _object(doc, str(p))
 
 
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def write_jsonl(path: str | Path, rows: Iterable[Mapping]) -> None:
     def write(fh: TextIO) -> None:
         for row in rows:
-            fh.write(json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n")
+            fh.write(_ROW_ENCODER.encode(row) + "\n")
 
     write_atomic(path, write)
 
 
-def read_jsonl(path: str | Path) -> list[_Row]:
+def read_jsonl(path: str | Path) -> Iterator[_Row]:
+    """Each row of a JSON-lines file as it is read, one decoder per file;
+    a row that is not a JSON object raises :class:`ConfigInvalidError`
+    naming its line."""
     p = Path(path)
     if not p.exists():
         raise MissingInputError(f"missing input file: {p}")
-    rows = []
+    where = str(p)
+    decoder = json.JSONDecoder(object_hook=lambda pairs: _Row(where, pairs))
     with open(p) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -156,11 +163,10 @@ def read_jsonl(path: str | Path) -> list[_Row]:
                 continue
             where = f"{p} line {lineno}"
             try:
-                row = json.loads(line, object_hook=lambda pairs: _Row(where, pairs))
+                row = decoder.decode(line)
             except json.JSONDecodeError as exc:
                 raise ConfigInvalidError(f"{where}: malformed JSON row ({exc.msg})") from exc
-            rows.append(_object(row, where))
-    return rows
+            yield _object(row, where)
 
 
 @dataclass(frozen=True)
@@ -380,7 +386,8 @@ def read_proposals(manifest: Manifest) -> dict[str, ImageProposals]:
     image's label in the manifest; every box must lie inside its image's
     ``size``.  A row or an image that disagrees raises
     :class:`ConfigInvalidError`, and an image the manifest does not list
-    :class:`MissingInputError`, before any FMAP is read.
+    :class:`MissingInputError`, before any FMAP is read.  Rows are checked
+    and grouped as the file streams; only their boxes are kept.
     """
     path = manifest.path("proposals")
     grouped: dict[str, tuple[str, list[BBox]]] = {}

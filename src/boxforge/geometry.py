@@ -85,22 +85,28 @@ def box_array(boxes: Sequence[BBox]) -> np.ndarray:
     return np.array([b.as_list() for b in boxes], dtype=np.float64).reshape(-1, 4)
 
 
-def iou_rows(coords: np.ndarray, box: BBox) -> np.ndarray:
-    """IOU of every row of ``coords`` (N, 4 corners) with ``box``.
+def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IOU of every row of ``a`` (N, 4 corners) with every row of ``b`` (M, 4).
 
     Runs the operations of :func:`iou` elementwise and in the same order,
-    so entry i equals ``iou(BBox(*coords[i]), box)`` exactly (an overlap
-    whose area underflows to 0 divides to 0, as ``iou`` returns).
+    so entry (i, j) equals ``iou(BBox(*a[i]), BBox(*b[j]))`` exactly: a pair
+    that does not overlap, or whose overlap area underflows to 0, is 0.
+    ``iou`` is symmetric bit for bit, so ``iou_matrix(b, a)`` is the
+    transpose.  This is the one IOU kernel for arrays of boxes.
     """
-    x0, y0, x1, y1 = coords.T
-    iw = np.minimum(x1, box.x_max) - np.maximum(x0, box.x_min)
-    ih = np.minimum(y1, box.y_max) - np.maximum(y0, box.y_min)
+    ax0, ay0, ax1, ay1 = a.T[:, :, None]
+    bx0, by0, bx1, by1 = b.T
+    iw = np.minimum(ax1, bx1) - np.maximum(ax0, bx0)
+    ih = np.minimum(ay1, by1) - np.maximum(ay0, by0)
     inter = iw * ih
-    hit = (iw > 0.0) & (ih > 0.0)
-    out = np.zeros(len(coords))
-    area = (x1[hit] - x0[hit]) * (y1[hit] - y0[hit])
-    out[hit] = inter[hit] / (area + box.area - inter[hit])
-    return out
+    union = (ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter
+    return np.divide(inter, union, out=np.zeros(inter.shape), where=(iw > 0.0) & (inter > 0.0))
+
+
+def iou_rows(coords: np.ndarray, box: BBox) -> np.ndarray:
+    """IOU of every row of ``coords`` (N, 4 corners) with ``box``, equal to
+    ``iou(BBox(*coords[i]), box)`` exactly: one column of :func:`iou_matrix`."""
+    return iou_matrix(coords, box_array([box]))[:, 0]
 
 
 def contains(outer: BBox, inner: BBox) -> bool:
@@ -148,18 +154,25 @@ def nms(boxes: Sequence[BBox], scores: Sequence[float], iou_thresh: float) -> li
     Returns indices of kept boxes in keep order.  A candidate is suppressed
     when its IOU with an already-kept box exceeds ``iou_thresh``.  Ties are
     broken deterministically by (score desc, coordinates lexicographic asc,
-    input index asc) so the result never depends on input ordering.
+    input index asc) so the result never depends on input ordering.  A
+    non-finite score raises ``ValueError``: NaN has no place in that order.
     """
     if len(boxes) != len(scores):
         raise ValueError("boxes and scores must have equal length")
     if not 0.0 <= iou_thresh <= 1.0:
         raise ValueError(f"iou_thresh must be in [0, 1], got {iou_thresh}")
-    order = sorted(
-        range(len(boxes)),
-        key=lambda i: (-scores[i], boxes[i].sort_key(), i),
-    )
+    score = np.asarray(scores, dtype=np.float64)
+    if not np.isfinite(score).all():
+        raise ValueError("nms scores must be finite")
+    coords = box_array(boxes)
+    # lexsort is stable, so equal keys keep input index order
+    order = np.lexsort((*coords.T[::-1], -score))
+    # row j of a kept box j holds iou(box_j, box_i) == iou(box_i, box_j)
+    overlaps = iou_matrix(coords, coords) > iou_thresh
+    suppressed = np.zeros(len(boxes), dtype=bool)
     kept: list[int] = []
-    for i in order:
-        if all(iou(boxes[i], boxes[j]) <= iou_thresh for j in kept):
+    for i in order.tolist():
+        if not suppressed[i]:
             kept.append(i)
+            suppressed |= overlaps[i]
     return kept

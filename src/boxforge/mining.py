@@ -6,18 +6,22 @@ per-image champions form a cluster.  Clusters are ranked by how many of
 their instances come from positively-labeled images, near-duplicates of
 already-kept clusters are removed greedily, and the positive members of the
 top clusters become the mined region set.
+
+Every stage holds the clusters as one :class:`Clusters` table of arrays,
+one row per seed proposal; :class:`MinedRegion` objects are made only for
+the top clusters' regions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import EmptyDatasetError, NoPositivesError
-from .geometry import BBox, box_array, iou
+from .geometry import BBox, box_array, iou_matrix
 
 POSITIVE = "pos"
 NEGATIVE = "neg"
@@ -54,47 +58,6 @@ class ImageProposals:
 
 
 @dataclass(frozen=True)
-class Proposal:
-    """One region proposal named by its image and in-image index; its
-    descriptor is row ``index`` of that image's :class:`ImageProposals`."""
-
-    image_id: str
-    index: int
-    box: BBox
-
-    @property
-    def prop_id(self) -> str:
-        return f"{self.image_id}#{self.index}"
-
-
-@dataclass(frozen=True)
-class Cluster:
-    """A seed proposal plus its nearest-neighbor members.
-
-    ``members`` holds (proposal, similarity) pairs sorted by similarity
-    descending, at most one per image and never from the seed's own image.
-    ``positive_count`` counts members from positive images, plus the seed
-    when its own image is positive.
-    """
-
-    seed: Proposal
-    members: tuple[tuple[Proposal, float], ...]
-    positive_count: int
-
-    @property
-    def cluster_id(self) -> str:
-        return self.seed.prop_id
-
-    def mean_member_similarity(self) -> float:
-        if not self.members:
-            return 0.0
-        return sum(s for _, s in self.members) / len(self.members)
-
-    def all_regions(self) -> list[Proposal]:
-        return [self.seed] + [p for p, _ in self.members]
-
-
-@dataclass(frozen=True)
 class MinedRegion:
     """A mined positive region with its cluster provenance."""
 
@@ -105,7 +68,55 @@ class MinedRegion:
     cluster_rank: int
 
 
-def build_clusters(proposals_by_image: Mapping[str, ImageProposals], k: int) -> list[Cluster]:
+@dataclass(frozen=True, eq=False)
+class Clusters:
+    """Clusters as one table, one row per seed proposal.
+
+    A proposal is named by its row: its position in the concatenation of
+    every image's proposals in image-id order, so rows sort as proposal ids
+    do.  Image ``o`` (``image_ids[o]``) owns rows ``offsets[o]`` to
+    ``offsets[o + 1]``.  Per cluster the table holds the ``seed`` row, the
+    ``members`` rows (sorted by similarity desc, then image; at most one per
+    image and never from the seed's own image), their similarities ``sims``
+    and ``positive``, the number of members from positive images plus the
+    seed when its own image is positive.  Every cluster has the same number
+    of members, ``min(k, images - 1)``.
+    """
+
+    image_ids: tuple[str, ...]
+    images: tuple[ImageProposals, ...]
+    offsets: np.ndarray  # (images + 1,)
+    seed: np.ndarray  # (clusters,) rows
+    members: np.ndarray  # (clusters, members) rows
+    sims: np.ndarray  # (clusters, members) float64
+    positive: np.ndarray  # (clusters,)
+
+    def __len__(self) -> int:
+        return len(self.seed)
+
+    def take(self, clusters) -> "Clusters":
+        """The table of the clusters at ``clusters`` (indices), in that order."""
+        return replace(
+            self,
+            seed=self.seed[clusters],
+            members=self.members[clusters],
+            sims=self.sims[clusters],
+            positive=self.positive[clusters],
+        )
+
+    def regions(self) -> np.ndarray:
+        """Each cluster's rows, seed first: (clusters, members + 1)."""
+        return np.column_stack([self.seed, self.members])
+
+    def owners(self, rows: np.ndarray) -> np.ndarray:
+        """The image (index into ``image_ids``) of each row."""
+        return np.searchsorted(self.offsets, rows, side="right") - 1
+
+
+BLOCK_BYTES = 1 << 18  # bytes of one float64 block of seed-by-proposal similarities
+
+
+def build_clusters(proposals_by_image: Mapping[str, ImageProposals], k: int) -> Clusters:
     """Cluster every proposal with its k most similar per-image champions.
 
     The champion of a seed in another image is that image's single most
@@ -115,133 +126,147 @@ def build_clusters(proposals_by_image: Mapping[str, ImageProposals], k: int) -> 
     descriptor scores 0 against everything.
 
     The images' feature matrices are concatenated in sorted image order and
-    scored one seed image at a time: a block of that image's rows against
-    every proposal, so memory stays at (proposals in one image) x (all
-    proposals) rather than the full square.  Dots and norms come from
-    ``np.vecdot``, which runs the same per-pair kernel as ``np.dot``, and
-    each similarity is ``a.b / (|a| |b|)``, so every float is bit-identical
-    to scoring the pairs one at a time.  A BLAS matrix product sums in a
-    different order, and pre-normalised rows round differently, so both
-    can flip a champion on a last-ulp tie.
+    scored a block of seed rows at a time against every proposal, each block
+    at most ``BLOCK_BYTES`` of float64, so memory does not grow with the
+    square of the proposal count.  Each image's champions are its segment
+    maxima (``np.maximum.reduceat``) and the lowest row reaching them.  Dots
+    and norms come from ``np.vecdot``, which runs the same per-pair kernel
+    as ``np.dot``, and each similarity is ``a.b / (|a| |b|)``, so every float
+    is bit-identical to scoring the pairs one at a time.  A BLAS matrix
+    product sums in a different order, and pre-normalised rows round
+    differently, so both can flip a champion on a last-ulp tie.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    image_ids = sorted(proposals_by_image)
+    image_ids = tuple(sorted(proposals_by_image))
     if not image_ids:
         raise EmptyDatasetError("no images in proposal dataset")
-    images = [proposals_by_image[img] for img in image_ids]
-    props = [
-        Proposal(img, index, box)
-        for img, image in zip(image_ids, images)
-        for index, box in enumerate(image.boxes)
-    ]
+    images = tuple(proposals_by_image[img] for img in image_ids)
+    sizes = np.array([len(image) for image in images])
+    if not sizes.all():
+        raise ValueError("every image must have at least one proposal")
     feats = np.concatenate([image.features for image in images])
     if not np.isfinite(feats).all():
         raise ValueError("proposal features must be finite")
     norms = np.sqrt(np.vecdot(feats, feats))
     live = norms >= 1e-12
-    sizes = np.array([len(image) for image in images])
-    ends = np.cumsum(sizes)
-    starts = ends - sizes
-    owner = np.repeat(np.arange(len(image_ids)), sizes)
+    n_rows = len(feats)
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    owner = np.repeat(np.arange(len(images)), sizes)
     positive = np.array([image.label == POSITIVE for image in images])
-
-    clusters: list[Cluster] = []
-    for s, img in enumerate(image_ids):
-        rows = slice(starts[s], ends[s])
-        sim = np.zeros((sizes[s], len(props)))
+    n_members = min(k, len(images) - 1)
+    members = np.empty((n_rows, n_members), dtype=np.intp)
+    sims = np.empty((n_rows, n_members))
+    columns = np.arange(n_rows)
+    step = max(1, BLOCK_BYTES // (8 * n_rows))
+    for lo in range(0, n_rows, step):
+        rows = slice(lo, min(lo + step, n_rows))
+        sim = np.zeros((rows.stop - lo, n_rows))
         np.divide(
             np.vecdot(feats[rows, None, :], feats),
             np.outer(norms[rows], norms),
             out=sim,
             where=np.outer(live[rows], live),
         )
-        # champions in image order; argmax keeps the lowest index on ties
-        others = [o for o in range(len(image_ids)) if o != s]
-        champ = np.empty((sizes[s], len(others)), dtype=np.intp)
-        for col, o in enumerate(others):
-            champ[:, col] = starts[o] + np.argmax(sim[:, starts[o] : ends[o]], axis=1)
+        # per image, the lowest row reaching the image's maximum
+        best = np.repeat(np.maximum.reduceat(sim, offsets[:-1], axis=1), sizes, axis=1)
+        champ = np.minimum.reduceat(np.where(sim == best, columns, n_rows), offsets[:-1], axis=1)
         champ_sim = np.take_along_axis(sim, champ, axis=1)
+        # the seed's own image sorts last, so it is never a member
+        champ_sim[np.arange(len(champ)), owner[rows]] = -np.inf
         # stable on -sim, so equal similarities stay in image order
-        order = np.argsort(-champ_sim, axis=1, kind="stable")[:, :k]
-        top = np.take_along_axis(champ, order, axis=1)
-        top_sim = np.take_along_axis(champ_sim, order, axis=1)
-        counts = int(positive[s]) + positive[owner[top]].sum(axis=1)
-        for seed, idx, sims, count in zip(
-            props[rows], top.tolist(), top_sim.tolist(), counts.tolist()
-        ):
-            members = tuple((props[j], sim_j) for j, sim_j in zip(idx, sims))
-            clusters.append(Cluster(seed=seed, members=members, positive_count=count))
-    return clusters
-
-
-def rank_clusters(clusters: Sequence[Cluster]) -> list[Cluster]:
-    """Sort by positive count desc, then mean member similarity desc, then seed id."""
-    return sorted(
-        clusters,
-        key=lambda c: (
-            -c.positive_count,
-            -c.mean_member_similarity(),
-            c.seed.image_id,
-            c.seed.index,
-        ),
+        order = np.argsort(-champ_sim, axis=1, kind="stable")[:, :n_members]
+        members[rows] = np.take_along_axis(champ, order, axis=1)
+        sims[rows] = np.take_along_axis(champ_sim, order, axis=1)
+    return Clusters(
+        image_ids=image_ids,
+        images=images,
+        offsets=offsets,
+        seed=columns,
+        members=members,
+        sims=sims,
+        positive=positive[owner] + positive[owner[members]].sum(axis=1),
     )
 
 
-def dedup_clusters(ranked: Sequence[Cluster]) -> list[Cluster]:
+def rank_clusters(clusters: Clusters) -> Clusters:
+    """Sort by positive count desc, then mean member similarity desc, then
+    seed (image id, index), which is seed row order.  The mean sums the
+    similarities left to right, as ``sum`` over the members would; with no
+    members it is 0."""
+    n_members = clusters.sims.shape[1]
+    if n_members:
+        mean = np.cumsum(clusters.sims, axis=1)[:, -1] / n_members
+    else:
+        mean = np.zeros(len(clusters))
+    return clusters.take(np.lexsort((clusters.seed, -mean, -clusters.positive)))
+
+
+def dedup_clusters(ranked: Clusters) -> Clusters:
     """Greedily drop clusters that are near-duplicates of already-kept ones.
 
     Scanning in rank order, a cluster is removed when at least
     ``ceil(DEDUP_FRAC * size)`` of its regions (seed included) have IOU above
     ``DEDUP_IOU`` with a same-image region of any kept cluster.  Output is
     always a subsequence of the input.
+
+    ``blocked`` marks every proposal that overlaps a kept region.  The first
+    time a kept cluster touches an image, the image's proposals are tested
+    against each other once with :func:`iou_matrix`; keeping a region then
+    blocks that region's row of the result.
     """
-    kept: list[Cluster] = []
-    kept_boxes: dict[str, list[BBox]] = {}
-    for cluster in ranked:
-        regions = cluster.all_regions()
-        needed = math.ceil(DEDUP_FRAC * len(regions))
-        overlapping = 0
-        for region in regions:
-            if any(iou(region.box, b) > DEDUP_IOU for b in kept_boxes.get(region.image_id, ())):
-                overlapping += 1
-                if overlapping >= needed:
-                    break
-        if overlapping >= needed:
+    regions = ranked.regions()
+    needed = math.ceil(DEDUP_FRAC * regions.shape[1])
+    offsets = ranked.offsets.tolist()
+    blocked = np.zeros(offsets[-1], dtype=bool)
+    overlaps: dict[int, np.ndarray] = {}
+    kept: list[int] = []
+    for c, rows in enumerate(regions):
+        if np.count_nonzero(blocked[rows]) >= needed:
             continue
-        kept.append(cluster)
-        for region in regions:
-            kept_boxes.setdefault(region.image_id, []).append(region.box)
-    return kept
+        kept.append(c)
+        for row, o in zip(rows.tolist(), ranked.owners(rows).tolist()):
+            if o not in overlaps:
+                coords = ranked.images[o].coords
+                overlaps[o] = iou_matrix(coords, coords) > DEDUP_IOU
+            blocked[offsets[o] : offsets[o + 1]] |= overlaps[o][row - offsets[o]]
+    return ranked.take(np.array(kept, dtype=np.intp))
 
 
 def select_positive_regions(
-    deduped: Sequence[Cluster],
+    deduped: Clusters,
     labels: Mapping[str, str],
     top_c: int = 200,
 ) -> list[MinedRegion]:
-    """Union of positive-image regions from the top-C clusters.
+    """Union of positive-image regions from the top-C clusters, seed first,
+    then members in order.
 
     Duplicate (image, box) pairs collapse to their first (best-ranked)
     occurrence.  Raises :class:`NoPositivesError` when nothing survives,
     which signals that mining failed for the category.
     """
+    top = deduped.take(slice(0, max(0, top_c)))
     seen: set[tuple[str, tuple[float, float, float, float]]] = set()
     regions: list[MinedRegion] = []
-    for rank, cluster in enumerate(deduped[: max(0, top_c)]):
-        for region in cluster.all_regions():
-            if labels.get(region.image_id) != POSITIVE:
+    offsets = top.offsets.tolist()
+    for rank, rows in enumerate(top.regions().tolist()):
+        owners = top.owners(rows).tolist()
+        cluster_id = f"{top.image_ids[owners[0]]}#{rows[0] - offsets[owners[0]]}"
+        for row, o in zip(rows, owners):
+            image_id = top.image_ids[o]
+            if labels.get(image_id) != POSITIVE:
                 continue
-            key = (region.image_id, region.box.sort_key())
+            box = top.images[o].boxes[row - offsets[o]]
+            key = (image_id, box.sort_key())
             if key in seen:
                 continue
             seen.add(key)
             regions.append(
                 MinedRegion(
                     region_id=f"r{len(regions):05d}",
-                    image_id=region.image_id,
-                    box=region.box,
-                    cluster_id=cluster.cluster_id,
+                    image_id=image_id,
+                    box=box,
+                    cluster_id=cluster_id,
                     cluster_rank=rank,
                 )
             )

@@ -44,13 +44,13 @@ from boxforge.tracks import evaluate_selection
 from boxforge.voting import PseudoGT, VoteSpace, select_pseudo_gt
 
 from test_mining import (
-    cluster_signature,
     dataset as make_dataset,
     oracle_build,
     oracle_dedup,
     oracle_rank,
     oracle_signature,
     per_proposal,
+    signature,
 )
 
 # Matching profile for the synthetic datasets: objects cover ~30 stride-1
@@ -242,7 +242,7 @@ def test_criterion_4_mining_equivalence():
         k = int(rng.integers(0, n_images + 1))
         got = dedup_clusters(rank_clusters(build_clusters(by_image, k)))
         want = oracle_dedup(oracle_rank(oracle_build(per_proposal(by_image), labels, k)))
-        assert [cluster_signature(c) for c in got] == [
+        assert signature(got) == [
             oracle_signature(c) for c in want
         ], f"trial {trial} diverged from the exhaustive implementation"
     elapsed = time.perf_counter() - t0

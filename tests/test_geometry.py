@@ -1,5 +1,6 @@
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from boxforge.errors import DegenerateBoxError
@@ -10,6 +11,7 @@ from boxforge.geometry import (
     contains,
     intersection_area,
     iou,
+    iou_matrix,
     iou_rows,
     nms,
     transfer_box,
@@ -197,6 +199,46 @@ class TestContains:
             assert iou(outer, inner) == pytest.approx(inner.area / outer.area, rel=1e-9)
 
 
+@st.composite
+def box_rows(draw):
+    """1-6 boxes on one scale: integer grids make touching and disjoint
+    pairs common; at 1e-161 areas are subnormal, and at 1e-170 every
+    area underflows to 0."""
+    scale = draw(st.sampled_from([1.0, 0.37, 1e-161, 1e-170]))
+    corners = st.builds(
+        lambda x, y, w, h: [x * scale, y * scale, (x + w) * scale, (y + h) * scale],
+        st.integers(0, 6), st.integers(0, 6), st.integers(1, 4), st.integers(1, 4),
+    )
+    return np.array(draw(st.lists(corners, min_size=1, max_size=6)), dtype=np.float64)
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+class TestIouMatrix:
+    @settings(max_examples=80, derandomize=True)
+    @given(box_rows(), box_rows())
+    def test_each_entry_is_iou_bit_for_bit(self, a, b):
+        with np.errstate(under="ignore"):
+            got = iou_matrix(a, b)
+            flipped = iou_matrix(b, a)
+        want = [[iou(BBox(*p), BBox(*q)) for q in b.tolist()] for p in a.tolist()]
+        assert np.array_equal(bits(got), bits(want))
+        assert np.array_equal(bits(flipped), bits(got.T))
+
+    def test_touching_disjoint_and_underflowing_pairs_are_zero(self):
+        a = np.array([[0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 1e-170, 1e-170]])
+        b = np.array([[1.0, 0.0, 2.0, 1.0], [5.0, 5.0, 6.0, 6.0], [0.0, 0.0, 1e-170, 1e-170]])
+        with np.errstate(under="ignore"):
+            assert iou_matrix(a, b).tolist() == [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+
+    def test_empty_sides(self):
+        a = box_array([box(0, 0, 1, 1)])
+        assert iou_matrix(a, a[:0]).shape == (1, 0)
+        assert iou_matrix(a[:0], a).shape == (0, 1)
+
+
 def nms_oracle(boxes_, scores, thresh):
     order = sorted(range(len(boxes_)), key=lambda i: (-scores[i], boxes_[i].sort_key(), i))
     kept = []
@@ -229,9 +271,26 @@ class TestNms:
         scores = [rnd.choice([0.5, 1.0, 2.0]) for _ in bs]
         assert nms(bs, scores, thresh) == nms_oracle(bs, scores, thresh)
 
+    @settings(max_examples=80, derandomize=True)
+    @given(
+        st.lists(st.sampled_from([box(0, 0, 4, 4), box(1, 0, 5, 4), box(0, 0, 4, 4), box(8, 8, 9, 9)]),
+                 min_size=0, max_size=8),
+        st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+        st.data(),
+    )
+    def test_duplicate_boxes_and_tied_scores_match_oracle(self, bs, thresh, data):
+        scores = data.draw(st.lists(st.sampled_from([-0.0, 0.0, 1.0, 2.0]),
+                                    min_size=len(bs), max_size=len(bs)))
+        assert nms(bs, scores, thresh) == nms_oracle(bs, scores, thresh)
+
     def test_rejects_bad_threshold(self):
         with pytest.raises(ValueError):
             nms([box(0, 0, 1, 1)], [1.0], 1.5)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_score(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            nms([box(0, 0, 1, 1), box(2, 2, 3, 3)], [1.0, bad], 0.5)
 
 
 class TestClip:

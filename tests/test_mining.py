@@ -1,25 +1,23 @@
 import math
+from dataclasses import dataclass
 from typing import NamedTuple
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from boxforge.errors import EmptyDatasetError, NoPositivesError
 from boxforge.geometry import BBox, iou
 from boxforge.mining import (
-    Cluster,
+    Clusters,
     ImageProposals,
-    Proposal,
     best_region_per_image,
     build_clusters,
     dedup_clusters,
     rank_clusters,
     select_positive_regions,
 )
-
-
-def prop(image_id, index, box=None):
-    return Proposal(image_id=image_id, index=index, box=box or BBox(0, 0, 10, 10))
 
 
 def dataset(layout):
@@ -125,8 +123,142 @@ def oracle_dedup(ranked):
     return kept
 
 
+# --- the object-based implementation the table replaced, kept as an oracle ---
+
+
+@dataclass(frozen=True)
+class Proposal:
+    """One region proposal named by its image and in-image index."""
+
+    image_id: str
+    index: int
+    box: BBox
+
+    @property
+    def prop_id(self) -> str:
+        return f"{self.image_id}#{self.index}"
+
+
+@dataclass(frozen=True)
+class Cluster:
+    """A seed proposal plus its (proposal, similarity) members."""
+
+    seed: Proposal
+    members: tuple[tuple[Proposal, float], ...]
+    positive_count: int
+
+    def mean_member_similarity(self) -> float:
+        if not self.members:
+            return 0.0
+        return sum(s for _, s in self.members) / len(self.members)
+
+    def all_regions(self) -> list[Proposal]:
+        return [self.seed] + [p for p, _ in self.members]
+
+
+def object_build_clusters(proposals_by_image, k):
+    """One seed image at a time: a block of that image's rows against every
+    proposal, one ``argmax`` per other image, one ``Cluster`` per seed."""
+    image_ids = sorted(proposals_by_image)
+    images = [proposals_by_image[img] for img in image_ids]
+    props = [
+        Proposal(img, index, box)
+        for img, image in zip(image_ids, images)
+        for index, box in enumerate(image.boxes)
+    ]
+    feats = np.concatenate([image.features for image in images])
+    norms = np.sqrt(np.vecdot(feats, feats))
+    live = norms >= 1e-12
+    sizes = np.array([len(image) for image in images])
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    owner = np.repeat(np.arange(len(image_ids)), sizes)
+    positive = np.array([image.label == "pos" for image in images])
+    clusters = []
+    for s, img in enumerate(image_ids):
+        rows = slice(starts[s], ends[s])
+        sim = np.zeros((sizes[s], len(props)))
+        np.divide(
+            np.vecdot(feats[rows, None, :], feats),
+            np.outer(norms[rows], norms),
+            out=sim,
+            where=np.outer(live[rows], live),
+        )
+        others = [o for o in range(len(image_ids)) if o != s]
+        champ = np.empty((sizes[s], len(others)), dtype=np.intp)
+        for col, o in enumerate(others):
+            champ[:, col] = starts[o] + np.argmax(sim[:, starts[o] : ends[o]], axis=1)
+        champ_sim = np.take_along_axis(sim, champ, axis=1)
+        order = np.argsort(-champ_sim, axis=1, kind="stable")[:, :k]
+        top = np.take_along_axis(champ, order, axis=1)
+        top_sim = np.take_along_axis(champ_sim, order, axis=1)
+        counts = int(positive[s]) + positive[owner[top]].sum(axis=1)
+        for seed, idx, sims, count in zip(
+            props[rows], top.tolist(), top_sim.tolist(), counts.tolist()
+        ):
+            members = tuple((props[j], sim_j) for j, sim_j in zip(idx, sims))
+            clusters.append(Cluster(seed=seed, members=members, positive_count=count))
+    return clusters
+
+
+def object_rank_clusters(clusters):
+    return sorted(
+        clusters,
+        key=lambda c: (-c.positive_count, -c.mean_member_similarity(), c.seed.image_id, c.seed.index),
+    )
+
+
+def object_dedup_clusters(ranked):
+    kept, kept_boxes = [], {}
+    for cluster in ranked:
+        regions = cluster.all_regions()
+        needed = math.ceil(0.1 * len(regions))
+        overlapping = 0
+        for region in regions:
+            if any(iou(region.box, b) > 0.25 for b in kept_boxes.get(region.image_id, ())):
+                overlapping += 1
+                if overlapping >= needed:
+                    break
+        if overlapping >= needed:
+            continue
+        kept.append(cluster)
+        for region in regions:
+            kept_boxes.setdefault(region.image_id, []).append(region.box)
+    return kept
+
+
+def object_select(deduped, labels, top_c=3):
+    """``select_positive_regions`` over ``Cluster`` objects, as (image_id,
+    box, cluster_id, cluster_rank) rows."""
+    seen, out = set(), []
+    for rank, cluster in enumerate(deduped[:top_c]):
+        for region in cluster.all_regions():
+            key = (region.image_id, region.box.sort_key())
+            if labels.get(region.image_id) == "pos" and key not in seen:
+                seen.add(key)
+                out.append((region.image_id, region.box, cluster.seed.prop_id, rank))
+    return out
+
+
+# --- signatures: one comparable form for tables, objects and the oracle -----
+
+
+def signature(clusters: Clusters):
+    """Each cluster as (seed id, ((member id, similarity), ...), positive count)."""
+    names = [
+        f"{image_id}#{i}"
+        for image_id, image in zip(clusters.image_ids, clusters.images)
+        for i in range(len(image))
+    ]
+    return [
+        (names[rows[0]], tuple(zip((names[j] for j in rows[1:]), sims)), count)
+        for rows, sims, count in zip(
+            clusters.regions().tolist(), clusters.sims.tolist(), clusters.positive.tolist()
+        )
+    ]
+
+
 def cluster_signature(c: Cluster):
-    # similarities compare as exact floats, not approximately
     return (c.seed.prop_id, tuple((p.prop_id, s) for p, s in c.members), c.positive_count)
 
 
@@ -135,12 +267,57 @@ def oracle_signature(c):
     return (seed.prop_id, tuple((p.prop_id, s) for p, s in members), count)
 
 
+def bitwise(signatures):
+    """Similarities as their hex form, so ``==`` compares every bit (and
+    tells -0.0 from 0.0)."""
+    return [(seed, tuple((m, s.hex()) for m, s in members), n) for seed, members, n in signatures]
+
+
 def assert_matches_oracle(images, labels, k):
     got = build_clusters(images, k)
     want = oracle_build(per_proposal(images), labels, k)
-    assert [cluster_signature(c) for c in got] == [oracle_signature(c) for c in want]
-    assert all(type(s) is float for c in got for _, s in c.members)
+    assert signature(got) == [oracle_signature(c) for c in want]
+    assert bitwise(signature(got)) == bitwise(map(cluster_signature, object_build_clusters(images, k)))
     return got
+
+
+def members_of(clusters, seed_id):
+    return next(members for seed, members, _ in signature(clusters) if seed == seed_id)
+
+
+def table(boxes_by_image, rows):
+    """A ``Clusters`` table, and the same clusters as objects, from
+    ``{image_id: [BBox, ...]}`` and rows of (seed, members, similarities,
+    positive count), each proposal named (image_id, index)."""
+    image_ids = tuple(sorted(boxes_by_image))
+    images = tuple(
+        ImageProposals.from_boxes("pos", boxes_by_image[i], [np.zeros(1)] * len(boxes_by_image[i]))
+        for i in image_ids
+    )
+    offsets = np.concatenate([[0], np.cumsum([len(image) for image in images])])
+
+    def row(spot):
+        return offsets[image_ids.index(spot[0])] + spot[1]
+
+    def proposal(spot):
+        return Proposal(spot[0], spot[1], boxes_by_image[spot[0]][spot[1]])
+
+    n_members = len(rows[0][1])
+    clusters = Clusters(
+        image_ids=image_ids,
+        images=images,
+        offsets=offsets,
+        seed=np.array([row(seed) for seed, *_ in rows], dtype=np.intp),
+        members=np.array([[row(m) for m in members] for _, members, *_ in rows],
+                         dtype=np.intp).reshape(len(rows), n_members),
+        sims=np.array([sims for *_, sims, _ in rows], dtype=np.float64).reshape(len(rows), n_members),
+        positive=np.array([count for *_, count in rows]),
+    )
+    objects = [
+        Cluster(proposal(seed), tuple(zip(map(proposal, members), sims)), count)
+        for seed, members, sims, count in rows
+    ]
+    return clusters, objects
 
 
 # --- build_clusters ----------------------------------------------------------
@@ -152,7 +329,7 @@ class TestBuildClusters:
             {"a": ("pos", [[1, 0]]), "b": ("pos", [[0, 1]])}
         )
         clusters = build_clusters(by_image, 0)
-        assert all(not c.members for c in clusters)
+        assert clusters.members.shape == clusters.sims.shape == (2, 0)
         assert len(clusters) == 2
 
     def test_identical_proposals_symmetric(self):
@@ -160,10 +337,9 @@ class TestBuildClusters:
             {f"i{j}": ("pos", [[1.0, 0.0]]) for j in range(3)}
         )
         clusters = build_clusters(by_image, 2)
-        for c in clusters:
-            assert len(c.members) == 2
-            assert all(s == pytest.approx(1.0) for _, s in c.members)
-            assert c.positive_count == 3
+        assert clusters.members.shape == (3, 2)
+        assert clusters.sims.ravel().tolist() == pytest.approx([1.0] * 6)
+        assert clusters.positive.tolist() == [3, 3, 3]
 
     def test_empty_dataset(self):
         with pytest.raises(EmptyDatasetError):
@@ -177,8 +353,7 @@ class TestBuildClusters:
             }
         )
         clusters = build_clusters(by_image, 1)
-        seed_a = next(c for c in clusters if c.seed.image_id == "a")
-        assert seed_a.members[0][0].prop_id == "b#1"
+        assert members_of(clusters, "a#0")[0][0] == "b#1"
 
     def test_matches_oracle_on_small_random_instance(self):
         rng = np.random.default_rng(11)
@@ -187,9 +362,7 @@ class TestBuildClusters:
             for j in range(4)
         }
         by_image, labels = dataset(layout)
-        got = build_clusters(by_image, 2)
-        want = oracle_build(per_proposal(by_image), labels, 2)
-        assert [cluster_signature(c) for c in got] == [oracle_signature(c) for c in want]
+        assert_matches_oracle(by_image, labels, 2)
 
     def test_zero_norm_seed_and_candidate_score_zero(self):
         by_image, labels = dataset(
@@ -200,12 +373,10 @@ class TestBuildClusters:
             }
         )
         clusters = assert_matches_oracle(by_image, labels, 2)
-        zero_seed = next(c for c in clusters if c.seed.prop_id == "a#0")
         # every candidate ties at 0, so each champion is its image's first proposal
-        assert [(p.prop_id, s) for p, s in zero_seed.members] == [("b#0", 0.0), ("c#0", 0.0)]
+        assert members_of(clusters, "a#0") == (("b#0", 0.0), ("c#0", 0.0))
         # b#0 (zero norm, 0) beats b#1 (anti-parallel, -1) as a's champion in b
-        seed_a1 = next(c for c in clusters if c.seed.prop_id == "a#1")
-        assert dict((p.image_id, (p.prop_id, s)) for p, s in seed_a1.members)["b"] == ("b#0", 0.0)
+        assert ("b#0", 0.0) in members_of(clusters, "a#1")
 
     def test_duplicate_features_tie_break(self):
         f = [0.3, -0.7, 0.2]
@@ -218,10 +389,10 @@ class TestBuildClusters:
             }
         )
         clusters = assert_matches_oracle(by_image, labels, 3)
-        seed = next(c for c in clusters if c.seed.prop_id == "a#0")
+        members = members_of(clusters, "a#0")
         # within an image the lowest index wins; across images, image id order
-        assert [p.prop_id for p, _ in seed.members] == ["b#1", "c#0", "d#1"]
-        assert len({s for _, s in seed.members}) == 1
+        assert [m for m, _ in members] == ["b#1", "c#0", "d#1"]
+        assert len({s for _, s in members}) == 1
 
     def test_many_equal_champions_stay_in_image_order(self):
         # enough tied champions that an unstable sort would reorder them
@@ -230,8 +401,8 @@ class TestBuildClusters:
         layout.update({f"u{j:02d}": ("neg", [rng.normal(size=2)]) for j in range(20)})
         by_image, labels = dataset(layout)
         clusters = assert_matches_oracle(by_image, labels, 59)
-        seed = next(c for c in clusters if c.seed.prop_id == "t00#0")
-        tied = [p.image_id for p, s in seed.members if s == seed.members[0][1]]
+        members = members_of(clusters, "t00#0")
+        tied = [m.split("#")[0] for m, s in members if s == members[0][1]]
         assert tied == [f"t{j:02d}" for j in range(1, 40)]
 
     @pytest.mark.parametrize("k", [0, 3, 4, 9])
@@ -244,7 +415,7 @@ class TestBuildClusters:
         by_image, labels = dataset(layout)
         clusters = assert_matches_oracle(by_image, labels, k)
         # k >= n_images - 1 keeps a champion from every other image
-        assert all(len(c.members) == min(k, 3) for c in clusters)
+        assert clusters.members.shape == (len(clusters), min(k, 3))
 
     def test_single_proposal_images(self):
         rng = np.random.default_rng(21)
@@ -256,7 +427,7 @@ class TestBuildClusters:
     def test_single_image_has_no_members(self):
         by_image, labels = dataset({"only": ("pos", [[1.0, 0.0], [0.0, 1.0]])})
         clusters = assert_matches_oracle(by_image, labels, 3)
-        assert [(c.members, c.positive_count) for c in clusters] == [((), 1), ((), 1)]
+        assert [(members, n) for _, members, n in signature(clusters)] == [((), 1), ((), 1)]
 
     def test_all_negative_similarities_still_pick_a_champion(self):
         by_image, labels = dataset(
@@ -266,13 +437,19 @@ class TestBuildClusters:
             }
         )
         clusters = assert_matches_oracle(by_image, labels, 1)
-        member, sim = clusters[0].members[0]
+        (member, sim), = members_of(clusters, "a#0")
         assert sim < 0
-        assert member.prop_id == "b#1"
+        assert member == "b#1"
 
     def test_non_finite_feature_refused(self):
         by_image, labels = dataset({"a": ("pos", [[1.0, 0.0]]), "b": ("pos", [[np.nan, 1.0]])})
         with pytest.raises(ValueError, match="finite"):
+            build_clusters(by_image, 1)
+
+    def test_image_without_proposals_refused(self):
+        by_image, labels = dataset({"a": ("pos", [[1.0, 0.0]]), "b": ("pos", [[0.0, 1.0]])})
+        by_image["c"] = ImageProposals("neg", (), np.zeros((0, 4)), np.zeros((0, 2)))
+        with pytest.raises(ValueError, match="at least one proposal"):
             build_clusters(by_image, 1)
 
     def test_invariant_to_image_iteration_order(self):
@@ -280,100 +457,199 @@ class TestBuildClusters:
         layout = {f"im{j}": ("pos", [rng.normal(size=3) for _ in range(2)]) for j in range(3)}
         by_image, labels = dataset(layout)
         reversed_view = {k: by_image[k] for k in reversed(list(by_image))}
-        a = build_clusters(by_image, 2)
-        b = build_clusters(reversed_view, 2)
-        assert [cluster_signature(c) for c in a] == [cluster_signature(c) for c in b]
+        assert signature(build_clusters(by_image, 2)) == signature(build_clusters(reversed_view, 2))
+
+    def test_blocks_span_images(self, monkeypatch):
+        # blocks of one row and of a few rows cut across image boundaries
+        rng = np.random.default_rng(23)
+        layout = {
+            f"im{j}": ("pos" if j % 2 else "neg", [rng.normal(size=3) for _ in range(j % 4 + 1)])
+            for j in range(6)
+        }
+        by_image, labels = dataset(layout)
+        want = bitwise(signature(build_clusters(by_image, 3)))
+        for block_bytes in (1, 8 * 15 * 3):
+            monkeypatch.setattr("boxforge.mining.BLOCK_BYTES", block_bytes)
+            assert bitwise(signature(build_clusters(by_image, 3))) == want
+
+
+# Features with many exact ties: small integers, repeated rows and zero rows.
+tie_features = st.lists(st.integers(-2, 2), min_size=3, max_size=3).map(
+    lambda v: np.array(v, dtype=np.float64)
+)
+int_boxes = st.builds(
+    lambda x, y, w, h: BBox(float(x), float(y), float(x + w), float(y + h)),
+    st.integers(0, 12), st.integers(0, 12), st.integers(1, 8), st.integers(1, 8),
+)
+
+
+@st.composite
+def proposal_sets(draw):
+    """({image_id: ImageProposals}, labels, k): 1-5 images of 1-4 proposals,
+    features and boxes drawn from small sets so both tie often, and k from
+    0 to past the number of other images."""
+    n_images = draw(st.integers(1, 5))
+    layout = {
+        f"im{j}": (
+            draw(st.sampled_from(["pos", "neg"])),
+            draw(st.lists(st.tuples(tie_features, int_boxes), min_size=1, max_size=4)),
+        )
+        for j in range(n_images)
+    }
+    images, labels = dataset(layout)
+    return images, labels, draw(st.integers(0, n_images + 1))
+
+
+class TestAgainstObjectOracle:
+    """Every table stage equals the object code it replaced, floats bitwise."""
+
+    @settings(max_examples=80, derandomize=True)
+    @given(proposal_sets())
+    def test_build_rank_dedup_chain(self, case):
+        images, labels, k = case
+        clusters = build_clusters(images, k)
+        objects = object_build_clusters(images, k)
+        assert bitwise(signature(clusters)) == bitwise(map(cluster_signature, objects))
+        ranked, ranked_objects = rank_clusters(clusters), object_rank_clusters(objects)
+        assert bitwise(signature(ranked)) == bitwise(map(cluster_signature, ranked_objects))
+        kept = dedup_clusters(ranked)
+        assert bitwise(signature(kept)) == bitwise(
+            map(cluster_signature, object_dedup_clusters(ranked_objects))
+        )
+        if any(label == "pos" for label in labels.values()):
+            want = object_select(object_dedup_clusters(ranked_objects), labels)
+            try:
+                got = select_positive_regions(kept, labels, top_c=3)
+            except NoPositivesError:
+                got = []
+            assert [(r.image_id, r.box, r.cluster_id, r.cluster_rank) for r in got] == want
+
+    @settings(max_examples=60, derandomize=True)
+    @given(st.data())
+    def test_dedup_with_identical_boxes_at_different_indices(self, data):
+        n_images = data.draw(st.integers(2, 4))
+        pool = [BBox(0, 0, 10, 10), BBox(2, 0, 12, 10), BBox(20, 20, 30, 30)]
+        boxes = {
+            f"d{j}": data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+            for j in range(n_images)
+        }
+        n_members = data.draw(st.integers(0, n_images - 1))
+        rows = []
+        for _ in range(data.draw(st.integers(1, 8))):
+            seed_image = data.draw(st.sampled_from(sorted(boxes)))
+            others = [i for i in sorted(boxes) if i != seed_image]
+            member_images = data.draw(st.permutations(others))[:n_members]
+            spot = lambda img: (img, data.draw(st.integers(0, len(boxes[img]) - 1)))
+            rows.append((spot(seed_image), [spot(i) for i in member_images],
+                         [0.5] * n_members, data.draw(st.integers(0, n_images))))
+        clusters, objects = table(boxes, rows)
+        assert signature(dedup_clusters(clusters)) == list(
+            map(cluster_signature, object_dedup_clusters(objects))
+        )
 
 
 # --- rank_clusters -----------------------------------------------------------
 
 
-def make_cluster(seed_img, seed_idx, count, member_sims):
-    seed = prop(seed_img, seed_idx)
-    members = tuple((prop(f"m{i}", 0), s) for i, s in enumerate(member_sims))
-    return Cluster(seed=seed, members=members, positive_count=count)
+def ranked_table(counts_and_sims):
+    """Clusters seeded at s{i}#0 with members in m0, m1, ... and the given
+    positive counts and member similarities."""
+    n_members = len(counts_and_sims[0][1])
+    boxes = {f"s{i:02d}": [BBox(0, 0, 10, 10)] for i in range(len(counts_and_sims))}
+    boxes.update({f"m{j}": [BBox(0, 0, 10, 10)] for j in range(n_members)})
+    rows = [
+        ((f"s{i:02d}", 0), [(f"m{j}", 0) for j in range(n_members)], sims, count)
+        for i, (count, sims) in enumerate(counts_and_sims)
+    ]
+    return table(boxes, rows)
 
 
 class TestRankClusters:
     def test_sorts_by_positive_count(self):
-        cs = [make_cluster("a", 0, 3, [0.5]), make_cluster("b", 0, 1, [0.5]), make_cluster("c", 0, 2, [0.5])]
-        ranked = rank_clusters(cs)
-        assert [c.positive_count for c in ranked] == [3, 2, 1]
+        clusters, _ = ranked_table([(3, [0.5]), (1, [0.5]), (2, [0.5])])
+        assert rank_clusters(clusters).positive.tolist() == [3, 2, 1]
 
     def test_ties_broken_by_mean_similarity(self):
-        lo = make_cluster("a", 0, 2, [0.2, 0.4])
-        hi = make_cluster("b", 0, 2, [0.9, 0.7])
-        assert rank_clusters([lo, hi])[0] is hi
+        clusters, _ = ranked_table([(2, [0.2, 0.4]), (2, [0.9, 0.7])])
+        assert rank_clusters(clusters).sims[0].tolist() == [0.9, 0.7]
 
     def test_matches_comparison_sort_oracle(self):
         rng = np.random.default_rng(13)
-        cs = [
-            make_cluster(f"s{i}", i, int(rng.integers(0, 4)), list(rng.random(2)))
-            for i in range(20)
-        ]
-        ranked = rank_clusters(cs)
-        oracle = sorted(
-            cs,
-            key=lambda c: (
-                -c.positive_count,
-                -(sum(s for _, s in c.members) / len(c.members)),
-                c.seed.image_id,
-                c.seed.index,
-            ),
+        clusters, objects = ranked_table(
+            [(int(rng.integers(0, 4)), list(rng.random(2))) for _ in range(20)]
         )
-        assert [cluster_signature(c) for c in ranked] == [cluster_signature(c) for c in oracle]
+        assert signature(rank_clusters(clusters)) == list(
+            map(cluster_signature, object_rank_clusters(objects))
+        )
+
+    def test_mean_sums_left_to_right(self):
+        # orderings of one set of similarities differ in their last bits
+        # summed left to right, and differently summed pairwise
+        rng = np.random.default_rng(16)
+        values = rng.random(24)
+        clusters, objects = ranked_table([(1, list(rng.permutation(values))) for _ in range(60)])
+        assert signature(rank_clusters(clusters)) == list(
+            map(cluster_signature, object_rank_clusters(objects))
+        )
 
 
 # --- dedup_clusters ----------------------------------------------------------
 
 
-def overlap_cluster(seed_img, seed_idx, member_boxes):
-    """Cluster whose members sit at given (image, box) spots."""
-    seed = prop(seed_img, seed_idx, box=member_boxes[0][1])
-    members = tuple((prop(img, seed_idx + 10, box=b), 0.9) for img, b in member_boxes[1:])
-    return Cluster(seed=seed, members=members, positive_count=len(member_boxes))
+def overlap_table(boxes, spots_per_cluster):
+    """Clusters whose regions sit at the given (image, index) spots, seed
+    first, every one with the same number of members."""
+    rows = [
+        (spots[0], spots[1:], [0.9] * (len(spots) - 1), len(spots))
+        for spots in spots_per_cluster
+    ]
+    return table(boxes, rows)
 
 
 class TestDedupClusters:
     def test_exact_duplicate_removed(self):
         b = BBox(0, 0, 10, 10)
-        c1 = overlap_cluster("a", 0, [("a", b), ("b", b)])
-        c2 = overlap_cluster("a", 1, [("a", b), ("b", b)])
-        kept = dedup_clusters([c1, c2])
-        assert kept == [c1]
+        clusters, _ = overlap_table({"a": [b, b], "b": [b]}, [[("a", 0), ("b", 0)], [("a", 1), ("b", 0)]])
+        kept = dedup_clusters(clusters)
+        assert signature(kept) == signature(clusters)[:1]
 
     def test_disjoint_clusters_kept(self):
-        c1 = overlap_cluster("a", 0, [("a", BBox(0, 0, 5, 5)), ("b", BBox(0, 0, 5, 5))])
-        c2 = overlap_cluster("a", 1, [("a", BBox(20, 20, 30, 30)), ("b", BBox(20, 20, 30, 30))])
-        assert dedup_clusters([c1, c2]) == [c1, c2]
+        near, far = BBox(0, 0, 5, 5), BBox(20, 20, 30, 30)
+        clusters, _ = overlap_table(
+            {"a": [near, far], "b": [near, far]}, [[("a", 0), ("b", 0)], [("a", 1), ("b", 1)]]
+        )
+        assert signature(dedup_clusters(clusters)) == signature(clusters)
+
+    def far_apart(self, n_members):
+        base = BBox(0, 0, 10, 10)
+        boxes = {"z": [base, base]}
+        boxes.update({f"m{i}": [BBox(0, 0, 10, 10), BBox(100, 0, 110, 10)] for i in range(n_members)})
+        first = [("z", 0)] + [(f"m{i}", 0) for i in range(n_members)]
+        second = [("z", 1)] + [(f"m{i}", 1) for i in range(n_members)]
+        return overlap_table(boxes, [first, second])
 
     def test_threshold_is_inclusive_at_ten_percent(self):
         # second cluster: 10 regions (seed + 9), exactly one overlapping ->
         # ceil(0.1 * 10) = 1 -> removed
-        base = BBox(0, 0, 10, 10)
-        keepers = [("z", base)]
-        c1 = overlap_cluster("z", 0, keepers)
-        far = [(f"m{i}", BBox(100 + 20 * i, 0, 110 + 20 * i, 10)) for i in range(9)]
-        c2 = overlap_cluster("z", 1, [("z", base)] + far)
-        assert dedup_clusters([c1, c2]) == [c1]
+        clusters, _ = self.far_apart(9)
+        assert signature(dedup_clusters(clusters)) == signature(clusters)[:1]
 
     def test_just_under_threshold_kept(self):
         # 11 regions, one overlap: ceil(1.1) = 2 > 1 -> kept
-        base = BBox(0, 0, 10, 10)
-        c1 = overlap_cluster("z", 0, [("z", base)])
-        far = [(f"m{i}", BBox(100 + 20 * i, 0, 110 + 20 * i, 10)) for i in range(10)]
-        c2 = overlap_cluster("z", 1, [("z", base)] + far)
-        assert dedup_clusters([c1, c2]) == [c1, c2]
+        clusters, _ = self.far_apart(10)
+        assert signature(dedup_clusters(clusters)) == signature(clusters)
 
     def test_output_is_subsequence(self):
         rng = np.random.default_rng(14)
-        cs = []
-        for i in range(12):
+        boxes = {"a": []}
+        for _ in range(12):
             x = float(rng.integers(0, 40))
-            cs.append(overlap_cluster("a", i, [("a", BBox(x, 0, x + 10, 10))]))
-        kept = dedup_clusters(cs)
-        it = iter(cs)
-        assert all(any(c is k for c in it) for k in kept)
+            boxes["a"].append(BBox(x, 0, x + 10, 10))
+        clusters, objects = overlap_table(boxes, [[("a", i)] for i in range(12)])
+        kept = signature(dedup_clusters(clusters))
+        it = iter(signature(clusters))
+        assert all(any(c == k for c in it) for k in kept)
+        assert kept == list(map(cluster_signature, object_dedup_clusters(objects)))
 
 
 # --- select_positive_regions -------------------------------------------------
@@ -381,12 +657,11 @@ class TestDedupClusters:
 
 class TestSelectPositiveRegions:
     def test_negative_members_discarded(self):
-        seed = prop("neg0", 0)
-        member = (prop("neg1", 0), 0.9)
-        c = Cluster(seed=seed, members=(member,), positive_count=0)
+        box = BBox(0, 0, 10, 10)
+        clusters, _ = table({"neg0": [box], "neg1": [box]}, [(("neg0", 0), [("neg1", 0)], [0.9], 0)])
         labels = {"neg0": "neg", "neg1": "neg"}
         with pytest.raises(NoPositivesError):
-            select_positive_regions([c], labels)
+            select_positive_regions(clusters, labels)
 
     def test_top_c_larger_than_cluster_count(self):
         by_image, labels = dataset({"a": ("pos", [[1, 0]]), "b": ("pos", [[1, 0]])})
@@ -451,4 +726,4 @@ def test_full_mining_chain_matches_oracle_random():
         k = int(rng.integers(0, n_images))
         got = dedup_clusters(rank_clusters(build_clusters(by_image, k)))
         want = oracle_dedup(oracle_rank(oracle_build(per_proposal(by_image), labels, k)))
-        assert [cluster_signature(c) for c in got] == [oracle_signature(c) for c in want]
+        assert signature(got) == [oracle_signature(c) for c in want]

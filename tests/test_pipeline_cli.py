@@ -1,15 +1,19 @@
 import dataclasses
 import inspect
 import json
+import logging
 from collections import Counter
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import boxforge
 from boxforge import atomic, cli, dataio, featmap, pipeline, transfer
@@ -996,6 +1000,27 @@ class TestMalformedJson:
         assert err["error"] == "ConfigInvalidError"
         assert "proposals.jsonl line 6" in err["message"]
 
+    @settings(max_examples=25, derandomize=True)
+    @given(st.data())
+    def test_malformed_proposal_row_names_its_line(self, synth_dir, data):
+        """Rows are checked as they stream; a bad one is still reported
+        with its line number."""
+        lines = (synth_dir / "proposals.jsonl").read_text().splitlines()
+        n = data.draw(st.integers(1, len(lines)), label="line")
+        row = json.loads(lines[n - 1])
+        lines[n - 1] = data.draw(st.sampled_from([
+            lines[n - 1][: len(lines[n - 1]) // 2],
+            "[1, 2]",
+            json.dumps({k: v for k, v in row.items() if k != "box"}),
+            json.dumps({**row, "box": [0, 0, -1, 1]}),
+            json.dumps({**row, "label": 3}),
+        ]), label="row")
+        with tempfile.TemporaryDirectory() as tmp:
+            shutil.copy(synth_dir / "manifest.json", tmp)
+            Path(tmp, "proposals.jsonl").write_text("\n".join(lines) + "\n")
+            with pytest.raises(ConfigInvalidError, match=rf"proposals.jsonl line {n}: "):
+                dataio.read_proposals(dataio.load_manifest(Path(tmp) / "manifest.json"))
+
     @pytest.mark.parametrize("name,row,key,where", [
         ("proposals.jsonl", 2, "box", "proposals.jsonl line 3"),
         ("manifest.json", None, "cell_stride", "manifest.json"),
@@ -1010,7 +1035,7 @@ class TestMalformedJson:
             del doc[key]
             path.write_text(json.dumps(doc))
         else:
-            rows = dataio.read_jsonl(path)
+            rows = list(dataio.read_jsonl(path))
             del rows[row][key]
             dataio.write_jsonl(path, rows)
         code = run_cli("mine", "--manifest", data / "manifest.json", "--out", tmp_path / "o")
@@ -1054,7 +1079,7 @@ class TestMalformedJson:
             (data / name).write_text(json.dumps(doc))
         else:
             path = data / name if name == "proposals.jsonl" else out / name
-            rows = dataio.read_jsonl(path)
+            rows = list(dataio.read_jsonl(path))
             rows[2 if name == "proposals.jsonl" else 0][key] = value
             dataio.write_jsonl(path, rows)
         code = run_cli(command, "--manifest", data / "manifest.json", "--out", out, "--seed", 0)
@@ -1107,7 +1132,7 @@ class TestMalformedJson:
         path = tmp_path / "rows.jsonl"
         path.write_text('{"a": 1}\n\n{"a": 2}\n{"a": \n')
         with pytest.raises(ConfigInvalidError, match="rows.jsonl line 4"):
-            dataio.read_jsonl(path)
+            list(dataio.read_jsonl(path))
 
 
 class TestProposalDescriptors:
@@ -1128,7 +1153,7 @@ class TestProposalDescriptors:
     def test_feature_column_changes_no_output(self, synth_dir, tmp_path):
         data = tmp_path / "data"
         shutil.copytree(synth_dir, data)
-        rows = dataio.read_jsonl(data / "proposals.jsonl")
+        rows = list(dataio.read_jsonl(data / "proposals.jsonl"))
         for n, row in enumerate(rows):
             row["feature"] = [float("nan")] + [0.5] * (n % 3)
         dataio.write_jsonl(data / "proposals.jsonl", rows)
@@ -1155,7 +1180,7 @@ class TestImageLabels:
         return data
 
     def mine(self, data, tmp_path, capsys, relabel):
-        rows = dataio.read_jsonl(data / "proposals.jsonl")
+        rows = list(dataio.read_jsonl(data / "proposals.jsonl"))
         for n, row in enumerate(rows):
             relabel(n, row)
         dataio.write_jsonl(data / "proposals.jsonl", rows)
@@ -1204,7 +1229,7 @@ class TestProposalBoxes:
     def mine(self, data, tmp_path, make_box):
         """Run ``mine`` with the third proposal's box replaced by
         ``make_box`` of its image's manifest entry."""
-        rows = dataio.read_jsonl(data / "proposals.jsonl")
+        rows = list(dataio.read_jsonl(data / "proposals.jsonl"))
         manifest = dataio.load_manifest(data / "manifest.json")
         rows[2]["box"] = make_box(manifest.image(rows[2]["image_id"]))
         dataio.write_jsonl(data / "proposals.jsonl", rows)
@@ -1252,6 +1277,25 @@ def test_info_log_has_one_line_per_stage_in_order(synth_dir, tmp_path):
         "mine", "select_tracks", "match", "vote", "train_initial", "update", "train_updated",
         "regress", "eval", "pipeline",
     ]
+
+
+@pytest.mark.parametrize("name", ["INF0", "BASIC_FORMAT"])
+def test_log_level_that_is_not_a_level_refused(synth_dir, tmp_path, capsys, monkeypatch, name):
+    monkeypatch.setenv("BOXFORGE_LOG", name)
+    code = run_cli("mine", "--manifest", synth_dir / "manifest.json", "--out", tmp_path / "o")
+    assert code == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ConfigInvalidError"
+    assert f"BOXFORGE_LOG={name!r}" in err["message"]
+    assert not (tmp_path / "o").exists()
+
+
+def test_log_level_name_in_any_case_accepted(synth_dir, tmp_path, monkeypatch):
+    levels = []
+    monkeypatch.setattr(cli.logging, "basicConfig", lambda level, format: levels.append(level))
+    monkeypatch.setenv("BOXFORGE_LOG", "debug")
+    assert run_cli("mine", "--manifest", synth_dir / "manifest.json", "--out", tmp_path / "o") == 0
+    assert levels == [logging.DEBUG]
 
 
 SYNTH_FLAGS = [
@@ -1361,7 +1405,7 @@ class TestDataIoRoundTrips:
         _, write, records, read, expected = RECORD_FILES[name]
         path = tmp_path / "rows.jsonl"
         write(path, records[:1])
-        rows = dataio.read_jsonl(path)
+        rows = list(dataio.read_jsonl(path))
         del rows[0][key]
         dataio.write_jsonl(path, rows)
         if name == "transfers.jsonl" and key not in TRANSFER_KEYS_READ:
@@ -1499,7 +1543,7 @@ class TestManifest:
     def test_track_of_an_unlisted_video_refused(self, synth_dir, tmp_path, capsys):
         data = tmp_path / "data"
         shutil.copytree(synth_dir, data)
-        rows = dataio.read_jsonl(data / "tracks.jsonl")
+        rows = list(dataio.read_jsonl(data / "tracks.jsonl"))
         rows[-1]["video_id"] = "no_such_video"
         dataio.write_jsonl(data / "tracks.jsonl", rows)
         code = run_cli("pipeline", "--manifest", data / "manifest.json", "--out", tmp_path / "o",

@@ -146,28 +146,27 @@ def test_noiseless_identity_match(tmp_path):
     assert (hits[0].cell_x, hits[0].cell_y) == (rect[0], rect[1])
 
 
-def cluster_size(cluster) -> int:
-    """The seed plus its members."""
-    return len(cluster.members) + 1
-
-
 def test_rank_one_cluster_is_dominated_by_positives(tmp_path):
     gen_dataset(SynthConfig(seed=0), tmp_path)
     by_image = dataio.read_proposals(dataio.load_manifest(tmp_path / "manifest.json"))
     kept = dedup_clusters(rank_clusters(build_clusters(by_image, 4)))
-    top = kept[0]
-    assert top.positive_count / cluster_size(top) >= 0.9
+    size = kept.regions().shape[1]  # the seed plus its members
+    assert kept.positive[0] / size >= 0.9
 
 
 def test_rank_one_cluster_members_localize_planted_boxes(tmp_path):
     truth = gen_dataset(SynthConfig(seed=0), tmp_path)
     by_image = dataio.read_proposals(dataio.load_manifest(tmp_path / "manifest.json"))
     kept = dedup_clusters(rank_clusters(build_clusters(by_image, 4)))
-    regions = kept[0].all_regions()
+    rows = kept.regions()[0]
+    regions = [
+        (kept.image_ids[o], kept.images[o].boxes[row - kept.offsets[o]])
+        for row, o in zip(rows, kept.owners(rows))
+    ]
     hits = sum(
         1
-        for r in regions
-        if max(iou(r.box, g) for g in truth.gt_boxes[r.image_id]) > 0.5
+        for image_id, box in regions
+        if max(iou(box, g) for g in truth.gt_boxes[image_id]) > 0.5
     )
     assert hits / len(regions) >= 0.8
 
