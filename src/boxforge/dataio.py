@@ -525,6 +525,8 @@ def write_tracks(path: str | Path, tracks: Sequence[Track]) -> None:
 
 
 def read_tracks(path: str | Path) -> dict[str, list[Track]]:
+    """Each video's tracks in file order; a (video_id, track_id) pair that
+    repeats is refused with :class:`ConfigInvalidError` naming its line."""
     by_video: dict[str, list[Track]] = {}
     for row in read_jsonl(path):
         track = Track(
@@ -536,7 +538,12 @@ def read_tracks(path: str | Path) -> dict[str, list[Track]]:
                 for f in row.typed("frames", _objects)
             ),
         )
-        by_video.setdefault(track.video_id, []).append(track)
+        tracks = by_video.setdefault(track.video_id, [])
+        if any(t.track_id == track.track_id for t in tracks):
+            raise ConfigInvalidError(
+                f"{row.where}: video {track.video_id!r} has track {track.track_id} twice"
+            )
+        tracks.append(track)
     return by_video
 
 

@@ -122,8 +122,6 @@ class MatchHit:
     cell_y: int
     pixel_box: BBox
     score: float
-    video_id: str = ""
-    frame_idx: int = -1
 
 
 def window_shape_for_box(box: BBox, target_cells: int = 48) -> tuple[int, int]:
@@ -218,22 +216,15 @@ def build_query_window(
     return resample_window(fmap, (x0, y0, x1 - x0, y1 - y0), shape)
 
 
-def map_window_to_pixels(
-    scale: float,
-    cell_x: int,
-    cell_y: int,
-    w_cells: int,
-    h_cells: int,
-    cell_stride: float,
-) -> BBox:
-    """Pixel-space box of a window placed at (cell_x, cell_y) on a level."""
-    factor = cell_stride / scale
-    return BBox(
-        cell_x * factor,
-        cell_y * factor,
-        (cell_x + w_cells) * factor,
-        (cell_y + h_cells) * factor,
-    )
+def placement_boxes(pyramid: FeaturePyramid, place: np.ndarray, shape) -> np.ndarray:
+    """Pixel corners (..., 4) of windows of ``shape`` (..., 2) of (w_cells,
+    h_cells) at ``place`` (..., 3) of (level, cell_y, cell_x), as from
+    :func:`scan_queries`; each corner is ``cell * (cell_stride / scale)`` in
+    IEEE float64.  A padding row (place -1) reads the last level."""
+    scales = np.array([s for s, _ in pyramid.levels])
+    factor = (pyramid.cell_stride / scales[place[..., 0]])[..., None]
+    corner = place[..., :0:-1]  # (cell_x, cell_y)
+    return np.concatenate([corner, corner + shape], axis=-1) * factor
 
 
 # Byte cap on the float64 window matrix built at once while scanning a level.
@@ -323,10 +314,11 @@ def scan_queries(
 def slide_match(query: QueryWindow, pyramid: FeaturePyramid, top_n: int) -> list[MatchHit]:
     """:func:`scan_queries` of one query, as hits with their pixel boxes."""
     (score,), (place,) = scan_queries([query], pyramid, top_n)
-    w, h, stride = query.w_cells, query.h_cells, pyramid.cell_stride
+    boxes = placement_boxes(pyramid, place, (query.w_cells, query.h_cells))
     return [
-        MatchHit(li, cx, cy, map_window_to_pixels(pyramid.levels[li][0], cx, cy, w, h, stride), s)
-        for s, (li, cy, cx) in zip(score.tolist(), place.tolist()) if s > -np.inf
+        MatchHit(li, cx, cy, BBox(*box), s)
+        for s, (li, cy, cx), box in zip(score.tolist(), place.tolist(), boxes.tolist())
+        if s > -np.inf
     ]
 
 

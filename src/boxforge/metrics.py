@@ -59,15 +59,15 @@ def corloc(
 def categorize_error(pred: BBox, gt_boxes: Sequence[BBox]) -> ErrorCase:
     """Classify a prediction against its best-IOU ground-truth box.
 
-    Cases are tested in priority order: correct (IOU >= 0.5), prediction
-    completely inside the GT, GT completely inside the prediction, some
-    overlap, no overlap.  Identical boxes are correct by the IOU test first.
+    Cases are tested in priority order: correct (IOU > 0.5, as in CorLoc),
+    prediction completely inside the GT, GT completely inside the prediction,
+    some overlap, no overlap.  Identical boxes are correct by the IOU test first.
     """
     if not gt_boxes:
         raise NoGroundTruthError("error categorization needs at least one GT box")
     best = max(gt_boxes, key=lambda g: iou(pred, g))
     overlap = iou(pred, best)
-    if overlap >= 0.5:
+    if overlap > CORLOC_IOU:
         return ErrorCase.CORRECT_LOCALIZATION
     if contains(best, pred):
         return ErrorCase.PSEUDO_IN_GT

@@ -140,7 +140,7 @@ def run_mine(ds: dataio.Dataset, cfg: PipelineConfig) -> dict:
 
 
 def _scan(ds, mined, target_cells, n_matches, frame_stride):
-    """Each region's query scanned once over every sampled frame: (selections, top hits)."""
+    """Each region's query scanned once over every sampled frame: (selections, TopMatches)."""
     manifest = ds.manifest
     load_fmap = functools.cache(manifest.load_image_fmap)  # one read per image
     queries = {
@@ -151,10 +151,9 @@ def _scan(ds, mined, target_cells, n_matches, frame_stride):
     }
     videos = [(e.video_id, manifest.load_video_pyramids(e.video_id)) for e in manifest.videos]
 
-    def select(video_id: str, frame_idx: int, hits) -> Optional[FrameSelection]:
+    def select(video_id: str, frame_idx: int, boxes, scores) -> Optional[FrameSelection]:
         candidates = candidates_at_frame(ds.tracks.get(video_id, []), frame_idx)
-        evidence = [(hit.pixel_box, hit.score) for hit in hits]  # in region order
-        return select_track_per_frame(candidates, evidence, video_id, frame_idx)
+        return select_track_per_frame(candidates, boxes, scores, video_id, frame_idx)
 
     return match_regions(queries, videos, select, n_matches, frame_stride)
 
@@ -191,12 +190,11 @@ def run_match(
     _, top_matches = _scanned(ds, cfg, mined)
     region_boxes = {r.region_id: (r.image_id, r.box) for r in mined}
 
-    top = [m for r in range(len(top_matches.region_ids)) for m in top_matches.matches(r)]
-    transfers, dropped = retrieve_boxes(top, region_boxes, selected)
+    transfers, dropped = retrieve_boxes(top_matches, region_boxes, selected)
     dataio.write_transfers(stage.out / TRANSFERS, transfers)
     return stage.report({
         "n_regions": len(mined),
-        "n_matches": len(top),
+        "n_matches": len(top_matches),
         "n_transfers": len(transfers),
         "n_degenerate_dropped": dropped,
     })

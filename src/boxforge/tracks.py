@@ -15,7 +15,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigInvalidError, NoGroundTruthError
-from .geometry import BBox, box_array, iou, iou_rows
+from .geometry import BBox, iou, iou_rows
 
 
 @dataclass(frozen=True)
@@ -54,18 +54,17 @@ class FrameSelection:
 
 
 def score_track_boxes(
-    boxes: Sequence[BBox], frame_matches: Sequence[tuple[BBox, float]]
+    boxes: Sequence[BBox], coords: np.ndarray, sims: np.ndarray
 ) -> list[float]:
-    """Per box t, the sum of IOU(v_i, t) * sim_i over the frame's (match box,
-    similarity) pairs, added left to right (the bits of the per-pair sum)."""
-    coords = box_array([v for v, _ in frame_matches])
-    sims = np.array([sim for _, sim in frame_matches], dtype=np.float64)
+    """Per box t, the sum of IOU(v_i, t) * sim_i over the match corners ``coords``
+    (m, 4) and ``sims`` (m,), added left to right (the bits of the per-pair sum)."""
     return [sum((iou_rows(coords, t) * sims).tolist()) for t in boxes]
 
 
 def select_track_per_frame(
     candidates: Sequence[tuple[int, BBox]],
-    frame_matches: Sequence[tuple[BBox, float]],
+    coords: np.ndarray,
+    sims: np.ndarray,
     video_id: str,
     frame_idx: int,
 ) -> Optional[FrameSelection]:
@@ -77,7 +76,7 @@ def select_track_per_frame(
     """
     if not candidates:
         return None
-    scores = score_track_boxes([box for _, box in candidates], frame_matches)
+    scores = score_track_boxes([box for _, box in candidates], coords, sims)
     scored = [(track_id, box, score) for (track_id, box), score in zip(candidates, scores)]
     best_id, best_box, best_score = min(scored, key=lambda c: c[0])
     for track_id, box, score in scored:

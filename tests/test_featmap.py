@@ -18,7 +18,7 @@ from boxforge.featmap import (
     QueryWindow,
     build_query_window,
     extract_window,
-    map_window_to_pixels,
+    placement_boxes,
     pool_box_feature,
     read_fmap,
     resample_window,
@@ -129,20 +129,62 @@ class TestResampleWindow:
         assert np.allclose(q.data.reshape(2, 4, 1), expected)
 
 
-class TestMapWindowToPixels:
+def map_window_to_pixels(scale, cell_x, cell_y, w_cells, h_cells, cell_stride):
+    """Pixel-space box of one window placed at (cell_x, cell_y) on a level:
+    the scalar arithmetic :func:`placement_boxes` must reproduce bit for bit."""
+    factor = cell_stride / scale
+    return BBox(
+        cell_x * factor,
+        cell_y * factor,
+        (cell_x + w_cells) * factor,
+        (cell_y + h_cells) * factor,
+    )
+
+
+def scale_pyramid(scales, cell_stride):
+    """A pyramid of 1x1 maps at ``scales``; placement boxes read only scales."""
+    return FeaturePyramid(tuple((s, fmap_from(np.zeros((1, 1, 1)))) for s in scales), cell_stride)
+
+
+class TestPlacementBoxes:
     def test_unit_mapping(self):
-        assert map_window_to_pixels(1.0, 0, 0, 3, 3, 16.0) == BBox(0, 0, 48, 48)
+        pyr = scale_pyramid([1.0], 16.0)
+        assert placement_boxes(pyr, np.array([0, 0, 0]), (3, 3)).tolist() == [0, 0, 48, 48]
 
     def test_half_scale_doubles(self):
-        b1 = map_window_to_pixels(1.0, 1, 2, 3, 4, 16.0)
-        b2 = map_window_to_pixels(0.5, 1, 2, 3, 4, 16.0)
-        assert b2.as_list() == pytest.approx([2 * c for c in b1.as_list()])
+        pyr = scale_pyramid([1.0, 0.5], 16.0)
+        b1, b2 = placement_boxes(pyr, np.array([[0, 2, 1], [1, 2, 1]]), (3, 4))
+        assert b2.tolist() == pytest.approx((2 * b1).tolist())
 
     def test_root_two_scale(self):
-        s = 2 ** -0.5
-        b = map_window_to_pixels(s, 2, 1, 4, 2, 16.0)
+        pyr = scale_pyramid([1.0, 2 ** -0.5], 16.0)
+        b = placement_boxes(pyr, np.array([1, 1, 2]), (4, 2))
         factor = 16.0 * 2 ** 0.5
-        assert b.as_list() == pytest.approx([2 * factor, 1 * factor, 6 * factor, 3 * factor])
+        assert b.tolist() == pytest.approx([2 * factor, 1 * factor, 6 * factor, 3 * factor])
+
+    @given(
+        n_levels=st.integers(1, 7),
+        cell_stride=st.floats(0.25, 64.0),
+        rows=st.lists(
+            st.tuples(st.integers(0, 6), st.integers(0, 200), st.integers(0, 200),
+                      st.integers(1, 60), st.integers(1, 60)),
+            min_size=1, max_size=12,
+        ),
+        n_padding=st.integers(0, 3),
+    )
+    def test_bits_of_the_scalar_oracle(self, n_levels, cell_stride, rows, n_padding):
+        """Rows of (level, cell_y, cell_x) on a pyramid of 2^-k/2 scales, with
+        padding rows (place -1) after them, as :func:`scan_queries` pads."""
+        pyr = scale_pyramid([2 ** (-k / 2) for k in range(n_levels)], cell_stride)
+        rows = [(li % n_levels, cy, cx, w, h) for li, cy, cx, w, h in rows]
+        rows += [(-1, -1, -1, w, h) for *_, w, h in rows[:n_padding]]
+        place = np.array([row[:3] for row in rows])
+        got = placement_boxes(pyr, place, np.array([row[3:] for row in rows]))
+        want = np.array([
+            map_window_to_pixels(pyr.levels[li][0], cx, cy, w, h, cell_stride).as_list()
+            for li, cy, cx, w, h in rows
+        ])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def slide_match_oracle(query, pyramid, top_n):

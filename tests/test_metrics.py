@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+import hypothesis.strategies as st
 
 from boxforge.errors import NoGroundTruthError, NoPositiveImagesError
 from boxforge.geometry import BBox
@@ -43,6 +45,7 @@ class TestCorloc:
         gt = {"a": [GT_BOX]}
         preds = {"a": box(0, 0, 5, 10)}
         assert corloc(preds, gt) == 0.0
+        assert categorize_error(preds["a"], gt["a"]) is ErrorCase.PSEUDO_IN_GT
 
     def test_empty_gt_raises(self):
         with pytest.raises(NoPositiveImagesError):
@@ -94,6 +97,23 @@ def test_error_histogram_counts_sum_to_predictions():
     assert sum(hist.values()) == 2
     assert hist[ErrorCase.CORRECT_LOCALIZATION.value] == 1
     assert hist[ErrorCase.PSEUDO_IN_GT.value] == 1
+
+
+# Integer corners on a small grid, so IOU often lands on exactly 0.5.
+grid_boxes = st.builds(
+    lambda x, y, w, h: box(x, y, x + w, y + h),
+    st.integers(0, 4), st.integers(0, 4), st.integers(1, 4), st.integers(1, 4),
+)
+
+
+@given(st.lists(st.tuples(st.lists(grid_boxes, min_size=1, max_size=3),
+                          st.none() | grid_boxes), min_size=1, max_size=6))
+@example([([box(0, 0, 1, 1)], box(0, 0, 2, 1))])  # IOU exactly 0.5
+def test_error_histogram_counts_corloc_hits_as_correct(images):
+    gt = {f"i{k}": boxes for k, (boxes, _) in enumerate(images)}
+    preds = {f"i{k}": pred for k, (_, pred) in enumerate(images) if pred is not None}
+    hist = error_histogram(preds, gt)
+    assert corloc(preds, gt) == hist[ErrorCase.CORRECT_LOCALIZATION.value] / len(gt)
 
 
 class TestAveragePrecision:

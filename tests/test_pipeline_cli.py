@@ -1097,6 +1097,11 @@ class TestMalformedJson:
         (dataio.read_tracks,
          '{"video_id": "v", "track_id": 0, "rank": 0, "frames": [{"t": [1], "box": [0, 0, 1, 1]}]}',
          "line 1: bad value for key 't'"),
+        (dataio.read_tracks,
+         '{"video_id": "v", "track_id": 0, "rank": 0, "frames": [{"t": 0, "box": [0, 0, 1, 1]}]}\n'
+         '{"video_id": "w", "track_id": 0, "rank": 0, "frames": [{"t": 0, "box": [0, 0, 1, 1]}]}\n'
+         '{"video_id": "v", "track_id": 0, "rank": 1, "frames": [{"t": 0, "box": [0, 0, 2, 2]}]}',
+         "line 3: video 'v' has track 0 twice"),
         (dataio.read_detections, '{"image_id": 7, "box": [0, 0, 1, 1], "score": 1}',
          "line 1: bad value for key 'image_id'"),
         (dataio.read_detections, '[1, 2]', "line 1: expected a JSON object"),
@@ -1358,8 +1363,7 @@ RECORD_FILES = {
     "selections.jsonl": (dataio.SELECTION_SCHEMA, dataio.write_selections, [SELECTION],
                          dataio.read_selections, {("vid_000", 4): SELECTION}),
     "transfers.jsonl": (dataio.TRANSFER_SCHEMA, dataio.write_transfers,
-                        [transfer.TransferredBox("pos_000", BOX, "r00000", "vid_000", 4, 0.25,
-                                                 BOX2, BOX2)],
+                        [transfer.TransferredBox("pos_000", BOX, "r00000", "vid_000", 4, 0.25)],
                         dataio.read_transfer_boxes, {"pos_000": [BOX]}),
     "pseudo_gt.jsonl": (dataio.PSEUDO_GT_SCHEMA, dataio.write_pseudo_gts, [PSEUDO_GT],
                         dataio.read_pseudo_gts, {"pos_000": PSEUDO_GT}),
@@ -1397,6 +1401,13 @@ class TestDataIoRoundTrips:
         _, write, records, read, expected = RECORD_FILES[name]
         write(tmp_path / "rows.jsonl", records)
         assert read(tmp_path / "rows.jsonl") == expected
+
+    @pytest.mark.parametrize("record,schema", [
+        (MinedRegion, dataio.REGION_SCHEMA), (FrameSelection, dataio.SELECTION_SCHEMA),
+        (transfer.TransferredBox, dataio.TRANSFER_SCHEMA), (PseudoGT, dataio.PSEUDO_GT_SCHEMA),
+    ])
+    def test_record_fields_are_the_schema_keys(self, record, schema):
+        assert [f.name for f in dataclasses.fields(record)] == list(schema)
 
     @pytest.mark.parametrize("name,key", [
         (name, key) for name, (schema, *_) in RECORD_FILES.items() for key in schema

@@ -1,9 +1,10 @@
+import numpy as np
 import pytest
 from hypothesis import example, given
 import hypothesis.strategies as st
 
 from boxforge.errors import ConfigInvalidError, NoGroundTruthError
-from boxforge.geometry import BBox, iou
+from boxforge.geometry import BBox, box_array, iou
 from boxforge.tracks import (
     FrameSelection,
     Track,
@@ -50,6 +51,11 @@ def test_track_box_at_equals_linear_scan(indices, frame_idx):
         assert t.box_at(f) is linear_box_at(t, f)
 
 
+def arrays(frame_matches):
+    """The (corners, similarities) arrays of (match box, sim) pairs."""
+    return box_array([v for v, _ in frame_matches]), np.array([s for _, s in frame_matches], float)
+
+
 def score_track_box(t, frame_matches):
     """The per-pair sum the scoring is defined by."""
     return sum(iou(v, t) * sim for v, sim in frame_matches)
@@ -65,10 +71,10 @@ sims = st.floats(min_value=-1.0, max_value=1.0, width=32)  # no float64 underflo
 
 class TestScoreTrackBox:
     def test_empty_sum(self):
-        assert score_track_boxes([UNIT], []) == [0.0]
+        assert score_track_boxes([UNIT], *arrays([])) == [0.0]
 
     def test_single_term(self):
-        assert score_track_boxes([UNIT], [(UNIT, 0.8)]) == [pytest.approx(0.8)]
+        assert score_track_boxes([UNIT], *arrays([(UNIT, 0.8)])) == [pytest.approx(0.8)]
 
     def test_three_terms_match_manual_sum(self):
         t = box(0, 0, 10, 10)
@@ -77,52 +83,52 @@ class TestScoreTrackBox:
             (box(5, 0, 15, 10), 0.5),   # iou 1/3
             (box(20, 20, 30, 30), 0.7), # iou 0
         ]
-        assert score_track_boxes([t], matches) == [pytest.approx(1 * 0.9 + (1 / 3) * 0.5)]
+        assert score_track_boxes([t], *arrays(matches)) == [pytest.approx(1 * 0.9 + (1 / 3) * 0.5)]
 
     def test_negative_sims_contribute(self):
-        assert score_track_boxes([UNIT], [(UNIT, -0.5)]) == [pytest.approx(-0.5)]
+        assert score_track_boxes([UNIT], *arrays([(UNIT, -0.5)])) == [pytest.approx(-0.5)]
 
     @given(st.lists(grid_boxes, max_size=4), st.lists(st.tuples(grid_boxes, sims), max_size=10))
     @example([UNIT], [])
     @example([UNIT], [(box(10, 0, 20, 10), 0.9), (box(10, 10, 20, 20), -0.4)])  # touching
     @example([UNIT, box(5, 0, 15, 10)], [(UNIT, -0.5), (box(0, 0, 5, 10), 0.3)])
     def test_has_the_bits_of_the_per_pair_sum(self, boxes, frame_matches):
-        assert score_track_boxes(boxes, frame_matches) == [
+        assert score_track_boxes(boxes, *arrays(frame_matches)) == [
             score_track_box(t, frame_matches) for t in boxes
         ]
 
 
 class TestSelectTrackPerFrame:
     def test_single_candidate_selected(self):
-        sel = select_track_per_frame([(3, UNIT)], [], "v", 7)
+        sel = select_track_per_frame([(3, UNIT)], *arrays([]), "v", 7)
         assert sel.track_id == 3 and sel.score == 0.0 and sel.frame_idx == 7
 
     def test_overlapping_candidate_wins(self):
         matches = [(box(0, 0, 10, 10), 0.9)]
         candidates = [(0, box(40, 40, 50, 50)), (1, box(0, 0, 10, 10))]
-        assert select_track_per_frame(candidates, matches, "v", 0).track_id == 1
+        assert select_track_per_frame(candidates, *arrays(matches), "v", 0).track_id == 1
 
     def test_all_zero_scores_pick_lowest_track_id(self):
         candidates = [(5, box(40, 40, 50, 50)), (2, box(60, 60, 70, 70))]
-        assert select_track_per_frame(candidates, [], "v", 0).track_id == 2
+        assert select_track_per_frame(candidates, *arrays([]), "v", 0).track_id == 2
 
     def test_no_candidates(self):
-        assert select_track_per_frame([], [], "v", 0) is None
+        assert select_track_per_frame([], *arrays([]), "v", 0) is None
 
     @given(st.permutations([0, 1, 2]))
     def test_invariant_to_candidate_order(self, order):
         candidates = [(0, box(0, 0, 4, 4)), (1, box(2, 0, 6, 4)), (2, box(8, 8, 12, 12))]
         matches = [(box(1, 0, 5, 4), 0.8)]
-        base = select_track_per_frame(candidates, matches, "v", 0)
-        shuffled = select_track_per_frame([candidates[i] for i in order], matches, "v", 0)
+        base = select_track_per_frame(candidates, *arrays(matches), "v", 0)
+        shuffled = select_track_per_frame([candidates[i] for i in order], *arrays(matches), "v", 0)
         assert shuffled == base
 
     def test_positive_scaling_of_sims_keeps_argmax(self):
         candidates = [(0, box(0, 0, 4, 4)), (1, box(3, 0, 7, 4))]
         matches = [(box(0, 0, 4, 4), 0.3), (box(3, 0, 7, 4), 0.2)]
         scaled = [(v, 10.0 * s) for v, s in matches]
-        a = select_track_per_frame(candidates, matches, "v", 0)
-        b = select_track_per_frame(candidates, scaled, "v", 0)
+        a = select_track_per_frame(candidates, *arrays(matches), "v", 0)
+        b = select_track_per_frame(candidates, *arrays(scaled), "v", 0)
         assert a.track_id == b.track_id
 
 

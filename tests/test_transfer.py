@@ -1,31 +1,31 @@
 import gc
+import json
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from boxforge import dataio
 from boxforge.errors import NoFramesError
 from boxforge.featmap import (
     FeatureMap,
     FeaturePyramid,
-    MatchHit,
     extract_window,
-    map_window_to_pixels,
     scan_queries,
     single_level_pyramid,
 )
 from boxforge.geometry import BBox, transfer_box
 from boxforge.tracks import FrameSelection
 from boxforge.transfer import (
-    VideoMatch,
     match_region_per_frame,
     match_regions,
     retrieve_boxes,
     sampled_frame_indices,
 )
+
+from test_featmap import map_window_to_pixels
 
 
 def fmap_from(arr):
@@ -36,22 +36,32 @@ def video(rng, n_frames, h=8, w=8, c=3):
     return [single_level_pyramid(fmap_from(rng.normal(size=(h, w, c)))) for _ in range(n_frames)]
 
 
-def no_selection(video_id, frame_idx, hits):
+def no_selection(video_id, frame_idx, boxes, scores):
     return None
 
 
 def top(region_id, query, videos, n=20, frame_stride=8):
-    """One region's global top-n hits from the streamed scan."""
-    return match_regions({region_id: query}, videos, no_selection, n, frame_stride)[1].matches(0)
+    """One region's global top-n table from the streamed scan."""
+    return match_regions({region_id: query}, videos, no_selection, n, frame_stride)[1]
 
 
-def best_hits(video_id, frame_idx, hits):
-    """A frame callback that keeps the frame's best hits as they come."""
-    return video_id, frame_idx, hits
+def rows(matches, r=0):
+    """Region ``r``'s kept rows of a :class:`TopMatches`, as (score, video_id,
+    frame_idx, level, cell_y, cell_x, pixel corners)."""
+    table = zip(*(a[r].tolist() for a in (matches.score, matches.key, matches.box)))
+    return [
+        (s, matches.video_ids[v], f, li, cy, cx, box)
+        for s, (v, f, li, cy, cx), box in table if s > -np.inf
+    ]
+
+
+def best_hits(video_id, frame_idx, boxes, scores):
+    """A frame callback that keeps the frame's best rows as they come."""
+    return video_id, frame_idx, boxes, scores
 
 
 def table_top(queries, videos, n, frame_stride):
-    """Each region's n globally best hits ranked from a full table of every
+    """Each region's n globally best rows ranked from a full table of every
     (region, sampled frame)'s n best rows: the ranking the streamed scan
     replaces, kept as its oracle."""
     windows = list(queries.values())
@@ -82,8 +92,7 @@ def table_top(queries, videos, n, frame_stride):
             box = map_window_to_pixels(
                 pyramid.levels[li][0], cx, cy, q.w_cells, q.h_cells, pyramid.cell_stride
             )
-            hit = MatchHit(li, cx, cy, box, float(flat[i]), video_id, fi)
-            matches.append(VideoMatch(region_id=region_id, hit=hit))
+            matches.append((float(flat[i]), video_id, fi, li, cy, cx, box.as_list()))
         out.append(matches)
     return out
 
@@ -103,22 +112,24 @@ class TestMatchRegionsTop:
         q = extract_window(frame, (2, 3, 3, 3))
         matches = top("r0", q, [("vid", [single_level_pyramid(frame)])], n=1, frame_stride=8)
         assert len(matches) == 1
-        hit = matches[0].hit
-        assert (hit.video_id, hit.frame_idx, hit.cell_x, hit.cell_y) == ("vid", 0, 2, 3)
-        assert matches[0].sim == pytest.approx(1.0, abs=1e-6)
+        ((sim, video_id, frame_idx, _, cell_y, cell_x, _),) = rows(matches)
+        assert (video_id, frame_idx, cell_x, cell_y) == ("vid", 0, 2, 3)
+        assert sim == pytest.approx(1.0, abs=1e-6)
 
     def test_stride_larger_than_video_samples_frame_zero(self):
         rng = np.random.default_rng(21)
         frames = video(rng, 3)
         q = extract_window(frames[0].levels[0][1], (0, 0, 2, 2))
         matches = top("r0", q, [("vid", frames)], n=50, frame_stride=10)
-        assert {m.hit.frame_idx for m in matches} == {0}
+        assert {frame_idx for _, _, frame_idx, *_ in rows(matches)} == {0}
 
     def test_no_frames(self):
         rng = np.random.default_rng(22)
         q = extract_window(fmap_from(rng.normal(size=(4, 4, 2))), (0, 0, 2, 2))
+        matches = top("r0", q, [("vid", [])], n=5)
+        assert len(matches) == 0
         with pytest.raises(NoFramesError):
-            top("r0", q, [("vid", [])], n=5)
+            retrieve_boxes(matches, {"r0": ("img", BBox(0, 0, 2, 2))}, {})
 
     def test_top_n_matches_exhaustive_frame_scan_oracle(self):
         rng = np.random.default_rng(23)
@@ -145,11 +156,7 @@ class TestMatchRegionsTop:
                         all_hits.append((score, vid, fi, 0, cy, cx))
         all_hits.sort(key=lambda h: (-h[0], h[1], h[2], h[3], h[4], h[5]))
         want = all_hits[:5]
-        got_keys = [
-            (m.sim, m.hit.video_id, m.hit.frame_idx, m.hit.level_idx, m.hit.cell_y, m.hit.cell_x)
-            for m in got
-        ]
-        assert got_keys == want
+        assert [row[:6] for row in rows(got)] == want
 
     def test_scores_non_increasing_and_capped(self):
         rng = np.random.default_rng(24)
@@ -157,7 +164,7 @@ class TestMatchRegionsTop:
         q = extract_window(videos[0][1][0].levels[0][1], (0, 0, 2, 2))
         matches = top("r", q, videos, n=7, frame_stride=1)
         assert len(matches) <= 7
-        sims = [m.sim for m in matches]
+        sims = [row[0] for row in rows(matches)]
         assert sims == sorted(sims, reverse=True)
 
     def test_independent_of_video_processing_order(self):
@@ -166,10 +173,7 @@ class TestMatchRegionsTop:
         q = extract_window(videos[1][1][0].levels[0][1], (2, 2, 2, 2))
         a = top("r", q, videos, n=6, frame_stride=1)
         b = top("r", q, list(reversed(videos)), n=6, frame_stride=1)
-        key = lambda ms: [
-            (m.sim, m.hit.video_id, m.hit.frame_idx, m.hit.cell_y, m.hit.cell_x) for m in ms
-        ]
-        assert key(a) == key(b)
+        assert rows(a) == rows(b)
 
     def test_video_ids_rank_in_string_order_not_manifest_order(self):
         """Two identical videos tie at every placement; ``v10`` sorts before
@@ -177,12 +181,12 @@ class TestMatchRegionsTop:
         rng = np.random.default_rng(33)
         frames = video(rng, 2)
         q = extract_window(frames[1].levels[0][1], (3, 1, 2, 3))
-        got = top("r", q, [("v9", frames), ("v10", frames)], n=6, frame_stride=1)
-        assert [(m.hit.video_id, m.hit.frame_idx) for m in got[:2]] == [("v10", 1), ("v9", 1)]
-        sims = [m.sim for m in got]
+        got = rows(top("r", q, [("v9", frames), ("v10", frames)], n=6, frame_stride=1))
+        assert [row[1:3] for row in got[:2]] == [("v10", 1), ("v9", 1)]
+        sims = [row[0] for row in got]
         assert sims[0] == sims[1] == pytest.approx(1.0, abs=1e-6)
-        assert [m.hit.video_id for m in got[::2]] == ["v10"] * 3
-        assert [m.hit.video_id for m in got[1::2]] == ["v9"] * 3
+        assert [row[1] for row in got[::2]] == ["v10"] * 3
+        assert [row[1] for row in got[1::2]] == ["v9"] * 3
 
     def test_regions_scanned_together_equal_each_region_alone(self):
         rng = np.random.default_rng(34)
@@ -198,8 +202,9 @@ class TestMatchRegionsTop:
         assert [f[:2] for f in frames] == [("va", 0), ("va", 1), ("va", 2), ("vb", 0), ("vb", 1)]
         for r, (region_id, q) in enumerate(queries.items()):
             alone_frames, alone = match_regions({region_id: q}, videos, best_hits, 4, frame_stride=1)
-            assert scan.matches(r) == alone.matches(0)
-            assert [hits[r] for *_, hits in frames] == [hits[0] for *_, hits in alone_frames]
+            assert rows(scan, r) == rows(alone)
+            best = lambda frames, i: [(b[i].tolist(), s[i]) for *_, b, s in frames]
+            assert best(frames, r) == best(alone_frames, 0)
 
 
 def test_per_frame_keys_and_best():
@@ -208,7 +213,7 @@ def test_per_frame_keys_and_best():
     q = extract_window(frames[2].levels[0][1], (1, 1, 2, 2))
     per_frame = match_region_per_frame("r0", q, [("v", frames)], frame_stride=2)
     assert set(per_frame) == {("v", 0), ("v", 2), ("v", 4)}
-    assert per_frame[("v", 2)].sim == pytest.approx(1.0, abs=1e-6)
+    assert per_frame[("v", 2)][1] == pytest.approx(1.0, abs=1e-6)
 
 
 class TestStreamedScan:
@@ -244,16 +249,17 @@ class TestStreamedScan:
         }
         frames, scan = match_regions(queries, videos, best_hits, n, frame_stride)
         want = table_top(queries, videos, n, frame_stride)
-        assert [scan.matches(r) for r in range(len(queries))] == want
+        assert [rows(scan, r) for r in range(len(queries))] == want
+        assert len(scan) == sum(map(len, want))
         # each sampled frame's callback saw every region's best hit, in region order
         sampled = [
             (v, pyramids, i) for v, pyramids in videos
             for i in sampled_frame_indices(len(pyramids), frame_stride)
         ]
-        assert [(v, i) for v, i, _ in frames] == [(v, i) for v, _, i in sampled]
-        for (_, _, hits), (video_id, pyramids, frame_idx) in zip(frames, sampled):
+        assert [(v, i) for v, i, *_ in frames] == [(v, i) for v, _, i in sampled]
+        for (_, _, boxes, scores), (video_id, pyramids, frame_idx) in zip(frames, sampled):
             best = table_top(queries, [(video_id, [pyramids[frame_idx]])], 1, 1)
-            assert hits == [replace(m.hit, frame_idx=frame_idx) for (m,) in best]
+            assert list(zip(scores.tolist(), boxes.tolist())) == [(s, b) for ((s, *_, b),) in best]
 
     def test_kept_result_does_not_grow_with_frames(self):
         """Doubling the sampled frames at a fixed region count leaves the
@@ -280,9 +286,9 @@ class TestStreamedScan:
         scan(2 * n_frames)  # warm numpy's small-allocation caches
         kept_f, current_f, peak_f = scan(n_frames)
         kept_2f, current_2f, peak_2f = scan(2 * n_frames)
-        arrays = lambda kept: [(a.shape, a.nbytes) for a in (kept.score, kept.key, kept.geom)]
+        arrays = lambda kept: [(a.shape, a.nbytes) for a in (kept.score, kept.key, kept.box)]
         assert arrays(kept_f) == arrays(kept_2f) == [
-            ((16, n), 16 * n * 8), ((16, n, 5), 16 * n * 40), ((16, n, 2), 16 * n * 16)
+            ((16, n), 16 * n * 8), ((16, n, 5), 16 * n * 40), ((16, n, 4), 16 * n * 32)
         ]
         table_growth = len(queries) * n_frames * n * 32
         assert current_2f - current_f < table_growth / 10
@@ -310,7 +316,7 @@ class TestRetrieveBoxes:
     def test_track_equal_to_match_returns_region_box(self):
         rng = np.random.default_rng(28)
         matches, regions = self._match(rng)
-        v = matches[0].hit.pixel_box
+        v = BBox(*matches.box[0, 0].tolist())
         transfers, _ = retrieve_boxes(matches, regions, {("v", 0): selection("v", 0, v)})
         assert transfers[0].box == regions["r0"][1]
 
@@ -323,28 +329,33 @@ class TestRetrieveBoxes:
     def test_mixed_scenario_matches_per_match_arithmetic(self):
         rng = np.random.default_rng(30)
         matches, regions = self._match(rng)
-        v = matches[0].hit.pixel_box
+        v = BBox(*matches.box[0, 0].tolist())
         t = BBox(v.x_min + 1, v.y_min + 1, v.x_max + 3, v.y_max + 2)
         transfers, _ = retrieve_boxes(matches, regions, {("v", 0): selection("v", 0, t)})
         r = regions["r0"][1]
         assert transfers[0].box == transfer_box(r, v, t)
-        assert transfers[0].sim == matches[0].sim
+        assert transfers[0].sim == matches.score[0, 0]
 
     def test_degenerate_transfer_dropped_and_counted(self):
         rng = np.random.default_rng(31)
         matches, regions = self._match(rng, region_box=BBox(0, 0, 1, 1))
-        v = matches[0].hit.pixel_box
+        v = BBox(*matches.box[0, 0].tolist())
         # shrink enough to collapse the 1x1 region box
         t = BBox(v.x_min, v.y_min, v.x_min + 1, v.y_min + 1)
         transfers, dropped = retrieve_boxes(matches, regions, {("v", 0): selection("v", 0, t)})
         assert transfers == [] and dropped == 1
 
-    def test_provenance_round_trip(self):
+    def test_provenance_round_trip(self, tmp_path):
+        """The written transfer row names the table row it came from."""
         rng = np.random.default_rng(32)
         matches, regions = self._match(rng)
-        v = matches[0].hit.pixel_box
+        ((sim, video_id, frame_idx, *_, corners),) = rows(matches)
+        v = BBox(*corners)
         t = BBox(v.x_min + 2, v.y_min, v.x_max + 2, v.y_max)
         transfers, _ = retrieve_boxes(matches, regions, {("v", 0): selection("v", 0, t)})
-        tb = transfers[0]
-        _, r = regions[tb.region_id]
-        assert transfer_box(r, tb.match_box, tb.track_box) == tb.box
+        dataio.write_transfers(tmp_path / "transfers.jsonl", transfers)
+        (written,) = map(json.loads, (tmp_path / "transfers.jsonl").read_text().splitlines())
+        provenance = [written[k] for k in ("region_id", "video_id", "frame_idx", "sim")]
+        assert provenance == ["r0", video_id, frame_idx, sim]
+        image_id, r = regions["r0"]
+        assert (written["image_id"], written["box"]) == (image_id, transfer_box(r, v, t).as_list())
