@@ -1,7 +1,7 @@
 """boxforge: pseudo ground-truth box discovery from weakly-labeled data.
 
 Mines discriminative regions in weakly-labeled images, matches them into
-videos over feature-map pyramids, transfers tracked object boxes back via
+videos over per-frame feature maps, transfers tracked object boxes back via
 4-D Hough voting with mean-shift, and trains/evaluates detectors on the
 resulting pseudo ground truth.
 """
@@ -9,7 +9,6 @@ resulting pseudo ground truth.
 from .geometry import BBox, contains, iou, nms, transfer_box
 from .featmap import (
     FeatureMap,
-    FeaturePyramid,
     MatchHit,
     QueryWindow,
     read_fmap,
@@ -24,7 +23,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BBox",
     "FeatureMap",
-    "FeaturePyramid",
     "MatchHit",
     "PseudoGT",
     "QueryWindow",

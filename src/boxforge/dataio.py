@@ -9,6 +9,7 @@ stated once, in its schema table (``REGION_SCHEMA``, ...).  Aggregate documents
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -19,7 +20,7 @@ import numpy as np
 from .atomic import write_atomic
 from .detector import BoxRegressor, LinearModel
 from .errors import ConfigInvalidError, DegenerateBoxError, MissingInputError
-from .featmap import FeatureMap, FeaturePyramid, pool_box_feature, read_fmap, single_level_pyramid
+from .featmap import FeatureMap, pool_box_feature, read_fmap
 from .geometry import BBox
 from .mining import ImageProposals, MinedRegion
 from .tracks import FrameSelection, Track
@@ -81,9 +82,12 @@ def _integer(value) -> int:
 
 
 def _real(value) -> float:
-    """``value`` as a float; booleans and non-numbers (``"1.5"``) are refused."""
+    """``value`` as a float; booleans, non-numbers (``"1.5"``) and the
+    ``NaN`` and ``Infinity`` literals ``json`` accepts are refused."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -110,7 +114,10 @@ def _paths(value) -> tuple[Path, ...]:
 
 
 def _array(value) -> np.ndarray:
-    return np.asarray(value, dtype=np.float64)
+    array = np.asarray(value, dtype=np.float64)
+    if not np.all(np.isfinite(array)):
+        raise ValueError("expected finite numbers")
+    return array
 
 
 def _objects(value) -> list[_Row]:
@@ -234,17 +241,17 @@ class Manifest:
     def load_image_fmap(self, image_id: str) -> FeatureMap:
         return self._read_fmap(self.image(image_id).fmap_path)
 
-    def load_video_pyramids(self, video_id: str) -> VideoPyramids:
+    def load_video_frames(self, video_id: str) -> VideoFrames:
         entry = self._videos_by_id.get(video_id)
         if entry is None:
             raise MissingInputError(f"video {video_id} not in manifest")
-        return VideoPyramids(self, entry.frame_paths)
+        return VideoFrames(self, entry.frame_paths)
 
 
 @dataclass(frozen=True)
-class VideoPyramids(Sequence[FeaturePyramid]):
-    """A video's scale-1.0 frame pyramids by frame number; indexing a frame
-    reads its FMAP, again on every access, so a stage reads what it samples."""
+class VideoFrames(Sequence[FeatureMap]):
+    """A video's frame maps by frame number; indexing a frame reads its
+    FMAP, again on every access, so a stage reads what it samples."""
 
     manifest: Manifest
     paths: tuple[Path, ...]
@@ -252,9 +259,8 @@ class VideoPyramids(Sequence[FeaturePyramid]):
     def __len__(self) -> int:
         return len(self.paths)
 
-    def __getitem__(self, frame_idx: int) -> FeaturePyramid:
-        fmap = self.manifest._read_fmap(self.paths[frame_idx])
-        return single_level_pyramid(fmap, self.manifest.cell_stride)
+    def __getitem__(self, frame_idx: int) -> FeatureMap:
+        return self.manifest._read_fmap(self.paths[frame_idx])
 
 
 def _index(entries, id_attr: str, kind: str) -> dict:

@@ -14,7 +14,7 @@ class OutOfBoundsError(BoxforgeError):
 
 
 class WindowTooLargeError(BoxforgeError):
-    """A query window fits no pyramid level."""
+    """A query window is larger than the feature map it is scanned over."""
 
 
 class EmptyDatasetError(BoxforgeError):

@@ -1,9 +1,9 @@
-"""Feature-map storage, pyramids, and dense sliding-window cosine matching.
+"""Feature-map storage and dense sliding-window cosine matching.
 
 A feature map is an ``(height, width, channels)`` grid of real activations;
-matching slides fixed-shape query windows over every placement of every
-pyramid level and scores them with cosine similarity, all the queries of one
-frame in one :func:`scan_queries` that groups them by window shape.
+matching slides fixed-shape query windows over every placement on a frame's
+map and scores them with cosine similarity, all the queries of one frame in
+one :func:`scan_queries` that groups them by window shape.
 
 FMAP binary format (bit-exact):
     magic bytes ``FMAP`` | version byte ``0x01`` | three little-endian u32
@@ -31,9 +31,6 @@ from .geometry import BBox
 
 FMAP_MAGIC = b"FMAP"
 FMAP_VERSION = 1
-
-# Scale ratio between consecutive levels of a full 7-level pyramid.
-LEVEL_RATIO = 2.0 ** -0.5
 
 
 @dataclass(frozen=True)
@@ -64,34 +61,6 @@ class FeatureMap:
 
 
 @dataclass(frozen=True)
-class FeaturePyramid:
-    """Ordered (scale, map) levels, scales strictly decreasing.
-
-    ``cell_stride`` is pixels per cell at scale 1.0.
-    """
-
-    levels: tuple[tuple[float, FeatureMap], ...]
-    cell_stride: float
-
-    def __post_init__(self):
-        if not 1 <= len(self.levels) <= 7:
-            raise ConfigInvalidError(f"pyramid must have 1-7 levels, got {len(self.levels)}")
-        if self.cell_stride <= 0:
-            raise ConfigInvalidError(f"cell_stride must be positive, got {self.cell_stride}")
-        scales = [s for s, _ in self.levels]
-        if any(s <= 0 for s in scales):
-            raise ConfigInvalidError("pyramid scales must be positive")
-        if any(b >= a for a, b in zip(scales, scales[1:])):
-            raise ConfigInvalidError(f"pyramid scales must strictly decrease, got {scales}")
-        if len(scales) == 7:
-            for a, b in zip(scales, scales[1:]):
-                if abs(b / a / LEVEL_RATIO - 1.0) > 0.01:
-                    raise ConfigInvalidError(
-                        f"7-level pyramid needs consecutive scale ratio 2^-1/2, got {b / a:.4f}"
-                    )
-
-
-@dataclass(frozen=True)
 class QueryWindow:
     """A flattened w_cells x h_cells x channels feature window.
 
@@ -117,7 +86,6 @@ class QueryWindow:
 class MatchHit:
     """One scored window placement; ``pixel_box`` is its image-space extent."""
 
-    level_idx: int
     cell_x: int
     cell_y: int
     pixel_box: BBox
@@ -216,18 +184,16 @@ def build_query_window(
     return resample_window(fmap, (x0, y0, x1 - x0, y1 - y0), shape)
 
 
-def placement_boxes(pyramid: FeaturePyramid, place: np.ndarray, shape) -> np.ndarray:
+def placement_boxes(place: np.ndarray, shape, cell_stride: float) -> np.ndarray:
     """Pixel corners (..., 4) of windows of ``shape`` (..., 2) of (w_cells,
-    h_cells) at ``place`` (..., 3) of (level, cell_y, cell_x), as from
-    :func:`scan_queries`; each corner is ``cell * (cell_stride / scale)`` in
-    IEEE float64.  A padding row (place -1) reads the last level."""
-    scales = np.array([s for s, _ in pyramid.levels])
-    factor = (pyramid.cell_stride / scales[place[..., 0]])[..., None]
-    corner = place[..., :0:-1]  # (cell_x, cell_y)
-    return np.concatenate([corner, corner + shape], axis=-1) * factor
+    h_cells) at ``place`` (..., 2) of (cell_y, cell_x), as from
+    :func:`scan_queries`; each corner is ``cell * cell_stride`` in IEEE
+    float64."""
+    corner = place[..., ::-1]  # (cell_x, cell_y)
+    return np.concatenate([corner, corner + shape], axis=-1) * cell_stride
 
 
-# Byte cap on the float64 window matrix built at once while scanning a level.
+# Byte cap on the float64 window matrix built at once while scanning a map.
 SCAN_BLOCK_BYTES = 64 << 20
 
 
@@ -267,57 +233,55 @@ def _placement_scores(
 
 
 def scan_queries(
-    queries: Sequence[QueryWindow], pyramid: FeaturePyramid, top_n: int
+    queries: Sequence[QueryWindow], fmap: FeatureMap, top_n: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Each query's ``top_n`` best placements over every pyramid level:
-    ``score`` (queries, top_n) and ``place`` (queries, top_n, 3) of (level,
-    cell_y, cell_x).  Row q ranks query q's placements by score descending
-    with the (level, cell_y, cell_x) ascending tie-break, then pads with
-    score ``-inf`` at place -1.  Queries of one window shape share each
-    level's window matrix.  Zero-norm windows (query or placement) score 0
-    instead of erroring, which keeps blank frames from poisoning a scan.
+    """Each query's ``top_n`` best placements on ``fmap``: ``score``
+    (queries, top_n) and ``place`` (queries, top_n, 2) of (cell_y, cell_x).
+    Row q ranks query q's placements by score descending with the (cell_y,
+    cell_x) ascending tie-break, then pads with score ``-inf`` at place -1.
+    Queries of one window shape share the map's window matrix.  Zero-norm
+    windows (query or placement) score 0 instead of erroring, which keeps
+    blank frames from poisoning a scan.
 
-    Raises :class:`WindowTooLargeError` when a query fits no level, and
-    ``ValueError`` when a query's channel count differs from a level's.
+    Raises :class:`WindowTooLargeError` when a query does not fit the map,
+    and ``ValueError`` when a query's channel count differs from the map's.
     """
     if top_n < 1:
         raise ValueError(f"top_n must be >= 1, got {top_n}")
     for q in queries:
-        for _scale, fmap in pyramid.levels:
-            if fmap.channels != q.channels:
-                raise ValueError(f"channel mismatch: query {q.channels} vs level {fmap.channels}")
+        if fmap.channels != q.channels:
+            raise ValueError(f"channel mismatch: query {q.channels} vs map {fmap.channels}")
     score = np.full((len(queries), top_n), -np.inf)
-    place = np.full((len(queries), top_n, 3), -1)
+    place = np.full((len(queries), top_n, 2), -1)
     groups: dict[tuple[int, int], list[int]] = {}
     for i, query in enumerate(queries):
         groups.setdefault((query.w_cells, query.h_cells), []).append(i)
     for (w, h), members in groups.items():
+        if w > fmap.width or h > fmap.height:
+            raise WindowTooLargeError(
+                f"query of {h}x{w} cells does not fit the {fmap.height}x{fmap.width} map"
+            )
         flat = np.stack([np.asarray(queries[i].data, np.float64).reshape(-1) for i in members])
         norms = np.array([np.linalg.norm(qf) for qf in flat])
-        parts, places = [], []
-        for level_idx, (_scale, fmap) in enumerate(pyramid.levels):
-            if w <= fmap.width and h <= fmap.height:
-                level_scores = _placement_scores(fmap.data, flat, norms, h, w)
-                parts.append(level_scores.reshape(len(members), -1))
-                cy, cx = np.indices(level_scores.shape[1:]).reshape(2, -1)
-                places.append(np.stack([np.full(cy.size, level_idx), cy, cx], axis=1))
-        if not parts:
-            raise WindowTooLargeError(f"query of {h}x{w} cells fits no level of the pyramid")
-        scores = np.concatenate(parts, axis=1)
-        # placements run in (level, y, x) order, which a stable sort keeps on ties
+        scores = _placement_scores(fmap.data, flat, norms, h, w)
+        grid = scores.shape[1:]
+        scores = scores.reshape(len(members), -1)
+        # placements run in (y, x) order, which a stable sort keeps on ties
         order = np.argsort(-scores, axis=1, kind="stable")[:, :top_n]
         score[members, : order.shape[1]] = np.take_along_axis(scores, order, axis=1)
-        place[members, : order.shape[1]] = np.concatenate(places)[order]
+        place[members, : order.shape[1]] = np.stack(np.unravel_index(order, grid), axis=-1)
     return score, place
 
 
-def slide_match(query: QueryWindow, pyramid: FeaturePyramid, top_n: int) -> list[MatchHit]:
+def slide_match(
+    query: QueryWindow, fmap: FeatureMap, top_n: int, cell_stride: float = 1.0
+) -> list[MatchHit]:
     """:func:`scan_queries` of one query, as hits with their pixel boxes."""
-    (score,), (place,) = scan_queries([query], pyramid, top_n)
-    boxes = placement_boxes(pyramid, place, (query.w_cells, query.h_cells))
+    (score,), (place,) = scan_queries([query], fmap, top_n)
+    boxes = placement_boxes(place, (query.w_cells, query.h_cells), cell_stride)
     return [
-        MatchHit(li, cx, cy, BBox(*box), s)
-        for s, (li, cy, cx), box in zip(score.tolist(), place.tolist(), boxes.tolist())
+        MatchHit(cx, cy, BBox(*box), s)
+        for s, (cy, cx), box in zip(score.tolist(), place.tolist(), boxes.tolist())
         if s > -np.inf
     ]
 
@@ -389,7 +353,3 @@ def read_fmap(path: str | Path) -> FeatureMap:
     except ConfigInvalidError as exc:
         raise ConfigInvalidError(f"{path}: {exc}") from None
 
-
-def single_level_pyramid(fmap: FeatureMap, cell_stride: float = 1.0) -> FeaturePyramid:
-    """Wrap one map as a scale-1.0 pyramid (the synthetic-data layout)."""
-    return FeaturePyramid(levels=((1.0, fmap),), cell_stride=cell_stride)

@@ -149,13 +149,13 @@ def _scan(ds, mined, target_cells, n_matches, frame_stride):
         )
         for r in mined
     }
-    videos = [(e.video_id, manifest.load_video_pyramids(e.video_id)) for e in manifest.videos]
+    videos = [(e.video_id, manifest.load_video_frames(e.video_id)) for e in manifest.videos]
 
     def select(video_id: str, frame_idx: int, boxes, scores) -> Optional[FrameSelection]:
         candidates = candidates_at_frame(ds.tracks.get(video_id, []), frame_idx)
         return select_track_per_frame(candidates, boxes, scores, video_id, frame_idx)
 
-    return match_regions(queries, videos, select, n_matches, frame_stride)
+    return match_regions(queries, videos, select, n_matches, frame_stride, manifest.cell_stride)
 
 
 def _scanned(ds: dataio.Dataset, cfg: PipelineConfig, mined):
@@ -512,9 +512,9 @@ def _video_frames(ds: dataio.Dataset, selections, frame_stride):
     frames: dict[str, ImageProposals] = {}
     gt: dict[str, list[BBox]] = {}
     for entry in manifest.videos:
-        pyramids = manifest.load_video_pyramids(entry.video_id)
+        fmaps = manifest.load_video_frames(entry.video_id)
         tracks = ds.tracks.get(entry.video_id, [])
-        for frame_idx in sampled_frame_indices(len(pyramids), frame_stride):
+        for frame_idx in sampled_frame_indices(len(fmaps), frame_stride):
             sel = selections.get((entry.video_id, frame_idx))
             if sel is None:
                 continue
@@ -523,7 +523,7 @@ def _video_frames(ds: dataio.Dataset, selections, frame_stride):
             candidates = candidates_at_frame(tracks, frame_idx)
             if not candidates:
                 continue
-            fmap = pyramids[frame_idx].levels[0][1]
+            fmap = fmaps[frame_idx]
             boxes = [box for _, box in candidates]
             boxes.extend(_half_box(box) for _, box in candidates)
             feats = [pool_box_feature(fmap, box, manifest.cell_stride) for box in boxes]

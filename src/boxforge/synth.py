@@ -1,7 +1,7 @@
 """Deterministic synthetic dataset generator.
 
-"Images" and video "frames" are small single-level feature maps (cell
-stride 1) of gaussian noise.  Positive images carry one or more planted
+"Images" and video "frames" are small feature maps, one FMAP each (cell
+stride 1), of gaussian noise.  Positive images carry one or more planted
 blocks of the category signature at random locations and sizes; negative
 images carry only distractor-signature blocks.  Each video contains one
 moving planted object whose trajectory is the true candidate track among 8
@@ -32,7 +32,7 @@ from .tracks import Track
 CATEGORY = "obj"
 
 # (w, h) cell sizes planted in images; all resolve to the same matching
-# window under the sizing heuristic, so single-level matching stays aligned.
+# window under the sizing heuristic, so one-scale matching stays aligned.
 BLOCK_SIZES = ((5, 4), (6, 5), (7, 6))
 VIDEO_BLOCK = (6, 5)
 N_TRACKS = 9

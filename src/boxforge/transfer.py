@@ -3,7 +3,7 @@
 :func:`match_regions` scans all regions' query windows over each sampled
 frame once, handing each region's best pixel corners and score in the frame
 to track selection and merging the frame's rows (score, key and pixel
-corners) into each region's running top ``n``: about regions × n × 80 bytes
+corners) into each region's running top ``n``: about regions × n × 72 bytes
 however many frames it samples.  Matching brings each kept row's selected
 track box back to the region's image by the box-transfer rule.
 """
@@ -16,11 +16,11 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import DegenerateBoxError, NoFramesError
-from .featmap import FeaturePyramid, QueryWindow, placement_boxes, scan_queries
+from .featmap import FeatureMap, QueryWindow, placement_boxes, scan_queries
 from .geometry import BBox, intersection_area, transfer_box
 from .tracks import FrameSelection
 
-VideoFrames = tuple[str, Sequence[FeaturePyramid]]  # (video_id, pyramids by frame number)
+VideoFrames = tuple[str, Sequence[FeatureMap]]  # (video_id, maps by frame number)
 
 
 @dataclass(frozen=True)
@@ -45,11 +45,11 @@ def sampled_frame_indices(n_frames: int, frame_stride: int) -> list[int]:
 @dataclass(frozen=True)
 class TopMatches:
     """Each region's ``n`` best placements over every sampled frame, by score
-    descending with the (video_id, frame_idx, level, y, x) tie-break, video
-    ids compared as strings.  Row ``(r, k)`` is ``score`` (regions, n),
-    ``key`` (regions, n, 5) of (index in ``video_ids``, frame_idx, level,
-    cell_y, cell_x) and ``box`` (regions, n, 4), the placement's pixel
-    corners.  Padding rows score ``-inf``; ``len`` counts the other rows."""
+    descending with the (video_id, frame_idx, y, x) tie-break, video ids
+    compared as strings.  Row ``(r, k)`` is ``score`` (regions, n), ``key``
+    (regions, n, 4) of (index in ``video_ids``, frame_idx, cell_y, cell_x)
+    and ``box`` (regions, n, 4), the placement's pixel corners.  Padding
+    rows score ``-inf``; ``len`` counts the other rows."""
 
     region_ids: tuple[str, ...]
     video_ids: tuple[str, ...]  # in string order
@@ -63,15 +63,16 @@ class TopMatches:
 
 def match_regions(
     queries: Mapping[str, QueryWindow], videos: Sequence[VideoFrames], on_frame: Callable,
-    n: int = 20, frame_stride: int = 8,
+    n: int = 20, frame_stride: int = 8, cell_stride: float = 1.0,
 ) -> tuple[list, TopMatches]:
     """Scan the queries (region id -> window) over every sampled frame in
     ``videos`` order, one :func:`scan_queries` per frame, each frame indexed
     (and so read) once.  Each scan is used as it is made: ``on_frame(video_id,
     frame_idx, boxes, scores)`` gets every region's best pixel corners (regions,
-    4) and score (regions,) in the frame, arrays it may keep, then the frame's
-    rows are merged into the running top ``n``.  Returns the callback's
-    results that are not None, in frame order, and the :class:`TopMatches`."""
+    4), ``cell_stride`` pixels per cell, and score (regions,) in the frame,
+    arrays it may keep, then the frame's rows are merged into the running top
+    ``n``.  Returns the callback's results that are not None, in frame order,
+    and the :class:`TopMatches`."""
     windows = list(queries.values())
     shape = np.array([(w.w_cells, w.h_cells) for w in windows]).reshape(-1, 1, 2)
     video_ids = tuple(sorted(v for v, _ in videos))
@@ -79,14 +80,13 @@ def match_regions(
     region = np.arange(len(windows))[:, None]
     # columns [:n] hold each region's running top n, columns [n:] the frame's rows
     score = np.full((len(windows), 2 * n), -np.inf)
-    key, box = np.full(score.shape + (5,), -1), np.zeros(score.shape + (4,))
+    key, box = np.full(score.shape + (4,), -1), np.zeros(score.shape + (4,))
     results = []
-    for video_id, pyramids in videos:
-        for frame_idx in sampled_frame_indices(len(pyramids), frame_stride):
-            pyramid = pyramids[frame_idx]
-            score[:, n:], place = scan_queries(windows, pyramid, n)
+    for video_id, fmaps in videos:
+        for frame_idx in sampled_frame_indices(len(fmaps), frame_stride):
+            score[:, n:], place = scan_queries(windows, fmaps[frame_idx], n)
             key[:, n:, :2], key[:, n:, 2:] = (rank[video_id], frame_idx), place
-            box[:, n:] = placement_boxes(pyramid, place, shape)
+            box[:, n:] = placement_boxes(place, shape, cell_stride)
             result = on_frame(video_id, frame_idx, box[:, n].copy(), score[:, n].copy())
             if result is not None:
                 results.append(result)
@@ -99,14 +99,17 @@ def match_regions(
 
 
 # One-region views of the scan; no stage calls them, the benchmark's tracer wraps them by name.
-def match_region_to_videos(region_id, query, videos, n=20, frame_stride=8) -> TopMatches:
-    return match_regions({region_id: query}, videos, lambda *_: None, n, frame_stride)[1]
+def match_region_to_videos(
+    region_id, query, videos, n=20, frame_stride=8, cell_stride=1.0
+) -> TopMatches:
+    none = lambda *_: None
+    return match_regions({region_id: query}, videos, none, n, frame_stride, cell_stride)[1]
 
 
-def match_region_per_frame(region_id, query, videos, frame_stride=8) -> dict:
+def match_region_per_frame(region_id, query, videos, frame_stride=8, cell_stride=1.0) -> dict:
     """(video_id, frame_idx) -> the region's best (pixel corners, score) there."""
     best = lambda v, frame_idx, boxes, scores: ((v, frame_idx), (boxes[0], scores[0]))
-    return dict(match_regions({region_id: query}, videos, best, 1, frame_stride)[0])
+    return dict(match_regions({region_id: query}, videos, best, 1, frame_stride, cell_stride)[0])
 
 
 def retrieve_boxes(

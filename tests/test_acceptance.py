@@ -22,7 +22,7 @@ from boxforge.detector import (
     LinearModel,
     regression_pairs,
 )
-from boxforge.featmap import FeatureMap, QueryWindow, extract_window, single_level_pyramid, slide_match
+from boxforge.featmap import FeatureMap, QueryWindow, extract_window, slide_match
 from boxforge.geometry import BBox, box_array, iou, transfer_box
 from boxforge.metrics import average_precision, corloc
 from boxforge.mining import (
@@ -117,24 +117,21 @@ def test_criterion_1_geometry_oracle():
 # --------------------------------------------------------------------------
 
 
-def exhaustive_scan(query, pyramid, top_n):
+def exhaustive_scan(query, fm, top_n):
     qf = np.asarray(query.data, dtype=np.float64).reshape(-1)
     nq = float(np.linalg.norm(qf))
     hits = []
-    for level_idx, (_scale, fm) in enumerate(pyramid.levels):
-        if query.w_cells > fm.width or query.h_cells > fm.height:
-            continue
-        for cy in range(fm.height - query.h_cells + 1):
-            for cx in range(fm.width - query.w_cells + 1):
-                wf = (
-                    fm.data[cy : cy + query.h_cells, cx : cx + query.w_cells, :]
-                    .astype(np.float64)
-                    .reshape(-1)
-                )
-                nw = float(np.linalg.norm(wf))
-                score = 0.0 if nq < 1e-12 or nw < 1e-12 else min(1.0, max(-1.0, float(np.dot(qf, wf) / (nq * nw))))
-                hits.append((score, level_idx, cy, cx))
-    hits.sort(key=lambda h: (-h[0], h[1], h[2], h[3]))
+    for cy in range(fm.height - query.h_cells + 1):
+        for cx in range(fm.width - query.w_cells + 1):
+            wf = (
+                fm.data[cy : cy + query.h_cells, cx : cx + query.w_cells, :]
+                .astype(np.float64)
+                .reshape(-1)
+            )
+            nw = float(np.linalg.norm(wf))
+            score = 0.0 if nq < 1e-12 or nw < 1e-12 else min(1.0, max(-1.0, float(np.dot(qf, wf) / (nq * nw))))
+            hits.append((score, cy, cx))
+    hits.sort(key=lambda h: (-h[0], h[1], h[2]))
     return hits[:top_n]
 
 
@@ -161,14 +158,13 @@ def test_criterion_2_matching_oracle():
                 w_cells=qw, h_cells=qh, channels=c,
                 data=rng.normal(size=qw * qh * c),
             )
-        pyr = single_level_pyramid(fm)
-        got = slide_match(query, pyr, top_n=5)
-        want = exhaustive_scan(query, pyr, 5)
-        got_keys = [(hit.score, hit.level_idx, hit.cell_y, hit.cell_x) for hit in got]
+        got = slide_match(query, fm, top_n=5)
+        want = exhaustive_scan(query, fm, 5)
+        got_keys = [(hit.score, hit.cell_y, hit.cell_x) for hit in got]
         assert got_keys == want, f"trial {trial} diverged from the exhaustive scan"
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
-    report("criterion-2 matching oracle", f"50 pyramids exact top-5 match, {elapsed:.2f}s")
+    report("criterion-2 matching oracle", f"50 maps exact top-5 match, {elapsed:.2f}s")
 
 
 # --------------------------------------------------------------------------

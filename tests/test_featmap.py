@@ -14,7 +14,6 @@ from boxforge.errors import (
 )
 from boxforge.featmap import (
     FeatureMap,
-    FeaturePyramid,
     QueryWindow,
     build_query_window,
     extract_window,
@@ -23,7 +22,6 @@ from boxforge.featmap import (
     read_fmap,
     resample_window,
     scan_queries,
-    single_level_pyramid,
     slide_match,
     window_shape_for_box,
     write_fmap,
@@ -129,83 +127,68 @@ class TestResampleWindow:
         assert np.allclose(q.data.reshape(2, 4, 1), expected)
 
 
-def map_window_to_pixels(scale, cell_x, cell_y, w_cells, h_cells, cell_stride):
-    """Pixel-space box of one window placed at (cell_x, cell_y) on a level:
-    the scalar arithmetic :func:`placement_boxes` must reproduce bit for bit."""
-    factor = cell_stride / scale
+def map_window_to_pixels(cell_x, cell_y, w_cells, h_cells, cell_stride):
+    """Pixel-space box of one window placed at (cell_x, cell_y): the scalar
+    arithmetic :func:`placement_boxes` must reproduce bit for bit."""
     return BBox(
-        cell_x * factor,
-        cell_y * factor,
-        (cell_x + w_cells) * factor,
-        (cell_y + h_cells) * factor,
+        cell_x * cell_stride,
+        cell_y * cell_stride,
+        (cell_x + w_cells) * cell_stride,
+        (cell_y + h_cells) * cell_stride,
     )
-
-
-def scale_pyramid(scales, cell_stride):
-    """A pyramid of 1x1 maps at ``scales``; placement boxes read only scales."""
-    return FeaturePyramid(tuple((s, fmap_from(np.zeros((1, 1, 1)))) for s in scales), cell_stride)
 
 
 class TestPlacementBoxes:
     def test_unit_mapping(self):
-        pyr = scale_pyramid([1.0], 16.0)
-        assert placement_boxes(pyr, np.array([0, 0, 0]), (3, 3)).tolist() == [0, 0, 48, 48]
+        assert placement_boxes(np.array([0, 0]), (3, 3), 16.0).tolist() == [0, 0, 48, 48]
 
-    def test_half_scale_doubles(self):
-        pyr = scale_pyramid([1.0, 0.5], 16.0)
-        b1, b2 = placement_boxes(pyr, np.array([[0, 2, 1], [1, 2, 1]]), (3, 4))
-        assert b2.tolist() == pytest.approx((2 * b1).tolist())
+    def test_double_stride_doubles(self):
+        place = np.array([[2, 1], [0, 3]])
+        b1, b2 = placement_boxes(place, (3, 4), 16.0), placement_boxes(place, (3, 4), 32.0)
+        assert np.array_equal(b2, 2 * b1)
 
-    def test_root_two_scale(self):
-        pyr = scale_pyramid([1.0, 2 ** -0.5], 16.0)
-        b = placement_boxes(pyr, np.array([1, 1, 2]), (4, 2))
-        factor = 16.0 * 2 ** 0.5
-        assert b.tolist() == pytest.approx([2 * factor, 1 * factor, 6 * factor, 3 * factor])
+    def test_irrational_stride(self):
+        stride = 16.0 * 2 ** 0.5
+        b = placement_boxes(np.array([1, 2]), (4, 2), stride)
+        assert b.tolist() == pytest.approx([2 * stride, 1 * stride, 6 * stride, 3 * stride])
 
     @given(
-        n_levels=st.integers(1, 7),
         cell_stride=st.floats(0.25, 64.0),
         rows=st.lists(
-            st.tuples(st.integers(0, 6), st.integers(0, 200), st.integers(0, 200),
+            st.tuples(st.integers(0, 200), st.integers(0, 200),
                       st.integers(1, 60), st.integers(1, 60)),
             min_size=1, max_size=12,
         ),
         n_padding=st.integers(0, 3),
     )
-    def test_bits_of_the_scalar_oracle(self, n_levels, cell_stride, rows, n_padding):
-        """Rows of (level, cell_y, cell_x) on a pyramid of 2^-k/2 scales, with
-        padding rows (place -1) after them, as :func:`scan_queries` pads."""
-        pyr = scale_pyramid([2 ** (-k / 2) for k in range(n_levels)], cell_stride)
-        rows = [(li % n_levels, cy, cx, w, h) for li, cy, cx, w, h in rows]
-        rows += [(-1, -1, -1, w, h) for *_, w, h in rows[:n_padding]]
-        place = np.array([row[:3] for row in rows])
-        got = placement_boxes(pyr, place, np.array([row[3:] for row in rows]))
+    def test_bits_of_the_scalar_oracle(self, cell_stride, rows, n_padding):
+        """Rows of (cell_y, cell_x), with padding rows (place -1) after
+        them, as :func:`scan_queries` pads."""
+        rows += [(-1, -1, w, h) for *_, w, h in rows[:n_padding]]
+        place = np.array([row[:2] for row in rows])
+        got = placement_boxes(place, np.array([row[2:] for row in rows]), cell_stride)
         want = np.array([
-            map_window_to_pixels(pyr.levels[li][0], cx, cy, w, h, cell_stride).as_list()
-            for li, cy, cx, w, h in rows
+            map_window_to_pixels(cx, cy, w, h, cell_stride).as_list() for cy, cx, w, h in rows
         ])
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-def slide_match_oracle(query, pyramid, top_n):
+def slide_match_oracle(query, fm, top_n):
     """Brute-force every placement and rank with the documented tie-break."""
     qf = np.asarray(query.data, dtype=np.float64).reshape(-1)
     nq = float(np.linalg.norm(qf))
     hits = []
-    for level_idx, (scale, fm) in enumerate(pyramid.levels):
-        if query.w_cells > fm.width or query.h_cells > fm.height:
-            continue
-        for cy in range(fm.height - query.h_cells + 1):
-            for cx in range(fm.width - query.w_cells + 1):
-                wf = (
-                    fm.data[cy : cy + query.h_cells, cx : cx + query.w_cells, :]
-                    .astype(np.float64)
-                    .reshape(-1)
-                )
-                nw = float(np.linalg.norm(wf))
-                score = 0.0 if nq < 1e-12 or nw < 1e-12 else min(1.0, max(-1.0, float(np.dot(qf, wf) / (nq * nw))))
-                hits.append((score, level_idx, cy, cx))
-    hits.sort(key=lambda h: (-h[0], h[1], h[2], h[3]))
+    for cy in range(fm.height - query.h_cells + 1):
+        for cx in range(fm.width - query.w_cells + 1):
+            wf = (
+                fm.data[cy : cy + query.h_cells, cx : cx + query.w_cells, :]
+                .astype(np.float64)
+                .reshape(-1)
+            )
+            nw = float(np.linalg.norm(wf))
+            score = 0.0 if nq < 1e-12 or nw < 1e-12 else min(1.0, max(-1.0, float(np.dot(qf, wf) / (nq * nw))))
+            hits.append((score, cy, cx))
+    hits.sort(key=lambda h: (-h[0], h[1], h[2]))
     return hits[:top_n]
 
 
@@ -214,41 +197,53 @@ class TestSlideMatch:
         rng = np.random.default_rng(3)
         fm = random_fmap(rng, 10, 12, 4)
         q = extract_window(fm, (3, 2, 4, 5))
-        hits = slide_match(q, single_level_pyramid(fm), top_n=3)
+        hits = slide_match(q, fm, top_n=3)
         assert (hits[0].cell_x, hits[0].cell_y) == (3, 2)
         assert hits[0].score == pytest.approx(1.0, abs=1e-6)
 
     def test_all_zero_frame_scores_zero_first_placement(self):
         fm = fmap_from(np.zeros((6, 6, 2)))
         q = extract_window(fm, (1, 1, 2, 2))
-        hits = slide_match(q, single_level_pyramid(fm), top_n=2)
+        hits = slide_match(q, fm, top_n=2)
         assert all(h.score == 0.0 for h in hits)
-        assert (hits[0].level_idx, hits[0].cell_y, hits[0].cell_x) == (0, 0, 0)
+        assert (hits[0].cell_y, hits[0].cell_x) == (0, 0)
 
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(4)
         fm = random_fmap(rng, 8, 8, 3)
         planted = extract_window(fm, (2, 4, 3, 2))
-        pyr = single_level_pyramid(fm)
-        hits = slide_match(planted, pyr, top_n=3)
-        oracle = slide_match_oracle(planted, pyr, 3)
-        assert [(h.score, h.level_idx, h.cell_y, h.cell_x) for h in hits] == oracle
+        hits = slide_match(planted, fm, top_n=3)
+        oracle = slide_match_oracle(planted, fm, 3)
+        assert [(h.score, h.cell_y, h.cell_x) for h in hits] == oracle
 
     def test_window_too_large(self):
         fm = fmap_from(np.zeros((3, 3, 1)))
         q = extract_window(fm, (0, 0, 3, 3))
-        small = single_level_pyramid(fmap_from(np.zeros((2, 2, 1))))
+        small = fmap_from(np.zeros((2, 2, 1)))
         with pytest.raises(WindowTooLargeError):
             slide_match(q, small, top_n=1)
+
+    def test_one_shape_too_large_refuses_the_scan(self):
+        fm = fmap_from(np.ones((3, 4, 1)))
+        fits = extract_window(fm, (0, 0, 2, 2))
+        too_tall = QueryWindow(w_cells=2, h_cells=4, channels=1, data=np.ones(8))
+        with pytest.raises(WindowTooLargeError, match="4x2 cells"):
+            scan_queries([fits, too_tall], fm, top_n=1)
+
+    def test_hit_box_is_the_placement_at_the_stride(self):
+        rng = np.random.default_rng(8)
+        fm = random_fmap(rng, 6, 7, 2)
+        q = extract_window(fm, (3, 1, 2, 3))
+        (hit,) = slide_match(q, fm, top_n=1, cell_stride=4.0)
+        assert (hit.cell_x, hit.cell_y) == (3, 1)
+        assert hit.pixel_box == BBox(12.0, 4.0, 20.0, 16.0)
 
     def test_scores_invariant_to_positive_feature_scaling(self):
         rng = np.random.default_rng(5)
         fm = random_fmap(rng, 7, 7, 3)
         q = extract_window(fm, (1, 1, 3, 3))
-        base = slide_match(q, single_level_pyramid(fm), top_n=5)
-        scaled = slide_match(
-            q, single_level_pyramid(fmap_from(fm.data * 3.7)), top_n=5
-        )
+        base = slide_match(q, fm, top_n=5)
+        scaled = slide_match(q, fmap_from(fm.data * 3.7), top_n=5)
         for a, b in zip(base, scaled):
             # maps store float32, so the rescaled grid is rounded before scoring
             assert b.score == pytest.approx(a.score, abs=1e-6)
@@ -260,64 +255,55 @@ class TestSlideMatch:
         q = extract_window(fmap_from(fm_arr), (5, 5, 3, 3))
         other = rng.normal(size=(9, 9, 4)).astype(np.float32)
         other[1:4, 2:5, :] = q.data.reshape(3, 3, 4)
-        hits = slide_match(q, single_level_pyramid(fmap_from(other)), top_n=1)
+        hits = slide_match(q, fmap_from(other), top_n=1)
         assert (hits[0].cell_x, hits[0].cell_y) == (2, 1)
         assert hits[0].score == pytest.approx(1.0, abs=1e-6)
 
 
-def _scan(query, pyramid, top_n):
-    return [(h.score, h.level_idx, h.cell_y, h.cell_x) for h in slide_match(query, pyramid, top_n)]
+def _scan(query, fmap, top_n):
+    return [(h.score, h.cell_y, h.cell_x) for h in slide_match(query, fmap, top_n)]
 
 
 class TestSlideMatchScanOracle:
     """The array scan must equal the one-placement-at-a-time oracle exactly."""
 
-    def test_pyramid_with_level_smaller_than_window(self):
+    def test_top_n_beyond_the_placements(self):
         rng = np.random.default_rng(11)
         base = random_fmap(rng, 12, 14, 5)
-        pyr = FeaturePyramid(
-            levels=(
-                (1.0, base),
-                (0.7, random_fmap(rng, 8, 10, 5)),
-                (0.5, random_fmap(rng, 3, 9, 5)),  # shorter than the window
-            ),
-            cell_stride=4.0,
-        )
         q = extract_window(base, (3, 2, 5, 4))
-        n = 12 * 14  # more than the placements of the two levels that fit
-        hits = _scan(q, pyr, n)
-        assert hits == slide_match_oracle(q, pyr, n)
-        assert {level for _, level, _, _ in hits} == {0, 1}
+        n = 12 * 14  # more than the 9 x 10 placements
+        hits = _scan(q, base, n)
+        assert hits == slide_match_oracle(q, base, n)
+        assert len(hits) == 9 * 10
 
     def test_zero_norm_placements_and_zero_query(self):
         rng = np.random.default_rng(12)
         arr = rng.normal(size=(9, 10, 3))
         arr[:5, :6, :] = 0.0
-        pyr = single_level_pyramid(fmap_from(arr))
-        q = extract_window(fmap_from(arr), (4, 5, 3, 3))
-        assert _scan(q, pyr, 80) == slide_match_oracle(q, pyr, 80)
+        fm = fmap_from(arr)
+        q = extract_window(fm, (4, 5, 3, 3))
+        assert _scan(q, fm, 80) == slide_match_oracle(q, fm, 80)
         zero_q = QueryWindow(w_cells=3, h_cells=3, channels=3, data=np.zeros(27))
-        hits = _scan(zero_q, pyr, 80)
-        assert hits == slide_match_oracle(zero_q, pyr, 80)
-        assert all(score == 0.0 for score, _, _, _ in hits)
+        hits = _scan(zero_q, fm, 80)
+        assert hits == slide_match_oracle(zero_q, fm, 80)
+        assert all(score == 0.0 for score, _, _ in hits)
 
     @pytest.mark.parametrize("cap_rows", [0.5, 1, 3, 7, 25])
-    def test_level_scanned_in_blocks(self, monkeypatch, cap_rows):
+    def test_map_scanned_in_blocks(self, monkeypatch, cap_rows):
         rng = np.random.default_rng(13)
         fm = random_fmap(rng, 11, 13, 4)
-        pyr = single_level_pyramid(fm)
         q = resample_window(fm, (2, 3, 5, 4), (4, 3))
         n = 9 * 10
-        whole = _scan(q, pyr, n)
+        whole = _scan(q, fm, n)
         # cap_rows placement rows of 4x3x4 float64 values per block
         monkeypatch.setattr(featmap, "SCAN_BLOCK_BYTES", int(cap_rows * 8 * q.data.size))
-        blocked = _scan(q, pyr, n)
-        assert blocked == whole == slide_match_oracle(q, pyr, n)
+        blocked = _scan(q, fm, n)
+        assert blocked == whole == slide_match_oracle(q, fm, n)
 
 
 
 class TestGroupedScan:
-    """Queries of mixed window shapes scanned together on one pyramid: each
+    """Queries of mixed window shapes scanned together on one map: each
     query's rows equal what the one-placement oracle finds for it alone."""
 
     SHAPES = [(2, 2), (3, 2), (2, 3), (4, 3)]  # (w_cells, h_cells)
@@ -335,14 +321,7 @@ class TestGroupedScan:
         c = int(rng.integers(1, 4))
         base = rng.normal(size=(int(rng.integers(5, 9)), int(rng.integers(5, 9)), c))
         base[: int(rng.integers(2, 5)), : int(rng.integers(2, 5)), :] = 0.0  # zero-norm placements
-        pyr = FeaturePyramid(
-            levels=(
-                (1.0, fmap_from(base)),
-                (0.7, random_fmap(rng, 4, 5, c)),
-                (0.5, random_fmap(rng, 2, 3, c)),  # too short for 2x3 and 4x3 windows
-            ),
-            cell_stride=4.0,
-        )
+        fm = fmap_from(base)
         queries = []
         for i, (w, h) in enumerate(shapes):
             if i == zero_at % len(shapes):
@@ -355,35 +334,13 @@ class TestGroupedScan:
                 queries.append(extract_window(fmap_from(base), (x, y, w, h)))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(featmap, "SCAN_BLOCK_BYTES", block_bytes)
-            score, place = scan_queries(queries, pyr, top_n)
+            score, place = scan_queries(queries, fm, top_n)
         assert score.shape == place.shape[:2] == (len(queries), top_n)
         for q, query in enumerate(queries):
-            want = slide_match_oracle(query, pyr, top_n)
+            want = slide_match_oracle(query, fm, top_n)
             got = [(s, *where) for s, where in zip(score[q].tolist(), place[q].tolist())]
             assert got[: len(want)] == want
-            assert got[len(want):] == [(-np.inf, -1, -1, -1)] * (top_n - len(want))
-
-
-class TestPyramidValidation:
-    def test_scales_must_decrease(self):
-        fm = fmap_from(np.zeros((4, 4, 1)))
-        with pytest.raises(ConfigInvalidError):
-            FeaturePyramid(levels=((1.0, fm), (1.0, fm)), cell_stride=1.0)
-
-    def test_seven_levels_need_root_two_ratio(self):
-        fm = fmap_from(np.zeros((4, 4, 1)))
-        bad = tuple((1.0 / (i + 1), fm) for i in range(7))
-        with pytest.raises(ConfigInvalidError):
-            FeaturePyramid(levels=bad, cell_stride=1.0)
-        good = tuple(((2 ** -0.5) ** i, fm) for i in range(7))
-        FeaturePyramid(levels=good, cell_stride=1.0)
-
-    def test_too_many_levels(self):
-        fm = fmap_from(np.zeros((4, 4, 1)))
-        with pytest.raises(ConfigInvalidError):
-            FeaturePyramid(
-                levels=tuple((0.9 ** i, fm) for i in range(8)), cell_stride=1.0
-            )
+            assert got[len(want):] == [(-np.inf, -1, -1)] * (top_n - len(want))
 
 
 class TestFmapIo:

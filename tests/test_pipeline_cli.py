@@ -30,7 +30,7 @@ from boxforge.tracks import FrameSelection
 from boxforge.voting import PseudoGT
 
 # Matching profile for the synthetic data: planted objects occupy ~30 cells
-# on a stride-1 single-level map, every frame is cheap enough to sample.
+# on a stride-1 map, every frame is cheap enough to sample.
 PROFILE = dict(target_cells=30, frame_stride=1, bandwidth=2.0)
 
 
@@ -685,16 +685,16 @@ class TestEachIntermediateOnce:
 
     @pytest.mark.parametrize("lsvm_rounds", [1, 2])
     def test_counts(self, synth_dir, tmp_path, monkeypatch, lsvm_rounds):
-        parsed, manifests, votes, fits, pyramids = [], [], [], [], []
+        parsed, manifests, votes, fits, videos = [], [], [], [], []
         scans, fmap_reads, updates = [], [], []
         self.count(monkeypatch, dataio, "read_proposals", parsed)
         self.count(monkeypatch, dataio, "load_manifest", manifests)
-        self.count(monkeypatch, dataio.Manifest, "load_video_pyramids", pyramids)
+        self.count(monkeypatch, dataio.Manifest, "load_video_frames", videos)
         self.count(monkeypatch, dataio, "read_fmap", fmap_reads,
                    record=lambda path, result: Path(path))
         self.count(
             monkeypatch, transfer, "scan_queries", scans,
-            record=lambda queries, pyramid, top_n, result: len(queries),
+            record=lambda queries, fmap, top_n, result: len(queries),
         )
         self.count(
             monkeypatch, pipeline, "select_pseudo_gt", votes,
@@ -737,7 +737,7 @@ class TestEachIntermediateOnce:
         # select-tracks and cross-validation each open every video and read
         # each of its frames once; match takes the top hits of the scan that
         # select-tracks ran
-        assert len(pyramids) == 2 * len(manifest.videos)
+        assert len(videos) == 2 * len(manifest.videos)
         assert Counter(p for p in fmap_reads if p in frames) == {p: 2 for p in frames}
 
     def test_no_sampled_frame(self, synth_dir, tmp_path, capsys):
@@ -1138,6 +1138,105 @@ class TestMalformedJson:
         path.write_text('{"a": 1}\n\n{"a": 2}\n{"a": \n')
         with pytest.raises(ConfigInvalidError, match="rows.jsonl line 4"):
             list(dataio.read_jsonl(path))
+
+
+# Each record file a subcommand reads, by that subcommand; vote and
+# cv-bandwidth read only `image_id` and `box` of transfers.jsonl.
+RECORD_READERS = {
+    pipeline.SELECTIONS: ("match", dataio.SELECTION_SCHEMA),
+    pipeline.PSEUDO_GT: ("train", dataio.PSEUDO_GT_SCHEMA),
+    pipeline.DETECTIONS_INITIAL: ("eval", dataio.DETECTION_SCHEMA),
+}
+RECORD_SCHEMAS = {
+    pipeline.SELECTIONS: dataio.SELECTION_SCHEMA,
+    pipeline.TRANSFERS: dataio.TRANSFER_SCHEMA,
+    pipeline.PSEUDO_GT: dataio.PSEUDO_GT_SCHEMA,
+    pipeline.DETECTIONS_INITIAL: dataio.DETECTION_SCHEMA,
+}
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+class TestNonFiniteNumbers:
+    """``json`` reads the ``NaN``, ``Infinity`` and ``-Infinity`` literals;
+    every number read from an input file refuses them with a JSON error
+    naming the file and the key."""
+
+    @pytest.fixture(scope="class")
+    def finished(self, synth_dir, tmp_path_factory):
+        out = tmp_path_factory.mktemp("finished")
+        code = run_cli("pipeline", "--manifest", synth_dir / "manifest.json", "--out", out,
+                       "--seed", 0, "--target-cells", 30, "--frame-stride", 1, "--bandwidth", 2.0)
+        assert code == 0
+        return out
+
+    # (command, (flag, file under --out), file, key); unrefused, the first
+    # three give a wrong `map`, an OverflowError and a ValueError traceback
+    CASES = [
+        pytest.param(command, flag, name, key, id=f"{command}-{name}-{key}")
+        for command, flag, name, key in (
+            ("eval", ("--detections-bboxreg", pipeline.DETECTIONS_BBOXREG),
+             pipeline.DETECTIONS_BBOXREG, "score"),
+            ("pipeline", ("--heatmaps", "heatmaps"), "manifest.json", "size"),
+            ("update", (), pipeline.MODEL_INITIAL, "weights"),
+            ("update", (), pipeline.MODEL_INITIAL, "bias"),
+            ("pipeline", (), "manifest.json", "cell_stride"),
+            *(
+                (command, (), name, key)
+                for name, (command, schema) in RECORD_READERS.items()
+                for key, read in schema.items() if read is dataio._real
+            ),
+        )
+    ]
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=str)
+    @pytest.mark.parametrize("command,flag,name,key", CASES)
+    def test_cli_refuses_it(
+        self, synth_dir, finished, tmp_path, capsys, command, flag, name, key, value
+    ):
+        data, out = tmp_path / "data", tmp_path / "out"
+        shutil.copytree(synth_dir, data)
+        shutil.copytree(finished, out)
+        path = data / name if name == "manifest.json" else out / name
+        if name.endswith(".jsonl"):
+            rows = list(dataio.read_jsonl(path))
+            rows[0][key] = value
+            dataio.write_jsonl(path, rows)
+        else:
+            doc = json.loads(path.read_text())
+            if key == "size":
+                for image in doc["images"]:
+                    image["size"] = [value, 16]
+            elif key == "weights":
+                doc["weights"][0] = value
+            else:
+                doc[key] = value
+            path.write_text(json.dumps(doc))
+        flags = (flag[0], out / flag[1]) if flag else ()
+        code = run_cli(command, "--manifest", data / "manifest.json", "--out", out,
+                       "--seed", 0, *flags)
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigInvalidError"
+        where = f"{name} line 1" if name.endswith(".jsonl") else name
+        assert f"{where}: bad value for key {key!r}" in err["message"]
+
+    SAMPLE_ROW = {
+        "video_id": "v", "frame_idx": 0, "box": [0, 0, 1, 1], "score": 1.0, "track_id": 0,
+        "image_id": "a", "region_id": "r", "sim": 1.0, "vote": 1.0, "support": 1,
+        "updated": False,
+    }
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=str)
+    @pytest.mark.parametrize("schema,key", [
+        pytest.param(schema, key, id=f"{name}-{key}") for name, schema in RECORD_SCHEMAS.items()
+        for key, read in schema.items() if read is dataio._real
+    ])
+    def test_every_real_record_key_refuses_it(self, tmp_path, schema, key, value):
+        path = tmp_path / "rows.jsonl"
+        row = {k: self.SAMPLE_ROW[k] for k in schema}
+        dataio.write_jsonl(path, [row, {**row, key: value}])
+        with pytest.raises(ConfigInvalidError, match=f"rows.jsonl line 2: bad value for key {key!r}"):
+            dataio._read_rows(path, schema)
 
 
 class TestProposalDescriptors:
@@ -1573,7 +1672,7 @@ class TestManifest:
         with pytest.raises(MissingInputError):
             manifest.image("no_such_image")
         with pytest.raises(MissingInputError):
-            manifest.load_video_pyramids("no_such_video")
+            manifest.load_video_frames("no_such_video")
 
 
 class TestRegressFallbacks:

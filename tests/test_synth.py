@@ -7,7 +7,7 @@ import pytest
 
 from boxforge import dataio
 from boxforge.errors import ConfigInvalidError
-from boxforge.featmap import extract_window, read_fmap, single_level_pyramid, slide_match
+from boxforge.featmap import extract_window, read_fmap, slide_match
 from boxforge.geometry import iou
 from boxforge.mining import build_clusters, dedup_clusters, rank_clusters
 from boxforge.synth import (
@@ -141,7 +141,7 @@ def test_noiseless_identity_match(tmp_path):
     fmap = manifest.load_image_fmap(image_id)
     rect = tuple(int(c) for c in (gt_box.x_min, gt_box.y_min, gt_box.width, gt_box.height))
     q = extract_window(fmap, rect)
-    hits = slide_match(q, single_level_pyramid(fmap), top_n=1)
+    hits = slide_match(q, fmap, top_n=1)
     assert hits[0].score == pytest.approx(1.0, abs=1e-6)
     assert (hits[0].cell_x, hits[0].cell_y) == (rect[0], rect[1])
 
