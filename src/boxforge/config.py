@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
-from .detector import TrainConfig
 from .errors import ConfigInvalidError
 
 
@@ -75,15 +74,6 @@ class PipelineConfig:
             raise ConfigInvalidError(f"nms_iou must be in [0, 1], got {self.nms_iou}")
         if not self.regressor_l2 >= 0.0:
             raise ConfigInvalidError(f"regressor_l2 must be >= 0, got {self.regressor_l2}")
-
-    def train_config(self) -> TrainConfig:
-        """The detector's SGD settings."""
-        return TrainConfig(
-            steps=self.train_steps,
-            learning_rate=self.learning_rate,
-            weight_decay=self.weight_decay,
-            seed=self.seed,
-        )
 
 
 def _floats(raw: str) -> tuple[float, ...]:

@@ -109,6 +109,13 @@ def _names(value) -> tuple[str, ...]:
     return tuple(_text(n) for n in value)
 
 
+def _one_name(value) -> tuple[str]:
+    names = _names(value)
+    if len(names) > 1:
+        raise ValueError(f"expected one category per run, got {len(names)}")
+    return names
+
+
 def _paths(value) -> tuple[Path, ...]:
     return tuple(map(Path, _names(value)))
 
@@ -297,7 +304,7 @@ def load_manifest(path: str | Path) -> Manifest:
     return Manifest(
         root=p.parent,
         cell_stride=doc.typed("cell_stride", _positive),
-        categories=doc.typed("categories", _names),
+        categories=doc.typed("categories", _one_name),
         images=images,
         videos=videos,
         files=doc.typed("files", dict) if "files" in doc else {},
@@ -461,9 +468,25 @@ def _write_rows(path: str | Path, schema: Mapping[str, Callable], records: Itera
     write_jsonl(path, map(row, records))
 
 
-def _read_rows(path: str | Path, schema: Mapping[str, Callable], make=lambda *v: v) -> list:
-    """``make`` of each row's values, converted key by key in schema order."""
-    return [make(*(row.typed(k, read) for k, read in schema.items())) for row in read_jsonl(path)]
+def _read_rows(
+    path: str | Path, schema: Mapping[str, Callable], make=lambda *v: v, key: tuple = ()
+) -> list:
+    """``make`` of each row's values, converted key by key in schema order.
+
+    A row whose values at the schema keys ``key`` repeat an earlier row's
+    is refused with :class:`ConfigInvalidError` naming its line and ``key``.
+    """
+    records, seen = [], set()
+    for row in read_jsonl(path):
+        values = {k: row.typed(k, read) for k, read in schema.items()}
+        if key:
+            ident = tuple(values[k] for k in key)
+            if ident in seen:
+                named = ", ".join(f"{k} {v!r}" for k, v in zip(key, ident))
+                raise ConfigInvalidError(f"{row.where}: {named} repeats an earlier row")
+            seen.add(ident)
+        records.append(make(*values.values()))
+    return records
 
 
 def write_regions(path: str | Path, regions: Sequence[MinedRegion]) -> None:
@@ -471,7 +494,7 @@ def write_regions(path: str | Path, regions: Sequence[MinedRegion]) -> None:
 
 
 def read_regions(path: str | Path) -> list[MinedRegion]:
-    return _read_rows(path, REGION_SCHEMA, MinedRegion)
+    return _read_rows(path, REGION_SCHEMA, MinedRegion, key=("region_id",))
 
 
 def write_selections(path: str | Path, selections: Sequence[FrameSelection]) -> None:
@@ -479,7 +502,8 @@ def write_selections(path: str | Path, selections: Sequence[FrameSelection]) -> 
 
 
 def read_selections(path: str | Path) -> dict[tuple[str, int], FrameSelection]:
-    selections = _read_rows(path, SELECTION_SCHEMA, FrameSelection)
+    key = ("video_id", "frame_idx")
+    selections = _read_rows(path, SELECTION_SCHEMA, FrameSelection, key=key)
     return {(s.video_id, s.frame_idx): s for s in selections}
 
 
@@ -501,7 +525,8 @@ def write_pseudo_gts(path: str | Path, gts: Sequence[PseudoGT]) -> None:
 
 
 def read_pseudo_gts(path: str | Path) -> dict[str, PseudoGT]:
-    return {g.image_id: g for g in _read_rows(path, PSEUDO_GT_SCHEMA, PseudoGT)}
+    gts = _read_rows(path, PSEUDO_GT_SCHEMA, PseudoGT, key=("image_id",))
+    return {g.image_id: g for g in gts}
 
 
 def write_detections(path: str | Path, rows: Sequence[tuple[str, BBox, float]]) -> None:

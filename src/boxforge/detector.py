@@ -59,14 +59,6 @@ class BoxRegressor:
         return cls(weights=np.zeros((4, dim)), biases=np.zeros(4))
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    steps: int = 300
-    learning_rate: float = 0.1
-    weight_decay: float = 1e-4
-    seed: int = 0
-
-
 def hard_negative_mask(coords: np.ndarray, pseudo_gt: BBox) -> np.ndarray:
     """Which proposal rows (N, 4 corners) fall in the 0.1-0.3 IOU hard-negative band."""
     overlap = iou_rows(coords, pseudo_gt)
@@ -94,11 +86,16 @@ def hinge_objective(
 def train_linear(
     features: np.ndarray,
     labels: np.ndarray,
-    config: TrainConfig,
+    steps: int,
+    learning_rate: float,
+    weight_decay: float,
+    seed: int,
     category_id: str = "",
 ) -> LinearModel:
     """Minibatch subgradient descent on the regularized hinge objective.
 
+    The four SGD settings are :class:`~boxforge.config.PipelineConfig`'s
+    ``train_steps``, ``learning_rate``, ``weight_decay`` and ``seed``.
     Starts from the zero model and returns it unchanged when ``steps`` is 0.
     The final model is guaranteed to score no worse (on the full training
     set objective) than the zero model.
@@ -112,14 +109,14 @@ def train_linear(
     dim = X.shape[1]
     w = np.zeros(dim)
     b = 0.0
-    if config.steps <= 0:
+    if steps <= 0:
         return LinearModel(weights=w, bias=b, category_id=category_id)
     pos_idx = np.flatnonzero(y > 0)
     neg_idx = np.flatnonzero(y < 0)
     if not pos_idx.size or not neg_idx.size:
         raise EmptyPoolError("training needs at least one positive and one negative")
-    rng = np.random.default_rng(config.seed)
-    for _ in range(config.steps):
+    rng = np.random.default_rng(seed)
+    for _ in range(steps):
         batch = np.concatenate((
             pos_idx[_draw(pos_idx.size, BATCH_POS, rng)],
             neg_idx[_draw(neg_idx.size, BATCH_NEG, rng)],
@@ -128,12 +125,12 @@ def train_linear(
         margins = yb * (Xb @ w + b)
         viol = margins < 1.0
         m = len(batch)
-        grad_w = 2.0 * config.weight_decay * w - (yb[viol] @ Xb[viol]) / m
+        grad_w = 2.0 * weight_decay * w - (yb[viol] @ Xb[viol]) / m
         grad_b = -float(np.sum(yb[viol])) / m
-        w = w - config.learning_rate * grad_w
-        b = b - config.learning_rate * grad_b
-    if hinge_objective(w, b, X, y, config.weight_decay) > hinge_objective(
-        np.zeros(dim), 0.0, X, y, config.weight_decay
+        w = w - learning_rate * grad_w
+        b = b - learning_rate * grad_b
+    if hinge_objective(w, b, X, y, weight_decay) > hinge_objective(
+        np.zeros(dim), 0.0, X, y, weight_decay
     ):
         return LinearModel(weights=np.zeros(dim), bias=0.0, category_id=category_id)
     return LinearModel(weights=w, bias=b, category_id=category_id)

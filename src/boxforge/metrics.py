@@ -15,6 +15,7 @@ from .errors import NoGroundTruthError, NoPositiveImagesError
 from .geometry import BBox, contains, iou
 
 CORLOC_IOU = 0.5
+AP_IOU = 0.5  # VOC's overlap for a true-positive detection
 
 
 class ErrorCase(enum.Enum):
@@ -99,14 +100,13 @@ ALL_POINT = "all_point"
 def average_precision(
     detections: Sequence[tuple[str, BBox, float]],
     gt: Mapping[str, Sequence[BBox]],
-    iou_thresh: float = 0.5,
     mode: str = ELEVEN_POINT,
 ) -> float:
     """PASCAL-style AP of scored detections against per-image GT boxes.
 
     Detections are processed score-descending (ties: image_id, then box
     coordinates) and greedily matched: a detection is a true positive when
-    its best-IOU ground-truth box reaches ``iou_thresh`` and is not already
+    its best-IOU ground-truth box reaches :data:`AP_IOU` and is not already
     matched.  ``eleven_point`` is the VOC2007 interpolation; ``all_point``
     integrates the precision envelope.
     """
@@ -129,7 +129,7 @@ def average_precision(
             ov = iou(box, g)
             if ov > best_iou:
                 best_iou, best_j = ov, j
-        if best_j >= 0 and best_iou >= iou_thresh and not matched[image_id][best_j]:
+        if best_j >= 0 and best_iou >= AP_IOU and not matched[image_id][best_j]:
             matched[image_id][best_j] = True
             tp_flags.append(True)
         else:

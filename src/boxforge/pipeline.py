@@ -36,7 +36,6 @@ from .config import PipelineConfig
 from .detector import (
     BoxRegressor,
     LinearModel,
-    TrainConfig,
     apply_regressor,
     cross_validate_bandwidth,
     fit_bbox_regressor,
@@ -218,7 +217,7 @@ def vote_pseudo_gts(
         size = ds.manifest.image(image_id).size
         for space, ranking in zip(spaces, rankings):
             gt = select_pseudo_gt(
-                space, theta=theta, image_bounds=size, image_id=image_id, ranking=ranking
+                space, ranking=ranking, theta=theta, image_bounds=size, image_id=image_id
             )
             if gt is not None:
                 gts[space.bandwidth][image_id] = gt
@@ -308,17 +307,26 @@ class DetectorFit:
     n_positives: int
 
 
-def fit_detector(ds: dataio.Dataset, pseudo_gts, train_config: TrainConfig) -> DetectorFit:
+def fit_detector(
+    ds: dataio.Dataset, pseudo_gts, steps: int, learning_rate: float, weight_decay: float,
+    seed: int,
+) -> DetectorFit:
     """Train the linear detector on ``pseudo_gts``, (image id, pseudo GT)
-    pairs; raises :class:`EmptyPoolError` when there is nothing to train on."""
+    pairs, with :func:`train_linear`'s SGD settings; raises
+    :class:`EmptyPoolError` when there is nothing to train on."""
     X, y = _training_corpus(ds, dict(pseudo_gts))
-    model = train_linear(X, y, train_config, category_id=ds.manifest.categories[0])
+    model = train_linear(
+        X, y, steps, learning_rate, weight_decay, seed, category_id=ds.manifest.categories[0]
+    )
     return DetectorFit(model=model, n_examples=int(X.shape[0]), n_positives=int(np.sum(y > 0)))
 
 
 def _fitted(ds: dataio.Dataset, cfg: PipelineConfig, pseudo_gts: dict[str, PseudoGT]):
     """The detector trained on ``pseudo_gts``, once per dataset."""
-    return ds.memo(fit_detector, tuple(sorted(pseudo_gts.items())), cfg.train_config())
+    return ds.memo(
+        fit_detector, tuple(sorted(pseudo_gts.items())),
+        cfg.train_steps, cfg.learning_rate, cfg.weight_decay, cfg.seed,
+    )
 
 
 def _detect(images, model, nms_iou):
@@ -573,8 +581,8 @@ def run_pipeline(cfg: PipelineConfig, heatmaps: Optional[str | Path] = None) -> 
     """Run every stage in order; returns the final metrics document."""
     if cfg.manifest is None or cfg.out_dir is None:
         raise MissingInputError("pipeline needs both manifest and out_dir")
+    ds = dataio.open_dataset(cfg.manifest)  # a refused manifest leaves no output directory
     stage = _Stage(cfg, "pipeline")
-    ds = dataio.open_dataset(cfg.manifest)
 
     run_mine(ds, cfg)
     run_select_tracks(ds, cfg)

@@ -59,6 +59,12 @@ class PseudoGT:
 ASCENT_BLOCK_BYTES = 256 << 10
 
 
+# Each mean-shift seed takes at most MAX_ITER passes and stops once its step
+# falls below TOL_PER_BANDWIDTH times its bandwidth.
+MAX_ITER = 200
+TOL_PER_BANDWIDTH = 1e-3
+
+
 def _block_rows(n_points: int) -> int:
     return max(1, ASCENT_BLOCK_BYTES // (n_points * 4 * 8))
 
@@ -105,27 +111,23 @@ def _votes(locs: np.ndarray, b_rows: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return votes
 
 
-def _ascend_all(
-    pts: np.ndarray,
-    seeds: np.ndarray,
-    b_rows: np.ndarray,
-    tol_rows: np.ndarray,
-    max_iter: int,
-) -> np.ndarray:
+def _ascend_all(pts: np.ndarray, seeds: np.ndarray, b_rows: np.ndarray) -> np.ndarray:
     """Mean-shift ascent from every seed at once; row i is seed i's mode.
 
-    Seed i ascends over all of ``pts`` at bandwidth ``b_rows[i]``.  Each
-    pass moves the still-active seeds, block by block, to the weighted mean
-    of the points.  A seed stops when its weights sum to zero (it stays put)
-    or its step falls below ``tol_rows[i]`` (it keeps the step).  The
+    Seed i ascends over all of ``pts`` at bandwidth ``b_rows[i]``, for at
+    most :data:`MAX_ITER` passes.  Each pass moves the still-active seeds,
+    block by block, to the weighted mean of the points.  A seed stops when
+    its weights sum to zero (it stays put) or its step falls below
+    :data:`TOL_PER_BANDWIDTH` times its bandwidth (it keeps the step).  The
     weighted sum is one matrix-vector product per seed, so every mode is
     bit-identical to ascending the seeds one at a time.
     """
     cols = _point_columns(pts)
+    tol_rows = TOL_PER_BANDWIDTH * b_rows
     modes = seeds.copy()
     active = np.arange(len(seeds))
     rows = _block_rows(len(pts))
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         moving = []
         for start in range(0, active.size, rows):
             idx = active[start:start + rows]
@@ -159,9 +161,6 @@ def _distinct_rows(pts: np.ndarray) -> np.ndarray:
     return ordered[first]
 
 
-MAX_ITER = 200
-
-
 class RankedAscents(NamedTuple):
     """Where each seed's ascent converged and the vote there, highest vote
     first, ties ordered by the location's coordinates."""
@@ -170,12 +169,7 @@ class RankedAscents(NamedTuple):
     votes: np.ndarray
 
 
-def ranked_ascents(
-    points: np.ndarray,
-    bandwidths: Sequence[float],
-    tol: Optional[float] = None,
-    max_iter: int = MAX_ITER,
-) -> list[RankedAscents]:
+def ranked_ascents(points: np.ndarray, bandwidths: Sequence[float]) -> list[RankedAscents]:
     """Each bandwidth's mean-shift ascents over one image's ``points``, an
     (N, 4) float64 array such as :attr:`VoteSpace.points`.
 
@@ -183,16 +177,15 @@ def ranked_ascents(
     point: a seed's path depends only on where it starts and on the points,
     so a repeated point would only repeat an ascent.  Every point, repeats
     included, still weighs in the kernel sums.  All bandwidths ascend
-    together in one active set; ``tol`` defaults to 1e-3 times each
-    bandwidth.  Raises :class:`NoPointsError` when ``points`` is empty.
+    together in one active set.  Raises :class:`NoPointsError` when
+    ``points`` is empty.
     """
     if len(points) == 0:
         raise NoPointsError("mean shift requires at least one vote point")
     seeds = _distinct_rows(points)
     n_b = len(bandwidths)
     b_rows = np.repeat(np.asarray(bandwidths, dtype=np.float64), len(seeds))
-    tol_rows = 1e-3 * b_rows if tol is None else np.full(len(b_rows), float(tol))
-    modes = _ascend_all(points, np.tile(seeds, (n_b, 1)), b_rows, tol_rows, max_iter)
+    modes = _ascend_all(points, np.tile(seeds, (n_b, 1)), b_rows)
     votes = _votes(modes, b_rows, points)
     ranked = []
     for locations, vote in zip(modes.reshape(n_b, -1, 4), votes.reshape(n_b, -1)):
@@ -202,11 +195,7 @@ def ranked_ascents(
     return ranked
 
 
-def mean_shift_modes(
-    space: VoteSpace,
-    tol: Optional[float] = None,
-    max_iter: int = MAX_ITER,
-) -> list[tuple[np.ndarray, float]]:
+def mean_shift_modes(space: VoteSpace) -> list[tuple[np.ndarray, float]]:
     """Modes of the vote field, highest vote first.
 
     Ascent is seeded at every point; converged locations within 0.5*b of an
@@ -214,7 +203,7 @@ def mean_shift_modes(
     Ties in vote are ordered by the mode's coordinates.
     Raises :class:`NoPointsError` on an empty space.
     """
-    [(locations, votes)] = ranked_ascents(space.points, [space.bandwidth], tol, max_iter)
+    [(locations, votes)] = ranked_ascents(space.points, [space.bandwidth])
     merge_radius = 0.5 * space.bandwidth
     modes: list[tuple[np.ndarray, float]] = []
     for m, v in zip(locations, votes.tolist()):
@@ -225,23 +214,18 @@ def mean_shift_modes(
 
 def select_pseudo_gt(
     space: VoteSpace,
-    theta: float = 20.0,
-    image_bounds: tuple[float, float] = (float("inf"), float("inf")),
-    image_id: str = "",
-    ranking: Optional[RankedAscents] = None,
+    ranking: RankedAscents,
+    theta: float,
+    image_bounds: tuple[float, float],
+    image_id: str,
 ) -> Optional[PseudoGT]:
-    """The highest-vote mode as a pseudo-GT box, or None.
+    """The highest-vote mode of ``space`` as a pseudo-GT box, or None.
 
-    Absent when the space is empty, the best vote falls below ``theta``, or
-    the mode clips to nothing inside the image.  ``support`` counts the
-    points within one bandwidth of the mode.  ``ranking`` is the space's
-    :func:`ranked_ascents` entry when the caller already has it; without it
-    the space is ascended here.
+    ``ranking`` is the space's :func:`ranked_ascents` entry.  Absent when
+    the best vote falls below ``theta``, or the mode clips to nothing inside
+    the image.  ``support`` counts the points within one bandwidth of the
+    mode.
     """
-    if space.n_points == 0:
-        return None
-    if ranking is None:
-        [ranking] = ranked_ascents(space.points, [space.bandwidth])
     # the top mode is the first ranked ascent: merging only decides what follows it
     mode, vote = ranking.locations[0], float(ranking.votes[0])
     if vote < theta:

@@ -41,7 +41,7 @@ from boxforge.pipeline import (
 )
 from boxforge.synth import SynthConfig, gen_dataset, gen_multi_instance_case
 from boxforge.tracks import evaluate_selection
-from boxforge.voting import PseudoGT, VoteSpace, select_pseudo_gt
+from boxforge.voting import PseudoGT, VoteSpace, ranked_ascents, select_pseudo_gt
 
 from test_mining import (
     dataset as make_dataset,
@@ -200,13 +200,15 @@ def test_criterion_3_voting_oracle():
             cloud += [base + shift + rng.normal(scale=0.5 * b, size=4) for _ in range(n2)]
         points = np.array(cloud)
         space = VoteSpace(points=points, bandwidth=b)
-        gt = select_pseudo_gt(space, theta=0.0, image_bounds=(1e9, 1e9))
+        [ranking] = ranked_ascents(points, [b])
+        gt = select_pseudo_gt(space, ranking, 0.0, (1e9, 1e9), "")
         assert gt is not None
         assert gt.vote >= grid_max_vote(points, b) * 0.99
 
     for m in (1, 7, 33):
         space = VoteSpace(points=np.tile([4.0, 4.0, 9.0, 9.0], (m, 1)), bandwidth=2.0)
-        gt = select_pseudo_gt(space, theta=0.0, image_bounds=(64, 64))
+        [ranking] = ranked_ascents(space.points, [2.0])
+        gt = select_pseudo_gt(space, ranking, 0.0, (64, 64), "")
         assert gt.vote == float(m)
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0

@@ -6,12 +6,12 @@ import pytest
 from types import SimpleNamespace
 
 from boxforge import dataio, detector, pipeline
+from boxforge.config import PipelineConfig
 from boxforge.detector import (
     BATCH_NEG,
     BATCH_POS,
     ImageProposals,
     LinearModel,
-    TrainConfig,
     apply_box_targets,
     apply_regressor,
     box_regression_targets,
@@ -151,13 +151,23 @@ class TestSampleMinibatch:
         b = detector._draw(300, BATCH_NEG, np.random.default_rng(7))
         assert np.array_equal(a, b)
         X, y = shuffled_pools(5, 200)
-        first = train_linear(X, y, TrainConfig(steps=20, seed=7))
-        second = train_linear(X, y, TrainConfig(steps=20, seed=7))
+        first = train_linear(X, y, **sgd(steps=20, seed=7))
+        second = train_linear(X, y, **sgd(steps=20, seed=7))
         assert np.array_equal(first.weights, second.weights) and first.bias == second.bias
 
     def test_empty_pool_raises(self):
         with pytest.raises(EmptyPoolError):
-            train_linear(np.zeros((3, 2)), -np.ones(3), TrainConfig(steps=1))
+            train_linear(np.zeros((3, 2)), -np.ones(3), **sgd(steps=1))
+
+
+def sgd(**settings):
+    """train_linear's four SGD settings: the pipeline's defaults, with
+    ``settings`` replacing some of them."""
+    cfg = PipelineConfig()
+    return {
+        "steps": cfg.train_steps, "learning_rate": cfg.learning_rate,
+        "weight_decay": cfg.weight_decay, "seed": cfg.seed, **settings,
+    }
 
 
 def list_draw(pool, n, rng):
@@ -171,7 +181,8 @@ def list_draw(pool, n, rng):
 
 
 def list_draw_train_linear(features, labels, config, category_id=""):
-    """train_linear with list pools and list_draw minibatches."""
+    """train_linear with list pools and list_draw minibatches; ``config``
+    holds its four SGD settings, as :func:`sgd` gives them."""
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64).reshape(-1)
     dim = X.shape[1]
@@ -179,19 +190,19 @@ def list_draw_train_linear(features, labels, config, category_id=""):
     b = 0.0
     pos_idx = [int(i) for i in np.flatnonzero(y > 0)]
     neg_idx = [int(i) for i in np.flatnonzero(y < 0)]
-    rng = np.random.default_rng(config.seed)
-    for _ in range(config.steps):
+    rng = np.random.default_rng(config["seed"])
+    for _ in range(config["steps"]):
         batch = list_draw(pos_idx, BATCH_POS, rng) + list_draw(neg_idx, BATCH_NEG, rng)
         Xb, yb = X[batch], y[batch]
         margins = yb * (Xb @ w + b)
         viol = margins < 1.0
         m = len(batch)
-        grad_w = 2.0 * config.weight_decay * w - (yb[viol] @ Xb[viol]) / m
+        grad_w = 2.0 * config["weight_decay"] * w - (yb[viol] @ Xb[viol]) / m
         grad_b = -float(np.sum(yb[viol])) / m
-        w = w - config.learning_rate * grad_w
-        b = b - config.learning_rate * grad_b
-    if hinge_objective(w, b, X, y, config.weight_decay) > hinge_objective(
-        np.zeros(dim), 0.0, X, y, config.weight_decay
+        w = w - config["learning_rate"] * grad_w
+        b = b - config["learning_rate"] * grad_b
+    if hinge_objective(w, b, X, y, config["weight_decay"]) > hinge_objective(
+        np.zeros(dim), 0.0, X, y, config["weight_decay"]
     ):
         return LinearModel(weights=np.zeros(dim), bias=0.0, category_id=category_id)
     return LinearModel(weights=w, bias=b, category_id=category_id)
@@ -228,9 +239,9 @@ class TestArrayDrawsMatchListDraws:
     @pytest.mark.parametrize("n_pos,n_neg", POOL_SIZES)
     def test_model_bytes_identical(self, tmp_path, n_pos, n_neg):
         X, y = shuffled_pools(n_pos, n_neg, seed=n_pos + n_neg)
-        cfg = TrainConfig(steps=60, learning_rate=0.2, seed=9)
+        cfg = sgd(steps=60, learning_rate=0.2, seed=9)
         dataio.write_model(tmp_path / "old.json", list_draw_train_linear(X, y, cfg, "obj"))
-        dataio.write_model(tmp_path / "new.json", train_linear(X, y, cfg, "obj"))
+        dataio.write_model(tmp_path / "new.json", train_linear(X, y, **cfg, category_id="obj"))
         assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
         assert json.loads((tmp_path / "new.json").read_text())["bias"] != 0.0
 
@@ -247,13 +258,13 @@ def separable_toy(n=40, seed=3):
 class TestTrainLinear:
     def test_separable_reaches_perfect_accuracy(self):
         X, y = separable_toy()
-        model = train_linear(X, y, TrainConfig(steps=200, learning_rate=0.1, seed=0))
+        model = train_linear(X, y, **sgd(steps=200, learning_rate=0.1, seed=0))
         acc = float(np.mean(np.sign(model.score(X)) == y))
         assert acc == 1.0
 
     def test_zero_steps_returns_zero_model(self):
         X, y = separable_toy()
-        model = train_linear(X, y, TrainConfig(steps=0))
+        model = train_linear(X, y, **sgd(steps=0))
         assert np.all(model.weights == 0.0) and model.bias == 0.0
 
     def test_objective_never_worse_than_zero_model(self):
@@ -261,26 +272,26 @@ class TestTrainLinear:
         X = rng.normal(size=(30, 3))
         y = np.sign(rng.normal(size=30))
         y[y == 0] = 1.0
-        cfg = TrainConfig(steps=50, learning_rate=5.0, weight_decay=0.01, seed=2)
-        model = train_linear(X, y, cfg)
-        assert hinge_objective(model.weights, model.bias, X, y, cfg.weight_decay) <= 1.0
+        cfg = sgd(steps=50, learning_rate=5.0, weight_decay=0.01, seed=2)
+        model = train_linear(X, y, **cfg)
+        assert hinge_objective(model.weights, model.bias, X, y, cfg["weight_decay"]) <= 1.0
 
     def test_identical_features_mixed_labels_predicts_majority(self):
         X = np.ones((10, 2))
         y = np.array([1.0] * 7 + [-1.0] * 3)
-        model = train_linear(X, y, TrainConfig(steps=100, learning_rate=0.05, seed=0))
+        model = train_linear(X, y, **sgd(steps=100, learning_rate=0.05, seed=0))
         assert np.all(model.score(X) >= 0.0)
 
     def test_deterministic_given_seed(self):
         X, y = separable_toy()
-        cfg = TrainConfig(steps=60, seed=11)
-        m1 = train_linear(X, y, cfg)
-        m2 = train_linear(X, y, cfg)
+        cfg = sgd(steps=60, seed=11)
+        m1 = train_linear(X, y, **cfg)
+        m2 = train_linear(X, y, **cfg)
         assert np.array_equal(m1.weights, m2.weights) and m1.bias == m2.bias
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            train_linear(np.zeros((4, 2)), np.ones(3), TrainConfig(steps=1))
+            train_linear(np.zeros((4, 2)), np.ones(3), **sgd(steps=1))
 
     def test_score_dim_check(self):
         model = LinearModel(weights=np.zeros(3), bias=0.0)

@@ -19,7 +19,7 @@ import boxforge
 from boxforge import atomic, cli, dataio, featmap, pipeline, transfer
 from boxforge.config import SETTINGS, PipelineConfig, build_config, parse_config_file
 from boxforge.errors import ConfigInvalidError, EmptyPoolError, MissingInputError
-from boxforge.detector import TrainConfig, fit_bbox_regressor, lsvm_update
+from boxforge.detector import fit_bbox_regressor, lsvm_update
 from boxforge.featmap import pool_box_feature
 from boxforge.geometry import BBox, iou, nms
 from boxforge.metrics import corloc
@@ -946,7 +946,7 @@ class TestArrayStagesMatchPerProposalCode:
         assert y.dtype == y_ref.dtype and np.array_equal(y, y_ref)
         assert 0 < np.sum(y > 0) < np.sum(y < 0)
 
-        model = pipeline.fit_detector(ds, pseudo_gts, TrainConfig(steps=50, seed=3)).model
+        model = pipeline.fit_detector(ds, pseudo_gts, 50, 0.1, 1e-4, 3).model
         assert pipeline._detect(ds.images, model, 0.3) == per_proposal_detect(images, model, 0.3)
         got = lsvm_update(model, ds.images, pseudo_gts, nms_iou=0.3)
         want = per_proposal_lsvm_update(model, images, pseudo_gts, 0.3)
@@ -1126,6 +1126,34 @@ class TestMalformedJson:
         path.write_text(text + "\n")
         with pytest.raises(ConfigInvalidError, match=f"rows.jsonl {message}"):
             reader(path)
+
+    @pytest.mark.parametrize("reader,rows,message", [
+        (dataio.read_regions, [
+            {"region_id": "r0", "image_id": "a", "box": [0, 0, 1, 1],
+             "cluster_id": "a#0", "cluster_rank": 0},
+            {"region_id": "r0", "image_id": "b", "box": [0, 0, 2, 2],
+             "cluster_id": "b#0", "cluster_rank": 1},
+        ], "line 2: region_id 'r0' repeats an earlier row"),
+        (dataio.read_selections, [
+            {"video_id": "v", "frame_idx": 1, "box": [0, 0, 1, 1], "score": 1, "track_id": 0},
+            {"video_id": "v", "frame_idx": 2, "box": [0, 0, 1, 1], "score": 1, "track_id": 0},
+            {"video_id": "v", "frame_idx": 1, "box": [0, 0, 2, 2], "score": 2, "track_id": 1},
+        ], "line 3: video_id 'v', frame_idx 1 repeats an earlier row"),
+        (dataio.read_pseudo_gts, [
+            {"image_id": "a", "box": [0, 0, 1, 1], "vote": 1, "support": 1, "updated": False},
+            {"image_id": "b", "box": [0, 0, 1, 1], "vote": 1, "support": 1, "updated": False},
+            {"image_id": "a", "box": [0, 0, 2, 2], "vote": 2, "support": 2, "updated": True},
+        ], "line 3: image_id 'a' repeats an earlier row"),
+    ], ids=["regions", "selections", "pseudo_gt"])
+    def test_repeated_key_is_refused(self, tmp_path, reader, rows, message):
+        """A stage indexes these files by their key, so a later row would
+        replace an earlier one, or two regions share one query."""
+        path = tmp_path / "rows.jsonl"
+        dataio.write_jsonl(path, rows)
+        with pytest.raises(ConfigInvalidError, match=f"rows.jsonl {message}"):
+            reader(path)
+        dataio.write_jsonl(path, rows[:-1])
+        assert len(reader(path)) == len(rows) - 1
 
     def test_model_bias_refuses_a_numeric_string(self, tmp_path):
         path = tmp_path / "model.json"
@@ -1602,7 +1630,7 @@ class TestManifest:
     @pytest.mark.parametrize("key,value", [
         ("cell_stride", 0), ("cell_stride", -1), ("categories", []),
         ("format_version", 9), ("format_version", 0), ("format_version", "1"),
-        ("format_version", True),
+        ("format_version", True), ("categories", ["dog", "obj"]), ("categories", ["obj", "dog"]),
     ])
     def test_bad_value_refused_before_anything_is_written(
         self, synth_dir, tmp_path, capsys, key, value
@@ -1618,6 +1646,20 @@ class TestManifest:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ConfigInvalidError"
         assert f"manifest.json: bad value for key {key!r}" in err["message"]
+        assert not out.exists()
+
+    def test_two_categories_refused_before_the_pipeline_writes(self, synth_dir, tmp_path, capsys):
+        doc = json.loads((synth_dir / "manifest.json").read_text())
+        doc["categories"] = ["obj", "dog"]
+        data = tmp_path / "data"
+        shutil.copytree(synth_dir, data)
+        (data / "manifest.json").write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        code = run_cli("pipeline", "--manifest", data / "manifest.json", "--out", out, "--seed", 0)
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigInvalidError"
+        assert "manifest.json: bad value for key 'categories'" in err["message"]
         assert not out.exists()
 
     def test_format_version_may_be_left_out(self, synth_dir, tmp_path):

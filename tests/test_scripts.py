@@ -1,5 +1,6 @@
 """Smoke tests of the code that drives the package from outside: the
-example scripts under ``scripts/`` and the benchmark's tracer.
+example scripts under ``scripts/``, the package import and the benchmark's
+tracer.
 
 The scripts call the stage functions directly, and the tracer wraps them by
 name and reads their arguments, so a change to a stage's signature that
@@ -32,6 +33,16 @@ def test_script_exits_zero(script, tmp_path):
         env=_env(), capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_package_import_loads_no_submodule():
+    """``import boxforge`` binds no names: each is imported from its module."""
+    code = "import sys, boxforge; print(sorted(m for m in sys.modules if m.startswith('boxforge.')))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=_env(), capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_benchmark_tracer_sees_every_layer(tmp_path):

@@ -151,11 +151,10 @@ def oracle_ascend(seed, space, tol, max_iter):
     return m
 
 
-def ranked_ascents_oracle(space, tol=None, max_iter=200):
+def ranked_ascents_oracle(space, tol_per_bandwidth=1e-3, max_iter=200):
     """(location, vote) of the ascent from every point, repeats included,
     highest vote first, ties ordered by the location's coordinates."""
-    if tol is None:
-        tol = 1e-3 * space.bandwidth
+    tol = tol_per_bandwidth * space.bandwidth
     converged = [oracle_ascend(space.points[i], space, tol, max_iter) for i in range(space.n_points)]
     scored = [(m, oracle_vote_value(m, space)) for m in converged]
     scored.sort(key=lambda mv: (-mv[1], tuple(mv[0])))
@@ -171,12 +170,24 @@ def merge_modes(scored, bandwidth):
     return modes
 
 
-def mean_shift_oracle(space, tol=None, max_iter=200):
-    return merge_modes(ranked_ascents_oracle(space, tol, max_iter), space.bandwidth)
+def mean_shift_oracle(space, tol_per_bandwidth=1e-3, max_iter=200):
+    return merge_modes(
+        ranked_ascents_oracle(space, tol_per_bandwidth, max_iter), space.bandwidth
+    )
+
+
+def patch_ascent(monkeypatch, tol_per_bandwidth, max_iter):
+    """Set the ascent's tolerance and pass limit; returns them as the
+    oracle's keyword arguments."""
+    monkeypatch.setattr(voting, "TOL_PER_BANDWIDTH", tol_per_bandwidth)
+    monkeypatch.setattr(voting, "MAX_ITER", max_iter)
+    return {"tol_per_bandwidth": tol_per_bandwidth, "max_iter": max_iter}
 
 
 def assert_modes_match_oracle(s, **kwargs):
-    got = mean_shift_modes(s, **kwargs)
+    """The modes equal the oracle's; ``kwargs`` are the oracle's settings,
+    which :func:`patch_ascent` has given the ascent."""
+    got = mean_shift_modes(s)
     want = mean_shift_oracle(s, **kwargs)
     assert len(got) == len(want)
     for (m, v), (wm, wv) in zip(got, want):
@@ -226,15 +237,15 @@ class TestMeanShiftMatchesOracle:
         assert_modes_match_oracle(s)
 
     @pytest.mark.parametrize("max_iter", [0, 1])
-    def test_zero_and_one_iteration(self, max_iter):
+    def test_zero_and_one_iteration(self, monkeypatch, max_iter):
         s = space(cloud(np.random.default_rng(8), 25), b=2.0)
-        modes = assert_modes_match_oracle(s, max_iter=max_iter)
+        modes = assert_modes_match_oracle(s, **patch_ascent(monkeypatch, 1e-3, max_iter))
         if max_iter == 0:
             assert all(any(np.array_equal(m, p) for p in s.points) for m, _ in modes)
 
-    def test_zero_tolerance_runs_every_iteration(self):
+    def test_zero_tolerance_runs_every_iteration(self, monkeypatch):
         s = space(cloud(np.random.default_rng(9), 15), b=2.0)
-        assert_modes_match_oracle(s, tol=0.0, max_iter=50)
+        assert_modes_match_oracle(s, **patch_ascent(monkeypatch, 0.0, 50))
 
     def test_tied_votes_ordered_by_coordinates(self):
         # three triples too far apart to weigh on each other score exactly
@@ -260,9 +271,11 @@ class TestMeanShiftMatchesOracle:
     @staticmethod
     def assert_joint_ascent_matches_oracle(pts, bandwidths, **kwargs):
         """One joint ascent over ``bandwidths`` gives, for each bandwidth,
-        the per-space oracle's ranking (repeated rows aside) and modes."""
+        the per-space oracle's ranking (repeated rows aside) and modes;
+        ``kwargs`` are the oracle's settings, as for
+        :func:`assert_modes_match_oracle`."""
         pts = np.asarray(pts, dtype=np.float64)
-        ranked = voting.ranked_ascents(pts, bandwidths, **kwargs)
+        ranked = voting.ranked_ascents(pts, bandwidths)
         assert len(ranked) == len(bandwidths)
         for b, (locations, votes) in zip(bandwidths, ranked):
             s = space(pts, b=b)
@@ -296,16 +309,28 @@ class TestMeanShiftMatchesOracle:
         # one ascent per distinct point, not per point
         assert all(len(locations) == n_distinct for locations, _ in ranked)
 
-    @pytest.mark.parametrize("tol,max_iter", [(0.05, 200), (None, 0), (None, 1), (0.0, 1)])
-    def test_joint_ascent_with_explicit_tolerance_and_iterations(self, tol, max_iter):
+    @pytest.mark.parametrize("tol_per_bandwidth,max_iter", [(1e-3, 0), (1e-3, 1), (0.0, 1)])
+    def test_joint_ascent_with_patched_tolerance_and_iterations(
+        self, monkeypatch, tol_per_bandwidth, max_iter
+    ):
         pts = cloud(np.random.default_rng(13), 40, spread=2.0, grid=0.5)
-        self.assert_joint_ascent_matches_oracle(pts, [1.0, 3.0, 2.0], tol=tol, max_iter=max_iter)
+        self.assert_joint_ascent_matches_oracle(
+            pts, [1.0, 3.0, 2.0], **patch_ascent(monkeypatch, tol_per_bandwidth, max_iter)
+        )
 
     def test_vote_value_matches_oracle_exactly(self):
         rng = np.random.default_rng(11)
         s = space(cloud(rng, 40), b=1.5)
         for l in rng.uniform(0, 40, size=(20, 4)):
             assert vote_value(l, s) == oracle_vote_value(l, s)
+
+
+def select(space, theta, image_bounds, image_id=""):
+    """select_pseudo_gt on the space's own ranking, as the vote stage calls it."""
+    [ranking] = voting.ranked_ascents(space.points, [space.bandwidth])
+    return select_pseudo_gt(
+        space, ranking=ranking, theta=theta, image_bounds=image_bounds, image_id=image_id
+    )
 
 
 def select_pseudo_gt_oracle(space, theta, image_bounds, image_id=""):
@@ -341,13 +366,13 @@ class TestSelectPseudoGt:
         pts[:, 2:] += 12.0  # mostly well-formed boxes; some stay inverted
         s = space(pts, b=b)
         bounds = (45.0, 45.0)
-        assert select_pseudo_gt(s, theta, bounds, "i") == select_pseudo_gt_oracle(
+        assert select(s, theta, bounds, "i") == select_pseudo_gt_oracle(
             s, theta, bounds, "i"
         )
 
     def test_25_coincident_boxes_with_theta_20(self):
         s = space([[1, 1, 7, 6]] * 25, b=2.0)
-        gt = select_pseudo_gt(s, theta=20.0, image_bounds=(16, 16), image_id="img")
+        gt = select(s, theta=20.0, image_bounds=(16, 16), image_id="img")
         assert gt is not None
         assert gt.vote == 25.0
         assert gt.support == 25
@@ -356,24 +381,24 @@ class TestSelectPseudoGt:
 
     def test_10_coincident_boxes_below_theta(self):
         s = space([[1, 1, 7, 6]] * 10, b=2.0)
-        assert select_pseudo_gt(s, theta=20.0, image_bounds=(16, 16)) is None
+        assert select(s, theta=20.0, image_bounds=(16, 16)) is None
 
     def test_exactly_theta_is_kept(self):
         s = space([[1, 1, 7, 6]] * 20, b=2.0)
-        assert select_pseudo_gt(s, theta=20.0, image_bounds=(16, 16)) is not None
+        assert select(s, theta=20.0, image_bounds=(16, 16)) is not None
 
-    def test_empty_space_is_absent(self):
-        s = VoteSpace(points=np.zeros((0, 4)), bandwidth=1.0)
-        assert select_pseudo_gt(s, theta=0.0, image_bounds=(16, 16)) is None
+    def test_empty_space_has_no_ranking_to_select_from(self):
+        with pytest.raises(NoPointsError):
+            voting.ranked_ascents(np.zeros((0, 4)), [1.0])
 
     def test_box_clipped_to_image_bounds(self):
         s = space([[-2, -2, 5, 5]] * 30, b=1.0)
-        gt = select_pseudo_gt(s, theta=20.0, image_bounds=(16.0, 16.0))
+        gt = select(s, theta=20.0, image_bounds=(16.0, 16.0))
         assert gt.box == BBox(0, 0, 5, 5)
 
     def test_mode_fully_outside_image_absent(self):
         s = space([[20, 20, 30, 30]] * 30, b=1.0)
-        assert select_pseudo_gt(s, theta=20.0, image_bounds=(16.0, 16.0)) is None
+        assert select(s, theta=20.0, image_bounds=(16.0, 16.0)) is None
 
     def test_two_cluster_mode_matches_grid_oracle(self):
         rng = np.random.default_rng(41)
@@ -382,7 +407,7 @@ class TestSelectPseudoGt:
         sparse = rng.normal(scale=0.3, size=(9, 4)) + np.array([10, 10, 14, 14])
         pts = np.vstack([dense, sparse])
         s = space(pts, b=b)
-        gt = select_pseudo_gt(s, theta=1.0, image_bounds=(1e9, 1e9))
+        gt = select(s, theta=1.0, image_bounds=(1e9, 1e9))
         lo = pts.min(axis=0)
         hi = pts.max(axis=0)
         axes = [np.arange(lo[d], hi[d] + b / 4, b / 4) for d in range(4)]
@@ -396,16 +421,16 @@ class TestSelectPseudoGt:
     def test_invariant_to_point_ordering(self):
         rng = np.random.default_rng(42)
         pts = rng.normal(size=(15, 4)) + np.array([4, 4, 10, 10])
-        a = select_pseudo_gt(space(pts, b=2.0), theta=0.0, image_bounds=(32, 32))
-        b = select_pseudo_gt(space(pts[::-1], b=2.0), theta=0.0, image_bounds=(32, 32))
+        a = select(space(pts, b=2.0), theta=0.0, image_bounds=(32, 32))
+        b = select(space(pts[::-1], b=2.0), theta=0.0, image_bounds=(32, 32))
         assert a.box.as_list() == pytest.approx(b.box.as_list(), abs=1e-9)
         assert a.vote == pytest.approx(b.vote, rel=1e-12)
 
     def test_adding_coincident_point_never_decreases_vote(self):
         pts = [[2, 2, 8, 8]] * 21 + [[3, 3, 9, 9]] * 4
-        before = select_pseudo_gt(space(pts, b=2.0), theta=0.0, image_bounds=(32, 32))
+        before = select(space(pts, b=2.0), theta=0.0, image_bounds=(32, 32))
         mode = before.box.as_list()
-        after = select_pseudo_gt(
+        after = select(
             space(pts + [mode], b=2.0), theta=0.0, image_bounds=(32, 32)
         )
         assert after.vote >= before.vote
@@ -521,7 +546,7 @@ class TestExportHeatmapMatchesOracle:
 class TestSelectPseudoGtErrors:
     def test_inverted_mode_is_absent(self):
         s = space([[7, 1, 1, 6]] * 25, b=2.0)
-        assert select_pseudo_gt(s, theta=20.0, image_bounds=(16, 16)) is None
+        assert select(s, theta=20.0, image_bounds=(16, 16)) is None
 
     def test_unrelated_error_propagates(self, monkeypatch):
         def broken(*coords):
@@ -529,4 +554,4 @@ class TestSelectPseudoGtErrors:
 
         monkeypatch.setattr(voting, "BBox", broken)
         with pytest.raises(RuntimeError):
-            select_pseudo_gt(space([[1, 1, 7, 6]] * 25, b=2.0), theta=20.0, image_bounds=(16, 16))
+            select(space([[1, 1, 7, 6]] * 25, b=2.0), theta=20.0, image_bounds=(16, 16))
