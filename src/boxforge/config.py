@@ -74,6 +74,8 @@ class PipelineConfig:
             raise ConfigInvalidError(f"nms_iou must be in [0, 1], got {self.nms_iou}")
         if not self.regressor_l2 >= 0.0:
             raise ConfigInvalidError(f"regressor_l2 must be >= 0, got {self.regressor_l2}")
+        if not 0 <= self.seed < 1 << 64:  # the SGD stream's key is 64 bits
+            raise ConfigInvalidError(f"seed must be in [0, 2**64), got {self.seed}")
 
 
 def _floats(raw: str) -> tuple[float, ...]:

@@ -109,11 +109,11 @@ def _names(value) -> tuple[str, ...]:
     return tuple(_text(n) for n in value)
 
 
-def _one_name(value) -> tuple[str]:
+def _one_name(value) -> str:
     names = _names(value)
     if len(names) > 1:
         raise ValueError(f"expected one category per run, got {len(names)}")
-    return names
+    return names[0]
 
 
 def _paths(value) -> tuple[Path, ...]:
@@ -208,7 +208,7 @@ class Manifest:
 
     root: Path
     cell_stride: float
-    categories: tuple[str, ...]
+    category: str  # the manifest's one-entry "categories" list
     images: tuple[ImageEntry, ...]
     videos: tuple[VideoEntry, ...]
     files: dict[str, str]
@@ -304,7 +304,7 @@ def load_manifest(path: str | Path) -> Manifest:
     return Manifest(
         root=p.parent,
         cell_stride=doc.typed("cell_stride", _positive),
-        categories=doc.typed("categories", _one_name),
+        category=doc.typed("categories", _one_name),
         images=images,
         videos=videos,
         files=doc.typed("files", dict) if "files" in doc else {},

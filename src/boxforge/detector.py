@@ -7,13 +7,22 @@ classifier is a hinge-loss linear model trained on 32/96 positive/negative
 minibatches, the latent update re-scores proposals to fill or refine
 pseudo-GT boxes, and box regression is ridge on the usual center/log-size
 targets.
+
+Minibatches come from a counter-based stream (Salmon et al., SC 2011) with
+SplitMix64's mixer (Steele, Lea and Flood, OOPSLA 2014) as its hash: draw k
+of SGD step s is ``mix(mix(seed) + (s * 128 + k + 1) * GAMMA)`` modulo 2**64,
+mapped into its pool of size p as ``((u >> 32) * p) >> 32`` (pools of at
+most 2**32 rows; bias at most p / 2**32).  Draws 0-31 index the positive
+pool and 32-127 the negative pool, i.i.d. with replacement in both, so a
+step costs O(batch) whatever the pool sizes, and any step's draws can be
+computed without the ones before it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -28,6 +37,9 @@ REGRESSION_IOU = 0.6
 LSVM_LEASH_IOU = 0.5
 BATCH_POS = 32  # positives per SGD minibatch
 BATCH_NEG = 96  # negatives per SGD minibatch
+STEP_DRAWS = BATCH_POS + BATCH_NEG
+DRAW_BLOCK_STEPS = 1024  # steps per block of draws: 1 MiB of uint64
+GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's increment, 2**64 / golden ratio
 
 
 @dataclass(frozen=True)
@@ -65,13 +77,30 @@ def hard_negative_mask(coords: np.ndarray, pseudo_gt: BBox) -> np.ndarray:
     return (HARD_NEG_LOW <= overlap) & (overlap <= HARD_NEG_HIGH)
 
 
-def _draw(pool_size: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Positions of ``n`` draws from a pool: without replacement when it is
-    large enough, so an exactly-sized pool comes back as a permutation of
-    itself, and with replacement otherwise."""
-    if pool_size >= n:
-        return rng.permutation(pool_size)[:n]
-    return rng.integers(0, pool_size, size=n)
+def mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's mixer on a uint64 array, elementwise, modulo 2**64."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+    return z ^ (z >> 31)
+
+
+def minibatch_draws(n_pos: int, n_neg: int, seed: int, steps: int) -> Iterator[np.ndarray]:
+    """Pool positions of ``steps`` SGD minibatches, as blocks of at most
+    :data:`DRAW_BLOCK_STEPS` rows of :data:`STEP_DRAWS` (the module
+    docstring gives the draw rule).  Row s of the whole table is step s:
+    its first :data:`BATCH_POS` entries index the positive pool of size
+    ``n_pos`` and the rest the negative pool of size ``n_neg``.
+
+    Whole uint64 arrays wrap modulo 2**64 silently, where numpy scalars
+    would warn, so even the key is a one-element array.
+    """
+    key = mix64(np.array([seed], dtype=np.uint64))
+    sizes = np.repeat(np.array([n_pos, n_neg], dtype=np.uint64), [BATCH_POS, BATCH_NEG])
+    for start in range(0, steps, DRAW_BLOCK_STEPS):
+        stop = min(start + DRAW_BLOCK_STEPS, steps)
+        counters = np.arange(start * STEP_DRAWS + 1, stop * STEP_DRAWS + 1, dtype=np.uint64)
+        u = mix64(key + counters.reshape(-1, STEP_DRAWS) * GAMMA)
+        yield (((u >> 32) * sizes) >> 32).astype(np.intp)
 
 
 def hinge_objective(
@@ -97,8 +126,9 @@ def train_linear(
     The four SGD settings are :class:`~boxforge.config.PipelineConfig`'s
     ``train_steps``, ``learning_rate``, ``weight_decay`` and ``seed``.
     Starts from the zero model and returns it unchanged when ``steps`` is 0.
-    The final model is guaranteed to score no worse (on the full training
-    set objective) than the zero model.
+    Every call draws the same minibatches for the same ``seed`` and pool
+    sizes (:func:`minibatch_draws`).  The final model is guaranteed to score
+    no worse (on the full training set objective) than the zero model.
     """
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64).reshape(-1)
@@ -115,23 +145,21 @@ def train_linear(
     neg_idx = np.flatnonzero(y < 0)
     if not pos_idx.size or not neg_idx.size:
         raise EmptyPoolError("training needs at least one positive and one negative")
-    rng = np.random.default_rng(seed)
-    for _ in range(steps):
-        batch = np.concatenate((
-            pos_idx[_draw(pos_idx.size, BATCH_POS, rng)],
-            neg_idx[_draw(neg_idx.size, BATCH_NEG, rng)],
-        ))
-        Xb, yb = X[batch], y[batch]
-        margins = yb * (Xb @ w + b)
-        viol = margins < 1.0
-        m = len(batch)
-        grad_w = 2.0 * weight_decay * w - (yb[viol] @ Xb[viol]) / m
-        grad_b = -float(np.sum(yb[viol])) / m
-        w = w - learning_rate * grad_w
-        b = b - learning_rate * grad_b
-    if hinge_objective(w, b, X, y, weight_decay) > hinge_objective(
-        np.zeros(dim), 0.0, X, y, weight_decay
-    ):
+    pools = np.concatenate((pos_idx, neg_idx))
+    pool_start = np.repeat([0, pos_idx.size], [BATCH_POS, BATCH_NEG])
+    for block in minibatch_draws(pos_idx.size, neg_idx.size, seed, steps):
+        for batch in pools[block + pool_start]:
+            Xb, yb = X[batch], y[batch]
+            margins = yb * (Xb @ w + b)
+            viol = margins < 1.0
+            m = len(batch)
+            grad_w = 2.0 * weight_decay * w - (yb[viol] @ Xb[viol]) / m
+            grad_b = -float(np.sum(yb[viol])) / m
+            w = w - learning_rate * grad_w
+            b = b - learning_rate * grad_b
+    # 1.0 is the zero model's objective, exactly: on finite features every
+    # margin is a signed zero, so every hinge is 1.0 and so is their mean
+    if hinge_objective(w, b, X, y, weight_decay) > 1.0:
         return LinearModel(weights=np.zeros(dim), bias=0.0, category_id=category_id)
     return LinearModel(weights=w, bias=b, category_id=category_id)
 

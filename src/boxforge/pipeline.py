@@ -316,7 +316,7 @@ def fit_detector(
     :class:`EmptyPoolError` when there is nothing to train on."""
     X, y = _training_corpus(ds, dict(pseudo_gts))
     model = train_linear(
-        X, y, steps, learning_rate, weight_decay, seed, category_id=ds.manifest.categories[0]
+        X, y, steps, learning_rate, weight_decay, seed, category_id=ds.manifest.category
     )
     return DetectorFit(model=model, n_examples=int(X.shape[0]), n_positives=int(np.sum(y > 0)))
 
@@ -447,7 +447,7 @@ def run_eval(
     """
     stage = _Stage(cfg, "eval")
     manifest = ds.manifest
-    category = manifest.categories[0]
+    category = manifest.category
     gt = _category_gt(manifest, category)
 
     ablation = {}

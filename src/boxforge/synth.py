@@ -66,6 +66,8 @@ class SynthConfig:
     noise_sigma: float = 0.05
 
     def validate(self) -> None:
+        if self.seed < 0:
+            raise ConfigInvalidError(f"seed must be >= 0, got {self.seed}")
         counts = {
             "n_pos_images": self.n_pos_images,
             "n_neg_images": self.n_neg_images,

@@ -1,7 +1,9 @@
 import json
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given
 
 from types import SimpleNamespace
 
@@ -134,22 +136,76 @@ class TestFinetuneLabels:
         assert pairs[0][1] == boxes[min(positive)]
 
 
-class TestSampleMinibatch:
-    """Minibatch draws: ``_draw`` on its own and through ``train_linear``."""
+MASK64 = (1 << 64) - 1
 
-    def test_exact_pools_come_back_whole(self):
-        rng = np.random.default_rng(0)
-        assert sorted(detector._draw(BATCH_POS, BATCH_POS, rng)) == list(range(BATCH_POS))
-        assert sorted(detector._draw(BATCH_NEG, BATCH_NEG, rng)) == list(range(BATCH_NEG))
+
+def reference_mix(z):
+    """SplitMix64's mixer on a Python int, masked to 64 bits."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def reference_draw(seed, step, k, pool):
+    """Draw k of SGD step ``step`` mapped into a pool of size ``pool``, in
+    Python ints: the rule in the detector module's docstring."""
+    counter = step * detector.STEP_DRAWS + k + 1
+    u = reference_mix((reference_mix(seed) + counter * detector.GAMMA) & MASK64)
+    return ((u >> 32) * pool) >> 32
+
+
+def reference_batch(pos_pool, neg_pool, seed, step):
+    """Step ``step``'s minibatch as a list of rows of the two pools."""
+    return [
+        pos_pool[reference_draw(seed, step, k, len(pos_pool))] for k in range(BATCH_POS)
+    ] + [
+        neg_pool[reference_draw(seed, step, BATCH_POS + k, len(neg_pool))]
+        for k in range(BATCH_NEG)
+    ]
+
+
+def draw_table(n_pos, n_neg, seed, steps):
+    """:func:`detector.minibatch_draws`' blocks stacked into one table."""
+    return np.concatenate(list(detector.minibatch_draws(n_pos, n_neg, seed, steps)))
+
+
+class TestMinibatchDraws:
+    """The counter stream of :func:`detector.minibatch_draws` against the
+    Python-int reference, and its draws through ``train_linear``."""
+
+    @given(
+        seed=st.integers(0, MASK64),
+        step=st.sampled_from([0, 1, 1023, 1024, 1025]),
+        n_pos=st.sampled_from([1, 2, 5, 32, 1000, (1 << 32) - 1]),
+        n_neg=st.sampled_from([1, 3, 96, 211, 2_000_000, 1 << 32]),
+    )
+    def test_draws_equal_reference(self, seed, step, n_pos, n_neg):
+        drawn = draw_table(n_pos, n_neg, seed, step + 1)[step].tolist()
+        assert drawn == reference_batch(range(n_pos), range(n_neg), seed, step)
+
+    def test_blocks_hold_at_most_1024_steps(self):
+        blocks = list(detector.minibatch_draws(5, 7, 0, 2500))
+        assert [b.shape for b in blocks] == [(1024, 128), (1024, 128), (452, 128)]
+        assert list(detector.minibatch_draws(5, 7, 0, 0)) == []
 
     def test_single_positive_repeats(self):
-        rng = np.random.default_rng(1)
-        assert detector._draw(1, BATCH_POS, rng).tolist() == [0] * BATCH_POS
+        table = draw_table(1, 300, 1, 50)
+        assert np.all(table[:, :BATCH_POS] == 0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, MASK64])
+    def test_draws_are_uniform(self, seed):
+        """Each index of pools of 5 and 7 is drawn within 5 sigma of its
+        expected count over 1,000 steps."""
+        table = draw_table(5, 7, seed, 1000)
+        for draws, pool in ((table[:, :BATCH_POS], 5), (table[:, BATCH_POS:], 7)):
+            counts = np.bincount(draws.ravel(), minlength=pool)
+            n, p = draws.size, 1.0 / pool
+            assert counts.size == pool
+            assert np.all(np.abs(counts - n * p) <= 5.0 * np.sqrt(n * p * (1.0 - p)))
 
     def test_deterministic_given_seed(self):
-        a = detector._draw(300, BATCH_NEG, np.random.default_rng(7))
-        b = detector._draw(300, BATCH_NEG, np.random.default_rng(7))
-        assert np.array_equal(a, b)
+        assert np.array_equal(draw_table(300, 40, 7, 30), draw_table(300, 40, 7, 30))
+        assert not np.array_equal(draw_table(300, 40, 7, 30), draw_table(300, 40, 8, 30))
         X, y = shuffled_pools(5, 200)
         first = train_linear(X, y, **sgd(steps=20, seed=7))
         second = train_linear(X, y, **sgd(steps=20, seed=7))
@@ -170,19 +226,10 @@ def sgd(**settings):
     }
 
 
-def list_draw(pool, n, rng):
-    """The minibatch draw as a list comprehension over a Python list pool,
-    the form train_linear used before its pools became index arrays."""
-    if len(pool) >= n:
-        idx = rng.permutation(len(pool))[:n]
-    else:
-        idx = rng.integers(0, len(pool), size=n)
-    return [pool[int(i)] for i in idx]
-
-
 def list_draw_train_linear(features, labels, config, category_id=""):
-    """train_linear with list pools and list_draw minibatches; ``config``
-    holds its four SGD settings, as :func:`sgd` gives them."""
+    """train_linear as a loop over steps, with list pools, the reference
+    draws and the zero model's objective computed in full; ``config`` holds
+    its four SGD settings, as :func:`sgd` gives them."""
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64).reshape(-1)
     dim = X.shape[1]
@@ -190,9 +237,8 @@ def list_draw_train_linear(features, labels, config, category_id=""):
     b = 0.0
     pos_idx = [int(i) for i in np.flatnonzero(y > 0)]
     neg_idx = [int(i) for i in np.flatnonzero(y < 0)]
-    rng = np.random.default_rng(config["seed"])
-    for _ in range(config["steps"]):
-        batch = list_draw(pos_idx, BATCH_POS, rng) + list_draw(neg_idx, BATCH_NEG, rng)
+    for step in range(config["steps"]):
+        batch = reference_batch(pos_idx, neg_idx, config["seed"], step)
         Xb, yb = X[batch], y[batch]
         margins = yb * (Xb @ w + b)
         viol = margins < 1.0
@@ -221,21 +267,7 @@ def shuffled_pools(n_pos, n_neg, dim=5, seed=0):
 POOL_SIZES = [(5, 40), (32, 96), (50, 200), (32, 40), (5, 200)]
 
 
-class TestArrayDrawsMatchListDraws:
-    @pytest.mark.parametrize("n_pos,n_neg", POOL_SIZES)
-    def test_batches_identical(self, n_pos, n_neg):
-        _X, y = shuffled_pools(n_pos, n_neg)
-        pos_idx, neg_idx = np.flatnonzero(y > 0), np.flatnonzero(y < 0)
-        old_rng, new_rng = np.random.default_rng(3), np.random.default_rng(3)
-        for _ in range(25):
-            old = list_draw(pos_idx.tolist(), 32, old_rng)
-            old += list_draw(neg_idx.tolist(), 96, old_rng)
-            new = np.concatenate((
-                pos_idx[detector._draw(pos_idx.size, 32, new_rng)],
-                neg_idx[detector._draw(neg_idx.size, 96, new_rng)],
-            ))
-            assert new.tolist() == old
-
+class TestTrainLinearMatchesLoop:
     @pytest.mark.parametrize("n_pos,n_neg", POOL_SIZES)
     def test_model_bytes_identical(self, tmp_path, n_pos, n_neg):
         X, y = shuffled_pools(n_pos, n_neg, seed=n_pos + n_neg)
@@ -244,6 +276,22 @@ class TestArrayDrawsMatchListDraws:
         dataio.write_model(tmp_path / "new.json", train_linear(X, y, **cfg, category_id="obj"))
         assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
         assert json.loads((tmp_path / "new.json").read_text())["bias"] != 0.0
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(
+    rows=st.integers(1, 30).flatmap(lambda n: st.tuples(
+        st.lists(st.lists(finite, min_size=3, max_size=3), min_size=n, max_size=n),
+        st.lists(st.sampled_from([1.0, -1.0]), min_size=n, max_size=n),
+    )),
+    weight_decay=st.floats(0.0, 10.0),
+)
+def test_zero_model_objective_is_exactly_one(rows, weight_decay):
+    features, labels = rows
+    X, y = np.array(features), np.array(labels)
+    assert hinge_objective(np.zeros(3), 0.0, X, y, weight_decay) == 1.0
 
 
 def separable_toy(n=40, seed=3):

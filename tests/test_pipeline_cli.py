@@ -1383,6 +1383,47 @@ class TestProposalBoxes:
         assert self.mine(data, tmp_path, lambda image: [0, 0, *image.size]) == 0
 
 
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+def test_bad_seed_refused_before_the_pipeline_writes(synth_dir, tmp_path, capsys, seed):
+    out = tmp_path / "o"
+    code = run_cli("pipeline", "--manifest", synth_dir / "manifest.json", "--out", out,
+                   "--seed", seed, "--target-cells", 30, "--frame-stride", 1, "--bandwidth", 2.0)
+    assert code == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ConfigInvalidError" and "seed" in err["message"]
+    assert not out.exists()
+
+
+def test_largest_seed_accepted():
+    PipelineConfig(seed=(1 << 64) - 1).validate()
+
+
+def test_negative_synth_seed_refused_before_anything_is_written(tmp_path, capsys):
+    out = tmp_path / "data"
+    assert run_cli("synth", "--out", out, "--seed", -1) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ConfigInvalidError" and "seed" in err["message"]
+    assert not out.exists()
+
+
+def test_pipeline_process_never_imports_numpy_random(synth_dir, tmp_path):
+    """Training draws its minibatches from plain uint64 arithmetic, so a
+    whole pipeline run leaves ``numpy.random`` (and the hashlib/OpenSSL
+    chain it imports) unloaded."""
+    env = {**os.environ, "PYTHONPATH": str(Path(boxforge.__file__).parents[1])}
+    script = ("import sys; from boxforge import cli; code = cli.main(sys.argv[1:]); "
+              "print('numpy.random' in sys.modules); sys.exit(code)")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "pipeline", "--manifest", str(synth_dir / "manifest.json"),
+         "--out", str(tmp_path / "o"), "--seed", "0", "--target-cells", "30",
+         "--frame-stride", "1", "--bandwidth", "2.0"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+    assert (tmp_path / "o" / "metrics.json").is_file()
+
+
 def test_info_log_has_one_line_per_stage_in_order(synth_dir, tmp_path):
     """``BOXFORGE_LOG=INFO`` logs each stage's report as it is written, and
     the default level logs nothing."""
@@ -1667,7 +1708,7 @@ class TestManifest:
         assert doc.pop("format_version") == dataio.MANIFEST_VERSION
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps(doc))
-        fields = lambda m: (m.cell_stride, m.categories, m.images, m.videos, m.files)
+        fields = lambda m: (m.cell_stride, m.category, m.images, m.videos, m.files)
         assert fields(dataio.load_manifest(path)) == fields(
             dataio.load_manifest(synth_dir / "manifest.json")
         )

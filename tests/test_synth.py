@@ -79,7 +79,7 @@ class TestStructure:
     def test_manifest_references_exist(self, dataset):
         root, _ = dataset
         manifest = dataio.load_manifest(root / "manifest.json")
-        assert manifest.categories == (CATEGORY,)
+        assert manifest.category == CATEGORY
         for entry in manifest.images:
             assert (root / entry.fmap_path).exists()
         for video in manifest.videos:
