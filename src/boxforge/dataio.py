@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -89,6 +90,14 @@ def _real(value) -> float:
     if not math.isfinite(value):
         raise ValueError(f"expected a finite number, got {value!r}")
     return float(value)
+
+
+def _box(value) -> BBox:
+    """``value``, a list of four numbers each passing :func:`_real`, as a
+    box; a coordinate such as ``"1"`` or ``true`` is refused."""
+    if not isinstance(value, list) or len(value) != 4:
+        raise TypeError(f"expected a list of 4 numbers, got {value!r}")
+    return BBox(*map(_real, value))
 
 
 def _positive(value) -> float:
@@ -312,10 +321,10 @@ def load_manifest(path: str | Path) -> Manifest:
 
 
 class Dataset:
-    """A dataset opened for one run: its manifest, plus the proposals (with
-    their pooled descriptors) and tracks, each read on first use and then
-    kept for every later stage, and the results stages share through
-    :meth:`memo`.
+    """A dataset opened for one run: its manifest, plus the proposals (each
+    image's corner rows and pooled descriptors, 32 + 16·C bytes a proposal)
+    and tracks, each read on first use and then kept for every later stage,
+    and the results stages share through :meth:`memo`.
 
     Feature maps are not kept: :func:`read_proposals` reads each image's map
     once to pool its proposals, and a stage that needs a map again (query
@@ -381,7 +390,7 @@ def _box_inside(size: tuple[float, float]) -> Callable:
     width, height = size
 
     def check(coords) -> BBox:
-        box = BBox.from_list(coords)
+        box = _box(coords)
         if box.x_min < 0 or box.y_min < 0 or box.x_max > width or box.y_max > height:
             raise ValueError(f"{box.as_list()} lies outside the {width:g}x{height:g} image")
         return box
@@ -400,19 +409,20 @@ def read_proposals(manifest: Manifest) -> dict[str, ImageProposals]:
     ``size``.  A row or an image that disagrees raises
     :class:`ConfigInvalidError`, and an image the manifest does not list
     :class:`MissingInputError`, before any FMAP is read.  Rows are checked
-    and grouped as the file streams; only their boxes are kept.
+    and grouped as the file streams; only their corners are kept, 32 B a
+    box.
     """
     path = manifest.path("proposals")
-    grouped: dict[str, tuple[str, list[BBox]]] = {}
+    grouped: dict[str, tuple[str, array]] = {}
     for row in read_jsonl(path):
         image_id, label = row.typed("image_id", _text), row.typed("label", _text)
-        first_label, boxes = grouped.setdefault(image_id, (label, []))
+        first_label, corners = grouped.setdefault(image_id, (label, array("d")))
         if label != first_label:
             raise ConfigInvalidError(
                 f"{row.where} (image {image_id}): label {label!r}, "
                 f"an earlier row of the image has {first_label!r}"
             )
-        boxes.append(row.typed("box", _box_inside(manifest.image(image_id).size)))
+        corners.extend(row.typed("box", _box_inside(manifest.image(image_id).size)).as_list())
     image_ids = sorted(grouped)
     for image_id in image_ids:
         label, listed = grouped[image_id][0], manifest.image(image_id).label
@@ -423,10 +433,13 @@ def read_proposals(manifest: Manifest) -> dict[str, ImageProposals]:
             )
     images = {}
     for image_id in image_ids:
-        label, boxes = grouped[image_id]
+        label, corners = grouped[image_id]
+        coords = np.array(corners).reshape(-1, 4)
         fmap = manifest.load_image_fmap(image_id)
-        features = [pool_box_feature(fmap, box, manifest.cell_stride) for box in boxes]
-        images[image_id] = ImageProposals.from_boxes(label, boxes, features)
+        features = np.stack([
+            pool_box_feature(fmap, BBox(*row), manifest.cell_stride) for row in coords.tolist()
+        ])
+        images[image_id] = ImageProposals(label, coords, features)
     return images
 
 
@@ -438,22 +451,22 @@ def read_proposals(manifest: Manifest) -> dict[str, ImageProposals]:
 # key order.
 
 REGION_SCHEMA = {
-    "region_id": _text, "image_id": _text, "box": BBox.from_list,
+    "region_id": _text, "image_id": _text, "box": _box,
     "cluster_id": _text, "cluster_rank": _integer,
 }
 SELECTION_SCHEMA = {
-    "video_id": _text, "frame_idx": _integer, "box": BBox.from_list,
+    "video_id": _text, "frame_idx": _integer, "box": _box,
     "score": _real, "track_id": _integer,
 }
 TRANSFER_SCHEMA = {
-    "image_id": _text, "box": BBox.from_list, "region_id": _text,
+    "image_id": _text, "box": _box, "region_id": _text,
     "video_id": _text, "frame_idx": _integer, "sim": _real,
 }
 PSEUDO_GT_SCHEMA = {
-    "image_id": _text, "box": BBox.from_list, "vote": _real,
+    "image_id": _text, "box": _box, "vote": _real,
     "support": _integer, "updated": _of(bool),
 }
-DETECTION_SCHEMA = {"image_id": _text, "box": BBox.from_list, "score": _real}
+DETECTION_SCHEMA = {"image_id": _text, "box": _box, "score": _real}
 
 
 def _write_rows(path: str | Path, schema: Mapping[str, Callable], records: Iterable) -> None:
@@ -565,7 +578,7 @@ def read_tracks(path: str | Path) -> dict[str, list[Track]]:
             track_id=row.typed("track_id", _integer),
             rank=row.typed("rank", _integer),
             frames=tuple(
-                (f.typed("t", _integer), f.typed("box", BBox.from_list))
+                (f.typed("t", _integer), f.typed("box", _box))
                 for f in row.typed("frames", _objects)
             ),
         )
@@ -597,7 +610,7 @@ def read_gt(path: str | Path) -> dict[str, dict[str, list[BBox]]]:
     for row in read_jsonl(path):
         out.setdefault(row.typed("category", _text), {}).setdefault(
             row.typed("image_id", _text), []
-        ).extend(row.typed("boxes", lambda boxes: [BBox.from_list(b) for b in boxes]))
+        ).extend(row.typed("boxes", lambda boxes: [_box(b) for b in boxes]))
     return out
 
 

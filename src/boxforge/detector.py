@@ -15,7 +15,13 @@ mapped into its pool of size p as ``((u >> 32) * p) >> 32`` (pools of at
 most 2**32 rows; bias at most p / 2**32).  Draws 0-31 index the positive
 pool and 32-127 the negative pool, i.i.d. with replacement in both, so a
 step costs O(batch) whatever the pool sizes, and any step's draws can be
-computed without the ones before it.
+computed without the ones before it: :func:`minibatch_draws` makes them a
+block of :data:`DRAW_BLOCK_STEPS` steps at a time, and the block size does
+not change the stream.
+
+Proposals are read as :class:`~boxforge.mining.ImageProposals` corner rows;
+the latent update and box regression make a :class:`BBox` only for a
+proposal they adopt or pair.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ LSVM_LEASH_IOU = 0.5
 BATCH_POS = 32  # positives per SGD minibatch
 BATCH_NEG = 96  # negatives per SGD minibatch
 STEP_DRAWS = BATCH_POS + BATCH_NEG
-DRAW_BLOCK_STEPS = 1024  # steps per block of draws: 1 MiB of uint64
+DRAW_BLOCK_STEPS = 32  # steps per block of draws: 32 KiB of uint64
 GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's increment, 2**64 / golden ratio
 
 
@@ -185,11 +191,11 @@ def lsvm_update(
             continue
         existing = pseudo_gts.get(image_id)
         scores = model.score(image.features)
-        keep = nms(image.boxes, scores.tolist(), nms_iou)
+        keep = nms(image.coords, scores, nms_iou)
         if existing is None:
             top = keep[0]
             updated[image_id] = PseudoGT(
-                image_id=image_id, box=image.boxes[top], vote=float(scores[top]),
+                image_id=image_id, box=image.box(top), vote=float(scores[top]),
                 support=0, updated=True,
             )
             continue
@@ -197,7 +203,7 @@ def lsvm_update(
         if not leashed.any():
             updated[image_id] = existing
             continue
-        new_box = image.boxes[keep[int(np.argmax(leashed))]]
+        new_box = image.box(keep[int(np.argmax(leashed))])
         if new_box == existing.box:
             updated[image_id] = existing
         else:
@@ -244,7 +250,7 @@ def regression_pairs(
             continue
         gt = pseudo_gts[image_id]
         for i in np.flatnonzero(iou_rows(image.coords, gt.box) >= REGRESSION_IOU):
-            pairs.append((image.features[i], image.boxes[i], gt.box))
+            pairs.append((image.features[i], image.box(i), gt.box))
     return pairs
 
 

@@ -52,12 +52,6 @@ class BBox:
         """The universal JSON shape: a 4-array [x_min, y_min, x_max, y_max]."""
         return [self.x_min, self.y_min, self.x_max, self.y_max]
 
-    @classmethod
-    def from_list(cls, coords: Sequence[float]) -> "BBox":
-        if len(coords) != 4:
-            raise DegenerateBoxError(f"expected 4 coordinates, got {len(coords)}")
-        return cls(float(coords[0]), float(coords[1]), float(coords[2]), float(coords[3]))
-
     def sort_key(self) -> tuple[float, float, float, float]:
         """Lexicographic coordinate key used for deterministic tie-breaks."""
         return (self.x_min, self.y_min, self.x_max, self.y_max)
@@ -148,8 +142,9 @@ def clip_box(box: BBox, width: float, height: float) -> Optional[BBox]:
     return BBox(x0, y0, x1, y1)
 
 
-def nms(boxes: Sequence[BBox], scores: Sequence[float], iou_thresh: float) -> list[int]:
-    """Greedy score-descending non-maximum suppression.
+def nms(coords: np.ndarray, scores: Sequence[float], iou_thresh: float) -> list[int]:
+    """Greedy score-descending non-maximum suppression of the boxes whose
+    corners are the rows of ``coords`` (N, 4).
 
     Returns indices of kept boxes in keep order.  A candidate is suppressed
     when its IOU with an already-kept box exceeds ``iou_thresh``.  Ties are
@@ -157,19 +152,18 @@ def nms(boxes: Sequence[BBox], scores: Sequence[float], iou_thresh: float) -> li
     input index asc) so the result never depends on input ordering.  A
     non-finite score raises ``ValueError``: NaN has no place in that order.
     """
-    if len(boxes) != len(scores):
+    if len(coords) != len(scores):
         raise ValueError("boxes and scores must have equal length")
     if not 0.0 <= iou_thresh <= 1.0:
         raise ValueError(f"iou_thresh must be in [0, 1], got {iou_thresh}")
     score = np.asarray(scores, dtype=np.float64)
     if not np.isfinite(score).all():
         raise ValueError("nms scores must be finite")
-    coords = box_array(boxes)
     # lexsort is stable, so equal keys keep input index order
     order = np.lexsort((*coords.T[::-1], -score))
     # row j of a kept box j holds iou(box_j, box_i) == iou(box_i, box_j)
     overlaps = iou_matrix(coords, coords) > iou_thresh
-    suppressed = np.zeros(len(boxes), dtype=bool)
+    suppressed = np.zeros(len(coords), dtype=bool)
     kept: list[int] = []
     for i in order.tolist():
         if not suppressed[i]:

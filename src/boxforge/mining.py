@@ -7,15 +7,17 @@ their instances come from positively-labeled images, near-duplicates of
 already-kept clusters are removed greedily, and the positive members of the
 top clusters become the mined region set.
 
-Every stage holds the clusters as one :class:`Clusters` table of arrays,
-one row per seed proposal; :class:`MinedRegion` objects are made only for
-the top clusters' regions.
+Every stage reads the clusters from one :class:`Clusters` table of arrays,
+one row per seed proposal, built once: ranking returns an order of its
+rows, dedup the kept rows in that order, and selection reads the top ones
+through them, so no stage copies the table.  :class:`BBox` and
+:class:`MinedRegion` objects are made only for the top clusters' regions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -31,14 +33,15 @@ DEDUP_FRAC = 0.10  # share of duplicate regions that drops a cluster
 
 @dataclass(frozen=True)
 class ImageProposals:
-    """One image's label and its proposals in file order: boxes, their
-    corner rows and their float64 descriptor rows (pooled from the image's
-    feature map).  This is the one in-memory form of ``proposals.jsonl``,
-    read by mining, training, the latent update and box regression alike;
-    cross-validation holds each scored video frame's boxes in it too."""
+    """One image's label and its proposals in file order: their float64
+    corner rows and descriptor rows (pooled from the image's feature map).
+    This is the one in-memory form of ``proposals.jsonl``, read by mining,
+    training, the latent update and box regression alike; cross-validation
+    holds each scored video frame's boxes in it too.  A proposal's
+    :class:`BBox` is made from its row (:meth:`box`) only where a record
+    or a box rule needs one."""
 
     label: str
-    boxes: tuple[BBox, ...]
     coords: np.ndarray  # (N, 4)
     features: np.ndarray  # (N, D)
 
@@ -48,13 +51,16 @@ class ImageProposals:
     ) -> "ImageProposals":
         return cls(
             label=label,
-            boxes=tuple(boxes),
             coords=box_array(boxes),
             features=np.stack([np.asarray(f, dtype=np.float64).reshape(-1) for f in features]),
         )
 
     def __len__(self) -> int:
-        return len(self.boxes)
+        return len(self.coords)
+
+    def box(self, i: int) -> BBox:
+        """Proposal ``i`` as a box, the same floats as its corner row."""
+        return BBox(*self.coords[i].tolist())
 
 
 @dataclass(frozen=True)
@@ -94,26 +100,17 @@ class Clusters:
     def __len__(self) -> int:
         return len(self.seed)
 
-    def take(self, clusters) -> "Clusters":
-        """The table of the clusters at ``clusters`` (indices), in that order."""
-        return replace(
-            self,
-            seed=self.seed[clusters],
-            members=self.members[clusters],
-            sims=self.sims[clusters],
-            positive=self.positive[clusters],
-        )
-
-    def regions(self) -> np.ndarray:
-        """Each cluster's rows, seed first: (clusters, members + 1)."""
-        return np.column_stack([self.seed, self.members])
+    def regions(self, clusters: np.ndarray) -> np.ndarray:
+        """The rows of the clusters at ``clusters`` (indices), seed first:
+        (len(clusters), members + 1)."""
+        return np.column_stack([self.seed[clusters], self.members[clusters]])
 
     def owners(self, rows: np.ndarray) -> np.ndarray:
         """The image (index into ``image_ids``) of each row."""
         return np.searchsorted(self.offsets, rows, side="right") - 1
 
 
-BLOCK_BYTES = 1 << 18  # bytes of one float64 block of seed-by-proposal similarities
+BLOCK_BYTES = 1 << 18  # bytes of one block: seed-by-proposal similarities, or cluster rows
 
 
 def build_clusters(proposals_by_image: Mapping[str, ImageProposals], k: int) -> Clusters:
@@ -189,83 +186,88 @@ def build_clusters(proposals_by_image: Mapping[str, ImageProposals], k: int) -> 
     )
 
 
-def rank_clusters(clusters: Clusters) -> Clusters:
-    """Sort by positive count desc, then mean member similarity desc, then
-    seed (image id, index), which is seed row order.  The mean sums the
-    similarities left to right, as ``sum`` over the members would; with no
-    members it is 0."""
-    n_members = clusters.sims.shape[1]
-    if n_members:
-        mean = np.cumsum(clusters.sims, axis=1)[:, -1] / n_members
-    else:
-        mean = np.zeros(len(clusters))
-    return clusters.take(np.lexsort((clusters.seed, -mean, -clusters.positive)))
+def rank_clusters(clusters: Clusters) -> np.ndarray:
+    """The clusters' indices in rank order: positive count desc, then mean
+    member similarity desc, then seed (image id, index), which is seed row
+    order.  The mean sums the similarities left to right, one member column
+    at a time, as ``sum`` over the members would; with no members it is 0."""
+    sims = clusters.sims
+    total = sims[:, 0].copy() if sims.shape[1] else np.zeros(len(clusters))
+    for column in sims.T[1:]:
+        total += column
+    mean = total / max(1, sims.shape[1])
+    return np.lexsort((clusters.seed, -mean, -clusters.positive))
 
 
-def dedup_clusters(ranked: Clusters) -> Clusters:
-    """Greedily drop clusters that are near-duplicates of already-kept ones.
+def dedup_clusters(clusters: Clusters, order: np.ndarray) -> np.ndarray:
+    """The indices of the clusters kept when, scanning them in ``order``
+    (:func:`rank_clusters`), near-duplicates of already-kept ones are
+    dropped greedily; always a subsequence of ``order``.
 
-    Scanning in rank order, a cluster is removed when at least
-    ``ceil(DEDUP_FRAC * size)`` of its regions (seed included) have IOU above
-    ``DEDUP_IOU`` with a same-image region of any kept cluster.  Output is
-    always a subsequence of the input.
+    A cluster is dropped when at least ``ceil(DEDUP_FRAC * size)`` of its
+    regions (seed included) have IOU above ``DEDUP_IOU`` with a same-image
+    region of any kept cluster.
 
     ``blocked`` marks every proposal that overlaps a kept region.  The first
     time a kept cluster touches an image, the image's proposals are tested
     against each other once with :func:`iou_matrix`; keeping a region then
-    blocks that region's row of the result.
+    blocks that region's row of the result.  The clusters' rows are gathered
+    in ``order`` a block of at most ``BLOCK_BYTES`` at a time.
     """
-    regions = ranked.regions()
-    needed = math.ceil(DEDUP_FRAC * regions.shape[1])
-    offsets = ranked.offsets.tolist()
+    size = clusters.members.shape[1] + 1
+    needed = math.ceil(DEDUP_FRAC * size)
+    offsets = clusters.offsets.tolist()
     blocked = np.zeros(offsets[-1], dtype=bool)
     overlaps: dict[int, np.ndarray] = {}
     kept: list[int] = []
-    for c, rows in enumerate(regions):
-        if np.count_nonzero(blocked[rows]) >= needed:
-            continue
-        kept.append(c)
-        for row, o in zip(rows.tolist(), ranked.owners(rows).tolist()):
-            if o not in overlaps:
-                coords = ranked.images[o].coords
-                overlaps[o] = iou_matrix(coords, coords) > DEDUP_IOU
-            blocked[offsets[o] : offsets[o + 1]] |= overlaps[o][row - offsets[o]]
-    return ranked.take(np.array(kept, dtype=np.intp))
+    step = max(1, BLOCK_BYTES // (8 * size))
+    for lo in range(0, len(order), step):
+        block = order[lo : lo + step]
+        for c, rows in zip(block.tolist(), clusters.regions(block)):
+            if np.count_nonzero(blocked[rows]) >= needed:
+                continue
+            kept.append(c)
+            for row, o in zip(rows.tolist(), clusters.owners(rows).tolist()):
+                if o not in overlaps:
+                    coords = clusters.images[o].coords
+                    overlaps[o] = iou_matrix(coords, coords) > DEDUP_IOU
+                blocked[offsets[o] : offsets[o + 1]] |= overlaps[o][row - offsets[o]]
+    return np.array(kept, dtype=np.intp)
 
 
 def select_positive_regions(
-    deduped: Clusters,
+    clusters: Clusters,
+    kept: np.ndarray,
     labels: Mapping[str, str],
     top_c: int = 200,
 ) -> list[MinedRegion]:
-    """Union of positive-image regions from the top-C clusters, seed first,
+    """Union of positive-image regions from the first ``top_c`` clusters of
+    ``kept`` (indices, best first: :func:`dedup_clusters`), seed first,
     then members in order.
 
     Duplicate (image, box) pairs collapse to their first (best-ranked)
     occurrence.  Raises :class:`NoPositivesError` when nothing survives,
     which signals that mining failed for the category.
     """
-    top = deduped.take(slice(0, max(0, top_c)))
-    seen: set[tuple[str, tuple[float, float, float, float]]] = set()
+    seen: set[tuple[str, tuple[float, ...]]] = set()
     regions: list[MinedRegion] = []
-    offsets = top.offsets.tolist()
-    for rank, rows in enumerate(top.regions().tolist()):
-        owners = top.owners(rows).tolist()
-        cluster_id = f"{top.image_ids[owners[0]]}#{rows[0] - offsets[owners[0]]}"
+    offsets = clusters.offsets.tolist()
+    for rank, rows in enumerate(clusters.regions(kept[: max(0, top_c)]).tolist()):
+        owners = clusters.owners(rows).tolist()
+        cluster_id = f"{clusters.image_ids[owners[0]]}#{rows[0] - offsets[owners[0]]}"
         for row, o in zip(rows, owners):
-            image_id = top.image_ids[o]
+            image_id = clusters.image_ids[o]
             if labels.get(image_id) != POSITIVE:
                 continue
-            box = top.images[o].boxes[row - offsets[o]]
-            key = (image_id, box.sort_key())
-            if key in seen:
+            corners = tuple(clusters.images[o].coords[row - offsets[o]].tolist())
+            if (image_id, corners) in seen:
                 continue
-            seen.add(key)
+            seen.add((image_id, corners))
             regions.append(
                 MinedRegion(
                     region_id=f"r{len(regions):05d}",
                     image_id=image_id,
-                    box=box,
+                    box=BBox(*corners),
                     cluster_id=cluster_id,
                     cluster_rank=rank,
                 )

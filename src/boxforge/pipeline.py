@@ -123,9 +123,8 @@ def run_mine(ds: dataio.Dataset, cfg: PipelineConfig) -> dict:
     sizes = [len(image) for image in images.values()]
     n_proposals = sum(sizes)
     clusters = build_clusters(images, k)
-    ranked = rank_clusters(clusters)
-    deduped = dedup_clusters(ranked)
-    mined = select_positive_regions(deduped, labels, top_c=cfg.top_clusters)
+    kept = dedup_clusters(clusters, rank_clusters(clusters))
+    mined = select_positive_regions(clusters, kept, labels, top_c=cfg.top_clusters)
     dataio.write_regions(stage.out / REGIONS, mined)
     return stage.report({
         "k": k,
@@ -133,7 +132,7 @@ def run_mine(ds: dataio.Dataset, cfg: PipelineConfig) -> dict:
         # ordered (seed, candidate) pairs from different images
         "n_proposal_pairs": sum(n * (n_proposals - n) for n in sizes),
         "n_clusters": len(clusters),
-        "n_kept_clusters": len(deduped),
+        "n_kept_clusters": len(kept),
         "n_regions": len(mined),
     })
 
@@ -201,17 +200,18 @@ def run_match(
 
 def vote_pseudo_gts(
     ds: dataio.Dataset,
-    boxes_by_image: Iterable[tuple[str, Sequence[BBox]]],
+    corners_by_image: Iterable[tuple[str, bytes]],
     bandwidths: Sequence[float],
     theta: float,
 ) -> dict[float, dict[str, PseudoGT]]:
     """Mean-shift each image's transferred boxes, given as ``(image id,
-    boxes)`` pairs in image-id order, at every bandwidth, in one ascent per
-    image; bandwidth -> (image id -> pseudo GT), for the images whose top
-    mode passes ``theta``."""
+    corners)`` pairs in image-id order, each image's (N, 4) float64 corner
+    rows as bytes, at every bandwidth, in one ascent per image; bandwidth ->
+    (image id -> pseudo GT), for the images whose top mode passes
+    ``theta``."""
     gts: dict[float, dict[str, PseudoGT]] = {b: {} for b in bandwidths}
-    for image_id, boxes in boxes_by_image:
-        points = box_array(boxes)
+    for image_id, corners in corners_by_image:
+        points = np.frombuffer(corners).reshape(-1, 4)
         spaces = [VoteSpace(points=points, bandwidth=b) for b in gts]
         rankings = ranked_ascents(spaces[0].points, list(gts))
         size = ds.manifest.image(image_id).size
@@ -225,8 +225,10 @@ def vote_pseudo_gts(
 
 
 def _voted(ds: dataio.Dataset, cfg: PipelineConfig, boxes_by_image, bandwidths):
-    """The vote of ``boxes_by_image`` (image id -> boxes), once per dataset."""
-    pairs = tuple((i, tuple(boxes_by_image[i])) for i in sorted(boxes_by_image))
+    """The vote of ``boxes_by_image`` (image id -> boxes), once per dataset.
+    It is keyed by each image's corner rows as bytes, 32 B a box, which the
+    memo keeps for the run."""
+    pairs = tuple((i, box_array(boxes_by_image[i]).tobytes()) for i in sorted(boxes_by_image))
     return ds.memo(vote_pseudo_gts, pairs, tuple(bandwidths), cfg.theta)
 
 
@@ -337,8 +339,8 @@ def _detect(images, model, nms_iou):
     for image_id in sorted(images):
         image = images[image_id]
         scores = model.score(image.features)
-        for i in nms(image.boxes, scores.tolist(), nms_iou):
-            detections.append((image_id, image.boxes[i], float(scores[i])))
+        for i in nms(image.coords, scores, nms_iou):
+            detections.append((image_id, image.box(i), float(scores[i])))
     return detections
 
 

@@ -18,6 +18,7 @@ single PCG64 stream, so a fixed seed reproduces the dataset byte for byte
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 import numpy as np
@@ -68,6 +69,9 @@ class SynthConfig:
     def validate(self) -> None:
         if self.seed < 0:
             raise ConfigInvalidError(f"seed must be >= 0, got {self.seed}")
+        for name in ("signature_strength", "multi_instance_prob", "noise_sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigInvalidError(f"{name} must be finite, got {getattr(self, name)}")
         counts = {
             "n_pos_images": self.n_pos_images,
             "n_neg_images": self.n_neg_images,
@@ -83,7 +87,9 @@ class SynthConfig:
         if self.multi_instance_prob > 0 and (self.map_height < 16 or self.map_width < 16):
             raise ConfigInvalidError("multi-instance datasets need a map of at least 16x16 cells")
         if not 0.0 <= self.multi_instance_prob <= 1.0:
-            raise ConfigInvalidError(f"multi_instance_prob must be in [0, 1]")
+            raise ConfigInvalidError(
+                f"multi_instance_prob must be in [0, 1], got {self.multi_instance_prob}"
+            )
         if self.n_distractors < 1 or self.n_distractors >= self.channels:
             raise ConfigInvalidError("need 1 <= n_distractors < channels for orthogonal signatures")
         if self.noise_sigma < 0:

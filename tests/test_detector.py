@@ -183,10 +183,24 @@ class TestMinibatchDraws:
         drawn = draw_table(n_pos, n_neg, seed, step + 1)[step].tolist()
         assert drawn == reference_batch(range(n_pos), range(n_neg), seed, step)
 
-    def test_blocks_hold_at_most_1024_steps(self):
+    def test_blocks_hold_at_most_draw_block_steps(self):
+        assert detector.DRAW_BLOCK_STEPS == 32
         blocks = list(detector.minibatch_draws(5, 7, 0, 2500))
-        assert [b.shape for b in blocks] == [(1024, 128), (1024, 128), (452, 128)]
+        assert [b.shape for b in blocks] == [(32, 128)] * 78 + [(4, 128)]
         assert list(detector.minibatch_draws(5, 7, 0, 0)) == []
+
+    @pytest.mark.parametrize("steps", [0, 1, 31, 32, 33, 300])
+    def test_block_size_does_not_change_the_stream(self, monkeypatch, steps):
+        """Each draw is indexed by its absolute step, so blocks of any size
+        concatenate to one table."""
+        tables = []
+        for block_steps in (1, 32, 1024):
+            monkeypatch.setattr(detector, "DRAW_BLOCK_STEPS", block_steps)
+            blocks = list(detector.minibatch_draws(5, 211, 9, steps))
+            assert all(len(b) <= block_steps for b in blocks)
+            tables.append(np.concatenate([np.empty((0, detector.STEP_DRAWS), np.intp), *blocks]))
+        assert all(t.shape == (steps, detector.STEP_DRAWS) for t in tables)
+        assert all(np.array_equal(t, tables[0]) for t in tables)
 
     def test_single_positive_repeats(self):
         table = draw_table(1, 300, 1, 50)

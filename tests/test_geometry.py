@@ -55,7 +55,7 @@ class TestBBox:
     def test_json_shape_round_trip(self):
         b = box(1, 2, 3.5, 4.25)
         assert b.as_list() == [1.0, 2.0, 3.5, 4.25]
-        assert BBox.from_list(b.as_list()) == b
+        assert BBox(*b.as_list()) == b
 
 
 class TestIou:
@@ -250,17 +250,17 @@ def nms_oracle(boxes_, scores, thresh):
 
 class TestNms:
     def test_single_box(self):
-        assert nms([box(0, 0, 5, 5)], [1.0], 0.5) == [0]
+        assert nms(box_array([box(0, 0, 5, 5)]), [1.0], 0.5) == [0]
 
     def test_identical_boxes_keep_higher_score(self):
         b = box(0, 0, 5, 5)
-        assert nms([b, b], [2.0, 1.0], 0.5) == [0]
-        assert nms([b, b], [1.0, 2.0], 0.5) == [1]
+        assert nms(box_array([b, b]), [2.0, 1.0], 0.5) == [0]
+        assert nms(box_array([b, b]), [1.0, 2.0], 0.5) == [1]
 
     def test_three_box_chain_matches_greedy_oracle(self):
         chain = [box(0, 0, 10, 10), box(6, 0, 16, 10), box(12, 0, 22, 10)]
         scores = [3.0, 2.0, 1.0]
-        assert nms(chain, scores, 0.3) == nms_oracle(chain, scores, 0.3)
+        assert nms(box_array(chain), scores, 0.3) == nms_oracle(chain, scores, 0.3)
 
     @given(
         st.lists(int_boxes, min_size=1, max_size=8),
@@ -269,7 +269,7 @@ class TestNms:
     )
     def test_matches_oracle_on_random_instances(self, bs, thresh, rnd):
         scores = [rnd.choice([0.5, 1.0, 2.0]) for _ in bs]
-        assert nms(bs, scores, thresh) == nms_oracle(bs, scores, thresh)
+        assert nms(box_array(bs), scores, thresh) == nms_oracle(bs, scores, thresh)
 
     @settings(max_examples=80, derandomize=True)
     @given(
@@ -281,16 +281,16 @@ class TestNms:
     def test_duplicate_boxes_and_tied_scores_match_oracle(self, bs, thresh, data):
         scores = data.draw(st.lists(st.sampled_from([-0.0, 0.0, 1.0, 2.0]),
                                     min_size=len(bs), max_size=len(bs)))
-        assert nms(bs, scores, thresh) == nms_oracle(bs, scores, thresh)
+        assert nms(box_array(bs), scores, thresh) == nms_oracle(bs, scores, thresh)
 
     def test_rejects_bad_threshold(self):
         with pytest.raises(ValueError):
-            nms([box(0, 0, 1, 1)], [1.0], 1.5)
+            nms(box_array([box(0, 0, 1, 1)]), [1.0], 1.5)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_rejects_non_finite_score(self, bad):
         with pytest.raises(ValueError, match="finite"):
-            nms([box(0, 0, 1, 1), box(2, 2, 3, 3)], [1.0, bad], 0.5)
+            nms(box_array([box(0, 0, 1, 1), box(2, 2, 3, 3)]), [1.0, bad], 0.5)
 
 
 class TestClip:

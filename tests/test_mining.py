@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 from boxforge.errors import EmptyDatasetError, NoPositivesError
-from boxforge.geometry import BBox, iou
+from boxforge.geometry import BBox, iou, iou_matrix
 from boxforge.mining import (
     Clusters,
     ImageProposals,
@@ -52,8 +53,8 @@ def per_proposal(images):
     """The oracle's input: each image's proposals as one object per row."""
     return {
         image_id: [
-            OracleProposal(image_id, i, box, image.features[i])
-            for i, box in enumerate(image.boxes)
+            OracleProposal(image_id, i, image.box(i), image.features[i])
+            for i in range(len(image))
         ]
         for image_id, image in images.items()
     }
@@ -162,9 +163,9 @@ def object_build_clusters(proposals_by_image, k):
     image_ids = sorted(proposals_by_image)
     images = [proposals_by_image[img] for img in image_ids]
     props = [
-        Proposal(img, index, box)
+        Proposal(img, index, image.box(index))
         for img, image in zip(image_ids, images)
-        for index, box in enumerate(image.boxes)
+        for index in range(len(image))
     ]
     feats = np.concatenate([image.features for image in images])
     norms = np.sqrt(np.vecdot(feats, feats))
@@ -240,22 +241,102 @@ def object_select(deduped, labels, top_c=3):
     return out
 
 
+# --- the table-copy stages the index order replaced, kept as oracles --------
+# Each stage returned a new table: ranking and dedup copied the rows they
+# kept, and selection read the first top_c rows of the deduplicated table.
+
+
+def take(clusters: Clusters, idx) -> Clusters:
+    return dataclasses.replace(
+        clusters,
+        seed=clusters.seed[idx],
+        members=clusters.members[idx],
+        sims=clusters.sims[idx],
+        positive=clusters.positive[idx],
+    )
+
+
+def table_rank_clusters(clusters: Clusters) -> Clusters:
+    n_members = clusters.sims.shape[1]
+    if n_members:
+        mean = np.cumsum(clusters.sims, axis=1)[:, -1] / n_members
+    else:
+        mean = np.zeros(len(clusters))
+    return take(clusters, np.lexsort((clusters.seed, -mean, -clusters.positive)))
+
+
+def table_dedup_clusters(ranked: Clusters) -> Clusters:
+    regions = np.column_stack([ranked.seed, ranked.members])
+    needed = math.ceil(0.1 * regions.shape[1])
+    offsets = ranked.offsets.tolist()
+    blocked = np.zeros(offsets[-1], dtype=bool)
+    overlaps = {}
+    kept = []
+    for c, rows in enumerate(regions):
+        if np.count_nonzero(blocked[rows]) >= needed:
+            continue
+        kept.append(c)
+        for row, o in zip(rows.tolist(), ranked.owners(rows).tolist()):
+            if o not in overlaps:
+                coords = ranked.images[o].coords
+                overlaps[o] = iou_matrix(coords, coords) > 0.25
+            blocked[offsets[o] : offsets[o + 1]] |= overlaps[o][row - offsets[o]]
+    return take(ranked, np.array(kept, dtype=np.intp))
+
+
+def table_select(deduped: Clusters, labels, top_c=200):
+    """The regions the table-copy selection mined, as (region_id, image_id,
+    box, cluster_id, cluster_rank) rows."""
+    top = take(deduped, slice(0, max(0, top_c)))
+    seen, out = set(), []
+    offsets = top.offsets.tolist()
+    for rank, rows in enumerate(np.column_stack([top.seed, top.members]).tolist()):
+        owners = top.owners(rows).tolist()
+        cluster_id = f"{top.image_ids[owners[0]]}#{rows[0] - offsets[owners[0]]}"
+        for row, o in zip(rows, owners):
+            image_id = top.image_ids[o]
+            box = top.images[o].box(row - offsets[o])
+            key = (image_id, box.sort_key())
+            if labels.get(image_id) == "pos" and key not in seen:
+                seen.add(key)
+                out.append((f"r{len(out):05d}", image_id, box, cluster_id, rank))
+    return out
+
+
 # --- signatures: one comparable form for tables, objects and the oracle -----
 
 
-def signature(clusters: Clusters):
-    """Each cluster as (seed id, ((member id, similarity), ...), positive count)."""
+def signature(clusters: Clusters, order=None):
+    """Each cluster as (seed id, ((member id, similarity), ...), positive
+    count), in ``order`` (indices; all of them in table order when unset)."""
     names = [
         f"{image_id}#{i}"
         for image_id, image in zip(clusters.image_ids, clusters.images)
         for i in range(len(image))
     ]
+    if order is None:
+        order = np.arange(len(clusters))
     return [
-        (names[rows[0]], tuple(zip((names[j] for j in rows[1:]), sims)), count)
-        for rows, sims, count in zip(
-            clusters.regions().tolist(), clusters.sims.tolist(), clusters.positive.tolist()
+        (names[seed], tuple(zip((names[j] for j in members), sims)), count)
+        for seed, members, sims, count in zip(
+            clusters.seed[order].tolist(), clusters.members[order].tolist(),
+            clusters.sims[order].tolist(), clusters.positive[order].tolist(),
         )
     ]
+
+
+def region_row(region):
+    return (region.region_id, region.image_id, region.box, region.cluster_id,
+            region.cluster_rank)
+
+
+def ranked_signature(clusters: Clusters):
+    return signature(clusters, rank_clusters(clusters))
+
+
+def kept_signature(clusters: Clusters):
+    """The clusters dedup keeps of ``clusters`` scanned in table order."""
+    return signature(clusters, dedup_clusters(clusters, np.arange(len(clusters))))
 
 
 def cluster_signature(c: Cluster):
@@ -448,7 +529,7 @@ class TestBuildClusters:
 
     def test_image_without_proposals_refused(self):
         by_image, labels = dataset({"a": ("pos", [[1.0, 0.0]]), "b": ("pos", [[0.0, 1.0]])})
-        by_image["c"] = ImageProposals("neg", (), np.zeros((0, 4)), np.zeros((0, 2)))
+        by_image["c"] = ImageProposals("neg", np.zeros((0, 4)), np.zeros((0, 2)))
         with pytest.raises(ValueError, match="at least one proposal"):
             build_clusters(by_image, 1)
 
@@ -510,16 +591,18 @@ class TestAgainstObjectOracle:
         clusters = build_clusters(images, k)
         objects = object_build_clusters(images, k)
         assert bitwise(signature(clusters)) == bitwise(map(cluster_signature, objects))
-        ranked, ranked_objects = rank_clusters(clusters), object_rank_clusters(objects)
-        assert bitwise(signature(ranked)) == bitwise(map(cluster_signature, ranked_objects))
-        kept = dedup_clusters(ranked)
-        assert bitwise(signature(kept)) == bitwise(
+        order, ranked_objects = rank_clusters(clusters), object_rank_clusters(objects)
+        assert bitwise(signature(clusters, order)) == bitwise(
+            map(cluster_signature, ranked_objects)
+        )
+        kept = dedup_clusters(clusters, order)
+        assert bitwise(signature(clusters, kept)) == bitwise(
             map(cluster_signature, object_dedup_clusters(ranked_objects))
         )
         if any(label == "pos" for label in labels.values()):
             want = object_select(object_dedup_clusters(ranked_objects), labels)
             try:
-                got = select_positive_regions(kept, labels, top_c=3)
+                got = select_positive_regions(clusters, kept, labels, top_c=3)
             except NoPositivesError:
                 got = []
             assert [(r.image_id, r.box, r.cluster_id, r.cluster_rank) for r in got] == want
@@ -543,9 +626,50 @@ class TestAgainstObjectOracle:
             rows.append((spot(seed_image), [spot(i) for i in member_images],
                          [0.5] * n_members, data.draw(st.integers(0, n_images))))
         clusters, objects = table(boxes, rows)
-        assert signature(dedup_clusters(clusters)) == list(
+        assert kept_signature(clusters) == list(
             map(cluster_signature, object_dedup_clusters(objects))
         )
+
+
+class TestIndexOrderAgainstTableCopies:
+    """Ranking, dedup and selection on index orders of one table equal the
+    stages that copied the table at each step, floats bitwise."""
+
+    @settings(max_examples=80, derandomize=True)
+    @given(proposal_sets(), st.sampled_from([0, 1, 3, 10_000]), st.booleans())
+    def test_rank_dedup_select(self, case, top_c, k_zero):
+        """Small-integer features tie often; ``k_zero`` forces singleton
+        clusters, and a ``top_c`` of 10,000 reads past every kept cluster."""
+        images, labels, k = case
+        clusters = build_clusters(images, 0 if k_zero else k)
+        order = rank_clusters(clusters)
+        ranked = table_rank_clusters(clusters)
+        assert bitwise(signature(clusters, order)) == bitwise(signature(ranked))
+        kept = dedup_clusters(clusters, order)
+        deduped = table_dedup_clusters(ranked)
+        assert bitwise(signature(clusters, kept)) == bitwise(signature(deduped))
+        want = table_select(deduped, labels, top_c)
+        try:
+            got = select_positive_regions(clusters, kept, labels, top_c=top_c)
+        except NoPositivesError:
+            got = []
+        assert list(map(region_row, got)) == want
+
+    def test_dedup_blocks_span_the_order(self, monkeypatch):
+        # blocks of one cluster and of a few clusters give the same kept list
+        rng = np.random.default_rng(24)
+        layout = {
+            f"im{j}": ("pos", [(rng.normal(size=3), BBox(x, 0, x + 10, 10))
+                               for x in rng.integers(0, 30, size=4).astype(float)])
+            for j in range(5)
+        }
+        by_image, _ = dataset(layout)
+        clusters = build_clusters(by_image, 2)
+        order = rank_clusters(clusters)
+        want = signature(table_dedup_clusters(table_rank_clusters(clusters)))
+        for block_bytes in (1, 8 * 3 * 3, 1 << 18):
+            monkeypatch.setattr("boxforge.mining.BLOCK_BYTES", block_bytes)
+            assert signature(clusters, dedup_clusters(clusters, order)) == want
 
 
 # --- rank_clusters -----------------------------------------------------------
@@ -567,18 +691,18 @@ def ranked_table(counts_and_sims):
 class TestRankClusters:
     def test_sorts_by_positive_count(self):
         clusters, _ = ranked_table([(3, [0.5]), (1, [0.5]), (2, [0.5])])
-        assert rank_clusters(clusters).positive.tolist() == [3, 2, 1]
+        assert clusters.positive[rank_clusters(clusters)].tolist() == [3, 2, 1]
 
     def test_ties_broken_by_mean_similarity(self):
         clusters, _ = ranked_table([(2, [0.2, 0.4]), (2, [0.9, 0.7])])
-        assert rank_clusters(clusters).sims[0].tolist() == [0.9, 0.7]
+        assert clusters.sims[rank_clusters(clusters)[0]].tolist() == [0.9, 0.7]
 
     def test_matches_comparison_sort_oracle(self):
         rng = np.random.default_rng(13)
         clusters, objects = ranked_table(
             [(int(rng.integers(0, 4)), list(rng.random(2))) for _ in range(20)]
         )
-        assert signature(rank_clusters(clusters)) == list(
+        assert ranked_signature(clusters) == list(
             map(cluster_signature, object_rank_clusters(objects))
         )
 
@@ -588,7 +712,7 @@ class TestRankClusters:
         rng = np.random.default_rng(16)
         values = rng.random(24)
         clusters, objects = ranked_table([(1, list(rng.permutation(values))) for _ in range(60)])
-        assert signature(rank_clusters(clusters)) == list(
+        assert ranked_signature(clusters) == list(
             map(cluster_signature, object_rank_clusters(objects))
         )
 
@@ -610,15 +734,14 @@ class TestDedupClusters:
     def test_exact_duplicate_removed(self):
         b = BBox(0, 0, 10, 10)
         clusters, _ = overlap_table({"a": [b, b], "b": [b]}, [[("a", 0), ("b", 0)], [("a", 1), ("b", 0)]])
-        kept = dedup_clusters(clusters)
-        assert signature(kept) == signature(clusters)[:1]
+        assert kept_signature(clusters) == signature(clusters)[:1]
 
     def test_disjoint_clusters_kept(self):
         near, far = BBox(0, 0, 5, 5), BBox(20, 20, 30, 30)
         clusters, _ = overlap_table(
             {"a": [near, far], "b": [near, far]}, [[("a", 0), ("b", 0)], [("a", 1), ("b", 1)]]
         )
-        assert signature(dedup_clusters(clusters)) == signature(clusters)
+        assert kept_signature(clusters) == signature(clusters)
 
     def far_apart(self, n_members):
         base = BBox(0, 0, 10, 10)
@@ -632,12 +755,12 @@ class TestDedupClusters:
         # second cluster: 10 regions (seed + 9), exactly one overlapping ->
         # ceil(0.1 * 10) = 1 -> removed
         clusters, _ = self.far_apart(9)
-        assert signature(dedup_clusters(clusters)) == signature(clusters)[:1]
+        assert kept_signature(clusters) == signature(clusters)[:1]
 
     def test_just_under_threshold_kept(self):
         # 11 regions, one overlap: ceil(1.1) = 2 > 1 -> kept
         clusters, _ = self.far_apart(10)
-        assert signature(dedup_clusters(clusters)) == signature(clusters)
+        assert kept_signature(clusters) == signature(clusters)
 
     def test_output_is_subsequence(self):
         rng = np.random.default_rng(14)
@@ -646,7 +769,7 @@ class TestDedupClusters:
             x = float(rng.integers(0, 40))
             boxes["a"].append(BBox(x, 0, x + 10, 10))
         clusters, objects = overlap_table(boxes, [[("a", i)] for i in range(12)])
-        kept = signature(dedup_clusters(clusters))
+        kept = kept_signature(clusters)
         it = iter(signature(clusters))
         assert all(any(c == k for c in it) for k in kept)
         assert kept == list(map(cluster_signature, object_dedup_clusters(objects)))
@@ -661,12 +784,12 @@ class TestSelectPositiveRegions:
         clusters, _ = table({"neg0": [box], "neg1": [box]}, [(("neg0", 0), [("neg1", 0)], [0.9], 0)])
         labels = {"neg0": "neg", "neg1": "neg"}
         with pytest.raises(NoPositivesError):
-            select_positive_regions(clusters, labels)
+            select_positive_regions(clusters, np.arange(len(clusters)), labels)
 
     def test_top_c_larger_than_cluster_count(self):
         by_image, labels = dataset({"a": ("pos", [[1, 0]]), "b": ("pos", [[1, 0]])})
-        clusters = rank_clusters(build_clusters(by_image, 1))
-        mined = select_positive_regions(clusters, labels, top_c=10_000)
+        clusters = build_clusters(by_image, 1)
+        mined = select_positive_regions(clusters, rank_clusters(clusters), labels, top_c=10_000)
         assert {r.image_id for r in mined} == {"a", "b"}
 
     def test_duplicates_collapsed_and_union_correct(self):
@@ -677,8 +800,8 @@ class TestSelectPositiveRegions:
             "n": ("neg", [([0.0, 1.0], box_a)]),
         }
         by_image, labels = dataset(layout)
-        clusters = rank_clusters(build_clusters(by_image, 2))
-        mined = select_positive_regions(clusters, labels, top_c=200)
+        clusters = build_clusters(by_image, 2)
+        mined = select_positive_regions(clusters, rank_clusters(clusters), labels, top_c=200)
         got = {(r.image_id, tuple(r.box.as_list())) for r in mined}
         assert got == {("a", tuple(box_a.as_list())), ("b", tuple(box_b.as_list()))}
         assert all(labels[r.image_id] == "pos" for r in mined)
@@ -724,6 +847,7 @@ def test_full_mining_chain_matches_oracle_random():
             layout[f"im{j}"] = ("pos" if rng.random() < 0.5 else "neg", items)
         by_image, labels = dataset(layout)
         k = int(rng.integers(0, n_images))
-        got = dedup_clusters(rank_clusters(build_clusters(by_image, k)))
+        clusters = build_clusters(by_image, k)
+        got = signature(clusters, dedup_clusters(clusters, rank_clusters(clusters)))
         want = oracle_dedup(oracle_rank(oracle_build(per_proposal(by_image), labels, k)))
-        assert signature(got) == [oracle_signature(c) for c in want]
+        assert got == [oracle_signature(c) for c in want]

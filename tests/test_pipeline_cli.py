@@ -21,7 +21,7 @@ from boxforge.config import SETTINGS, PipelineConfig, build_config, parse_config
 from boxforge.errors import ConfigInvalidError, EmptyPoolError, MissingInputError
 from boxforge.detector import fit_bbox_regressor, lsvm_update
 from boxforge.featmap import pool_box_feature
-from boxforge.geometry import BBox, iou, nms
+from boxforge.geometry import BBox, box_array, iou, nms
 from boxforge.metrics import corloc
 from boxforge.mining import MinedRegion
 from boxforge.pipeline import run_pipeline
@@ -786,7 +786,7 @@ class TestEachIntermediateOnce:
         pipeline.run_match(ds, cfg)
         pipeline.run_cv_bandwidth(ds, cfg)
         boxes = dataio.read_transfer_boxes(out / pipeline.TRANSFERS)
-        pairs = tuple((i, tuple(boxes[i])) for i in sorted(boxes))
+        pairs = tuple((i, box_array(boxes[i]).tobytes()) for i in sorted(boxes))
         voted = ds.memo(pipeline.vote_pseudo_gts, pairs, grid, cfg.theta)
         trials = [voted[b] for b in grid]
         for b, trial in zip(grid, trials):
@@ -817,6 +817,33 @@ class TestMemo:
                 ds.memo(compute, -1)
         assert calls == [1, 2, -1, -1]
         assert dataio.open_dataset(synth_dir / "manifest.json").memo(compute, 1) is not first
+
+    def test_equal_boxes_in_new_lists_vote_once(self, synth_dir, monkeypatch):
+        """The vote is keyed by its boxes' corner bytes, not by the box
+        objects: equal boxes in other lists find the first vote."""
+        ds = dataio.open_dataset(synth_dir / "manifest.json")
+        cfg = PipelineConfig(manifest=str(synth_dir / "manifest.json"), seed=0, bandwidth=2.0)
+        calls = []
+
+        def counted(dataset, corners_by_image, bandwidths, theta):
+            calls.append(corners_by_image)
+            return vote(dataset, corners_by_image, bandwidths, theta)
+
+        vote = pipeline.vote_pseudo_gts
+        monkeypatch.setattr(pipeline, "vote_pseudo_gts", counted)
+
+        def boxes():
+            return {"pos_001": [BBox(1, 2, 6, 7), BBox(1.5, 2, 6, 7.25)],
+                    "pos_000": [BBox(0, 0, 4, 4)]}
+
+        first = pipeline._voted(ds, cfg, boxes(), (2.0,))
+        assert pipeline._voted(ds, cfg, boxes(), (2.0,)) is first
+        assert pipeline._voted(ds, cfg, boxes(), (4.0,)) is not first
+        assert len(calls) == 2
+        assert calls[0] == (
+            ("pos_000", np.array([0, 0, 4, 4], dtype=np.float64).tobytes()),
+            ("pos_001", np.array([1, 2, 6, 7, 1.5, 2, 6, 7.25], dtype=np.float64).tobytes()),
+        )
 
     def test_match_after_regions_change_scans_the_new_regions(self, synth_dir, tmp_path):
         cfg = PipelineConfig(
@@ -850,7 +877,7 @@ def per_proposal_images(manifest):
     images = {}
     for row in dataio.read_jsonl(manifest.path("proposals")):
         label, props = images.setdefault(row["image_id"], (row["label"], []))
-        box = BBox.from_list(row["box"])
+        box = BBox(*map(float, row["box"]))
         fmap = manifest.load_image_fmap(row["image_id"])
         props.append((
             f"{row['image_id']}#{len(props)}",
@@ -889,7 +916,7 @@ def per_proposal_detect(images, model, nms_iou):
         boxes = [box for _, box, _ in props]
         feats = np.stack([np.asarray(f, dtype=np.float64) for _, _, f in props])
         scores = model.score(feats)
-        for i in nms(boxes, [float(s) for s in scores], nms_iou):
+        for i in nms(box_array(boxes), [float(s) for s in scores], nms_iou):
             detections.append((image_id, boxes[i], float(scores[i])))
     return detections
 
@@ -903,7 +930,7 @@ def per_proposal_lsvm_update(model, images, pseudo_gts, nms_iou):
         existing = pseudo_gts.get(image_id)
         boxes = [box for _, box, _ in props]
         scores = model.score(np.stack([np.asarray(f, dtype=np.float64) for _, _, f in props]))
-        keep = nms(boxes, [float(s) for s in scores], nms_iou)
+        keep = nms(box_array(boxes), [float(s) for s in scores], nms_iou)
         detections = [(boxes[i], float(scores[i])) for i in keep]
         if existing is None:
             box, score = detections[0]
@@ -1047,6 +1074,8 @@ class TestMalformedJson:
     @pytest.mark.parametrize("command,name,key,value,where", [
         ("mine", "proposals.jsonl", "box", [0, 0, "x", 4], "proposals.jsonl line 3"),
         ("mine", "proposals.jsonl", "box", [4, 0, 0, 4], "proposals.jsonl line 3"),
+        ("mine", "proposals.jsonl", "box", ["1", 0, 4, 4], "proposals.jsonl line 3"),
+        ("mine", "proposals.jsonl", "box", [True, 0, 4, 4], "proposals.jsonl line 3"),
         ("mine", "manifest.json", "cell_stride", True, "manifest.json"),
         ("mine", "manifest.json", "size", ["wide", 16], "manifest.json"),
         ("match", pipeline.SELECTIONS, "frame_idx", "x", "selections.jsonl line 1"),
@@ -1120,6 +1149,28 @@ class TestMalformedJson:
         (dataio.read_pseudo_gts,
          '{"image_id": "a", "box": [0, 0, 1, 1], "vote": "1.5", "support": 1, "updated": false}',
          "line 1: bad value for key 'vote'"),
+        (dataio.read_detections, '{"image_id": "a", "box": ["1", 2, 3, 4], "score": 1}',
+         "line 1: bad value for key 'box'"),
+        (dataio.read_detections, '{"image_id": "a", "box": [true, 2, 3, 4], "score": 1}',
+         "line 1: bad value for key 'box'"),
+        (dataio.read_regions, '{"region_id": "r", "image_id": "a", "box": [true, 2, 3, 4], '
+         '"cluster_id": "a#0", "cluster_rank": 0}', "line 1: bad value for key 'box'"),
+        (dataio.read_selections, '{"video_id": "v", "frame_idx": 1, "track_id": 0, '
+         '"box": ["1", 2, 3, 4], "score": 1}', "line 1: bad value for key 'box'"),
+        (dataio.read_transfer_boxes, '{"image_id": "a", "box": [true, 2, 3, 4]}',
+         "line 1: bad value for key 'box'"),
+        (dataio.read_pseudo_gts, '{"image_id": "a", "box": ["1", 2, 3, 4], "vote": 1, '
+         '"support": 1, "updated": false}', "line 1: bad value for key 'box'"),
+        (dataio.read_tracks,
+         '{"video_id": "v", "track_id": 0, "rank": 0, "frames": [{"t": 0, "box": ["1", 2, 3, 4]}]}',
+         "line 1: bad value for key 'box'"),
+        (dataio.read_tracks,
+         '{"video_id": "v", "track_id": 0, "rank": 0, "frames": [{"t": 0, "box": [true, 2, 3, 4]}]}',
+         "line 1: bad value for key 'box'"),
+        (dataio.read_gt, '{"image_id": "a", "category": "c", "boxes": [[0, 0, 1, 1], ["1", 2, 3, 4]]}',
+         "line 1: bad value for key 'boxes'"),
+        (dataio.read_gt, '{"image_id": "a", "category": "c", "boxes": [[true, 2, 3, 4]]}',
+         "line 1: bad value for key 'boxes'"),
     ])
     def test_readers_name_file_line_and_key(self, tmp_path, reader, text, message):
         path = tmp_path / "rows.jsonl"
@@ -1277,10 +1328,27 @@ class TestProposalDescriptors:
         assert len(ds.images) == len(manifest.images)
         for image_id, image in ds.images.items():
             fmap = manifest.load_image_fmap(image_id)
-            want = np.stack(
-                [pool_box_feature(fmap, box, manifest.cell_stride) for box in image.boxes]
-            )
+            want = np.stack([
+                pool_box_feature(fmap, image.box(i), manifest.cell_stride)
+                for i in range(len(image))
+            ])
             assert image.features.dtype == want.dtype and np.array_equal(image.features, want)
+
+    def test_rows_rebuild_the_boxes_of_the_file(self, synth_dir):
+        """Each proposal is held as one corner row; the box made from it is
+        the file's box, bit for bit."""
+        ds = dataio.open_dataset(synth_dir / "manifest.json")
+        listed = {}
+        for row in dataio.read_jsonl(ds.manifest.path("proposals")):
+            listed.setdefault(row["image_id"], []).append(BBox(*map(float, row["box"])))
+        assert list(ds.images) == sorted(listed)
+        for image_id, image in ds.images.items():
+            rebuilt = [image.box(i) for i in range(len(image))]
+            assert rebuilt == listed[image_id]
+            assert [[c.hex() for c in b.as_list()] for b in rebuilt] == [
+                [c.hex() for c in b.as_list()] for b in listed[image_id]
+            ]
+            assert image.coords.dtype == np.float64 and image.coords.shape == (len(rebuilt), 4)
 
     def test_feature_column_changes_no_output(self, synth_dir, tmp_path):
         data = tmp_path / "data"
@@ -1403,6 +1471,23 @@ def test_negative_synth_seed_refused_before_anything_is_written(tmp_path, capsys
     assert run_cli("synth", "--out", out, "--seed", -1) == 1
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "ConfigInvalidError" and "seed" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--noise-sigma", "nan", "noise_sigma must be finite, got nan"),
+    ("--signature-strength", "inf", "signature_strength must be finite, got inf"),
+    ("--signature-strength", "-inf", "signature_strength must be finite, got -inf"),
+    ("--multi-instance-prob", "nan", "multi_instance_prob must be finite, got nan"),
+    ("--multi-instance-prob", "1.5", "multi_instance_prob must be in [0, 1], got 1.5"),
+])
+def test_bad_synth_float_refused_by_name_before_anything_is_written(
+    tmp_path, capsys, flag, value, message
+):
+    out = tmp_path / "data"
+    assert run_cli("synth", "--out", out, "--seed", 0, f"{flag}={value}") == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ConfigInvalidError" and err["message"] == message
     assert not out.exists()
 
 

@@ -7,7 +7,9 @@ name and reads their arguments, so a change to a stage's signature that
 either misses fails here.
 """
 
+import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -67,3 +69,58 @@ def test_benchmark_tracer_sees_every_layer(tmp_path):
     assert [k for k in summary["counters"] if k.endswith(".hook_failed")] == []
     assert summary["calls"]["mining.build_clusters"] == 1
     assert summary["counters"]["mining.build_clusters.pairs"] > 0
+
+
+def _same_bytes():
+    spec = importlib.util.spec_from_file_location("same_bytes", SCRIPTS / "same_bytes.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestSameBytes:
+    """``scripts/same_bytes.py`` compares two output trees file by file."""
+
+    TRANSFERS = [
+        {"box": [0.0, 0.0, 4.0, 4.0], "frame_idx": 0, "image_id": "pos_000",
+         "region_id": "r00000", "sim": 0.75, "video_id": "vid_000"},
+        {"box": [1.0, 1.0, 5.0, 5.0], "frame_idx": 1, "image_id": "pos_000",
+         "region_id": "r00001", "sim": 0.5, "video_id": "vid_000"},
+    ]
+
+    def tree(self, root, transfers=TRANSFERS, elapsed=0.25):
+        (root / "w" / "seed0" / "reports").mkdir(parents=True)
+        rows = "".join(json.dumps(row, sort_keys=True) + "\n" for row in transfers)
+        (root / "w" / "seed0" / "transfers.jsonl").write_text(rows)
+        report = {"stage": "vote", "n_pseudo_gt": 2, "elapsed_s": elapsed}
+        (root / "w" / "seed0" / "reports" / "vote.json").write_text(json.dumps(report))
+        (root / "w" / "data.bin").write_bytes(bytes(range(256)))
+        return root
+
+    def test_identical_trees_pass(self, tmp_path):
+        base, head = self.tree(tmp_path / "base"), self.tree(tmp_path / "head")
+        assert _same_bytes().compare_trees(base, head) == (3, [])
+
+    def test_one_ulp_change_to_a_sim_is_reported_with_file_and_line(self, tmp_path):
+        moved = [self.TRANSFERS[0], {**self.TRANSFERS[1], "sim": math.nextafter(0.5, 1.0)}]
+        base, head = self.tree(tmp_path / "base"), self.tree(tmp_path / "head", moved)
+        n_files, differences = _same_bytes().compare_trees(base, head)
+        assert n_files == 3
+        [message] = differences
+        assert message.startswith(f"{Path('w', 'seed0', 'transfers.jsonl')}: line 2, byte ")
+        assert '"sim": 0.5,' in message and '"sim": 0.5000000000000001,' in message
+
+    def test_reports_differing_only_in_elapsed_time_pass(self, tmp_path):
+        base = self.tree(tmp_path / "base", elapsed=0.25)
+        head = self.tree(tmp_path / "head", elapsed=9.5)
+        assert _same_bytes().compare_trees(base, head) == (3, [])
+
+    def test_missing_file_and_changed_report_value_are_reported(self, tmp_path):
+        base, head = self.tree(tmp_path / "base"), self.tree(tmp_path / "head")
+        (head / "w" / "data.bin").unlink()
+        report = head / "w" / "seed0" / "reports" / "vote.json"
+        report.write_text(json.dumps({"stage": "vote", "n_pseudo_gt": 3, "elapsed_s": 0.25}))
+        _, differences = _same_bytes().compare_trees(base, head)
+        assert differences[0] == f"{Path('w', 'data.bin')}: only in base"
+        assert differences[1].startswith(f"{Path('w', 'seed0', 'reports', 'vote.json')}: line ")
+        assert "n_pseudo_gt" in differences[1]

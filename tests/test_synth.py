@@ -101,7 +101,7 @@ class TestStructure:
         for image_id, props in by_image.items():
             assert len(props) == cfg.proposals_per_image
         for image_id, boxes in truth.gt_boxes.items():
-            prop_boxes = {tuple(b.as_list()) for b in by_image[image_id].boxes}
+            prop_boxes = {tuple(row) for row in by_image[image_id].coords.tolist()}
             for b in boxes:
                 assert tuple(b.as_list()) in prop_boxes
 
@@ -149,19 +149,20 @@ def test_noiseless_identity_match(tmp_path):
 def test_rank_one_cluster_is_dominated_by_positives(tmp_path):
     gen_dataset(SynthConfig(seed=0), tmp_path)
     by_image = dataio.read_proposals(dataio.load_manifest(tmp_path / "manifest.json"))
-    kept = dedup_clusters(rank_clusters(build_clusters(by_image, 4)))
-    size = kept.regions().shape[1]  # the seed plus its members
-    assert kept.positive[0] / size >= 0.9
+    clusters = build_clusters(by_image, 4)
+    top = dedup_clusters(clusters, rank_clusters(clusters))[0]
+    size = clusters.regions([top]).shape[1]  # the seed plus its members
+    assert clusters.positive[top] / size >= 0.9
 
 
 def test_rank_one_cluster_members_localize_planted_boxes(tmp_path):
     truth = gen_dataset(SynthConfig(seed=0), tmp_path)
     by_image = dataio.read_proposals(dataio.load_manifest(tmp_path / "manifest.json"))
-    kept = dedup_clusters(rank_clusters(build_clusters(by_image, 4)))
-    rows = kept.regions()[0]
+    clusters = build_clusters(by_image, 4)
+    rows = clusters.regions(dedup_clusters(clusters, rank_clusters(clusters))[:1])[0]
     regions = [
-        (kept.image_ids[o], kept.images[o].boxes[row - kept.offsets[o]])
-        for row, o in zip(rows, kept.owners(rows))
+        (clusters.image_ids[o], clusters.images[o].box(row - clusters.offsets[o]))
+        for row, o in zip(rows, clusters.owners(rows))
     ]
     hits = sum(
         1
