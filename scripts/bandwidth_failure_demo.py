@@ -22,7 +22,7 @@ from boxforge.pipeline import (
     run_select_tracks,
     run_vote,
 )
-from boxforge.synth import SynthConfig, gen_multi_instance_case
+from boxforge.synth import SynthConfig, gen_dataset
 
 
 def main():
@@ -37,7 +37,7 @@ def main():
     root = Path(args.out)
     data = root / "data"
     out = root / "run"
-    truth = gen_multi_instance_case(SynthConfig(seed=args.seed), data)
+    truth = gen_dataset(SynthConfig(seed=args.seed, multi_instance_prob=1.0), data)
     manifest = str(data / "manifest.json")
     cfg = PipelineConfig(
         out_dir=str(out), frame_stride=1, target_cells=30, n_matches=20,

@@ -142,6 +142,12 @@ def _objects(value) -> list[_Row]:
     return value
 
 
+def _files(value) -> dict[str, str]:
+    if not isinstance(value, _Row):
+        raise TypeError("expected an object of file names")
+    return {key: _text(name) for key, name in value.items()}
+
+
 def _object(value, where: str) -> _Row:
     if not isinstance(value, _Row):
         raise ConfigInvalidError(f"{where}: expected a JSON object")
@@ -316,7 +322,7 @@ def load_manifest(path: str | Path) -> Manifest:
         category=doc.typed("categories", _one_name),
         images=images,
         videos=videos,
-        files=doc.typed("files", dict) if "files" in doc else {},
+        files=doc.typed("files", _files) if "files" in doc else {},
     )
 
 
@@ -524,13 +530,15 @@ def write_transfers(path: str | Path, transfers: Sequence[TransferredBox]) -> No
     _write_rows(path, TRANSFER_SCHEMA, transfers)
 
 
-def read_transfer_boxes(path: str | Path) -> dict[str, list[BBox]]:
-    """Transferred boxes grouped per image (the voting stage's input); only
-    the ``image_id`` and ``box`` keys are read."""
-    out: dict[str, list[BBox]] = {}
-    for image_id, box in _read_rows(path, {k: TRANSFER_SCHEMA[k] for k in ("image_id", "box")}):
-        out.setdefault(image_id, []).append(box)
-    return out
+def read_transfer_corners(path: str | Path) -> dict[str, bytes]:
+    """Each image's transferred boxes (the voting stage's input) as the
+    bytes of their (N, 4) float64 corner rows, in file order, 32 B a box;
+    only the ``image_id`` and ``box`` keys are read."""
+    grouped: dict[str, array] = {}
+    for row in read_jsonl(path):
+        image_id = row.typed("image_id", _text)
+        grouped.setdefault(image_id, array("d")).extend(row.typed("box", _box).as_list())
+    return {image_id: corners.tobytes() for image_id, corners in grouped.items()}
 
 
 def write_pseudo_gts(path: str | Path, gts: Sequence[PseudoGT]) -> None:

@@ -82,16 +82,6 @@ class QueryWindow:
             )
 
 
-@dataclass(frozen=True)
-class MatchHit:
-    """One scored window placement; ``pixel_box`` is its image-space extent."""
-
-    cell_x: int
-    cell_y: int
-    pixel_box: BBox
-    score: float
-
-
 def window_shape_for_box(box: BBox, target_cells: int = 48) -> tuple[int, int]:
     """Integer (w_cells, h_cells) window shape for matching a pixel box.
 
@@ -271,19 +261,6 @@ def scan_queries(
         score[members, : order.shape[1]] = np.take_along_axis(scores, order, axis=1)
         place[members, : order.shape[1]] = np.stack(np.unravel_index(order, grid), axis=-1)
     return score, place
-
-
-def slide_match(
-    query: QueryWindow, fmap: FeatureMap, top_n: int, cell_stride: float = 1.0
-) -> list[MatchHit]:
-    """:func:`scan_queries` of one query, as hits with their pixel boxes."""
-    (score,), (place,) = scan_queries([query], fmap, top_n)
-    boxes = placement_boxes(place, (query.w_cells, query.h_cells), cell_stride)
-    return [
-        MatchHit(cx, cy, BBox(*box), s)
-        for s, (cy, cx), box in zip(score.tolist(), place.tolist(), boxes.tolist())
-        if s > -np.inf
-    ]
 
 
 POOL_SURROUND_MARGIN = 2

@@ -46,7 +46,7 @@ from .detector import (
 )
 from .errors import ConfigInvalidError, EmptyPoolError, MissingInputError
 from .featmap import build_query_window, pool_box_feature
-from .geometry import BBox, box_array, clip_box, nms
+from .geometry import BBox, clip_box, nms
 from .metrics import aggregate, average_precision, corloc, error_histogram
 from .mining import (
     POSITIVE,
@@ -224,11 +224,12 @@ def vote_pseudo_gts(
     return gts
 
 
-def _voted(ds: dataio.Dataset, cfg: PipelineConfig, boxes_by_image, bandwidths):
-    """The vote of ``boxes_by_image`` (image id -> boxes), once per dataset.
-    It is keyed by each image's corner rows as bytes, 32 B a box, which the
-    memo keeps for the run."""
-    pairs = tuple((i, box_array(boxes_by_image[i]).tobytes()) for i in sorted(boxes_by_image))
+def _voted(ds: dataio.Dataset, cfg: PipelineConfig, corners_by_image, bandwidths):
+    """The vote of ``corners_by_image`` (image id -> the bytes of its corner
+    rows, as :func:`dataio.read_transfer_corners` reads them), once per
+    dataset.  It is keyed by those bytes, 32 B a box, which the memo keeps
+    for the run."""
+    pairs = tuple(sorted(corners_by_image.items()))
     return ds.memo(vote_pseudo_gts, pairs, tuple(bandwidths), cfg.theta)
 
 
@@ -253,23 +254,23 @@ def run_vote(
         raise ConfigInvalidError("vote needs a bandwidth: b in the config file or --bandwidth")
     stage = _Stage(cfg, "vote")
     manifest = ds.manifest
-    boxes_by_image = dataio.read_transfer_boxes(stage.input(transfers, TRANSFERS))
+    corners_by_image = dataio.read_transfer_corners(stage.input(transfers, TRANSFERS))
     chosen = cfg.bandwidth is None and bandwidth in cfg.bandwidth_grid
     grid = cfg.bandwidth_grid if chosen else (bandwidth,)
-    pseudo_gts = _voted(ds, cfg, boxes_by_image, grid)[bandwidth]
+    pseudo_gts = _voted(ds, cfg, corners_by_image, grid)[bandwidth]
     if heatmaps is not None:
         hdir = Path(heatmaps)
         hdir.mkdir(parents=True, exist_ok=True)
-        for image_id in sorted(boxes_by_image):
+        for image_id in sorted(corners_by_image):
             width, height = manifest.image(image_id).size
-            path = hdir / f"{image_id}.pgm"
-            export_heatmap(box_array(boxes_by_image[image_id]), (int(width), int(height)), path)
+            points = np.frombuffer(corners_by_image[image_id]).reshape(-1, 4)
+            export_heatmap(points, (int(width), int(height)), hdir / f"{image_id}.pgm")
     dataio.write_pseudo_gts(stage.out / PSEUDO_GT, [pseudo_gts[i] for i in sorted(pseudo_gts)])
     return stage.report({
         "bandwidth": bandwidth,
         "kernel": "gaussian",
         "theta": cfg.theta,
-        "n_images_with_transfers": len(boxes_by_image),
+        "n_images_with_transfers": len(corners_by_image),
         "n_pseudo_gt": len(pseudo_gts),
     })
 
@@ -558,9 +559,9 @@ def run_cv_bandwidth(
     stage detects on images.
     """
     stage = _Stage(cfg, "cv_bandwidth")
-    boxes_by_image = dataio.read_transfer_boxes(stage.input(transfers, TRANSFERS))
+    corners_by_image = dataio.read_transfer_corners(stage.input(transfers, TRANSFERS))
     selected = dataio.read_selections(stage.input(selections, SELECTIONS))
-    voted = _voted(ds, cfg, boxes_by_image, cfg.bandwidth_grid)
+    voted = _voted(ds, cfg, corners_by_image, cfg.bandwidth_grid)
     frames, gt = _video_frames(ds, selected, cfg.frame_stride)
 
     def evaluate(b: float) -> float:

@@ -19,7 +19,7 @@ single PCG64 stream, so a fixed seed reproduces the dataset byte for byte
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 import numpy as np
 
@@ -325,7 +325,3 @@ def gen_dataset(config: SynthConfig, out_dir: str | Path) -> SynthTruth:
         distractor_signatures=distractor_sigs,
     )
 
-
-def gen_multi_instance_case(config: SynthConfig, out_dir: str | Path) -> SynthTruth:
-    """The same dataset with two well-separated instances in every positive image."""
-    return gen_dataset(replace(config, multi_instance_prob=1.0), out_dir)

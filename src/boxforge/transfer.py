@@ -98,20 +98,6 @@ def match_regions(
     return results, TopMatches(tuple(queries), video_ids, *top)
 
 
-# One-region views of the scan; no stage calls them, the benchmark's tracer wraps them by name.
-def match_region_to_videos(
-    region_id, query, videos, n=20, frame_stride=8, cell_stride=1.0
-) -> TopMatches:
-    none = lambda *_: None
-    return match_regions({region_id: query}, videos, none, n, frame_stride, cell_stride)[1]
-
-
-def match_region_per_frame(region_id, query, videos, frame_stride=8, cell_stride=1.0) -> dict:
-    """(video_id, frame_idx) -> the region's best (pixel corners, score) there."""
-    best = lambda v, frame_idx, boxes, scores: ((v, frame_idx), (boxes[0], scores[0]))
-    return dict(match_regions({region_id: query}, videos, best, 1, frame_stride, cell_stride)[0])
-
-
 def retrieve_boxes(
     matches: TopMatches,
     region_boxes: Mapping[str, tuple[str, BBox]],

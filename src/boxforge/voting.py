@@ -195,23 +195,6 @@ def ranked_ascents(points: np.ndarray, bandwidths: Sequence[float]) -> list[Rank
     return ranked
 
 
-def mean_shift_modes(space: VoteSpace) -> list[tuple[np.ndarray, float]]:
-    """Modes of the vote field, highest vote first.
-
-    Ascent is seeded at every point; converged locations within 0.5*b of an
-    already-kept mode merge into it (the kept one has the higher vote).
-    Ties in vote are ordered by the mode's coordinates.
-    Raises :class:`NoPointsError` on an empty space.
-    """
-    [(locations, votes)] = ranked_ascents(space.points, [space.bandwidth])
-    merge_radius = 0.5 * space.bandwidth
-    modes: list[tuple[np.ndarray, float]] = []
-    for m, v in zip(locations, votes.tolist()):
-        if all(float(np.linalg.norm(m - km)) > merge_radius for km, _ in modes):
-            modes.append((m, v))
-    return modes
-
-
 def select_pseudo_gt(
     space: VoteSpace,
     ranking: RankedAscents,
@@ -226,7 +209,7 @@ def select_pseudo_gt(
     the image.  ``support`` counts the points within one bandwidth of the
     mode.
     """
-    # the top mode is the first ranked ascent: merging only decides what follows it
+    # the top mode is the first ranked ascent
     mode, vote = ranking.locations[0], float(ranking.votes[0])
     if vote < theta:
         return None

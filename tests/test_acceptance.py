@@ -22,7 +22,7 @@ from boxforge.detector import (
     LinearModel,
     regression_pairs,
 )
-from boxforge.featmap import FeatureMap, QueryWindow, extract_window, slide_match
+from boxforge.featmap import FeatureMap, QueryWindow, extract_window
 from boxforge.geometry import BBox, box_array, iou, transfer_box
 from boxforge.metrics import average_precision, corloc
 from boxforge.mining import (
@@ -39,10 +39,11 @@ from boxforge.pipeline import (
     run_select_tracks,
     run_vote,
 )
-from boxforge.synth import SynthConfig, gen_dataset, gen_multi_instance_case
+from boxforge.synth import SynthConfig, gen_dataset
 from boxforge.tracks import evaluate_selection
 from boxforge.voting import PseudoGT, VoteSpace, ranked_ascents, select_pseudo_gt
 
+from test_featmap import scan_hits
 from test_mining import (
     dataset as make_dataset,
     oracle_build,
@@ -158,10 +159,9 @@ def test_criterion_2_matching_oracle():
                 w_cells=qw, h_cells=qh, channels=c,
                 data=rng.normal(size=qw * qh * c),
             )
-        got = slide_match(query, fm, top_n=5)
+        got = scan_hits(query, fm, 5)
         want = exhaustive_scan(query, fm, 5)
-        got_keys = [(hit.score, hit.cell_y, hit.cell_x) for hit in got]
-        assert got_keys == want, f"trial {trial} diverged from the exhaustive scan"
+        assert got == want, f"trial {trial} diverged from the exhaustive scan"
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
     report("criterion-2 matching oracle", f"50 maps exact top-5 match, {elapsed:.2f}s")
@@ -429,7 +429,7 @@ def test_criterion_8_pipeline_determinism(tmp_path):
 def test_criterion_9_bandwidth_failure_mode(tmp_path):
     t0 = time.perf_counter()
     data = tmp_path / "data"
-    truth = gen_multi_instance_case(SynthConfig(seed=0), data)
+    truth = gen_dataset(SynthConfig(seed=0, multi_instance_prob=1.0), data)
     manifest = str(data / "manifest.json")
     out = tmp_path / "out"
     oversized = 12.0

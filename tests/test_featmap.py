@@ -22,7 +22,6 @@ from boxforge.featmap import (
     read_fmap,
     resample_window,
     scan_queries,
-    slide_match,
     window_shape_for_box,
     write_fmap,
 )
@@ -173,7 +172,7 @@ class TestPlacementBoxes:
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-def slide_match_oracle(query, fm, top_n):
+def scan_oracle(query, fm, top_n):
     """Brute-force every placement and rank with the documented tie-break."""
     qf = np.asarray(query.data, dtype=np.float64).reshape(-1)
     nq = float(np.linalg.norm(qf))
@@ -192,36 +191,41 @@ def slide_match_oracle(query, fm, top_n):
     return hits[:top_n]
 
 
-class TestSlideMatch:
+def scan_hits(query, fmap, top_n):
+    """One query's ranked rows from :func:`scan_queries`, as (score, cell_y,
+    cell_x), padding rows dropped."""
+    (score,), (place,) = scan_queries([query], fmap, top_n)
+    return [(s, cy, cx) for s, (cy, cx) in zip(score.tolist(), place.tolist()) if s > -np.inf]
+
+
+class TestScanOneQuery:
     def test_identity_planting(self):
         rng = np.random.default_rng(3)
         fm = random_fmap(rng, 10, 12, 4)
         q = extract_window(fm, (3, 2, 4, 5))
-        hits = slide_match(q, fm, top_n=3)
-        assert (hits[0].cell_x, hits[0].cell_y) == (3, 2)
-        assert hits[0].score == pytest.approx(1.0, abs=1e-6)
+        (score, cy, cx), *_ = scan_hits(q, fm, 3)
+        assert (cx, cy) == (3, 2)
+        assert score == pytest.approx(1.0, abs=1e-6)
 
     def test_all_zero_frame_scores_zero_first_placement(self):
         fm = fmap_from(np.zeros((6, 6, 2)))
         q = extract_window(fm, (1, 1, 2, 2))
-        hits = slide_match(q, fm, top_n=2)
-        assert all(h.score == 0.0 for h in hits)
-        assert (hits[0].cell_y, hits[0].cell_x) == (0, 0)
+        hits = scan_hits(q, fm, 2)
+        assert all(score == 0.0 for score, _, _ in hits)
+        assert hits[0][1:] == (0, 0)
 
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(4)
         fm = random_fmap(rng, 8, 8, 3)
         planted = extract_window(fm, (2, 4, 3, 2))
-        hits = slide_match(planted, fm, top_n=3)
-        oracle = slide_match_oracle(planted, fm, 3)
-        assert [(h.score, h.cell_y, h.cell_x) for h in hits] == oracle
+        assert scan_hits(planted, fm, 3) == scan_oracle(planted, fm, 3)
 
     def test_window_too_large(self):
         fm = fmap_from(np.zeros((3, 3, 1)))
         q = extract_window(fm, (0, 0, 3, 3))
         small = fmap_from(np.zeros((2, 2, 1)))
         with pytest.raises(WindowTooLargeError):
-            slide_match(q, small, top_n=1)
+            scan_queries([q], small, top_n=1)
 
     def test_one_shape_too_large_refuses_the_scan(self):
         fm = fmap_from(np.ones((3, 4, 1)))
@@ -230,24 +234,26 @@ class TestSlideMatch:
         with pytest.raises(WindowTooLargeError, match="4x2 cells"):
             scan_queries([fits, too_tall], fm, top_n=1)
 
-    def test_hit_box_is_the_placement_at_the_stride(self):
+    def test_best_placement_box_at_the_stride(self):
         rng = np.random.default_rng(8)
         fm = random_fmap(rng, 6, 7, 2)
         q = extract_window(fm, (3, 1, 2, 3))
-        (hit,) = slide_match(q, fm, top_n=1, cell_stride=4.0)
-        assert (hit.cell_x, hit.cell_y) == (3, 1)
-        assert hit.pixel_box == BBox(12.0, 4.0, 20.0, 16.0)
+        _, (place,) = scan_queries([q], fm, top_n=1)
+        assert place.tolist() == [[1, 3]]  # (cell_y, cell_x)
+        box = placement_boxes(place, (q.w_cells, q.h_cells), 4.0)
+        assert BBox(*box[0]) == BBox(12.0, 4.0, 20.0, 16.0)
 
     def test_scores_invariant_to_positive_feature_scaling(self):
         rng = np.random.default_rng(5)
         fm = random_fmap(rng, 7, 7, 3)
         q = extract_window(fm, (1, 1, 3, 3))
-        base = slide_match(q, fm, top_n=5)
-        scaled = slide_match(q, fmap_from(fm.data * 3.7), top_n=5)
-        for a, b in zip(base, scaled):
+        base = scan_hits(q, fm, 5)
+        scaled = scan_hits(q, fmap_from(fm.data * 3.7), 5)
+        assert len(base) == len(scaled) == 5
+        for (a, *at), (b, *bt) in zip(base, scaled):
             # maps store float32, so the rescaled grid is rounded before scoring
-            assert b.score == pytest.approx(a.score, abs=1e-6)
-            assert (a.cell_x, a.cell_y) == (b.cell_x, b.cell_y)
+            assert b == pytest.approx(a, abs=1e-6)
+            assert at == bt
 
     def test_planted_copy_attains_global_max(self):
         rng = np.random.default_rng(6)
@@ -255,16 +261,12 @@ class TestSlideMatch:
         q = extract_window(fmap_from(fm_arr), (5, 5, 3, 3))
         other = rng.normal(size=(9, 9, 4)).astype(np.float32)
         other[1:4, 2:5, :] = q.data.reshape(3, 3, 4)
-        hits = slide_match(q, fmap_from(other), top_n=1)
-        assert (hits[0].cell_x, hits[0].cell_y) == (2, 1)
-        assert hits[0].score == pytest.approx(1.0, abs=1e-6)
+        [(score, cy, cx)] = scan_hits(q, fmap_from(other), 1)
+        assert (cx, cy) == (2, 1)
+        assert score == pytest.approx(1.0, abs=1e-6)
 
 
-def _scan(query, fmap, top_n):
-    return [(h.score, h.cell_y, h.cell_x) for h in slide_match(query, fmap, top_n)]
-
-
-class TestSlideMatchScanOracle:
+class TestScanOneQueryOracle:
     """The array scan must equal the one-placement-at-a-time oracle exactly."""
 
     def test_top_n_beyond_the_placements(self):
@@ -272,8 +274,8 @@ class TestSlideMatchScanOracle:
         base = random_fmap(rng, 12, 14, 5)
         q = extract_window(base, (3, 2, 5, 4))
         n = 12 * 14  # more than the 9 x 10 placements
-        hits = _scan(q, base, n)
-        assert hits == slide_match_oracle(q, base, n)
+        hits = scan_hits(q, base, n)
+        assert hits == scan_oracle(q, base, n)
         assert len(hits) == 9 * 10
 
     def test_zero_norm_placements_and_zero_query(self):
@@ -282,10 +284,10 @@ class TestSlideMatchScanOracle:
         arr[:5, :6, :] = 0.0
         fm = fmap_from(arr)
         q = extract_window(fm, (4, 5, 3, 3))
-        assert _scan(q, fm, 80) == slide_match_oracle(q, fm, 80)
+        assert scan_hits(q, fm, 80) == scan_oracle(q, fm, 80)
         zero_q = QueryWindow(w_cells=3, h_cells=3, channels=3, data=np.zeros(27))
-        hits = _scan(zero_q, fm, 80)
-        assert hits == slide_match_oracle(zero_q, fm, 80)
+        hits = scan_hits(zero_q, fm, 80)
+        assert hits == scan_oracle(zero_q, fm, 80)
         assert all(score == 0.0 for score, _, _ in hits)
 
     @pytest.mark.parametrize("cap_rows", [0.5, 1, 3, 7, 25])
@@ -294,11 +296,11 @@ class TestSlideMatchScanOracle:
         fm = random_fmap(rng, 11, 13, 4)
         q = resample_window(fm, (2, 3, 5, 4), (4, 3))
         n = 9 * 10
-        whole = _scan(q, fm, n)
+        whole = scan_hits(q, fm, n)
         # cap_rows placement rows of 4x3x4 float64 values per block
         monkeypatch.setattr(featmap, "SCAN_BLOCK_BYTES", int(cap_rows * 8 * q.data.size))
-        blocked = _scan(q, fm, n)
-        assert blocked == whole == slide_match_oracle(q, fm, n)
+        blocked = scan_hits(q, fm, n)
+        assert blocked == whole == scan_oracle(q, fm, n)
 
 
 
@@ -337,7 +339,7 @@ class TestGroupedScan:
             score, place = scan_queries(queries, fm, top_n)
         assert score.shape == place.shape[:2] == (len(queries), top_n)
         for q, query in enumerate(queries):
-            want = slide_match_oracle(query, fm, top_n)
+            want = scan_oracle(query, fm, top_n)
             got = [(s, *where) for s, where in zip(score[q].tolist(), place[q].tolist())]
             assert got[: len(want)] == want
             assert got[len(want):] == [(-np.inf, -1, -1)] * (top_n - len(want))

@@ -416,7 +416,7 @@ STAGE_ARGS = {
     "cv-bandwidth": ["--seed", 7, "--bandwidth-grid", "1,2"],
 }
 READERS = (
-    "read_regions", "read_selections", "read_transfer_boxes", "read_pseudo_gts",
+    "read_regions", "read_selections", "read_transfer_corners", "read_pseudo_gts",
     "read_model", "read_detections",
 )
 
@@ -713,7 +713,7 @@ class TestEachIntermediateOnce:
         ))
         assert len(parsed) == 1
         assert len(manifests) == 1
-        n_images = len(dataio.read_transfer_boxes(out / pipeline.TRANSFERS))
+        n_images = len(dataio.read_transfer_corners(out / pipeline.TRANSFERS))
         assert n_images > 0
         assert len(votes) == len(self.GRID) * n_images
         # the synthetic data has negative images, so a bandwidth with any
@@ -785,8 +785,8 @@ class TestEachIntermediateOnce:
         pipeline.run_select_tracks(ds, cfg)
         pipeline.run_match(ds, cfg)
         pipeline.run_cv_bandwidth(ds, cfg)
-        boxes = dataio.read_transfer_boxes(out / pipeline.TRANSFERS)
-        pairs = tuple((i, box_array(boxes[i]).tobytes()) for i in sorted(boxes))
+        corners = dataio.read_transfer_corners(out / pipeline.TRANSFERS)
+        pairs = tuple((i, corners[i]) for i in sorted(corners))
         voted = ds.memo(pipeline.vote_pseudo_gts, pairs, grid, cfg.theta)
         trials = [voted[b] for b in grid]
         for b, trial in zip(grid, trials):
@@ -818,9 +818,9 @@ class TestMemo:
         assert calls == [1, 2, -1, -1]
         assert dataio.open_dataset(synth_dir / "manifest.json").memo(compute, 1) is not first
 
-    def test_equal_boxes_in_new_lists_vote_once(self, synth_dir, monkeypatch):
-        """The vote is keyed by its boxes' corner bytes, not by the box
-        objects: equal boxes in other lists find the first vote."""
+    def test_equal_corners_in_new_bytes_vote_once(self, synth_dir, monkeypatch):
+        """The vote is keyed by the value of its corner bytes, not by the
+        objects: equal corners read again find the first vote."""
         ds = dataio.open_dataset(synth_dir / "manifest.json")
         cfg = PipelineConfig(manifest=str(synth_dir / "manifest.json"), seed=0, bandwidth=2.0)
         calls = []
@@ -832,13 +832,13 @@ class TestMemo:
         vote = pipeline.vote_pseudo_gts
         monkeypatch.setattr(pipeline, "vote_pseudo_gts", counted)
 
-        def boxes():
-            return {"pos_001": [BBox(1, 2, 6, 7), BBox(1.5, 2, 6, 7.25)],
-                    "pos_000": [BBox(0, 0, 4, 4)]}
+        def corners():
+            return {"pos_001": box_array([BBox(1, 2, 6, 7), BBox(1.5, 2, 6, 7.25)]).tobytes(),
+                    "pos_000": box_array([BBox(0, 0, 4, 4)]).tobytes()}
 
-        first = pipeline._voted(ds, cfg, boxes(), (2.0,))
-        assert pipeline._voted(ds, cfg, boxes(), (2.0,)) is first
-        assert pipeline._voted(ds, cfg, boxes(), (4.0,)) is not first
+        first = pipeline._voted(ds, cfg, corners(), (2.0,))
+        assert pipeline._voted(ds, cfg, corners(), (2.0,)) is first
+        assert pipeline._voted(ds, cfg, corners(), (4.0,)) is not first
         assert len(calls) == 2
         assert calls[0] == (
             ("pos_000", np.array([0, 0, 4, 4], dtype=np.float64).tobytes()),
@@ -1157,7 +1157,7 @@ class TestMalformedJson:
          '"cluster_id": "a#0", "cluster_rank": 0}', "line 1: bad value for key 'box'"),
         (dataio.read_selections, '{"video_id": "v", "frame_idx": 1, "track_id": 0, '
          '"box": ["1", 2, 3, 4], "score": 1}', "line 1: bad value for key 'box'"),
-        (dataio.read_transfer_boxes, '{"image_id": "a", "box": [true, 2, 3, 4]}',
+        (dataio.read_transfer_corners, '{"image_id": "a", "box": [true, 2, 3, 4]}',
          "line 1: bad value for key 'box'"),
         (dataio.read_pseudo_gts, '{"image_id": "a", "box": ["1", 2, 3, 4], "vote": 1, '
          '"support": 1, "updated": false}', "line 1: bad value for key 'box'"),
@@ -1617,7 +1617,7 @@ RECORD_FILES = {
                          dataio.read_selections, {("vid_000", 4): SELECTION}),
     "transfers.jsonl": (dataio.TRANSFER_SCHEMA, dataio.write_transfers,
                         [transfer.TransferredBox("pos_000", BOX, "r00000", "vid_000", 4, 0.25)],
-                        dataio.read_transfer_boxes, {"pos_000": [BOX]}),
+                        dataio.read_transfer_corners, {"pos_000": box_array([BOX]).tobytes()}),
     "pseudo_gt.jsonl": (dataio.PSEUDO_GT_SCHEMA, dataio.write_pseudo_gts, [PSEUDO_GT],
                         dataio.read_pseudo_gts, {"pos_000": PSEUDO_GT}),
     "detections*.jsonl": (dataio.DETECTION_SCHEMA, dataio.write_detections, DETECTIONS,
@@ -1757,6 +1757,7 @@ class TestManifest:
         ("cell_stride", 0), ("cell_stride", -1), ("categories", []),
         ("format_version", 9), ("format_version", 0), ("format_version", "1"),
         ("format_version", True), ("categories", ["dog", "obj"]), ("categories", ["obj", "dog"]),
+        ("files", {"proposals": 5}), ("files", [["proposals", "proposals.jsonl"]]),
     ])
     def test_bad_value_refused_before_anything_is_written(
         self, synth_dir, tmp_path, capsys, key, value

@@ -7,7 +7,7 @@ import pytest
 
 from boxforge import dataio
 from boxforge.errors import ConfigInvalidError
-from boxforge.featmap import extract_window, read_fmap, slide_match
+from boxforge.featmap import extract_window, read_fmap
 from boxforge.geometry import iou
 from boxforge.mining import build_clusters, dedup_clusters, rank_clusters
 from boxforge.synth import (
@@ -15,9 +15,10 @@ from boxforge.synth import (
     N_TRACKS,
     SynthConfig,
     gen_dataset,
-    gen_multi_instance_case,
 )
 from boxforge.tracks import candidates_at_frame
+
+from test_featmap import scan_hits
 
 SMALL = SynthConfig(seed=0, n_videos=1, frames_per_video=4)
 
@@ -141,9 +142,9 @@ def test_noiseless_identity_match(tmp_path):
     fmap = manifest.load_image_fmap(image_id)
     rect = tuple(int(c) for c in (gt_box.x_min, gt_box.y_min, gt_box.width, gt_box.height))
     q = extract_window(fmap, rect)
-    hits = slide_match(q, fmap, top_n=1)
-    assert hits[0].score == pytest.approx(1.0, abs=1e-6)
-    assert (hits[0].cell_x, hits[0].cell_y) == (rect[0], rect[1])
+    [(score, cell_y, cell_x)] = scan_hits(q, fmap, 1)
+    assert score == pytest.approx(1.0, abs=1e-6)
+    assert (cell_x, cell_y) == (rect[0], rect[1])
 
 
 def test_rank_one_cluster_is_dominated_by_positives(tmp_path):
@@ -173,7 +174,7 @@ def test_rank_one_cluster_members_localize_planted_boxes(tmp_path):
 
 
 def test_multi_instance_case_plants_two_separated_instances(tmp_path):
-    truth = gen_multi_instance_case(SynthConfig(seed=1), tmp_path)
+    truth = gen_dataset(SynthConfig(seed=1, multi_instance_prob=1.0), tmp_path)
     for image_id, boxes in truth.gt_boxes.items():
         assert len(boxes) == 2
         assert iou(boxes[0], boxes[1]) == 0.0

@@ -13,7 +13,6 @@ from boxforge.featmap import FeatureMap, extract_window, scan_queries
 from boxforge.geometry import BBox, transfer_box
 from boxforge.tracks import FrameSelection
 from boxforge.transfer import (
-    match_region_per_frame,
     match_regions,
     retrieve_boxes,
     sampled_frame_indices,
@@ -221,9 +220,10 @@ def test_per_frame_keys_and_best():
     rng = np.random.default_rng(26)
     frames = video(rng, 5)
     q = extract_window(frames[2], (1, 1, 2, 2))
-    per_frame = match_region_per_frame("r0", q, [("v", frames)], frame_stride=2)
-    assert set(per_frame) == {("v", 0), ("v", 2), ("v", 4)}
-    assert per_frame[("v", 2)][1] == pytest.approx(1.0, abs=1e-6)
+    scanned, _ = match_regions({"r0": q}, [("v", frames)], best_hits, 1, 2)
+    per_frame = {(video_id, frame_idx): scores[0] for video_id, frame_idx, _, scores in scanned}
+    assert list(per_frame) == [("v", 0), ("v", 2), ("v", 4)]
+    assert per_frame[("v", 2)] == pytest.approx(1.0, abs=1e-6)
 
 
 class TestStreamedScan:

@@ -13,7 +13,6 @@ from boxforge.voting import (
     PseudoGT,
     VoteSpace,
     export_heatmap,
-    mean_shift_modes,
     select_pseudo_gt,
 )
 
@@ -93,7 +92,7 @@ class TestMeanShiftModes:
 
     def test_empty_raises(self):
         with pytest.raises(NoPointsError):
-            mean_shift_modes(VoteSpace(points=np.zeros((0, 4)), bandwidth=1.0))
+            voting.ranked_ascents(np.zeros((0, 4)), [1.0])
 
     def test_two_far_clusters_give_two_modes_at_centroids(self):
         b = 1.0
@@ -174,6 +173,14 @@ def mean_shift_oracle(space, tol_per_bandwidth=1e-3, max_iter=200):
     return merge_modes(
         ranked_ascents_oracle(space, tol_per_bandwidth, max_iter), space.bandwidth
     )
+
+
+def mean_shift_modes(space):
+    """The vote field's modes, highest vote first: the space's
+    :func:`voting.ranked_ascents`, each location within 0.5*b of an
+    already-kept mode merged into it."""
+    [(locations, votes)] = voting.ranked_ascents(space.points, [space.bandwidth])
+    return merge_modes(zip(locations, votes.tolist()), space.bandwidth)
 
 
 def patch_ascent(monkeypatch, tol_per_bandwidth, max_iter):
