@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Check that this checkout writes the same bytes as a base revision.
 
-    python3 scripts/same_bytes.py --base HEAD~1
+    python3 scripts/same_bytes.py --base HEAD~1 [--coretype Haswell,Sandybridge]
 
 Exports ``--base`` with ``git archive`` into a temporary directory.  Then,
 for each benchmark workload (``WORKLOADS`` in ``perfbench/run.py``), it runs
@@ -14,6 +14,11 @@ Every output file is compared by sha256.  A stage report
 (``reports/*.json``) is compared as JSON without ``elapsed_s``, the one
 value that differs between runs.  Each differing file is printed with its
 first differing line, and the exit code is 1 on any difference.
+
+``--coretype NAME[,NAME]`` also reruns this checkout's workloads once per
+OpenBLAS kernel, with ``OPENBLAS_CORETYPE=NAME`` set in the children's
+environment only, and prints the files that differ from this checkout's
+default run.  Those differences do not change the exit code.
 """
 
 from __future__ import annotations
@@ -43,10 +48,13 @@ def export_revision(rev: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
-def run_workloads(tree: Path, work: Path, workloads: dict) -> None:
+def run_workloads(tree: Path, work: Path, workloads: dict, coretype: str | None = None) -> None:
     """``synth`` once and ``pipeline --heatmaps`` at each of :data:`SEEDS`
-    per workload, from ``tree``'s ``src/``, into ``work/<workload>/``."""
+    per workload, from ``tree``'s ``src/``, into ``work/<workload>/``; with
+    ``coretype``, each child runs under ``OPENBLAS_CORETYPE=coretype``."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    if coretype:
+        env["OPENBLAS_CORETYPE"] = coretype
 
     def boxforge(*args: str) -> None:
         proc = subprocess.run(
@@ -106,9 +114,19 @@ def compare_trees(base: Path, head: Path) -> tuple[int, list[str]]:
     return len(names), differences
 
 
+def _count(differences: list[str]) -> str:
+    return f"{len(differences) or 'no'} difference{'' if len(differences) == 1 else 's'}"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
+    parser.add_argument(
+        "--coretype", type=lambda text: [n for n in text.split(",") if n], default=[],
+        metavar="NAME[,NAME]",
+        help="also rerun this checkout under each OPENBLAS_CORETYPE and list the files "
+        "that differ from its default run",
+    )
     args = parser.parse_args(argv)
 
     sys.path.insert(0, str(ROOT / "perfbench"))
@@ -121,14 +139,26 @@ def main(argv: list[str] | None = None) -> int:
             work.mkdir()
             run_workloads(tree, work, WORKLOADS)
         n_files, differences = compare_trees(base_work, head_work)
+        by_kernel = {}
+        for name in args.coretype:
+            work = Path(tmp, f"coretype-{name}")
+            work.mkdir()
+            run_workloads(ROOT, work, WORKLOADS, coretype=name)
+            by_kernel[name] = compare_trees(head_work, work)[1]
     for line in differences:
         print(line)
     seeds = " and ".join(map(str, SEEDS))
     print(
         f"same_bytes: {n_files} files from {len(WORKLOADS)} workloads "
-        f"({', '.join(WORKLOADS)}) at seeds {seeds} against {args.base}: "
-        f"{len(differences) or 'no'} difference{'' if len(differences) == 1 else 's'}"
+        f"({', '.join(WORKLOADS)}) at seeds {seeds} against {args.base}: {_count(differences)}"
     )
+    for name, kernel_differences in by_kernel.items():
+        for line in kernel_differences:
+            print(f"OPENBLAS_CORETYPE={name}: {line}")
+        print(
+            f"same_bytes: this checkout under OPENBLAS_CORETYPE={name} against its "
+            f"default run: {_count(kernel_differences)}"
+        )
     return 1 if differences else 0
 
 

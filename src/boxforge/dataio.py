@@ -639,11 +639,11 @@ def write_model(path: str | Path, model: LinearModel) -> None:
 
 def read_model(path: str | Path) -> LinearModel:
     doc = load_json(path)
-    return LinearModel(
-        weights=doc.typed("weights", _array),
-        bias=doc.typed("bias", _real),
-        category_id=doc.get("category_id", ""),
-    )
+    weights, bias = doc.typed("weights", _array), doc.typed("bias", _real)
+    dim = doc.typed("dim", _integer)
+    if weights.shape != (dim,):
+        raise ConfigInvalidError(f"{path}: bad value for key 'dim' ({dim}; weights {weights.shape})")
+    return LinearModel(weights=weights, bias=bias, category_id=doc.typed("category_id", _text))
 
 
 def write_regressor(path: str | Path, reg: BoxRegressor) -> None:

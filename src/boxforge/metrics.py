@@ -1,4 +1,5 @@
-"""Localization and detection metrics: CorLoc, error cases, average precision.
+"""Localization and detection metrics: CorLoc, error cases, and 11-point
+(VOC 2007) average precision.
 
 CorLoc is the fraction of positive images whose predicted box overlaps some
 ground-truth box with IOU strictly greater than 0.5.  Images with no
@@ -93,25 +94,19 @@ def error_histogram(
     return hist
 
 
-ELEVEN_POINT = "eleven_point"
-ALL_POINT = "all_point"
-
-
 def average_precision(
     detections: Sequence[tuple[str, BBox, float]],
     gt: Mapping[str, Sequence[BBox]],
-    mode: str = ELEVEN_POINT,
 ) -> float:
-    """PASCAL-style AP of scored detections against per-image GT boxes.
+    """PASCAL-style 11-point (VOC 2007) AP of scored detections against
+    per-image GT boxes.
 
     Detections are processed score-descending (ties: image_id, then box
     coordinates) and greedily matched: a detection is a true positive when
     its best-IOU ground-truth box reaches :data:`AP_IOU` and is not already
-    matched.  ``eleven_point`` is the VOC2007 interpolation; ``all_point``
-    integrates the precision envelope.
+    matched.  AP is the mean, over recall levels 0, 0.1, ..., 1, of the best
+    precision at that recall or above.
     """
-    if mode not in (ELEVEN_POINT, ALL_POINT):
-        raise ValueError(f"unknown AP mode {mode!r}")
     total_gt = sum(len(boxes) for boxes in gt.values())
     if total_gt == 0:
         raise NoGroundTruthError("average precision needs at least one GT box")
@@ -141,41 +136,9 @@ def average_precision(
         tp += int(flag)
         precisions.append(tp / rank)
         recalls.append(tp / total_gt)
-    if mode == ELEVEN_POINT:
-        total = 0.0
-        for i in range(11):
-            t = i / 10
-            ps = [p for p, r in zip(precisions, recalls) if r >= t]
-            total += max(ps) if ps else 0.0
-        return total / 11
-    # All-point: sum recall increments times the precision envelope.
-    ap = 0.0
-    prev_recall = 0.0
-    for idx, (p, r) in enumerate(zip(precisions, recalls)):
-        if r > prev_recall:
-            envelope = max(precisions[idx:])
-            ap += (r - prev_recall) * envelope
-            prev_recall = r
-    return ap
-
-
-def aggregate(per_category: Mapping[str, Mapping]) -> dict:
-    """Unweighted cross-category means plus a merged error histogram.
-
-    Each per-category entry carries ``corloc_all``, ``corloc_found``, ``ap``,
-    and ``error_histogram`` as produced by the evaluation stage.
-    """
-    if not per_category:
-        raise NoPositiveImagesError("aggregate needs at least one category")
-    cats = sorted(per_category)
-    hist = {case.value: 0 for case in ErrorCase}
-    for cat in cats:
-        for key, count in per_category[cat].get("error_histogram", {}).items():
-            hist[key] = hist.get(key, 0) + count
-    return {
-        "categories": {cat: dict(per_category[cat]) for cat in cats},
-        "mean_corloc": sum(per_category[c]["corloc_all"] for c in cats) / len(cats),
-        "mean_corloc_found": sum(per_category[c]["corloc_found"] for c in cats) / len(cats),
-        "map": sum(per_category[c]["ap"] for c in cats) / len(cats),
-        "error_histogram": hist,
-    }
+    total = 0.0
+    for i in range(11):
+        t = i / 10
+        ps = [p for p, r in zip(precisions, recalls) if r >= t]
+        total += max(ps) if ps else 0.0
+    return total / 11

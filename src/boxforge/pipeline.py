@@ -47,7 +47,7 @@ from .detector import (
 from .errors import ConfigInvalidError, EmptyPoolError, MissingInputError
 from .featmap import build_query_window, pool_box_feature
 from .geometry import BBox, clip_box, nms
-from .metrics import aggregate, average_precision, corloc, error_histogram
+from .metrics import average_precision, corloc, error_histogram
 from .mining import (
     POSITIVE,
     ImageProposals,
@@ -377,7 +377,10 @@ def run_update(
 ) -> dict:
     """Latent update: fill missing pseudo GTs, refine existing ones."""
     stage = _Stage(cfg, "update")
-    detector = dataio.read_model(stage.input(model, MODEL_INITIAL))
+    path = stage.input(model, MODEL_INITIAL)
+    detector = dataio.read_model(path)
+    if detector.category_id != ds.manifest.category:
+        raise ConfigInvalidError(f"{path}: key 'category_id' is not {ds.manifest.category!r}")
     before = dataio.read_pseudo_gts(stage.input(pseudo_gt, PSEUDO_GT))
     after = lsvm_update(detector, ds.images, before, nms_iou=cfg.nms_iou)
     dataio.write_pseudo_gts(stage.out / PSEUDO_GT_UPDATED, [after[i] for i in sorted(after)])
@@ -441,12 +444,12 @@ def run_eval(
     det_updated: Optional[str | Path] = None,
     det_bboxreg: Optional[str | Path] = None,
 ) -> dict:
-    """Compute CorLoc (both accountings), error cases, and AP into metrics.json.
+    """Compute CorLoc (both accountings), error cases and 11-point (VOC 2007) AP.
 
-    The top-level per-category block reflects the best available artifacts
-    (updated pseudo GT over initial; regressed detections over plain); the
-    ``ablation`` block reports each variant whose file exists separately; an
-    unset input whose default file is absent is skipped.
+    metrics.json's block for the category, repeated at the top level, scores
+    the best available artifacts (updated pseudo GT over initial; regressed
+    detections over plain); ``ablation`` scores each variant whose file
+    exists; an unset input whose default file is absent is skipped.
     """
     stage = _Stage(cfg, "eval")
     manifest = ds.manifest
@@ -468,7 +471,7 @@ def run_eval(
             "corloc_found": corloc(boxes, gt, include_missed=False),
             "n_pseudo_gt": len(pgts),
         }
-        primary_pgt = (tag, boxes, pgts)
+        primary_pgt = (tag, boxes)
     if primary_pgt is None:
         raise MissingInputError("eval needs at least one pseudo-GT file")
 
@@ -486,18 +489,18 @@ def run_eval(
         primary_ap = ap
         primary_det_tag = tag
 
-    tag, boxes, _pgts = primary_pgt
-    per_category = {
-        category: {
-            "corloc_all": ablation[tag]["corloc_all"],
-            "corloc_found": ablation[tag]["corloc_found"],
-            "ap": primary_ap,
-            "error_histogram": error_histogram(boxes, gt),
-        }
+    tag, boxes = primary_pgt
+    scores = {key: ablation[tag][key] for key in ("corloc_all", "corloc_found")}
+    scores.update(ap=primary_ap, error_histogram=error_histogram(boxes, gt))
+    doc = {
+        "categories": {category: scores},
+        "mean_corloc": scores["corloc_all"],
+        "mean_corloc_found": scores["corloc_found"],
+        "map": primary_ap,
+        "error_histogram": scores["error_histogram"],
+        "ablation": ablation,
+        "primary": {"pseudo_gt": tag, "detections": primary_det_tag},
     }
-    doc = aggregate(per_category)
-    doc["ablation"] = ablation
-    doc["primary"] = {"pseudo_gt": tag, "detections": primary_det_tag}
     dataio.dump_json(doc, stage.out / METRICS)
     stage.report({"category": category, "mean_corloc": doc["mean_corloc"], "map": doc["map"]})
     return doc

@@ -4,11 +4,9 @@ from hypothesis import example, given
 import hypothesis.strategies as st
 
 from boxforge.errors import NoGroundTruthError, NoPositiveImagesError
-from boxforge.geometry import BBox
+from boxforge.geometry import BBox, iou
 from boxforge.metrics import (
-    ALL_POINT,
     ErrorCase,
-    aggregate,
     average_precision,
     categorize_error,
     corloc,
@@ -121,13 +119,11 @@ class TestAveragePrecision:
         gt = {"a": [GT_BOX]}
         dets = [("a", GT_BOX, 0.9)]
         assert average_precision(dets, gt) == 1.0
-        assert average_precision(dets, gt, mode=ALL_POINT) == 1.0
 
     def test_single_disjoint_detection(self):
         gt = {"a": [GT_BOX]}
         dets = [("a", box(50, 50, 60, 60), 0.9)]
         assert average_precision(dets, gt) == 0.0
-        assert average_precision(dets, gt, mode=ALL_POINT) == 0.0
 
     def test_hand_computed_eleven_point_case(self):
         # 2 GT boxes, 3 detections scoring TP, FP, TP
@@ -140,16 +136,6 @@ class TestAveragePrecision:
         # PR points: (r=.5, p=1), (r=.5, p=.5), (r=1, p=2/3)
         expected = (6 * 1.0 + 5 * (2 / 3)) / 11
         assert average_precision(dets, gt) == pytest.approx(expected, abs=1e-12)
-
-    def test_all_point_mode_hand_case(self):
-        gt = {"a": [GT_BOX], "b": [GT_BOX]}
-        dets = [
-            ("a", GT_BOX, 3.0),
-            ("a", box(40, 40, 50, 50), 2.0),
-            ("b", GT_BOX, 1.0),
-        ]
-        expected = 0.5 * 1.0 + 0.5 * (2 / 3)
-        assert average_precision(dets, gt, mode=ALL_POINT) == pytest.approx(expected, abs=1e-12)
 
     def test_each_gt_matched_at_most_once(self):
         gt = {"a": [GT_BOX]}
@@ -169,43 +155,38 @@ class TestAveragePrecision:
         squashed = [(i, b, np.tanh(5 * s)) for i, b, s in dets]
         assert average_precision(squashed, gt) == pytest.approx(base, abs=1e-12)
 
+    def test_unreached_recall_levels_count_zero(self):
+        # 2 GT boxes, one found: recall stops at 0.5, so levels 0.6..1 add 0
+        gt = {"a": [GT_BOX], "b": [GT_BOX]}
+        dets = [("a", GT_BOX, 1.0)]
+        assert average_precision(dets, gt) == pytest.approx(6 / 11, abs=1e-12)
+
+    def test_iou_of_exactly_half_is_a_true_positive(self):
+        # AP_IOU is reached, not exceeded (CorLoc's rule is strict)
+        half = box(0, 0, 10, 5)
+        assert iou(half, GT_BOX) == 0.5
+        assert average_precision([("a", half, 1.0)], {"a": [GT_BOX]}) == 1.0
+
+    def test_detection_on_image_without_gt_is_false_positive(self):
+        gt = {"a": [GT_BOX]}
+        dets = [("z", GT_BOX, 2.0), ("a", GT_BOX, 1.0)]
+        # PR points: (r=0, p=0), (r=1, p=.5)
+        assert average_precision(dets, gt) == pytest.approx(0.5, abs=1e-12)
+
+    def test_duplicate_does_not_fall_back_to_a_second_gt(self):
+        # the duplicate's best-IOU GT is taken; the other GT (IOU 5/6) stays free
+        gt = {"a": [GT_BOX, box(0, 0, 10, 12)]}
+        dets = [("a", GT_BOX, 2.0), ("a", GT_BOX, 1.0)]
+        assert average_precision(dets, gt) == pytest.approx(6 / 11, abs=1e-12)
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_score_ties_rank_by_image_id(self, order):
+        gt = {"b": [GT_BOX]}
+        pair = [("a", GT_BOX, 1.0), ("b", GT_BOX, 1.0)]
+        dets = [pair[k] for k in order]
+        # "a" (a false positive) ranks first whatever the input order
+        assert average_precision(dets, gt) == pytest.approx(0.5, abs=1e-12)
+
     def test_no_gt_raises(self):
         with pytest.raises(NoGroundTruthError):
             average_precision([], {})
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            average_precision([("a", GT_BOX, 1.0)], {"a": [GT_BOX]}, mode="weird")
-
-
-class TestAggregate:
-    def entry(self, corloc_all, corloc_found, ap):
-        return {
-            "corloc_all": corloc_all,
-            "corloc_found": corloc_found,
-            "ap": ap,
-            "error_histogram": {ErrorCase.CORRECT_LOCALIZATION.value: 2},
-        }
-
-    def test_single_category_mean_is_value(self):
-        doc = aggregate({"cat": self.entry(0.4, 0.5, 0.7)})
-        assert doc["mean_corloc"] == 0.4
-        assert doc["map"] == 0.7
-
-    def test_two_categories_average(self):
-        doc = aggregate({"a": self.entry(0.4, 0.5, 0.2), "b": self.entry(0.6, 0.7, 0.8)})
-        assert doc["mean_corloc"] == pytest.approx(0.5)
-        assert doc["map"] == pytest.approx(0.5)
-        assert doc["error_histogram"][ErrorCase.CORRECT_LOCALIZATION.value] == 4
-
-    def test_ten_category_mean_matches_oracle(self):
-        rng = np.random.default_rng(51)
-        cats = {f"c{k}": self.entry(float(rng.random()), 0.5, float(rng.random())) for k in range(10)}
-        doc = aggregate(cats)
-        assert doc["mean_corloc"] == pytest.approx(
-            sum(v["corloc_all"] for v in cats.values()) / 10
-        )
-
-    def test_empty_raises(self):
-        with pytest.raises(NoPositiveImagesError):
-            aggregate({})

@@ -45,6 +45,16 @@ def run_cli(*argv):
     return cli.main([str(a) for a in argv])
 
 
+@pytest.fixture(scope="module")
+def finished(synth_dir, tmp_path_factory):
+    """The CLI pipeline's outputs on ``synth_dir``; copy before writing."""
+    out = tmp_path_factory.mktemp("finished")
+    code = run_cli("pipeline", "--manifest", synth_dir / "manifest.json", "--out", out,
+                   "--seed", 0, "--target-cells", 30, "--frame-stride", 1, "--bandwidth", 2.0)
+    assert code == 0
+    return out
+
+
 def assert_same_outputs(chained, piped):
     """Every file the stage chain wrote has the pipeline's bytes; stage
     reports match in every field but their timing."""
@@ -602,6 +612,42 @@ class TestEvalCli:
         doc = json.loads((out / "metrics.json").read_text())
         assert doc["categories"]["obj"]["corloc_all"] == 0.0
         assert doc["categories"]["obj"]["corloc_found"] == 0.0
+
+    def test_top_level_repeats_the_category_and_the_primary_ablation_rows(self, finished):
+        doc = json.loads((finished / pipeline.METRICS).read_text())
+        assert doc["primary"] == {"pseudo_gt": "updated", "detections": "updated_bboxreg"}
+        [scores] = doc["categories"].values()
+        pgt = doc["ablation"][doc["primary"]["pseudo_gt"]]
+        det = doc["ablation"][doc["primary"]["detections"]]
+        top = (doc["mean_corloc"], doc["mean_corloc_found"], doc["map"])
+        assert top == (scores["corloc_all"], scores["corloc_found"], scores["ap"])
+        assert top == (pgt["corloc_all"], pgt["corloc_found"], det["ap"])
+        assert doc["error_histogram"] == scores["error_histogram"]
+        assert sum(doc["error_histogram"].values()) == pgt["n_pseudo_gt"]
+
+
+class TestModelRefusals:
+    """``update`` refuses a model whose ``dim`` is not its number of
+    weights, or whose ``category_id`` is not the manifest's category, with
+    a JSON error naming the file and the key."""
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("dim", 99, "bad value for key 'dim'"),
+        ("category_id", 5, "bad value for key 'category_id'"),
+        ("category_id", "other", "key 'category_id' is not 'obj'"),
+    ])
+    def test_refused(self, synth_dir, finished, tmp_path, capsys, key, value, message):
+        out = tmp_path / "out"
+        shutil.copytree(finished, out)
+        path = out / pipeline.MODEL_INITIAL
+        doc = json.loads(path.read_text())
+        assert doc[key] != value and len(doc["weights"]) == doc["dim"] == 16
+        path.write_text(json.dumps({**doc, key: value}))
+        code = run_cli("update", "--manifest", synth_dir / "manifest.json", "--out", out)
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigInvalidError"
+        assert f"{pipeline.MODEL_INITIAL}: {message}" in err["message"]
 
 
 class TestReports:
@@ -1239,14 +1285,6 @@ class TestNonFiniteNumbers:
     """``json`` reads the ``NaN``, ``Infinity`` and ``-Infinity`` literals;
     every number read from an input file refuses them with a JSON error
     naming the file and the key."""
-
-    @pytest.fixture(scope="class")
-    def finished(self, synth_dir, tmp_path_factory):
-        out = tmp_path_factory.mktemp("finished")
-        code = run_cli("pipeline", "--manifest", synth_dir / "manifest.json", "--out", out,
-                       "--seed", 0, "--target-cells", 30, "--frame-stride", 1, "--bandwidth", 2.0)
-        assert code == 0
-        return out
 
     # (command, (flag, file under --out), file, key); unrefused, the first
     # three give a wrong `map`, an OverflowError and a ValueError traceback

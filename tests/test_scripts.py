@@ -15,6 +15,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -114,7 +115,8 @@ def _same_bytes():
 
 
 class TestSameBytes:
-    """``scripts/same_bytes.py`` compares two output trees file by file."""
+    """``scripts/same_bytes.py`` compares two output trees file by file, and
+    runs a tree's workloads under a chosen OpenBLAS kernel."""
 
     TRANSFERS = [
         {"box": [0.0, 0.0, 4.0, 4.0], "frame_idx": 0, "image_id": "pos_000",
@@ -159,3 +161,26 @@ class TestSameBytes:
         assert differences[0] == f"{Path('w', 'data.bin')}: only in base"
         assert differences[1].startswith(f"{Path('w', 'seed0', 'reports', 'vote.json')}: line ")
         assert "n_pseudo_gt" in differences[1]
+
+    def test_coretype_is_set_in_the_children_only(self, tmp_path, monkeypatch):
+        """Each child runs under the chosen ``OPENBLAS_CORETYPE``, or under
+        none by default, and the calling process's environment keeps none."""
+        monkeypatch.delenv("OPENBLAS_CORETYPE", raising=False)
+        tree = tmp_path / "tree"
+        (tree / "src" / "boxforge").mkdir(parents=True)
+        (tree / "src" / "boxforge" / "__init__.py").write_text("")
+        (tree / "src" / "boxforge" / "cli.py").write_text(
+            "import os, sys\n"
+            "with open('children.txt', 'a') as fh:\n"
+            "    print(sys.argv[1], os.environ.get('OPENBLAS_CORETYPE'), file=fh)\n"
+        )
+        workloads = {"w": SimpleNamespace(synth=[], pipeline=[])}
+        same_bytes = _same_bytes()
+        for coretype in (None, "Haswell"):
+            work = tmp_path / f"work-{coretype}"
+            work.mkdir()
+            same_bytes.run_workloads(tree, work, workloads, coretype=coretype)
+            assert (work / "children.txt").read_text().splitlines() == [
+                f"{command} {coretype}" for command in ("synth", "pipeline", "pipeline")
+            ]
+            assert "OPENBLAS_CORETYPE" not in os.environ
