@@ -254,6 +254,11 @@ def regression_pairs(
     return pairs
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``Σ_k a[k] b[k]`` over the leading axis, in numpy's own loop, no BLAS."""
+    return np.add.reduce(a * b, axis=0)
+
+
 def fit_bbox_regressor(
     pairs: Sequence[tuple[np.ndarray, BBox, BBox]],
     l2: float = 1e-3,
@@ -261,26 +266,39 @@ def fit_bbox_regressor(
     """Ridge regression of box targets on (feature, proposal, gt) pairs.
 
     Features and targets are centered so the intercept is exact and
-    unregularized.  A rank-deficient system (possible only at l2 = 0) takes
-    the minimum-norm least-squares solution; a system yielding non-finite
-    weights falls back to the identity regressor.
+    unregularized.  Every sum is a :func:`_dot`, the same on every BLAS
+    kernel: row j of ``[A | B] = Xcᵀ [Xc | Tc] + [l2·I | 0]`` sums over the
+    pairs in pair order; ``A = L Lᵀ`` is factored column by column with B
+    forward-substituted alongside, then back-substituted.  At l2 = 0 a pivot
+    at or below ``dim · eps · A[j, j]`` marks feature j as spanned by the
+    earlier ones: its weights are 0 and later columns leave it out.  At
+    l2 > 0 every pivot is at least l2 before rounding, and only one that
+    rounding leaves at or below 0 is left out so.  Non-finite weights fall
+    back to the identity regressor.
     """
     if not pairs:
         raise EmptyPoolError("box regression needs at least one training pair")
     X = np.stack([np.asarray(f, dtype=np.float64).reshape(-1) for f, _, _ in pairs])
     T = np.stack([box_regression_targets(p, g) for _, p, g in pairs])
-    x_mean = X.mean(axis=0)
-    t_mean = T.mean(axis=0)
-    Xc = X - x_mean
-    Tc = T - t_mean
     dim = X.shape[1]
-    try:
-        W, _, _, _ = np.linalg.lstsq(Xc.T @ Xc + l2 * np.eye(dim), Xc.T @ Tc, rcond=None)
-    except np.linalg.LinAlgError:
-        return BoxRegressor.identity(dim)
+    XT = np.concatenate([X, T], axis=1)
+    mean = XT.mean(axis=0)
+    XT -= mean
+    AB = np.stack([_dot(XT, XT[:, j : j + 1]) for j in range(dim)])
+    AB[range(dim), range(dim)] += l2
+    U = np.zeros_like(AB)  # [Lᵀ | L⁻¹B]; row j stays 0 for a dependent feature j
+    for j in range(dim):
+        col = AB[j, j:] - _dot(U[:j, j:], U[:j, j : j + 1])
+        tol = dim * np.finfo(np.float64).eps * AB[j, j] if l2 == 0 else 0.0
+        if not col[0] <= tol:  # NaN: on to the fallback
+            U[j, j:] = col / math.sqrt(col[0])
+    W = np.zeros((dim, 4))
+    for j in reversed(range(dim)):
+        if U[j, j]:
+            W[j] = (U[j, dim:] - _dot(U[j, j + 1 : dim, None], W[j + 1 :])) / U[j, j]
     if not np.all(np.isfinite(W)):
         return BoxRegressor.identity(dim)
-    biases = t_mean - x_mean @ W
+    biases = mean[dim:] - _dot(mean[:dim, None], W)
     return BoxRegressor(weights=W.T, biases=biases)
 
 
@@ -291,7 +309,7 @@ def apply_regressor(regressor: BoxRegressor, feature: np.ndarray, box: BBox) -> 
         raise DimensionMismatchError(
             f"feature dim {f.shape[0]} != regressor dim {regressor.weights.shape[1]}"
         )
-    targets = regressor.weights @ f + regressor.biases
+    targets = _dot(regressor.weights.T, f[:, None]) + regressor.biases
     return apply_box_targets(box, targets)
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import hypothesis.strategies as st
 import numpy as np
@@ -12,6 +16,7 @@ from boxforge.config import PipelineConfig
 from boxforge.detector import (
     BATCH_NEG,
     BATCH_POS,
+    BoxRegressor,
     ImageProposals,
     LinearModel,
     apply_box_targets,
@@ -464,21 +469,148 @@ class TestBoxRegressor:
         for f, p, g in pairs:
             assert apply_regressor(reg, f, p).as_list() == pytest.approx(g.as_list(), abs=1e-9)
 
-    def test_singular_system_falls_back_to_identity(self):
+    def test_zero_features_get_zero_weights_and_mean_bias(self):
         pairs = [
             (np.array([0.0, 0.0]), box(0, 0, 4, 4), box(1, 1, 5, 5)),
             (np.array([0.0, 0.0]), box(5, 5, 9, 9), box(4, 4, 8, 8)),
         ]
         reg = fit_bbox_regressor(pairs, l2=0.0)
         p = box(0, 0, 4, 4)
-        # centered zero features give a zero weight matrix; bias carries the
-        # mean target, so at least the result is finite and valid
+        # centered zero features make every pivot 0, so each feature is
+        # dependent and gets weight 0; the bias carries the mean target
+        assert reg.weights.tolist() == [[0.0, 0.0]] * 4
+        targets = [box_regression_targets(p, g) for _, p, g in pairs]
+        assert reg.biases.tolist() == np.mean(targets, axis=0).tolist()
         refined = apply_regressor(reg, np.array([0.0, 0.0]), p)
         assert all(np.isfinite(refined.as_list()))
+
+    def test_nan_feature_falls_back_to_identity(self):
+        pairs = [
+            (np.array([1.0, np.nan]), box(0, 0, 4, 4), box(1, 1, 5, 5)),
+            (np.array([2.0, 0.5]), box(5, 5, 9, 9), box(4, 4, 8, 8)),
+            (np.array([0.0, 1.5]), box(2, 2, 7, 7), box(2, 3, 7, 8)),
+        ]
+        reg = fit_bbox_regressor(pairs)
+        identity = BoxRegressor.identity(2)
+        assert reg.weights.tolist() == identity.weights.tolist()
+        assert reg.biases.tolist() == identity.biases.tolist()
 
     def test_empty_pairs_raise(self):
         with pytest.raises(EmptyPoolError):
             fit_bbox_regressor([])
+
+
+def regression_case(rng, features):
+    """One (feature, proposal, gt) pair per feature row; each gt is its
+    proposal with every corner moved by at most 1."""
+    pairs = []
+    for f in features:
+        x0, y0 = rng.uniform(0, 50, 2)
+        w, h = rng.uniform(4, 20, 2)
+        d = rng.uniform(-1, 1, 4)
+        pairs.append((f, box(x0, y0, x0 + w, y0 + h),
+                      box(x0 + d[0], y0 + d[1], x0 + w + d[2], y0 + h + d[3])))
+    return pairs
+
+
+def centered_system(pairs):
+    """Features, targets, centered features and centered targets of ``pairs``."""
+    X = np.stack([f for f, _, _ in pairs])
+    T = np.stack([box_regression_targets(p, g) for _, p, g in pairs])
+    return X, T, X - X.mean(axis=0), T - T.mean(axis=0)
+
+
+class TestRidgeSolve:
+    """The fixed-order Cholesky solve against ``numpy.linalg``, which only
+    these oracles call."""
+
+    @given(
+        seed=st.integers(0, 2**16),
+        dim=st.integers(1, 16),
+        extra=st.integers(2, 30),
+        l2=st.sampled_from([1e-3, 1.0]),
+    )
+    def test_weights_match_linalg_solve(self, seed, dim, extra, l2):
+        rng = np.random.default_rng(seed)
+        features = rng.normal(size=(2 * dim + extra, dim)) * rng.uniform(0.5, 2.0, dim)
+        pairs = regression_case(rng, features)
+        *_, Xc, Tc = centered_system(pairs)
+        want = np.linalg.solve(Xc.T @ Xc + l2 * np.eye(dim), Xc.T @ Tc).T
+        got = fit_bbox_regressor(pairs, l2=l2).weights
+        assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_dependent_columns_at_zero_l2(self, seed):
+        # columns: a, b, a again, a constant, c
+        rng = np.random.default_rng(seed)
+        a, b, c = rng.normal(size=(3, 12)) * [[1.0], [3.0], [0.5]]
+        X = np.stack([a, b, a, np.full(12, 0.7), c], axis=1)
+        pairs = regression_case(rng, X)
+        reg = fit_bbox_regressor(pairs, l2=0.0)
+        assert np.all(np.isfinite(reg.weights)) and np.all(np.isfinite(reg.biases))
+        assert reg.weights[:, 2].tolist() == [0.0] * 4
+        _, T, Xc, Tc = centered_system(pairs)
+        W, *_ = np.linalg.lstsq(Xc, Tc, rcond=None)
+        want = Xc @ W + T.mean(axis=0)
+        assert np.abs(X @ reg.weights.T + reg.biases - want).max() <= 1e-9
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_ridge_below_the_zero_l2_tolerance_keeps_a_duplicated_column(self, seed):
+        # l2 = 4·eps·A[0, 0] lies below the l2 = 0 tolerance 16·eps·A[1, 1]
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=30) * 1e3
+        X = np.stack([a, a, *rng.normal(size=(14, 30))], axis=1)
+        pairs = regression_case(rng, X)
+        *_, Xc, _ = centered_system(pairs)
+        l2 = 4 * np.finfo(np.float64).eps * float(Xc[:, 0] @ Xc[:, 0])
+        assert fit_bbox_regressor(pairs, l2=0.0).weights[:, 1].tolist() == [0.0] * 4
+        weights = fit_bbox_regressor(pairs, l2=l2).weights
+        assert np.all(np.isfinite(weights)) and np.all(weights[:, 1] != 0.0)
+
+
+def numpy_blas():
+    return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+
+
+KERNEL_CHILD = """
+import json, sys
+import numpy as np
+from boxforge import dataio
+from boxforge.detector import apply_regressor, fit_bbox_regressor
+from boxforge.geometry import BBox
+d = np.load(sys.argv[1])
+boxes = [BBox(*map(float, p)) for p in d["proposals"]]
+pairs = [(f, p, BBox(*map(float, g))) for f, p, g in zip(d["features"], boxes, d["gts"])]
+reg = fit_bbox_regressor(pairs)
+dataio.write_regressor(sys.argv[2], reg)
+print(json.dumps([apply_regressor(reg, f, p).as_list() for f, p in zip(d["features"], boxes)]))
+"""
+
+
+@pytest.mark.skipif("openblas" not in numpy_blas(), reason="numpy's BLAS is not OpenBLAS")
+def test_regressor_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
+    """Fit and apply on one input in children under three OpenBLAS kernels,
+    each chosen in the child's environment only: same bytes from each."""
+    rng = np.random.default_rng(9)
+    features = rng.normal(size=(200, 16)) * rng.uniform(0.1, 10.0, 16)
+    pairs = regression_case(rng, features)
+    np.savez(
+        tmp_path / "pairs.npz", features=features,
+        proposals=[p.as_list() for _, p, _ in pairs], gts=[g.as_list() for _, _, g in pairs],
+    )
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = str(Path(detector.__file__).parents[1])
+    outputs = []
+    for coretype in (None, "Haswell", "Sandybridge"):
+        out = tmp_path / f"regressor_{coretype}.json"
+        proc = subprocess.run(
+            [sys.executable, "-c", KERNEL_CHILD, str(tmp_path / "pairs.npz"), str(out)],
+            env={**env, **({"OPENBLAS_CORETYPE": coretype} if coretype else {})},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((out.read_bytes(), proc.stdout))
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 class TestCrossValidateBandwidth:

@@ -345,6 +345,32 @@ class TestGroupedScan:
             assert got[len(want):] == [(-np.inf, -1, -1)] * (top_n - len(want))
 
 
+class TestScanTies:
+    """Tied scores keep the (y, x) placement order, for ``top_n`` below, at
+    and above the number of placements."""
+
+    @pytest.mark.parametrize("top_n", [1, 5, 16, 17, 131, 132, 133])
+    def test_constant_map(self, top_n):
+        fm = fmap_from(np.full((12, 13, 2), 0.5))
+        q = extract_window(fm, (2, 1, 2, 2))
+        hits = scan_hits(q, fm, top_n)
+        assert hits == scan_oracle(q, fm, top_n)
+        assert len({score for score, _, _ in hits}) == 1
+        assert [where for _, *where in hits] == [[y, x] for y in range(11) for x in range(12)][:top_n]
+
+    @pytest.mark.parametrize("top_n", [1, 4, 21, 25, 26, 30])
+    def test_duplicated_windows(self, top_n):
+        # a 3x3 tile repeated 5x5 times: windows 3 cells apart are equal
+        rng = np.random.default_rng(14)
+        fm = fmap_from(np.tile(rng.normal(size=(3, 3, 2)), (5, 5, 1)))
+        queries = [extract_window(fm, (4, 1, 2, 3)), extract_window(fm, (0, 0, 3, 3))]
+        score, place = scan_queries(queries, fm, top_n)
+        for q, query in enumerate(queries):
+            want = scan_oracle(query, fm, top_n)
+            assert [(s, *where) for s, where in zip(score[q].tolist(), place[q].tolist())] == want
+        assert score[1, : min(top_n, 25)].tolist() == [score[1, 0]] * min(top_n, 25)
+
+
 class TestFmapIo:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)

@@ -1911,3 +1911,22 @@ class TestRegressFallbacks:
                 dataio.open_dataset(manifest), PipelineConfig(out_dir=str(tmp_path / "out")),
                 pseudo_gt=pgt, detections=det,
             )
+
+    def test_runs_without_numpy_linalg(self, regress_inputs, tmp_path, monkeypatch):
+        """The regress stage fits and applies its regressor with no LAPACK
+        solver: each ``numpy.linalg`` solver raises here."""
+        manifest, pgt, det, gts = regress_inputs
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg called")
+
+        for name in ("lstsq", "solve", "cholesky", "inv", "pinv"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        out = tmp_path / "out"
+        report = pipeline.run_regress(
+            dataio.open_dataset(manifest), PipelineConfig(out_dir=str(out)),
+            pseudo_gt=pgt, detections=det,
+        )
+        assert report["n_pairs"] > 0 and report["n_detections"] == len(gts)
+        weights = json.loads((out / pipeline.REGRESSOR).read_text())["weights"]
+        assert any(w != 0.0 for row in weights for w in row)
