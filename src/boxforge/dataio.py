@@ -20,7 +20,7 @@ import numpy as np
 
 from .atomic import write_atomic
 from .detector import BoxRegressor, LinearModel
-from .errors import ConfigInvalidError, DegenerateBoxError, MissingInputError
+from .errors import ConfigInvalidError, DegenerateBoxError, EmptyDatasetError, MissingInputError
 from .featmap import FeatureMap, pool_box_feature, read_fmap
 from .geometry import BBox
 from .mining import ImageProposals, MinedRegion
@@ -406,15 +406,16 @@ def _box_inside(size: tuple[float, float]) -> Callable:
 
 def read_proposals(manifest: Manifest) -> dict[str, ImageProposals]:
     """Each image's proposals in the manifest's proposal file, in image-id
-    order; indices follow file order.  A proposal's descriptor is
-    :func:`pool_box_feature` of its box on its image's FMAP, read once per
-    image; a ``feature`` key in a row is not read.
+    order; indices follow file order.  A proposal's descriptor is its row
+    of :func:`pool_box_feature` over the image's corner rows, one call on
+    the image's FMAP, read once; a ``feature`` key in a row is not read.
 
     Every row of an image must carry the same label, and it must be the
     image's label in the manifest; every box must lie inside its image's
     ``size``.  A row or an image that disagrees raises
-    :class:`ConfigInvalidError`, and an image the manifest does not list
-    :class:`MissingInputError`, before any FMAP is read.  Rows are checked
+    :class:`ConfigInvalidError`, an image the manifest does not list
+    :class:`MissingInputError`, and a file without rows
+    :class:`EmptyDatasetError`, before any FMAP is read.  Rows are checked
     and grouped as the file streams; only their corners are kept, 32 B a
     box.
     """
@@ -429,6 +430,8 @@ def read_proposals(manifest: Manifest) -> dict[str, ImageProposals]:
                 f"an earlier row of the image has {first_label!r}"
             )
         corners.extend(row.typed("box", _box_inside(manifest.image(image_id).size)).as_list())
+    if not grouped:
+        raise EmptyDatasetError(f"{path}: no proposals")
     image_ids = sorted(grouped)
     for image_id in image_ids:
         label, listed = grouped[image_id][0], manifest.image(image_id).label
@@ -442,9 +445,7 @@ def read_proposals(manifest: Manifest) -> dict[str, ImageProposals]:
         label, corners = grouped[image_id]
         coords = np.array(corners).reshape(-1, 4)
         fmap = manifest.load_image_fmap(image_id)
-        features = np.stack([
-            pool_box_feature(fmap, BBox(*row), manifest.cell_stride) for row in coords.tolist()
-        ])
+        features = pool_box_feature(fmap, coords, manifest.cell_stride)
         images[image_id] = ImageProposals(label, coords, features)
     return images
 

@@ -169,7 +169,7 @@ def build_query_window(
     The box is snapped to the covering cell rectangle, then resampled to the
     shape the sizing heuristic assigns for its aspect ratio.
     """
-    x0, y0, x1, y1 = _cell_rect(fmap, box, cell_stride)
+    x0, y0, x1, y1 = _cell_rect(fmap, box.as_list(), cell_stride)
     shape = window_shape_for_box(box, target_cells=target_cells)
     return resample_window(fmap, (x0, y0, x1 - x0, y1 - y0), shape)
 
@@ -266,40 +266,43 @@ def scan_queries(
 POOL_SURROUND_MARGIN = 2
 
 
-def _cell_rect(fmap: FeatureMap, box: BBox, cell_stride: float) -> tuple[int, int, int, int]:
-    x0 = max(0, min(int(math.floor(box.x_min / cell_stride)), fmap.width - 1))
-    y0 = max(0, min(int(math.floor(box.y_min / cell_stride)), fmap.height - 1))
-    x1 = max(x0 + 1, min(int(math.ceil(box.x_max / cell_stride)), fmap.width))
-    y1 = max(y0 + 1, min(int(math.ceil(box.y_max / cell_stride)), fmap.height))
+def _cell_rect(fmap: FeatureMap, corners, cell_stride: float) -> tuple[int, int, int, int]:
+    x_min, y_min, x_max, y_max = corners
+    x0 = max(0, min(int(math.floor(x_min / cell_stride)), fmap.width - 1))
+    y0 = max(0, min(int(math.floor(y_min / cell_stride)), fmap.height - 1))
+    x1 = max(x0 + 1, min(int(math.ceil(x_max / cell_stride)), fmap.width))
+    y1 = max(y0 + 1, min(int(math.ceil(y_max / cell_stride)), fmap.height))
     return x0, y0, x1, y1
 
 
-def pool_box_feature(fmap: FeatureMap, box: BBox, cell_stride: float = 1.0) -> np.ndarray:
-    """Center-surround pooled region descriptor: interior mean || ring mean.
+def pool_box_feature(fmap: FeatureMap, coords: np.ndarray, cell_stride: float) -> np.ndarray:
+    """Center-surround pooled descriptors of the (N, 4) pixel corner rows
+    ``coords``, one (N, 2C) float64 row per box: interior mean || ring mean.
 
-    The first ``channels`` entries are the mean activation over the cells
-    the box covers; the second are the mean over a 2-cell ring around it
-    (zeros when the ring is empty).  Including the surround makes the
+    The first ``channels`` entries of a row are the mean activation over the
+    cells the box covers; the second are the mean over a 2-cell ring around
+    it (zeros when the ring is empty).  Including the surround makes the
     descriptor sensitive to whether a box is tight: a sub-box of an object
     sees the object in its surround, a tight box sees background.  It is the
     one descriptor of every box the pipeline scores or regresses: proposals
-    (pooled by ``dataio.read_proposals``), pseudo-GT boxes, detections and
-    video-frame boxes.
+    (``dataio.read_proposals``, one call per image), pseudo-GT boxes,
+    detections and video-frame boxes.  A row's bits do not depend on the
+    other rows: each is summed over its own float64 slice of the map.
     """
-    x0, y0, x1, y1 = _cell_rect(fmap, box, cell_stride)
     m = POOL_SURROUND_MARGIN
-    ox0, oy0 = max(0, x0 - m), max(0, y0 - m)
-    ox1, oy1 = min(fmap.width, x1 + m), min(fmap.height, y1 + m)
-    outer = fmap.data[oy0:oy1, ox0:ox1, :].astype(np.float64)
-    inner_sum = outer[y0 - oy0 : y1 - oy0, x0 - ox0 : x1 - ox0, :].sum(axis=(0, 1))
-    inner = inner_sum / ((y1 - y0) * (x1 - x0))  # the bits of .mean(axis=(0, 1))
-    outer_sum = outer.sum(axis=(0, 1))
-    ring_cells = (oy1 - oy0) * (ox1 - ox0) - (y1 - y0) * (x1 - x0)
-    if ring_cells > 0:
-        ring = (outer_sum - inner_sum) / ring_cells
-    else:
-        ring = np.zeros(fmap.channels)
-    return np.concatenate([inner, ring])
+    c = fmap.channels
+    out = np.zeros((len(coords), 2 * c))
+    for i, corners in enumerate(coords.tolist()):
+        x0, y0, x1, y1 = _cell_rect(fmap, corners, cell_stride)
+        ox0, oy0 = max(0, x0 - m), max(0, y0 - m)
+        ox1, oy1 = min(fmap.width, x1 + m), min(fmap.height, y1 + m)
+        outer = fmap.data[oy0:oy1, ox0:ox1, :].astype(np.float64)
+        inner_sum = outer[y0 - oy0 : y1 - oy0, x0 - ox0 : x1 - ox0, :].sum(axis=(0, 1))
+        out[i, :c] = inner_sum / ((y1 - y0) * (x1 - x0))  # the bits of .mean(axis=(0, 1))
+        ring_cells = (oy1 - oy0) * (ox1 - ox0) - (y1 - y0) * (x1 - x0)
+        if ring_cells > 0:
+            out[i, c:] = (outer.sum(axis=(0, 1)) - inner_sum) / ring_cells
+    return out
 
 
 def write_fmap(path: str | Path, fmap: FeatureMap) -> None:

@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import EmptyDatasetError, NoPositivesError
-from .geometry import BBox, box_array, iou_matrix
+from .geometry import BBox, iou_matrix
 
 POSITIVE = "pos"
 NEGATIVE = "neg"
@@ -44,16 +44,6 @@ class ImageProposals:
     label: str
     coords: np.ndarray  # (N, 4)
     features: np.ndarray  # (N, D)
-
-    @classmethod
-    def from_boxes(
-        cls, label: str, boxes: Sequence[BBox], features: Sequence[np.ndarray]
-    ) -> "ImageProposals":
-        return cls(
-            label=label,
-            coords=box_array(boxes),
-            features=np.stack([np.asarray(f, dtype=np.float64).reshape(-1) for f in features]),
-        )
 
     def __len__(self) -> int:
         return len(self.coords)
@@ -83,10 +73,10 @@ class Clusters:
     do.  Image ``o`` (``image_ids[o]``) owns rows ``offsets[o]`` to
     ``offsets[o + 1]``.  Per cluster the table holds the ``seed`` row, the
     ``members`` rows (sorted by similarity desc, then image; at most one per
-    image and never from the seed's own image), their similarities ``sims``
-    and ``positive``, the number of members from positive images plus the
-    seed when its own image is positive.  Every cluster has the same number
-    of members, ``min(k, images - 1)``.
+    image and never from the seed's own image), ``mean``, their mean
+    similarity (0 with no members), and ``positive``, the number of members
+    from positive images plus the seed when its own image is positive.
+    Every cluster has the same number of members, ``min(k, images - 1)``.
     """
 
     image_ids: tuple[str, ...]
@@ -94,7 +84,7 @@ class Clusters:
     offsets: np.ndarray  # (images + 1,)
     seed: np.ndarray  # (clusters,) rows
     members: np.ndarray  # (clusters, members) rows
-    sims: np.ndarray  # (clusters, members) float64
+    mean: np.ndarray  # (clusters,) float64
     positive: np.ndarray  # (clusters,)
 
     def __len__(self) -> int:
@@ -131,7 +121,8 @@ def build_clusters(proposals_by_image: Mapping[str, ImageProposals], k: int) -> 
     as ``np.dot``, and each similarity is ``a.b / (|a| |b|)``, so every float
     is bit-identical to scoring the pairs one at a time.  A BLAS matrix
     product sums in a different order, and pre-normalised rows round
-    differently, so both can flip a champion on a last-ulp tie.
+    differently, so both can flip a champion on a last-ulp tie.  A mean
+    sums its members' similarities left to right, as ``sum`` over them would.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
@@ -153,7 +144,7 @@ def build_clusters(proposals_by_image: Mapping[str, ImageProposals], k: int) -> 
     positive = np.array([image.label == POSITIVE for image in images])
     n_members = min(k, len(images) - 1)
     members = np.empty((n_rows, n_members), dtype=np.intp)
-    sims = np.empty((n_rows, n_members))
+    mean = np.zeros(n_rows)
     columns = np.arange(n_rows)
     step = max(1, BLOCK_BYTES // (8 * n_rows))
     for lo in range(0, n_rows, step):
@@ -174,29 +165,25 @@ def build_clusters(proposals_by_image: Mapping[str, ImageProposals], k: int) -> 
         # stable on -sim, so equal similarities stay in image order
         order = np.argsort(-champ_sim, axis=1, kind="stable")[:, :n_members]
         members[rows] = np.take_along_axis(champ, order, axis=1)
-        sims[rows] = np.take_along_axis(champ_sim, order, axis=1)
+        for column in np.take_along_axis(champ_sim, order, axis=1).T:
+            mean[rows] += column
+    mean /= max(1, n_members)
     return Clusters(
         image_ids=image_ids,
         images=images,
         offsets=offsets,
         seed=columns,
         members=members,
-        sims=sims,
+        mean=mean,
         positive=positive[owner] + positive[owner[members]].sum(axis=1),
     )
 
 
 def rank_clusters(clusters: Clusters) -> np.ndarray:
     """The clusters' indices in rank order: positive count desc, then mean
-    member similarity desc, then seed (image id, index), which is seed row
-    order.  The mean sums the similarities left to right, one member column
-    at a time, as ``sum`` over the members would; with no members it is 0."""
-    sims = clusters.sims
-    total = sims[:, 0].copy() if sims.shape[1] else np.zeros(len(clusters))
-    for column in sims.T[1:]:
-        total += column
-    mean = total / max(1, sims.shape[1])
-    return np.lexsort((clusters.seed, -mean, -clusters.positive))
+    member similarity desc (``Clusters.mean``), then seed (image id, index),
+    which is seed row order."""
+    return np.lexsort((clusters.seed, -clusters.mean, -clusters.positive))
 
 
 def dedup_clusters(clusters: Clusters, order: np.ndarray) -> np.ndarray:
@@ -238,12 +225,11 @@ def dedup_clusters(clusters: Clusters, order: np.ndarray) -> np.ndarray:
 def select_positive_regions(
     clusters: Clusters,
     kept: np.ndarray,
-    labels: Mapping[str, str],
     top_c: int = 200,
 ) -> list[MinedRegion]:
     """Union of positive-image regions from the first ``top_c`` clusters of
     ``kept`` (indices, best first: :func:`dedup_clusters`), seed first,
-    then members in order.
+    then members in order; an image is positive by its proposals' label.
 
     Duplicate (image, box) pairs collapse to their first (best-ranked)
     occurrence.  Raises :class:`NoPositivesError` when nothing survives,
@@ -256,9 +242,9 @@ def select_positive_regions(
         owners = clusters.owners(rows).tolist()
         cluster_id = f"{clusters.image_ids[owners[0]]}#{rows[0] - offsets[owners[0]]}"
         for row, o in zip(rows, owners):
-            image_id = clusters.image_ids[o]
-            if labels.get(image_id) != POSITIVE:
+            if clusters.images[o].label != POSITIVE:
                 continue
+            image_id = clusters.image_ids[o]
             corners = tuple(clusters.images[o].coords[row - offsets[o]].tolist())
             if (image_id, corners) in seen:
                 continue

@@ -46,7 +46,7 @@ from .detector import (
 )
 from .errors import ConfigInvalidError, EmptyPoolError, MissingInputError
 from .featmap import build_query_window, pool_box_feature
-from .geometry import BBox, clip_box, nms
+from .geometry import BBox, box_array, clip_box, nms
 from .metrics import average_precision, corloc, error_histogram
 from .mining import (
     POSITIVE,
@@ -109,8 +109,8 @@ class _Stage:
         return report
 
 
-def _default_k(labels: dict[str, str]) -> int:
-    n_pos = sum(1 for v in labels.values() if v == POSITIVE)
+def _default_k(images: dict[str, ImageProposals]) -> int:
+    n_pos = sum(1 for image in images.values() if image.label == POSITIVE)
     return -(-n_pos // 2)
 
 
@@ -118,13 +118,12 @@ def run_mine(ds: dataio.Dataset, cfg: PipelineConfig) -> dict:
     """Cluster, rank, dedup, and select the mined positive region set."""
     stage = _Stage(cfg, "mine")
     images = ds.images
-    labels = {image_id: image.label for image_id, image in images.items()}
-    k = _default_k(labels) if cfg.k is None else cfg.k
+    k = _default_k(images) if cfg.k is None else cfg.k
     sizes = [len(image) for image in images.values()]
     n_proposals = sum(sizes)
     clusters = build_clusters(images, k)
     kept = dedup_clusters(clusters, rank_clusters(clusters))
-    mined = select_positive_regions(clusters, kept, labels, top_c=cfg.top_clusters)
+    mined = select_positive_regions(clusters, kept, top_c=cfg.top_clusters)
     dataio.write_regions(stage.out / REGIONS, mined)
     return stage.report({
         "k": k,
@@ -278,8 +277,8 @@ def run_vote(
 def _training_corpus(ds: dataio.Dataset, pseudo_gts):
     """Pseudo-GT boxes as positives, band and negative-image proposals as
     negatives, image by image in id order; every example is described by
-    :func:`pool_box_feature` on its image's FMAP, the proposals' as
-    :func:`dataio.read_proposals` pooled them."""
+    :func:`pool_box_feature` on its image's FMAP: a pseudo GT as one corner
+    row, the proposals as :func:`dataio.read_proposals` pooled them."""
     manifest = ds.manifest
     blocks: list[np.ndarray] = []
     labels: list[np.ndarray] = []
@@ -289,7 +288,7 @@ def _training_corpus(ds: dataio.Dataset, pseudo_gts):
             if gt is None:
                 continue  # without a pseudo GT every proposal is ignored
             fmap = manifest.load_image_fmap(image_id)
-            blocks.append(pool_box_feature(fmap, gt.box, manifest.cell_stride)[None, :])
+            blocks.append(pool_box_feature(fmap, box_array([gt.box]), manifest.cell_stride))
             labels.append(np.ones(1))
             negatives = image.features[hard_negative_mask(image.coords, gt.box)]
         else:
@@ -418,7 +417,7 @@ def run_regress(
     for image_id, box, score in dataio.read_detections(
         stage.input(detections, DETECTIONS_UPDATED)
     ):
-        feature = pool_box_feature(load_fmap(image_id), box, manifest.cell_stride)
+        [feature] = pool_box_feature(load_fmap(image_id), box_array([box]), manifest.cell_stride)
         new_box = apply_regressor(regressor, feature, box)
         entry = manifest.image(image_id)
         clipped = clip_box(new_box, entry.size[0], entry.size[1])
@@ -506,14 +505,6 @@ def run_eval(
     return doc
 
 
-def _half_box(box: BBox) -> BBox:
-    cx, cy = box.center
-    return BBox(
-        cx - 0.25 * box.width, cy - 0.25 * box.height,
-        cx + 0.25 * box.width, cy + 0.25 * box.height,
-    )
-
-
 def _video_frames(ds: dataio.Dataset, selections, frame_stride):
     """The sampled frames a detector is scored on, as ``(frames, gt)``:
     frame key -> the frame's boxes with their pooled features, and each
@@ -521,7 +512,8 @@ def _video_frames(ds: dataio.Dataset, selections, frame_stride):
 
     The per-frame proposal pool is the candidate track boxes plus a
     centered half-size sub-box of each, so a detector that never learned
-    tightness ranks loose parts above the object and loses precision."""
+    tightness ranks loose parts above the object and loses precision.  A
+    sub-box's corners are its box's ``center -/+ size / 4``, as BBox rounds."""
     manifest = ds.manifest
     frames: dict[str, ImageProposals] = {}
     gt: dict[str, list[BBox]] = {}
@@ -537,11 +529,12 @@ def _video_frames(ds: dataio.Dataset, selections, frame_stride):
             candidates = candidates_at_frame(tracks, frame_idx)
             if not candidates:
                 continue
-            fmap = fmaps[frame_idx]
-            boxes = [box for _, box in candidates]
-            boxes.extend(_half_box(box) for _, box in candidates)
-            feats = [pool_box_feature(fmap, box, manifest.cell_stride) for box in boxes]
-            frames[frame_key] = ImageProposals.from_boxes(POSITIVE, boxes, feats)
+            tight = box_array([box for _, box in candidates])
+            lo, hi = tight[:, :2], tight[:, 2:]
+            center, quarter = 0.5 * (lo + hi), 0.25 * (hi - lo)
+            coords = np.concatenate([tight, np.hstack([center - quarter, center + quarter])])
+            features = pool_box_feature(fmaps[frame_idx], coords, manifest.cell_stride)
+            frames[frame_key] = ImageProposals(POSITIVE, coords, features)
     return frames, gt
 
 

@@ -115,9 +115,9 @@ def retrieve_boxes(
         raise NoFramesError("no sampled frames in any video")
     transfers: list[TransferredBox] = []
     dropped = 0
-    table = zip(matches.score.tolist(), matches.key.tolist(), matches.box.tolist())
-    for region_id, (scores, keys, boxes) in zip(matches.region_ids, table):
-        for sim, (video, frame_idx, *_), corners in zip(scores, keys, boxes):
+    # one region's rows become Python values at a time, never the whole table
+    for region_id, *table in zip(matches.region_ids, matches.score, matches.key, matches.box):
+        for sim, (video, frame_idx, *_), corners in zip(*(rows.tolist() for rows in table)):
             if sim == -np.inf:
                 break  # padding rows come last
             video_id = matches.video_ids[video]

@@ -363,7 +363,7 @@ def test_criterion_7_detector_eval_plumbing():
 
     # box regression trains on the proposals at IOU >= 0.6 only
     props = [prop_at(0.6), prop_at(0.5999), prop_at(0.2)]
-    images = {"img": ImageProposals.from_boxes("pos", props, [np.ones(2)] * 3)}
+    images = {"img": ImageProposals("pos", box_array(props), np.ones((3, 2)))}
     gts = {"img": PseudoGT(image_id="img", box=gt_box, vote=20.0, support=20)}
     assert [p for _, p, _ in regression_pairs(images, gts)] == [prop_at(0.6)]
     assert hard_negative_mask(box_array(props), gt_box).tolist() == [False, False, True]
@@ -372,7 +372,7 @@ def test_criterion_7_detector_eval_plumbing():
     assert corloc({"a": prop_at(0.5)}, {"a": [gt_box]}) == 0.0
     assert corloc({"a": prop_at(0.5001)}, {"a": [gt_box]}) == 1.0
     images = {
-        "img": ImageProposals.from_boxes("pos", [prop_at(0.5)], [np.array([1.0, 0.0])]),
+        "img": ImageProposals("pos", box_array([prop_at(0.5)]), np.array([[1.0, 0.0]])),
     }
     existing = {"img": PseudoGT(image_id="img", box=gt_box, vote=20.0, support=20)}
     model = LinearModel(weights=np.array([1.0, 0.0]), bias=0.0)

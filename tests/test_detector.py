@@ -54,10 +54,16 @@ def in_band(*ious):
     return hard_negative_mask(box_array([proposal_with_iou(v) for v in ious]), GT).tolist()
 
 
+def proposals(label, boxes, features):
+    """One image's proposals: its boxes as corner rows and one float64
+    feature row per box."""
+    return ImageProposals(label, box_array(boxes), np.array(features, dtype=np.float64))
+
+
 def one_hot_images(label, boxes):
     """One image whose proposal features are one-hot rows, so a training
     row names the proposal it came from."""
-    return {"img": ImageProposals.from_boxes(label, boxes, list(np.eye(len(boxes))))}
+    return {"img": proposals(label, boxes, np.eye(len(boxes)))}
 
 
 def no_gt_dataset(images):
@@ -90,7 +96,7 @@ class TestRcnnLabels:
     def test_positive_image_without_gt_all_ignored(self):
         images = {
             **one_hot_images("pos", [GT]),
-            "neg": ImageProposals.from_boxes("neg", [GT], [np.array([0.0])]),
+            "neg": proposals("neg", [GT], [[0.0]]),
         }
         X, y = pipeline._training_corpus(no_gt_dataset(images), {})
         # only the negative image's proposal enters
@@ -370,7 +376,7 @@ def images_fixture():
     """One positive image with a planted high-score proposal, one negative."""
     target = np.array([1.0, 0.0])
     return {
-        "img_pos": ImageProposals.from_boxes(
+        "img_pos": proposals(
             "pos",
             [
                 box(2, 2, 8, 8),  # the object
@@ -379,7 +385,7 @@ def images_fixture():
             ],
             [target, target * 0.8, np.array([0.0, 1.0])],
         ),
-        "img_neg": ImageProposals.from_boxes("neg", [box(0, 0, 4, 4)], [np.array([0.0, 1.0])]),
+        "img_neg": proposals("neg", [box(0, 0, 4, 4)], [[0.0, 1.0]]),
     }
 
 
@@ -422,7 +428,7 @@ class TestLsvmUpdate:
         # each other, so NMS keeps both and the better-scored one is adopted
         halves = [box(0, 0, 10, 6), box(0, 4, 10, 10)]
         feats = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-        images = {"img": ImageProposals.from_boxes("pos", halves, feats)}
+        images = {"img": proposals("pos", halves, feats)}
         existing = PseudoGT(image_id="img", box=box(0, 0, 10, 10), vote=21.0, support=21)
         model = model_toward([1.0, 0.5] if first == 0 else [0.5, 1.0])
         updated = lsvm_update(model, images, {"img": existing})

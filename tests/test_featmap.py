@@ -25,7 +25,7 @@ from boxforge.featmap import (
     window_shape_for_box,
     write_fmap,
 )
-from boxforge.geometry import BBox
+from boxforge.geometry import BBox, box_array
 
 
 def fmap_from(arr):
@@ -459,11 +459,59 @@ class TestAtomicWrites:
         assert self.snapshot(tmp_path) == {"a.fmap": b"earlier"}
 
 
+def pool_one(fmap, box, cell_stride):
+    """One box pooled as the one-box ``pool_box_feature`` did, kept as the
+    oracle of each row of the many-row one."""
+    m = featmap.POOL_SURROUND_MARGIN
+    x0 = max(0, min(int(math.floor(box.x_min / cell_stride)), fmap.width - 1))
+    y0 = max(0, min(int(math.floor(box.y_min / cell_stride)), fmap.height - 1))
+    x1 = max(x0 + 1, min(int(math.ceil(box.x_max / cell_stride)), fmap.width))
+    y1 = max(y0 + 1, min(int(math.ceil(box.y_max / cell_stride)), fmap.height))
+    ox0, oy0 = max(0, x0 - m), max(0, y0 - m)
+    ox1, oy1 = min(fmap.width, x1 + m), min(fmap.height, y1 + m)
+    outer = fmap.data[oy0:oy1, ox0:ox1, :].astype(np.float64)
+    inner_sum = outer[y0 - oy0 : y1 - oy0, x0 - ox0 : x1 - ox0, :].sum(axis=(0, 1))
+    inner = inner_sum / ((y1 - y0) * (x1 - x0))
+    outer_sum = outer.sum(axis=(0, 1))
+    ring_cells = (oy1 - oy0) * (ox1 - ox0) - (y1 - y0) * (x1 - x0)
+    if ring_cells > 0:
+        ring = (outer_sum - inner_sum) / ring_cells
+    else:
+        ring = np.zeros(fmap.channels)
+    return np.concatenate([inner, ring])
+
+
+# Cell values with exact ties and both signed zeros, and float32 values
+# whose magnitudes are far enough apart that float64 sums round, so the
+# order a sum is taken in shows in its bits.
+cell_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 3.25]),
+    st.floats(-(2.0**40), 2.0**40, width=32),
+)
+
+
+@st.composite
+def pooling_cases(draw):
+    """(fmap, coords, cell_stride): a 1-6 x 1-6 map of 1-3 channels and 0-8
+    boxes, drawn on the pixel grid the stride spans plus a margin, so boxes
+    reach past the edges, sit on them and cover the whole map."""
+    h, w, c = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    arr = np.array(draw(st.lists(cell_values, min_size=h * w * c, max_size=h * w * c)))
+    stride = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    whole = [0.0, 0.0, w * stride, h * stride]
+    edges = st.sampled_from([0.0, 0.25, 1.0, 2.5, w * stride, h * stride, 7.0])
+    box = st.tuples(edges, edges, edges, edges).map(
+        lambda v: [min(v[0], v[2]), min(v[1], v[3]), max(v[0], v[2]) + 0.5, max(v[1], v[3]) + 0.5]
+    )
+    rows = draw(st.lists(st.one_of(st.just(whole), box), max_size=8))
+    return fmap_from(arr.reshape(h, w, c)), np.array(rows).reshape(-1, 4), stride
+
+
 class TestPooling:
     def test_center_surround_shape_and_values(self):
         arr = np.zeros((8, 8, 2))
         arr[2:4, 2:4, 0] = 4.0  # 2x2 block in channel 0
-        feat = pool_box_feature(fmap_from(arr), BBox(2, 2, 4, 4))
+        [feat] = pool_box_feature(fmap_from(arr), box_array([BBox(2, 2, 4, 4)]), 1.0)
         assert feat.shape == (4,)
         assert feat[0] == pytest.approx(4.0)
         # ring: 6x6 window minus 2x2 interior = 32 cells, 0 signal
@@ -471,8 +519,12 @@ class TestPooling:
 
     def test_whole_map_has_zero_surround(self):
         arr = np.full((4, 4, 1), 2.0)
-        feat = pool_box_feature(fmap_from(arr), BBox(0, 0, 4, 4))
-        assert feat.tolist() == [2.0, 0.0]
+        feat = pool_box_feature(fmap_from(arr), box_array([BBox(0, 0, 4, 4)]), 1.0)
+        assert feat.tolist() == [[2.0, 0.0]]
+
+    def test_no_rows_give_an_empty_block(self):
+        feat = pool_box_feature(fmap_from(np.ones((3, 4, 5))), np.zeros((0, 4)), 2.0)
+        assert feat.shape == (0, 10) and feat.dtype == np.float64
 
     @given(
         st.integers(0, 2**32 - 1),
@@ -482,8 +534,17 @@ class TestPooling:
         arr = np.random.default_rng(seed).normal(size=(12, 12, 3)).astype(np.float32)
         x1, y1 = min(12, x0 + w), min(12, y0 + h)
         want = arr.astype(np.float64)[y0:y1, x0:x1, :].mean(axis=(0, 1))
-        feat = pool_box_feature(fmap_from(arr), BBox(x0, y0, x1, y1))
+        [feat] = pool_box_feature(fmap_from(arr), box_array([BBox(x0, y0, x1, y1)]), 1.0)
         assert np.array_equal(feat[:3], want)
+
+    @settings(max_examples=200)
+    @given(pooling_cases())
+    def test_each_row_has_the_bits_of_pooling_its_box_alone(self, case):
+        fmap, coords, stride = case
+        got = pool_box_feature(fmap, coords, stride)
+        assert got.shape == (len(coords), 2 * fmap.channels) and got.dtype == np.float64
+        for row, corners in zip(got, coords.tolist()):
+            assert row.tobytes() == pool_one(fmap, BBox(*corners), stride).tobytes()
 
 
 def test_build_query_window_snaps_and_resamples():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 from boxforge.errors import EmptyDatasetError, NoPositivesError
-from boxforge.geometry import BBox, iou, iou_matrix
+from boxforge.geometry import BBox, box_array, iou, iou_matrix
 from boxforge.mining import (
     Clusters,
     ImageProposals,
@@ -27,10 +27,10 @@ def dataset(layout):
     images, labels = {}, {}
     for image_id, (label, items) in layout.items():
         pairs = [item if isinstance(item, tuple) else (item, None) for item in items]
-        images[image_id] = ImageProposals.from_boxes(
+        images[image_id] = ImageProposals(
             label,
-            [box or BBox(0, 0, 10, 10) for _, box in pairs],
-            [np.asarray(feature, dtype=np.float64) for feature, _ in pairs],
+            box_array([box or BBox(0, 0, 10, 10) for _, box in pairs]),
+            np.array([feature for feature, _ in pairs], dtype=np.float64),
         )
         labels[image_id] = label
     return images, labels
@@ -93,13 +93,21 @@ def oracle_build(by_image, labels, k):
     return clusters
 
 
-def oracle_rank(clusters):
-    def mean_sim(members):
-        return sum(s for _, s in members) / len(members) if members else 0.0
+def left_to_right_mean(sims):
+    """``sum(sims) / len(sims)`` as Python 3.11's ``sum`` adds floats: left
+    to right from 0; 0.0 with no similarities.  (Python 3.12's ``sum``
+    compensates, so the loop is spelled out.)"""
+    total = 0.0
+    for sim in sims:
+        total += sim
+    return total / max(1, len(sims))
 
+
+def oracle_rank(clusters):
     return sorted(
         clusters,
-        key=lambda c: (-c[2], -mean_sim(c[1]), c[0].image_id, c[0].index),
+        key=lambda c: (-c[2], -left_to_right_mean([s for _, s in c[1]]), c[0].image_id,
+                       c[0].index),
     )
 
 
@@ -149,9 +157,7 @@ class Cluster:
     positive_count: int
 
     def mean_member_similarity(self) -> float:
-        if not self.members:
-            return 0.0
-        return sum(s for _, s in self.members) / len(self.members)
+        return left_to_right_mean([s for _, s in self.members])
 
     def all_regions(self) -> list[Proposal]:
         return [self.seed] + [p for p, _ in self.members]
@@ -251,18 +257,13 @@ def take(clusters: Clusters, idx) -> Clusters:
         clusters,
         seed=clusters.seed[idx],
         members=clusters.members[idx],
-        sims=clusters.sims[idx],
+        mean=clusters.mean[idx],
         positive=clusters.positive[idx],
     )
 
 
 def table_rank_clusters(clusters: Clusters) -> Clusters:
-    n_members = clusters.sims.shape[1]
-    if n_members:
-        mean = np.cumsum(clusters.sims, axis=1)[:, -1] / n_members
-    else:
-        mean = np.zeros(len(clusters))
-    return take(clusters, np.lexsort((clusters.seed, -mean, -clusters.positive)))
+    return take(clusters, np.lexsort((clusters.seed, -clusters.mean, -clusters.positive)))
 
 
 def table_dedup_clusters(ranked: Clusters) -> Clusters:
@@ -284,7 +285,7 @@ def table_dedup_clusters(ranked: Clusters) -> Clusters:
     return take(ranked, np.array(kept, dtype=np.intp))
 
 
-def table_select(deduped: Clusters, labels, top_c=200):
+def table_select(deduped: Clusters, top_c=200):
     """The regions the table-copy selection mined, as (region_id, image_id,
     box, cluster_id, cluster_rank) rows."""
     top = take(deduped, slice(0, max(0, top_c)))
@@ -297,7 +298,7 @@ def table_select(deduped: Clusters, labels, top_c=200):
             image_id = top.image_ids[o]
             box = top.images[o].box(row - offsets[o])
             key = (image_id, box.sort_key())
-            if labels.get(image_id) == "pos" and key not in seen:
+            if top.images[o].label == "pos" and key not in seen:
                 seen.add(key)
                 out.append((f"r{len(out):05d}", image_id, box, cluster_id, rank))
     return out
@@ -307,8 +308,9 @@ def table_select(deduped: Clusters, labels, top_c=200):
 
 
 def signature(clusters: Clusters, order=None):
-    """Each cluster as (seed id, ((member id, similarity), ...), positive
-    count), in ``order`` (indices; all of them in table order when unset)."""
+    """Each cluster as (seed id, (member id, ...), mean member similarity,
+    positive count), in ``order`` (indices; all of them in table order when
+    unset)."""
     names = [
         f"{image_id}#{i}"
         for image_id, image in zip(clusters.image_ids, clusters.images)
@@ -317,10 +319,10 @@ def signature(clusters: Clusters, order=None):
     if order is None:
         order = np.arange(len(clusters))
     return [
-        (names[seed], tuple(zip((names[j] for j in members), sims)), count)
-        for seed, members, sims, count in zip(
+        (names[seed], tuple(names[j] for j in members), mean, count)
+        for seed, members, mean, count in zip(
             clusters.seed[order].tolist(), clusters.members[order].tolist(),
-            clusters.sims[order].tolist(), clusters.positive[order].tolist(),
+            clusters.mean[order].tolist(), clusters.positive[order].tolist(),
         )
     ]
 
@@ -340,18 +342,20 @@ def kept_signature(clusters: Clusters):
 
 
 def cluster_signature(c: Cluster):
-    return (c.seed.prop_id, tuple((p.prop_id, s) for p, s in c.members), c.positive_count)
+    return (c.seed.prop_id, tuple(p.prop_id for p, _ in c.members), c.mean_member_similarity(),
+            c.positive_count)
 
 
 def oracle_signature(c):
     seed, members, count = c
-    return (seed.prop_id, tuple((p.prop_id, s) for p, s in members), count)
+    return (seed.prop_id, tuple(p.prop_id for p, _ in members),
+            left_to_right_mean([s for _, s in members]), count)
 
 
 def bitwise(signatures):
-    """Similarities as their hex form, so ``==`` compares every bit (and
-    tells -0.0 from 0.0)."""
-    return [(seed, tuple((m, s.hex()) for m, s in members), n) for seed, members, n in signatures]
+    """Means as their hex form, so ``==`` compares every bit (and tells
+    -0.0 from 0.0)."""
+    return [(seed, members, mean.hex(), n) for seed, members, mean, n in signatures]
 
 
 def assert_matches_oracle(images, labels, k):
@@ -363,16 +367,21 @@ def assert_matches_oracle(images, labels, k):
 
 
 def members_of(clusters, seed_id):
-    return next(members for seed, members, _ in signature(clusters) if seed == seed_id)
+    """The member ids and the mean similarity of the cluster seeded at
+    ``seed_id``."""
+    return next((members, mean) for seed, members, mean, _ in signature(clusters)
+                if seed == seed_id)
 
 
-def table(boxes_by_image, rows):
+def table(boxes_by_image, rows, labels=None):
     """A ``Clusters`` table, and the same clusters as objects, from
     ``{image_id: [BBox, ...]}`` and rows of (seed, members, similarities,
-    positive count), each proposal named (image_id, index)."""
+    positive count), each proposal named (image_id, index); every image is
+    positive unless ``labels`` says otherwise."""
     image_ids = tuple(sorted(boxes_by_image))
     images = tuple(
-        ImageProposals.from_boxes("pos", boxes_by_image[i], [np.zeros(1)] * len(boxes_by_image[i]))
+        ImageProposals((labels or {}).get(i, "pos"), box_array(boxes_by_image[i]),
+                       np.zeros((len(boxes_by_image[i]), 1)))
         for i in image_ids
     )
     offsets = np.concatenate([[0], np.cumsum([len(image) for image in images])])
@@ -391,7 +400,7 @@ def table(boxes_by_image, rows):
         seed=np.array([row(seed) for seed, *_ in rows], dtype=np.intp),
         members=np.array([[row(m) for m in members] for _, members, *_ in rows],
                          dtype=np.intp).reshape(len(rows), n_members),
-        sims=np.array([sims for *_, sims, _ in rows], dtype=np.float64).reshape(len(rows), n_members),
+        mean=np.array([left_to_right_mean(sims) for *_, sims, _ in rows]),
         positive=np.array([count for *_, count in rows]),
     )
     objects = [
@@ -410,8 +419,8 @@ class TestBuildClusters:
             {"a": ("pos", [[1, 0]]), "b": ("pos", [[0, 1]])}
         )
         clusters = build_clusters(by_image, 0)
-        assert clusters.members.shape == clusters.sims.shape == (2, 0)
-        assert len(clusters) == 2
+        assert clusters.members.shape == (2, 0)
+        assert clusters.mean.tolist() == [0.0, 0.0]
 
     def test_identical_proposals_symmetric(self):
         by_image, labels = dataset(
@@ -419,7 +428,7 @@ class TestBuildClusters:
         )
         clusters = build_clusters(by_image, 2)
         assert clusters.members.shape == (3, 2)
-        assert clusters.sims.ravel().tolist() == pytest.approx([1.0] * 6)
+        assert clusters.mean.tolist() == pytest.approx([1.0] * 3)
         assert clusters.positive.tolist() == [3, 3, 3]
 
     def test_empty_dataset(self):
@@ -434,7 +443,7 @@ class TestBuildClusters:
             }
         )
         clusters = build_clusters(by_image, 1)
-        assert members_of(clusters, "a#0")[0][0] == "b#1"
+        assert members_of(clusters, "a#0")[0] == ("b#1",)
 
     def test_matches_oracle_on_small_random_instance(self):
         rng = np.random.default_rng(11)
@@ -455,9 +464,9 @@ class TestBuildClusters:
         )
         clusters = assert_matches_oracle(by_image, labels, 2)
         # every candidate ties at 0, so each champion is its image's first proposal
-        assert members_of(clusters, "a#0") == (("b#0", 0.0), ("c#0", 0.0))
+        assert members_of(clusters, "a#0") == (("b#0", "c#0"), 0.0)
         # b#0 (zero norm, 0) beats b#1 (anti-parallel, -1) as a's champion in b
-        assert ("b#0", 0.0) in members_of(clusters, "a#1")
+        assert "b#0" in members_of(clusters, "a#1")[0]
 
     def test_duplicate_features_tie_break(self):
         f = [0.3, -0.7, 0.2]
@@ -470,10 +479,10 @@ class TestBuildClusters:
             }
         )
         clusters = assert_matches_oracle(by_image, labels, 3)
-        members = members_of(clusters, "a#0")
+        members, mean = members_of(clusters, "a#0")
         # within an image the lowest index wins; across images, image id order
-        assert [m for m, _ in members] == ["b#1", "c#0", "d#1"]
-        assert len({s for _, s in members}) == 1
+        assert members == ("b#1", "c#0", "d#1")
+        assert mean == pytest.approx(1.0)
 
     def test_many_equal_champions_stay_in_image_order(self):
         # enough tied champions that an unstable sort would reorder them
@@ -482,9 +491,8 @@ class TestBuildClusters:
         layout.update({f"u{j:02d}": ("neg", [rng.normal(size=2)]) for j in range(20)})
         by_image, labels = dataset(layout)
         clusters = assert_matches_oracle(by_image, labels, 59)
-        members = members_of(clusters, "t00#0")
-        tied = [m.split("#")[0] for m, s in members if s == members[0][1]]
-        assert tied == [f"t{j:02d}" for j in range(1, 40)]
+        members, _ = members_of(clusters, "t00#0")
+        assert [m.split("#")[0] for m in members[:39]] == [f"t{j:02d}" for j in range(1, 40)]
 
     @pytest.mark.parametrize("k", [0, 3, 4, 9])
     def test_k_edge_values_match_oracle(self, k):
@@ -508,7 +516,7 @@ class TestBuildClusters:
     def test_single_image_has_no_members(self):
         by_image, labels = dataset({"only": ("pos", [[1.0, 0.0], [0.0, 1.0]])})
         clusters = assert_matches_oracle(by_image, labels, 3)
-        assert [(members, n) for _, members, n in signature(clusters)] == [((), 1), ((), 1)]
+        assert [(members, n) for _, members, _, n in signature(clusters)] == [((), 1), ((), 1)]
 
     def test_all_negative_similarities_still_pick_a_champion(self):
         by_image, labels = dataset(
@@ -518,9 +526,9 @@ class TestBuildClusters:
             }
         )
         clusters = assert_matches_oracle(by_image, labels, 1)
-        (member, sim), = members_of(clusters, "a#0")
+        members, sim = members_of(clusters, "a#0")
         assert sim < 0
-        assert member == "b#1"
+        assert members == ("b#1",)
 
     def test_non_finite_feature_refused(self):
         by_image, labels = dataset({"a": ("pos", [[1.0, 0.0]]), "b": ("pos", [[np.nan, 1.0]])})
@@ -602,7 +610,7 @@ class TestAgainstObjectOracle:
         if any(label == "pos" for label in labels.values()):
             want = object_select(object_dedup_clusters(ranked_objects), labels)
             try:
-                got = select_positive_regions(clusters, kept, labels, top_c=3)
+                got = select_positive_regions(clusters, kept, top_c=3)
             except NoPositivesError:
                 got = []
             assert [(r.image_id, r.box, r.cluster_id, r.cluster_rank) for r in got] == want
@@ -648,9 +656,9 @@ class TestIndexOrderAgainstTableCopies:
         kept = dedup_clusters(clusters, order)
         deduped = table_dedup_clusters(ranked)
         assert bitwise(signature(clusters, kept)) == bitwise(signature(deduped))
-        want = table_select(deduped, labels, top_c)
+        want = table_select(deduped, top_c)
         try:
-            got = select_positive_regions(clusters, kept, labels, top_c=top_c)
+            got = select_positive_regions(clusters, kept, top_c=top_c)
         except NoPositivesError:
             got = []
         assert list(map(region_row, got)) == want
@@ -695,7 +703,7 @@ class TestRankClusters:
 
     def test_ties_broken_by_mean_similarity(self):
         clusters, _ = ranked_table([(2, [0.2, 0.4]), (2, [0.9, 0.7])])
-        assert clusters.sims[rank_clusters(clusters)[0]].tolist() == [0.9, 0.7]
+        assert rank_clusters(clusters).tolist() == [1, 0]
 
     def test_matches_comparison_sort_oracle(self):
         rng = np.random.default_rng(13)
@@ -707,14 +715,38 @@ class TestRankClusters:
         )
 
     def test_mean_sums_left_to_right(self):
-        # orderings of one set of similarities differ in their last bits
-        # summed left to right, and differently summed pairwise
+        """At k = 23 ``build_clusters``' means have the bits of adding each
+        cluster's member similarities left to right, which numpy's pairwise
+        sum of the same similarities misses in the last bits."""
         rng = np.random.default_rng(16)
-        values = rng.random(24)
-        clusters, objects = ranked_table([(1, list(rng.permutation(values))) for _ in range(60)])
+        layout = {
+            f"im{j:02d}": ("pos" if j % 2 else "neg", [rng.normal(size=6) for _ in range(3)])
+            for j in range(24)
+        }
+        by_image, _ = dataset(layout)
+        clusters = build_clusters(by_image, 23)
+        objects = object_build_clusters(by_image, 23)
+        want = np.array([c.mean_member_similarity() for c in objects])
+        assert clusters.mean.tobytes() == want.tobytes()
+        pairwise = np.array([np.sum([s for _, s in c.members]) / 23 for c in objects])
+        assert pairwise.tobytes() != want.tobytes()
+        assert bitwise(ranked_signature(clusters)) == bitwise(
+            map(cluster_signature, object_rank_clusters(objects))
+        )
+
+    def test_equal_means_keep_seed_order(self):
+        # seeds listed out of row order, with equal counts and equal means
+        boxes = {image_id: [BBox(0, 0, 10, 10)] for image_id in ("a", "b", "c", "m")}
+        clusters, objects = table(boxes, [((i, 0), [("m", 0)], [0.5], 2) for i in "cab"])
+        assert clusters.seed[rank_clusters(clusters)].tolist() == sorted(clusters.seed.tolist())
         assert ranked_signature(clusters) == list(
             map(cluster_signature, object_rank_clusters(objects))
         )
+        # identical features: every built cluster has the same count and mean
+        by_image, _ = dataset({f"i{j:02d}": ("pos", [[1.0, 2.0, 3.0]] * 2) for j in range(18)})
+        clusters = build_clusters(by_image, 17)
+        assert len(set(clusters.mean.tolist())) == 1
+        assert rank_clusters(clusters).tolist() == list(range(len(clusters)))
 
 
 # --- dedup_clusters ----------------------------------------------------------
@@ -781,15 +813,15 @@ class TestDedupClusters:
 class TestSelectPositiveRegions:
     def test_negative_members_discarded(self):
         box = BBox(0, 0, 10, 10)
-        clusters, _ = table({"neg0": [box], "neg1": [box]}, [(("neg0", 0), [("neg1", 0)], [0.9], 0)])
-        labels = {"neg0": "neg", "neg1": "neg"}
+        clusters, _ = table({"neg0": [box], "neg1": [box]}, [(("neg0", 0), [("neg1", 0)], [0.9], 0)],
+                            labels={"neg0": "neg", "neg1": "neg"})
         with pytest.raises(NoPositivesError):
-            select_positive_regions(clusters, np.arange(len(clusters)), labels)
+            select_positive_regions(clusters, np.arange(len(clusters)))
 
     def test_top_c_larger_than_cluster_count(self):
         by_image, labels = dataset({"a": ("pos", [[1, 0]]), "b": ("pos", [[1, 0]])})
         clusters = build_clusters(by_image, 1)
-        mined = select_positive_regions(clusters, rank_clusters(clusters), labels, top_c=10_000)
+        mined = select_positive_regions(clusters, rank_clusters(clusters), top_c=10_000)
         assert {r.image_id for r in mined} == {"a", "b"}
 
     def test_duplicates_collapsed_and_union_correct(self):
@@ -801,7 +833,7 @@ class TestSelectPositiveRegions:
         }
         by_image, labels = dataset(layout)
         clusters = build_clusters(by_image, 2)
-        mined = select_positive_regions(clusters, rank_clusters(clusters), labels, top_c=200)
+        mined = select_positive_regions(clusters, rank_clusters(clusters), top_c=200)
         got = {(r.image_id, tuple(r.box.as_list())) for r in mined}
         assert got == {("a", tuple(box_a.as_list())), ("b", tuple(box_b.as_list()))}
         assert all(labels[r.image_id] == "pos" for r in mined)

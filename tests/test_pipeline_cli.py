@@ -20,14 +20,15 @@ from boxforge import atomic, cli, dataio, featmap, pipeline, transfer
 from boxforge.config import SETTINGS, PipelineConfig, build_config, parse_config_file
 from boxforge.errors import ConfigInvalidError, EmptyPoolError, MissingInputError
 from boxforge.detector import fit_bbox_regressor, lsvm_update
-from boxforge.featmap import pool_box_feature
 from boxforge.geometry import BBox, box_array, iou, nms
 from boxforge.metrics import corloc
 from boxforge.mining import MinedRegion
 from boxforge.pipeline import run_pipeline
 from boxforge.synth import SynthConfig, gen_dataset
-from boxforge.tracks import FrameSelection
+from boxforge.tracks import FrameSelection, candidates_at_frame
 from boxforge.voting import PseudoGT
+
+from test_featmap import pool_one
 
 # Matching profile for the synthetic data: planted objects occupy ~30 cells
 # on a stride-1 map, every frame is cheap enough to sample.
@@ -928,7 +929,7 @@ def per_proposal_images(manifest):
         props.append((
             f"{row['image_id']}#{len(props)}",
             box,
-            pool_box_feature(fmap, box, manifest.cell_stride),
+            pool_one(fmap, box, manifest.cell_stride),
         ))
     return {image_id: images[image_id] for image_id in sorted(images)}
 
@@ -942,7 +943,7 @@ def per_proposal_corpus(manifest, images, pseudo_gts):
             if gt is None:
                 continue
             fmap = manifest.load_image_fmap(image_id)
-            feats.append(pool_box_feature(fmap, gt.box, manifest.cell_stride))
+            feats.append(pool_one(fmap, gt.box, manifest.cell_stride))
             labels.append(1.0)
             for _pid, box, feature in props:
                 if 0.1 <= iou(box, gt.box) <= 0.3:
@@ -1043,6 +1044,67 @@ class TestArrayStagesMatchPerProposalCode:
         assert report["n_pairs"] == len(pairs) > 0
         dataio.write_regressor(tmp_path / "want.json", fit_bbox_regressor(pairs, l2=1e-3))
         assert (tmp_path / pipeline.REGRESSOR).read_bytes() == (tmp_path / "want.json").read_bytes()
+
+
+def half_box(box):
+    """The centered half-size sub-box, as the per-box frame pool built it."""
+    cx, cy = box.center
+    return BBox(
+        cx - 0.25 * box.width, cy - 0.25 * box.height,
+        cx + 0.25 * box.width, cy + 0.25 * box.height,
+    )
+
+
+def per_box_video_frames(ds, selections, frame_stride):
+    """frame key -> (corner rows, features) of each scored frame's pool,
+    built one ``BBox`` at a time and pooled box by box."""
+    frames = {}
+    for entry in ds.manifest.videos:
+        fmaps = ds.manifest.load_video_frames(entry.video_id)
+        for frame_idx in transfer.sampled_frame_indices(len(fmaps), frame_stride):
+            candidates = candidates_at_frame(ds.tracks.get(entry.video_id, []), frame_idx)
+            if (entry.video_id, frame_idx) not in selections or not candidates:
+                continue
+            boxes = [box for _, box in candidates]
+            boxes.extend(half_box(box) for _, box in candidates)
+            feats = [pool_one(fmaps[frame_idx], box, ds.manifest.cell_stride) for box in boxes]
+            frames[f"{entry.video_id}:{frame_idx}"] = (box_array(boxes), np.stack(feats))
+    return frames
+
+
+def test_video_frames_match_the_per_box_pool(synth_dir, finished):
+    """Cross-validation's frame pools, built as corner rows and pooled in
+    one call per frame, have the bits of the per-box construction."""
+    ds = dataio.open_dataset(synth_dir / "manifest.json")
+    selections = dataio.read_selections(finished / pipeline.SELECTIONS)
+    frames, gt = pipeline._video_frames(ds, selections, 1)
+    want = per_box_video_frames(ds, selections, 1)
+    assert list(frames) == list(want) and len(want) > 0
+    assert set(gt) == {f"{video_id}:{frame_idx}" for video_id, frame_idx in selections}
+    for key, (coords, features) in want.items():
+        assert frames[key].label == "pos"
+        assert frames[key].coords.tobytes() == coords.tobytes()
+        assert frames[key].features.tobytes() == features.tobytes()
+
+
+@pytest.mark.parametrize("command", ["mine", "train", "regress"])
+def test_empty_proposal_file_is_refused_naming_it(synth_dir, tmp_path, capsys, command):
+    """An empty ``proposals.jsonl`` is refused when it is read, with a JSON
+    error naming it, by every stage that reads proposals."""
+    data = tmp_path / "data"
+    shutil.copytree(synth_dir, data)
+    (data / "proposals.jsonl").write_text("")
+    out = tmp_path / "out"
+    out.mkdir()
+    for name in (pipeline.PSEUDO_GT, pipeline.PSEUDO_GT_UPDATED):
+        dataio.write_pseudo_gts(out / name, [])
+    dataio.write_detections(out / pipeline.DETECTIONS_UPDATED, [])
+    seed = ["--seed", 0] if command == "train" else []
+    assert run_cli(command, "--manifest", data / "manifest.json", "--out", out, *seed) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err == {
+        "error": "EmptyDatasetError", "message": f"{data / 'proposals.jsonl'}: no proposals",
+    }
 
 
 class TestMalformedJson:
@@ -1367,10 +1429,10 @@ class TestProposalDescriptors:
         for image_id, image in ds.images.items():
             fmap = manifest.load_image_fmap(image_id)
             want = np.stack([
-                pool_box_feature(fmap, image.box(i), manifest.cell_stride)
-                for i in range(len(image))
+                pool_one(fmap, image.box(i), manifest.cell_stride) for i in range(len(image))
             ])
-            assert image.features.dtype == want.dtype and np.array_equal(image.features, want)
+            assert image.features.dtype == want.dtype
+            assert image.features.tobytes() == want.tobytes()
 
     def test_rows_rebuild_the_boxes_of_the_file(self, synth_dir):
         """Each proposal is held as one corner row; the box made from it is

@@ -93,16 +93,31 @@ def _identifiers(path: Path):
                 yield node.value
 
 
+def _definitions(path: Path):
+    """A module's top-level functions and classes, and each method and
+    property of its classes except dunders, as (qualified name, name)."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield f"{path.stem}.{node.name}", node.name
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and not (
+                    member.name.startswith("__") and member.name.endswith("__")
+                ):
+                    yield f"{path.stem}.{node.name}.{member.name}", member.name
+
+
 def test_every_package_definition_is_reached():
-    """Every top-level function and class of the package is used by name in
-    the package or in ``scripts/``: code that only tests reach is deleted."""
+    """Every top-level function and class of the package, and every method
+    and property of its classes, is used by name in the package, in
+    ``scripts/`` or in the benchmark's tracer (whose hooks read attributes
+    such as ``VoteSpace.n_points``): code that only tests reach is
+    deleted."""
     modules = sorted(PACKAGE.glob("*.py"))
-    used = {name for path in [*modules, *SCRIPTS.glob("*.py")] for name in _identifiers(path)}
+    readers = [*modules, *SCRIPTS.glob("*.py"), ROOT / "perfbench" / "tracer.py"]
+    used = {name for path in readers for name in _identifiers(path)}
     unreached = [
-        f"{path.stem}.{node.name}"
-        for path in modules
-        for node in ast.parse(path.read_text()).body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used
+        qualified for path in modules for qualified, name in _definitions(path) if name not in used
     ]
     assert unreached == []
 
