@@ -113,8 +113,8 @@ def _size(value) -> tuple[float, float]:
 
 
 def _names(value) -> tuple[str, ...]:
-    if not value:
-        raise ValueError("expected at least one name")
+    if not isinstance(value, list) or not value:
+        raise ValueError(f"expected a list of at least one name, got {value!r}")
     return tuple(_text(n) for n in value)
 
 

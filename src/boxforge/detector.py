@@ -174,7 +174,7 @@ def lsvm_update(
     model: LinearModel,
     images: Mapping[str, ImageProposals],
     pseudo_gts: Mapping[str, PseudoGT],
-    nms_iou: float = 0.3,
+    nms_iou: float,
 ) -> dict[str, PseudoGT]:
     """Latent update of the pseudo-GT set with the current model.
 
@@ -261,7 +261,7 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def fit_bbox_regressor(
     pairs: Sequence[tuple[np.ndarray, BBox, BBox]],
-    l2: float = 1e-3,
+    l2: float,
 ) -> BoxRegressor:
     """Ridge regression of box targets on (feature, proposal, gt) pairs.
 

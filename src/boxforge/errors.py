@@ -9,10 +9,6 @@ class DegenerateBoxError(BoxforgeError):
     """A box violates the strictly-positive-area invariant."""
 
 
-class OutOfBoundsError(BoxforgeError):
-    """A cell rectangle leaves its feature map."""
-
-
 class WindowTooLargeError(BoxforgeError):
     """A query window is larger than the feature map it is scanned over."""
 

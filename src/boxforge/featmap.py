@@ -1,9 +1,11 @@
 """Feature-map storage and dense sliding-window cosine matching.
 
-A feature map is an ``(height, width, channels)`` grid of real activations;
-matching slides fixed-shape query windows over every placement on a frame's
-map and scores them with cosine similarity, all the queries of one frame in
-one :func:`scan_queries` that groups them by window shape.
+A feature map is an ``(height, width, channels)`` grid of real activations.
+A query window is an ``(h_cells, w_cells, channels)`` float64 array cut
+from a region's map by :func:`build_query_window`; matching slides it over
+every placement on a frame's map and scores each with cosine similarity,
+all the queries of one frame in one :func:`scan_queries` that groups them
+by window shape.
 
 FMAP binary format (bit-exact):
     magic bytes ``FMAP`` | version byte ``0x01`` | three little-endian u32
@@ -26,7 +28,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .atomic import write_atomic
-from .errors import ConfigInvalidError, OutOfBoundsError, WindowTooLargeError
+from .errors import ConfigInvalidError, WindowTooLargeError
 from .geometry import BBox
 
 FMAP_MAGIC = b"FMAP"
@@ -60,29 +62,7 @@ class FeatureMap:
         return self.data.shape[2]
 
 
-@dataclass(frozen=True)
-class QueryWindow:
-    """A flattened w_cells x h_cells x channels feature window.
-
-    ``data`` is 1-D in the same (y, x, c) order the maps use.
-    """
-
-    w_cells: int
-    h_cells: int
-    channels: int
-    data: np.ndarray
-
-    def __post_init__(self):
-        if self.w_cells < 1 or self.h_cells < 1:
-            raise ConfigInvalidError("query window must be at least 1x1 cells")
-        if self.data.size != self.w_cells * self.h_cells * self.channels:
-            raise ConfigInvalidError(
-                f"window data length {self.data.size} != "
-                f"{self.w_cells}*{self.h_cells}*{self.channels}"
-            )
-
-
-def window_shape_for_box(box: BBox, target_cells: int = 48) -> tuple[int, int]:
+def window_shape_for_box(box: BBox, target_cells: int) -> tuple[int, int]:
     """Integer (w_cells, h_cells) window shape for matching a pixel box.
 
     Enumerates shapes whose cell area lies in [5/6, 7/6] of ``target_cells``
@@ -106,38 +86,21 @@ def window_shape_for_box(box: BBox, target_cells: int = 48) -> tuple[int, int]:
     return (max(2, w), max(2, h))
 
 
-def extract_window(fmap: FeatureMap, cell_rect: tuple[int, int, int, int]) -> QueryWindow:
-    """Slice the (x, y, w, h) cell rectangle into a flattened query window."""
-    x, y, w, h = cell_rect
-    if w < 1 or h < 1:
-        raise OutOfBoundsError(f"empty cell rect {cell_rect}")
-    if x < 0 or y < 0 or x + w > fmap.width or y + h > fmap.height:
-        raise OutOfBoundsError(
-            f"cell rect {cell_rect} outside {fmap.height}x{fmap.width} map"
-        )
-    data = np.ascontiguousarray(fmap.data[y : y + h, x : x + w, :]).reshape(-1)
-    return QueryWindow(w_cells=w, h_cells=h, channels=fmap.channels, data=data)
-
-
-def resample_window(
-    fmap: FeatureMap,
-    cell_rect: tuple[int, int, int, int],
-    out_shape: tuple[int, int],
-) -> QueryWindow:
-    """Extract a cell rect and bilinearly resample it to (w_cells, h_cells).
-
-    When the requested shape equals the rect shape this is an exact slice,
-    so identity-planting matches score 1.0 bit-for-bit.
+def build_query_window(
+    fmap: FeatureMap, box: BBox, cell_stride: float, target_cells: int
+) -> np.ndarray:
+    """The (h_cells, w_cells, C) float64 window matching a pixel box on its
+    own map: the box's covering cell rectangle, bilinearly resampled to the
+    shape :func:`window_shape_for_box` assigns.  A rectangle that already
+    has that shape is returned as sliced, so a window scored where it was
+    cut scores 1.0 bit for bit.
     """
-    x, y, w, h = cell_rect
-    out_w, out_h = out_shape
+    x, y, x_end, y_end = _cell_rect(fmap, box.as_list(), cell_stride)
+    patch = fmap.data[y:y_end, x:x_end, :].astype(np.float64)
+    h, w = patch.shape[:2]
+    out_w, out_h = window_shape_for_box(box, target_cells)
     if (out_w, out_h) == (w, h):
-        return extract_window(fmap, cell_rect)
-    if x < 0 or y < 0 or w < 1 or h < 1 or x + w > fmap.width or y + h > fmap.height:
-        raise OutOfBoundsError(
-            f"cell rect {cell_rect} outside {fmap.height}x{fmap.width} map"
-        )
-    patch = fmap.data[y : y + h, x : x + w, :].astype(np.float64)
+        return patch
     # Pixel-center sampling of the patch grid, clamped at the borders.
     ys = (np.arange(out_h) + 0.5) * (h / out_h) - 0.5
     xs = (np.arange(out_w) + 0.5) * (w / out_w) - 0.5
@@ -149,29 +112,7 @@ def resample_window(
     wx = np.clip(xs - x0, 0.0, 1.0)[None, :, None]
     top = patch[y0][:, x0, :] * (1 - wx) + patch[y0][:, x1, :] * wx
     bot = patch[y1][:, x0, :] * (1 - wx) + patch[y1][:, x1, :] * wx
-    out = top * (1 - wy) + bot * wy
-    return QueryWindow(
-        w_cells=out_w,
-        h_cells=out_h,
-        channels=fmap.channels,
-        data=np.ascontiguousarray(out).reshape(-1),
-    )
-
-
-def build_query_window(
-    fmap: FeatureMap,
-    box: BBox,
-    cell_stride: float = 1.0,
-    target_cells: int = 48,
-) -> QueryWindow:
-    """Build the canonical matching window for a pixel box on its own map.
-
-    The box is snapped to the covering cell rectangle, then resampled to the
-    shape the sizing heuristic assigns for its aspect ratio.
-    """
-    x0, y0, x1, y1 = _cell_rect(fmap, box.as_list(), cell_stride)
-    shape = window_shape_for_box(box, target_cells=target_cells)
-    return resample_window(fmap, (x0, y0, x1 - x0, y1 - y0), shape)
+    return top * (1 - wy) + bot * wy
 
 
 def placement_boxes(place: np.ndarray, shape, cell_stride: float) -> np.ndarray:
@@ -223,12 +164,13 @@ def _placement_scores(
 
 
 def scan_queries(
-    queries: Sequence[QueryWindow], fmap: FeatureMap, top_n: int
+    queries: Sequence[np.ndarray], fmap: FeatureMap, top_n: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each query's ``top_n`` best placements on ``fmap``: ``score``
-    (queries, top_n) and ``place`` (queries, top_n, 2) of (cell_y, cell_x).
-    Row q ranks query q's placements by score descending with the (cell_y,
-    cell_x) ascending tie-break, then pads with score ``-inf`` at place -1.
+    (queries, top_n) and ``place`` (queries, top_n, 2) of (cell_y, cell_x),
+    a query being an (h_cells, w_cells, C) float64 window.  Row q ranks
+    query q's placements by score descending with the (cell_y, cell_x)
+    ascending tie-break, then pads with score ``-inf`` at place -1.
     Queries of one window shape share the map's window matrix.  Zero-norm
     windows (query or placement) score 0 instead of erroring, which keeps
     blank frames from poisoning a scan.
@@ -239,19 +181,19 @@ def scan_queries(
     if top_n < 1:
         raise ValueError(f"top_n must be >= 1, got {top_n}")
     for q in queries:
-        if fmap.channels != q.channels:
-            raise ValueError(f"channel mismatch: query {q.channels} vs map {fmap.channels}")
+        if fmap.channels != q.shape[2]:
+            raise ValueError(f"channel mismatch: query {q.shape[2]} vs map {fmap.channels}")
     score = np.full((len(queries), top_n), -np.inf)
     place = np.full((len(queries), top_n, 2), -1)
     groups: dict[tuple[int, int], list[int]] = {}
     for i, query in enumerate(queries):
-        groups.setdefault((query.w_cells, query.h_cells), []).append(i)
-    for (w, h), members in groups.items():
+        groups.setdefault(query.shape[:2], []).append(i)
+    for (h, w), members in groups.items():
         if w > fmap.width or h > fmap.height:
             raise WindowTooLargeError(
                 f"query of {h}x{w} cells does not fit the {fmap.height}x{fmap.width} map"
             )
-        flat = np.stack([np.asarray(queries[i].data, np.float64).reshape(-1) for i in members])
+        flat = np.stack([queries[i].reshape(-1) for i in members])
         norms = np.array([np.linalg.norm(qf) for qf in flat])
         scores = _placement_scores(fmap.data, flat, norms, h, w)
         grid = scores.shape[1:]

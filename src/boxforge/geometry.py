@@ -52,10 +52,6 @@ class BBox:
         """The universal JSON shape: a 4-array [x_min, y_min, x_max, y_max]."""
         return [self.x_min, self.y_min, self.x_max, self.y_max]
 
-    def sort_key(self) -> tuple[float, float, float, float]:
-        """Lexicographic coordinate key used for deterministic tie-breaks."""
-        return (self.x_min, self.y_min, self.x_max, self.y_max)
-
 
 def intersection_area(a: BBox, b: BBox) -> float:
     """Overlap area; 0.0 for disjoint or merely touching boxes."""

@@ -112,7 +112,7 @@ def average_precision(
         raise NoGroundTruthError("average precision needs at least one GT box")
     order = sorted(
         range(len(detections)),
-        key=lambda i: (-detections[i][2], detections[i][0], detections[i][1].sort_key()),
+        key=lambda i: (-detections[i][2], detections[i][0], detections[i][1].as_list()),
     )
     matched: dict[str, list[bool]] = {img: [False] * len(boxes) for img, boxes in gt.items()}
     tp_flags: list[bool] = []

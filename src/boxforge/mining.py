@@ -225,7 +225,7 @@ def dedup_clusters(clusters: Clusters, order: np.ndarray) -> np.ndarray:
 def select_positive_regions(
     clusters: Clusters,
     kept: np.ndarray,
-    top_c: int = 200,
+    top_c: int,
 ) -> list[MinedRegion]:
     """Union of positive-image regions from the first ``top_c`` clusters of
     ``kept`` (indices, best first: :func:`dedup_clusters`), seed first,

@@ -136,16 +136,22 @@ def run_mine(ds: dataio.Dataset, cfg: PipelineConfig) -> dict:
     })
 
 
-def _scan(ds, mined, target_cells, n_matches, frame_stride):
-    """Each region's query scanned once over every sampled frame: (selections, TopMatches)."""
-    manifest = ds.manifest
-    load_fmap = functools.cache(manifest.load_image_fmap)  # one read per image
-    queries = {
+def _query_windows(manifest, mined, target_cells: int) -> dict[str, np.ndarray]:
+    """Each region's query window, by region id; each image's map is read
+    once and released on return, before any frame is read."""
+    load_fmap = functools.cache(manifest.load_image_fmap)
+    return {
         r.region_id: build_query_window(
             load_fmap(r.image_id), r.box, manifest.cell_stride, target_cells
         )
         for r in mined
     }
+
+
+def _scan(ds, mined, target_cells, n_matches, frame_stride):
+    """Each region's query scanned once over every sampled frame: (selections, TopMatches)."""
+    manifest = ds.manifest
+    queries = _query_windows(manifest, mined, target_cells)
     videos = [(e.video_id, manifest.load_video_frames(e.video_id)) for e in manifest.videos]
 
     def select(video_id: str, frame_idx: int, boxes, scores) -> Optional[FrameSelection]:

@@ -77,11 +77,9 @@ def select_track_per_frame(
     if not candidates:
         return None
     scores = score_track_boxes([box for _, box in candidates], coords, sims)
-    scored = [(track_id, box, score) for (track_id, box), score in zip(candidates, scores)]
-    best_id, best_box, best_score = min(scored, key=lambda c: c[0])
-    for track_id, box, score in scored:
-        if score > best_score or (score == best_score and track_id < best_id):
-            best_id, best_box, best_score = track_id, box, score
+    (best_id, best_box), best_score = min(
+        zip(candidates, scores), key=lambda c: (-c[1], c[0][0])
+    )
     return FrameSelection(
         video_id=video_id,
         frame_idx=frame_idx,

@@ -16,7 +16,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import DegenerateBoxError, NoFramesError
-from .featmap import FeatureMap, QueryWindow, placement_boxes, scan_queries
+from .featmap import FeatureMap, placement_boxes, scan_queries
 from .geometry import BBox, intersection_area, transfer_box
 from .tracks import FrameSelection
 
@@ -62,19 +62,20 @@ class TopMatches:
 
 
 def match_regions(
-    queries: Mapping[str, QueryWindow], videos: Sequence[VideoFrames], on_frame: Callable,
-    n: int = 20, frame_stride: int = 8, cell_stride: float = 1.0,
+    queries: Mapping[str, np.ndarray], videos: Sequence[VideoFrames], on_frame: Callable,
+    n: int, frame_stride: int, cell_stride: float,
 ) -> tuple[list, TopMatches]:
-    """Scan the queries (region id -> window) over every sampled frame in
-    ``videos`` order, one :func:`scan_queries` per frame, each frame indexed
-    (and so read) once.  Each scan is used as it is made: ``on_frame(video_id,
-    frame_idx, boxes, scores)`` gets every region's best pixel corners (regions,
-    4), ``cell_stride`` pixels per cell, and score (regions,) in the frame,
-    arrays it may keep, then the frame's rows are merged into the running top
-    ``n``.  Returns the callback's results that are not None, in frame order,
-    and the :class:`TopMatches`."""
+    """Scan the queries (region id -> (h_cells, w_cells, C) float64 window)
+    over every sampled frame in ``videos`` order, one :func:`scan_queries`
+    per frame, each frame indexed (and so read) once.  Each scan is used as
+    it is made: ``on_frame(video_id, frame_idx, boxes, scores)`` gets every
+    region's best pixel corners (regions, 4), ``cell_stride`` pixels per
+    cell, and score (regions,) in the frame, arrays it may keep, then the
+    frame's rows are merged into the running top ``n``.  Returns the
+    callback's results that are not None, in frame order, and the
+    :class:`TopMatches`."""
     windows = list(queries.values())
-    shape = np.array([(w.w_cells, w.h_cells) for w in windows]).reshape(-1, 1, 2)
+    shape = np.array([q.shape[1::-1] for q in windows]).reshape(-1, 1, 2)  # (w, h) cells
     video_ids = tuple(sorted(v for v, _ in videos))
     rank = {v: i for i, v in enumerate(video_ids)}
     region = np.arange(len(windows))[:, None]

@@ -22,7 +22,7 @@ from boxforge.detector import (
     LinearModel,
     regression_pairs,
 )
-from boxforge.featmap import FeatureMap, QueryWindow, extract_window
+from boxforge.featmap import FeatureMap
 from boxforge.geometry import BBox, box_array, iou, transfer_box
 from boxforge.metrics import average_precision, corloc
 from boxforge.mining import (
@@ -43,7 +43,7 @@ from boxforge.synth import SynthConfig, gen_dataset
 from boxforge.tracks import evaluate_selection
 from boxforge.voting import PseudoGT, VoteSpace, ranked_ascents, select_pseudo_gt
 
-from test_featmap import scan_hits
+from test_featmap import scan_hits, window
 from test_mining import (
     dataset as make_dataset,
     oracle_build,
@@ -119,13 +119,14 @@ def test_criterion_1_geometry_oracle():
 
 
 def exhaustive_scan(query, fm, top_n):
-    qf = np.asarray(query.data, dtype=np.float64).reshape(-1)
+    qf = query.reshape(-1)
     nq = float(np.linalg.norm(qf))
+    h, w = query.shape[:2]
     hits = []
-    for cy in range(fm.height - query.h_cells + 1):
-        for cx in range(fm.width - query.w_cells + 1):
+    for cy in range(fm.height - h + 1):
+        for cx in range(fm.width - w + 1):
             wf = (
-                fm.data[cy : cy + query.h_cells, cx : cx + query.w_cells, :]
+                fm.data[cy : cy + h, cx : cx + w, :]
                 .astype(np.float64)
                 .reshape(-1)
             )
@@ -153,12 +154,9 @@ def test_criterion_2_matching_oracle():
         if trial % 2 == 0:
             qx = int(rng.integers(0, w - qw + 1))
             qy = int(rng.integers(0, h - qh + 1))
-            query = extract_window(fm, (qx, qy, qw, qh))
+            query = window(fm, (qx, qy, qw, qh))
         else:
-            query = QueryWindow(
-                w_cells=qw, h_cells=qh, channels=c,
-                data=rng.normal(size=qw * qh * c),
-            )
+            query = rng.normal(size=(qh, qw, c))
         got = scan_hits(query, fm, 5)
         want = exhaustive_scan(query, fm, 5)
         assert got == want, f"trial {trial} diverged from the exhaustive scan"
@@ -376,7 +374,7 @@ def test_criterion_7_detector_eval_plumbing():
     }
     existing = {"img": PseudoGT(image_id="img", box=gt_box, vote=20.0, support=20)}
     model = LinearModel(weights=np.array([1.0, 0.0]), bias=0.0)
-    updated = lsvm_update(model, images, existing)
+    updated = lsvm_update(model, images, existing, nms_iou=0.3)
     assert updated["img"].box == prop_at(0.5)  # IOU exactly 0.5 is eligible
 
     # bbox regressor round-trip identity

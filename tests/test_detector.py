@@ -395,27 +395,31 @@ def model_toward(direction):
 
 class TestLsvmUpdate:
     def test_fills_missing_image_with_top_detection(self):
-        updated = lsvm_update(model_toward([1, 0]), images_fixture(), {})
+        updated = lsvm_update(model_toward([1, 0]), images_fixture(), {}, nms_iou=0.3)
         assert "img_pos" in updated and "img_neg" not in updated
         assert updated["img_pos"].box == box(2, 2, 8, 8)
         assert updated["img_pos"].updated is True
 
     def test_existing_gt_kept_when_best_is_itself(self):
         existing = PseudoGT(image_id="img_pos", box=box(2, 2, 8, 8), vote=25.0, support=25)
-        updated = lsvm_update(model_toward([1, 0]), images_fixture(), {"img_pos": existing})
+        updated = lsvm_update(
+            model_toward([1, 0]), images_fixture(), {"img_pos": existing}, nms_iou=0.3
+        )
         assert updated["img_pos"] == existing
         assert updated["img_pos"].updated is False
 
     def test_leash_keeps_original_when_no_overlap_candidate(self):
         existing = PseudoGT(image_id="img_pos", box=box(12, 12, 15, 15), vote=21.0, support=21)
         model = model_toward([1, 0])  # best detection is far from existing GT
-        updated = lsvm_update(model, images_fixture(), {"img_pos": existing})
+        updated = lsvm_update(model, images_fixture(), {"img_pos": existing}, nms_iou=0.3)
         assert updated["img_pos"].box == existing.box
         assert updated["img_pos"].updated is False
 
     def test_refinement_respects_leash(self):
         existing = PseudoGT(image_id="img_pos", box=box(2, 2, 7, 8), vote=21.0, support=21)
-        updated = lsvm_update(model_toward([1, 0]), images_fixture(), {"img_pos": existing})
+        updated = lsvm_update(
+            model_toward([1, 0]), images_fixture(), {"img_pos": existing}, nms_iou=0.3
+        )
         new = updated["img_pos"]
         assert new.updated is True
         from boxforge.geometry import iou
@@ -431,13 +435,13 @@ class TestLsvmUpdate:
         images = {"img": proposals("pos", halves, feats)}
         existing = PseudoGT(image_id="img", box=box(0, 0, 10, 10), vote=21.0, support=21)
         model = model_toward([1.0, 0.5] if first == 0 else [0.5, 1.0])
-        updated = lsvm_update(model, images, {"img": existing})
+        updated = lsvm_update(model, images, {"img": existing}, nms_iou=0.3)
         assert updated["img"].box == halves[first]
         assert updated["img"].updated is True
 
     def test_count_never_decreases(self):
         existing = {"img_pos": PseudoGT(image_id="img_pos", box=GT, vote=20.0, support=20)}
-        updated = lsvm_update(model_toward([1, 0]), images_fixture(), existing)
+        updated = lsvm_update(model_toward([1, 0]), images_fixture(), existing, nms_iou=0.3)
         assert len(updated) >= len(existing)
 
 
@@ -496,14 +500,14 @@ class TestBoxRegressor:
             (np.array([2.0, 0.5]), box(5, 5, 9, 9), box(4, 4, 8, 8)),
             (np.array([0.0, 1.5]), box(2, 2, 7, 7), box(2, 3, 7, 8)),
         ]
-        reg = fit_bbox_regressor(pairs)
+        reg = fit_bbox_regressor(pairs, l2=1e-3)
         identity = BoxRegressor.identity(2)
         assert reg.weights.tolist() == identity.weights.tolist()
         assert reg.biases.tolist() == identity.biases.tolist()
 
     def test_empty_pairs_raise(self):
         with pytest.raises(EmptyPoolError):
-            fit_bbox_regressor([])
+            fit_bbox_regressor([], l2=1e-3)
 
 
 def regression_case(rng, features):
@@ -587,7 +591,7 @@ from boxforge.geometry import BBox
 d = np.load(sys.argv[1])
 boxes = [BBox(*map(float, p)) for p in d["proposals"]]
 pairs = [(f, p, BBox(*map(float, g))) for f, p, g in zip(d["features"], boxes, d["gts"])]
-reg = fit_bbox_regressor(pairs)
+reg = fit_bbox_regressor(pairs, l2=1e-3)
 dataio.write_regressor(sys.argv[2], reg)
 print(json.dumps([apply_regressor(reg, f, p).as_list() for f, p in zip(d["features"], boxes)]))
 """

@@ -7,20 +7,13 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from boxforge import atomic, featmap
-from boxforge.errors import (
-    ConfigInvalidError,
-    OutOfBoundsError,
-    WindowTooLargeError,
-)
+from boxforge.errors import ConfigInvalidError, WindowTooLargeError
 from boxforge.featmap import (
     FeatureMap,
-    QueryWindow,
     build_query_window,
-    extract_window,
     placement_boxes,
     pool_box_feature,
     read_fmap,
-    resample_window,
     scan_queries,
     window_shape_for_box,
     write_fmap,
@@ -34,6 +27,12 @@ def fmap_from(arr):
 
 def random_fmap(rng, h, w, c):
     return fmap_from(rng.normal(size=(h, w, c)))
+
+
+def window(fmap, rect):
+    """The (x, y, w, h) cell rectangle of ``fmap`` as a float64 query window."""
+    x, y, w, h = rect
+    return fmap.data[y : y + h, x : x + w, :].astype(np.float64)
 
 
 def shape_oracle(aspect, target):
@@ -53,13 +52,13 @@ def shape_oracle(aspect, target):
 
 class TestWindowShape:
     def test_square_box(self):
-        assert window_shape_for_box(BBox(0, 0, 10, 10)) == (7, 7)
+        assert window_shape_for_box(BBox(0, 0, 10, 10), 48) == (7, 7)
 
     def test_two_to_one_box(self):
-        assert window_shape_for_box(BBox(0, 0, 20, 10)) == (10, 5)
+        assert window_shape_for_box(BBox(0, 0, 20, 10), 48) == (10, 5)
 
     def test_extreme_aspect_clamped(self):
-        w, h = window_shape_for_box(BBox(0, 0, 100, 1))
+        w, h = window_shape_for_box(BBox(0, 0, 100, 1), 48)
         assert h == 2
 
     @given(
@@ -79,51 +78,52 @@ class TestWindowShape:
 
 
 class TestExtractWindow:
+    """A box whose cell rectangle already has its assigned window shape
+    gives the rectangle's float64 slice."""
+
     def test_full_map(self):
         rng = np.random.default_rng(0)
         fm = random_fmap(rng, 4, 5, 3)
-        q = extract_window(fm, (0, 0, 5, 4))
-        assert np.array_equal(q.data, fm.data.reshape(-1))
+        q = build_query_window(fm, BBox(0, 0, 5, 4), 1.0, 20)  # assigned (5, 4)
+        assert q.dtype == np.float64
+        assert np.array_equal(q, fm.data)
 
     def test_single_cell(self):
+        # a window is at least 2 x 2 cells, each one the cell's value
         rng = np.random.default_rng(1)
         fm = random_fmap(rng, 4, 5, 3)
-        q = extract_window(fm, (2, 3, 1, 1))
-        assert np.array_equal(q.data, fm.data[3, 2, :])
+        q = build_query_window(fm, BBox(2, 3, 3, 4), 1.0, 1)
+        assert q.shape == (2, 2, 3)
+        assert np.allclose(q, fm.data[3, 2, :])
 
     def test_known_slice_order(self):
         # one channel; values encode (y, x) so flattening order is visible
         arr = np.arange(12, dtype=np.float32).reshape(3, 4, 1)
-        q = extract_window(fmap_from(arr), (1, 0, 2, 2))
-        assert q.data.tolist() == [1.0, 2.0, 5.0, 6.0]
-
-    def test_out_of_bounds(self):
-        fm = fmap_from(np.zeros((3, 3, 1)))
-        with pytest.raises(OutOfBoundsError):
-            extract_window(fm, (2, 2, 2, 2))
+        q = build_query_window(fmap_from(arr), BBox(1, 0, 3, 2), 1.0, 4)
+        assert q.reshape(-1).tolist() == [1.0, 2.0, 5.0, 6.0]
 
 
 class TestResampleWindow:
     def test_identity_when_shape_matches(self):
         rng = np.random.default_rng(2)
         fm = random_fmap(rng, 6, 6, 2)
-        a = extract_window(fm, (1, 1, 3, 2)).data
-        b = resample_window(fm, (1, 1, 3, 2), (3, 2)).data
-        assert np.array_equal(a, b)
+        q = build_query_window(fm, BBox(1, 1, 4, 3), 1.0, 6)  # assigned (3, 2)
+        assert q.tobytes() == window(fm, (1, 1, 3, 2)).tobytes()
 
     def test_constant_patch_stays_constant(self):
         fm = fmap_from(np.full((8, 8, 2), 3.25))
-        q = resample_window(fm, (0, 0, 8, 8), (5, 3))
-        assert np.allclose(q.data, 3.25)
+        q = build_query_window(fm, BBox(0, 0, 8, 8), 1.0, 16)
+        assert q.shape == (4, 4, 2)
+        assert np.allclose(q, 3.25)
 
     def test_linear_ramp_preserved(self):
         # bilinear resampling reproduces a linear gradient exactly at
         # matching sample phases (2x downscale of a ramp)
         xs = np.arange(8, dtype=np.float64)
         arr = np.tile(xs[None, :, None], (4, 1, 1))
-        q = resample_window(fmap_from(arr), (0, 0, 8, 4), (4, 2))
+        q = build_query_window(fmap_from(arr), BBox(0, 0, 8, 4), 1.0, 8)
         expected = np.tile(np.array([0.5, 2.5, 4.5, 6.5])[None, :, None], (2, 1, 1))
-        assert np.allclose(q.data.reshape(2, 4, 1), expected)
+        assert np.allclose(q, expected)
 
 
 def map_window_to_pixels(cell_x, cell_y, w_cells, h_cells, cell_stride):
@@ -174,13 +174,14 @@ class TestPlacementBoxes:
 
 def scan_oracle(query, fm, top_n):
     """Brute-force every placement and rank with the documented tie-break."""
-    qf = np.asarray(query.data, dtype=np.float64).reshape(-1)
+    qf = query.reshape(-1)
     nq = float(np.linalg.norm(qf))
+    h, w = query.shape[:2]
     hits = []
-    for cy in range(fm.height - query.h_cells + 1):
-        for cx in range(fm.width - query.w_cells + 1):
+    for cy in range(fm.height - h + 1):
+        for cx in range(fm.width - w + 1):
             wf = (
-                fm.data[cy : cy + query.h_cells, cx : cx + query.w_cells, :]
+                fm.data[cy : cy + h, cx : cx + w, :]
                 .astype(np.float64)
                 .reshape(-1)
             )
@@ -202,14 +203,14 @@ class TestScanOneQuery:
     def test_identity_planting(self):
         rng = np.random.default_rng(3)
         fm = random_fmap(rng, 10, 12, 4)
-        q = extract_window(fm, (3, 2, 4, 5))
+        q = window(fm, (3, 2, 4, 5))
         (score, cy, cx), *_ = scan_hits(q, fm, 3)
         assert (cx, cy) == (3, 2)
         assert score == pytest.approx(1.0, abs=1e-6)
 
     def test_all_zero_frame_scores_zero_first_placement(self):
         fm = fmap_from(np.zeros((6, 6, 2)))
-        q = extract_window(fm, (1, 1, 2, 2))
+        q = window(fm, (1, 1, 2, 2))
         hits = scan_hits(q, fm, 2)
         assert all(score == 0.0 for score, _, _ in hits)
         assert hits[0][1:] == (0, 0)
@@ -217,36 +218,36 @@ class TestScanOneQuery:
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(4)
         fm = random_fmap(rng, 8, 8, 3)
-        planted = extract_window(fm, (2, 4, 3, 2))
+        planted = window(fm, (2, 4, 3, 2))
         assert scan_hits(planted, fm, 3) == scan_oracle(planted, fm, 3)
 
     def test_window_too_large(self):
         fm = fmap_from(np.zeros((3, 3, 1)))
-        q = extract_window(fm, (0, 0, 3, 3))
+        q = window(fm, (0, 0, 3, 3))
         small = fmap_from(np.zeros((2, 2, 1)))
         with pytest.raises(WindowTooLargeError):
             scan_queries([q], small, top_n=1)
 
     def test_one_shape_too_large_refuses_the_scan(self):
         fm = fmap_from(np.ones((3, 4, 1)))
-        fits = extract_window(fm, (0, 0, 2, 2))
-        too_tall = QueryWindow(w_cells=2, h_cells=4, channels=1, data=np.ones(8))
+        fits = window(fm, (0, 0, 2, 2))
+        too_tall = np.ones((4, 2, 1))
         with pytest.raises(WindowTooLargeError, match="4x2 cells"):
             scan_queries([fits, too_tall], fm, top_n=1)
 
     def test_best_placement_box_at_the_stride(self):
         rng = np.random.default_rng(8)
         fm = random_fmap(rng, 6, 7, 2)
-        q = extract_window(fm, (3, 1, 2, 3))
+        q = window(fm, (3, 1, 2, 3))
         _, (place,) = scan_queries([q], fm, top_n=1)
         assert place.tolist() == [[1, 3]]  # (cell_y, cell_x)
-        box = placement_boxes(place, (q.w_cells, q.h_cells), 4.0)
+        box = placement_boxes(place, q.shape[1::-1], 4.0)
         assert BBox(*box[0]) == BBox(12.0, 4.0, 20.0, 16.0)
 
     def test_scores_invariant_to_positive_feature_scaling(self):
         rng = np.random.default_rng(5)
         fm = random_fmap(rng, 7, 7, 3)
-        q = extract_window(fm, (1, 1, 3, 3))
+        q = window(fm, (1, 1, 3, 3))
         base = scan_hits(q, fm, 5)
         scaled = scan_hits(q, fmap_from(fm.data * 3.7), 5)
         assert len(base) == len(scaled) == 5
@@ -258,9 +259,9 @@ class TestScanOneQuery:
     def test_planted_copy_attains_global_max(self):
         rng = np.random.default_rng(6)
         fm_arr = rng.normal(size=(9, 9, 4)).astype(np.float32)
-        q = extract_window(fmap_from(fm_arr), (5, 5, 3, 3))
+        q = window(fmap_from(fm_arr), (5, 5, 3, 3))
         other = rng.normal(size=(9, 9, 4)).astype(np.float32)
-        other[1:4, 2:5, :] = q.data.reshape(3, 3, 4)
+        other[1:4, 2:5, :] = q
         [(score, cy, cx)] = scan_hits(q, fmap_from(other), 1)
         assert (cx, cy) == (2, 1)
         assert score == pytest.approx(1.0, abs=1e-6)
@@ -272,7 +273,7 @@ class TestScanOneQueryOracle:
     def test_top_n_beyond_the_placements(self):
         rng = np.random.default_rng(11)
         base = random_fmap(rng, 12, 14, 5)
-        q = extract_window(base, (3, 2, 5, 4))
+        q = window(base, (3, 2, 5, 4))
         n = 12 * 14  # more than the 9 x 10 placements
         hits = scan_hits(q, base, n)
         assert hits == scan_oracle(q, base, n)
@@ -283,9 +284,9 @@ class TestScanOneQueryOracle:
         arr = rng.normal(size=(9, 10, 3))
         arr[:5, :6, :] = 0.0
         fm = fmap_from(arr)
-        q = extract_window(fm, (4, 5, 3, 3))
+        q = window(fm, (4, 5, 3, 3))
         assert scan_hits(q, fm, 80) == scan_oracle(q, fm, 80)
-        zero_q = QueryWindow(w_cells=3, h_cells=3, channels=3, data=np.zeros(27))
+        zero_q = np.zeros((3, 3, 3))
         hits = scan_hits(zero_q, fm, 80)
         assert hits == scan_oracle(zero_q, fm, 80)
         assert all(score == 0.0 for score, _, _ in hits)
@@ -294,11 +295,12 @@ class TestScanOneQueryOracle:
     def test_map_scanned_in_blocks(self, monkeypatch, cap_rows):
         rng = np.random.default_rng(13)
         fm = random_fmap(rng, 11, 13, 4)
-        q = resample_window(fm, (2, 3, 5, 4), (4, 3))
+        q = build_query_window(fm, BBox(2, 3, 7, 7), 1.0, 12)
+        assert q.shape == (3, 4, 4)
         n = 9 * 10
         whole = scan_hits(q, fm, n)
         # cap_rows placement rows of 4x3x4 float64 values per block
-        monkeypatch.setattr(featmap, "SCAN_BLOCK_BYTES", int(cap_rows * 8 * q.data.size))
+        monkeypatch.setattr(featmap, "SCAN_BLOCK_BYTES", int(cap_rows * 8 * q.size))
         blocked = scan_hits(q, fm, n)
         assert blocked == whole == scan_oracle(q, fm, n)
 
@@ -327,13 +329,12 @@ class TestGroupedScan:
         queries = []
         for i, (w, h) in enumerate(shapes):
             if i == zero_at % len(shapes):
-                queries.append(QueryWindow(w_cells=w, h_cells=h, channels=c, data=np.zeros(w * h * c)))
+                queries.append(np.zeros((h, w, c)))
             elif i % 2:
-                queries.append(QueryWindow(w_cells=w, h_cells=h, channels=c,
-                                           data=rng.normal(size=w * h * c)))
+                queries.append(rng.normal(size=(h, w, c)))
             else:
                 x, y = int(rng.integers(0, base.shape[1] - w + 1)), int(rng.integers(0, base.shape[0] - h + 1))
-                queries.append(extract_window(fmap_from(base), (x, y, w, h)))
+                queries.append(window(fmap_from(base), (x, y, w, h)))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(featmap, "SCAN_BLOCK_BYTES", block_bytes)
             score, place = scan_queries(queries, fm, top_n)
@@ -352,7 +353,7 @@ class TestScanTies:
     @pytest.mark.parametrize("top_n", [1, 5, 16, 17, 131, 132, 133])
     def test_constant_map(self, top_n):
         fm = fmap_from(np.full((12, 13, 2), 0.5))
-        q = extract_window(fm, (2, 1, 2, 2))
+        q = window(fm, (2, 1, 2, 2))
         hits = scan_hits(q, fm, top_n)
         assert hits == scan_oracle(q, fm, top_n)
         assert len({score for score, _, _ in hits}) == 1
@@ -363,7 +364,7 @@ class TestScanTies:
         # a 3x3 tile repeated 5x5 times: windows 3 cells apart are equal
         rng = np.random.default_rng(14)
         fm = fmap_from(np.tile(rng.normal(size=(3, 3, 2)), (5, 5, 1)))
-        queries = [extract_window(fm, (4, 1, 2, 3)), extract_window(fm, (0, 0, 3, 3))]
+        queries = [window(fm, (4, 1, 2, 3)), window(fm, (0, 0, 3, 3))]
         score, place = scan_queries(queries, fm, top_n)
         for q, query in enumerate(queries):
             want = scan_oracle(query, fm, top_n)
@@ -551,4 +552,65 @@ def test_build_query_window_snaps_and_resamples():
     rng = np.random.default_rng(10)
     fm = random_fmap(rng, 16, 16, 4)
     q = build_query_window(fm, BBox(3, 4, 9, 9), cell_stride=1.0, target_cells=30)
-    assert (q.w_cells, q.h_cells) == window_shape_for_box(BBox(3, 4, 9, 9), 30)
+    assert q.shape == (*window_shape_for_box(BBox(3, 4, 9, 9), 30)[::-1], 4)
+
+
+def cell_rect(fmap, box, cell_stride):
+    """The (x, y, w, h) cells a box covers, clamped into the map."""
+    x0 = max(0, min(int(math.floor(box.x_min / cell_stride)), fmap.width - 1))
+    y0 = max(0, min(int(math.floor(box.y_min / cell_stride)), fmap.height - 1))
+    x1 = max(x0 + 1, min(int(math.ceil(box.x_max / cell_stride)), fmap.width))
+    y1 = max(y0 + 1, min(int(math.ceil(box.y_max / cell_stride)), fmap.height))
+    return x0, y0, x1 - x0, y1 - y0
+
+
+def window_oracle(fmap, box, cell_stride, target_cells):
+    """A box's window as the slice-then-resample pair of window functions
+    built it, flattened to float64, kept as the oracle of
+    :func:`build_query_window`."""
+    x, y, w, h = cell_rect(fmap, box, cell_stride)
+    out_w, out_h = window_shape_for_box(box, target_cells)
+    if (out_w, out_h) == (w, h):
+        data = np.ascontiguousarray(fmap.data[y : y + h, x : x + w, :]).reshape(-1)
+        return data.astype(np.float64)  # as the scan read it
+    patch = fmap.data[y : y + h, x : x + w, :].astype(np.float64)
+    ys = (np.arange(out_h) + 0.5) * (h / out_h) - 0.5
+    xs = (np.arange(out_w) + 0.5) * (w / out_w) - 0.5
+    y0 = np.clip(np.floor(ys).astype(int), 0, h - 1)
+    x0 = np.clip(np.floor(xs).astype(int), 0, w - 1)
+    y1 = np.clip(y0 + 1, 0, h - 1)
+    x1 = np.clip(x0 + 1, 0, w - 1)
+    wy = np.clip(ys - y0, 0.0, 1.0)[:, None, None]
+    wx = np.clip(xs - x0, 0.0, 1.0)[None, :, None]
+    top = patch[y0][:, x0, :] * (1 - wx) + patch[y0][:, x1, :] * wx
+    bot = patch[y1][:, x0, :] * (1 - wx) + patch[y1][:, x1, :] * wx
+    return np.ascontiguousarray(top * (1 - wy) + bot * wy).reshape(-1)
+
+
+@st.composite
+def window_cases(draw):
+    """(fmap, box, cell_stride, target_cells): a 1-8 x 1-8 map of 1-3
+    channels, a box on the pixel grid the stride spans plus a margin, so it
+    reaches past the edges, sits on them or covers the whole map, and a
+    target of 1-60 cells."""
+    h, w, c = draw(st.integers(1, 8)), draw(st.integers(1, 8)), draw(st.integers(1, 3))
+    arr = np.array(draw(st.lists(cell_values, min_size=h * w * c, max_size=h * w * c)))
+    stride = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    edges = st.sampled_from([0.0, 0.25, 1.0, 2.5, 3.0, w * stride, h * stride, 9.0, 17.5])
+    x, y = sorted(draw(st.lists(edges, min_size=2, max_size=2, unique=True)))
+    u, v = sorted(draw(st.lists(edges, min_size=2, max_size=2, unique=True)))
+    box = draw(st.sampled_from([BBox(x, u, y, v), BBox(0.0, 0.0, w * stride, h * stride)]))
+    fmap = fmap_from(arr.reshape(h, w, c))
+    *_, rect_w, rect_h = cell_rect(fmap, box, stride)
+    # a target of the rectangle's own area often assigns its shape
+    return fmap, box, stride, draw(st.one_of(st.integers(1, 60), st.just(rect_w * rect_h)))
+
+
+@settings(max_examples=200)
+@given(window_cases())
+def test_window_has_the_bits_of_the_slice_then_resample_oracle(case):
+    fmap, box, stride, target = case
+    q = build_query_window(fmap, box, stride, target)
+    w, h = window_shape_for_box(box, target)
+    assert q.shape == (h, w, fmap.channels) and q.dtype == np.float64
+    assert q.tobytes() == window_oracle(fmap, box, stride, target).tobytes()

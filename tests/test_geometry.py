@@ -240,7 +240,7 @@ class TestIouMatrix:
 
 
 def nms_oracle(boxes_, scores, thresh):
-    order = sorted(range(len(boxes_)), key=lambda i: (-scores[i], boxes_[i].sort_key(), i))
+    order = sorted(range(len(boxes_)), key=lambda i: (-scores[i], tuple(boxes_[i].as_list()), i))
     kept = []
     for i in order:
         if all(iou(boxes_[i], boxes_[j]) <= thresh for j in kept):

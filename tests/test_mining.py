@@ -240,7 +240,7 @@ def object_select(deduped, labels, top_c=3):
     seen, out = set(), []
     for rank, cluster in enumerate(deduped[:top_c]):
         for region in cluster.all_regions():
-            key = (region.image_id, region.box.sort_key())
+            key = (region.image_id, tuple(region.box.as_list()))
             if labels.get(region.image_id) == "pos" and key not in seen:
                 seen.add(key)
                 out.append((region.image_id, region.box, cluster.seed.prop_id, rank))
@@ -297,7 +297,7 @@ def table_select(deduped: Clusters, top_c=200):
         for row, o in zip(rows, owners):
             image_id = top.image_ids[o]
             box = top.images[o].box(row - offsets[o])
-            key = (image_id, box.sort_key())
+            key = (image_id, tuple(box.as_list()))
             if top.images[o].label == "pos" and key not in seen:
                 seen.add(key)
                 out.append((f"r{len(out):05d}", image_id, box, cluster_id, rank))
@@ -816,7 +816,7 @@ class TestSelectPositiveRegions:
         clusters, _ = table({"neg0": [box], "neg1": [box]}, [(("neg0", 0), [("neg1", 0)], [0.9], 0)],
                             labels={"neg0": "neg", "neg1": "neg"})
         with pytest.raises(NoPositivesError):
-            select_positive_regions(clusters, np.arange(len(clusters)))
+            select_positive_regions(clusters, np.arange(len(clusters)), top_c=200)
 
     def test_top_c_larger_than_cluster_count(self):
         by_image, labels = dataset({"a": ("pos", [[1, 0]]), "b": ("pos", [[1, 0]])})

@@ -1858,6 +1858,7 @@ class TestManifest:
         ("format_version", 9), ("format_version", 0), ("format_version", "1"),
         ("format_version", True), ("categories", ["dog", "obj"]), ("categories", ["obj", "dog"]),
         ("files", {"proposals": 5}), ("files", [["proposals", "proposals.jsonl"]]),
+        ("categories", "x"), ("categories", "obj"),  # a name, not a list of names
     ])
     def test_bad_value_refused_before_anything_is_written(
         self, synth_dir, tmp_path, capsys, key, value
@@ -1901,7 +1902,7 @@ class TestManifest:
 
     @pytest.mark.parametrize("section,key,value", [
         ("images", "size", [0, 0]), ("images", "size", [-16, 16]), ("images", "size", [16]),
-        ("videos", "frames", []),
+        ("videos", "frames", []), ("videos", "frames", "fmaps/vid_000/frame_000.fmap"),
     ])
     def test_bad_entry_refused_before_anything_is_written(
         self, synth_dir, tmp_path, capsys, section, key, value

@@ -7,7 +7,7 @@ import pytest
 
 from boxforge import dataio
 from boxforge.errors import ConfigInvalidError
-from boxforge.featmap import extract_window, read_fmap
+from boxforge.featmap import read_fmap
 from boxforge.geometry import iou
 from boxforge.mining import build_clusters, dedup_clusters, rank_clusters
 from boxforge.synth import (
@@ -18,7 +18,7 @@ from boxforge.synth import (
 )
 from boxforge.tracks import candidates_at_frame
 
-from test_featmap import scan_hits
+from test_featmap import scan_hits, window
 
 SMALL = SynthConfig(seed=0, n_videos=1, frames_per_video=4)
 
@@ -141,7 +141,7 @@ def test_noiseless_identity_match(tmp_path):
     gt_box = truth.gt_boxes[image_id][0]
     fmap = manifest.load_image_fmap(image_id)
     rect = tuple(int(c) for c in (gt_box.x_min, gt_box.y_min, gt_box.width, gt_box.height))
-    q = extract_window(fmap, rect)
+    q = window(fmap, rect)
     [(score, cell_y, cell_x)] = scan_hits(q, fmap, 1)
     assert score == pytest.approx(1.0, abs=1e-6)
     assert (cell_x, cell_y) == (rect[0], rect[1])

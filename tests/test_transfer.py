@@ -9,7 +9,7 @@ import hypothesis.strategies as st
 
 from boxforge import dataio
 from boxforge.errors import NoFramesError
-from boxforge.featmap import FeatureMap, extract_window, scan_queries
+from boxforge.featmap import FeatureMap, scan_queries
 from boxforge.geometry import BBox, transfer_box
 from boxforge.tracks import FrameSelection
 from boxforge.transfer import (
@@ -18,7 +18,7 @@ from boxforge.transfer import (
     sampled_frame_indices,
 )
 
-from test_featmap import map_window_to_pixels
+from test_featmap import map_window_to_pixels, window
 
 
 def fmap_from(arr):
@@ -82,7 +82,7 @@ def table_top(queries, videos, n, frame_stride, cell_stride=1.0):
             f, k = divmod(i, n)
             video_id, fi, _ = frames[f]
             cy, cx = place[r, f, k].tolist()
-            box = map_window_to_pixels(cx, cy, q.w_cells, q.h_cells, cell_stride)
+            box = map_window_to_pixels(cx, cy, *q.shape[1::-1], cell_stride)
             matches.append((float(flat[i]), video_id, fi, cy, cx, box.as_list()))
         out.append(matches)
     return out
@@ -100,7 +100,7 @@ class TestMatchRegionsTop:
     def test_identity_planting_single_frame(self):
         rng = np.random.default_rng(20)
         frame = fmap_from(rng.normal(size=(8, 8, 3)))
-        q = extract_window(frame, (2, 3, 3, 3))
+        q = window(frame, (2, 3, 3, 3))
         matches = top("r0", q, [("vid", [frame])], n=1, frame_stride=8)
         assert len(matches) == 1
         ((sim, video_id, frame_idx, cell_y, cell_x, _),) = rows(matches)
@@ -110,13 +110,13 @@ class TestMatchRegionsTop:
     def test_stride_larger_than_video_samples_frame_zero(self):
         rng = np.random.default_rng(21)
         frames = video(rng, 3)
-        q = extract_window(frames[0], (0, 0, 2, 2))
+        q = window(frames[0], (0, 0, 2, 2))
         matches = top("r0", q, [("vid", frames)], n=50, frame_stride=10)
         assert {frame_idx for _, _, frame_idx, *_ in rows(matches)} == {0}
 
     def test_no_frames(self):
         rng = np.random.default_rng(22)
-        q = extract_window(fmap_from(rng.normal(size=(4, 4, 2))), (0, 0, 2, 2))
+        q = window(fmap_from(rng.normal(size=(4, 4, 2))), (0, 0, 2, 2))
         matches = top("r0", q, [("vid", [])], n=5)
         assert len(matches) == 0
         with pytest.raises(NoFramesError):
@@ -125,19 +125,20 @@ class TestMatchRegionsTop:
     def test_top_n_matches_exhaustive_frame_scan_oracle(self):
         rng = np.random.default_rng(23)
         videos = [("va", video(rng, 3)), ("vb", video(rng, 3))]
-        q = extract_window(videos[0][1][1], (1, 2, 3, 2))
+        q = window(videos[0][1][1], (1, 2, 3, 2))
         got = top("r0", q, videos, n=5, frame_stride=1)
 
         # brute force: every placement of every frame of every video
-        qf = np.asarray(q.data, dtype=np.float64)
+        qf = q.reshape(-1)
         nq = float(np.linalg.norm(qf))
+        h, w = q.shape[:2]
         all_hits = []
         for vid, frames in videos:
             for fi, fm in enumerate(frames):
-                for cy in range(fm.height - q.h_cells + 1):
-                    for cx in range(fm.width - q.w_cells + 1):
+                for cy in range(fm.height - h + 1):
+                    for cx in range(fm.width - w + 1):
                         wf = (
-                            fm.data[cy : cy + q.h_cells, cx : cx + q.w_cells, :]
+                            fm.data[cy : cy + h, cx : cx + w, :]
                             .astype(np.float64)
                             .reshape(-1)
                         )
@@ -151,7 +152,7 @@ class TestMatchRegionsTop:
     def test_scores_non_increasing_and_capped(self):
         rng = np.random.default_rng(24)
         videos = [("v", video(rng, 4))]
-        q = extract_window(videos[0][1][0], (0, 0, 2, 2))
+        q = window(videos[0][1][0], (0, 0, 2, 2))
         matches = top("r", q, videos, n=7, frame_stride=1)
         assert len(matches) <= 7
         sims = [row[0] for row in rows(matches)]
@@ -160,7 +161,7 @@ class TestMatchRegionsTop:
     def test_independent_of_video_processing_order(self):
         rng = np.random.default_rng(25)
         videos = [("va", video(rng, 2)), ("vb", video(rng, 2))]
-        q = extract_window(videos[1][1][0], (2, 2, 2, 2))
+        q = window(videos[1][1][0], (2, 2, 2, 2))
         a = top("r", q, videos, n=6, frame_stride=1)
         b = top("r", q, list(reversed(videos)), n=6, frame_stride=1)
         assert rows(a) == rows(b)
@@ -170,7 +171,7 @@ class TestMatchRegionsTop:
         ``v9`` as a string although the manifest lists ``v9`` first."""
         rng = np.random.default_rng(33)
         frames = video(rng, 2)
-        q = extract_window(frames[1], (3, 1, 2, 3))
+        q = window(frames[1], (3, 1, 2, 3))
         got = rows(top("r", q, [("v9", frames), ("v10", frames)], n=6, frame_stride=1))
         assert [row[1:3] for row in got[:2]] == [("v10", 1), ("v9", 1)]
         sims = [row[0] for row in got]
@@ -183,15 +184,15 @@ class TestMatchRegionsTop:
         videos = [("va", video(rng, 3)), ("vb", video(rng, 2, h=6, w=9))]
         base = videos[0][1][2]
         queries = {
-            "r0": extract_window(base, (1, 2, 3, 2)),
-            "r1": extract_window(base, (0, 0, 2, 2)),
-            "r2": extract_window(base, (4, 3, 3, 2)),  # the shape of r0
+            "r0": window(base, (1, 2, 3, 2)),
+            "r1": window(base, (0, 0, 2, 2)),
+            "r2": window(base, (4, 3, 3, 2)),  # the shape of r0
         }
-        frames, scan = match_regions(queries, videos, best_hits, 4, frame_stride=1)
+        frames, scan = match_regions(queries, videos, best_hits, 4, 1, 1.0)
         assert scan.region_ids == ("r0", "r1", "r2")
         assert [f[:2] for f in frames] == [("va", 0), ("va", 1), ("va", 2), ("vb", 0), ("vb", 1)]
         for r, (region_id, q) in enumerate(queries.items()):
-            alone_frames, alone = match_regions({region_id: q}, videos, best_hits, 4, frame_stride=1)
+            alone_frames, alone = match_regions({region_id: q}, videos, best_hits, 4, 1, 1.0)
             assert rows(scan, r) == rows(alone)
             best = lambda frames, i: [(b[i].tolist(), s[i]) for *_, b, s in frames]
             assert best(frames, r) == best(alone_frames, 0)
@@ -204,7 +205,7 @@ def test_stride_two_doubles_the_corners_only():
     rng = np.random.default_rng(36)
     videos = [("va", video(rng, 3)), ("vb", video(rng, 2, h=6, w=9))]
     base = videos[0][1][1]
-    queries = {"r0": extract_window(base, (1, 2, 3, 2)), "r1": extract_window(base, (0, 0, 2, 3))}
+    queries = {"r0": window(base, (1, 2, 3, 2)), "r1": window(base, (0, 0, 2, 3))}
     frames_1, one = match_regions(queries, videos, best_hits, 6, 1, 1.0)
     frames_2, two = match_regions(queries, videos, best_hits, 6, 1, 2.0)
     assert np.array_equal(two.score, one.score)
@@ -219,8 +220,8 @@ def test_stride_two_doubles_the_corners_only():
 def test_per_frame_keys_and_best():
     rng = np.random.default_rng(26)
     frames = video(rng, 5)
-    q = extract_window(frames[2], (1, 1, 2, 2))
-    scanned, _ = match_regions({"r0": q}, [("v", frames)], best_hits, 1, 2)
+    q = window(frames[2], (1, 1, 2, 2))
+    scanned, _ = match_regions({"r0": q}, [("v", frames)], best_hits, 1, 2, 1.0)
     per_frame = {(video_id, frame_idx): scores[0] for video_id, frame_idx, _, scores in scanned}
     assert list(per_frame) == [("v", 0), ("v", 2), ("v", 4)]
     assert per_frame[("v", 2)] == pytest.approx(1.0, abs=1e-6)
@@ -254,7 +255,7 @@ class TestStreamedScan:
             for v, k in zip(video_ids, n_frames)
         ]
         queries = {
-            f"r{i}": extract_window(pool[0], (i % 2, 0, w, h)) for i, (w, h) in enumerate(shapes)
+            f"r{i}": window(pool[0], (i % 2, 0, w, h)) for i, (w, h) in enumerate(shapes)
         }
         frames, scan = match_regions(queries, videos, best_hits, n, frame_stride, cell_stride)
         want = table_top(queries, videos, n, frame_stride, cell_stride)
@@ -278,14 +279,16 @@ class TestStreamedScan:
         n, n_frames = 50, 40
         frames = video(rng, 2 * n_frames, h=10, w=10, c=2)
         base = frames[0]
-        queries = {f"r{i}": extract_window(base, (i % 4, i % 3, 2 + i % 3, 2)) for i in range(16)}
+        queries = {f"r{i}": window(base, (i % 4, i % 3, 2 + i % 3, 2)) for i in range(16)}
 
         def scan(n_sampled):
             gc.collect()
             tracemalloc.start()
             try:
                 before = tracemalloc.get_traced_memory()[0]
-                _, kept = match_regions(queries, [("v", frames[:n_sampled])], no_selection, n, 1)
+                _, kept = match_regions(
+                    queries, [("v", frames[:n_sampled])], no_selection, n, 1, 1.0
+                )
                 gc.collect()
                 current, peak = tracemalloc.get_traced_memory()
             finally:
@@ -311,7 +314,7 @@ def selection(video_id, frame_idx, box):
 class TestRetrieveBoxes:
     def _match(self, rng, region_box=BBox(2, 2, 6, 6)):
         frame = fmap_from(rng.normal(size=(10, 10, 2)))
-        q = extract_window(frame, (2, 2, 4, 4))
+        q = window(frame, (2, 2, 4, 4))
         matches = top("r0", q, [("v", [frame])], n=1)
         return matches, {"r0": ("img", region_box)}
 
