@@ -44,7 +44,7 @@ def main():
         bandwidth_grid=tuple(args.grid), seed=args.seed + 1000,
     )
 
-    ds = dataio.open_dataset(manifest)
+    ds = dataio.load_manifest(manifest)
     run_mine(ds, cfg)
     run_select_tracks(ds, cfg)
     run_match(ds, cfg)

@@ -23,8 +23,8 @@ from typing import NamedTuple, Optional
 
 from . import pipeline
 from .config import SETTINGS, PipelineConfig, build_config
-from .dataio import open_dataset
-from .errors import BoxforgeError, ConfigInvalidError
+from .dataio import load_manifest
+from .errors import BoxforgeError, ConfigInvalidError, MissingInputError
 from .synth import SynthConfig, gen_dataset
 
 _DEFAULTS = {f.name: f.default for f in dataclasses.fields(PipelineConfig)}
@@ -142,10 +142,8 @@ def run_command(args) -> int:
         print(json.dumps({"mean_corloc": doc["mean_corloc"], "map": doc["map"]}))
         return 0
     if cfg.manifest is None:
-        raise BoxforgeError("--manifest is required")
-    if cfg.out_dir is None:
-        raise BoxforgeError("--out is required")
-    result = stage(open_dataset(cfg.manifest), cfg, **given)
+        raise MissingInputError("--manifest is required")
+    result = stage(load_manifest(cfg.manifest), cfg, **given)
     print(json.dumps({k: v for k, v in result.items() if k != "elapsed_s"}))
     return 0
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TextIO
@@ -207,38 +207,57 @@ class ImageEntry:
 
 
 @dataclass(frozen=True)
-class VideoEntry:
-    video_id: str
-    frame_paths: tuple[Path, ...]
+class VideoFrames(Sequence[FeatureMap]):
+    """A video's frame maps by frame number; indexing a frame reads its
+    FMAP, again on every access, so a stage reads what it samples."""
+
+    dataset: Dataset
+    paths: tuple[Path, ...]
+
+    def __len__(self) -> int:
+        return len(self.paths)
+
+    def __getitem__(self, frame_idx: int) -> FeatureMap:
+        return self.dataset._read_fmap(self.paths[frame_idx])
 
 
-@dataclass(frozen=True)
-class Manifest:
-    """Parsed manifest.json: the dataset's table of contents.
+class Dataset:
+    """A dataset opened for one run, as :func:`load_manifest` reads it.
 
-    Every feature map it reads must have the channel count of the first one
-    it read; a map with another count is refused with
+    It holds manifest.json's table of contents: ``root``, the manifest's
+    directory; ``cell_stride``; ``category``, the one name of its
+    ``categories`` list; ``entries``, image id -> :class:`ImageEntry`, and
+    ``videos``, video id -> frame paths, both in manifest order; and
+    ``files``, key -> file name under ``root``.  On top of that it keeps the
+    proposals (each image's corner rows and pooled descriptors, 32 + 16·C
+    bytes a proposal) and tracks, each read on first use and then kept for
+    every later stage, and the results stages share through :meth:`memo`.
+
+    Feature maps are not kept: :func:`read_proposals` reads each image's map
+    once to pool its proposals, and a stage that needs a map again (query
+    windows, pseudo-GT and detection descriptors, video frames) reads it
+    from disk.  Keeping them would not outgrow memory: an image's kept
+    descriptors take 16·N·C bytes (N proposals, 2·C float64 each) against
+    4·H·W·C for its map.  Every map read must have the channel count of the
+    first one read; a map with another count is refused with
     :class:`ConfigInvalidError` naming both files.
     """
 
-    root: Path
-    cell_stride: float
-    category: str  # the manifest's one-entry "categories" list
-    images: tuple[ImageEntry, ...]
-    videos: tuple[VideoEntry, ...]
-    files: dict[str, str]
-    _images_by_id: dict[str, ImageEntry] = field(init=False, repr=False, compare=False)
-    _videos_by_id: dict[str, VideoEntry] = field(init=False, repr=False, compare=False)
-    _first_fmap: Optional[tuple[Path, int]] = field(
-        default=None, init=False, repr=False, compare=False
-    )  # (path, channels) of the first map read
-
-    def __post_init__(self):
-        object.__setattr__(self, "_images_by_id", _index(self.images, "image_id", "image"))
-        object.__setattr__(self, "_videos_by_id", _index(self.videos, "video_id", "video"))
+    def __init__(
+        self, root: Path, cell_stride: float, category: str, files: dict[str, str],
+        entries: dict[str, ImageEntry], videos: dict[str, tuple[Path, ...]],
+    ):
+        self.root = root
+        self.cell_stride = cell_stride
+        self.category = category
+        self.files = files
+        self.entries = entries
+        self.videos = videos
+        self._first_fmap: Optional[tuple[Path, int]] = None  # (path, channels) of the first read
+        self._memo: dict = {}
 
     def image(self, image_id: str) -> ImageEntry:
-        entry = self._images_by_id.get(image_id)
+        entry = self.entries.get(image_id)
         if entry is None:
             raise MissingInputError(f"image {image_id} not in manifest")
         return entry
@@ -252,7 +271,7 @@ class Manifest:
         path = self.root / relpath
         fmap = read_fmap(path)
         if self._first_fmap is None:
-            object.__setattr__(self, "_first_fmap", (path, fmap.channels))
+            self._first_fmap = (path, fmap.channels)
         first, channels = self._first_fmap
         if fmap.channels != channels:
             raise ConfigInvalidError(
@@ -264,97 +283,22 @@ class Manifest:
         return self._read_fmap(self.image(image_id).fmap_path)
 
     def load_video_frames(self, video_id: str) -> VideoFrames:
-        entry = self._videos_by_id.get(video_id)
-        if entry is None:
+        frame_paths = self.videos.get(video_id)
+        if frame_paths is None:
             raise MissingInputError(f"video {video_id} not in manifest")
-        return VideoFrames(self, entry.frame_paths)
-
-
-@dataclass(frozen=True)
-class VideoFrames(Sequence[FeatureMap]):
-    """A video's frame maps by frame number; indexing a frame reads its
-    FMAP, again on every access, so a stage reads what it samples."""
-
-    manifest: Manifest
-    paths: tuple[Path, ...]
-
-    def __len__(self) -> int:
-        return len(self.paths)
-
-    def __getitem__(self, frame_idx: int) -> FeatureMap:
-        return self.manifest._read_fmap(self.paths[frame_idx])
-
-
-def _index(entries, id_attr: str, kind: str) -> dict:
-    """id -> entry; a repeated id is refused rather than shadowed."""
-    by_id = {}
-    for entry in entries:
-        key = getattr(entry, id_attr)
-        if key in by_id:
-            raise ConfigInvalidError(f"manifest lists {kind} id {key!r} twice")
-        by_id[key] = entry
-    return by_id
-
-
-def load_manifest(path: str | Path) -> Manifest:
-    p = Path(path)
-    doc = load_json(p)
-    if "format_version" in doc and doc.typed("format_version", _integer) != MANIFEST_VERSION:
-        raise ConfigInvalidError(
-            f"{p}: bad value for key 'format_version' (expected {MANIFEST_VERSION})"
-        )
-    images = tuple(
-        ImageEntry(
-            image_id=e.typed("id", _text),
-            label=e.typed("label", _text),
-            fmap_path=e.typed("fmap", Path),
-            size=e.typed("size", _size),
-        )
-        for e in doc.typed("images", _objects)
-    )
-    videos = tuple(
-        VideoEntry(e.typed("id", _text), e.typed("frames", _paths))
-        for e in doc.typed("videos", _objects)
-    )
-    return Manifest(
-        root=p.parent,
-        cell_stride=doc.typed("cell_stride", _positive),
-        category=doc.typed("categories", _one_name),
-        images=images,
-        videos=videos,
-        files=doc.typed("files", _files) if "files" in doc else {},
-    )
-
-
-class Dataset:
-    """A dataset opened for one run: its manifest, plus the proposals (each
-    image's corner rows and pooled descriptors, 32 + 16·C bytes a proposal)
-    and tracks, each read on first use and then kept for every later stage,
-    and the results stages share through :meth:`memo`.
-
-    Feature maps are not kept: :func:`read_proposals` reads each image's map
-    once to pool its proposals, and a stage that needs a map again (query
-    windows, pseudo-GT and detection descriptors, video frames) reads it
-    from disk.  Keeping them would not outgrow memory: an image's kept
-    descriptors take 16·N·C bytes (N proposals, 2·C float64 each) against
-    4·H·W·C for its map.
-    """
-
-    def __init__(self, manifest: Manifest):
-        self.manifest = manifest
-        self._memo: dict = {}
+        return VideoFrames(self, frame_paths)
 
     @cached_property
     def images(self) -> dict[str, ImageProposals]:
-        return read_proposals(self.manifest)
+        return read_proposals(self)
 
     @cached_property
     def tracks(self) -> dict[str, list[Track]]:
         """Each manifest video's tracks; a track of a video the manifest
         does not list is refused."""
-        path = self.manifest.path("tracks")
+        path = self.path("tracks")
         tracks = read_tracks(path)
-        unknown = sorted(set(tracks) - {v.video_id for v in self.manifest.videos})
+        unknown = sorted(set(tracks) - set(self.videos))
         if unknown:
             raise ConfigInvalidError(f"{path}: video {unknown[0]!r} is not in the manifest")
         return tracks
@@ -370,8 +314,45 @@ class Dataset:
         return self._memo[key]
 
 
-def open_dataset(manifest_path: str | Path) -> Dataset:
-    return Dataset(load_manifest(manifest_path))
+def _by_id(pairs: Iterable[tuple[str, object]], kind: str) -> dict:
+    """id -> entry of ``(id, entry)`` pairs; a repeated id is refused rather
+    than shadowed."""
+    by_id = {}
+    for key, entry in pairs:
+        if key in by_id:
+            raise ConfigInvalidError(f"manifest lists {kind} id {key!r} twice")
+        by_id[key] = entry
+    return by_id
+
+
+def load_manifest(path: str | Path) -> Dataset:
+    """The dataset that the manifest.json at ``path`` describes."""
+    p = Path(path)
+    doc = load_json(p)
+    if "format_version" in doc and doc.typed("format_version", _integer) != MANIFEST_VERSION:
+        raise ConfigInvalidError(
+            f"{p}: bad value for key 'format_version' (expected {MANIFEST_VERSION})"
+        )
+    entries = tuple(
+        ImageEntry(
+            image_id=e.typed("id", _text),
+            label=e.typed("label", _text),
+            fmap_path=e.typed("fmap", Path),
+            size=e.typed("size", _size),
+        )
+        for e in doc.typed("images", _objects)
+    )
+    videos = tuple(
+        (e.typed("id", _text), e.typed("frames", _paths)) for e in doc.typed("videos", _objects)
+    )
+    return Dataset(
+        root=p.parent,
+        cell_stride=doc.typed("cell_stride", _positive),
+        category=doc.typed("categories", _one_name),
+        files=doc.typed("files", _files) if "files" in doc else {},
+        entries=_by_id(((e.image_id, e) for e in entries), "image"),
+        videos=_by_id(videos, "video"),
+    )
 
 
 # --- proposals.jsonl: {image_id, label, box} ------------------------------
@@ -404,8 +385,8 @@ def _box_inside(size: tuple[float, float]) -> Callable:
     return check
 
 
-def read_proposals(manifest: Manifest) -> dict[str, ImageProposals]:
-    """Each image's proposals in the manifest's proposal file, in image-id
+def read_proposals(ds: Dataset) -> dict[str, ImageProposals]:
+    """Each image's proposals in the dataset's proposal file, in image-id
     order; indices follow file order.  A proposal's descriptor is its row
     of :func:`pool_box_feature` over the image's corner rows, one call on
     the image's FMAP, read once; a ``feature`` key in a row is not read.
@@ -419,7 +400,7 @@ def read_proposals(manifest: Manifest) -> dict[str, ImageProposals]:
     and grouped as the file streams; only their corners are kept, 32 B a
     box.
     """
-    path = manifest.path("proposals")
+    path = ds.path("proposals")
     grouped: dict[str, tuple[str, array]] = {}
     for row in read_jsonl(path):
         image_id, label = row.typed("image_id", _text), row.typed("label", _text)
@@ -429,12 +410,12 @@ def read_proposals(manifest: Manifest) -> dict[str, ImageProposals]:
                 f"{row.where} (image {image_id}): label {label!r}, "
                 f"an earlier row of the image has {first_label!r}"
             )
-        corners.extend(row.typed("box", _box_inside(manifest.image(image_id).size)).as_list())
+        corners.extend(row.typed("box", _box_inside(ds.image(image_id).size)).as_list())
     if not grouped:
         raise EmptyDatasetError(f"{path}: no proposals")
     image_ids = sorted(grouped)
     for image_id in image_ids:
-        label, listed = grouped[image_id][0], manifest.image(image_id).label
+        label, listed = grouped[image_id][0], ds.image(image_id).label
         if label != listed:
             raise ConfigInvalidError(
                 f"image {image_id} is labelled {label!r} in {path} "
@@ -444,8 +425,8 @@ def read_proposals(manifest: Manifest) -> dict[str, ImageProposals]:
     for image_id in image_ids:
         label, corners = grouped[image_id]
         coords = np.array(corners).reshape(-1, 4)
-        fmap = manifest.load_image_fmap(image_id)
-        features = pool_box_feature(fmap, coords, manifest.cell_stride)
+        fmap = ds.load_image_fmap(image_id)
+        features = pool_box_feature(fmap, coords, ds.cell_stride)
         images[image_id] = ImageProposals(label, coords, features)
     return images
 
@@ -613,13 +594,19 @@ def write_gt(path: str | Path, rows: Sequence[tuple[str, str, Sequence[BBox]]]) 
     )
 
 
+def _boxes(value) -> list[BBox]:
+    if not isinstance(value, list) or not value:
+        raise ValueError(f"expected a list of at least one box, got {value!r}")
+    return [_box(b) for b in value]
+
+
 def read_gt(path: str | Path) -> dict[str, dict[str, list[BBox]]]:
-    """category -> image_id -> GT boxes."""
+    """category -> image_id -> GT boxes; a row without boxes is refused."""
     out: dict[str, dict[str, list[BBox]]] = {}
     for row in read_jsonl(path):
         out.setdefault(row.typed("category", _text), {}).setdefault(
             row.typed("image_id", _text), []
-        ).extend(row.typed("boxes", lambda boxes: [_box(b) for b in boxes]))
+        ).extend(row.typed("boxes", _boxes))
     return out
 
 

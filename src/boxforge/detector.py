@@ -164,8 +164,9 @@ def train_linear(
             w = w - learning_rate * grad_w
             b = b - learning_rate * grad_b
     # 1.0 is the zero model's objective, exactly: on finite features every
-    # margin is a signed zero, so every hinge is 1.0 and so is their mean
-    if hinge_objective(w, b, X, y, weight_decay) > 1.0:
+    # margin is a signed zero, so every hinge is 1.0 and so is their mean;
+    # a NaN objective, from SGD that overflowed, also gets the zero model
+    if not hinge_objective(w, b, X, y, weight_decay) <= 1.0:
         return LinearModel(weights=np.zeros(dim), bias=0.0, category_id=category_id)
     return LinearModel(weights=w, bias=b, category_id=category_id)
 

@@ -51,7 +51,3 @@ class ConfigInvalidError(BoxforgeError):
 
 class MissingInputError(BoxforgeError):
     """A required input file does not exist."""
-
-
-class IoFailureError(BoxforgeError):
-    """A filesystem write failed."""

@@ -1,10 +1,12 @@
 """File-driven pipeline stages behind the CLI subcommands.
 
 Every stage has one calling shape, ``run_x(ds, cfg, *, <artifact>=None)``.
-It reads the open :class:`~boxforge.dataio.Dataset` ``ds`` and every
-setting from the run's :class:`~boxforge.config.PipelineConfig` ``cfg``,
-writes its outputs plus a stage report under ``cfg.out_dir`` (reports in
-``<out>/reports/``) and returns the report.  An input artifact left unset is
+It reads the dataset ``ds``, the one :class:`~boxforge.dataio.Dataset`
+that :func:`~boxforge.dataio.load_manifest` opens (the manifest's entries
+and files, its maps, proposals and tracks), and every setting from the
+run's :class:`~boxforge.config.PipelineConfig` ``cfg``, writes its outputs
+plus a stage report under ``cfg.out_dir`` (reports in ``<out>/reports/``)
+and returns the report.  An input artifact left unset is
 the file the stage before it wrote there: for example ``run_regress`` reads
 ``pseudo_gt_updated.jsonl`` and ``detections_updated.jsonl``.  Stages are
 deterministic for fixed inputs and seed.
@@ -136,29 +138,26 @@ def run_mine(ds: dataio.Dataset, cfg: PipelineConfig) -> dict:
     })
 
 
-def _query_windows(manifest, mined, target_cells: int) -> dict[str, np.ndarray]:
+def _query_windows(ds, mined, target_cells: int) -> dict[str, np.ndarray]:
     """Each region's query window, by region id; each image's map is read
     once and released on return, before any frame is read."""
-    load_fmap = functools.cache(manifest.load_image_fmap)
+    load_fmap = functools.cache(ds.load_image_fmap)
     return {
-        r.region_id: build_query_window(
-            load_fmap(r.image_id), r.box, manifest.cell_stride, target_cells
-        )
+        r.region_id: build_query_window(load_fmap(r.image_id), r.box, ds.cell_stride, target_cells)
         for r in mined
     }
 
 
 def _scan(ds, mined, target_cells, n_matches, frame_stride):
     """Each region's query scanned once over every sampled frame: (selections, TopMatches)."""
-    manifest = ds.manifest
-    queries = _query_windows(manifest, mined, target_cells)
-    videos = [(e.video_id, manifest.load_video_frames(e.video_id)) for e in manifest.videos]
+    queries = _query_windows(ds, mined, target_cells)
+    videos = [(video_id, ds.load_video_frames(video_id)) for video_id in ds.videos]
 
     def select(video_id: str, frame_idx: int, boxes, scores) -> Optional[FrameSelection]:
         candidates = candidates_at_frame(ds.tracks.get(video_id, []), frame_idx)
         return select_track_per_frame(candidates, boxes, scores, video_id, frame_idx)
 
-    return match_regions(queries, videos, select, n_matches, frame_stride, manifest.cell_stride)
+    return match_regions(queries, videos, select, n_matches, frame_stride, ds.cell_stride)
 
 
 def _scanned(ds: dataio.Dataset, cfg: PipelineConfig, mined):
@@ -219,7 +218,7 @@ def vote_pseudo_gts(
         points = np.frombuffer(corners).reshape(-1, 4)
         spaces = [VoteSpace(points=points, bandwidth=b) for b in gts]
         rankings = ranked_ascents(spaces[0].points, list(gts))
-        size = ds.manifest.image(image_id).size
+        size = ds.image(image_id).size
         for space, ranking in zip(spaces, rankings):
             gt = select_pseudo_gt(
                 space, ranking=ranking, theta=theta, image_bounds=size, image_id=image_id
@@ -258,7 +257,6 @@ def run_vote(
     if bandwidth is None:
         raise ConfigInvalidError("vote needs a bandwidth: b in the config file or --bandwidth")
     stage = _Stage(cfg, "vote")
-    manifest = ds.manifest
     corners_by_image = dataio.read_transfer_corners(stage.input(transfers, TRANSFERS))
     chosen = cfg.bandwidth is None and bandwidth in cfg.bandwidth_grid
     grid = cfg.bandwidth_grid if chosen else (bandwidth,)
@@ -267,7 +265,7 @@ def run_vote(
         hdir = Path(heatmaps)
         hdir.mkdir(parents=True, exist_ok=True)
         for image_id in sorted(corners_by_image):
-            width, height = manifest.image(image_id).size
+            width, height = ds.image(image_id).size
             points = np.frombuffer(corners_by_image[image_id]).reshape(-1, 4)
             export_heatmap(points, (int(width), int(height)), hdir / f"{image_id}.pgm")
     dataio.write_pseudo_gts(stage.out / PSEUDO_GT, [pseudo_gts[i] for i in sorted(pseudo_gts)])
@@ -285,7 +283,6 @@ def _training_corpus(ds: dataio.Dataset, pseudo_gts):
     negatives, image by image in id order; every example is described by
     :func:`pool_box_feature` on its image's FMAP: a pseudo GT as one corner
     row, the proposals as :func:`dataio.read_proposals` pooled them."""
-    manifest = ds.manifest
     blocks: list[np.ndarray] = []
     labels: list[np.ndarray] = []
     for image_id, image in ds.images.items():
@@ -293,8 +290,8 @@ def _training_corpus(ds: dataio.Dataset, pseudo_gts):
             gt = pseudo_gts.get(image_id)
             if gt is None:
                 continue  # without a pseudo GT every proposal is ignored
-            fmap = manifest.load_image_fmap(image_id)
-            blocks.append(pool_box_feature(fmap, box_array([gt.box]), manifest.cell_stride))
+            fmap = ds.load_image_fmap(image_id)
+            blocks.append(pool_box_feature(fmap, box_array([gt.box]), ds.cell_stride))
             labels.append(np.ones(1))
             negatives = image.features[hard_negative_mask(image.coords, gt.box)]
         else:
@@ -323,9 +320,7 @@ def fit_detector(
     pairs, with :func:`train_linear`'s SGD settings; raises
     :class:`EmptyPoolError` when there is nothing to train on."""
     X, y = _training_corpus(ds, dict(pseudo_gts))
-    model = train_linear(
-        X, y, steps, learning_rate, weight_decay, seed, category_id=ds.manifest.category
-    )
+    model = train_linear(X, y, steps, learning_rate, weight_decay, seed, category_id=ds.category)
     return DetectorFit(model=model, n_examples=int(X.shape[0]), n_positives=int(np.sum(y > 0)))
 
 
@@ -384,8 +379,8 @@ def run_update(
     stage = _Stage(cfg, "update")
     path = stage.input(model, MODEL_INITIAL)
     detector = dataio.read_model(path)
-    if detector.category_id != ds.manifest.category:
-        raise ConfigInvalidError(f"{path}: key 'category_id' is not {ds.manifest.category!r}")
+    if detector.category_id != ds.category:
+        raise ConfigInvalidError(f"{path}: key 'category_id' is not {ds.category!r}")
     before = dataio.read_pseudo_gts(stage.input(pseudo_gt, PSEUDO_GT))
     after = lsvm_update(detector, ds.images, before, nms_iou=cfg.nms_iou)
     dataio.write_pseudo_gts(stage.out / PSEUDO_GT_UPDATED, [after[i] for i in sorted(after)])
@@ -407,7 +402,6 @@ def run_regress(
     """Fit the box regressor on well-overlapping proposals and refine
     detections; both are described by :func:`pool_box_feature` on the FMAP."""
     stage = _Stage(cfg, "regress")
-    manifest = ds.manifest
     images = ds.images
     pairs = regression_pairs(
         images, dataio.read_pseudo_gts(stage.input(pseudo_gt, PSEUDO_GT_UPDATED))
@@ -418,25 +412,17 @@ def run_regress(
         regressor = BoxRegressor.identity(next(iter(images.values())).features.shape[1])
     dataio.write_regressor(stage.out / REGRESSOR, regressor)
 
-    load_fmap = functools.cache(manifest.load_image_fmap)  # one read per image
+    load_fmap = functools.cache(ds.load_image_fmap)  # one read per image
     refined = []
     for image_id, box, score in dataio.read_detections(
         stage.input(detections, DETECTIONS_UPDATED)
     ):
-        [feature] = pool_box_feature(load_fmap(image_id), box_array([box]), manifest.cell_stride)
+        [feature] = pool_box_feature(load_fmap(image_id), box_array([box]), ds.cell_stride)
         new_box = apply_regressor(regressor, feature, box)
-        entry = manifest.image(image_id)
-        clipped = clip_box(new_box, entry.size[0], entry.size[1])
+        clipped = clip_box(new_box, *ds.image(image_id).size)
         refined.append((image_id, clipped if clipped is not None else box, score))
     dataio.write_detections(stage.out / DETECTIONS_BBOXREG, refined)
     return stage.report({"n_pairs": len(pairs), "n_detections": len(refined)})
-
-
-def _category_gt(manifest, category):
-    gt = dataio.read_gt(manifest.path("gt"))
-    if category not in gt:
-        raise MissingInputError(f"gt.jsonl has no boxes for category {category!r}")
-    return gt[category]
 
 
 def run_eval(
@@ -457,9 +443,10 @@ def run_eval(
     exists; an unset input whose default file is absent is skipped.
     """
     stage = _Stage(cfg, "eval")
-    manifest = ds.manifest
-    category = manifest.category
-    gt = _category_gt(manifest, category)
+    category = ds.category
+    gt = dataio.read_gt(ds.path("gt")).get(category)
+    if gt is None:
+        raise MissingInputError(f"gt.jsonl has no boxes for category {category!r}")
 
     ablation = {}
     primary_pgt = None
@@ -520,17 +507,16 @@ def _video_frames(ds: dataio.Dataset, selections, frame_stride):
     centered half-size sub-box of each, so a detector that never learned
     tightness ranks loose parts above the object and loses precision.  A
     sub-box's corners are its box's ``center -/+ size / 4``, as BBox rounds."""
-    manifest = ds.manifest
     frames: dict[str, ImageProposals] = {}
     gt: dict[str, list[BBox]] = {}
-    for entry in manifest.videos:
-        fmaps = manifest.load_video_frames(entry.video_id)
-        tracks = ds.tracks.get(entry.video_id, [])
+    for video_id in ds.videos:
+        fmaps = ds.load_video_frames(video_id)
+        tracks = ds.tracks.get(video_id, [])
         for frame_idx in sampled_frame_indices(len(fmaps), frame_stride):
-            sel = selections.get((entry.video_id, frame_idx))
+            sel = selections.get((video_id, frame_idx))
             if sel is None:
                 continue
-            frame_key = f"{entry.video_id}:{frame_idx}"
+            frame_key = f"{video_id}:{frame_idx}"
             gt[frame_key] = [sel.box]
             candidates = candidates_at_frame(tracks, frame_idx)
             if not candidates:
@@ -539,7 +525,7 @@ def _video_frames(ds: dataio.Dataset, selections, frame_stride):
             lo, hi = tight[:, :2], tight[:, 2:]
             center, quarter = 0.5 * (lo + hi), 0.25 * (hi - lo)
             coords = np.concatenate([tight, np.hstack([center - quarter, center + quarter])])
-            features = pool_box_feature(fmaps[frame_idx], coords, manifest.cell_stride)
+            features = pool_box_feature(fmaps[frame_idx], coords, ds.cell_stride)
             frames[frame_key] = ImageProposals(POSITIVE, coords, features)
     return frames, gt
 
@@ -586,7 +572,7 @@ def run_pipeline(cfg: PipelineConfig, heatmaps: Optional[str | Path] = None) -> 
     """Run every stage in order; returns the final metrics document."""
     if cfg.manifest is None or cfg.out_dir is None:
         raise MissingInputError("pipeline needs both manifest and out_dir")
-    ds = dataio.open_dataset(cfg.manifest)  # a refused manifest leaves no output directory
+    ds = dataio.load_manifest(cfg.manifest)  # a refused manifest leaves no output directory
     stage = _Stage(cfg, "pipeline")
 
     run_mine(ds, cfg)

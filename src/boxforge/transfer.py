@@ -20,9 +20,6 @@ from .featmap import FeatureMap, placement_boxes, scan_queries
 from .geometry import BBox, intersection_area, transfer_box
 from .tracks import FrameSelection
 
-VideoFrames = tuple[str, Sequence[FeatureMap]]  # (video_id, maps by frame number)
-
-
 @dataclass(frozen=True)
 class TransferredBox:
     """A tracked box carried back to a region's source image."""
@@ -62,8 +59,8 @@ class TopMatches:
 
 
 def match_regions(
-    queries: Mapping[str, np.ndarray], videos: Sequence[VideoFrames], on_frame: Callable,
-    n: int, frame_stride: int, cell_stride: float,
+    queries: Mapping[str, np.ndarray], videos: Sequence[tuple[str, Sequence[FeatureMap]]],
+    on_frame: Callable, n: int, frame_stride: int, cell_stride: float,
 ) -> tuple[list, TopMatches]:
     """Scan the queries (region id -> (h_cells, w_cells, C) float64 window)
     over every sampled frame in ``videos`` order, one :func:`scan_queries`

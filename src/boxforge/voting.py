@@ -16,26 +16,26 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .atomic import write_atomic
-from .errors import ConfigInvalidError, DegenerateBoxError, IoFailureError, NoPointsError
+from .errors import ConfigInvalidError, DegenerateBoxError, NoPointsError
 from .geometry import BBox, clip_box
 
 
 @dataclass(frozen=True)
 class VoteSpace:
-    """An immutable 4-D point cloud with its kernel bandwidth (pixels)."""
+    """An immutable 4-D point cloud, an (N, 4) float64 array, with its
+    kernel bandwidth (pixels)."""
 
     points: np.ndarray
     bandwidth: float
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
-        if pts.ndim != 2 or (pts.size and pts.shape[1] != 4):
-            raise ConfigInvalidError(f"points must be (N, 4), got {pts.shape}")
-        if pts.size and not np.all(np.isfinite(pts)):
+        pts = self.points
+        if pts.dtype != np.float64 or pts.ndim != 2 or pts.shape[1] != 4:
+            raise ConfigInvalidError(f"points must be (N, 4) float64, got {pts.dtype} {pts.shape}")
+        if not np.all(np.isfinite(pts)):
             raise ConfigInvalidError("vote points must be finite")
         if self.bandwidth <= 0:
             raise ConfigInvalidError(f"bandwidth must be positive, got {self.bandwidth}")
-        object.__setattr__(self, "points", pts.reshape(-1, 4))
 
     @property
     def n_points(self) -> int:
@@ -262,8 +262,5 @@ def export_heatmap(
     else:
         img = np.zeros((height, width), dtype=np.uint8)
     header = f"P5\n{width} {height}\n255\n".encode("ascii")
-    try:
-        write_atomic(path, lambda fh: fh.write(header + img.tobytes()), binary=True)
-    except OSError as exc:
-        raise IoFailureError(f"failed to write heatmap {path}: {exc}") from exc
+    write_atomic(path, lambda fh: fh.write(header + img.tobytes()), binary=True)
     return counts

@@ -435,7 +435,7 @@ def test_criterion_9_bandwidth_failure_mode(tmp_path):
         out_dir=str(out), frame_stride=1, target_cells=30, n_matches=20,
         bandwidth_grid=(2.0, oversized, 32.0), seed=TRAIN_SEED,
     )
-    ds = dataio.open_dataset(manifest)
+    ds = dataio.load_manifest(manifest)
     run_mine(ds, cfg)
     run_select_tracks(ds, cfg)
     run_match(ds, cfg)

@@ -69,7 +69,7 @@ def one_hot_images(label, boxes):
 def no_gt_dataset(images):
     """A dataset holding only proposals: enough for a training corpus
     without pseudo GT, which pools no feature map."""
-    return SimpleNamespace(manifest=None, images=images)
+    return SimpleNamespace(images=images)
 
 
 class TestRcnnLabels:
@@ -348,6 +348,11 @@ class TestTrainLinear:
         cfg = sgd(steps=50, learning_rate=5.0, weight_decay=0.01, seed=2)
         model = train_linear(X, y, **cfg)
         assert hinge_objective(model.weights, model.bias, X, y, cfg["weight_decay"]) <= 1.0
+        # a step size whose SGD overflows to a NaN objective gets the zero model
+        with pytest.warns(RuntimeWarning) as warned:
+            model = train_linear(X, y, **{**cfg, "learning_rate": 1e300})
+        assert any("overflow" in str(w.message) for w in warned)
+        assert np.all(model.weights == 0.0) and model.bias == 0.0
 
     def test_identical_features_mixed_labels_predicts_majority(self):
         X = np.ones((10, 2))

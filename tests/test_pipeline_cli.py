@@ -314,7 +314,7 @@ class TestCliStages:
         assert json.loads((piped / "reports" / "match.json").read_text())["n_transfers"] > 0
         videos = dataio.load_manifest(manifest).videos
         assert len(videos) == 2
-        frames = {tmp_path / "data" / p: i for video in videos for i, p in enumerate(video.frame_paths)}
+        frames = {tmp_path / "data" / p: i for paths in videos.values() for i, p in enumerate(paths)}
         read_frames = [frames[p] for p in reads if p in frames]
         assert read_frames and all(i % 2 == 0 for i in read_frames)
 
@@ -397,6 +397,16 @@ class TestCliStages:
         run_cli("vote", *common, "--bandwidth", 2.0, "--heatmaps", out / "heat")
         pgms = list((out / "heat").glob("*.pgm"))
         assert pgms and pgms[0].read_bytes().startswith(b"P5\n")
+
+    def test_heatmap_write_failure_is_an_io_failure(self, synth_dir, finished, tmp_path, capsys):
+        """A heatmap that cannot be written fails like every other write."""
+        out = shutil.copytree(finished, tmp_path / "o")
+        for image_id in dataio.read_transfer_corners(out / pipeline.TRANSFERS):
+            (out / "heat" / f"{image_id}.pgm").mkdir(parents=True)  # a directory in the way
+        code = run_cli("vote", "--manifest", synth_dir / "manifest.json", "--out", out,
+                       "--bandwidth", 2.0, "--heatmaps", out / "heat")
+        assert code == 1
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "IoFailure"
 
 
 # Each stage subcommand's input-artifact flags, and the file under --out its
@@ -532,12 +542,24 @@ class TestCommandTable:
                        "message": f"missing input file: {missing}"}
         assert (out / pipeline.METRICS).read_bytes() == (run_dir / pipeline.METRICS).read_bytes()
 
+    @pytest.mark.parametrize("missing", ["--manifest", "--out"])
+    @pytest.mark.parametrize("command", [c.name for c in cli.COMMANDS])
+    def test_missing_manifest_or_out_is_a_missing_input(
+        self, command, missing, synth_dir, tmp_path, capsys
+    ):
+        given = {"--manifest": synth_dir / "manifest.json", "--out": tmp_path / "o"}
+        del given[missing]
+        args = STAGE_ARGS.get(command, ["--seed", 7] if command == "pipeline" else [])
+        assert run_cli(command, *[a for pair in given.items() for a in pair], *args) == 1
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "MissingInputError"
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("stage", [
         "run_mine", "run_select_tracks", "run_match", "run_vote", "run_train",
         "run_update", "run_regress", "run_eval", "run_cv_bandwidth",
     ])
     def test_stage_without_out_dir_is_refused(self, stage, synth_dir):
-        ds = dataio.open_dataset(synth_dir / "manifest.json")
+        ds = dataio.load_manifest(synth_dir / "manifest.json")
         with pytest.raises(MissingInputError, match="needs out_dir"):
             getattr(pipeline, stage)(ds, PipelineConfig(bandwidth=2.0))
 
@@ -600,6 +622,20 @@ class TestEvalCli:
     def test_empty_predictions_include_missed_corloc_zero(self, synth_dir, tmp_path):
         gt = dataio.read_gt(synth_dir / "gt.jsonl")["obj"]
         assert corloc({}, gt, include_missed=True) == 0.0
+
+    def test_gt_row_without_boxes_refused(self, synth_dir, finished, tmp_path, capsys):
+        """An image listed in gt.jsonl with no boxes is refused by name
+        rather than scored."""
+        data = shutil.copytree(synth_dir, tmp_path / "data")
+        rows = list(dataio.read_jsonl(data / "gt.jsonl"))
+        assert rows[0]["image_id"] == "pos_000"
+        rows[0]["boxes"] = []
+        dataio.write_jsonl(data / "gt.jsonl", rows)
+        out = shutil.copytree(finished, tmp_path / "out")
+        assert run_cli("eval", "--manifest", data / "manifest.json", "--out", out) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigInvalidError"
+        assert err["message"].startswith(f"{data / 'gt.jsonl'} line 1: bad value for key 'boxes'")
 
     def test_eval_cli_on_empty_pseudo_gt(self, synth_dir, tmp_path, capsys):
         out = tmp_path / "out"
@@ -681,7 +717,7 @@ class TestReports:
 
     def test_mine_report_counts_proposals_and_pairs(self, synth_dir, tmp_path):
         report = pipeline.run_mine(
-            dataio.open_dataset(synth_dir / "manifest.json"),
+            dataio.load_manifest(synth_dir / "manifest.json"),
             PipelineConfig(out_dir=str(tmp_path / "m")),
         )
         by_image = dataio.read_proposals(dataio.load_manifest(synth_dir / "manifest.json"))
@@ -736,7 +772,7 @@ class TestEachIntermediateOnce:
         scans, fmap_reads, updates = [], [], []
         self.count(monkeypatch, dataio, "read_proposals", parsed)
         self.count(monkeypatch, dataio, "load_manifest", manifests)
-        self.count(monkeypatch, dataio.Manifest, "load_video_frames", videos)
+        self.count(monkeypatch, dataio.Dataset, "load_video_frames", videos)
         self.count(monkeypatch, dataio, "read_fmap", fmap_reads,
                    record=lambda path, result: Path(path))
         self.count(
@@ -774,8 +810,8 @@ class TestEachIntermediateOnce:
         assert len(updates) == lsvm_rounds
         trained = {tuple(sorted(gts.items())) for gts in [*voted.values(), *updates]}
         assert len(fits) == len(trained)
-        manifest = dataio.load_manifest(synth_dir / "manifest.json")
-        frames = [manifest.root / p for video in manifest.videos for p in video.frame_paths]
+        ds = dataio.load_manifest(synth_dir / "manifest.json")
+        frames = [ds.root / p for paths in ds.videos.values() for p in paths]
         # one scan per sampled frame (stride 1: every frame) covers every
         # region, so each (region, frame) pair is scored exactly once
         n_regions = len(dataio.read_regions(out / pipeline.REGIONS))
@@ -784,7 +820,7 @@ class TestEachIntermediateOnce:
         # select-tracks and cross-validation each open every video and read
         # each of its frames once; match takes the top hits of the scan that
         # select-tracks ran
-        assert len(videos) == 2 * len(manifest.videos)
+        assert len(videos) == 2 * len(ds.videos)
         assert Counter(p for p in fmap_reads if p in frames) == {p: 2 for p in frames}
 
     def test_no_sampled_frame(self, synth_dir, tmp_path, capsys):
@@ -827,7 +863,7 @@ class TestEachIntermediateOnce:
             manifest=str(synth_dir / "manifest.json"), out_dir=str(out), seed=7,
             target_cells=30, frame_stride=1, bandwidth_grid=grid,
         )
-        ds = dataio.open_dataset(cfg.manifest)
+        ds = dataio.load_manifest(cfg.manifest)
         pipeline.run_mine(ds, cfg)
         pipeline.run_select_tracks(ds, cfg)
         pipeline.run_match(ds, cfg)
@@ -847,7 +883,7 @@ class TestMemo:
     """``Dataset.memo`` reuses a result only for equal inputs."""
 
     def test_computed_once_per_distinct_args_and_failures_forgotten(self, synth_dir):
-        ds = dataio.open_dataset(synth_dir / "manifest.json")
+        ds = dataio.load_manifest(synth_dir / "manifest.json")
         calls = []
 
         def compute(dataset, x):
@@ -863,12 +899,12 @@ class TestMemo:
             with pytest.raises(EmptyPoolError):
                 ds.memo(compute, -1)
         assert calls == [1, 2, -1, -1]
-        assert dataio.open_dataset(synth_dir / "manifest.json").memo(compute, 1) is not first
+        assert dataio.load_manifest(synth_dir / "manifest.json").memo(compute, 1) is not first
 
     def test_equal_corners_in_new_bytes_vote_once(self, synth_dir, monkeypatch):
         """The vote is keyed by the value of its corner bytes, not by the
         objects: equal corners read again find the first vote."""
-        ds = dataio.open_dataset(synth_dir / "manifest.json")
+        ds = dataio.load_manifest(synth_dir / "manifest.json")
         cfg = PipelineConfig(manifest=str(synth_dir / "manifest.json"), seed=0, bandwidth=2.0)
         calls = []
 
@@ -897,7 +933,7 @@ class TestMemo:
             manifest=str(synth_dir / "manifest.json"), out_dir=str(tmp_path / "run"),
             seed=7, **PROFILE,
         )
-        ds = dataio.open_dataset(cfg.manifest)
+        ds = dataio.load_manifest(cfg.manifest)
         pipeline.run_mine(ds, cfg)
         pipeline.run_select_tracks(ds, cfg)
         regions = tmp_path / "run" / pipeline.REGIONS
@@ -912,29 +948,29 @@ class TestMemo:
         for name in (pipeline.REGIONS, pipeline.SELECTIONS):
             shutil.copy(tmp_path / "run" / name, fresh / name)
         fresh_cfg = dataclasses.replace(cfg, out_dir=str(fresh))
-        pipeline.run_match(dataio.open_dataset(cfg.manifest), fresh_cfg)
+        pipeline.run_match(dataio.load_manifest(cfg.manifest), fresh_cfg)
         subset = (tmp_path / "run" / pipeline.TRANSFERS).read_bytes()
         assert subset == (fresh / pipeline.TRANSFERS).read_bytes()
         assert subset != all_regions
 
 
-def per_proposal_images(manifest):
+def per_proposal_images(ds):
     """image_id -> (label, [(prop_id, box, feature)]): proposals as the
     per-proposal stage code held them, parsed and pooled row by row."""
     images = {}
-    for row in dataio.read_jsonl(manifest.path("proposals")):
+    for row in dataio.read_jsonl(ds.path("proposals")):
         label, props = images.setdefault(row["image_id"], (row["label"], []))
         box = BBox(*map(float, row["box"]))
-        fmap = manifest.load_image_fmap(row["image_id"])
+        fmap = ds.load_image_fmap(row["image_id"])
         props.append((
             f"{row['image_id']}#{len(props)}",
             box,
-            pool_one(fmap, box, manifest.cell_stride),
+            pool_one(fmap, box, ds.cell_stride),
         ))
     return {image_id: images[image_id] for image_id in sorted(images)}
 
 
-def per_proposal_corpus(manifest, images, pseudo_gts):
+def per_proposal_corpus(ds, images, pseudo_gts):
     feats, labels = [], []
     for image_id in sorted(images):
         label, props = images[image_id]
@@ -942,8 +978,8 @@ def per_proposal_corpus(manifest, images, pseudo_gts):
             gt = pseudo_gts.get(image_id)
             if gt is None:
                 continue
-            fmap = manifest.load_image_fmap(image_id)
-            feats.append(pool_one(fmap, gt.box, manifest.cell_stride))
+            fmap = ds.load_image_fmap(image_id)
+            feats.append(pool_one(fmap, gt.box, ds.cell_stride))
             labels.append(1.0)
             for _pid, box, feature in props:
                 if 0.1 <= iou(box, gt.box) <= 0.3:
@@ -1000,7 +1036,7 @@ class TestArrayStagesMatchPerProposalCode:
 
     @pytest.fixture()
     def inputs(self, synth_dir):
-        ds = dataio.open_dataset(synth_dir / "manifest.json")
+        ds = dataio.load_manifest(synth_dir / "manifest.json")
         gt = dataio.read_gt(synth_dir / "gt.jsonl")["obj"]
         # every other positive image gets its true box, shifted so that some
         # proposals fall in the hard-negative band; the rest have none
@@ -1010,12 +1046,12 @@ class TestArrayStagesMatchPerProposalCode:
                 b = gt[image_id][0]
                 box = BBox(b.x_min + 0.5, b.y_min, b.x_max + 0.5, b.y_max + 0.25)
                 pseudo_gts[image_id] = PseudoGT(image_id=image_id, box=box, vote=25.0, support=25)
-        return ds, per_proposal_images(ds.manifest), pseudo_gts
+        return ds, per_proposal_images(ds), pseudo_gts
 
     def test_corpus_detections_and_update(self, inputs):
         ds, images, pseudo_gts = inputs
         X, y = pipeline._training_corpus(ds, pseudo_gts)
-        X_ref, y_ref = per_proposal_corpus(ds.manifest, images, pseudo_gts)
+        X_ref, y_ref = per_proposal_corpus(ds, images, pseudo_gts)
         assert X.dtype == X_ref.dtype and np.array_equal(X, X_ref)
         assert y.dtype == y_ref.dtype and np.array_equal(y, y_ref)
         assert 0 < np.sum(y > 0) < np.sum(y < 0)
@@ -1059,23 +1095,23 @@ def per_box_video_frames(ds, selections, frame_stride):
     """frame key -> (corner rows, features) of each scored frame's pool,
     built one ``BBox`` at a time and pooled box by box."""
     frames = {}
-    for entry in ds.manifest.videos:
-        fmaps = ds.manifest.load_video_frames(entry.video_id)
+    for video_id in ds.videos:
+        fmaps = ds.load_video_frames(video_id)
         for frame_idx in transfer.sampled_frame_indices(len(fmaps), frame_stride):
-            candidates = candidates_at_frame(ds.tracks.get(entry.video_id, []), frame_idx)
-            if (entry.video_id, frame_idx) not in selections or not candidates:
+            candidates = candidates_at_frame(ds.tracks.get(video_id, []), frame_idx)
+            if (video_id, frame_idx) not in selections or not candidates:
                 continue
             boxes = [box for _, box in candidates]
             boxes.extend(half_box(box) for _, box in candidates)
-            feats = [pool_one(fmaps[frame_idx], box, ds.manifest.cell_stride) for box in boxes]
-            frames[f"{entry.video_id}:{frame_idx}"] = (box_array(boxes), np.stack(feats))
+            feats = [pool_one(fmaps[frame_idx], box, ds.cell_stride) for box in boxes]
+            frames[f"{video_id}:{frame_idx}"] = (box_array(boxes), np.stack(feats))
     return frames
 
 
 def test_video_frames_match_the_per_box_pool(synth_dir, finished):
     """Cross-validation's frame pools, built as corner rows and pooled in
     one call per frame, have the bits of the per-box construction."""
-    ds = dataio.open_dataset(synth_dir / "manifest.json")
+    ds = dataio.load_manifest(synth_dir / "manifest.json")
     selections = dataio.read_selections(finished / pipeline.SELECTIONS)
     frames, gt = pipeline._video_frames(ds, selections, 1)
     want = per_box_video_frames(ds, selections, 1)
@@ -1279,6 +1315,8 @@ class TestMalformedJson:
          "line 1: bad value for key 'boxes'"),
         (dataio.read_gt, '{"image_id": "a", "category": "c", "boxes": [[true, 2, 3, 4]]}',
          "line 1: bad value for key 'boxes'"),
+        (dataio.read_gt, '{"image_id": "a", "category": "c", "boxes": []}',
+         "line 1: bad value for key 'boxes'"),
     ])
     def test_readers_name_file_line_and_key(self, tmp_path, reader, text, message):
         path = tmp_path / "rows.jsonl"
@@ -1423,13 +1461,12 @@ class TestProposalDescriptors:
     ``feature`` key in ``proposals.jsonl`` is not read."""
 
     def test_descriptors_are_pooled_from_the_fmap(self, synth_dir):
-        ds = dataio.open_dataset(synth_dir / "manifest.json")
-        manifest = ds.manifest
-        assert len(ds.images) == len(manifest.images)
+        ds = dataio.load_manifest(synth_dir / "manifest.json")
+        assert list(ds.images) == sorted(ds.entries)
         for image_id, image in ds.images.items():
-            fmap = manifest.load_image_fmap(image_id)
+            fmap = ds.load_image_fmap(image_id)
             want = np.stack([
-                pool_one(fmap, image.box(i), manifest.cell_stride) for i in range(len(image))
+                pool_one(fmap, image.box(i), ds.cell_stride) for i in range(len(image))
             ])
             assert image.features.dtype == want.dtype
             assert image.features.tobytes() == want.tobytes()
@@ -1437,9 +1474,9 @@ class TestProposalDescriptors:
     def test_rows_rebuild_the_boxes_of_the_file(self, synth_dir):
         """Each proposal is held as one corner row; the box made from it is
         the file's box, bit for bit."""
-        ds = dataio.open_dataset(synth_dir / "manifest.json")
+        ds = dataio.load_manifest(synth_dir / "manifest.json")
         listed = {}
-        for row in dataio.read_jsonl(ds.manifest.path("proposals")):
+        for row in dataio.read_jsonl(ds.path("proposals")):
             listed.setdefault(row["image_id"], []).append(BBox(*map(float, row["box"])))
         assert list(ds.images) == sorted(listed)
         for image_id, image in ds.images.items():
@@ -1530,8 +1567,8 @@ class TestProposalBoxes:
         """Run ``mine`` with the third proposal's box replaced by
         ``make_box`` of its image's manifest entry."""
         rows = list(dataio.read_jsonl(data / "proposals.jsonl"))
-        manifest = dataio.load_manifest(data / "manifest.json")
-        rows[2]["box"] = make_box(manifest.image(rows[2]["image_id"]))
+        ds = dataio.load_manifest(data / "manifest.json")
+        rows[2]["box"] = make_box(ds.image(rows[2]["image_id"]))
         dataio.write_jsonl(data / "proposals.jsonl", rows)
         return run_cli("mine", "--manifest", data / "manifest.json", "--out", tmp_path / "o")
 
@@ -1895,7 +1932,7 @@ class TestManifest:
         assert doc.pop("format_version") == dataio.MANIFEST_VERSION
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps(doc))
-        fields = lambda m: (m.cell_stride, m.category, m.images, m.videos, m.files)
+        fields = lambda ds: (ds.cell_stride, ds.category, ds.entries, ds.videos, ds.files)
         assert fields(dataio.load_manifest(path)) == fields(
             dataio.load_manifest(synth_dir / "manifest.json")
         )
@@ -1936,13 +1973,13 @@ class TestManifest:
         }
 
     def test_lookups_by_id(self, synth_dir):
-        manifest = dataio.load_manifest(synth_dir / "manifest.json")
-        for entry in manifest.images:
-            assert manifest.image(entry.image_id) is entry
+        ds = dataio.load_manifest(synth_dir / "manifest.json")
+        for image_id, entry in ds.entries.items():
+            assert entry.image_id == image_id and ds.image(image_id) is entry
         with pytest.raises(MissingInputError):
-            manifest.image("no_such_image")
+            ds.image("no_such_image")
         with pytest.raises(MissingInputError):
-            manifest.load_video_frames("no_such_video")
+            ds.load_video_frames("no_such_video")
 
 
 class TestRegressFallbacks:
@@ -1971,7 +2008,7 @@ class TestRegressFallbacks:
         monkeypatch.setattr(pipeline, "apply_regressor", broken)
         with pytest.raises(RuntimeError):
             pipeline.run_regress(
-                dataio.open_dataset(manifest), PipelineConfig(out_dir=str(tmp_path / "out")),
+                dataio.load_manifest(manifest), PipelineConfig(out_dir=str(tmp_path / "out")),
                 pseudo_gt=pgt, detections=det,
             )
 
@@ -1987,7 +2024,7 @@ class TestRegressFallbacks:
             monkeypatch.setattr(np.linalg, name, refuse)
         out = tmp_path / "out"
         report = pipeline.run_regress(
-            dataio.open_dataset(manifest), PipelineConfig(out_dir=str(out)),
+            dataio.load_manifest(manifest), PipelineConfig(out_dir=str(out)),
             pseudo_gt=pgt, detections=det,
         )
         assert report["n_pairs"] > 0 and report["n_detections"] == len(gts)

@@ -79,12 +79,12 @@ def dataset(tmp_path_factory):
 class TestStructure:
     def test_manifest_references_exist(self, dataset):
         root, _ = dataset
-        manifest = dataio.load_manifest(root / "manifest.json")
-        assert manifest.category == CATEGORY
-        for entry in manifest.images:
+        ds = dataio.load_manifest(root / "manifest.json")
+        assert ds.category == CATEGORY
+        for entry in ds.entries.values():
             assert (root / entry.fmap_path).exists()
-        for video in manifest.videos:
-            for frame in video.frame_paths:
+        for frame_paths in ds.videos.values():
+            for frame in frame_paths:
                 assert (root / frame).exists()
 
     def test_every_planted_box_in_gt_jsonl(self, dataset):
@@ -136,10 +136,10 @@ class TestStructure:
 def test_noiseless_identity_match(tmp_path):
     cfg = replace(SMALL, noise_sigma=0.0)
     truth = gen_dataset(cfg, tmp_path)
-    manifest = dataio.load_manifest(tmp_path / "manifest.json")
+    ds = dataio.load_manifest(tmp_path / "manifest.json")
     image_id = sorted(truth.gt_boxes)[0]
     gt_box = truth.gt_boxes[image_id][0]
-    fmap = manifest.load_image_fmap(image_id)
+    fmap = ds.load_image_fmap(image_id)
     rect = tuple(int(c) for c in (gt_box.x_min, gt_box.y_min, gt_box.width, gt_box.height))
     q = window(fmap, rect)
     [(score, cell_y, cell_x)] = scan_hits(q, fmap, 1)

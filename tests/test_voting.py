@@ -7,7 +7,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from boxforge import atomic, voting
-from boxforge.errors import ConfigInvalidError, DegenerateBoxError, IoFailureError, NoPointsError
+from boxforge.errors import ConfigInvalidError, DegenerateBoxError, NoPointsError
 from boxforge.geometry import BBox, box_array, clip_box
 from boxforge.voting import (
     PseudoGT,
@@ -80,6 +80,10 @@ class TestVoteSpaceValidation:
     def test_rejects_wrong_width(self):
         with pytest.raises(ConfigInvalidError):
             VoteSpace(points=np.zeros((3, 3)), bandwidth=1.0)
+
+    def test_rejects_points_that_are_not_float64(self):
+        with pytest.raises(ConfigInvalidError, match="float64"):
+            VoteSpace(points=np.zeros((3, 4), dtype=np.int64), bandwidth=1.0)
 
 
 class TestMeanShiftModes:
@@ -490,7 +494,7 @@ class TestExportHeatmap:
             raise OSError("rename refused")
 
         monkeypatch.setattr(atomic.os, "replace", refused)
-        with pytest.raises(IoFailureError, match="failed to write heatmap"):
+        with pytest.raises(OSError, match="rename refused"):
             export_heatmap(np.zeros((0, 4)), (8, 6), path)
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["h.pgm"]
