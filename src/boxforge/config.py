@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
-from .errors import ConfigInvalidError
+from .errors import ConfigInvalidError, MissingInputError
 
 
 @dataclass(frozen=True)
@@ -121,8 +121,15 @@ def _parse(setting: Setting, raw: str, where: str):
 
 def parse_config_file(path: str | Path) -> dict:
     """Parse a key=value config file into dataclass-field keyword arguments."""
+    p = Path(path)
+    if not p.exists():
+        raise MissingInputError(f"missing config file: {p}")
+    try:
+        text = p.read_text("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigInvalidError(f"{p}: not UTF-8 text ({exc})") from exc
     fields = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue

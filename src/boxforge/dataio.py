@@ -21,7 +21,7 @@ import numpy as np
 from .atomic import write_atomic
 from .detector import BoxRegressor, LinearModel
 from .errors import ConfigInvalidError, DegenerateBoxError, EmptyDatasetError, MissingInputError
-from .featmap import FeatureMap, pool_box_feature, read_fmap
+from .featmap import pool_box_feature, read_fmap
 from .geometry import BBox
 from .mining import ImageProposals, MinedRegion
 from .tracks import FrameSelection, Track
@@ -159,7 +159,9 @@ def load_json(path: str | Path) -> _Row:
     if not p.exists():
         raise MissingInputError(f"missing input file: {p}")
     try:
-        doc = json.loads(p.read_text(), object_hook=lambda pairs: _Row(str(p), pairs))
+        doc = json.loads(p.read_text("utf-8"), object_hook=lambda pairs: _Row(str(p), pairs))
+    except UnicodeDecodeError as exc:
+        raise ConfigInvalidError(f"{p}: not UTF-8 text ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise ConfigInvalidError(f"{p} line {exc.lineno}: malformed JSON ({exc.msg})") from exc
     return _object(doc, str(p))
@@ -178,21 +180,23 @@ def write_jsonl(path: str | Path, rows: Iterable[Mapping]) -> None:
 
 def read_jsonl(path: str | Path) -> Iterator[_Row]:
     """Each row of a JSON-lines file as it is read, one decoder per file;
-    a row that is not a JSON object raises :class:`ConfigInvalidError`
-    naming its line."""
+    a row that is not UTF-8 text or not a JSON object raises
+    :class:`ConfigInvalidError` naming its line."""
     p = Path(path)
     if not p.exists():
         raise MissingInputError(f"missing input file: {p}")
     where = str(p)
     decoder = json.JSONDecoder(object_hook=lambda pairs: _Row(where, pairs))
-    with open(p) as fh:
+    with open(p, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             where = f"{p} line {lineno}"
             try:
-                row = decoder.decode(line)
+                row = decoder.decode(line.decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise ConfigInvalidError(f"{where}: not UTF-8 text ({exc})") from exc
             except json.JSONDecodeError as exc:
                 raise ConfigInvalidError(f"{where}: malformed JSON row ({exc.msg})") from exc
             yield _object(row, where)
@@ -207,7 +211,7 @@ class ImageEntry:
 
 
 @dataclass(frozen=True)
-class VideoFrames(Sequence[FeatureMap]):
+class VideoFrames(Sequence[np.ndarray]):
     """A video's frame maps by frame number; indexing a frame reads its
     FMAP, again on every access, so a stage reads what it samples."""
 
@@ -217,7 +221,7 @@ class VideoFrames(Sequence[FeatureMap]):
     def __len__(self) -> int:
         return len(self.paths)
 
-    def __getitem__(self, frame_idx: int) -> FeatureMap:
+    def __getitem__(self, frame_idx: int) -> np.ndarray:
         return self.dataset._read_fmap(self.paths[frame_idx])
 
 
@@ -233,12 +237,13 @@ class Dataset:
     bytes a proposal) and tracks, each read on first use and then kept for
     every later stage, and the results stages share through :meth:`memo`.
 
-    Feature maps are not kept: :func:`read_proposals` reads each image's map
-    once to pool its proposals, and a stage that needs a map again (query
-    windows, pseudo-GT and detection descriptors, video frames) reads it
-    from disk.  Keeping them would not outgrow memory: an image's kept
-    descriptors take 16·N·C bytes (N proposals, 2·C float64 each) against
-    4·H·W·C for its map.  Every map read must have the channel count of the
+    A map is the read-only (H, W, C) float32 array :func:`read_fmap`
+    returns.  Maps are not kept: :func:`read_proposals` reads each image's
+    map once to pool its proposals, and a stage that needs a map again
+    (query windows, pseudo-GT and detection descriptors, video frames)
+    reads it from disk.  Keeping them would not outgrow memory: an image's
+    kept descriptors take 16·N·C bytes (N proposals, 2·C float64 each)
+    against 4·H·W·C for its map.  Every map read must have the channel count of the
     first one read; a map with another count is refused with
     :class:`ConfigInvalidError` naming both files.
     """
@@ -267,19 +272,19 @@ class Dataset:
             raise MissingInputError(f"manifest lists no {key!r} file")
         return self.root / self.files[key]
 
-    def _read_fmap(self, relpath: Path) -> FeatureMap:
+    def _read_fmap(self, relpath: Path) -> np.ndarray:
         path = self.root / relpath
         fmap = read_fmap(path)
         if self._first_fmap is None:
-            self._first_fmap = (path, fmap.channels)
+            self._first_fmap = (path, fmap.shape[2])
         first, channels = self._first_fmap
-        if fmap.channels != channels:
+        if fmap.shape[2] != channels:
             raise ConfigInvalidError(
-                f"{path}: {fmap.channels} channels, but {first} has {channels}"
+                f"{path}: {fmap.shape[2]} channels, but {first} has {channels}"
             )
         return fmap
 
-    def load_image_fmap(self, image_id: str) -> FeatureMap:
+    def load_image_fmap(self, image_id: str) -> np.ndarray:
         return self._read_fmap(self.image(image_id).fmap_path)
 
     def load_video_frames(self, video_id: str) -> VideoFrames:
@@ -559,11 +564,12 @@ def write_tracks(path: str | Path, tracks: Sequence[Track]) -> None:
 
 
 def read_tracks(path: str | Path) -> dict[str, list[Track]]:
-    """Each video's tracks in file order; a (video_id, track_id) pair that
-    repeats is refused with :class:`ConfigInvalidError` naming its line."""
+    """Each video's tracks in file order; a track whose frame indices do
+    not increase, or a (video_id, track_id) pair that repeats, is refused
+    with :class:`ConfigInvalidError` naming its line."""
     by_video: dict[str, list[Track]] = {}
     for row in read_jsonl(path):
-        track = Track(
+        fields = dict(
             video_id=row.typed("video_id", _text),
             track_id=row.typed("track_id", _integer),
             rank=row.typed("rank", _integer),
@@ -572,6 +578,10 @@ def read_tracks(path: str | Path) -> dict[str, list[Track]]:
                 for f in row.typed("frames", _objects)
             ),
         )
+        try:
+            track = Track(**fields)
+        except ConfigInvalidError as exc:
+            raise ConfigInvalidError(f"{row.where}: {exc}") from None
         tracks = by_video.setdefault(track.video_id, [])
         if any(t.track_id == track.track_id for t in tracks):
             raise ConfigInvalidError(

@@ -1,11 +1,12 @@
 """Feature-map storage and dense sliding-window cosine matching.
 
-A feature map is an ``(height, width, channels)`` grid of real activations.
-A query window is an ``(h_cells, w_cells, channels)`` float64 array cut
-from a region's map by :func:`build_query_window`; matching slides it over
-every placement on a frame's map and scores each with cosine similarity,
-all the queries of one frame in one :func:`scan_queries` that groups them
-by window shape.
+A feature map is an ``(height, width, channels)`` grid of real activations;
+in memory it is the read-only float32 array :func:`read_fmap` returns, a
+view of its file's bytes.  A query window is an ``(h_cells, w_cells,
+channels)`` float64 array cut from a region's map by
+:func:`build_query_window`; matching slides it over every placement on a
+frame's map and scores each with cosine similarity, all the queries of one
+frame in one :func:`scan_queries` that groups them by window shape.
 
 FMAP binary format (bit-exact):
     magic bytes ``FMAP`` | version byte ``0x01`` | three little-endian u32
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -33,33 +33,6 @@ from .geometry import BBox
 
 FMAP_MAGIC = b"FMAP"
 FMAP_VERSION = 1
-
-
-@dataclass(frozen=True)
-class FeatureMap:
-    """Dense (height, width, channels) activation grid, immutable after load."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        if self.data.ndim != 3:
-            raise ConfigInvalidError(f"feature map must be 3-D, got shape {self.data.shape}")
-        if min(self.data.shape) < 1:
-            raise ConfigInvalidError(f"feature map has empty dimension {self.data.shape}")
-        if not np.all(np.isfinite(self.data)):
-            raise ConfigInvalidError("feature map contains non-finite values")
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def channels(self) -> int:
-        return self.data.shape[2]
 
 
 def window_shape_for_box(box: BBox, target_cells: int) -> tuple[int, int]:
@@ -87,7 +60,7 @@ def window_shape_for_box(box: BBox, target_cells: int) -> tuple[int, int]:
 
 
 def build_query_window(
-    fmap: FeatureMap, box: BBox, cell_stride: float, target_cells: int
+    fmap: np.ndarray, box: BBox, cell_stride: float, target_cells: int
 ) -> np.ndarray:
     """The (h_cells, w_cells, C) float64 window matching a pixel box on its
     own map: the box's covering cell rectangle, bilinearly resampled to the
@@ -96,7 +69,7 @@ def build_query_window(
     cut scores 1.0 bit for bit.
     """
     x, y, x_end, y_end = _cell_rect(fmap, box.as_list(), cell_stride)
-    patch = fmap.data[y:y_end, x:x_end, :].astype(np.float64)
+    patch = fmap[y:y_end, x:x_end, :].astype(np.float64)
     h, w = patch.shape[:2]
     out_w, out_h = window_shape_for_box(box, target_cells)
     if (out_w, out_h) == (w, h):
@@ -164,7 +137,7 @@ def _placement_scores(
 
 
 def scan_queries(
-    queries: Sequence[np.ndarray], fmap: FeatureMap, top_n: int
+    queries: Sequence[np.ndarray], fmap: np.ndarray, top_n: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each query's ``top_n`` best placements on ``fmap``: ``score``
     (queries, top_n) and ``place`` (queries, top_n, 2) of (cell_y, cell_x),
@@ -180,22 +153,23 @@ def scan_queries(
     """
     if top_n < 1:
         raise ValueError(f"top_n must be >= 1, got {top_n}")
+    height, width, channels = fmap.shape
     for q in queries:
-        if fmap.channels != q.shape[2]:
-            raise ValueError(f"channel mismatch: query {q.shape[2]} vs map {fmap.channels}")
+        if channels != q.shape[2]:
+            raise ValueError(f"channel mismatch: query {q.shape[2]} vs map {channels}")
     score = np.full((len(queries), top_n), -np.inf)
     place = np.full((len(queries), top_n, 2), -1)
     groups: dict[tuple[int, int], list[int]] = {}
     for i, query in enumerate(queries):
         groups.setdefault(query.shape[:2], []).append(i)
     for (h, w), members in groups.items():
-        if w > fmap.width or h > fmap.height:
+        if w > width or h > height:
             raise WindowTooLargeError(
-                f"query of {h}x{w} cells does not fit the {fmap.height}x{fmap.width} map"
+                f"query of {h}x{w} cells does not fit the {height}x{width} map"
             )
         flat = np.stack([queries[i].reshape(-1) for i in members])
         norms = np.array([np.linalg.norm(qf) for qf in flat])
-        scores = _placement_scores(fmap.data, flat, norms, h, w)
+        scores = _placement_scores(fmap, flat, norms, h, w)
         grid = scores.shape[1:]
         scores = scores.reshape(len(members), -1)
         # placements run in (y, x) order, which a stable sort keeps on ties
@@ -208,16 +182,17 @@ def scan_queries(
 POOL_SURROUND_MARGIN = 2
 
 
-def _cell_rect(fmap: FeatureMap, corners, cell_stride: float) -> tuple[int, int, int, int]:
+def _cell_rect(fmap: np.ndarray, corners, cell_stride: float) -> tuple[int, int, int, int]:
     x_min, y_min, x_max, y_max = corners
-    x0 = max(0, min(int(math.floor(x_min / cell_stride)), fmap.width - 1))
-    y0 = max(0, min(int(math.floor(y_min / cell_stride)), fmap.height - 1))
-    x1 = max(x0 + 1, min(int(math.ceil(x_max / cell_stride)), fmap.width))
-    y1 = max(y0 + 1, min(int(math.ceil(y_max / cell_stride)), fmap.height))
+    height, width = fmap.shape[:2]
+    x0 = max(0, min(int(math.floor(x_min / cell_stride)), width - 1))
+    y0 = max(0, min(int(math.floor(y_min / cell_stride)), height - 1))
+    x1 = max(x0 + 1, min(int(math.ceil(x_max / cell_stride)), width))
+    y1 = max(y0 + 1, min(int(math.ceil(y_max / cell_stride)), height))
     return x0, y0, x1, y1
 
 
-def pool_box_feature(fmap: FeatureMap, coords: np.ndarray, cell_stride: float) -> np.ndarray:
+def pool_box_feature(fmap: np.ndarray, coords: np.ndarray, cell_stride: float) -> np.ndarray:
     """Center-surround pooled descriptors of the (N, 4) pixel corner rows
     ``coords``, one (N, 2C) float64 row per box: interior mean || ring mean.
 
@@ -232,13 +207,13 @@ def pool_box_feature(fmap: FeatureMap, coords: np.ndarray, cell_stride: float) -
     other rows: each is summed over its own float64 slice of the map.
     """
     m = POOL_SURROUND_MARGIN
-    c = fmap.channels
+    height, width, c = fmap.shape
     out = np.zeros((len(coords), 2 * c))
     for i, corners in enumerate(coords.tolist()):
         x0, y0, x1, y1 = _cell_rect(fmap, corners, cell_stride)
         ox0, oy0 = max(0, x0 - m), max(0, y0 - m)
-        ox1, oy1 = min(fmap.width, x1 + m), min(fmap.height, y1 + m)
-        outer = fmap.data[oy0:oy1, ox0:ox1, :].astype(np.float64)
+        ox1, oy1 = min(width, x1 + m), min(height, y1 + m)
+        outer = fmap[oy0:oy1, ox0:ox1, :].astype(np.float64)
         inner_sum = outer[y0 - oy0 : y1 - oy0, x0 - ox0 : x1 - ox0, :].sum(axis=(0, 1))
         out[i, :c] = inner_sum / ((y1 - y0) * (x1 - x0))  # the bits of .mean(axis=(0, 1))
         ring_cells = (oy1 - oy0) * (ox1 - ox0) - (y1 - y0) * (x1 - x0)
@@ -247,17 +222,18 @@ def pool_box_feature(fmap: FeatureMap, coords: np.ndarray, cell_stride: float) -
     return out
 
 
-def write_fmap(path: str | Path, fmap: FeatureMap) -> None:
-    """Serialize to the FMAP binary format (see module docstring)."""
-    payload = fmap.data.astype("<f4").tobytes()
-    header = FMAP_MAGIC + bytes([FMAP_VERSION]) + struct.pack(
-        "<III", fmap.height, fmap.width, fmap.channels
-    )
+def write_fmap(path: str | Path, fmap: np.ndarray) -> None:
+    """Serialize an (H, W, C) array, cast to float32, to the FMAP binary
+    format (see module docstring)."""
+    header = FMAP_MAGIC + bytes([FMAP_VERSION]) + struct.pack("<III", *fmap.shape)
+    payload = fmap.astype("<f4").tobytes()
     write_atomic(path, lambda fh: fh.write(header + payload), binary=True)
 
 
-def read_fmap(path: str | Path) -> FeatureMap:
-    """Parse an FMAP file, validating magic, version, and payload length."""
+def read_fmap(path: str | Path) -> np.ndarray:
+    """The (H, W, C) float32 map of an FMAP file: a read-only view of the
+    file's bytes, after validating magic, version, payload length, that no
+    dimension is empty and that every value is finite."""
     raw = Path(path).read_bytes()
     if len(raw) < 17 or raw[:4] != FMAP_MAGIC:
         raise ConfigInvalidError(f"{path}: not an FMAP file")
@@ -269,9 +245,9 @@ def read_fmap(path: str | Path) -> FeatureMap:
         raise ConfigInvalidError(
             f"{path}: payload length {len(raw)} != expected {expected}"
         )
-    data = np.frombuffer(raw[17:], dtype="<f4").reshape(h, w, c).astype(np.float32)
-    try:
-        return FeatureMap(data=data)
-    except ConfigInvalidError as exc:
-        raise ConfigInvalidError(f"{path}: {exc}") from None
-
+    fmap = np.frombuffer(raw, "<f4", offset=17).reshape(h, w, c)
+    if min(fmap.shape) < 1:
+        raise ConfigInvalidError(f"{path}: feature map has empty dimension {fmap.shape}")
+    if not np.all(np.isfinite(fmap)):
+        raise ConfigInvalidError(f"{path}: feature map contains non-finite values")
+    return fmap

@@ -444,9 +444,13 @@ def run_eval(
     """
     stage = _Stage(cfg, "eval")
     category = ds.category
-    gt = dataio.read_gt(ds.path("gt")).get(category)
+    gt_path = ds.path("gt")
+    gt = dataio.read_gt(gt_path).get(category)
     if gt is None:
         raise MissingInputError(f"gt.jsonl has no boxes for category {category!r}")
+    unknown = sorted(set(gt) - set(ds.entries))
+    if unknown:
+        raise ConfigInvalidError(f"{gt_path}: image {unknown[0]!r} is not in the manifest")
 
     ablation = {}
     primary_pgt = None

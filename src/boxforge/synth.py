@@ -25,7 +25,7 @@ import numpy as np
 
 from .dataio import MANIFEST_VERSION, dump_json, write_gt, write_proposals, write_tracks
 from .errors import ConfigInvalidError
-from .featmap import FeatureMap, write_fmap
+from .featmap import write_fmap
 from .geometry import BBox
 from .mining import NEGATIVE, POSITIVE
 from .tracks import Track
@@ -220,7 +220,7 @@ def gen_dataset(config: SynthConfig, out_dir: str | Path) -> SynthTruth:
         image_entries.append(
             {"id": image_id, "label": POSITIVE, "fmap": f"fmaps/{image_id}.fmap", "size": [W, H]}
         )
-        write_fmap(out / "fmaps" / f"{image_id}.fmap", FeatureMap(data=arr.astype(np.float32)))
+        write_fmap(out / "fmaps" / f"{image_id}.fmap", arr)
         gt_rows.append((image_id, CATEGORY, list(instances)))
         gt_boxes[image_id] = list(instances)
 
@@ -242,7 +242,7 @@ def gen_dataset(config: SynthConfig, out_dir: str | Path) -> SynthTruth:
         image_entries.append(
             {"id": image_id, "label": NEGATIVE, "fmap": f"fmaps/{image_id}.fmap", "size": [W, H]}
         )
-        write_fmap(out / "fmaps" / f"{image_id}.fmap", FeatureMap(data=arr.astype(np.float32)))
+        write_fmap(out / "fmaps" / f"{image_id}.fmap", arr)
 
     # Videos: one moving object, 8 random-walk distractor tracks.
     video_entries = []
@@ -263,7 +263,7 @@ def gen_dataset(config: SynthConfig, out_dir: str | Path) -> SynthTruth:
             _plant(arr, box, category_sig, config.signature_strength)
             true_frames.append((f, box))
             rel = f"fmaps/{video_id}/frame_{f:03d}.fmap"
-            write_fmap(out / rel, FeatureMap(data=arr.astype(np.float32)))
+            write_fmap(out / rel, arr)
             frame_paths.append(rel)
             x = _walk_step(rng, x, 0, W - bw)
             y = _walk_step(rng, y, 0, H - bh)

@@ -16,7 +16,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import DegenerateBoxError, NoFramesError
-from .featmap import FeatureMap, placement_boxes, scan_queries
+from .featmap import placement_boxes, scan_queries
 from .geometry import BBox, intersection_area, transfer_box
 from .tracks import FrameSelection
 
@@ -59,7 +59,7 @@ class TopMatches:
 
 
 def match_regions(
-    queries: Mapping[str, np.ndarray], videos: Sequence[tuple[str, Sequence[FeatureMap]]],
+    queries: Mapping[str, np.ndarray], videos: Sequence[tuple[str, Sequence[np.ndarray]]],
     on_frame: Callable, n: int, frame_stride: int, cell_stride: float,
 ) -> tuple[list, TopMatches]:
     """Scan the queries (region id -> (h_cells, w_cells, C) float64 window)

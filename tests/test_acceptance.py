@@ -22,7 +22,6 @@ from boxforge.detector import (
     LinearModel,
     regression_pairs,
 )
-from boxforge.featmap import FeatureMap
 from boxforge.geometry import BBox, box_array, iou, transfer_box
 from boxforge.metrics import average_precision, corloc
 from boxforge.mining import (
@@ -123,10 +122,10 @@ def exhaustive_scan(query, fm, top_n):
     nq = float(np.linalg.norm(qf))
     h, w = query.shape[:2]
     hits = []
-    for cy in range(fm.height - h + 1):
-        for cx in range(fm.width - w + 1):
+    for cy in range(fm.shape[0] - h + 1):
+        for cx in range(fm.shape[1] - w + 1):
             wf = (
-                fm.data[cy : cy + h, cx : cx + w, :]
+                fm[cy : cy + h, cx : cx + w, :]
                 .astype(np.float64)
                 .reshape(-1)
             )
@@ -144,11 +143,10 @@ def test_criterion_2_matching_oracle():
         h = int(rng.integers(5, 17))
         w = int(rng.integers(5, 17))
         c = int(rng.integers(1, 9))
-        arr = rng.normal(size=(h, w, c)).astype(np.float32)
+        fm = rng.normal(size=(h, w, c)).astype(np.float32)
         if trial % 5 == 0:
             # duplicated content forces exact score ties
-            arr[:, : w // 2, :] = arr[:, w - w // 2 :, :][:, : w // 2, :]
-        fm = FeatureMap(data=arr)
+            fm[:, : w // 2, :] = fm[:, w - w // 2 :, :][:, : w // 2, :]
         qw = int(rng.integers(2, min(6, w) + 1))
         qh = int(rng.integers(2, min(6, h) + 1))
         if trial % 2 == 0:

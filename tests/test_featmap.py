@@ -9,7 +9,6 @@ import hypothesis.strategies as st
 from boxforge import atomic, featmap
 from boxforge.errors import ConfigInvalidError, WindowTooLargeError
 from boxforge.featmap import (
-    FeatureMap,
     build_query_window,
     placement_boxes,
     pool_box_feature,
@@ -22,7 +21,7 @@ from boxforge.geometry import BBox, box_array
 
 
 def fmap_from(arr):
-    return FeatureMap(data=np.asarray(arr, dtype=np.float32))
+    return np.asarray(arr, dtype=np.float32)
 
 
 def random_fmap(rng, h, w, c):
@@ -32,7 +31,7 @@ def random_fmap(rng, h, w, c):
 def window(fmap, rect):
     """The (x, y, w, h) cell rectangle of ``fmap`` as a float64 query window."""
     x, y, w, h = rect
-    return fmap.data[y : y + h, x : x + w, :].astype(np.float64)
+    return fmap[y : y + h, x : x + w, :].astype(np.float64)
 
 
 def shape_oracle(aspect, target):
@@ -86,7 +85,7 @@ class TestExtractWindow:
         fm = random_fmap(rng, 4, 5, 3)
         q = build_query_window(fm, BBox(0, 0, 5, 4), 1.0, 20)  # assigned (5, 4)
         assert q.dtype == np.float64
-        assert np.array_equal(q, fm.data)
+        assert np.array_equal(q, fm)
 
     def test_single_cell(self):
         # a window is at least 2 x 2 cells, each one the cell's value
@@ -94,7 +93,7 @@ class TestExtractWindow:
         fm = random_fmap(rng, 4, 5, 3)
         q = build_query_window(fm, BBox(2, 3, 3, 4), 1.0, 1)
         assert q.shape == (2, 2, 3)
-        assert np.allclose(q, fm.data[3, 2, :])
+        assert np.allclose(q, fm[3, 2, :])
 
     def test_known_slice_order(self):
         # one channel; values encode (y, x) so flattening order is visible
@@ -178,10 +177,10 @@ def scan_oracle(query, fm, top_n):
     nq = float(np.linalg.norm(qf))
     h, w = query.shape[:2]
     hits = []
-    for cy in range(fm.height - h + 1):
-        for cx in range(fm.width - w + 1):
+    for cy in range(fm.shape[0] - h + 1):
+        for cx in range(fm.shape[1] - w + 1):
             wf = (
-                fm.data[cy : cy + h, cx : cx + w, :]
+                fm[cy : cy + h, cx : cx + w, :]
                 .astype(np.float64)
                 .reshape(-1)
             )
@@ -249,7 +248,7 @@ class TestScanOneQuery:
         fm = random_fmap(rng, 7, 7, 3)
         q = window(fm, (1, 1, 3, 3))
         base = scan_hits(q, fm, 5)
-        scaled = scan_hits(q, fmap_from(fm.data * 3.7), 5)
+        scaled = scan_hits(q, fmap_from(fm * 3.7), 5)
         assert len(base) == len(scaled) == 5
         for (a, *at), (b, *bt) in zip(base, scaled):
             # maps store float32, so the rescaled grid is rounded before scoring
@@ -378,7 +377,21 @@ class TestFmapIo:
         fm = random_fmap(rng, 5, 6, 3)
         write_fmap(tmp_path / "a.fmap", fm)
         back = read_fmap(tmp_path / "a.fmap")
-        assert np.array_equal(back.data, fm.data)
+        assert np.array_equal(back, fm)
+
+    def test_read_gives_a_read_only_float32_array(self, tmp_path):
+        write_fmap(tmp_path / "a.fmap", random_fmap(np.random.default_rng(7), 5, 6, 3))
+        fm = read_fmap(tmp_path / "a.fmap")
+        assert type(fm) is np.ndarray and fm.shape == (5, 6, 3) and fm.dtype == np.float32
+        assert not fm.flags.writeable
+        with pytest.raises(ValueError):
+            fm[0, 0, 0] = 1.0
+
+    def test_float64_writes_the_bytes_of_its_float32_cast(self, tmp_path):
+        arr = np.random.default_rng(9).normal(size=(4, 3, 5))
+        write_fmap(tmp_path / "f64.fmap", arr)
+        write_fmap(tmp_path / "f32.fmap", arr.astype(np.float32))
+        assert (tmp_path / "f64.fmap").read_bytes() == (tmp_path / "f32.fmap").read_bytes()
 
     def test_bit_exact_layout(self, tmp_path):
         arr = np.array([[[1.5, -2.0], [0.0, 4.0]]], dtype=np.float32)  # 1x2x2
@@ -464,13 +477,14 @@ def pool_one(fmap, box, cell_stride):
     """One box pooled as the one-box ``pool_box_feature`` did, kept as the
     oracle of each row of the many-row one."""
     m = featmap.POOL_SURROUND_MARGIN
-    x0 = max(0, min(int(math.floor(box.x_min / cell_stride)), fmap.width - 1))
-    y0 = max(0, min(int(math.floor(box.y_min / cell_stride)), fmap.height - 1))
-    x1 = max(x0 + 1, min(int(math.ceil(box.x_max / cell_stride)), fmap.width))
-    y1 = max(y0 + 1, min(int(math.ceil(box.y_max / cell_stride)), fmap.height))
+    height, width = fmap.shape[:2]
+    x0 = max(0, min(int(math.floor(box.x_min / cell_stride)), width - 1))
+    y0 = max(0, min(int(math.floor(box.y_min / cell_stride)), height - 1))
+    x1 = max(x0 + 1, min(int(math.ceil(box.x_max / cell_stride)), width))
+    y1 = max(y0 + 1, min(int(math.ceil(box.y_max / cell_stride)), height))
     ox0, oy0 = max(0, x0 - m), max(0, y0 - m)
-    ox1, oy1 = min(fmap.width, x1 + m), min(fmap.height, y1 + m)
-    outer = fmap.data[oy0:oy1, ox0:ox1, :].astype(np.float64)
+    ox1, oy1 = min(width, x1 + m), min(height, y1 + m)
+    outer = fmap[oy0:oy1, ox0:ox1, :].astype(np.float64)
     inner_sum = outer[y0 - oy0 : y1 - oy0, x0 - ox0 : x1 - ox0, :].sum(axis=(0, 1))
     inner = inner_sum / ((y1 - y0) * (x1 - x0))
     outer_sum = outer.sum(axis=(0, 1))
@@ -478,7 +492,7 @@ def pool_one(fmap, box, cell_stride):
     if ring_cells > 0:
         ring = (outer_sum - inner_sum) / ring_cells
     else:
-        ring = np.zeros(fmap.channels)
+        ring = np.zeros(fmap.shape[2])
     return np.concatenate([inner, ring])
 
 
@@ -543,7 +557,7 @@ class TestPooling:
     def test_each_row_has_the_bits_of_pooling_its_box_alone(self, case):
         fmap, coords, stride = case
         got = pool_box_feature(fmap, coords, stride)
-        assert got.shape == (len(coords), 2 * fmap.channels) and got.dtype == np.float64
+        assert got.shape == (len(coords), 2 * fmap.shape[2]) and got.dtype == np.float64
         for row, corners in zip(got, coords.tolist()):
             assert row.tobytes() == pool_one(fmap, BBox(*corners), stride).tobytes()
 
@@ -557,10 +571,11 @@ def test_build_query_window_snaps_and_resamples():
 
 def cell_rect(fmap, box, cell_stride):
     """The (x, y, w, h) cells a box covers, clamped into the map."""
-    x0 = max(0, min(int(math.floor(box.x_min / cell_stride)), fmap.width - 1))
-    y0 = max(0, min(int(math.floor(box.y_min / cell_stride)), fmap.height - 1))
-    x1 = max(x0 + 1, min(int(math.ceil(box.x_max / cell_stride)), fmap.width))
-    y1 = max(y0 + 1, min(int(math.ceil(box.y_max / cell_stride)), fmap.height))
+    height, width = fmap.shape[:2]
+    x0 = max(0, min(int(math.floor(box.x_min / cell_stride)), width - 1))
+    y0 = max(0, min(int(math.floor(box.y_min / cell_stride)), height - 1))
+    x1 = max(x0 + 1, min(int(math.ceil(box.x_max / cell_stride)), width))
+    y1 = max(y0 + 1, min(int(math.ceil(box.y_max / cell_stride)), height))
     return x0, y0, x1 - x0, y1 - y0
 
 
@@ -571,9 +586,9 @@ def window_oracle(fmap, box, cell_stride, target_cells):
     x, y, w, h = cell_rect(fmap, box, cell_stride)
     out_w, out_h = window_shape_for_box(box, target_cells)
     if (out_w, out_h) == (w, h):
-        data = np.ascontiguousarray(fmap.data[y : y + h, x : x + w, :]).reshape(-1)
+        data = np.ascontiguousarray(fmap[y : y + h, x : x + w, :]).reshape(-1)
         return data.astype(np.float64)  # as the scan read it
-    patch = fmap.data[y : y + h, x : x + w, :].astype(np.float64)
+    patch = fmap[y : y + h, x : x + w, :].astype(np.float64)
     ys = (np.arange(out_h) + 0.5) * (h / out_h) - 0.5
     xs = (np.arange(out_w) + 0.5) * (w / out_w) - 0.5
     y0 = np.clip(np.floor(ys).astype(int), 0, h - 1)
@@ -612,5 +627,5 @@ def test_window_has_the_bits_of_the_slice_then_resample_oracle(case):
     fmap, box, stride, target = case
     q = build_query_window(fmap, box, stride, target)
     w, h = window_shape_for_box(box, target)
-    assert q.shape == (h, w, fmap.channels) and q.dtype == np.float64
+    assert q.shape == (h, w, fmap.shape[2]) and q.dtype == np.float64
     assert q.tobytes() == window_oracle(fmap, box, stride, target).tobytes()

@@ -127,6 +127,14 @@ class TestConfigFile:
         with pytest.raises(ConfigInvalidError, match="unknown key 'kernel'"):
             build_config(str(cfg_file))
 
+    def test_missing_file_is_a_missing_input(self, synth_dir, tmp_path, capsys):
+        cfg_file = tmp_path / "nonexistent.cfg"
+        code = run_cli("mine", "--manifest", synth_dir / "manifest.json", "--out", tmp_path / "o",
+                       "--config", cfg_file)
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "MissingInputError", "message": f"missing config file: {cfg_file}"}
+
     def test_removed_kernel_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["pipeline", "--seed", "0", "--kernel", "gaussian"])
@@ -572,10 +580,8 @@ class TestFmapChannels:
     def add_channel(data, relpath) -> tuple[Path, int]:
         path = data / relpath
         fmap = featmap.read_fmap(path)
-        featmap.write_fmap(path, featmap.FeatureMap(np.concatenate(
-            [fmap.data, fmap.data[:, :, :1]], axis=2
-        )))
-        return path, fmap.channels
+        featmap.write_fmap(path, np.concatenate([fmap, fmap[:, :, :1]], axis=2))
+        return path, fmap.shape[2]
 
     @staticmethod
     def refused(capsys, path, channels):
@@ -1171,6 +1177,21 @@ class TestMalformedJson:
         assert err["error"] == "ConfigInvalidError"
         assert "proposals.jsonl line 6" in err["message"]
 
+    @pytest.mark.parametrize("name", ["proposals.jsonl", "manifest.json", "run.cfg"])
+    def test_bytes_not_utf8_are_a_config_error(self, synth_dir, tmp_path, capsys, name):
+        data = self.copy_dataset(synth_dir, tmp_path)
+        (data / "run.cfg").write_text("# no settings\n")
+        path = data / name
+        n_lines = len(path.read_bytes().splitlines())
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        code = run_cli("mine", "--manifest", data / "manifest.json", "--out", tmp_path / "o",
+                       "--config", data / "run.cfg")
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigInvalidError"
+        where = f"{path} line {n_lines + 1}" if name.endswith(".jsonl") else str(path)
+        assert err["message"].startswith(f"{where}: not UTF-8 text (")
+
     @settings(max_examples=25, derandomize=True)
     @given(st.data())
     def test_malformed_proposal_row_names_its_line(self, synth_dir, data):
@@ -1275,6 +1296,11 @@ class TestMalformedJson:
          '{"video_id": "w", "track_id": 0, "rank": 0, "frames": [{"t": 0, "box": [0, 0, 1, 1]}]}\n'
          '{"video_id": "v", "track_id": 0, "rank": 1, "frames": [{"t": 0, "box": [0, 0, 2, 2]}]}',
          "line 3: video 'v' has track 0 twice"),
+        (dataio.read_tracks,
+         '{"video_id": "v", "track_id": 0, "rank": 0, "frames": [{"t": 0, "box": [0, 0, 1, 1]}]}\n'
+         '{"video_id": "v", "track_id": 1, "rank": 1, "frames": '
+         '[{"t": 2, "box": [0, 0, 1, 1]}, {"t": 2, "box": [0, 0, 2, 2]}]}',
+         "line 2: track v/1 has non-increasing frame indices"),
         (dataio.read_detections, '{"image_id": 7, "box": [0, 0, 1, 1], "score": 1}',
          "line 1: bad value for key 'image_id'"),
         (dataio.read_detections, '[1, 2]', "line 1: expected a JSON object"),
@@ -1970,6 +1996,21 @@ class TestManifest:
         assert err == {
             "error": "ConfigInvalidError",
             "message": f"{data / 'tracks.jsonl'}: video 'no_such_video' is not in the manifest",
+        }
+
+    def test_gt_of_an_unlisted_image_refused(self, synth_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(synth_dir, data)
+        rows = list(dataio.read_jsonl(data / "gt.jsonl"))
+        rows.append({**rows[-1], "image_id": "no_such_image"})
+        dataio.write_jsonl(data / "gt.jsonl", rows)
+        code = run_cli("pipeline", "--manifest", data / "manifest.json", "--out", tmp_path / "o",
+                       "--seed", 0, "--target-cells", 30, "--frame-stride", 1, "--bandwidth", 2)
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {
+            "error": "ConfigInvalidError",
+            "message": f"{data / 'gt.jsonl'}: image 'no_such_image' is not in the manifest",
         }
 
     def test_lookups_by_id(self, synth_dir):

@@ -197,4 +197,4 @@ def test_truth_json_names_true_tracks(tmp_path):
 def test_fmap_files_parse_with_expected_shape(tmp_path):
     gen_dataset(SMALL, tmp_path)
     fm = read_fmap(tmp_path / "fmaps" / "pos_000.fmap")
-    assert (fm.height, fm.width, fm.channels) == (16, 16, 8)
+    assert fm.shape == (16, 16, 8)

@@ -9,7 +9,7 @@ import hypothesis.strategies as st
 
 from boxforge import dataio
 from boxforge.errors import NoFramesError
-from boxforge.featmap import FeatureMap, scan_queries
+from boxforge.featmap import scan_queries
 from boxforge.geometry import BBox, transfer_box
 from boxforge.tracks import FrameSelection
 from boxforge.transfer import (
@@ -22,7 +22,7 @@ from test_featmap import map_window_to_pixels, window
 
 
 def fmap_from(arr):
-    return FeatureMap(data=np.asarray(arr, dtype=np.float32))
+    return np.asarray(arr, dtype=np.float32)
 
 
 def video(rng, n_frames, h=8, w=8, c=3):
@@ -135,10 +135,10 @@ class TestMatchRegionsTop:
         all_hits = []
         for vid, frames in videos:
             for fi, fm in enumerate(frames):
-                for cy in range(fm.height - h + 1):
-                    for cx in range(fm.width - w + 1):
+                for cy in range(fm.shape[0] - h + 1):
+                    for cx in range(fm.shape[1] - w + 1):
                         wf = (
-                            fm.data[cy : cy + h, cx : cx + w, :]
+                            fm[cy : cy + h, cx : cx + w, :]
                             .astype(np.float64)
                             .reshape(-1)
                         )
