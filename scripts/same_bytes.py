@@ -2,6 +2,7 @@
 """Check that this checkout writes the same bytes as a base revision.
 
     python3 scripts/same_bytes.py --base HEAD~1 [--coretype Haswell,Sandybridge]
+                                  [--blas-threads 1,2]
 
 Exports ``--base`` with ``git archive`` into a temporary directory.  Then,
 for each benchmark workload (``WORKLOADS`` in ``perfbench/run.py``), it runs
@@ -18,7 +19,9 @@ first differing line, and the exit code is 1 on any difference.
 ``--coretype NAME[,NAME]`` also reruns this checkout's workloads once per
 OpenBLAS kernel, with ``OPENBLAS_CORETYPE=NAME`` set in the children's
 environment only, and prints the files that differ from this checkout's
-default run.  Those differences do not change the exit code.
+default run.  ``--blas-threads N[,N]`` does the same once per OpenBLAS
+thread count, with ``OPENBLAS_NUM_THREADS=N``.  Those differences do not
+change the exit code.
 """
 
 from __future__ import annotations
@@ -48,13 +51,16 @@ def export_revision(rev: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
-def run_workloads(tree: Path, work: Path, workloads: dict, coretype: str | None = None) -> None:
+def run_workloads(
+    tree: Path, work: Path, workloads: dict, setting: tuple[str, str] | None = None
+) -> None:
     """``synth`` once and ``pipeline --heatmaps`` at each of :data:`SEEDS`
     per workload, from ``tree``'s ``src/``, into ``work/<workload>/``; with
-    ``coretype``, each child runs under ``OPENBLAS_CORETYPE=coretype``."""
+    ``setting``, a ``(variable, value)`` pair such as
+    ``("OPENBLAS_CORETYPE", "Haswell")``, each child runs with it set."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    if coretype:
-        env["OPENBLAS_CORETYPE"] = coretype
+    if setting:
+        env[setting[0]] = setting[1]
 
     def boxforge(*args: str) -> None:
         proc = subprocess.run(
@@ -118,16 +124,26 @@ def _count(differences: list[str]) -> str:
     return f"{len(differences) or 'no'} difference{'' if len(differences) == 1 else 's'}"
 
 
+def _names(text: str) -> list[str]:
+    return [n for n in text.split(",") if n]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
     parser.add_argument(
-        "--coretype", type=lambda text: [n for n in text.split(",") if n], default=[],
-        metavar="NAME[,NAME]",
+        "--coretype", type=_names, default=[], metavar="NAME[,NAME]",
         help="also rerun this checkout under each OPENBLAS_CORETYPE and list the files "
         "that differ from its default run",
     )
+    parser.add_argument(
+        "--blas-threads", type=_names, default=[], metavar="N[,N]",
+        help="also rerun this checkout under each OPENBLAS_NUM_THREADS and list the files "
+        "that differ from its default run",
+    )
     args = parser.parse_args(argv)
+    settings = [("OPENBLAS_CORETYPE", name) for name in args.coretype]
+    settings += [("OPENBLAS_NUM_THREADS", n) for n in args.blas_threads]
 
     sys.path.insert(0, str(ROOT / "perfbench"))
     from run import WORKLOADS
@@ -139,12 +155,12 @@ def main(argv: list[str] | None = None) -> int:
             work.mkdir()
             run_workloads(tree, work, WORKLOADS)
         n_files, differences = compare_trees(base_work, head_work)
-        by_kernel = {}
-        for name in args.coretype:
-            work = Path(tmp, f"coretype-{name}")
+        by_setting = {}
+        for variable, value in settings:
+            work = Path(tmp, f"{variable}-{value}")
             work.mkdir()
-            run_workloads(ROOT, work, WORKLOADS, coretype=name)
-            by_kernel[name] = compare_trees(head_work, work)[1]
+            run_workloads(ROOT, work, WORKLOADS, setting=(variable, value))
+            by_setting[f"{variable}={value}"] = compare_trees(head_work, work)[1]
     for line in differences:
         print(line)
     seeds = " and ".join(map(str, SEEDS))
@@ -152,12 +168,12 @@ def main(argv: list[str] | None = None) -> int:
         f"same_bytes: {n_files} files from {len(WORKLOADS)} workloads "
         f"({', '.join(WORKLOADS)}) at seeds {seeds} against {args.base}: {_count(differences)}"
     )
-    for name, kernel_differences in by_kernel.items():
-        for line in kernel_differences:
-            print(f"OPENBLAS_CORETYPE={name}: {line}")
+    for name, setting_differences in by_setting.items():
+        for line in setting_differences:
+            print(f"{name}: {line}")
         print(
-            f"same_bytes: this checkout under OPENBLAS_CORETYPE={name} against its "
-            f"default run: {_count(kernel_differences)}"
+            f"same_bytes: this checkout under {name} against its "
+            f"default run: {_count(setting_differences)}"
         )
     return 1 if differences else 0
 

@@ -82,10 +82,7 @@ COMMANDS = (
     Command("train", "run_train", need_seed=True, flags=(
         _PSEUDO_GT, Flag("--tag", "tag", "artifact name suffix"),
     )),
-    Command("update", "run_update", flags=(
-        _PSEUDO_GT,
-        Flag("--model", "model", f"model json (default: <out>/{pipeline.MODEL_INITIAL})"),
-    )),
+    Command("update", "run_update", need_seed=True, flags=(_PSEUDO_GT,)),
     Command("regress", "run_regress", flags=(
         _PSEUDO_GT, Flag("--detections", "detections", "detections to refine"),
     )),

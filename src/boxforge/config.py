@@ -139,6 +139,8 @@ def parse_config_file(path: str | Path) -> dict:
         if key not in _BY_KEY:
             raise ConfigInvalidError(f"{path}:{lineno}: unknown key {key!r}")
         setting = _BY_KEY[key]
+        if setting.field in fields:
+            raise ConfigInvalidError(f"{path}:{lineno}: repeated key {key!r}")
         fields[setting.field] = _parse(setting, raw, f"{path}:{lineno}")
     if "bandwidth" in fields and "bandwidth_grid" in fields:
         raise ConfigInvalidError(f"{path}: b and b_grid are mutually exclusive")

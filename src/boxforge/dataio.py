@@ -37,14 +37,19 @@ def dump_json(obj, path: str | Path) -> None:
 
 
 class _Row(dict):
-    """A parsed JSON object whose missing keys, and values of the wrong
-    type, raise :class:`ConfigInvalidError` naming where it was read."""
+    """A parsed JSON object, made from its ``(key, value)`` pairs in file
+    order, whose repeated keys, missing keys and values of the wrong type
+    raise :class:`ConfigInvalidError` naming where it was read."""
 
     __slots__ = ("where",)
 
-    def __init__(self, where: str, pairs: dict):
+    def __init__(self, where: str, pairs: list[tuple[str, object]]):
         super().__init__(pairs)
         self.where = where
+        if len(self) < len(pairs):  # a later value would silently win
+            keys = [key for key, _ in pairs]
+            repeated = next(key for key in keys if keys.count(key) > 1)
+            raise ConfigInvalidError(f"{where}: repeated key {repeated!r}")
 
     def __missing__(self, key):
         raise ConfigInvalidError(f"{self.where}: missing key {key!r}")
@@ -129,13 +134,6 @@ def _paths(value) -> tuple[Path, ...]:
     return tuple(map(Path, _names(value)))
 
 
-def _array(value) -> np.ndarray:
-    array = np.asarray(value, dtype=np.float64)
-    if not np.all(np.isfinite(array)):
-        raise ValueError("expected finite numbers")
-    return array
-
-
 def _objects(value) -> list[_Row]:
     if not isinstance(value, list) or not all(isinstance(v, _Row) for v in value):
         raise TypeError("expected a list of objects")
@@ -159,7 +157,7 @@ def load_json(path: str | Path) -> _Row:
     if not p.exists():
         raise MissingInputError(f"missing input file: {p}")
     try:
-        doc = json.loads(p.read_text("utf-8"), object_hook=lambda pairs: _Row(str(p), pairs))
+        doc = json.loads(p.read_text("utf-8"), object_pairs_hook=lambda pairs: _Row(str(p), pairs))
     except UnicodeDecodeError as exc:
         raise ConfigInvalidError(f"{p}: not UTF-8 text ({exc})") from exc
     except json.JSONDecodeError as exc:
@@ -186,7 +184,7 @@ def read_jsonl(path: str | Path) -> Iterator[_Row]:
     if not p.exists():
         raise MissingInputError(f"missing input file: {p}")
     where = str(p)
-    decoder = json.JSONDecoder(object_hook=lambda pairs: _Row(where, pairs))
+    decoder = json.JSONDecoder(object_pairs_hook=lambda pairs: _Row(where, pairs))
     with open(p, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -266,6 +264,14 @@ class Dataset:
         if entry is None:
             raise MissingInputError(f"image {image_id} not in manifest")
         return entry
+
+    def check_listed(self, path: Path, image_ids: Iterable[str]) -> None:
+        """Refuse the ids read from ``path`` when one names an image the
+        manifest does not list, with :class:`ConfigInvalidError` naming the
+        file and the image."""
+        unknown = sorted(set(image_ids).difference(self.entries))
+        if unknown:
+            raise ConfigInvalidError(f"{path}: image {unknown[0]!r} is not in the manifest")
 
     def path(self, key: str) -> Path:
         if key not in self.files:
@@ -623,25 +629,16 @@ def read_gt(path: str | Path) -> dict[str, dict[str, list[BBox]]]:
 # --- model / regressor JSON --------------------------------------------------
 
 
-def write_model(path: str | Path, model: LinearModel) -> None:
+def write_model(path: str | Path, model: LinearModel, category: str) -> None:
     dump_json(
         {
-            "category_id": model.category_id,
+            "category_id": category,
             "dim": int(model.weights.shape[0]),
             "weights": [float(w) for w in model.weights],
             "bias": float(model.bias),
         },
         path,
     )
-
-
-def read_model(path: str | Path) -> LinearModel:
-    doc = load_json(path)
-    weights, bias = doc.typed("weights", _array), doc.typed("bias", _real)
-    dim = doc.typed("dim", _integer)
-    if weights.shape != (dim,):
-        raise ConfigInvalidError(f"{path}: bad value for key 'dim' ({dim}; weights {weights.shape})")
-    return LinearModel(weights=weights, bias=bias, category_id=doc.typed("category_id", _text))
 
 
 def write_regressor(path: str | Path, reg: BoxRegressor) -> None:

@@ -54,15 +54,9 @@ class LinearModel:
 
     weights: np.ndarray
     bias: float
-    category_id: str = ""
 
     def score(self, features: np.ndarray) -> np.ndarray:
-        f = np.asarray(features, dtype=np.float64)
-        if f.shape[-1] != self.weights.shape[0]:
-            raise DimensionMismatchError(
-                f"feature dim {f.shape[-1]} != model dim {self.weights.shape[0]}"
-            )
-        return f @ self.weights + self.bias
+        return np.asarray(features, dtype=np.float64) @ self.weights + self.bias
 
 
 @dataclass(frozen=True)
@@ -125,7 +119,6 @@ def train_linear(
     learning_rate: float,
     weight_decay: float,
     seed: int,
-    category_id: str = "",
 ) -> LinearModel:
     """Minibatch subgradient descent on the regularized hinge objective.
 
@@ -146,7 +139,7 @@ def train_linear(
     w = np.zeros(dim)
     b = 0.0
     if steps <= 0:
-        return LinearModel(weights=w, bias=b, category_id=category_id)
+        return LinearModel(weights=w, bias=b)
     pos_idx = np.flatnonzero(y > 0)
     neg_idx = np.flatnonzero(y < 0)
     if not pos_idx.size or not neg_idx.size:
@@ -167,8 +160,8 @@ def train_linear(
     # margin is a signed zero, so every hinge is 1.0 and so is their mean;
     # a NaN objective, from SGD that overflowed, also gets the zero model
     if not hinge_objective(w, b, X, y, weight_decay) <= 1.0:
-        return LinearModel(weights=np.zeros(dim), bias=0.0, category_id=category_id)
-    return LinearModel(weights=w, bias=b, category_id=category_id)
+        return LinearModel(weights=np.zeros(dim), bias=0.0)
+    return LinearModel(weights=w, bias=b)
 
 
 def lsvm_update(

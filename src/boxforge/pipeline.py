@@ -17,8 +17,9 @@ from, so a stage reuses an earlier stage's result only for equal inputs.
 ``run_pipeline`` opens the dataset once and chains the stages in order,
 passing only what differs from the defaults: the bandwidth cross-validation
 chose, the updated pseudo GT that the updated train reads, and the updated
-model and pseudo GT of each update round after the first.  Running the
-stages one by one writes the same artifacts.
+pseudo GT of each update round after the first.  Running the stages one by
+one writes the same artifacts.  Models and the box regressor are outputs
+only: no stage reads them back.
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ SELECTIONS = "selections.jsonl"
 TRANSFERS = "transfers.jsonl"
 PSEUDO_GT = "pseudo_gt.jsonl"
 PSEUDO_GT_UPDATED = "pseudo_gt_updated.jsonl"
-MODEL_INITIAL = "model_initial.json"
 DETECTIONS_INITIAL = "detections_initial.jsonl"
 DETECTIONS_UPDATED = "detections_updated.jsonl"
 REGRESSOR = "regressor.json"
@@ -303,6 +303,20 @@ def _training_corpus(ds: dataio.Dataset, pseudo_gts):
     return np.concatenate(blocks), np.concatenate(labels)
 
 
+def _read_pseudo_gts(ds: dataio.Dataset, path: Path) -> dict[str, PseudoGT]:
+    """The pseudo GTs in ``path``, each of an image the manifest lists."""
+    pseudo_gts = dataio.read_pseudo_gts(path)
+    ds.check_listed(path, pseudo_gts)
+    return pseudo_gts
+
+
+def _read_detections(ds: dataio.Dataset, path: Path) -> list[tuple[str, BBox, float]]:
+    """The detections in ``path``, each of an image the manifest lists."""
+    rows = dataio.read_detections(path)
+    ds.check_listed(path, (image_id for image_id, _, _ in rows))
+    return rows
+
+
 @dataclass(frozen=True)
 class DetectorFit:
     """A trained detector and the size of its training set."""
@@ -320,7 +334,7 @@ def fit_detector(
     pairs, with :func:`train_linear`'s SGD settings; raises
     :class:`EmptyPoolError` when there is nothing to train on."""
     X, y = _training_corpus(ds, dict(pseudo_gts))
-    model = train_linear(X, y, steps, learning_rate, weight_decay, seed, category_id=ds.category)
+    model = train_linear(X, y, steps, learning_rate, weight_decay, seed)
     return DetectorFit(model=model, n_examples=int(X.shape[0]), n_positives=int(np.sum(y > 0)))
 
 
@@ -355,8 +369,8 @@ def run_train(
     """Train the linear detector on the pseudo GT and emit its detections,
     both named with ``tag``."""
     stage = _Stage(cfg, "train", tag)
-    fit = _fitted(ds, cfg, dataio.read_pseudo_gts(stage.input(pseudo_gt, PSEUDO_GT)))
-    dataio.write_model(stage.out / f"model_{tag}.json", fit.model)
+    fit = _fitted(ds, cfg, _read_pseudo_gts(ds, stage.input(pseudo_gt, PSEUDO_GT)))
+    dataio.write_model(stage.out / f"model_{tag}.json", fit.model, ds.category)
     detections = _detect(ds.images, fit.model, cfg.nms_iou)
     dataio.write_detections(stage.out / f"detections_{tag}.jsonl", detections)
     return stage.report({
@@ -369,20 +383,14 @@ def run_train(
 
 
 def run_update(
-    ds: dataio.Dataset,
-    cfg: PipelineConfig,
-    *,
-    model: Optional[str | Path] = None,
-    pseudo_gt: Optional[str | Path] = None,
+    ds: dataio.Dataset, cfg: PipelineConfig, *, pseudo_gt: Optional[str | Path] = None
 ) -> dict:
-    """Latent update: fill missing pseudo GTs, refine existing ones."""
+    """Latent update: fill missing pseudo GTs, refine existing ones, with
+    the detector ``train`` fits on the same pseudo GT and SGD settings: in
+    a pipeline run the memo's, run alone a deterministic refit."""
     stage = _Stage(cfg, "update")
-    path = stage.input(model, MODEL_INITIAL)
-    detector = dataio.read_model(path)
-    if detector.category_id != ds.category:
-        raise ConfigInvalidError(f"{path}: key 'category_id' is not {ds.category!r}")
-    before = dataio.read_pseudo_gts(stage.input(pseudo_gt, PSEUDO_GT))
-    after = lsvm_update(detector, ds.images, before, nms_iou=cfg.nms_iou)
+    before = _read_pseudo_gts(ds, stage.input(pseudo_gt, PSEUDO_GT))
+    after = lsvm_update(_fitted(ds, cfg, before).model, ds.images, before, nms_iou=cfg.nms_iou)
     dataio.write_pseudo_gts(stage.out / PSEUDO_GT_UPDATED, [after[i] for i in sorted(after)])
     return stage.report({
         "n_before": len(before),
@@ -404,7 +412,7 @@ def run_regress(
     stage = _Stage(cfg, "regress")
     images = ds.images
     pairs = regression_pairs(
-        images, dataio.read_pseudo_gts(stage.input(pseudo_gt, PSEUDO_GT_UPDATED))
+        images, _read_pseudo_gts(ds, stage.input(pseudo_gt, PSEUDO_GT_UPDATED))
     )
     if pairs:
         regressor = fit_bbox_regressor(pairs, l2=cfg.regressor_l2)
@@ -414,8 +422,8 @@ def run_regress(
 
     load_fmap = functools.cache(ds.load_image_fmap)  # one read per image
     refined = []
-    for image_id, box, score in dataio.read_detections(
-        stage.input(detections, DETECTIONS_UPDATED)
+    for image_id, box, score in _read_detections(
+        ds, stage.input(detections, DETECTIONS_UPDATED)
     ):
         [feature] = pool_box_feature(load_fmap(image_id), box_array([box]), ds.cell_stride)
         new_box = apply_regressor(regressor, feature, box)
@@ -448,9 +456,7 @@ def run_eval(
     gt = dataio.read_gt(gt_path).get(category)
     if gt is None:
         raise MissingInputError(f"gt.jsonl has no boxes for category {category!r}")
-    unknown = sorted(set(gt) - set(ds.entries))
-    if unknown:
-        raise ConfigInvalidError(f"{gt_path}: image {unknown[0]!r} is not in the manifest")
+    ds.check_listed(gt_path, gt)
 
     ablation = {}
     primary_pgt = None
@@ -460,7 +466,7 @@ def run_eval(
     ):
         if not path.exists():
             continue
-        pgts = dataio.read_pseudo_gts(path)
+        pgts = _read_pseudo_gts(ds, path)
         boxes = {image_id: g.box for image_id, g in pgts.items()}
         ablation[tag] = {
             "corloc_all": corloc(boxes, gt, include_missed=True),
@@ -480,7 +486,7 @@ def run_eval(
     ):
         if not path.exists():
             continue
-        ap = average_precision(dataio.read_detections(path), gt)
+        ap = average_precision(_read_detections(ds, path), gt)
         ablation.setdefault(tag, {})["ap"] = ap
         primary_ap = ap
         primary_det_tag = tag
@@ -588,9 +594,8 @@ def run_pipeline(cfg: PipelineConfig, heatmaps: Optional[str | Path] = None) -> 
     run_vote(ds, cfg, heatmaps=heatmaps, bandwidth=bandwidth)
     run_train(ds, cfg)
     updated = stage.out / PSEUDO_GT_UPDATED
-    later_round = {"model": stage.out / "model_updated.json", "pseudo_gt": updated}
     for round_idx in range(cfg.lsvm_rounds):
-        run_update(ds, cfg, **(later_round if round_idx else {}))
+        run_update(ds, cfg, **({"pseudo_gt": updated} if round_idx else {}))
         run_train(ds, cfg, pseudo_gt=updated, tag="updated")
     run_regress(ds, cfg)
     metrics_doc = run_eval(ds, cfg)

@@ -251,7 +251,7 @@ def sgd(**settings):
     }
 
 
-def list_draw_train_linear(features, labels, config, category_id=""):
+def list_draw_train_linear(features, labels, config):
     """train_linear as a loop over steps, with list pools, the reference
     draws and the zero model's objective computed in full; ``config`` holds
     its four SGD settings, as :func:`sgd` gives them."""
@@ -275,8 +275,8 @@ def list_draw_train_linear(features, labels, config, category_id=""):
     if hinge_objective(w, b, X, y, config["weight_decay"]) > hinge_objective(
         np.zeros(dim), 0.0, X, y, config["weight_decay"]
     ):
-        return LinearModel(weights=np.zeros(dim), bias=0.0, category_id=category_id)
-    return LinearModel(weights=w, bias=b, category_id=category_id)
+        return LinearModel(weights=np.zeros(dim), bias=0.0)
+    return LinearModel(weights=w, bias=b)
 
 
 def shuffled_pools(n_pos, n_neg, dim=5, seed=0):
@@ -297,8 +297,8 @@ class TestTrainLinearMatchesLoop:
     def test_model_bytes_identical(self, tmp_path, n_pos, n_neg):
         X, y = shuffled_pools(n_pos, n_neg, seed=n_pos + n_neg)
         cfg = sgd(steps=60, learning_rate=0.2, seed=9)
-        dataio.write_model(tmp_path / "old.json", list_draw_train_linear(X, y, cfg, "obj"))
-        dataio.write_model(tmp_path / "new.json", train_linear(X, y, **cfg, category_id="obj"))
+        dataio.write_model(tmp_path / "old.json", list_draw_train_linear(X, y, cfg), "obj")
+        dataio.write_model(tmp_path / "new.json", train_linear(X, y, **cfg), "obj")
         assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
         assert json.loads((tmp_path / "new.json").read_text())["bias"] != 0.0
 
@@ -370,11 +370,6 @@ class TestTrainLinear:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             train_linear(np.zeros((4, 2)), np.ones(3), **sgd(steps=1))
-
-    def test_score_dim_check(self):
-        model = LinearModel(weights=np.zeros(3), bias=0.0)
-        with pytest.raises(DimensionMismatchError):
-            model.score(np.zeros((2, 4)))
 
 
 def images_fixture():

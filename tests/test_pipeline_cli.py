@@ -115,6 +115,12 @@ class TestConfigFile:
         with pytest.raises(ConfigInvalidError):
             parse_config_file(cfg_file)
 
+    def test_repeated_key_rejected_naming_its_line(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("k = 2\n# then\nk = 3\n")
+        with pytest.raises(ConfigInvalidError, match=r"run.cfg:3: repeated key 'k'$"):
+            parse_config_file(cfg_file)
+
     def test_removed_jobs_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("jobs = 1\n")
@@ -275,7 +281,7 @@ def run_stage_chain(manifest, out, frame_stride):
     assert run_cli("match", *common) == 0
     assert run_cli("vote", *common, "--bandwidth", 2.0) == 0
     assert run_cli("train", *common, "--seed", 7) == 0
-    assert run_cli("update", *common) == 0
+    assert run_cli("update", *common, "--seed", 7) == 0
     assert run_cli(
         "train", *common, "--seed", 7,
         "--pseudo-gt", out / "pseudo_gt_updated.jsonl", "--tag", "updated",
@@ -345,7 +351,7 @@ class TestCliStages:
         assert printed["best_b"] == best_b
         assert run_cli("vote", *common, "--bandwidth", best_b) == 0
         assert run_cli("train", *common, "--seed", 7) == 0
-        assert run_cli("update", *common) == 0
+        assert run_cli("update", *common, "--seed", 7) == 0
         assert run_cli(
             "train", *common, "--seed", 7,
             "--pseudo-gt", chained / "pseudo_gt_updated.jsonl", "--tag", "updated",
@@ -425,7 +431,7 @@ ARTIFACTS = {
     "match": {"--regions": "regions.jsonl", "--selections": "selections.jsonl"},
     "vote": {"--transfers": "transfers.jsonl"},
     "train": {"--pseudo-gt": "pseudo_gt.jsonl"},
-    "update": {"--pseudo-gt": "pseudo_gt.jsonl", "--model": "model_initial.json"},
+    "update": {"--pseudo-gt": "pseudo_gt.jsonl"},
     "regress": {
         "--pseudo-gt": "pseudo_gt_updated.jsonl", "--detections": "detections_updated.jsonl",
     },
@@ -442,11 +448,12 @@ OPTIONS = {"train": ["--tag"], "vote": ["--heatmaps"], "pipeline": ["--heatmaps"
 STAGE_ARGS = {
     "vote": ["--bandwidth", 2.0],
     "train": ["--seed", 7],
+    "update": ["--seed", 7],
     "cv-bandwidth": ["--seed", 7, "--bandwidth-grid", "1,2"],
 }
 READERS = (
     "read_regions", "read_selections", "read_transfer_corners", "read_pseudo_gts",
-    "read_model", "read_detections",
+    "read_detections",
 )
 
 
@@ -669,28 +676,37 @@ class TestEvalCli:
         assert sum(doc["error_histogram"].values()) == pgt["n_pseudo_gt"]
 
 
-class TestModelRefusals:
-    """``update`` refuses a model whose ``dim`` is not its number of
-    weights, or whose ``category_id`` is not the manifest's category, with
-    a JSON error naming the file and the key."""
+class TestUpdateReadsNoModel:
+    """A model is an output: ``update`` trains the detector on its pseudo GT
+    again, with the same SGD settings and seed, so run alone it writes the
+    pipeline's updated pseudo GT whatever the model files hold."""
 
-    @pytest.mark.parametrize("key,value,message", [
-        ("dim", 99, "bad value for key 'dim'"),
-        ("category_id", 5, "bad value for key 'category_id'"),
-        ("category_id", "other", "key 'category_id' is not 'obj'"),
-    ])
-    def test_refused(self, synth_dir, finished, tmp_path, capsys, key, value, message):
-        out = tmp_path / "out"
-        shutil.copytree(finished, out)
-        path = out / pipeline.MODEL_INITIAL
-        doc = json.loads(path.read_text())
-        assert doc[key] != value and len(doc["weights"]) == doc["dim"] == 16
-        path.write_text(json.dumps({**doc, key: value}))
-        code = run_cli("update", "--manifest", synth_dir / "manifest.json", "--out", out)
-        assert code == 1
-        err = json.loads(capsys.readouterr().err.strip())
-        assert err["error"] == "ConfigInvalidError"
-        assert f"{pipeline.MODEL_INITIAL}: {message}" in err["message"]
+    @pytest.mark.parametrize("model", ["deleted", "garbage"])
+    def test_update_alone_writes_the_pipeline_bytes(
+        self, synth_dir, finished, tmp_path, monkeypatch, model
+    ):
+        out = shutil.copytree(finished, tmp_path / "out")
+        (out / pipeline.PSEUDO_GT_UPDATED).unlink()
+        for path in out.glob("model_*.json"):
+            if model == "deleted":
+                path.unlink()
+            else:
+                path.write_bytes(b"\xff not a model\n")
+        fits = []
+        TestEachIntermediateOnce.count(monkeypatch, pipeline, "train_linear", fits)
+        assert run_cli("update", "--manifest", synth_dir / "manifest.json", "--out", out,
+                       "--seed", 0) == 0
+        assert len(fits) == 1
+        written = (out / pipeline.PSEUDO_GT_UPDATED).read_bytes()
+        assert written == (finished / pipeline.PSEUDO_GT_UPDATED).read_bytes()
+        # the update filled and moved boxes, so its detector mattered
+        assert written != (finished / pipeline.PSEUDO_GT).read_bytes()
+
+    def test_update_needs_a_seed(self, synth_dir, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("update", "--manifest", synth_dir / "manifest.json", "--out", tmp_path)
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
 
 
 class TestReports:
@@ -1343,6 +1359,25 @@ class TestMalformedJson:
          "line 1: bad value for key 'boxes'"),
         (dataio.read_gt, '{"image_id": "a", "category": "c", "boxes": []}',
          "line 1: bad value for key 'boxes'"),
+        # a repeated key would silently take its last value
+        (dataio.read_detections,
+         '{"image_id": "pos_000", "image_id": "pos_001", "box": [0, 0, 1, 1], "score": 1}',
+         "line 1: repeated key 'image_id'"),
+        (dataio.read_pseudo_gts, '{"image_id": "a", "box": [0, 0, 1, 1], "vote": 1, '
+         '"support": 1, "updated": false}\n{"image_id": "b", "box": [0, 0, 1, 1], "vote": 1, '
+         '"vote": 2, "support": 1, "updated": false}', "line 2: repeated key 'vote'"),
+        (dataio.read_tracks,
+         '{"video_id": "v", "track_id": 0, "rank": 0, "frames": [{"t": 0, "t": 1, "box": [0, 0, 1, 1]}]}',
+         "line 1: repeated key 't'"),
+        (dataio.read_selections, '{"video_id": "v", "frame_idx": 1, "track_id": 0, '
+         '"box": [0, 0, 1, 1], "score": 1, "score": 2}', "line 1: repeated key 'score'"),
+        (dataio.read_regions, '{"region_id": "r", "image_id": "a", "box": [0, 0, 1, 1], '
+         '"cluster_id": "a#0", "cluster_rank": 0, "region_id": "s"}',
+         "line 1: repeated key 'region_id'"),
+        (dataio.read_transfer_corners, '{"image_id": "a", "box": [0, 0, 1, 1], "box": [0, 0, 2, 2]}',
+         "line 1: repeated key 'box'"),
+        (dataio.read_gt, '{"image_id": "a", "category": "c", "category": "d", "boxes": [[0, 0, 1, 1]]}',
+         "line 1: repeated key 'category'"),
     ])
     def test_readers_name_file_line_and_key(self, tmp_path, reader, text, message):
         path = tmp_path / "rows.jsonl"
@@ -1378,11 +1413,18 @@ class TestMalformedJson:
         dataio.write_jsonl(path, rows[:-1])
         assert len(reader(path)) == len(rows) - 1
 
-    def test_model_bias_refuses_a_numeric_string(self, tmp_path):
-        path = tmp_path / "model.json"
-        path.write_text('{"weights": [1.0], "bias": "0.5"}')
-        with pytest.raises(ConfigInvalidError, match="model.json: bad value for key 'bias'"):
-            dataio.read_model(path)
+    def test_repeated_manifest_key_is_refused(self, synth_dir, tmp_path, capsys):
+        data = self.copy_dataset(synth_dir, tmp_path)
+        text = (data / "manifest.json").read_text()
+        key = '"cell_stride": '
+        assert text.count(key) == 1
+        (data / "manifest.json").write_text(text.replace(key, f"{key}2, {key}"))
+        code = run_cli("mine", "--manifest", data / "manifest.json", "--out", tmp_path / "o")
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "ConfigInvalidError",
+                       "message": f"{data / 'manifest.json'}: repeated key 'cell_stride'"}
+        assert not (tmp_path / "o").exists()
 
     def test_line_numbers_count_blank_lines(self, tmp_path):
         path = tmp_path / "rows.jsonl"
@@ -1420,8 +1462,6 @@ class TestNonFiniteNumbers:
             ("eval", ("--detections-bboxreg", pipeline.DETECTIONS_BBOXREG),
              pipeline.DETECTIONS_BBOXREG, "score"),
             ("pipeline", ("--heatmaps", "heatmaps"), "manifest.json", "size"),
-            ("update", (), pipeline.MODEL_INITIAL, "weights"),
-            ("update", (), pipeline.MODEL_INITIAL, "bias"),
             ("pipeline", (), "manifest.json", "cell_stride"),
             *(
                 (command, (), name, key)
@@ -1793,11 +1833,15 @@ class TestDataIoRoundTrips:
     def test_model_round_trip(self, tmp_path):
         from boxforge.detector import LinearModel
 
-        model = LinearModel(weights=np.array([0.5, -1.25]), bias=3.0, category_id="obj")
-        dataio.write_model(tmp_path / "m.json", model)
-        back = dataio.read_model(tmp_path / "m.json")
+        model = LinearModel(weights=np.array([0.5, -1.25]), bias=3.0)
+        dataio.write_model(tmp_path / "m.json", model, "obj")
+        # no stage reads a model back, so the reader lives here
+        doc = dataio.load_json(tmp_path / "m.json")
+        assert sorted(doc) == ["bias", "category_id", "dim", "weights"]
+        back = LinearModel(weights=np.asarray(doc["weights"], dtype=np.float64), bias=doc["bias"])
         assert np.array_equal(back.weights, model.weights)
-        assert back.bias == model.bias and back.category_id == "obj"
+        assert back.bias == model.bias
+        assert (doc["category_id"], doc["dim"]) == ("obj", 2)
 
     def test_regressor_round_trip(self, tmp_path):
         from boxforge.detector import BoxRegressor
@@ -2012,6 +2056,45 @@ class TestManifest:
             "error": "ConfigInvalidError",
             "message": f"{data / 'gt.jsonl'}: image 'no_such_image' is not in the manifest",
         }
+
+    @staticmethod
+    def ghost_row_refused(synth_dir, finished, tmp_path, capsys, command, name, **values):
+        """``command`` on the finished run with a row of an image the
+        manifest does not list appended to ``name`` is refused by name."""
+        out = shutil.copytree(finished, tmp_path / "out")
+        rows = list(dataio.read_jsonl(out / name))
+        rows.append({**rows[-1], "image_id": "ghost_999", **values})
+        dataio.write_jsonl(out / name, rows)
+        code = run_cli(command, "--manifest", synth_dir / "manifest.json", "--out", out,
+                       "--seed", 0)
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {
+            "error": "ConfigInvalidError",
+            "message": f"{out / name}: image 'ghost_999' is not in the manifest",
+        }
+
+    @pytest.mark.parametrize("command,name", [
+        ("train", pipeline.PSEUDO_GT), ("update", pipeline.PSEUDO_GT),
+        ("eval", pipeline.PSEUDO_GT), ("regress", pipeline.PSEUDO_GT_UPDATED),
+        ("eval", pipeline.PSEUDO_GT_UPDATED),
+    ])
+    def test_pseudo_gt_of_an_unlisted_image_refused(
+        self, synth_dir, finished, tmp_path, capsys, command, name
+    ):
+        """Unrefused, update carries the row into its output and eval counts
+        it in ``n_pseudo_gt``."""
+        self.ghost_row_refused(synth_dir, finished, tmp_path, capsys, command, name)
+
+    @pytest.mark.parametrize("command,name", [
+        ("regress", pipeline.DETECTIONS_UPDATED), ("eval", pipeline.DETECTIONS_INITIAL),
+        ("eval", pipeline.DETECTIONS_UPDATED), ("eval", pipeline.DETECTIONS_BBOXREG),
+    ])
+    def test_detection_of_an_unlisted_image_refused(
+        self, synth_dir, finished, tmp_path, capsys, command, name
+    ):
+        """Unrefused, a top-scoring detection of no image lowers eval's AP."""
+        self.ghost_row_refused(synth_dir, finished, tmp_path, capsys, command, name, score=99.0)
 
     def test_lookups_by_id(self, synth_dir):
         ds = dataio.load_manifest(synth_dir / "manifest.json")

@@ -194,8 +194,41 @@ class TestSameBytes:
         for coretype in (None, "Haswell"):
             work = tmp_path / f"work-{coretype}"
             work.mkdir()
-            same_bytes.run_workloads(tree, work, workloads, coretype=coretype)
+            setting = coretype and ("OPENBLAS_CORETYPE", coretype)
+            same_bytes.run_workloads(tree, work, workloads, setting=setting)
             assert (work / "children.txt").read_text().splitlines() == [
                 f"{command} {coretype}" for command in ("synth", "pipeline", "pipeline")
             ]
             assert "OPENBLAS_CORETYPE" not in os.environ
+
+    def test_blas_threads_rerun_lists_differences_and_keeps_the_exit_code(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """``--blas-threads 1,2`` reruns this checkout once per thread count,
+        with ``OPENBLAS_NUM_THREADS`` set in the children only, and lists
+        the files that differ from its default run without failing."""
+        same_bytes = _same_bytes()
+        runs = []
+
+        def run_workloads(tree, work, workloads, setting=None):
+            runs.append(setting)
+            (work / "w").mkdir()
+            (work / "w" / "same.txt").write_text("same\n")
+            two = setting == ("OPENBLAS_NUM_THREADS", "2")
+            (work / "w" / "sums.txt").write_text("2 threads\n" if two else "one\n")
+
+        monkeypatch.setattr(same_bytes, "export_revision", lambda rev, dest: dest.mkdir())
+        monkeypatch.setattr(same_bytes, "run_workloads", run_workloads)
+        monkeypatch.setattr(sys, "path", [*sys.path])
+        monkeypatch.setitem(sys.modules, "run", SimpleNamespace(WORKLOADS={"w": None}))
+        assert same_bytes.main(["--base", "HEAD", "--blas-threads", "1,2"]) == 0
+        assert runs == [None, None, ("OPENBLAS_NUM_THREADS", "1"), ("OPENBLAS_NUM_THREADS", "2")]
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[1:] == [
+            "same_bytes: this checkout under OPENBLAS_NUM_THREADS=1 against its default run: "
+            "no differences",
+            f"OPENBLAS_NUM_THREADS=2: {Path('w', 'sums.txt')}: line 1, byte 1: b'one' != b'2 threads'",
+            "same_bytes: this checkout under OPENBLAS_NUM_THREADS=2 against its default run: "
+            "1 difference",
+        ]
+        assert printed[0].endswith("against HEAD: no differences")
