@@ -8,7 +8,9 @@ the defaults below.  Exactly one of ``b`` and ``b_grid`` is active: setting
 :data:`SETTINGS` is the one list of settings: each field's config-file key,
 CLI flag and value parser.  A flag value is parsed from its text by the same
 parser as the file value, so both fail with the same
-:class:`ConfigInvalidError`.
+:class:`ConfigInvalidError`.  A :class:`PipelineConfig` checks its values
+as it is built, from defaults, a file, flags, ``dataclasses.replace`` or
+code, so no stage holds an invalid one.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ class PipelineConfig:
     regressor_l2: float = 1e-3
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for setting in SETTINGS:  # NaN and inf would slip past the range checks below
             value = getattr(self, setting.field)
             values = value if isinstance(value, tuple) else (value,)
@@ -68,6 +70,8 @@ class PipelineConfig:
             raise ConfigInvalidError("one of b or b_grid must be present")
         if any(b <= 0 for b in self.bandwidth_grid):
             raise ConfigInvalidError("b_grid entries must be positive")
+        if not self.bandwidth_grid:  # cv-bandwidth reads the grid even when b is set
+            raise ConfigInvalidError("b_grid must not be empty")
         if self.train_steps < 0 or self.learning_rate <= 0 or self.weight_decay < 0:
             raise ConfigInvalidError("invalid training hyperparameters")
         if not 0.0 <= self.nms_iou <= 1.0:
@@ -150,7 +154,8 @@ def parse_config_file(path: str | Path) -> dict:
 def build_config(
     file_path: Optional[str] = None, overrides: Optional[dict[str, Optional[str]]] = None
 ) -> PipelineConfig:
-    """Defaults <- config file <- overrides, then validate.
+    """Defaults <- config file <- overrides; the config checks itself as it
+    is built.
 
     ``overrides`` maps field names to flag text as typed on the command line
     (None for a flag not given); it is parsed as a file value would be.
@@ -162,6 +167,4 @@ def build_config(
             fields[name] = _parse(setting, raw, setting.flag)
     if "bandwidth" in fields and "bandwidth_grid" in fields:
         raise ConfigInvalidError("b and b_grid are mutually exclusive")
-    cfg = PipelineConfig(**fields)
-    cfg.validate()
-    return cfg
+    return PipelineConfig(**fields)

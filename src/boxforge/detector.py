@@ -32,7 +32,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EmptyPoolError
+from .errors import EmptyPoolError
 from .geometry import BBox, iou_rows, nms
 from .mining import POSITIVE, ImageProposals
 from .voting import PseudoGT
@@ -131,10 +131,6 @@ def train_linear(
     """
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64).reshape(-1)
-    if X.ndim != 2 or X.shape[0] != y.shape[0]:
-        raise DimensionMismatchError(
-            f"features {X.shape} inconsistent with labels {y.shape}"
-        )
     dim = X.shape[1]
     w = np.zeros(dim)
     b = 0.0
@@ -257,7 +253,8 @@ def fit_bbox_regressor(
     pairs: Sequence[tuple[np.ndarray, BBox, BBox]],
     l2: float,
 ) -> BoxRegressor:
-    """Ridge regression of box targets on (feature, proposal, gt) pairs.
+    """Ridge regression of box targets on (feature, proposal, gt) pairs, at
+    least one.
 
     Features and targets are centered so the intercept is exact and
     unregularized.  Every sum is a :func:`_dot`, the same on every BLAS
@@ -270,8 +267,6 @@ def fit_bbox_regressor(
     rounding leaves at or below 0 is left out so.  Non-finite weights fall
     back to the identity regressor.
     """
-    if not pairs:
-        raise EmptyPoolError("box regression needs at least one training pair")
     X = np.stack([np.asarray(f, dtype=np.float64).reshape(-1) for f, _, _ in pairs])
     T = np.stack([box_regression_targets(p, g) for _, p, g in pairs])
     dim = X.shape[1]
@@ -299,10 +294,6 @@ def fit_bbox_regressor(
 def apply_regressor(regressor: BoxRegressor, feature: np.ndarray, box: BBox) -> BBox:
     """Refine a box with the learned targets; exp keeps sizes positive."""
     f = np.asarray(feature, dtype=np.float64).reshape(-1)
-    if f.shape[0] != regressor.weights.shape[1]:
-        raise DimensionMismatchError(
-            f"feature dim {f.shape[0]} != regressor dim {regressor.weights.shape[1]}"
-        )
     targets = _dot(regressor.weights.T, f[:, None]) + regressor.biases
     return apply_box_targets(box, targets)
 
@@ -312,8 +303,6 @@ def cross_validate_bandwidth(
     evaluate: Callable[[float], float],
 ) -> tuple[float, dict[float, float]]:
     """Evaluate each bandwidth and return (best, all scores); ties -> smaller b."""
-    if not b_grid:
-        raise ValueError("bandwidth grid is empty")
     scores = {float(b): float(evaluate(float(b))) for b in b_grid}
     best = sorted(scores, key=lambda b: (-scores[b], b))[0]
     return best, scores

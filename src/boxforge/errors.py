@@ -25,24 +25,12 @@ class NoFramesError(BoxforgeError):
     """Frame sampling produced no frames to match against."""
 
 
-class NoPointsError(BoxforgeError):
-    """Mean-shift requires at least one vote point."""
-
-
 class EmptyPoolError(BoxforgeError):
     """Minibatch sampling was asked to draw from an empty pool."""
 
 
-class DimensionMismatchError(BoxforgeError):
-    """Feature dimensions disagree."""
-
-
 class NoGroundTruthError(BoxforgeError):
     """Evaluation requires ground-truth boxes."""
-
-
-class NoPositiveImagesError(BoxforgeError):
-    """CorLoc requires at least one positive image."""
 
 
 class ConfigInvalidError(BoxforgeError):

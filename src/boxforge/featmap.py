@@ -44,8 +44,6 @@ def window_shape_for_box(box: BBox, target_cells: int) -> tuple[int, int]:
     is finally clamped to at least 2 cells, which for extreme aspect ratios
     is the only case that can push the area outside the enumerated band.
     """
-    if target_cells < 1:
-        raise ValueError(f"target_cells must be >= 1, got {target_cells}")
     aspect = box.width / box.height
     log_aspect = math.log(aspect)
     lo = max(1, math.floor(target_cells * 5.0 / 6.0))
@@ -148,15 +146,9 @@ def scan_queries(
     windows (query or placement) score 0 instead of erroring, which keeps
     blank frames from poisoning a scan.
 
-    Raises :class:`WindowTooLargeError` when a query does not fit the map,
-    and ``ValueError`` when a query's channel count differs from the map's.
+    Raises :class:`WindowTooLargeError` when a query does not fit the map.
     """
-    if top_n < 1:
-        raise ValueError(f"top_n must be >= 1, got {top_n}")
-    height, width, channels = fmap.shape
-    for q in queries:
-        if channels != q.shape[2]:
-            raise ValueError(f"channel mismatch: query {q.shape[2]} vs map {channels}")
+    height, width = fmap.shape[:2]
     score = np.full((len(queries), top_n), -np.inf)
     place = np.full((len(queries), top_n, 2), -1)
     groups: dict[tuple[int, int], list[int]] = {}

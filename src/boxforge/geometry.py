@@ -148,10 +148,6 @@ def nms(coords: np.ndarray, scores: Sequence[float], iou_thresh: float) -> list[
     input index asc) so the result never depends on input ordering.  A
     non-finite score raises ``ValueError``: NaN has no place in that order.
     """
-    if len(coords) != len(scores):
-        raise ValueError("boxes and scores must have equal length")
-    if not 0.0 <= iou_thresh <= 1.0:
-        raise ValueError(f"iou_thresh must be in [0, 1], got {iou_thresh}")
     score = np.asarray(scores, dtype=np.float64)
     if not np.isfinite(score).all():
         raise ValueError("nms scores must be finite")

@@ -12,7 +12,6 @@ from __future__ import annotations
 import enum
 from typing import Mapping, Optional, Sequence
 
-from .errors import NoGroundTruthError, NoPositiveImagesError
 from .geometry import BBox, contains, iou
 
 CORLOC_IOU = 0.5
@@ -36,12 +35,11 @@ def corloc(
 ) -> float:
     """Fraction of positive images localized with IOU > 0.5.
 
-    ``gt`` defines the positive image set; predictions for unknown images
-    are ignored.  With ``include_missed`` the denominator is every positive
-    image; otherwise only images that have a prediction (0.0 if none do).
+    ``gt``, never empty, defines the positive image set; predictions for
+    unknown images are ignored.  With ``include_missed`` the denominator is
+    every positive image; otherwise only images that have a prediction (0.0
+    if none do).
     """
-    if not gt:
-        raise NoPositiveImagesError("ground truth contains no positive images")
     found = 0
     correct = 0
     for image_id, boxes in gt.items():
@@ -65,8 +63,6 @@ def categorize_error(pred: BBox, gt_boxes: Sequence[BBox]) -> ErrorCase:
     prediction completely inside the GT, GT completely inside the prediction,
     some overlap, no overlap.  Identical boxes are correct by the IOU test first.
     """
-    if not gt_boxes:
-        raise NoGroundTruthError("error categorization needs at least one GT box")
     best = max(gt_boxes, key=lambda g: iou(pred, g))
     overlap = iou(pred, best)
     if overlap > CORLOC_IOU:
@@ -99,7 +95,7 @@ def average_precision(
     gt: Mapping[str, Sequence[BBox]],
 ) -> float:
     """PASCAL-style 11-point (VOC 2007) AP of scored detections against
-    per-image GT boxes.
+    per-image GT boxes, at least one.
 
     Detections are processed score-descending (ties: image_id, then box
     coordinates) and greedily matched: a detection is a true positive when
@@ -108,8 +104,6 @@ def average_precision(
     precision at that recall or above.
     """
     total_gt = sum(len(boxes) for boxes in gt.values())
-    if total_gt == 0:
-        raise NoGroundTruthError("average precision needs at least one GT box")
     order = sorted(
         range(len(detections)),
         key=lambda i: (-detections[i][2], detections[i][0], detections[i][1].as_list()),

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import EmptyDatasetError, NoPositivesError
+from .errors import NoPositivesError
 from .geometry import BBox, iou_matrix
 
 POSITIVE = "pos"
@@ -110,7 +110,8 @@ def build_clusters(proposals_by_image: Mapping[str, ImageProposals], k: int) -> 
     cosine-similar proposal (tie: lowest index).  Members are the k best
     champions ordered by (similarity desc, image_id asc, index asc), which
     makes the output invariant to proposal file ordering.  A zero-norm
-    descriptor scores 0 against everything.
+    descriptor scores 0 against everything.  Every image has a proposal,
+    as :func:`~boxforge.dataio.read_proposals` groups them.
 
     The images' feature matrices are concatenated in sorted image order and
     scored a block of seed rows at a time against every proposal, each block
@@ -124,18 +125,10 @@ def build_clusters(proposals_by_image: Mapping[str, ImageProposals], k: int) -> 
     differently, so both can flip a champion on a last-ulp tie.  A mean
     sums its members' similarities left to right, as ``sum`` over them would.
     """
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
     image_ids = tuple(sorted(proposals_by_image))
-    if not image_ids:
-        raise EmptyDatasetError("no images in proposal dataset")
     images = tuple(proposals_by_image[img] for img in image_ids)
     sizes = np.array([len(image) for image in images])
-    if not sizes.all():
-        raise ValueError("every image must have at least one proposal")
     feats = np.concatenate([image.features for image in images])
-    if not np.isfinite(feats).all():
-        raise ValueError("proposal features must be finite")
     norms = np.sqrt(np.vecdot(feats, feats))
     live = norms >= 1e-12
     n_rows = len(feats)

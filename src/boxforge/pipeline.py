@@ -54,6 +54,7 @@ from .metrics import average_precision, corloc, error_histogram
 from .mining import (
     POSITIVE,
     ImageProposals,
+    MinedRegion,
     build_clusters,
     dedup_clusters,
     rank_clusters,
@@ -138,6 +139,13 @@ def run_mine(ds: dataio.Dataset, cfg: PipelineConfig) -> dict:
     })
 
 
+def _read_regions(ds: dataio.Dataset, path: Path) -> list[MinedRegion]:
+    """The mined regions in ``path``, each of an image the manifest lists."""
+    mined = dataio.read_regions(path)
+    ds.check_listed(path, (r.image_id for r in mined))
+    return mined
+
+
 def _query_windows(ds, mined, target_cells: int) -> dict[str, np.ndarray]:
     """Each region's query window, by region id; each image's map is read
     once and released on return, before any frame is read."""
@@ -171,7 +179,7 @@ def run_select_tracks(
     """Pick the best-supported candidate track box in every sampled frame,
     as the scan (whose top hits match reads) reaches the frame."""
     stage = _Stage(cfg, "select_tracks")
-    mined = dataio.read_regions(stage.input(regions, REGIONS))
+    mined = _read_regions(ds, stage.input(regions, REGIONS))
     selections, _ = _scanned(ds, cfg, mined)
     dataio.write_selections(stage.out / SELECTIONS, selections)
     return stage.report({"n_regions": len(mined), "n_selections": len(selections)})
@@ -187,7 +195,7 @@ def run_match(
     """Match every mined region into the videos and transfer track boxes
     back."""
     stage = _Stage(cfg, "match")
-    mined = dataio.read_regions(stage.input(regions, REGIONS))
+    mined = _read_regions(ds, stage.input(regions, REGIONS))
     selected = dataio.read_selections(stage.input(selections, SELECTIONS))
     _, top_matches = _scanned(ds, cfg, mined)
     region_boxes = {r.region_id: (r.image_id, r.box) for r in mined}
@@ -228,6 +236,13 @@ def vote_pseudo_gts(
     return gts
 
 
+def _read_transfer_corners(ds: dataio.Dataset, path: Path) -> dict[str, bytes]:
+    """The transferred boxes in ``path``, each of an image the manifest lists."""
+    corners_by_image = dataio.read_transfer_corners(path)
+    ds.check_listed(path, corners_by_image)
+    return corners_by_image
+
+
 def _voted(ds: dataio.Dataset, cfg: PipelineConfig, corners_by_image, bandwidths):
     """The vote of ``corners_by_image`` (image id -> the bytes of its corner
     rows, as :func:`dataio.read_transfer_corners` reads them), once per
@@ -257,7 +272,7 @@ def run_vote(
     if bandwidth is None:
         raise ConfigInvalidError("vote needs a bandwidth: b in the config file or --bandwidth")
     stage = _Stage(cfg, "vote")
-    corners_by_image = dataio.read_transfer_corners(stage.input(transfers, TRANSFERS))
+    corners_by_image = _read_transfer_corners(ds, stage.input(transfers, TRANSFERS))
     chosen = cfg.bandwidth is None and bandwidth in cfg.bandwidth_grid
     grid = cfg.bandwidth_grid if chosen else (bandwidth,)
     pseudo_gts = _voted(ds, cfg, corners_by_image, grid)[bandwidth]
@@ -557,7 +572,7 @@ def run_cv_bandwidth(
     stage detects on images.
     """
     stage = _Stage(cfg, "cv_bandwidth")
-    corners_by_image = dataio.read_transfer_corners(stage.input(transfers, TRANSFERS))
+    corners_by_image = _read_transfer_corners(ds, stage.input(transfers, TRANSFERS))
     selected = dataio.read_selections(stage.input(selections, SELECTIONS))
     voted = _voted(ds, cfg, corners_by_image, cfg.bandwidth_grid)
     frames, gt = _video_frames(ds, selected, cfg.frame_stride)

@@ -52,6 +52,8 @@ RAMP_Y = 0.35
 
 @dataclass(frozen=True)
 class SynthConfig:
+    """The generator's settings, checked as they are built."""
+
     seed: int = 0
     n_pos_images: int = 8
     n_neg_images: int = 8
@@ -66,7 +68,7 @@ class SynthConfig:
     proposals_per_image: int = 12
     noise_sigma: float = 0.05
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.seed < 0:
             raise ConfigInvalidError(f"seed must be >= 0, got {self.seed}")
         for name in ("signature_strength", "multi_instance_prob", "noise_sigma"):
@@ -166,7 +168,6 @@ def gen_dataset(config: SynthConfig, out_dir: str | Path) -> SynthTruth:
 
     Returns the planted truth.  Byte-deterministic for a fixed config.
     """
-    config.validate()
     rng = np.random.default_rng(config.seed)
     out = Path(out_dir)
     (out / "fmaps").mkdir(parents=True, exist_ok=True)

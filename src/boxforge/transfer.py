@@ -34,8 +34,6 @@ class TransferredBox:
 
 def sampled_frame_indices(n_frames: int, frame_stride: int) -> list[int]:
     """Every ``frame_stride``-th frame starting at phase 0."""
-    if frame_stride < 1:
-        raise ValueError(f"frame_stride must be >= 1, got {frame_stride}")
     return list(range(0, n_frames, frame_stride))
 
 

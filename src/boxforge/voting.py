@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .atomic import write_atomic
-from .errors import ConfigInvalidError, DegenerateBoxError, NoPointsError
+from .errors import ConfigInvalidError, DegenerateBoxError
 from .geometry import BBox, clip_box
 
 
@@ -27,15 +27,6 @@ class VoteSpace:
 
     points: np.ndarray
     bandwidth: float
-
-    def __post_init__(self):
-        pts = self.points
-        if pts.dtype != np.float64 or pts.ndim != 2 or pts.shape[1] != 4:
-            raise ConfigInvalidError(f"points must be (N, 4) float64, got {pts.dtype} {pts.shape}")
-        if not np.all(np.isfinite(pts)):
-            raise ConfigInvalidError("vote points must be finite")
-        if self.bandwidth <= 0:
-            raise ConfigInvalidError(f"bandwidth must be positive, got {self.bandwidth}")
 
     @property
     def n_points(self) -> int:
@@ -170,18 +161,15 @@ class RankedAscents(NamedTuple):
 
 
 def ranked_ascents(points: np.ndarray, bandwidths: Sequence[float]) -> list[RankedAscents]:
-    """Each bandwidth's mean-shift ascents over one image's ``points``, an
-    (N, 4) float64 array such as :attr:`VoteSpace.points`.
+    """Each bandwidth's mean-shift ascents over one image's ``points``, a
+    non-empty (N, 4) float64 array such as :attr:`VoteSpace.points`.
 
     Entry k ranks the ascents at ``bandwidths[k]``, seeded once per distinct
     point: a seed's path depends only on where it starts and on the points,
     so a repeated point would only repeat an ascent.  Every point, repeats
     included, still weighs in the kernel sums.  All bandwidths ascend
-    together in one active set.  Raises :class:`NoPointsError` when
-    ``points`` is empty.
+    together in one active set.
     """
-    if len(points) == 0:
-        raise NoPointsError("mean shift requires at least one vote point")
     seeds = _distinct_rows(points)
     n_b = len(bandwidths)
     b_rows = np.repeat(np.asarray(bandwidths, dtype=np.float64), len(seeds))

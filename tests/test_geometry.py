@@ -283,10 +283,6 @@ class TestNms:
                                     min_size=len(bs), max_size=len(bs)))
         assert nms(box_array(bs), scores, thresh) == nms_oracle(bs, scores, thresh)
 
-    def test_rejects_bad_threshold(self):
-        with pytest.raises(ValueError):
-            nms(box_array([box(0, 0, 1, 1)]), [1.0], 1.5)
-
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_rejects_non_finite_score(self, bad):
         with pytest.raises(ValueError, match="finite"):

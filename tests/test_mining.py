@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from boxforge.errors import EmptyDatasetError, NoPositivesError
+from boxforge.errors import NoPositivesError
 from boxforge.geometry import BBox, box_array, iou, iou_matrix
 from boxforge.mining import (
     Clusters,
@@ -431,10 +431,6 @@ class TestBuildClusters:
         assert clusters.mean.tolist() == pytest.approx([1.0] * 3)
         assert clusters.positive.tolist() == [3, 3, 3]
 
-    def test_empty_dataset(self):
-        with pytest.raises(EmptyDatasetError):
-            build_clusters({}, 1)
-
     def test_champion_is_per_image_best(self):
         by_image, labels = dataset(
             {
@@ -529,17 +525,6 @@ class TestBuildClusters:
         members, sim = members_of(clusters, "a#0")
         assert sim < 0
         assert members == ("b#1",)
-
-    def test_non_finite_feature_refused(self):
-        by_image, labels = dataset({"a": ("pos", [[1.0, 0.0]]), "b": ("pos", [[np.nan, 1.0]])})
-        with pytest.raises(ValueError, match="finite"):
-            build_clusters(by_image, 1)
-
-    def test_image_without_proposals_refused(self):
-        by_image, labels = dataset({"a": ("pos", [[1.0, 0.0]]), "b": ("pos", [[0.0, 1.0]])})
-        by_image["c"] = ImageProposals("neg", np.zeros((0, 4)), np.zeros((0, 2)))
-        with pytest.raises(ValueError, match="at least one proposal"):
-            build_clusters(by_image, 1)
 
     def test_invariant_to_image_iteration_order(self):
         rng = np.random.default_rng(12)

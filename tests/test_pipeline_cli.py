@@ -149,7 +149,7 @@ class TestConfigFile:
 
     def test_validation_catches_bad_values(self):
         with pytest.raises(ConfigInvalidError):
-            PipelineConfig(theta=-1.0).validate()
+            PipelineConfig(theta=-1.0)
 
 
 # A value other than the default for every setting, as typed in a file or
@@ -377,6 +377,18 @@ class TestCliStages:
         assert run_cli("match", *common) == 0
         assert run_cli("vote", *common, "--bandwidth", 2.0, "--theta", 1e9) == 0
         assert dataio.read_pseudo_gts(out / "pseudo_gt.jsonl") == {}
+
+    def test_vote_without_transfers_writes_empty_set(self, synth_dir, tmp_path):
+        """An image with no transferred box has no vote space: the reader
+        yields only images with rows, so mean-shift never sees zero points."""
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / pipeline.TRANSFERS).write_text("")
+        assert run_cli("vote", "--manifest", synth_dir / "manifest.json", "--out", out,
+                       "--bandwidth", 2.0) == 0
+        assert dataio.read_pseudo_gts(out / pipeline.PSEUDO_GT) == {}
+        report = json.loads((out / "reports" / "vote.json").read_text())
+        assert report["n_images_with_transfers"] == 0
 
     def test_missing_input_gives_error_json_and_nonzero_exit(self, synth_dir, tmp_path, capsys):
         manifest = synth_dir / "manifest.json"
@@ -649,6 +661,19 @@ class TestEvalCli:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ConfigInvalidError"
         assert err["message"].startswith(f"{data / 'gt.jsonl'} line 1: bad value for key 'boxes'")
+
+    def test_gt_without_the_run_category_refused(self, synth_dir, finished, tmp_path, capsys):
+        """A gt.jsonl with no row of the manifest's category is refused
+        rather than scored against no box."""
+        data = shutil.copytree(synth_dir, tmp_path / "data")
+        rows = [{**row, "category": "other"} for row in dataio.read_jsonl(data / "gt.jsonl")]
+        dataio.write_jsonl(data / "gt.jsonl", rows)
+        out = shutil.copytree(finished, tmp_path / "out")
+        assert run_cli("eval", "--manifest", data / "manifest.json", "--out", out) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {
+            "error": "MissingInputError", "message": "gt.jsonl has no boxes for category 'obj'",
+        }
 
     def test_eval_cli_on_empty_pseudo_gt(self, synth_dir, tmp_path, capsys):
         out = tmp_path / "out"
@@ -1345,6 +1370,9 @@ class TestMalformedJson:
          '"box": ["1", 2, 3, 4], "score": 1}', "line 1: bad value for key 'box'"),
         (dataio.read_transfer_corners, '{"image_id": "a", "box": [true, 2, 3, 4]}',
          "line 1: bad value for key 'box'"),
+        # a vote point must be finite
+        (dataio.read_transfer_corners, '{"image_id": "a", "box": [0, 0, NaN, 4]}',
+         "line 1: bad value for key 'box'"),
         (dataio.read_pseudo_gts, '{"image_id": "a", "box": ["1", 2, 3, 4], "vote": 1, '
          '"support": 1, "updated": false}', "line 1: bad value for key 'box'"),
         (dataio.read_tracks,
@@ -1666,7 +1694,35 @@ def test_bad_seed_refused_before_the_pipeline_writes(synth_dir, tmp_path, capsys
 
 
 def test_largest_seed_accepted():
-    PipelineConfig(seed=(1 << 64) - 1).validate()
+    PipelineConfig(seed=(1 << 64) - 1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda cls, fields: cls(**fields),
+    lambda cls, fields: dataclasses.replace(cls(), **fields),
+], ids=["constructor", "replace"])
+@pytest.mark.parametrize("cls,fields,key", [
+    (PipelineConfig, {"k": -1}, "k"),
+    (PipelineConfig, {"n_matches": 0}, "n_matches"),
+    (PipelineConfig, {"frame_stride": 0}, "frame_stride"),
+    (PipelineConfig, {"target_cells": 0}, "target_cells"),
+    (PipelineConfig, {"nms_iou": 1.5}, "nms_iou"),
+    (PipelineConfig, {"bandwidth": 0.0}, "b"),
+    (PipelineConfig, {"bandwidth_grid": (100.0, 0.0)}, "b_grid"),
+    (PipelineConfig, {"bandwidth": 2.0, "bandwidth_grid": ()}, "b_grid"),
+    (PipelineConfig, {"theta": 0.0}, "theta"),
+    (PipelineConfig, {"seed": 1 << 64}, "seed"),
+    (SynthConfig, {"channels": 0}, "channels"),
+    (SynthConfig, {"noise_sigma": float("nan")}, "noise_sigma"),
+], ids=[
+    "k", "n", "frame_stride", "target_cells", "nms_iou", "b", "b_grid_entry", "b_grid_empty",
+    "theta", "seed", "synth_channels", "synth_noise_sigma",
+])
+def test_config_built_in_code_is_refused_naming_the_key(build, cls, fields, key):
+    """A config built in code, not through ``build_config`` or the CLI, is
+    checked as it is built, so no stage is handed one of these values."""
+    with pytest.raises(ConfigInvalidError, match=rf"^{key}\b"):
+        build(cls, fields)
 
 
 def test_negative_synth_seed_refused_before_anything_is_written(tmp_path, capsys):
@@ -2058,15 +2114,16 @@ class TestManifest:
         }
 
     @staticmethod
-    def ghost_row_refused(synth_dir, finished, tmp_path, capsys, command, name, **values):
-        """``command`` on the finished run with a row of an image the
-        manifest does not list appended to ``name`` is refused by name."""
+    def ghost_row_refused(synth_dir, finished, tmp_path, capsys, command, name, *flags, **values):
+        """``command`` (with ``flags``) on the finished run with a row of an
+        image the manifest does not list appended to ``name`` is refused by
+        name."""
         out = shutil.copytree(finished, tmp_path / "out")
         rows = list(dataio.read_jsonl(out / name))
         rows.append({**rows[-1], "image_id": "ghost_999", **values})
         dataio.write_jsonl(out / name, rows)
         code = run_cli(command, "--manifest", synth_dir / "manifest.json", "--out", out,
-                       "--seed", 0)
+                       "--seed", 0, *flags)
         assert code == 1
         err = json.loads(capsys.readouterr().err.strip())
         assert err == {
@@ -2095,6 +2152,26 @@ class TestManifest:
     ):
         """Unrefused, a top-scoring detection of no image lowers eval's AP."""
         self.ghost_row_refused(synth_dir, finished, tmp_path, capsys, command, name, score=99.0)
+
+    @pytest.mark.parametrize("command", ["select-tracks", "match"])
+    def test_region_of_an_unlisted_image_refused(
+        self, synth_dir, finished, tmp_path, capsys, command
+    ):
+        """Unrefused, the query window's map lookup fails naming no file."""
+        self.ghost_row_refused(
+            synth_dir, finished, tmp_path, capsys, command, pipeline.REGIONS, region_id="r_ghost"
+        )
+
+    @pytest.mark.parametrize("command,flags", [
+        ("vote", ("--bandwidth", 2.0)), ("cv-bandwidth", ()),
+    ], ids=["vote", "cv-bandwidth"])
+    def test_transfer_of_an_unlisted_image_refused(
+        self, synth_dir, finished, tmp_path, capsys, command, flags
+    ):
+        """Unrefused, the vote's image-size lookup fails naming no file."""
+        self.ghost_row_refused(
+            synth_dir, finished, tmp_path, capsys, command, pipeline.TRANSFERS, *flags
+        )
 
     def test_lookups_by_id(self, synth_dir):
         ds = dataio.load_manifest(synth_dir / "manifest.json")
@@ -2135,6 +2212,23 @@ class TestRegressFallbacks:
                 dataio.load_manifest(manifest), PipelineConfig(out_dir=str(tmp_path / "out")),
                 pseudo_gt=pgt, detections=det,
             )
+
+    def test_no_pairs_write_the_identity(self, regress_inputs, tmp_path):
+        """With no pseudo GT there is no regression pair: regress writes the
+        identity regressor and keeps every detection's box."""
+        manifest, _, det, _ = regress_inputs
+        (tmp_path / "none.jsonl").write_text("")
+        out = tmp_path / "out"
+        report = pipeline.run_regress(
+            dataio.load_manifest(manifest), PipelineConfig(out_dir=str(out)),
+            pseudo_gt=tmp_path / "none.jsonl", detections=det,
+        )
+        assert report["n_pairs"] == 0
+        regressor = json.loads((out / pipeline.REGRESSOR).read_text())
+        assert regressor["weights"] == [[0.0] * regressor["dim"]] * 4
+        assert regressor["biases"] == [0.0] * 4
+        refined = dataio.read_detections(out / pipeline.DETECTIONS_BBOXREG)
+        assert refined == dataio.read_detections(det)
 
     def test_runs_without_numpy_linalg(self, regress_inputs, tmp_path, monkeypatch):
         """The regress stage fits and applies its regressor with no LAPACK

@@ -122,6 +122,22 @@ def test_every_package_definition_is_reached():
     assert unreached == []
 
 
+def test_every_package_error_is_raised():
+    """Every exception class in ``errors.py`` but ``BoxforgeError`` is
+    raised under ``src/boxforge/``: a class that is only imported or named
+    is an error no run can meet."""
+    errors = ast.parse((PACKAGE / "errors.py").read_text()).body
+    classes = {node.name for node in errors if isinstance(node, ast.ClassDef)}
+    raised = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    assert sorted(classes - raised - {"BoxforgeError"}) == []
+
+
 def _same_bytes():
     spec = importlib.util.spec_from_file_location("same_bytes", SCRIPTS / "same_bytes.py")
     module = importlib.util.module_from_spec(spec)

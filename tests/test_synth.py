@@ -63,10 +63,10 @@ class TestConfigValidation:
     )
     def test_invalid_configs_raise(self, kwargs):
         with pytest.raises(ConfigInvalidError):
-            replace(SMALL, **kwargs).validate()
+            replace(SMALL, **kwargs)
 
     def test_default_is_valid(self):
-        SynthConfig().validate()
+        SynthConfig()
 
 
 @pytest.fixture(scope="module")

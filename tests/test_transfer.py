@@ -92,8 +92,6 @@ def test_sampled_frame_indices_phase_zero():
     assert sampled_frame_indices(16, 8) == [0, 8]
     assert sampled_frame_indices(3, 8) == [0]
     assert sampled_frame_indices(5, 1) == [0, 1, 2, 3, 4]
-    with pytest.raises(ValueError):
-        sampled_frame_indices(5, 0)
 
 
 class TestMatchRegionsTop:

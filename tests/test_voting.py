@@ -7,7 +7,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from boxforge import atomic, voting
-from boxforge.errors import ConfigInvalidError, DegenerateBoxError, NoPointsError
+from boxforge.errors import DegenerateBoxError
 from boxforge.geometry import BBox, box_array, clip_box
 from boxforge.voting import (
     PseudoGT,
@@ -72,20 +72,6 @@ class TestVoteValue:
         assert vote_value(l, s) == pytest.approx(oracle_vote(l, pts, 1.7), rel=1e-12)
 
 
-class TestVoteSpaceValidation:
-    def test_rejects_bad_bandwidth(self):
-        with pytest.raises(ConfigInvalidError):
-            space([[0, 0, 1, 1]], b=0.0)
-
-    def test_rejects_wrong_width(self):
-        with pytest.raises(ConfigInvalidError):
-            VoteSpace(points=np.zeros((3, 3)), bandwidth=1.0)
-
-    def test_rejects_points_that_are_not_float64(self):
-        with pytest.raises(ConfigInvalidError, match="float64"):
-            VoteSpace(points=np.zeros((3, 4), dtype=np.int64), bandwidth=1.0)
-
-
 class TestMeanShiftModes:
     def test_coincident_points_single_mode(self):
         s = space([[3, 4, 9, 11]] * 6, b=2.0)
@@ -93,10 +79,6 @@ class TestMeanShiftModes:
         assert len(modes) == 1
         assert modes[0][0] == pytest.approx([3, 4, 9, 11])
         assert modes[0][1] == 6.0
-
-    def test_empty_raises(self):
-        with pytest.raises(NoPointsError):
-            voting.ranked_ascents(np.zeros((0, 4)), [1.0])
 
     def test_two_far_clusters_give_two_modes_at_centroids(self):
         b = 1.0
@@ -397,10 +379,6 @@ class TestSelectPseudoGt:
     def test_exactly_theta_is_kept(self):
         s = space([[1, 1, 7, 6]] * 20, b=2.0)
         assert select(s, theta=20.0, image_bounds=(16, 16)) is not None
-
-    def test_empty_space_has_no_ranking_to_select_from(self):
-        with pytest.raises(NoPointsError):
-            voting.ranked_ascents(np.zeros((0, 4)), [1.0])
 
     def test_box_clipped_to_image_bounds(self):
         s = space([[-2, -2, 5, 5]] * 30, b=1.0)
