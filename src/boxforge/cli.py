@@ -72,6 +72,7 @@ _REGIONS = Flag("--regions", "regions", "regions.jsonl (default: <out>/regions.j
 _SELECTIONS = Flag("--selections", "selections", "selections.jsonl")
 _TRANSFERS = Flag("--transfers", "transfers", "transfers.jsonl")
 _PSEUDO_GT = Flag("--pseudo-gt", "pseudo_gt", "pseudo_gt.jsonl")
+_DETECTIONS = Flag("--detections", "detections", "detections_*.jsonl")
 _HEATMAPS = Flag("--heatmaps", "heatmaps", "directory for vote heatmap PGMs")
 
 COMMANDS = (
@@ -82,10 +83,8 @@ COMMANDS = (
     Command("train", "run_train", need_seed=True, flags=(
         _PSEUDO_GT, Flag("--tag", "tag", "artifact name suffix"),
     )),
-    Command("update", "run_update", need_seed=True, flags=(_PSEUDO_GT,)),
-    Command("regress", "run_regress", flags=(
-        _PSEUDO_GT, Flag("--detections", "detections", "detections to refine"),
-    )),
+    Command("update", "run_update", flags=(_PSEUDO_GT, _DETECTIONS)),
+    Command("regress", "run_regress", flags=(_PSEUDO_GT, _DETECTIONS)),
     Command("eval", "run_eval", flags=(
         Flag("--initial-pseudo-gt", "initial_pgt"),
         Flag("--updated-pseudo-gt", "updated_pgt", f"default: <out>/{pipeline.PSEUDO_GT_UPDATED}"),

@@ -402,43 +402,33 @@ def read_proposals(ds: Dataset) -> dict[str, ImageProposals]:
     of :func:`pool_box_feature` over the image's corner rows, one call on
     the image's FMAP, read once; a ``feature`` key in a row is not read.
 
-    Every row of an image must carry the same label, and it must be the
-    image's label in the manifest; every box must lie inside its image's
-    ``size``.  A row or an image that disagrees raises
-    :class:`ConfigInvalidError`, an image the manifest does not list
-    :class:`MissingInputError`, and a file without rows
-    :class:`EmptyDatasetError`, before any FMAP is read.  Rows are checked
-    and grouped as the file streams; only their corners are kept, 32 B a
-    box.
+    Every row's label must be its image's label in the manifest, and every
+    box must lie inside its image's ``size``.  A row that disagrees raises
+    :class:`ConfigInvalidError` naming its file and line, an image the
+    manifest does not list :class:`MissingInputError`, and a file without
+    rows :class:`EmptyDatasetError`, before any FMAP is read.  Rows are
+    checked and grouped as the file streams; only their corners are kept,
+    32 B a box.
     """
     path = ds.path("proposals")
-    grouped: dict[str, tuple[str, array]] = {}
+    grouped: dict[str, array] = {}
     for row in read_jsonl(path):
         image_id, label = row.typed("image_id", _text), row.typed("label", _text)
-        first_label, corners = grouped.setdefault(image_id, (label, array("d")))
-        if label != first_label:
+        entry = ds.image(image_id)
+        if label != entry.label:
             raise ConfigInvalidError(
                 f"{row.where} (image {image_id}): label {label!r}, "
-                f"an earlier row of the image has {first_label!r}"
+                f"but {entry.label!r} in the manifest"
             )
-        corners.extend(row.typed("box", _box_inside(ds.image(image_id).size)).as_list())
+        corners = grouped.setdefault(image_id, array("d"))
+        corners.extend(row.typed("box", _box_inside(entry.size)).as_list())
     if not grouped:
         raise EmptyDatasetError(f"{path}: no proposals")
-    image_ids = sorted(grouped)
-    for image_id in image_ids:
-        label, listed = grouped[image_id][0], ds.image(image_id).label
-        if label != listed:
-            raise ConfigInvalidError(
-                f"image {image_id} is labelled {label!r} in {path} "
-                f"but {listed!r} in the manifest"
-            )
     images = {}
-    for image_id in image_ids:
-        label, corners = grouped[image_id]
-        coords = np.array(corners).reshape(-1, 4)
-        fmap = ds.load_image_fmap(image_id)
-        features = pool_box_feature(fmap, coords, ds.cell_stride)
-        images[image_id] = ImageProposals(label, coords, features)
+    for image_id in sorted(grouped):
+        coords = np.array(grouped[image_id]).reshape(-1, 4)
+        features = pool_box_feature(ds.load_image_fmap(image_id), coords, ds.cell_stride)
+        images[image_id] = ImageProposals(ds.image(image_id).label, coords, features)
     return images
 
 

@@ -4,7 +4,7 @@ Label assignment keeps the pseudo-GT box as the only positive exemplar and
 turns proposals that barely overlap it (IOU in [0.1, 0.3]) into hard
 negatives; box regression trains on the proposals with IOU >= 0.6.  The
 classifier is a hinge-loss linear model trained on 32/96 positive/negative
-minibatches, the latent update re-scores proposals to fill or refine
+minibatches, the latent update adopts detections to fill or refine
 pseudo-GT boxes, and box regression is ridge on the usual center/log-size
 targets.
 
@@ -20,21 +20,20 @@ block of :data:`DRAW_BLOCK_STEPS` steps at a time, and the block size does
 not change the stream.
 
 Proposals are read as :class:`~boxforge.mining.ImageProposals` corner rows;
-the latent update and box regression make a :class:`BBox` only for a
-proposal they adopt or pair.
+box regression makes a :class:`BBox` only for a proposal it pairs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import EmptyPoolError
-from .geometry import BBox, iou_rows, nms
-from .mining import POSITIVE, ImageProposals
+from .geometry import BBox, iou, iou_rows
+from .mining import ImageProposals
 from .voting import PseudoGT
 
 HARD_NEG_LOW = 0.1
@@ -161,43 +160,37 @@ def train_linear(
 
 
 def lsvm_update(
-    model: LinearModel,
-    images: Mapping[str, ImageProposals],
+    detections: Iterable[tuple[str, BBox, float]],
+    positives: Iterable[str],
     pseudo_gts: Mapping[str, PseudoGT],
-    nms_iou: float,
 ) -> dict[str, PseudoGT]:
-    """Latent update of the pseudo-GT set with the current model.
+    """Latent update of the pseudo-GT set from the current detector's
+    detections, ``(image id, box, score)`` rows as ``train`` writes them.
 
-    For each positive image the proposals are scored and non-max suppressed.
-    An image without a pseudo GT adopts the highest-scoring detection; an
-    image with one adopts the highest-scoring detection having at least 0.5
-    IOU with it, keeping the original box when no detection qualifies.  The
-    result never has fewer pseudo GTs than the input.
+    Each positive image's rows are taken in NMS keep order, score descending
+    and then corners ascending, whatever order they come in.  An image
+    without a pseudo GT adopts its first detection; an image with one adopts
+    its first detection having at least 0.5 IOU with it, keeping the
+    original box when no detection qualifies.  A positive image with no
+    detection row and no pseudo GT stays without one.  The result never has
+    fewer pseudo GTs than the input.
     """
+    by_image: dict[str, list[tuple[BBox, float]]] = {}
+    for image_id, box, score in detections:
+        by_image.setdefault(image_id, []).append((box, score))
     updated: dict[str, PseudoGT] = {}
-    for image_id in sorted(images):
-        image = images[image_id]
-        if image.label != POSITIVE:
-            continue
+    for image_id in sorted(positives):
+        rows = sorted(by_image.get(image_id, ()), key=lambda row: (-row[1], row[0].as_list()))
         existing = pseudo_gts.get(image_id)
-        scores = model.score(image.features)
-        keep = nms(image.coords, scores, nms_iou)
         if existing is None:
-            top = keep[0]
-            updated[image_id] = PseudoGT(
-                image_id=image_id, box=image.box(top), vote=float(scores[top]),
-                support=0, updated=True,
-            )
+            if rows:
+                box, score = rows[0]
+                updated[image_id] = PseudoGT(image_id, box, vote=score, support=0, updated=True)
             continue
-        leashed = iou_rows(image.coords[keep], existing.box) >= LSVM_LEASH_IOU
-        if not leashed.any():
-            updated[image_id] = existing
-            continue
-        new_box = image.box(keep[int(np.argmax(leashed))])
-        if new_box == existing.box:
-            updated[image_id] = existing
-        else:
-            updated[image_id] = replace(existing, box=new_box, updated=True)
+        box = next((b for b, _ in rows if iou(b, existing.box) >= LSVM_LEASH_IOU), existing.box)
+        if box != existing.box:
+            existing = replace(existing, box=box, updated=True)
+        updated[image_id] = existing
     for image_id, gt in pseudo_gts.items():
         updated.setdefault(image_id, gt)
     return updated

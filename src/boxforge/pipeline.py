@@ -17,9 +17,9 @@ from, so a stage reuses an earlier stage's result only for equal inputs.
 ``run_pipeline`` opens the dataset once and chains the stages in order,
 passing only what differs from the defaults: the bandwidth cross-validation
 chose, the updated pseudo GT that the updated train reads, and the updated
-pseudo GT of each update round after the first.  Running the stages one by
-one writes the same artifacts.  Models and the box regressor are outputs
-only: no stage reads them back.
+pseudo GT and detections that each update round after the first reads.
+Running the stages one by one writes the same artifacts.  Models and the
+box regressor are outputs only: no stage reads them back.
 """
 
 from __future__ import annotations
@@ -398,14 +398,19 @@ def run_train(
 
 
 def run_update(
-    ds: dataio.Dataset, cfg: PipelineConfig, *, pseudo_gt: Optional[str | Path] = None
+    ds: dataio.Dataset,
+    cfg: PipelineConfig,
+    *,
+    pseudo_gt: Optional[str | Path] = None,
+    detections: Optional[str | Path] = None,
 ) -> dict:
-    """Latent update: fill missing pseudo GTs, refine existing ones, with
-    the detector ``train`` fits on the same pseudo GT and SGD settings: in
-    a pipeline run the memo's, run alone a deterministic refit."""
+    """Latent update: fill missing pseudo GTs and refine existing ones from
+    the detections of the detector ``train`` fit on the same pseudo GT."""
     stage = _Stage(cfg, "update")
     before = _read_pseudo_gts(ds, stage.input(pseudo_gt, PSEUDO_GT))
-    after = lsvm_update(_fitted(ds, cfg, before).model, ds.images, before, nms_iou=cfg.nms_iou)
+    rows = _read_detections(ds, stage.input(detections, DETECTIONS_INITIAL))
+    positives = [i for i, entry in ds.entries.items() if entry.label == POSITIVE]
+    after = lsvm_update(rows, positives, before)
     dataio.write_pseudo_gts(stage.out / PSEUDO_GT_UPDATED, [after[i] for i in sorted(after)])
     return stage.report({
         "n_before": len(before),
@@ -609,8 +614,9 @@ def run_pipeline(cfg: PipelineConfig, heatmaps: Optional[str | Path] = None) -> 
     run_vote(ds, cfg, heatmaps=heatmaps, bandwidth=bandwidth)
     run_train(ds, cfg)
     updated = stage.out / PSEUDO_GT_UPDATED
+    later = {"pseudo_gt": updated, "detections": stage.out / DETECTIONS_UPDATED}
     for round_idx in range(cfg.lsvm_rounds):
-        run_update(ds, cfg, **({"pseudo_gt": updated} if round_idx else {}))
+        run_update(ds, cfg, **(later if round_idx else {}))
         run_train(ds, cfg, pseudo_gt=updated, tag="updated")
     run_regress(ds, cfg)
     metrics_doc = run_eval(ds, cfg)

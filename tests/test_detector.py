@@ -389,17 +389,24 @@ def model_toward(direction):
     return LinearModel(weights=np.asarray(direction, dtype=np.float64), bias=0.0)
 
 
+def update_from_detections(model, images, pseudo_gts):
+    """The latent update on ``model``'s detections in ``images``, the rows
+    the train stage writes."""
+    positives = [i for i, image in images.items() if image.label == "pos"]
+    return lsvm_update(pipeline._detect(images, model, 0.3), positives, pseudo_gts)
+
+
 class TestLsvmUpdate:
     def test_fills_missing_image_with_top_detection(self):
-        updated = lsvm_update(model_toward([1, 0]), images_fixture(), {}, nms_iou=0.3)
+        updated = update_from_detections(model_toward([1, 0]), images_fixture(), {})
         assert "img_pos" in updated and "img_neg" not in updated
         assert updated["img_pos"].box == box(2, 2, 8, 8)
         assert updated["img_pos"].updated is True
 
     def test_existing_gt_kept_when_best_is_itself(self):
         existing = PseudoGT(image_id="img_pos", box=box(2, 2, 8, 8), vote=25.0, support=25)
-        updated = lsvm_update(
-            model_toward([1, 0]), images_fixture(), {"img_pos": existing}, nms_iou=0.3
+        updated = update_from_detections(
+            model_toward([1, 0]), images_fixture(), {"img_pos": existing}
         )
         assert updated["img_pos"] == existing
         assert updated["img_pos"].updated is False
@@ -407,14 +414,14 @@ class TestLsvmUpdate:
     def test_leash_keeps_original_when_no_overlap_candidate(self):
         existing = PseudoGT(image_id="img_pos", box=box(12, 12, 15, 15), vote=21.0, support=21)
         model = model_toward([1, 0])  # best detection is far from existing GT
-        updated = lsvm_update(model, images_fixture(), {"img_pos": existing}, nms_iou=0.3)
+        updated = update_from_detections(model, images_fixture(), {"img_pos": existing})
         assert updated["img_pos"].box == existing.box
         assert updated["img_pos"].updated is False
 
     def test_refinement_respects_leash(self):
         existing = PseudoGT(image_id="img_pos", box=box(2, 2, 7, 8), vote=21.0, support=21)
-        updated = lsvm_update(
-            model_toward([1, 0]), images_fixture(), {"img_pos": existing}, nms_iou=0.3
+        updated = update_from_detections(
+            model_toward([1, 0]), images_fixture(), {"img_pos": existing}
         )
         new = updated["img_pos"]
         assert new.updated is True
@@ -431,14 +438,27 @@ class TestLsvmUpdate:
         images = {"img": proposals("pos", halves, feats)}
         existing = PseudoGT(image_id="img", box=box(0, 0, 10, 10), vote=21.0, support=21)
         model = model_toward([1.0, 0.5] if first == 0 else [0.5, 1.0])
-        updated = lsvm_update(model, images, {"img": existing}, nms_iou=0.3)
+        updated = update_from_detections(model, images, {"img": existing})
         assert updated["img"].box == halves[first]
         assert updated["img"].updated is True
 
     def test_count_never_decreases(self):
         existing = {"img_pos": PseudoGT(image_id="img_pos", box=GT, vote=20.0, support=20)}
-        updated = lsvm_update(model_toward([1, 0]), images_fixture(), existing, nms_iou=0.3)
+        updated = update_from_detections(model_toward([1, 0]), images_fixture(), existing)
         assert len(updated) >= len(existing)
+
+    def test_equal_scores_are_taken_in_nms_keep_order_whatever_the_row_order(self):
+        boxes = [box(10, 0, 20, 10), box(0, 0, 10, 10)]
+        images = {"img": proposals("pos", boxes, [[1.0, 0.0], [1.0, 0.0]])}
+        rows = pipeline._detect(images, model_toward([1, 0]), 0.3)
+        assert [b for _, b, _ in rows] == [boxes[1], boxes[0]]
+        for order in (rows, rows[::-1]):
+            assert lsvm_update(order, ["img"], {})["img"].box == boxes[1]
+
+    def test_positive_without_detections_keeps_what_it_had(self):
+        existing = PseudoGT(image_id="img", box=GT, vote=20.0, support=20)
+        assert lsvm_update([], ["img"], {}) == {}
+        assert lsvm_update([], ["img"], {"img": existing}) == {"img": existing}
 
 
 class TestBoxRegressor:

@@ -4,6 +4,7 @@ import json
 import logging
 from collections import Counter
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -272,8 +273,10 @@ class TestSettingsSurface:
         assert not out.exists()
 
 
-def run_stage_chain(manifest, out, frame_stride):
-    """Every stage subcommand in pipeline order at a fixed bandwidth of 2."""
+def run_stage_chain(manifest, out, frame_stride, lsvm_rounds=1):
+    """Every stage subcommand in pipeline order at a fixed bandwidth of 2;
+    an update round after the first reads the updated pseudo GT and the
+    detections trained on it."""
     common = ["--manifest", manifest, "--out", out,
               "--target-cells", 30, "--frame-stride", frame_stride]
     assert run_cli("mine", *common) == 0
@@ -281,11 +284,11 @@ def run_stage_chain(manifest, out, frame_stride):
     assert run_cli("match", *common) == 0
     assert run_cli("vote", *common, "--bandwidth", 2.0) == 0
     assert run_cli("train", *common, "--seed", 7) == 0
-    assert run_cli("update", *common, "--seed", 7) == 0
-    assert run_cli(
-        "train", *common, "--seed", 7,
-        "--pseudo-gt", out / "pseudo_gt_updated.jsonl", "--tag", "updated",
-    ) == 0
+    updated = ["--pseudo-gt", out / "pseudo_gt_updated.jsonl"]
+    for round_idx in range(lsvm_rounds):
+        later = [*updated, "--detections", out / "detections_updated.jsonl"] if round_idx else []
+        assert run_cli("update", *common, *later) == 0
+        assert run_cli("train", *common, "--seed", 7, *updated, "--tag", "updated") == 0
     assert run_cli("regress", *common) == 0
     assert run_cli("eval", *common) == 0
 
@@ -351,7 +354,7 @@ class TestCliStages:
         assert printed["best_b"] == best_b
         assert run_cli("vote", *common, "--bandwidth", best_b) == 0
         assert run_cli("train", *common, "--seed", 7) == 0
-        assert run_cli("update", *common, "--seed", 7) == 0
+        assert run_cli("update", *common) == 0
         assert run_cli(
             "train", *common, "--seed", 7,
             "--pseudo-gt", chained / "pseudo_gt_updated.jsonl", "--tag", "updated",
@@ -443,7 +446,7 @@ ARTIFACTS = {
     "match": {"--regions": "regions.jsonl", "--selections": "selections.jsonl"},
     "vote": {"--transfers": "transfers.jsonl"},
     "train": {"--pseudo-gt": "pseudo_gt.jsonl"},
-    "update": {"--pseudo-gt": "pseudo_gt.jsonl"},
+    "update": {"--pseudo-gt": "pseudo_gt.jsonl", "--detections": "detections_initial.jsonl"},
     "regress": {
         "--pseudo-gt": "pseudo_gt_updated.jsonl", "--detections": "detections_updated.jsonl",
     },
@@ -460,7 +463,6 @@ OPTIONS = {"train": ["--tag"], "vote": ["--heatmaps"], "pipeline": ["--heatmaps"
 STAGE_ARGS = {
     "vote": ["--bandwidth", 2.0],
     "train": ["--seed", 7],
-    "update": ["--seed", 7],
     "cv-bandwidth": ["--seed", 7, "--bandwidth-grid", "1,2"],
 }
 READERS = (
@@ -701,37 +703,65 @@ class TestEvalCli:
         assert sum(doc["error_histogram"].values()) == pgt["n_pseudo_gt"]
 
 
-class TestUpdateReadsNoModel:
-    """A model is an output: ``update`` trains the detector on its pseudo GT
-    again, with the same SGD settings and seed, so run alone it writes the
-    pipeline's updated pseudo GT whatever the model files hold."""
+class TestUpdateAdoptsTrainDetections:
+    """``update`` adopts the detections ``train`` wrote for the pseudo GT it
+    reads: run alone it fits no detector and reads no model or map, so it
+    needs no seed and writes the pipeline's updated pseudo GT whatever SGD
+    settings it is given."""
 
-    @pytest.mark.parametrize("model", ["deleted", "garbage"])
+    @pytest.mark.parametrize(
+        "sgd_flags", [[], ["--seed", 8, "--steps", 5]], ids=["no-seed", "other-sgd"]
+    )
     def test_update_alone_writes_the_pipeline_bytes(
-        self, synth_dir, finished, tmp_path, monkeypatch, model
+        self, synth_dir, finished, tmp_path, monkeypatch, sgd_flags
     ):
         out = shutil.copytree(finished, tmp_path / "out")
         (out / pipeline.PSEUDO_GT_UPDATED).unlink()
         for path in out.glob("model_*.json"):
-            if model == "deleted":
-                path.unlink()
-            else:
-                path.write_bytes(b"\xff not a model\n")
-        fits = []
+            path.write_bytes(b"\xff not a model\n")
+        fits, fmap_reads = [], []
         TestEachIntermediateOnce.count(monkeypatch, pipeline, "train_linear", fits)
+        TestEachIntermediateOnce.count(monkeypatch, dataio, "read_fmap", fmap_reads)
         assert run_cli("update", "--manifest", synth_dir / "manifest.json", "--out", out,
-                       "--seed", 0) == 0
-        assert len(fits) == 1
+                       *sgd_flags) == 0
+        assert fits == [] and fmap_reads == []
         written = (out / pipeline.PSEUDO_GT_UPDATED).read_bytes()
         assert written == (finished / pipeline.PSEUDO_GT_UPDATED).read_bytes()
-        # the update filled and moved boxes, so its detector mattered
+        # the update filled and moved boxes, so the detections mattered
         assert written != (finished / pipeline.PSEUDO_GT).read_bytes()
 
-    def test_update_needs_a_seed(self, synth_dir, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run_cli("update", "--manifest", synth_dir / "manifest.json", "--out", tmp_path)
-        assert exc.value.code == 2
-        assert "--seed" in capsys.readouterr().err
+    def test_shuffled_detections_give_the_same_bytes(self, synth_dir, finished, tmp_path):
+        out = shutil.copytree(finished, tmp_path / "out")
+        rows = list(dataio.read_jsonl(out / pipeline.DETECTIONS_INITIAL))
+        shuffled = rows[:]
+        random.Random(5).shuffle(shuffled)
+        assert shuffled != rows
+        dataio.write_jsonl(tmp_path / "shuffled.jsonl", shuffled)
+        assert run_cli("update", "--manifest", synth_dir / "manifest.json", "--out", out,
+                       "--detections", tmp_path / "shuffled.jsonl") == 0
+        assert (out / pipeline.PSEUDO_GT_UPDATED).read_bytes() == (
+            finished / pipeline.PSEUDO_GT_UPDATED
+        ).read_bytes()
+
+    def test_two_round_stage_chain_matches_pipeline(self, synth_dir, tmp_path, monkeypatch):
+        """On this data the second round changes nothing, so the pipeline's
+        inputs to each round are pinned as well as its bytes."""
+        manifest = synth_dir / "manifest.json"
+        chained = tmp_path / "chained"
+        run_stage_chain(manifest, chained, 1, lsvm_rounds=2)
+        piped = tmp_path / "piped"
+        rounds = []
+        original = pipeline.run_update
+        monkeypatch.setattr(
+            pipeline, "run_update",
+            lambda ds, cfg, **given: rounds.append(given) or original(ds, cfg, **given),
+        )
+        run_pipeline(PipelineConfig(
+            manifest=str(manifest), out_dir=str(piped), seed=7, lsvm_rounds=2, **PROFILE
+        ))
+        assert_same_outputs(chained, piped)
+        assert rounds == [{}, {"pseudo_gt": piped / pipeline.PSEUDO_GT_UPDATED,
+                               "detections": piped / pipeline.DETECTIONS_UPDATED}]
 
 
 class TestReports:
@@ -833,7 +863,7 @@ class TestEachIntermediateOnce:
         self.count(monkeypatch, pipeline, "train_linear", fits)
         self.count(
             monkeypatch, pipeline, "lsvm_update", updates,
-            record=lambda model, images, before, result: result,
+            record=lambda detections, positives, before, result: result,
         )
         out = tmp_path / "run"
         run_pipeline(PipelineConfig(
@@ -1105,7 +1135,8 @@ class TestArrayStagesMatchPerProposalCode:
 
         model = pipeline.fit_detector(ds, pseudo_gts, 50, 0.1, 1e-4, 3).model
         assert pipeline._detect(ds.images, model, 0.3) == per_proposal_detect(images, model, 0.3)
-        got = lsvm_update(model, ds.images, pseudo_gts, nms_iou=0.3)
+        positives = [i for i, entry in ds.entries.items() if entry.label == "pos"]
+        got = lsvm_update(pipeline._detect(ds.images, model, 0.3), positives, pseudo_gts)
         want = per_proposal_lsvm_update(model, images, pseudo_gts, 0.3)
         assert got == want
         assert any(g.updated for g in got.values())
@@ -1626,8 +1657,11 @@ class TestImageLabels:
                 row["label"] = "neg"
 
         err = self.mine(data, tmp_path, capsys, relabel)
-        assert err["error"] == "ConfigInvalidError"
-        assert "proposals.jsonl line 2 (image pos_000): label 'neg'" in err["message"]
+        assert err == {
+            "error": "ConfigInvalidError",
+            "message": f"{data / 'proposals.jsonl'} line 2 (image pos_000): label 'neg', "
+                       "but 'pos' in the manifest",
+        }
 
     def test_image_disagreeing_with_the_manifest_refused(self, data, tmp_path, capsys):
         def relabel(n, row):
@@ -1635,9 +1669,13 @@ class TestImageLabels:
                 row["label"] = "neg"
 
         err = self.mine(data, tmp_path, capsys, relabel)
-        assert err["error"] == "ConfigInvalidError"
-        assert err["message"].startswith("image pos_003 is labelled 'neg'")
-        assert err["message"].endswith("but 'pos' in the manifest")
+        rows = list(dataio.read_jsonl(data / "proposals.jsonl"))
+        line = 1 + next(n for n, row in enumerate(rows) if row["image_id"] == "pos_003")
+        assert err == {
+            "error": "ConfigInvalidError",
+            "message": f"{data / 'proposals.jsonl'} line {line} (image pos_003): label 'neg', "
+                       "but 'pos' in the manifest",
+        }
 
     def test_image_missing_from_the_manifest_refused(self, data, tmp_path, capsys):
         def relabel(n, row):
@@ -2144,6 +2182,7 @@ class TestManifest:
         self.ghost_row_refused(synth_dir, finished, tmp_path, capsys, command, name)
 
     @pytest.mark.parametrize("command,name", [
+        ("update", pipeline.DETECTIONS_INITIAL),
         ("regress", pipeline.DETECTIONS_UPDATED), ("eval", pipeline.DETECTIONS_INITIAL),
         ("eval", pipeline.DETECTIONS_UPDATED), ("eval", pipeline.DETECTIONS_BBOXREG),
     ])
