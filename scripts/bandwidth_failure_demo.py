@@ -19,7 +19,6 @@ from boxforge.pipeline import (
     run_cv_bandwidth,
     run_match,
     run_mine,
-    run_select_tracks,
     run_vote,
 )
 from boxforge.synth import SynthConfig, gen_dataset
@@ -46,7 +45,6 @@ def main():
 
     ds = dataio.load_manifest(manifest)
     run_mine(ds, cfg)
-    run_select_tracks(ds, cfg)
     run_match(ds, cfg)
 
     def describe(bandwidth):

@@ -8,6 +8,7 @@ the log level (DEBUG, INFO, WARNING, ...); any other name is refused.
 runs, whether ``--seed`` is required, and the flags it passes to the stage
 by keyword, its input artifacts and ``--tag``/``--heatmaps``.  An artifact
 flag left unset is the default file the stage reads under ``--out``.
+``match`` writes the track selections that ``cv-bandwidth`` reads.
 """
 
 from __future__ import annotations
@@ -77,8 +78,7 @@ _HEATMAPS = Flag("--heatmaps", "heatmaps", "directory for vote heatmap PGMs")
 
 COMMANDS = (
     Command("mine", "run_mine"),
-    Command("select-tracks", "run_select_tracks", flags=(_REGIONS,)),
-    Command("match", "run_match", flags=(_REGIONS, _SELECTIONS)),
+    Command("match", "run_match", flags=(_REGIONS,)),
     Command("vote", "run_vote", flags=(_TRANSFERS, _HEATMAPS)),
     Command("train", "run_train", need_seed=True, flags=(
         _PSEUDO_GT, Flag("--tag", "tag", "artifact name suffix"),

@@ -130,8 +130,21 @@ def _one_name(value) -> str:
     return names[0]
 
 
+def _path(value) -> Path:
+    if "\0" in _text(value):  # no file name holds a NUL byte
+        raise ValueError(f"expected a path without NUL bytes, got {value!r}")
+    return Path(value)
+
+
 def _paths(value) -> tuple[Path, ...]:
-    return tuple(map(Path, _names(value)))
+    return tuple(map(_path, _names(value)))
+
+
+def _file_name(value) -> str:
+    """A plain file name, such as an image id, which names its heatmap file."""
+    if _text(value) in ("", ".", "..") or "/" in value or "\0" in value:
+        raise ValueError(f"expected a plain file name, got {value!r}")
+    return value
 
 
 def _objects(value) -> list[_Row]:
@@ -140,10 +153,10 @@ def _objects(value) -> list[_Row]:
     return value
 
 
-def _files(value) -> dict[str, str]:
+def _files(value) -> dict[str, Path]:
     if not isinstance(value, _Row):
         raise TypeError("expected an object of file names")
-    return {key: _text(name) for key, name in value.items()}
+    return {key: _path(name) for key, name in value.items()}
 
 
 def _object(value, where: str) -> _Row:
@@ -247,7 +260,7 @@ class Dataset:
     """
 
     def __init__(
-        self, root: Path, cell_stride: float, category: str, files: dict[str, str],
+        self, root: Path, cell_stride: float, category: str, files: dict[str, Path],
         entries: dict[str, ImageEntry], videos: dict[str, tuple[Path, ...]],
     ):
         self.root = root
@@ -346,9 +359,9 @@ def load_manifest(path: str | Path) -> Dataset:
         )
     entries = tuple(
         ImageEntry(
-            image_id=e.typed("id", _text),
+            image_id=e.typed("id", _file_name),
             label=e.typed("label", _text),
-            fmap_path=e.typed("fmap", Path),
+            fmap_path=e.typed("fmap", _path),
             size=e.typed("size", _size),
         )
         for e in doc.typed("images", _objects)

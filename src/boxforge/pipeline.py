@@ -11,7 +11,8 @@ the file the stage before it wrote there: for example ``run_regress`` reads
 ``pseudo_gt_updated.jsonl`` and ``detections_updated.jsonl``.  Stages are
 deterministic for fixed inputs and seed.
 
-The scan, the vote and each detector are computed through
+``run_match`` alone scans the video frames, and writes the selections it
+made with the transfers.  The vote and each detector are computed through
 :meth:`~boxforge.dataio.Dataset.memo`, keyed by the values they are computed
 from, so a stage reuses an earlier stage's result only for equal inputs.
 ``run_pipeline`` opens the dataset once and chains the stages in order,
@@ -156,54 +157,36 @@ def _query_windows(ds, mined, target_cells: int) -> dict[str, np.ndarray]:
     }
 
 
-def _scan(ds, mined, target_cells, n_matches, frame_stride):
+def _scan(ds: dataio.Dataset, cfg: PipelineConfig, mined):
     """Each region's query scanned once over every sampled frame: (selections, TopMatches)."""
-    queries = _query_windows(ds, mined, target_cells)
+    queries = _query_windows(ds, mined, cfg.target_cells)
     videos = [(video_id, ds.load_video_frames(video_id)) for video_id in ds.videos]
 
     def select(video_id: str, frame_idx: int, boxes, scores) -> Optional[FrameSelection]:
         candidates = candidates_at_frame(ds.tracks.get(video_id, []), frame_idx)
         return select_track_per_frame(candidates, boxes, scores, video_id, frame_idx)
 
-    return match_regions(queries, videos, select, n_matches, frame_stride, ds.cell_stride)
-
-
-def _scanned(ds: dataio.Dataset, cfg: PipelineConfig, mined):
-    """The scan of the regions ``mined``, once per dataset."""
-    return ds.memo(_scan, tuple(mined), cfg.target_cells, cfg.n_matches, cfg.frame_stride)
-
-
-def run_select_tracks(
-    ds: dataio.Dataset, cfg: PipelineConfig, *, regions: Optional[str | Path] = None
-) -> dict:
-    """Pick the best-supported candidate track box in every sampled frame,
-    as the scan (whose top hits match reads) reaches the frame."""
-    stage = _Stage(cfg, "select_tracks")
-    mined = _read_regions(ds, stage.input(regions, REGIONS))
-    selections, _ = _scanned(ds, cfg, mined)
-    dataio.write_selections(stage.out / SELECTIONS, selections)
-    return stage.report({"n_regions": len(mined), "n_selections": len(selections)})
+    return match_regions(queries, videos, select, cfg.n_matches, cfg.frame_stride, ds.cell_stride)
 
 
 def run_match(
-    ds: dataio.Dataset,
-    cfg: PipelineConfig,
-    *,
-    regions: Optional[str | Path] = None,
-    selections: Optional[str | Path] = None,
+    ds: dataio.Dataset, cfg: PipelineConfig, *, regions: Optional[str | Path] = None
 ) -> dict:
-    """Match every mined region into the videos and transfer track boxes
-    back."""
+    """Scan the mined regions over each sampled frame once, selecting each
+    frame's track as the scan reaches it, and transfer the selected track
+    boxes of each region's top hits back to its image."""
     stage = _Stage(cfg, "match")
     mined = _read_regions(ds, stage.input(regions, REGIONS))
-    selected = dataio.read_selections(stage.input(selections, SELECTIONS))
-    _, top_matches = _scanned(ds, cfg, mined)
+    selections, top_matches = _scan(ds, cfg, mined)
     region_boxes = {r.region_id: (r.image_id, r.box) for r in mined}
+    selected = {(s.video_id, s.frame_idx): s for s in selections}
 
     transfers, dropped = retrieve_boxes(top_matches, region_boxes, selected)
+    dataio.write_selections(stage.out / SELECTIONS, selections)
     dataio.write_transfers(stage.out / TRANSFERS, transfers)
     return stage.report({
         "n_regions": len(mined),
+        "n_selections": len(selections),
         "n_matches": len(top_matches),
         "n_transfers": len(transfers),
         "n_degenerate_dropped": dropped,
@@ -606,7 +589,6 @@ def run_pipeline(cfg: PipelineConfig, heatmaps: Optional[str | Path] = None) -> 
     stage = _Stage(cfg, "pipeline")
 
     run_mine(ds, cfg)
-    run_select_tracks(ds, cfg)
     run_match(ds, cfg)
     bandwidth = cfg.bandwidth
     if bandwidth is None:

@@ -36,7 +36,6 @@ from boxforge.pipeline import (
     run_match,
     run_mine,
     run_pipeline,
-    run_select_tracks,
     run_vote,
 )
 from boxforge.synth import SynthConfig, gen_dataset
@@ -436,7 +435,6 @@ def test_criterion_9_bandwidth_failure_mode(tmp_path):
     )
     ds = dataio.load_manifest(manifest)
     run_mine(ds, cfg)
-    run_select_tracks(ds, cfg)
     run_match(ds, cfg)
 
     def localization_failures(bandwidth):

@@ -280,7 +280,6 @@ def run_stage_chain(manifest, out, frame_stride, lsvm_rounds=1):
     common = ["--manifest", manifest, "--out", out,
               "--target-cells", 30, "--frame-stride", frame_stride]
     assert run_cli("mine", *common) == 0
-    assert run_cli("select-tracks", *common) == 0
     assert run_cli("match", *common) == 0
     assert run_cli("vote", *common, "--bandwidth", 2.0) == 0
     assert run_cli("train", *common, "--seed", 7) == 0
@@ -311,9 +310,8 @@ class TestCliStages:
         assert_same_outputs(chained, piped)
 
     def test_two_videos_at_stride_two_chain_matches_pipeline(self, tmp_path, monkeypatch):
-        """The match stage run alone scans the frames again; its table equals
-        the one select-tracks hands on in a pipeline run, which opens only
-        the sampled frames."""
+        """The stage chain at stride 2 writes what a pipeline run writes,
+        and the run opens only the sampled frames."""
         gen_dataset(SynthConfig(seed=0, n_videos=2, frames_per_video=7), tmp_path / "data")
         manifest = tmp_path / "data" / "manifest.json"
         chained = tmp_path / "chained"
@@ -343,7 +341,6 @@ class TestCliStages:
         common = ["--manifest", manifest, "--out", chained,
                   "--target-cells", 30, "--frame-stride", 1]
         assert run_cli("mine", *common) == 0
-        assert run_cli("select-tracks", *common) == 0
         assert run_cli("match", *common) == 0
         # on this data every grid bandwidth votes differently and the best is
         # neither end of the grid
@@ -376,7 +373,6 @@ class TestCliStages:
         common = ["--manifest", manifest, "--out", out,
                   "--target-cells", 30, "--frame-stride", 1]
         assert run_cli("mine", *common) == 0
-        assert run_cli("select-tracks", *common) == 0
         assert run_cli("match", *common) == 0
         assert run_cli("vote", *common, "--bandwidth", 2.0, "--theta", 1e9) == 0
         assert dataio.read_pseudo_gts(out / "pseudo_gt.jsonl") == {}
@@ -421,7 +417,6 @@ class TestCliStages:
         common = ["--manifest", manifest, "--out", out,
                   "--target-cells", 30, "--frame-stride", 1]
         run_cli("mine", *common)
-        run_cli("select-tracks", *common)
         run_cli("match", *common)
         run_cli("vote", *common, "--bandwidth", 2.0, "--heatmaps", out / "heat")
         pgms = list((out / "heat").glob("*.pgm"))
@@ -442,8 +437,7 @@ class TestCliStages:
 # stage reads when the flag is unset.
 ARTIFACTS = {
     "mine": {},
-    "select-tracks": {"--regions": "regions.jsonl"},
-    "match": {"--regions": "regions.jsonl", "--selections": "selections.jsonl"},
+    "match": {"--regions": "regions.jsonl"},
     "vote": {"--transfers": "transfers.jsonl"},
     "train": {"--pseudo-gt": "pseudo_gt.jsonl"},
     "update": {"--pseudo-gt": "pseudo_gt.jsonl", "--detections": "detections_initial.jsonl"},
@@ -584,7 +578,7 @@ class TestCommandTable:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("stage", [
-        "run_mine", "run_select_tracks", "run_match", "run_vote", "run_train",
+        "run_mine", "run_match", "run_vote", "run_train",
         "run_update", "run_regress", "run_eval", "run_cv_bandwidth",
     ])
     def test_stage_without_out_dir_is_refused(self, stage, synth_dir):
@@ -627,7 +621,7 @@ class TestFmapChannels:
         assert run_cli("mine", *common) == 0
         capsys.readouterr()
         path, channels = self.add_channel(data, "fmaps/vid_000/frame_003.fmap")
-        assert run_cli("select-tracks", *common) == 1
+        assert run_cli("match", *common) == 1
         self.refused(capsys, path, channels)
 
 
@@ -772,7 +766,7 @@ class TestReports:
         )
         run_pipeline(cfg)
         names = {p.name for p in (out / "reports").glob("*.json")}
-        assert {"mine.json", "select_tracks.json", "match.json", "vote.json",
+        assert {"mine.json", "match.json", "vote.json",
                 "train_initial.json", "update.json", "train_updated.json",
                 "regress.json", "eval.json", "pipeline.json"} <= names
         for path in (out / "reports").glob("*.json"):
@@ -814,7 +808,6 @@ class TestReports:
         common = ["--manifest", manifest, "--out", out,
                   "--target-cells", 30, "--frame-stride", 1]
         assert run_cli("mine", *common) == 0
-        assert run_cli("select-tracks", *common) == 0
         assert run_cli("match", *common) == 0
         runs = []
         for _ in range(2):
@@ -894,15 +887,53 @@ class TestEachIntermediateOnce:
         n_regions = len(dataio.read_regions(out / pipeline.REGIONS))
         assert n_regions > 0
         assert scans == [n_regions] * len(frames)
-        # select-tracks and cross-validation each open every video and read
-        # each of its frames once; match takes the top hits of the scan that
-        # select-tracks ran
+        # match and cross-validation each open every video and read each of
+        # its frames once; match selects each frame's track in its own scan
         assert len(videos) == 2 * len(ds.videos)
         assert Counter(p for p in fmap_reads if p in frames) == {p: 2 for p in frames}
 
+    def test_stage_chain_reads_each_sampled_frame_once(self, synth_dir, tmp_path, monkeypatch):
+        """``mine`` then ``match`` scan each sampled frame once: match
+        selects the frame's track in the scan whose top hits it transfers."""
+        reads = []
+        self.count(monkeypatch, dataio, "read_fmap", reads, record=lambda path, result: Path(path))
+        out = tmp_path / "o"
+        common = ["--manifest", synth_dir / "manifest.json", "--out", out,
+                  "--target-cells", 30, "--frame-stride", 2]
+        assert run_cli("mine", *common) == 0
+        assert run_cli("match", *common) == 0
+        ds = dataio.load_manifest(synth_dir / "manifest.json")
+        frames = {ds.root / p: i for paths in ds.videos.values() for i, p in enumerate(paths)}
+        sampled = [p for p, i in frames.items() if i % 2 == 0]
+        assert Counter(p for p in reads if p in frames) == {p: 1 for p in sampled}
+        report = json.loads((out / "reports" / "match.json").read_text())
+        selections = dataio.read_selections(out / pipeline.SELECTIONS)
+        assert report["n_selections"] == len(selections) > 0
+        assert {frame_idx for _, frame_idx in selections} <= {frames[p] for p in sampled}
+
+    def test_match_writes_its_own_selections_over_another_stride(self, synth_dir, tmp_path):
+        """``match`` after a stride-2 run in the same ``--out`` writes the
+        selections and transfers of its own stride: what ``pipeline`` writes
+        at that stride, not transfers through the stride-2 selections."""
+        manifest = synth_dir / "manifest.json"
+        out = tmp_path / "o"
+        common = ["--manifest", manifest, "--out", out, "--target-cells", 30]
+        assert run_cli("mine", *common) == 0
+        assert run_cli("match", *common, "--frame-stride", 2) == 0
+        stride_two = (out / pipeline.SELECTIONS).read_bytes()
+        assert run_cli("match", *common, "--frame-stride", 1) == 0
+
+        piped = tmp_path / "piped"
+        run_pipeline(PipelineConfig(
+            manifest=str(manifest), out_dir=str(piped), seed=7, **PROFILE
+        ))
+        for name in (pipeline.SELECTIONS, pipeline.TRANSFERS):
+            assert (out / name).read_bytes() == (piped / name).read_bytes(), name
+        assert (out / pipeline.SELECTIONS).read_bytes() != stride_two
+
     def test_no_sampled_frame(self, synth_dir, tmp_path, capsys):
-        """A manifest without videos samples no frame: select-tracks writes
-        an empty selections.jsonl and match fails with NoFramesError."""
+        """A manifest without videos samples no frame: match fails with
+        NoFramesError and writes neither selections.jsonl nor transfers.jsonl."""
         data = tmp_path / "data"
         shutil.copytree(synth_dir, data)
         doc = json.loads((data / "manifest.json").read_text())
@@ -912,12 +943,12 @@ class TestEachIntermediateOnce:
         common = ["--manifest", data / "manifest.json", "--out", out, "--target-cells", 30]
         assert run_cli("mine", *common) == 0
         assert dataio.read_regions(out / pipeline.REGIONS)
-        assert run_cli("select-tracks", *common) == 0
-        assert (out / pipeline.SELECTIONS).read_text() == ""
         capsys.readouterr()
         assert run_cli("match", *common) == 1
         err = json.loads(capsys.readouterr().err.strip())
         assert err == {"error": "NoFramesError", "message": "no sampled frames in any video"}
+        assert not (out / pipeline.SELECTIONS).exists()
+        assert not (out / pipeline.TRANSFERS).exists()
 
     def test_winner_without_a_detector_trains_as_before(self, synth_dir, tmp_path):
         """No grid bandwidth finds a pseudo GT, so cross-validation trains
@@ -942,7 +973,6 @@ class TestEachIntermediateOnce:
         )
         ds = dataio.load_manifest(cfg.manifest)
         pipeline.run_mine(ds, cfg)
-        pipeline.run_select_tracks(ds, cfg)
         pipeline.run_match(ds, cfg)
         pipeline.run_cv_bandwidth(ds, cfg)
         corners = dataio.read_transfer_corners(out / pipeline.TRANSFERS)
@@ -1012,7 +1042,6 @@ class TestMemo:
         )
         ds = dataio.load_manifest(cfg.manifest)
         pipeline.run_mine(ds, cfg)
-        pipeline.run_select_tracks(ds, cfg)
         regions = tmp_path / "run" / pipeline.REGIONS
         mined = dataio.read_regions(regions)
         pipeline.run_match(ds, cfg)
@@ -1022,13 +1051,12 @@ class TestMemo:
 
         fresh = tmp_path / "fresh"
         fresh.mkdir()
-        for name in (pipeline.REGIONS, pipeline.SELECTIONS):
-            shutil.copy(tmp_path / "run" / name, fresh / name)
+        shutil.copy(regions, fresh / pipeline.REGIONS)
         fresh_cfg = dataclasses.replace(cfg, out_dir=str(fresh))
         pipeline.run_match(dataio.load_manifest(cfg.manifest), fresh_cfg)
-        subset = (tmp_path / "run" / pipeline.TRANSFERS).read_bytes()
-        assert subset == (fresh / pipeline.TRANSFERS).read_bytes()
-        assert subset != all_regions
+        for name in (pipeline.SELECTIONS, pipeline.TRANSFERS):
+            assert (tmp_path / "run" / name).read_bytes() == (fresh / name).read_bytes()
+        assert (tmp_path / "run" / pipeline.TRANSFERS).read_bytes() != all_regions
 
 
 def per_proposal_images(ds):
@@ -1315,7 +1343,7 @@ class TestMalformedJson:
         ("mine", "proposals.jsonl", "box", [True, 0, 4, 4], "proposals.jsonl line 3"),
         ("mine", "manifest.json", "cell_stride", True, "manifest.json"),
         ("mine", "manifest.json", "size", ["wide", 16], "manifest.json"),
-        ("match", pipeline.SELECTIONS, "frame_idx", "x", "selections.jsonl line 1"),
+        ("cv-bandwidth", pipeline.SELECTIONS, "frame_idx", "x", "selections.jsonl line 1"),
         ("train", pipeline.PSEUDO_GT, "vote", "high", "pseudo_gt.jsonl line 1"),
         ("mine", "manifest.json", "size", [True, 16], "manifest.json"),
         ("pipeline", "manifest.json", "cell_stride", 0, "manifest.json"),
@@ -1335,6 +1363,10 @@ class TestMalformedJson:
         }])
         dataio.write_jsonl(out / pipeline.SELECTIONS, [{
             "video_id": "vid_000", "frame_idx": 0, "track_id": 0, "box": box, "score": 1.0,
+        }])
+        dataio.write_jsonl(out / pipeline.TRANSFERS, [{
+            "image_id": "pos_000", "box": box, "region_id": "r00000", "video_id": "vid_000",
+            "frame_idx": 0, "sim": 1.0,
         }])
         dataio.write_jsonl(out / pipeline.PSEUDO_GT, [{
             "image_id": "pos_000", "box": box, "vote": 25.0, "support": 25, "updated": False,
@@ -1495,7 +1527,7 @@ class TestMalformedJson:
 # Each record file a subcommand reads, by that subcommand; vote and
 # cv-bandwidth read only `image_id` and `box` of transfers.jsonl.
 RECORD_READERS = {
-    pipeline.SELECTIONS: ("match", dataio.SELECTION_SCHEMA),
+    pipeline.SELECTIONS: ("cv-bandwidth", dataio.SELECTION_SCHEMA),
     pipeline.PSEUDO_GT: ("train", dataio.PSEUDO_GT_SCHEMA),
     pipeline.DETECTIONS_INITIAL: ("eval", dataio.DETECTION_SCHEMA),
 }
@@ -1829,7 +1861,7 @@ def test_info_log_has_one_line_per_stage_in_order(synth_dir, tmp_path):
         assert json.loads(report) == json.loads(written)
         names.append(name)
     assert names == [
-        "mine", "select_tracks", "match", "vote", "train_initial", "update", "train_updated",
+        "mine", "match", "vote", "train_initial", "update", "train_updated",
         "regress", "eval", "pipeline",
     ]
 
@@ -2060,6 +2092,7 @@ class TestManifest:
         ("format_version", True), ("categories", ["dog", "obj"]), ("categories", ["obj", "dog"]),
         ("files", {"proposals": 5}), ("files", [["proposals", "proposals.jsonl"]]),
         ("categories", "x"), ("categories", "obj"),  # a name, not a list of names
+        ("files", {"proposals": "proposals\0.jsonl"}),  # no file name holds a NUL byte
     ])
     def test_bad_value_refused_before_anything_is_written(
         self, synth_dir, tmp_path, capsys, key, value
@@ -2104,6 +2137,9 @@ class TestManifest:
     @pytest.mark.parametrize("section,key,value", [
         ("images", "size", [0, 0]), ("images", "size", [-16, 16]), ("images", "size", [16]),
         ("videos", "frames", []), ("videos", "frames", "fmaps/vid_000/frame_000.fmap"),
+        # unrefused, a NUL byte in a path is a ValueError traceback when the map is read
+        ("images", "fmap", "fmaps/pos\0_000.fmap"),
+        ("videos", "frames", ["fmaps/vid_000/frame_000.fmap", "fmaps/vid_000/frame\0_001.fmap"]),
     ])
     def test_bad_entry_refused_before_anything_is_written(
         self, synth_dir, tmp_path, capsys, section, key, value
@@ -2192,13 +2228,10 @@ class TestManifest:
         """Unrefused, a top-scoring detection of no image lowers eval's AP."""
         self.ghost_row_refused(synth_dir, finished, tmp_path, capsys, command, name, score=99.0)
 
-    @pytest.mark.parametrize("command", ["select-tracks", "match"])
-    def test_region_of_an_unlisted_image_refused(
-        self, synth_dir, finished, tmp_path, capsys, command
-    ):
+    def test_region_of_an_unlisted_image_refused(self, synth_dir, finished, tmp_path, capsys):
         """Unrefused, the query window's map lookup fails naming no file."""
         self.ghost_row_refused(
-            synth_dir, finished, tmp_path, capsys, command, pipeline.REGIONS, region_id="r_ghost"
+            synth_dir, finished, tmp_path, capsys, "match", pipeline.REGIONS, region_id="r_ghost"
         )
 
     @pytest.mark.parametrize("command,flags", [
@@ -2211,6 +2244,27 @@ class TestManifest:
         self.ghost_row_refused(
             synth_dir, finished, tmp_path, capsys, command, pipeline.TRANSFERS, *flags
         )
+
+    @pytest.mark.parametrize("image_id", ["", ".", "..", "../pos_000", "hm/pos_000", "pos\0"],
+                             ids=["empty", "dot", "dotdot", "parent", "slash", "nul"])
+    def test_image_id_that_is_not_a_plain_name_refused(
+        self, synth_dir, tmp_path, capsys, image_id
+    ):
+        """An image id names the image's heatmap file; unrefused, ``../pos_000``
+        writes its heatmap outside ``--heatmaps``."""
+        data = shutil.copytree(synth_dir, tmp_path / "data")
+        doc = json.loads((data / "manifest.json").read_text())
+        doc["images"][0]["id"] = image_id
+        (data / "manifest.json").write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        code = run_cli("pipeline", "--manifest", data / "manifest.json", "--out", out,
+                       "--seed", 0, "--heatmaps", out / "hm")
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigInvalidError"
+        assert err["message"].startswith(f"{data / 'manifest.json'}: bad value for key 'id'")
+        assert repr(image_id) in err["message"]
+        assert not out.exists() and list(tmp_path.glob("**/*.pgm")) == []
 
     def test_lookups_by_id(self, synth_dir):
         ds = dataio.load_manifest(synth_dir / "manifest.json")

@@ -68,10 +68,11 @@ def test_benchmark_tracer_sees_every_layer(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     summary = json.loads(spans.read_text())
-    # no run calls these one-call views of the scan and the vote, so the
-    # package no longer defines them; the tracer's targets still name them
+    # no run calls these one-call views of the scan and the vote, or the
+    # track-selection stage that match absorbed, so the package no longer
+    # defines them; the tracer's targets still name them
     assert summary["absent"] == [
-        "featmap.slide_match", "transfer.match_region_per_frame",
+        "pipeline.select_tracks", "featmap.slide_match", "transfer.match_region_per_frame",
         "transfer.match_region_to_videos", "voting.mean_shift_modes",
     ]
     assert [k for k in summary["counters"] if k.endswith(".hook_failed")] == []
