@@ -2,7 +2,7 @@
 """Check that this checkout writes the same bytes as a base revision.
 
     python3 scripts/same_bytes.py --base HEAD~1 [--coretype Haswell,Sandybridge]
-                                  [--blas-threads 1,2]
+                                  [--blas-threads 2]
 
 Exports ``--base`` with ``git archive`` into a temporary directory.  Then,
 for each benchmark workload (``WORKLOADS`` in ``perfbench/run.py``), it runs
@@ -20,8 +20,11 @@ first differing line, and the exit code is 1 on any difference.
 OpenBLAS kernel, with ``OPENBLAS_CORETYPE=NAME`` set in the children's
 environment only, and prints the files that differ from this checkout's
 default run.  ``--blas-threads N[,N]`` does the same once per OpenBLAS
-thread count, with ``OPENBLAS_NUM_THREADS=N``.  Those differences do not
-change the exit code.
+thread count, with ``OPENBLAS_NUM_THREADS=N``.  The default run uses one
+thread (``import boxforge`` sets the variable when it is unset), so
+``--blas-threads 2`` lists the files whose dots round differently when
+OpenBLAS splits them over two threads.  Those differences do not change
+the exit code.
 """
 
 from __future__ import annotations
@@ -139,7 +142,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--blas-threads", type=_names, default=[], metavar="N[,N]",
         help="also rerun this checkout under each OPENBLAS_NUM_THREADS and list the files "
-        "that differ from its default run",
+        "that differ from its default run, which uses one thread",
     )
     args = parser.parse_args(argv)
     settings = [("OPENBLAS_CORETYPE", name) for name in args.coretype]
