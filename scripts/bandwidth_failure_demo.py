@@ -10,17 +10,13 @@ video tracks recovers a value that localizes one instance.
 """
 
 import argparse
+import dataclasses
 from pathlib import Path
 
 from boxforge import dataio
 from boxforge.config import PipelineConfig
 from boxforge.geometry import iou
-from boxforge.pipeline import (
-    run_cv_bandwidth,
-    run_match,
-    run_mine,
-    run_vote,
-)
+from boxforge.pipeline import run_match, run_mine, run_vote
 from boxforge.synth import SynthConfig, gen_dataset
 
 
@@ -48,7 +44,7 @@ def main():
     run_match(ds, cfg)
 
     def describe(bandwidth):
-        run_vote(ds, cfg, bandwidth=bandwidth)
+        """Print how the pseudo GT the last vote wrote, at ``bandwidth``, lands."""
         pgts = dataio.read_pseudo_gts(out / "pseudo_gt.jsonl")
         print(f"\nbandwidth b = {bandwidth}")
         merged = 0
@@ -59,12 +55,13 @@ def main():
             print(f"  {image_id}: instance IOUs {[f'{v:.2f}' for v in ious]} -> {status}")
         print(f"  {merged}/{len(pgts)} pseudo GTs fail both instances")
 
+    run_vote(ds, dataclasses.replace(cfg, bandwidth=args.oversized))
     describe(args.oversized)
 
-    cv = run_cv_bandwidth(ds, cfg)
+    cv = run_vote(ds, cfg)  # no b: cross-validates the grid, writes the winner's vote
     print(f"\ncross-validation over {args.grid}: AP per b = {cv['ap_per_b']}")
-    print(f"selected b = {cv['best_b']}")
-    describe(cv["best_b"])
+    print(f"selected b = {cv['bandwidth']}")
+    describe(cv["bandwidth"])
 
 
 if __name__ == "__main__":

@@ -8,7 +8,8 @@ the log level (DEBUG, INFO, WARNING, ...); any other name is refused.
 runs, whether ``--seed`` is required, and the flags it passes to the stage
 by keyword, its input artifacts and ``--tag``/``--heatmaps``.  An artifact
 flag left unset is the default file the stage reads under ``--out``.
-``match`` writes the track selections that ``cv-bandwidth`` reads.
+``match`` writes the track selections that ``vote`` reads when it
+cross-validates the bandwidth.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ _HEATMAPS = Flag("--heatmaps", "heatmaps", "directory for vote heatmap PGMs")
 COMMANDS = (
     Command("mine", "run_mine"),
     Command("match", "run_match", flags=(_REGIONS,)),
-    Command("vote", "run_vote", flags=(_TRANSFERS, _HEATMAPS)),
+    Command("vote", "run_vote", need_seed=True, flags=(_SELECTIONS, _TRANSFERS, _HEATMAPS)),
     Command("train", "run_train", need_seed=True, flags=(
         _PSEUDO_GT, Flag("--tag", "tag", "artifact name suffix"),
     )),
@@ -93,7 +94,6 @@ COMMANDS = (
         Flag("--detections-updated", "det_updated"),
         Flag("--detections-bboxreg", "det_bboxreg"),
     )),
-    Command("cv-bandwidth", "run_cv_bandwidth", need_seed=True, flags=(_SELECTIONS, _TRANSFERS)),
     Command("pipeline", "run_pipeline", need_seed=True, flags=(_HEATMAPS,)),
 )
 _BY_NAME = {c.name: c for c in COMMANDS}

@@ -70,7 +70,7 @@ class PipelineConfig:
             raise ConfigInvalidError("one of b or b_grid must be present")
         if any(b <= 0 for b in self.bandwidth_grid):
             raise ConfigInvalidError("b_grid entries must be positive")
-        if not self.bandwidth_grid:  # cv-bandwidth reads the grid even when b is set
+        if not self.bandwidth_grid:  # even next to b, so that unsetting b leaves a grid
             raise ConfigInvalidError("b_grid must not be empty")
         if self.train_steps < 0 or self.learning_rate <= 0 or self.weight_decay < 0:
             raise ConfigInvalidError("invalid training hyperparameters")

@@ -526,15 +526,15 @@ def write_transfers(path: str | Path, transfers: Sequence[TransferredBox]) -> No
     _write_rows(path, TRANSFER_SCHEMA, transfers)
 
 
-def read_transfer_corners(path: str | Path) -> dict[str, bytes]:
-    """Each image's transferred boxes (the voting stage's input) as the
-    bytes of their (N, 4) float64 corner rows, in file order, 32 B a box;
-    only the ``image_id`` and ``box`` keys are read."""
+def read_transfer_corners(path: str | Path) -> dict[str, np.ndarray]:
+    """Each image's transferred boxes (the voting stage's input) as (N, 4)
+    float64 corner rows, in file order; only the ``image_id`` and ``box``
+    keys are read."""
     grouped: dict[str, array] = {}
     for row in read_jsonl(path):
         image_id = row.typed("image_id", _text)
         grouped.setdefault(image_id, array("d")).extend(row.typed("box", _box).as_list())
-    return {image_id: corners.tobytes() for image_id, corners in grouped.items()}
+    return {image_id: np.frombuffer(rows).reshape(-1, 4) for image_id, rows in grouped.items()}
 
 
 def write_pseudo_gts(path: str | Path, gts: Sequence[PseudoGT]) -> None:

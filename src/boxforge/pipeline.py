@@ -12,13 +12,14 @@ the file the stage before it wrote there: for example ``run_regress`` reads
 deterministic for fixed inputs and seed.
 
 ``run_match`` alone scans the video frames, and writes the selections it
-made with the transfers.  The vote and each detector are computed through
-:meth:`~boxforge.dataio.Dataset.memo`, keyed by the values they are computed
-from, so a stage reuses an earlier stage's result only for equal inputs.
-``run_pipeline`` opens the dataset once and chains the stages in order,
-passing only what differs from the defaults: the bandwidth cross-validation
-chose, the updated pseudo GT that the updated train reads, and the updated
-pseudo GT and detections that each update round after the first reads.
+made with the transfers.  ``run_vote`` alone votes, choosing the bandwidth
+on those selections when ``cfg.bandwidth`` is unset.  Each detector is
+computed through :meth:`~boxforge.dataio.Dataset.memo`, keyed by the values
+it is computed from, so a stage reuses an earlier stage's detector only for
+equal inputs.  ``run_pipeline`` opens the dataset once and chains the
+stages in order, passing only what differs from the defaults: the updated
+pseudo GT that the updated train reads, and the updated pseudo GT and
+detections that each update round after the first reads.
 Running the stages one by one writes the same artifacts.  Models and the
 box regressor are outputs only: no stage reads them back.
 """
@@ -31,7 +32,7 @@ import logging
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -62,7 +63,7 @@ from .mining import (
     select_positive_regions,
 )
 from .tracks import FrameSelection, candidates_at_frame, select_track_per_frame
-from .transfer import match_regions, retrieve_boxes, sampled_frame_indices
+from .transfer import match_regions, retrieve_boxes
 from .voting import PseudoGT, VoteSpace, export_heatmap, ranked_ascents, select_pseudo_gt
 
 REGIONS = "regions.jsonl"
@@ -195,19 +196,17 @@ def run_match(
 
 def vote_pseudo_gts(
     ds: dataio.Dataset,
-    corners_by_image: Iterable[tuple[str, bytes]],
+    corners_by_image: dict[str, np.ndarray],
     bandwidths: Sequence[float],
     theta: float,
 ) -> dict[float, dict[str, PseudoGT]]:
-    """Mean-shift each image's transferred boxes, given as ``(image id,
-    corners)`` pairs in image-id order, each image's (N, 4) float64 corner
-    rows as bytes, at every bandwidth, in one ascent per image; bandwidth ->
-    (image id -> pseudo GT), for the images whose top mode passes
-    ``theta``."""
+    """Mean-shift each image's transferred boxes, image id -> (N, 4) float64
+    corner rows, at every bandwidth, in one ascent per image in image-id
+    order; bandwidth -> (image id -> pseudo GT), for the images whose top
+    mode passes ``theta``."""
     gts: dict[float, dict[str, PseudoGT]] = {b: {} for b in bandwidths}
-    for image_id, corners in corners_by_image:
-        points = np.frombuffer(corners).reshape(-1, 4)
-        spaces = [VoteSpace(points=points, bandwidth=b) for b in gts]
+    for image_id in sorted(corners_by_image):
+        spaces = [VoteSpace(points=corners_by_image[image_id], bandwidth=b) for b in gts]
         rankings = ranked_ascents(spaces[0].points, list(gts))
         size = ds.image(image_id).size
         for space, ranking in zip(spaces, rankings):
@@ -219,56 +218,51 @@ def vote_pseudo_gts(
     return gts
 
 
-def _read_transfer_corners(ds: dataio.Dataset, path: Path) -> dict[str, bytes]:
+def _read_transfer_corners(ds: dataio.Dataset, path: Path) -> dict[str, np.ndarray]:
     """The transferred boxes in ``path``, each of an image the manifest lists."""
     corners_by_image = dataio.read_transfer_corners(path)
     ds.check_listed(path, corners_by_image)
     return corners_by_image
 
 
-def _voted(ds: dataio.Dataset, cfg: PipelineConfig, corners_by_image, bandwidths):
-    """The vote of ``corners_by_image`` (image id -> the bytes of its corner
-    rows, as :func:`dataio.read_transfer_corners` reads them), once per
-    dataset.  It is keyed by those bytes, 32 B a box, which the memo keeps
-    for the run."""
-    pairs = tuple(sorted(corners_by_image.items()))
-    return ds.memo(vote_pseudo_gts, pairs, tuple(bandwidths), cfg.theta)
-
-
 def run_vote(
     ds: dataio.Dataset,
     cfg: PipelineConfig,
     *,
+    selections: Optional[str | Path] = None,
     transfers: Optional[str | Path] = None,
     heatmaps: Optional[str | Path] = None,
-    bandwidth: Optional[float] = None,
 ) -> dict:
     """Mean-shift the per-image vote spaces into pseudo-GT boxes, and write
     one heatmap per image into the directory ``heatmaps`` when it is set.
 
-    ``bandwidth`` is the one cross-validation chose from
-    ``cfg.bandwidth_grid``, read from its vote of the whole grid; without
-    it the vote uses ``cfg.bandwidth``.
+    The vote uses ``cfg.bandwidth``.  Without it, the whole
+    ``cfg.bandwidth_grid`` is voted, one mean-shift ascent per image, and
+    the pseudo GT written is that of the bandwidth cross-validation picks
+    on the selected tracks, as ``bandwidth_report.json`` records.
     """
-    if bandwidth is None:
-        bandwidth = cfg.bandwidth
-    if bandwidth is None:
-        raise ConfigInvalidError("vote needs a bandwidth: b in the config file or --bandwidth")
     stage = _Stage(cfg, "vote")
     corners_by_image = _read_transfer_corners(ds, stage.input(transfers, TRANSFERS))
-    chosen = cfg.bandwidth is None and bandwidth in cfg.bandwidth_grid
-    grid = cfg.bandwidth_grid if chosen else (bandwidth,)
-    pseudo_gts = _voted(ds, cfg, corners_by_image, grid)[bandwidth]
+    grid = cfg.bandwidth_grid if cfg.bandwidth is None else (cfg.bandwidth,)
+    voted = vote_pseudo_gts(ds, corners_by_image, grid, cfg.theta)
+    bandwidth, cv = cfg.bandwidth, {}
+    if bandwidth is None:
+        bandwidth, scores = _cross_validate(ds, cfg, stage.input(selections, SELECTIONS), voted)
+        cv = {"ap_per_b": {str(b): scores[b] for b in sorted(scores)}}
+        # the artifact stays byte-reproducible; only the stage report is timed
+        dataio.dump_json({"best_b": bandwidth, **cv}, stage.out / BANDWIDTH_REPORT)
+    pseudo_gts = voted[bandwidth]
     if heatmaps is not None:
         hdir = Path(heatmaps)
         hdir.mkdir(parents=True, exist_ok=True)
         for image_id in sorted(corners_by_image):
             width, height = ds.image(image_id).size
-            points = np.frombuffer(corners_by_image[image_id]).reshape(-1, 4)
+            points = corners_by_image[image_id]
             export_heatmap(points, (int(width), int(height)), hdir / f"{image_id}.pgm")
     dataio.write_pseudo_gts(stage.out / PSEUDO_GT, [pseudo_gts[i] for i in sorted(pseudo_gts)])
     return stage.report({
         "bandwidth": bandwidth,
+        **cv,
         "kernel": "gaussian",
         "theta": cfg.theta,
         "n_images_with_transfers": len(corners_by_image),
@@ -511,10 +505,13 @@ def run_eval(
     return doc
 
 
-def _video_frames(ds: dataio.Dataset, selections, frame_stride):
-    """The sampled frames a detector is scored on, as ``(frames, gt)``:
-    frame key -> the frame's boxes with their pooled features, and each
-    frame's selected track box as (noisy) ground truth.
+def _video_frames(ds: dataio.Dataset, path: Path):
+    """The frames a detector is scored on, those with a selection in the
+    ``selections.jsonl`` at ``path``, as ``(frames, gt)``: frame key -> the
+    frame's boxes with their pooled features, and each frame's selected
+    track box as (noisy) ground truth.  Each video is opened once; a row of
+    a video the manifest does not list, or of a frame the video does not
+    have, is refused.
 
     The per-frame proposal pool is the candidate track boxes plus a
     centered half-size sub-box of each, so a detector that never learned
@@ -522,48 +519,37 @@ def _video_frames(ds: dataio.Dataset, selections, frame_stride):
     sub-box's corners are its box's ``center -/+ size / 4``, as BBox rounds."""
     frames: dict[str, ImageProposals] = {}
     gt: dict[str, list[BBox]] = {}
-    for video_id in ds.videos:
-        fmaps = ds.load_video_frames(video_id)
-        tracks = ds.tracks.get(video_id, [])
-        for frame_idx in sampled_frame_indices(len(fmaps), frame_stride):
-            sel = selections.get((video_id, frame_idx))
-            if sel is None:
-                continue
-            frame_key = f"{video_id}:{frame_idx}"
-            gt[frame_key] = [sel.box]
-            candidates = candidates_at_frame(tracks, frame_idx)
-            if not candidates:
-                continue
-            tight = box_array([box for _, box in candidates])
-            lo, hi = tight[:, :2], tight[:, 2:]
-            center, quarter = 0.5 * (lo + hi), 0.25 * (hi - lo)
-            coords = np.concatenate([tight, np.hstack([center - quarter, center + quarter])])
-            features = pool_box_feature(fmaps[frame_idx], coords, ds.cell_stride)
-            frames[frame_key] = ImageProposals(POSITIVE, coords, features)
+    open_video = functools.cache(ds.load_video_frames)  # each video opened once
+    for (video_id, frame_idx), sel in dataio.read_selections(path).items():
+        if video_id not in ds.videos:
+            raise ConfigInvalidError(f"{path}: video {video_id!r} is not in the manifest")
+        fmaps = open_video(video_id)
+        if not 0 <= frame_idx < len(fmaps):
+            raise ConfigInvalidError(f"{path}: video {video_id!r} has no frame {frame_idx}")
+        frame_key = f"{video_id}:{frame_idx}"
+        gt[frame_key] = [sel.box]
+        candidates = candidates_at_frame(ds.tracks.get(video_id, []), frame_idx)
+        if not candidates:
+            continue
+        tight = box_array([box for _, box in candidates])
+        lo, hi = tight[:, :2], tight[:, 2:]
+        center, quarter = 0.5 * (lo + hi), 0.25 * (hi - lo)
+        coords = np.concatenate([tight, np.hstack([center - quarter, center + quarter])])
+        features = pool_box_feature(fmaps[frame_idx], coords, ds.cell_stride)
+        frames[frame_key] = ImageProposals(POSITIVE, coords, features)
     return frames, gt
 
 
-def run_cv_bandwidth(
-    ds: dataio.Dataset,
-    cfg: PipelineConfig,
-    *,
-    selections: Optional[str | Path] = None,
-    transfers: Optional[str | Path] = None,
-) -> dict:
+def _cross_validate(ds: dataio.Dataset, cfg: PipelineConfig, selections: Path, voted):
     """Pick the ``cfg.bandwidth_grid`` bandwidth whose detector best recovers
-    the selected tracks.
+    the tracks in ``selections``: ``(best b, b -> AP)``.
 
-    The whole grid is voted up front, one mean-shift ascent per image, as
-    the vote stage votes a chosen grid bandwidth; each bandwidth's pseudo GT
-    is trained on as the train stage trains on it.  The video frames the
-    detectors are scored on are pooled once and detected on as the train
-    stage detects on images.
+    ``voted`` is the vote of the whole grid.  Each bandwidth's pseudo GT is
+    trained on as the train stage trains on it, so train reuses the
+    winner's detector; the frames are pooled once and detected on as the
+    train stage detects on images.
     """
-    stage = _Stage(cfg, "cv_bandwidth")
-    corners_by_image = _read_transfer_corners(ds, stage.input(transfers, TRANSFERS))
-    selected = dataio.read_selections(stage.input(selections, SELECTIONS))
-    voted = _voted(ds, cfg, corners_by_image, cfg.bandwidth_grid)
-    frames, gt = _video_frames(ds, selected, cfg.frame_stride)
+    frames, gt = _video_frames(ds, selections)
 
     def evaluate(b: float) -> float:
         if not voted[b]:  # with zero SGD steps an empty pool trains a zero model
@@ -574,11 +560,7 @@ def run_cv_bandwidth(
             return 0.0
         return average_precision(_detect(frames, model, cfg.nms_iou), gt) if gt else 0.0
 
-    best_b, scores = cross_validate_bandwidth(cfg.bandwidth_grid, evaluate)
-    doc = {"best_b": best_b, "ap_per_b": {str(b): scores[b] for b in sorted(scores)}}
-    # the artifact stays byte-reproducible; only the stage report is timed
-    dataio.dump_json(doc, stage.out / BANDWIDTH_REPORT)
-    return stage.report(doc)
+    return cross_validate_bandwidth(cfg.bandwidth_grid, evaluate)
 
 
 def run_pipeline(cfg: PipelineConfig, heatmaps: Optional[str | Path] = None) -> dict:
@@ -590,10 +572,7 @@ def run_pipeline(cfg: PipelineConfig, heatmaps: Optional[str | Path] = None) -> 
 
     run_mine(ds, cfg)
     run_match(ds, cfg)
-    bandwidth = cfg.bandwidth
-    if bandwidth is None:
-        bandwidth = run_cv_bandwidth(ds, cfg)["best_b"]
-    run_vote(ds, cfg, heatmaps=heatmaps, bandwidth=bandwidth)
+    bandwidth = run_vote(ds, cfg, heatmaps=heatmaps)["bandwidth"]
     run_train(ds, cfg)
     updated = stage.out / PSEUDO_GT_UPDATED
     later = {"pseudo_gt": updated, "detections": stage.out / DETECTIONS_UPDATED}

@@ -5,6 +5,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one line per
 criterion.
 """
 
+import dataclasses
 import json
 import time
 
@@ -32,7 +33,6 @@ from boxforge.mining import (
 )
 from boxforge.pipeline import (
     _detect,
-    run_cv_bandwidth,
     run_match,
     run_mine,
     run_pipeline,
@@ -437,8 +437,8 @@ def test_criterion_9_bandwidth_failure_mode(tmp_path):
     run_mine(ds, cfg)
     run_match(ds, cfg)
 
-    def localization_failures(bandwidth):
-        run_vote(ds, cfg, bandwidth=bandwidth)
+    def localization_failures():
+        """Failures of the pseudo GT the last vote wrote, and its size."""
         pgts = dataio.read_pseudo_gts(out / "pseudo_gt.jsonl")
         failures = sum(
             1
@@ -447,16 +447,17 @@ def test_criterion_9_bandwidth_failure_mode(tmp_path):
         )
         return failures, len(pgts)
 
-    fail_big, n_big = localization_failures(oversized)
+    run_vote(ds, dataclasses.replace(cfg, bandwidth=oversized))
+    fail_big, n_big = localization_failures()
     assert n_big > 0
     assert fail_big >= 1, "oversized bandwidth should merge instances"
 
-    cv = run_cv_bandwidth(ds, cfg)
-    best_b = cv["best_b"]
+    cv = run_vote(ds, cfg)  # no b: cross-validates the grid, writes the winner's vote
+    best_b = cv["bandwidth"]
     assert best_b == 2.0
     assert cv["ap_per_b"]["2.0"] > cv["ap_per_b"][str(oversized)]
 
-    fail_best, n_best = localization_failures(best_b)
+    fail_best, n_best = localization_failures()
     assert n_best > 0
     assert fail_best == 0, "cross-validated bandwidth should localize one instance"
     assert fail_big > fail_best

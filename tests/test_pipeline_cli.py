@@ -281,7 +281,7 @@ def run_stage_chain(manifest, out, frame_stride, lsvm_rounds=1):
               "--target-cells", 30, "--frame-stride", frame_stride]
     assert run_cli("mine", *common) == 0
     assert run_cli("match", *common) == 0
-    assert run_cli("vote", *common, "--bandwidth", 2.0) == 0
+    assert run_cli("vote", *common, "--seed", 7, "--bandwidth", 2.0) == 0
     assert run_cli("train", *common, "--seed", 7) == 0
     updated = ["--pseudo-gt", out / "pseudo_gt_updated.jsonl"]
     for round_idx in range(lsvm_rounds):
@@ -333,23 +333,32 @@ class TestCliStages:
         read_frames = [frames[p] for p in reads if p in frames]
         assert read_frames and all(i % 2 == 0 for i in read_frames)
 
-    def test_cv_stage_chain_matches_pipeline(self, synth_dir, tmp_path, capsys):
-        """cv-bandwidth, then the stages at its best bandwidth, write what a
-        pipeline run that hands cross-validation's winner forward writes."""
+    def test_cv_stage_chain_matches_pipeline(self, synth_dir, tmp_path, capsys, monkeypatch):
+        """vote without a bandwidth cross-validates the grid, voting each
+        image once per grid bandwidth, and writes the winner's pseudo GT;
+        the stages after it write what a pipeline run writes."""
         manifest = synth_dir / "manifest.json"
         chained = tmp_path / "chained"
         common = ["--manifest", manifest, "--out", chained,
                   "--target-cells", 30, "--frame-stride", 1]
         assert run_cli("mine", *common) == 0
         assert run_cli("match", *common) == 0
+        votes = []
+        select = pipeline.select_pseudo_gt
+        monkeypatch.setattr(
+            pipeline, "select_pseudo_gt", lambda *a, **kw: votes.append(1) or select(*a, **kw)
+        )
         # on this data every grid bandwidth votes differently and the best is
         # neither end of the grid
-        assert run_cli("cv-bandwidth", *common, "--seed", 7, "--bandwidth-grid", "1,2,4,8") == 0
+        grid = "1,2,4,8"
+        assert run_cli("vote", *common, "--seed", 7, "--bandwidth-grid", grid) == 0
         printed = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-        assert printed["stage"] == "cv_bandwidth"
-        best_b = json.loads((chained / pipeline.BANDWIDTH_REPORT).read_text())["best_b"]
-        assert printed["best_b"] == best_b
-        assert run_cli("vote", *common, "--bandwidth", best_b) == 0
+        assert printed["stage"] == "vote"
+        cv = json.loads((chained / pipeline.BANDWIDTH_REPORT).read_text())
+        best_b = cv["best_b"]
+        assert printed["bandwidth"] == best_b and printed["ap_per_b"] == cv["ap_per_b"]
+        n_images = len(dataio.read_transfer_corners(chained / pipeline.TRANSFERS))
+        assert n_images > 0 and len(votes) == len(grid.split(",")) * n_images
         assert run_cli("train", *common, "--seed", 7) == 0
         assert run_cli("update", *common) == 0
         assert run_cli(
@@ -374,8 +383,21 @@ class TestCliStages:
                   "--target-cells", 30, "--frame-stride", 1]
         assert run_cli("mine", *common) == 0
         assert run_cli("match", *common) == 0
-        assert run_cli("vote", *common, "--bandwidth", 2.0, "--theta", 1e9) == 0
+        assert run_cli("vote", *common, "--seed", 7, "--bandwidth", 2.0, "--theta", 1e9) == 0
         assert dataio.read_pseudo_gts(out / "pseudo_gt.jsonl") == {}
+
+    def test_vote_at_a_set_bandwidth_reads_no_selections(self, synth_dir, finished, tmp_path):
+        """With ``--bandwidth`` vote votes at it alone: it needs no
+        selections.jsonl and writes no bandwidth report."""
+        out = shutil.copytree(finished, tmp_path / "o")
+        (out / pipeline.SELECTIONS).unlink()
+        assert run_cli("vote", "--manifest", synth_dir / "manifest.json", "--out", out,
+                       "--seed", 7, "--bandwidth", 2.0) == 0
+        assert not (out / pipeline.BANDWIDTH_REPORT).exists()
+        report = json.loads((out / "reports" / "vote.json").read_text())
+        assert report["bandwidth"] == 2.0 and "ap_per_b" not in report
+        kept = (out / pipeline.PSEUDO_GT).read_bytes()
+        assert kept == (finished / pipeline.PSEUDO_GT).read_bytes()
 
     def test_vote_without_transfers_writes_empty_set(self, synth_dir, tmp_path):
         """An image with no transferred box has no vote space: the reader
@@ -384,7 +406,7 @@ class TestCliStages:
         out.mkdir()
         (out / pipeline.TRANSFERS).write_text("")
         assert run_cli("vote", "--manifest", synth_dir / "manifest.json", "--out", out,
-                       "--bandwidth", 2.0) == 0
+                       "--seed", 7, "--bandwidth", 2.0) == 0
         assert dataio.read_pseudo_gts(out / pipeline.PSEUDO_GT) == {}
         report = json.loads((out / "reports" / "vote.json").read_text())
         assert report["n_images_with_transfers"] == 0
@@ -392,7 +414,7 @@ class TestCliStages:
     def test_missing_input_gives_error_json_and_nonzero_exit(self, synth_dir, tmp_path, capsys):
         manifest = synth_dir / "manifest.json"
         code = run_cli(
-            "vote", "--manifest", manifest, "--out", tmp_path / "x", "--bandwidth", 2.0
+            "vote", "--manifest", manifest, "--out", tmp_path / "x", "--seed", 7, "--bandwidth", 2.0
         )
         assert code != 0
         err = json.loads(capsys.readouterr().err.strip())
@@ -404,12 +426,14 @@ class TestCliStages:
                        "--frames-per-video", 4) == 0
         assert (out / "manifest.json").exists()
 
-    def test_vote_requires_bandwidth(self, synth_dir, tmp_path, capsys):
-        code = run_cli(
-            "vote", "--manifest", synth_dir / "manifest.json", "--out", tmp_path / "v"
-        )
-        assert code != 0
-        assert "bandwidth" in json.loads(capsys.readouterr().err.strip())["message"]
+    def test_vote_requires_seed(self, synth_dir, tmp_path, capsys):
+        """Without a bandwidth vote trains detectors, so it takes the run's
+        seed rather than defaulting one."""
+        with pytest.raises(SystemExit) as exc:
+            run_cli("vote", "--manifest", synth_dir / "manifest.json", "--out", tmp_path / "v")
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "v").exists()
 
     def test_heatmaps_written_when_requested(self, synth_dir, tmp_path):
         manifest = synth_dir / "manifest.json"
@@ -418,7 +442,7 @@ class TestCliStages:
                   "--target-cells", 30, "--frame-stride", 1]
         run_cli("mine", *common)
         run_cli("match", *common)
-        run_cli("vote", *common, "--bandwidth", 2.0, "--heatmaps", out / "heat")
+        run_cli("vote", *common, "--seed", 7, "--bandwidth", 2.0, "--heatmaps", out / "heat")
         pgms = list((out / "heat").glob("*.pgm"))
         assert pgms and pgms[0].read_bytes().startswith(b"P5\n")
 
@@ -428,7 +452,7 @@ class TestCliStages:
         for image_id in dataio.read_transfer_corners(out / pipeline.TRANSFERS):
             (out / "heat" / f"{image_id}.pgm").mkdir(parents=True)  # a directory in the way
         code = run_cli("vote", "--manifest", synth_dir / "manifest.json", "--out", out,
-                       "--bandwidth", 2.0, "--heatmaps", out / "heat")
+                       "--seed", 7, "--bandwidth", 2.0, "--heatmaps", out / "heat")
         assert code == 1
         assert json.loads(capsys.readouterr().err.strip())["error"] == "IoFailure"
 
@@ -438,7 +462,7 @@ class TestCliStages:
 ARTIFACTS = {
     "mine": {},
     "match": {"--regions": "regions.jsonl"},
-    "vote": {"--transfers": "transfers.jsonl"},
+    "vote": {"--selections": "selections.jsonl", "--transfers": "transfers.jsonl"},
     "train": {"--pseudo-gt": "pseudo_gt.jsonl"},
     "update": {"--pseudo-gt": "pseudo_gt.jsonl", "--detections": "detections_initial.jsonl"},
     "regress": {
@@ -451,13 +475,11 @@ ARTIFACTS = {
         "--detections-updated": "detections_updated.jsonl",
         "--detections-bboxreg": "detections_bboxreg.jsonl",
     },
-    "cv-bandwidth": {"--selections": "selections.jsonl", "--transfers": "transfers.jsonl"},
 }
 OPTIONS = {"train": ["--tag"], "vote": ["--heatmaps"], "pipeline": ["--heatmaps"]}
 STAGE_ARGS = {
-    "vote": ["--bandwidth", 2.0],
+    "vote": ["--seed", 7, "--bandwidth-grid", "1,2"],
     "train": ["--seed", 7],
-    "cv-bandwidth": ["--seed", 7, "--bandwidth-grid", "1,2"],
 }
 READERS = (
     "read_regions", "read_selections", "read_transfer_corners", "read_pseudo_gts",
@@ -501,13 +523,11 @@ class TestCommandTable:
                 assert getattr(args, flag.dest) == "given"
 
     def test_stage_keywords_are_its_flags(self):
-        """A stage takes by keyword only its subcommand's flags, plus the
-        bandwidth cross-validation chose, so no stage takes another's result."""
+        """A stage takes by keyword only its subcommand's flags, so no stage
+        takes another's result."""
         for command in cli.COMMANDS:
             params = inspect.signature(getattr(pipeline, command.stage)).parameters
             flags = {f.dest for f in command.flags}
-            if command.stage == "run_vote":
-                flags.add("bandwidth")
             assert set(params) - {"ds", "cfg"} == flags, command.name
 
     @pytest.mark.parametrize("name", sorted(ARTIFACTS))
@@ -579,7 +599,7 @@ class TestCommandTable:
 
     @pytest.mark.parametrize("stage", [
         "run_mine", "run_match", "run_vote", "run_train",
-        "run_update", "run_regress", "run_eval", "run_cv_bandwidth",
+        "run_update", "run_regress", "run_eval",
     ])
     def test_stage_without_out_dir_is_refused(self, stage, synth_dir):
         ds = dataio.load_manifest(synth_dir / "manifest.json")
@@ -811,12 +831,11 @@ class TestReports:
         assert run_cli("match", *common) == 0
         runs = []
         for _ in range(2):
-            assert run_cli("cv-bandwidth", *common, "--seed", 7,
-                           "--bandwidth-grid", "1,2") == 0
+            assert run_cli("vote", *common, "--seed", 7, "--bandwidth-grid", "1,2") == 0
             runs.append((out / pipeline.BANDWIDTH_REPORT).read_bytes())
         assert runs[0] == runs[1]
         assert "elapsed_s" not in json.loads(runs[0])
-        assert "elapsed_s" in json.loads((out / "reports" / "cv_bandwidth.json").read_text())
+        assert "elapsed_s" in json.loads((out / "reports" / "vote.json").read_text())
 
 
 class TestEachIntermediateOnce:
@@ -931,6 +950,26 @@ class TestEachIntermediateOnce:
             assert (out / name).read_bytes() == (piped / name).read_bytes(), name
         assert (out / pipeline.SELECTIONS).read_bytes() != stride_two
 
+    @pytest.mark.parametrize("match_stride", [2, 1])
+    def test_cross_validation_scores_the_frames_match_selected(
+        self, synth_dir, tmp_path, match_stride
+    ):
+        """After ``match``, ``vote`` cross-validates on the frames match
+        selected, whatever its own ``--frame-stride``."""
+        out = tmp_path / "o"
+        common = ["--manifest", synth_dir / "manifest.json", "--out", out, "--target-cells", 30]
+        assert run_cli("mine", *common) == 0
+        assert run_cli("match", *common, "--frame-stride", match_stride) == 0
+        written = {}
+        for stride in (1, 2):
+            assert run_cli("vote", *common, "--frame-stride", stride, "--seed", 7,
+                           "--bandwidth-grid", "1,2,4,8") == 0
+            report = json.loads((out / "reports" / "vote.json").read_text())
+            report.pop("elapsed_s")
+            files = (pipeline.BANDWIDTH_REPORT, pipeline.PSEUDO_GT)
+            written[stride] = [report, *((out / name).read_bytes() for name in files)]
+        assert written[1] == written[2]
+
     def test_no_sampled_frame(self, synth_dir, tmp_path, capsys):
         """A manifest without videos samples no frame: match fails with
         NoFramesError and writes neither selections.jsonl nor transfers.jsonl."""
@@ -964,7 +1003,8 @@ class TestEachIntermediateOnce:
 
     def test_grid_trials_equal_single_bandwidth_votes(self, synth_dir, tmp_path):
         """Cross-validation votes the whole grid in one ascent per image; each
-        bandwidth's trial pseudo GT is what voting at that bandwidth alone finds."""
+        bandwidth's trial pseudo GT is what voting at that bandwidth alone
+        finds, and the winner's is the pseudo GT vote writes."""
         grid = (1.0, 2.0, 4.0, 8.0)
         out = tmp_path / "run"
         cfg = PipelineConfig(
@@ -974,13 +1014,13 @@ class TestEachIntermediateOnce:
         ds = dataio.load_manifest(cfg.manifest)
         pipeline.run_mine(ds, cfg)
         pipeline.run_match(ds, cfg)
-        pipeline.run_cv_bandwidth(ds, cfg)
+        best_b = pipeline.run_vote(ds, cfg)["bandwidth"]
         corners = dataio.read_transfer_corners(out / pipeline.TRANSFERS)
-        pairs = tuple((i, corners[i]) for i in sorted(corners))
-        voted = ds.memo(pipeline.vote_pseudo_gts, pairs, grid, cfg.theta)
+        voted = pipeline.vote_pseudo_gts(ds, corners, grid, cfg.theta)
+        assert dataio.read_pseudo_gts(out / pipeline.PSEUDO_GT) == voted[best_b]
         trials = [voted[b] for b in grid]
         for b, trial in zip(grid, trials):
-            alone = pipeline.vote_pseudo_gts(ds, pairs, (b,), cfg.theta)
+            alone = pipeline.vote_pseudo_gts(ds, corners, (b,), cfg.theta)
             assert trial == alone[b]
         # on this data every grid bandwidth votes differently
         assert all(trials[i] != trials[j] for i in range(len(grid)) for j in range(i))
@@ -1007,33 +1047,6 @@ class TestMemo:
                 ds.memo(compute, -1)
         assert calls == [1, 2, -1, -1]
         assert dataio.load_manifest(synth_dir / "manifest.json").memo(compute, 1) is not first
-
-    def test_equal_corners_in_new_bytes_vote_once(self, synth_dir, monkeypatch):
-        """The vote is keyed by the value of its corner bytes, not by the
-        objects: equal corners read again find the first vote."""
-        ds = dataio.load_manifest(synth_dir / "manifest.json")
-        cfg = PipelineConfig(manifest=str(synth_dir / "manifest.json"), seed=0, bandwidth=2.0)
-        calls = []
-
-        def counted(dataset, corners_by_image, bandwidths, theta):
-            calls.append(corners_by_image)
-            return vote(dataset, corners_by_image, bandwidths, theta)
-
-        vote = pipeline.vote_pseudo_gts
-        monkeypatch.setattr(pipeline, "vote_pseudo_gts", counted)
-
-        def corners():
-            return {"pos_001": box_array([BBox(1, 2, 6, 7), BBox(1.5, 2, 6, 7.25)]).tobytes(),
-                    "pos_000": box_array([BBox(0, 0, 4, 4)]).tobytes()}
-
-        first = pipeline._voted(ds, cfg, corners(), (2.0,))
-        assert pipeline._voted(ds, cfg, corners(), (2.0,)) is first
-        assert pipeline._voted(ds, cfg, corners(), (4.0,)) is not first
-        assert len(calls) == 2
-        assert calls[0] == (
-            ("pos_000", np.array([0, 0, 4, 4], dtype=np.float64).tobytes()),
-            ("pos_001", np.array([1, 2, 6, 7, 1.5, 2, 6, 7.25], dtype=np.float64).tobytes()),
-        )
 
     def test_match_after_regions_change_scans_the_new_regions(self, synth_dir, tmp_path):
         cfg = PipelineConfig(
@@ -1219,7 +1232,7 @@ def test_video_frames_match_the_per_box_pool(synth_dir, finished):
     one call per frame, have the bits of the per-box construction."""
     ds = dataio.load_manifest(synth_dir / "manifest.json")
     selections = dataio.read_selections(finished / pipeline.SELECTIONS)
-    frames, gt = pipeline._video_frames(ds, selections, 1)
+    frames, gt = pipeline._video_frames(ds, finished / pipeline.SELECTIONS)
     want = per_box_video_frames(ds, selections, 1)
     assert list(frames) == list(want) and len(want) > 0
     assert set(gt) == {f"{video_id}:{frame_idx}" for video_id, frame_idx in selections}
@@ -1227,6 +1240,33 @@ def test_video_frames_match_the_per_box_pool(synth_dir, finished):
         assert frames[key].label == "pos"
         assert frames[key].coords.tobytes() == coords.tobytes()
         assert frames[key].features.tobytes() == features.tobytes()
+
+
+def test_video_frames_open_each_video_once(tmp_path, monkeypatch):
+    """Cross-validation's frames are the selection rows, read in any order:
+    rows of two videos interleaved open each video once and pool the frames
+    that rows in video order pool."""
+    gen_dataset(SynthConfig(seed=0, n_videos=2, frames_per_video=7), tmp_path / "data")
+    out = tmp_path / "o"
+    cfg = PipelineConfig(manifest=str(tmp_path / "data" / "manifest.json"), out_dir=str(out),
+                         target_cells=30, frame_stride=2, bandwidth=2.0)
+    ds = dataio.load_manifest(cfg.manifest)
+    pipeline.run_mine(ds, cfg)
+    pipeline.run_match(ds, cfg)
+    want, want_gt = pipeline._video_frames(ds, out / pipeline.SELECTIONS)
+    rows = list(dataio.read_jsonl(out / pipeline.SELECTIONS))
+    assert len({row["video_id"] for row in rows}) == 2
+    dataio.write_jsonl(out / "shuffled.jsonl", sorted(rows, key=lambda r: r["frame_idx"]))
+    opened = []
+    original = dataio.Dataset.load_video_frames
+    monkeypatch.setattr(dataio.Dataset, "load_video_frames",
+                        lambda self, video_id: opened.append(video_id) or original(self, video_id))
+    frames, gt = pipeline._video_frames(ds, out / "shuffled.jsonl")
+    assert sorted(opened) == sorted(ds.videos)
+    assert gt == want_gt and want and sorted(frames) == sorted(want)
+    for key, pool in want.items():
+        assert frames[key].coords.tobytes() == pool.coords.tobytes()
+        assert frames[key].features.tobytes() == pool.features.tobytes()
 
 
 @pytest.mark.parametrize("command", ["mine", "train", "regress"])
@@ -1343,7 +1383,7 @@ class TestMalformedJson:
         ("mine", "proposals.jsonl", "box", [True, 0, 4, 4], "proposals.jsonl line 3"),
         ("mine", "manifest.json", "cell_stride", True, "manifest.json"),
         ("mine", "manifest.json", "size", ["wide", 16], "manifest.json"),
-        ("cv-bandwidth", pipeline.SELECTIONS, "frame_idx", "x", "selections.jsonl line 1"),
+        ("vote", pipeline.SELECTIONS, "frame_idx", "x", "selections.jsonl line 1"),
         ("train", pipeline.PSEUDO_GT, "vote", "high", "pseudo_gt.jsonl line 1"),
         ("mine", "manifest.json", "size", [True, 16], "manifest.json"),
         ("pipeline", "manifest.json", "cell_stride", 0, "manifest.json"),
@@ -1524,10 +1564,11 @@ class TestMalformedJson:
             list(dataio.read_jsonl(path))
 
 
-# Each record file a subcommand reads, by that subcommand; vote and
-# cv-bandwidth read only `image_id` and `box` of transfers.jsonl.
+# Each record file a subcommand reads, by that subcommand (vote without a
+# bandwidth reads selections.jsonl); vote reads only `image_id` and `box` of
+# transfers.jsonl.
 RECORD_READERS = {
-    pipeline.SELECTIONS: ("cv-bandwidth", dataio.SELECTION_SCHEMA),
+    pipeline.SELECTIONS: ("vote", dataio.SELECTION_SCHEMA),
     pipeline.PSEUDO_GT: ("train", dataio.PSEUDO_GT_SCHEMA),
     pipeline.DETECTIONS_INITIAL: ("eval", dataio.DETECTION_SCHEMA),
 }
@@ -1932,6 +1973,11 @@ class TestSynthFlags:
         assert exc.value.code == 2
 
 
+def transfer_corner_lists(path):
+    """``read_transfer_corners``, each image's corner rows as lists."""
+    return {i: rows.tolist() for i, rows in dataio.read_transfer_corners(path).items()}
+
+
 # Each record artifact's schema, writer, records (their fields all distinct,
 # so a field read into the wrong place shows), reader and what it reads back.
 BOX, BOX2 = BBox(0, 0, 4, 4), BBox(1, 1, 2, 3)
@@ -1946,7 +1992,7 @@ RECORD_FILES = {
                          dataio.read_selections, {("vid_000", 4): SELECTION}),
     "transfers.jsonl": (dataio.TRANSFER_SCHEMA, dataio.write_transfers,
                         [transfer.TransferredBox("pos_000", BOX, "r00000", "vid_000", 4, 0.25)],
-                        dataio.read_transfer_corners, {"pos_000": box_array([BOX]).tobytes()}),
+                        transfer_corner_lists, {"pos_000": [BOX.as_list()]}),
     "pseudo_gt.jsonl": (dataio.PSEUDO_GT_SCHEMA, dataio.write_pseudo_gts, [PSEUDO_GT],
                         dataio.read_pseudo_gts, {"pos_000": PSEUDO_GT}),
     "detections*.jsonl": (dataio.DETECTION_SCHEMA, dataio.write_detections, DETECTIONS,
@@ -2235,8 +2281,8 @@ class TestManifest:
         )
 
     @pytest.mark.parametrize("command,flags", [
-        ("vote", ("--bandwidth", 2.0)), ("cv-bandwidth", ()),
-    ], ids=["vote", "cv-bandwidth"])
+        ("vote", ("--bandwidth", 2.0)), ("vote", ()),
+    ], ids=["vote", "vote-cross-validated"])
     def test_transfer_of_an_unlisted_image_refused(
         self, synth_dir, finished, tmp_path, capsys, command, flags
     ):
@@ -2244,6 +2290,30 @@ class TestManifest:
         self.ghost_row_refused(
             synth_dir, finished, tmp_path, capsys, command, pipeline.TRANSFERS, *flags
         )
+
+    @pytest.mark.parametrize("values,message", [
+        ({"video_id": "ghost_vid"}, "video 'ghost_vid' is not in the manifest"),
+        ({"frame_idx": -1}, "video 'vid_000' has no frame -1"),
+        ({"frame_idx": 8}, "video 'vid_000' has no frame 8"),
+    ], ids=["unlisted-video", "negative-frame", "frame-past-the-end"])
+    def test_selection_the_manifest_lacks_refused(
+        self, synth_dir, finished, tmp_path, capsys, values, message
+    ):
+        """A cross-validating vote refuses a selection of a video or frame
+        the manifest does not list; unrefused, frame -1 scores the video's
+        last frame and frame 8 of an 8-frame video is an IndexError."""
+        out = shutil.copytree(finished, tmp_path / "out")
+        path = out / pipeline.SELECTIONS
+        rows = list(dataio.read_jsonl(path))
+        rows.append({**rows[-1], **values})
+        dataio.write_jsonl(path, rows)
+        code = run_cli("vote", "--manifest", synth_dir / "manifest.json", "--out", out,
+                       "--seed", 0, "--bandwidth-grid", "1,2")
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "ConfigInvalidError", "message": f"{path}: {message}"}
+        kept = (out / pipeline.PSEUDO_GT).read_bytes()
+        assert kept == (finished / pipeline.PSEUDO_GT).read_bytes()
 
     @pytest.mark.parametrize("image_id", ["", ".", "..", "../pos_000", "hm/pos_000", "pos\0"],
                              ids=["empty", "dot", "dotdot", "parent", "slash", "nul"])
