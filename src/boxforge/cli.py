@@ -6,10 +6,11 @@ the log level (DEBUG, INFO, WARNING, ...); any other name is refused.
 
 :data:`COMMANDS` has one row per stage subcommand: the pipeline function it
 runs, whether ``--seed`` is required, and the flags it passes to the stage
-by keyword, its input artifacts and ``--tag``/``--heatmaps``.  An artifact
-flag left unset is the default file the stage reads under ``--out``.
-``match`` writes the track selections that ``vote`` reads when it
-cross-validates the bandwidth.
+by keyword, its input artifacts and ``--heatmaps``.  An artifact flag left
+unset is the default file the stage reads under ``--out``.  ``match``
+writes the track selections that ``vote`` reads when it cross-validates
+the bandwidth; ``train`` writes every model and detections file that
+``eval`` reads, from the pseudo GT alone.
 """
 
 from __future__ import annotations
@@ -74,8 +75,6 @@ class Command(NamedTuple):
 _REGIONS = Flag("--regions", "regions", "regions.jsonl (default: <out>/regions.jsonl)")
 _SELECTIONS = Flag("--selections", "selections", "selections.jsonl")
 _TRANSFERS = Flag("--transfers", "transfers", "transfers.jsonl")
-_PSEUDO_GT = Flag("--pseudo-gt", "pseudo_gt", "pseudo_gt.jsonl")
-_DETECTIONS = Flag("--detections", "detections", "detections_*.jsonl")
 _HEATMAPS = Flag("--heatmaps", "heatmaps", "directory for vote heatmap PGMs")
 
 COMMANDS = (
@@ -83,10 +82,8 @@ COMMANDS = (
     Command("match", "run_match", flags=(_REGIONS,)),
     Command("vote", "run_vote", need_seed=True, flags=(_SELECTIONS, _TRANSFERS, _HEATMAPS)),
     Command("train", "run_train", need_seed=True, flags=(
-        _PSEUDO_GT, Flag("--tag", "tag", "artifact name suffix"),
+        Flag("--pseudo-gt", "pseudo_gt", "pseudo_gt.jsonl"),
     )),
-    Command("update", "run_update", flags=(_PSEUDO_GT, _DETECTIONS)),
-    Command("regress", "run_regress", flags=(_PSEUDO_GT, _DETECTIONS)),
     Command("eval", "run_eval", flags=(
         Flag("--initial-pseudo-gt", "initial_pgt"),
         Flag("--updated-pseudo-gt", "updated_pgt", f"default: <out>/{pipeline.PSEUDO_GT_UPDATED}"),

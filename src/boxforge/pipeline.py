@@ -7,21 +7,21 @@ and files, its maps, proposals and tracks), and every setting from the
 run's :class:`~boxforge.config.PipelineConfig` ``cfg``, writes its outputs
 plus a stage report under ``cfg.out_dir`` (reports in ``<out>/reports/``)
 and returns the report.  An input artifact left unset is
-the file the stage before it wrote there: for example ``run_regress`` reads
-``pseudo_gt_updated.jsonl`` and ``detections_updated.jsonl``.  Stages are
-deterministic for fixed inputs and seed.
+the file the stage before it wrote there: for example ``run_train`` reads
+``pseudo_gt.jsonl``.  Stages are deterministic for fixed inputs and seed.
 
 ``run_match`` alone scans the video frames, and writes the selections it
 made with the transfers.  ``run_vote`` alone votes, choosing the bandwidth
-on those selections when ``cfg.bandwidth`` is unset.  Each detector is
-computed through :meth:`~boxforge.dataio.Dataset.memo`, keyed by the values
-it is computed from, so a stage reuses an earlier stage's detector only for
-equal inputs.  ``run_pipeline`` opens the dataset once and chains the
-stages in order, passing only what differs from the defaults: the updated
-pseudo GT that the updated train reads, and the updated pseudo GT and
-detections that each update round after the first reads.
-Running the stages one by one writes the same artifacts.  Models and the
-box regressor are outputs only: no stage reads them back.
+on those selections when ``cfg.bandwidth`` is unset.  ``run_train`` alone
+turns the pseudo GT into the detector: it trains, runs the latent updates
+and fits the box regressor in memory, and only ``run_eval`` reads the
+detections back.  Each detector is computed through
+:meth:`~boxforge.dataio.Dataset.memo`, keyed by the values it is computed
+from, so a stage reuses an earlier stage's detector only for equal inputs.
+``run_pipeline`` opens the dataset once and chains the stages in order with
+their default inputs.  Running the stages one by one writes the same
+artifacts.  Models and the box regressor are outputs only: no stage reads
+them back.
 """
 
 from __future__ import annotations
@@ -71,6 +71,8 @@ SELECTIONS = "selections.jsonl"
 TRANSFERS = "transfers.jsonl"
 PSEUDO_GT = "pseudo_gt.jsonl"
 PSEUDO_GT_UPDATED = "pseudo_gt_updated.jsonl"
+MODEL_INITIAL = "model_initial.json"
+MODEL_UPDATED = "model_updated.json"
 DETECTIONS_INITIAL = "detections_initial.jsonl"
 DETECTIONS_UPDATED = "detections_updated.jsonl"
 REGRESSOR = "regressor.json"
@@ -83,15 +85,13 @@ log = logging.getLogger(__name__)
 
 class _Stage:
     """One stage's run: its output directory ``cfg.out_dir``, created on
-    entry, and its clock.  Its report is ``reports/<name>.json``, or
-    ``reports/<name>_<tag>.json`` when the stage is run with a ``tag``."""
+    entry, and its clock.  Its report is ``reports/<name>.json``."""
 
-    def __init__(self, cfg: PipelineConfig, name: str, tag: Optional[str] = None):
+    def __init__(self, cfg: PipelineConfig, name: str):
         if cfg.out_dir is None:
             raise MissingInputError(f"{name} needs out_dir")
         self.t0 = time.perf_counter()
         self.name = name
-        self.file = name if tag is None else f"{name}_{tag}"
         self.out = Path(cfg.out_dir)
         self.out.mkdir(parents=True, exist_ok=True)
 
@@ -109,8 +109,8 @@ class _Stage:
         report = {"stage": self.name, **fields, "elapsed_s": time.perf_counter() - self.t0}
         reports = self.out / "reports"
         reports.mkdir(exist_ok=True)
-        dataio.dump_json(report, reports / f"{self.file}.json")
-        log.info("%s %s", self.file, json.dumps(report, sort_keys=True))
+        dataio.dump_json(report, reports / f"{self.name}.json")
+        log.info("%s %s", self.name, json.dumps(report, sort_keys=True))
         return report
 
 
@@ -351,83 +351,83 @@ def _detect(images, model, nms_iou):
     return detections
 
 
-def run_train(
-    ds: dataio.Dataset,
-    cfg: PipelineConfig,
-    *,
-    pseudo_gt: Optional[str | Path] = None,
-    tag: str = "initial",
-) -> dict:
-    """Train the linear detector on the pseudo GT and emit its detections,
-    both named with ``tag``."""
-    stage = _Stage(cfg, "train", tag)
-    fit = _fitted(ds, cfg, _read_pseudo_gts(ds, stage.input(pseudo_gt, PSEUDO_GT)))
-    dataio.write_model(stage.out / f"model_{tag}.json", fit.model, ds.category)
-    detections = _detect(ds.images, fit.model, cfg.nms_iou)
-    dataio.write_detections(stage.out / f"detections_{tag}.jsonl", detections)
-    return stage.report({
-        "tag": tag,
-        "n_train_examples": fit.n_examples,
-        "n_positives": fit.n_positives,
-        "n_detections": len(detections),
-        "seed": cfg.seed,
-    })
-
-
-def run_update(
-    ds: dataio.Dataset,
-    cfg: PipelineConfig,
-    *,
-    pseudo_gt: Optional[str | Path] = None,
-    detections: Optional[str | Path] = None,
-) -> dict:
-    """Latent update: fill missing pseudo GTs and refine existing ones from
-    the detections of the detector ``train`` fit on the same pseudo GT."""
-    stage = _Stage(cfg, "update")
-    before = _read_pseudo_gts(ds, stage.input(pseudo_gt, PSEUDO_GT))
-    rows = _read_detections(ds, stage.input(detections, DETECTIONS_INITIAL))
-    positives = [i for i, entry in ds.entries.items() if entry.label == POSITIVE]
-    after = lsvm_update(rows, positives, before)
-    dataio.write_pseudo_gts(stage.out / PSEUDO_GT_UPDATED, [after[i] for i in sorted(after)])
-    return stage.report({
-        "n_before": len(before),
-        "n_after": len(after),
-        "n_filled": len(after) - len(before),
-        "n_moved": sum(1 for i, g in after.items() if i in before and g.box != before[i].box),
-    })
-
-
-def run_regress(
-    ds: dataio.Dataset,
-    cfg: PipelineConfig,
-    *,
-    pseudo_gt: Optional[str | Path] = None,
-    detections: Optional[str | Path] = None,
-) -> dict:
-    """Fit the box regressor on well-overlapping proposals and refine
-    detections; both are described by :func:`pool_box_feature` on the FMAP."""
-    stage = _Stage(cfg, "regress")
+def _regress(ds: dataio.Dataset, cfg: PipelineConfig, pseudo_gts, detections):
+    """The box regressor fit on the proposals that overlap ``pseudo_gts``
+    well, and ``detections`` refined by it, both described by
+    :func:`pool_box_feature` on the FMAP: ``(regressor, n_pairs, refined)``.
+    Without a pair the regressor is the identity."""
     images = ds.images
-    pairs = regression_pairs(
-        images, _read_pseudo_gts(ds, stage.input(pseudo_gt, PSEUDO_GT_UPDATED))
-    )
+    pairs = regression_pairs(images, pseudo_gts)
     if pairs:
         regressor = fit_bbox_regressor(pairs, l2=cfg.regressor_l2)
     else:
         regressor = BoxRegressor.identity(next(iter(images.values())).features.shape[1])
-    dataio.write_regressor(stage.out / REGRESSOR, regressor)
-
     load_fmap = functools.cache(ds.load_image_fmap)  # one read per image
     refined = []
-    for image_id, box, score in _read_detections(
-        ds, stage.input(detections, DETECTIONS_UPDATED)
-    ):
+    for image_id, box, score in detections:
         [feature] = pool_box_feature(load_fmap(image_id), box_array([box]), ds.cell_stride)
         new_box = apply_regressor(regressor, feature, box)
         clipped = clip_box(new_box, *ds.image(image_id).size)
         refined.append((image_id, clipped if clipped is not None else box, score))
+    return regressor, len(pairs), refined
+
+
+def run_train(
+    ds: dataio.Dataset, cfg: PipelineConfig, *, pseudo_gt: Optional[str | Path] = None
+) -> dict:
+    """Turn the pseudo GT into the detector: train on it, then run at most
+    ``cfg.lsvm_rounds`` latent updates, each adopting the last detector's
+    detections and training again, then fit the box regressor on the
+    updated pseudo GT and refine the updated detections.
+
+    A round that changes no pseudo GT ends the updates: the update depends
+    only on the detections, the positives and the pseudo GT, and the
+    detector only on the pseudo GT, so every later round would repeat it.
+    """
+    stage = _Stage(cfg, "train")
+    before = _read_pseudo_gts(ds, stage.input(pseudo_gt, PSEUDO_GT))
+    positives = [i for i, entry in ds.entries.items() if entry.label == POSITIVE]
+
+    def detector(pseudo_gts):
+        fit = _fitted(ds, cfg, pseudo_gts)
+        detections = _detect(ds.images, fit.model, cfg.nms_iou)
+        counts = {
+            "n_train_examples": fit.n_examples,
+            "n_positives": fit.n_positives,
+            "n_detections": len(detections),
+        }
+        return fit.model, detections, counts
+
+    model, detections, initial = detector(before)
+    dataio.write_model(stage.out / MODEL_INITIAL, model, ds.category)
+    dataio.write_detections(stage.out / DETECTIONS_INITIAL, detections)
+    after, updated = before, initial
+    for n_rounds in range(1, cfg.lsvm_rounds + 1):
+        adopted = lsvm_update(detections, positives, after)
+        if adopted == after:
+            break
+        after = adopted
+        model, detections, updated = detector(after)
+    dataio.write_pseudo_gts(stage.out / PSEUDO_GT_UPDATED, [after[i] for i in sorted(after)])
+    dataio.write_model(stage.out / MODEL_UPDATED, model, ds.category)
+    dataio.write_detections(stage.out / DETECTIONS_UPDATED, detections)
+
+    regressor, n_pairs, refined = _regress(ds, cfg, after, detections)
+    dataio.write_regressor(stage.out / REGRESSOR, regressor)
     dataio.write_detections(stage.out / DETECTIONS_BBOXREG, refined)
-    return stage.report({"n_pairs": len(pairs), "n_detections": len(refined)})
+    return stage.report({
+        "seed": cfg.seed,
+        "initial": initial,
+        "update": {
+            "n_rounds": n_rounds,
+            "n_before": len(before),
+            "n_after": len(after),
+            "n_filled": len(after) - len(before),
+            "n_moved": sum(1 for i, g in after.items() if i in before and g.box != before[i].box),
+        },
+        "updated": updated,
+        "regress": {"n_pairs": n_pairs, "n_detections": len(refined)},
+    })
 
 
 def run_eval(
@@ -574,12 +574,6 @@ def run_pipeline(cfg: PipelineConfig, heatmaps: Optional[str | Path] = None) -> 
     run_match(ds, cfg)
     bandwidth = run_vote(ds, cfg, heatmaps=heatmaps)["bandwidth"]
     run_train(ds, cfg)
-    updated = stage.out / PSEUDO_GT_UPDATED
-    later = {"pseudo_gt": updated, "detections": stage.out / DETECTIONS_UPDATED}
-    for round_idx in range(cfg.lsvm_rounds):
-        run_update(ds, cfg, **(later if round_idx else {}))
-        run_train(ds, cfg, pseudo_gt=updated, tag="updated")
-    run_regress(ds, cfg)
     metrics_doc = run_eval(ds, cfg)
     stage.report({"bandwidth": bandwidth})
     return metrics_doc

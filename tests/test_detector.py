@@ -455,6 +455,28 @@ class TestLsvmUpdate:
         for order in (rows, rows[::-1]):
             assert lsvm_update(order, ["img"], {})["img"].box == boxes[1]
 
+    @given(st.randoms())
+    def test_rows_in_any_order_give_the_same_update(self, rng):
+        """Each image's rows are taken in NMS keep order, so the rows of
+        several images, with tied scores, give one result in any order."""
+        halves = [box(0, 0, 10, 6), box(0, 4, 10, 10)]
+        images = {
+            **images_fixture(),
+            "img_tie": proposals("pos", [box(10, 0, 20, 10), box(0, 0, 10, 10)],
+                                 [[1.0, 0.0], [1.0, 0.0]]),
+            "img_move": proposals("pos", halves, [[1.0, 0.0], [0.0, 1.0]]),
+        }
+        existing = {
+            "img_move": PseudoGT(image_id="img_move", box=box(0, 0, 10, 10), vote=21.0, support=21)
+        }
+        rows = pipeline._detect(images, model_toward([1.0, 0.5]), 0.3)
+        positives = ["img_pos", "img_tie", "img_move"]
+        want = lsvm_update(rows, positives, existing)
+        assert sorted(want) == sorted(positives) and want["img_move"].box == halves[0]
+        shuffled = rows[:]
+        rng.shuffle(shuffled)
+        assert lsvm_update(shuffled, positives, existing) == want
+
     def test_positive_without_detections_keeps_what_it_had(self):
         existing = PseudoGT(image_id="img", box=GT, vote=20.0, support=20)
         assert lsvm_update([], ["img"], {}) == {}

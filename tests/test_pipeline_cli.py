@@ -148,6 +148,17 @@ class TestConfigFile:
         assert exc.value.code == 2
         assert "unrecognized arguments: --kernel gaussian" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["update"], "invalid choice: 'update'"),
+        (["regress"], "invalid choice: 'regress'"),
+        (["train", "--seed", "0", "--tag", "updated"], "unrecognized arguments: --tag updated"),
+    ], ids=["update", "regress", "train-tag"])
+    def test_removed_flag_or_subcommand_rejected(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_validation_catches_bad_values(self):
         with pytest.raises(ConfigInvalidError):
             PipelineConfig(theta=-1.0)
@@ -274,21 +285,13 @@ class TestSettingsSurface:
 
 
 def run_stage_chain(manifest, out, frame_stride, lsvm_rounds=1):
-    """Every stage subcommand in pipeline order at a fixed bandwidth of 2;
-    an update round after the first reads the updated pseudo GT and the
-    detections trained on it."""
+    """Every stage subcommand in pipeline order at a fixed bandwidth of 2."""
     common = ["--manifest", manifest, "--out", out,
               "--target-cells", 30, "--frame-stride", frame_stride]
     assert run_cli("mine", *common) == 0
     assert run_cli("match", *common) == 0
     assert run_cli("vote", *common, "--seed", 7, "--bandwidth", 2.0) == 0
-    assert run_cli("train", *common, "--seed", 7) == 0
-    updated = ["--pseudo-gt", out / "pseudo_gt_updated.jsonl"]
-    for round_idx in range(lsvm_rounds):
-        later = [*updated, "--detections", out / "detections_updated.jsonl"] if round_idx else []
-        assert run_cli("update", *common, *later) == 0
-        assert run_cli("train", *common, "--seed", 7, *updated, "--tag", "updated") == 0
-    assert run_cli("regress", *common) == 0
+    assert run_cli("train", *common, "--seed", 7, "--lsvm-rounds", lsvm_rounds) == 0
     assert run_cli("eval", *common) == 0
 
 
@@ -360,12 +363,6 @@ class TestCliStages:
         n_images = len(dataio.read_transfer_corners(chained / pipeline.TRANSFERS))
         assert n_images > 0 and len(votes) == len(grid.split(",")) * n_images
         assert run_cli("train", *common, "--seed", 7) == 0
-        assert run_cli("update", *common) == 0
-        assert run_cli(
-            "train", *common, "--seed", 7,
-            "--pseudo-gt", chained / "pseudo_gt_updated.jsonl", "--tag", "updated",
-        ) == 0
-        assert run_cli("regress", *common) == 0
         assert run_cli("eval", *common) == 0
 
         piped = tmp_path / "piped"
@@ -464,10 +461,6 @@ ARTIFACTS = {
     "match": {"--regions": "regions.jsonl"},
     "vote": {"--selections": "selections.jsonl", "--transfers": "transfers.jsonl"},
     "train": {"--pseudo-gt": "pseudo_gt.jsonl"},
-    "update": {"--pseudo-gt": "pseudo_gt.jsonl", "--detections": "detections_initial.jsonl"},
-    "regress": {
-        "--pseudo-gt": "pseudo_gt_updated.jsonl", "--detections": "detections_updated.jsonl",
-    },
     "eval": {
         "--initial-pseudo-gt": "pseudo_gt.jsonl",
         "--updated-pseudo-gt": "pseudo_gt_updated.jsonl",
@@ -476,7 +469,7 @@ ARTIFACTS = {
         "--detections-bboxreg": "detections_bboxreg.jsonl",
     },
 }
-OPTIONS = {"train": ["--tag"], "vote": ["--heatmaps"], "pipeline": ["--heatmaps"]}
+OPTIONS = {"vote": ["--heatmaps"], "pipeline": ["--heatmaps"]}
 STAGE_ARGS = {
     "vote": ["--seed", 7, "--bandwidth-grid", "1,2"],
     "train": ["--seed", 7],
@@ -598,8 +591,7 @@ class TestCommandTable:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("stage", [
-        "run_mine", "run_match", "run_vote", "run_train",
-        "run_update", "run_regress", "run_eval",
+        "run_mine", "run_match", "run_vote", "run_train", "run_eval",
     ])
     def test_stage_without_out_dir_is_refused(self, stage, synth_dir):
         ds = dataio.load_manifest(synth_dir / "manifest.json")
@@ -717,65 +709,146 @@ class TestEvalCli:
         assert sum(doc["error_histogram"].values()) == pgt["n_pseudo_gt"]
 
 
-class TestUpdateAdoptsTrainDetections:
-    """``update`` adopts the detections ``train`` wrote for the pseudo GT it
-    reads: run alone it fits no detector and reads no model or map, so it
-    needs no seed and writes the pipeline's updated pseudo GT whatever SGD
-    settings it is given."""
+class TestTrainStage:
+    """``train`` turns the pseudo GT it reads into every detector artifact in
+    one call: it reads none of the files it writes, and its latent updates
+    stop at the first round that changes no pseudo GT."""
 
-    @pytest.mark.parametrize(
-        "sgd_flags", [[], ["--seed", 8, "--steps", 5]], ids=["no-seed", "other-sgd"]
+    WRITTEN = (
+        pipeline.MODEL_INITIAL, pipeline.DETECTIONS_INITIAL, pipeline.PSEUDO_GT_UPDATED,
+        pipeline.MODEL_UPDATED, pipeline.DETECTIONS_UPDATED, pipeline.REGRESSOR,
+        pipeline.DETECTIONS_BBOXREG,
     )
-    def test_update_alone_writes_the_pipeline_bytes(
-        self, synth_dir, finished, tmp_path, monkeypatch, sgd_flags
-    ):
-        out = shutil.copytree(finished, tmp_path / "out")
-        (out / pipeline.PSEUDO_GT_UPDATED).unlink()
-        for path in out.glob("model_*.json"):
-            path.write_bytes(b"\xff not a model\n")
-        fits, fmap_reads = [], []
-        TestEachIntermediateOnce.count(monkeypatch, pipeline, "train_linear", fits)
-        TestEachIntermediateOnce.count(monkeypatch, dataio, "read_fmap", fmap_reads)
-        assert run_cli("update", "--manifest", synth_dir / "manifest.json", "--out", out,
-                       *sgd_flags) == 0
-        assert fits == [] and fmap_reads == []
-        written = (out / pipeline.PSEUDO_GT_UPDATED).read_bytes()
-        assert written == (finished / pipeline.PSEUDO_GT_UPDATED).read_bytes()
-        # the update filled and moved boxes, so the detections mattered
-        assert written != (finished / pipeline.PSEUDO_GT).read_bytes()
 
-    def test_shuffled_detections_give_the_same_bytes(self, synth_dir, finished, tmp_path):
+    @staticmethod
+    def train(synth_dir, out, *flags):
+        assert run_cli("train", "--manifest", synth_dir / "manifest.json", "--out", out,
+                       "--seed", 0, "--target-cells", 30, "--frame-stride", 1, *flags) == 0
+
+    def assert_written_as(self, out, finished):
+        for name in self.WRITTEN:
+            assert (out / name).read_bytes() == (finished / name).read_bytes(), name
+
+    @pytest.mark.parametrize("stale", ["garbage", "absent"])
+    def test_train_alone_writes_the_pipeline_bytes(self, synth_dir, finished, tmp_path, stale):
         out = shutil.copytree(finished, tmp_path / "out")
-        rows = list(dataio.read_jsonl(out / pipeline.DETECTIONS_INITIAL))
+        for name in self.WRITTEN:
+            if stale == "garbage":
+                (out / name).write_bytes(b"\xff not an artifact\n")
+            else:
+                (out / name).unlink()
+        self.train(synth_dir, out)
+        self.assert_written_as(out, finished)
+
+    def test_shuffled_pseudo_gt_gives_the_same_bytes(self, synth_dir, finished, tmp_path):
+        rows = list(dataio.read_jsonl(finished / pipeline.PSEUDO_GT))
         shuffled = rows[:]
         random.Random(5).shuffle(shuffled)
         assert shuffled != rows
         dataio.write_jsonl(tmp_path / "shuffled.jsonl", shuffled)
-        assert run_cli("update", "--manifest", synth_dir / "manifest.json", "--out", out,
-                       "--detections", tmp_path / "shuffled.jsonl") == 0
-        assert (out / pipeline.PSEUDO_GT_UPDATED).read_bytes() == (
-            finished / pipeline.PSEUDO_GT_UPDATED
-        ).read_bytes()
+        out = tmp_path / "out"
+        self.train(synth_dir, out, "--pseudo-gt", tmp_path / "shuffled.jsonl")
+        self.assert_written_as(out, finished)
 
-    def test_two_round_stage_chain_matches_pipeline(self, synth_dir, tmp_path, monkeypatch):
-        """On this data the second round changes nothing, so the pipeline's
-        inputs to each round are pinned as well as its bytes."""
+    def test_training_on_the_updated_pseudo_gt_gives_the_updated_detector(
+        self, synth_dir, finished, tmp_path
+    ):
+        """The detector depends on the pseudo GT alone, and the pipeline's
+        updated pseudo GT is a fixed point of the update: trained on it,
+        train's initial detector is the pipeline's updated one and its one
+        update round changes nothing."""
+        out = tmp_path / "out"
+        self.train(synth_dir, out, "--pseudo-gt", finished / pipeline.PSEUDO_GT_UPDATED)
+        for ours, theirs in (
+            (pipeline.MODEL_INITIAL, pipeline.MODEL_UPDATED),
+            (pipeline.DETECTIONS_INITIAL, pipeline.DETECTIONS_UPDATED),
+            *((name, name) for name in self.WRITTEN[2:]),
+        ):
+            assert (out / ours).read_bytes() == (finished / theirs).read_bytes(), ours
+        update = json.loads((out / "reports" / "train.json").read_text())["update"]
+        assert (update["n_rounds"], update["n_filled"], update["n_moved"]) == (1, 0, 0)
+
+    @pytest.mark.parametrize("lsvm_rounds", [2, 3])
+    def test_stage_chain_matches_pipeline_over_rounds(
+        self, synth_dir, tmp_path, monkeypatch, lsvm_rounds
+    ):
+        """The pipeline runs every round inside its one ``train`` call."""
         manifest = synth_dir / "manifest.json"
         chained = tmp_path / "chained"
-        run_stage_chain(manifest, chained, 1, lsvm_rounds=2)
+        run_stage_chain(manifest, chained, 1, lsvm_rounds=lsvm_rounds)
+        trains = []
+        TestEachIntermediateOnce.count(monkeypatch, pipeline, "run_train", trains)
         piped = tmp_path / "piped"
-        rounds = []
-        original = pipeline.run_update
-        monkeypatch.setattr(
-            pipeline, "run_update",
-            lambda ds, cfg, **given: rounds.append(given) or original(ds, cfg, **given),
-        )
         run_pipeline(PipelineConfig(
-            manifest=str(manifest), out_dir=str(piped), seed=7, lsvm_rounds=2, **PROFILE
+            manifest=str(manifest), out_dir=str(piped), seed=7, lsvm_rounds=lsvm_rounds,
+            **PROFILE,
         ))
+        assert len(trains) == 1
         assert_same_outputs(chained, piped)
-        assert rounds == [{}, {"pseudo_gt": piped / pipeline.PSEUDO_GT_UPDATED,
-                               "detections": piped / pipeline.DETECTIONS_UPDATED}]
+
+    def run_rounds(self, synth_dir, finished, tmp_path, monkeypatch, lsvm_rounds, update):
+        """``run_train`` on the pipeline's pseudo GT with ``update`` in place
+        of the latent update: its report, the pseudo-GT sets the update was
+        given, and the number of detectors fit."""
+        given, fits = [], []
+
+        def counted(detections, positives, pseudo_gts):
+            given.append(pseudo_gts)
+            return update(pseudo_gts)
+
+        monkeypatch.setattr(pipeline, "lsvm_update", counted)
+        TestEachIntermediateOnce.count(monkeypatch, pipeline, "train_linear", fits)
+        report = pipeline.run_train(
+            dataio.load_manifest(synth_dir / "manifest.json"),
+            PipelineConfig(out_dir=str(tmp_path), seed=0, lsvm_rounds=lsvm_rounds),
+            pseudo_gt=finished / pipeline.PSEUDO_GT,
+        )
+        return report, given, len(fits)
+
+    @pytest.mark.parametrize("lsvm_rounds", [1, 2, 3])
+    def test_rounds_that_change_the_pseudo_gt_all_run(
+        self, synth_dir, finished, tmp_path, monkeypatch, lsvm_rounds
+    ):
+        """An update that changes the pseudo GT every round runs all
+        ``lsvm_rounds`` rounds, each on the last round's pseudo GT, and a
+        detector is trained after each."""
+        def bump(pseudo_gts):
+            return {i: dataclasses.replace(g, vote=g.vote + 1.0) for i, g in pseudo_gts.items()}
+
+        report, given, n_fits = self.run_rounds(
+            synth_dir, finished, tmp_path, monkeypatch, lsvm_rounds, bump
+        )
+        before = dataio.read_pseudo_gts(finished / pipeline.PSEUDO_GT)
+        assert [{i: g.vote - before[i].vote for i, g in gts.items()} for gts in given] == [
+            dict.fromkeys(before, float(n)) for n in range(lsvm_rounds)
+        ]
+        assert n_fits == lsvm_rounds + 1
+        assert report["update"]["n_rounds"] == lsvm_rounds
+        after = dataio.read_pseudo_gts(tmp_path / pipeline.PSEUDO_GT_UPDATED)
+        assert after == bump(given[-1])
+
+    @pytest.mark.parametrize("lsvm_rounds", [1, 3])
+    def test_a_round_that_changes_nothing_ends_the_rounds(
+        self, synth_dir, finished, tmp_path, monkeypatch, lsvm_rounds
+    ):
+        """An update that keeps the pseudo GT ends the rounds at once: one
+        detector is fit, and the updated artifacts are the initial ones."""
+        report, given, n_fits = self.run_rounds(
+            synth_dir, finished, tmp_path, monkeypatch, lsvm_rounds, dict
+        )
+        before = dataio.read_pseudo_gts(finished / pipeline.PSEUDO_GT)
+        assert given == [before] and n_fits == 1
+        assert report["update"] == {
+            "n_rounds": 1, "n_before": len(before), "n_after": len(before),
+            "n_filled": 0, "n_moved": 0,
+        }
+        assert report["updated"] == report["initial"]
+        assert dataio.read_pseudo_gts(tmp_path / pipeline.PSEUDO_GT_UPDATED) == before
+        for updated, initial in (
+            (pipeline.MODEL_UPDATED, pipeline.MODEL_INITIAL),
+            (pipeline.DETECTIONS_UPDATED, pipeline.DETECTIONS_INITIAL),
+        ):
+            assert (tmp_path / updated).read_bytes() == (tmp_path / initial).read_bytes()
 
 
 class TestReports:
@@ -786,15 +859,34 @@ class TestReports:
         )
         run_pipeline(cfg)
         names = {p.name for p in (out / "reports").glob("*.json")}
-        assert {"mine.json", "match.json", "vote.json",
-                "train_initial.json", "update.json", "train_updated.json",
-                "regress.json", "eval.json", "pipeline.json"} <= names
+        assert names == {"mine.json", "match.json", "vote.json", "train.json", "eval.json",
+                         "pipeline.json"}
         for path in (out / "reports").glob("*.json"):
-            report = json.loads(path.read_text())
-            if path.stem.startswith("train_"):
-                assert (report["stage"], report["tag"]) == ("train", path.stem[len("train_"):])
-            else:
-                assert report["stage"] == path.stem
+            assert json.loads(path.read_text())["stage"] == path.stem
+
+    def test_train_report_counts_what_train_wrote(self, finished):
+        """``train.json`` keeps the counts of the initial detector, the latent
+        update, the updated detector and the box regression."""
+        report = json.loads((finished / "reports" / "train.json").read_text())
+        before = dataio.read_pseudo_gts(finished / pipeline.PSEUDO_GT)
+        after = dataio.read_pseudo_gts(finished / pipeline.PSEUDO_GT_UPDATED)
+        assert report["update"] == {
+            "n_rounds": 1,
+            "n_before": len(before),
+            "n_after": len(after),
+            "n_filled": len(set(after) - set(before)),
+            "n_moved": sum(after[i].box != gt.box for i, gt in before.items()),
+        }
+        assert report["update"]["n_filled"] + report["update"]["n_moved"] > 0
+        for section, name in (
+            ("initial", pipeline.DETECTIONS_INITIAL),
+            ("updated", pipeline.DETECTIONS_UPDATED),
+            ("regress", pipeline.DETECTIONS_BBOXREG),
+        ):
+            assert report[section]["n_detections"] == len(dataio.read_detections(finished / name))
+        assert report["initial"]["n_positives"] == len(before)
+        assert report["updated"]["n_positives"] == len(after)
+        assert report["regress"]["n_pairs"] > 0
 
     def test_rerun_overwrites_with_identical_semantics(self, synth_dir, tmp_path):
         out = tmp_path / "twice"
@@ -855,7 +947,7 @@ class TestEachIntermediateOnce:
 
         monkeypatch.setattr(module, name, counted)
 
-    @pytest.mark.parametrize("lsvm_rounds", [1, 2])
+    @pytest.mark.parametrize("lsvm_rounds", [1, 2, 3])
     def test_counts(self, synth_dir, tmp_path, monkeypatch, lsvm_rounds):
         parsed, manifests, votes, fits, videos = [], [], [], [], []
         scans, fmap_reads, updates = [], [], []
@@ -878,11 +970,12 @@ class TestEachIntermediateOnce:
             record=lambda detections, positives, before, result: result,
         )
         out = tmp_path / "run"
-        run_pipeline(PipelineConfig(
+        cfg = PipelineConfig(
             manifest=str(synth_dir / "manifest.json"), out_dir=str(out), seed=7,
             target_cells=30, frame_stride=1, bandwidth_grid=self.GRID,
             lsvm_rounds=lsvm_rounds,
-        ))
+        )
+        run_pipeline(cfg)
         assert len(parsed) == 1
         assert len(manifests) == 1
         n_images = len(dataio.read_transfer_corners(out / pipeline.TRANSFERS))
@@ -896,7 +989,13 @@ class TestEachIntermediateOnce:
             if gt is not None:
                 voted[b][gt.image_id] = gt
         assert all(voted.values())
-        assert len(updates) == lsvm_rounds
+        # on this data the first update round changes the pseudo GT and the
+        # second changes nothing, which ends the rounds
+        assert len(updates) == min(lsvm_rounds, 2)
+        assert updates[0] != dataio.read_pseudo_gts(out / pipeline.PSEUDO_GT)
+        assert all(gts == updates[0] for gts in updates)
+        report = json.loads((out / "reports" / "train.json").read_text())
+        assert report["update"]["n_rounds"] == len(updates)
         trained = {tuple(sorted(gts.items())) for gts in [*voted.values(), *updates]}
         assert len(fits) == len(trained)
         ds = dataio.load_manifest(synth_dir / "manifest.json")
@@ -910,6 +1009,17 @@ class TestEachIntermediateOnce:
         # its frames once; match selects each frame's track in its own scan
         assert len(videos) == 2 * len(ds.videos)
         assert Counter(p for p in fmap_reads if p in frames) == {p: 2 for p in frames}
+        if lsvm_rounds > 1:
+            # the rounds stopped at a fixed point, so one round writes the
+            # same artifacts
+            one = tmp_path / "one_round"
+            run_pipeline(dataclasses.replace(cfg, out_dir=str(one), lsvm_rounds=1))
+
+            def artifacts(root):
+                files = (p for p in root.rglob("*") if p.is_file() and p.parent.name != "reports")
+                return {p.relative_to(root): p.read_bytes() for p in files}
+
+            assert artifacts(out) == artifacts(one)
 
     def test_stage_chain_reads_each_sampled_frame_once(self, synth_dir, tmp_path, monkeypatch):
         """``mine`` then ``match`` scan each sampled frame once: match
@@ -1184,21 +1294,17 @@ class TestArrayStagesMatchPerProposalCode:
 
     def test_regressor_pairs(self, inputs, tmp_path):
         ds, images, pseudo_gts = inputs
-        dataio.write_pseudo_gts(tmp_path / "pgt.jsonl", list(pseudo_gts.values()))
-        dataio.write_detections(tmp_path / "det.jsonl", [])
-        report = pipeline.run_regress(
-            ds, PipelineConfig(out_dir=str(tmp_path)),
-            pseudo_gt=tmp_path / "pgt.jsonl", detections=tmp_path / "det.jsonl",
-        )
+        regressor, n_pairs, _ = pipeline._regress(ds, PipelineConfig(), pseudo_gts, [])
         pairs = [
             (np.asarray(feature, dtype=np.float64), box, pseudo_gts[image_id].box)
             for image_id in sorted(pseudo_gts)
             for _pid, box, feature in images[image_id][1]
             if iou(box, pseudo_gts[image_id].box) >= 0.6
         ]
-        assert report["n_pairs"] == len(pairs) > 0
+        assert n_pairs == len(pairs) > 0
+        dataio.write_regressor(tmp_path / "got.json", regressor)
         dataio.write_regressor(tmp_path / "want.json", fit_bbox_regressor(pairs, l2=1e-3))
-        assert (tmp_path / pipeline.REGRESSOR).read_bytes() == (tmp_path / "want.json").read_bytes()
+        assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
 
 
 def half_box(box):
@@ -1269,7 +1375,7 @@ def test_video_frames_open_each_video_once(tmp_path, monkeypatch):
         assert frames[key].features.tobytes() == pool.features.tobytes()
 
 
-@pytest.mark.parametrize("command", ["mine", "train", "regress"])
+@pytest.mark.parametrize("command", ["mine", "train"])
 def test_empty_proposal_file_is_refused_naming_it(synth_dir, tmp_path, capsys, command):
     """An empty ``proposals.jsonl`` is refused when it is read, with a JSON
     error naming it, by every stage that reads proposals."""
@@ -1278,9 +1384,7 @@ def test_empty_proposal_file_is_refused_naming_it(synth_dir, tmp_path, capsys, c
     (data / "proposals.jsonl").write_text("")
     out = tmp_path / "out"
     out.mkdir()
-    for name in (pipeline.PSEUDO_GT, pipeline.PSEUDO_GT_UPDATED):
-        dataio.write_pseudo_gts(out / name, [])
-    dataio.write_detections(out / pipeline.DETECTIONS_UPDATED, [])
+    dataio.write_pseudo_gts(out / pipeline.PSEUDO_GT, [])
     seed = ["--seed", 0] if command == "train" else []
     assert run_cli(command, "--manifest", data / "manifest.json", "--out", out, *seed) == 1
     err = json.loads(capsys.readouterr().err.strip())
@@ -1901,10 +2005,7 @@ def test_info_log_has_one_line_per_stage_in_order(synth_dir, tmp_path):
         written = (tmp_path / "INFO" / "reports" / f"{name}.json").read_text()
         assert json.loads(report) == json.loads(written)
         names.append(name)
-    assert names == [
-        "mine", "match", "vote", "train_initial", "update", "train_updated",
-        "regress", "eval", "pipeline",
-    ]
+    assert names == ["mine", "match", "vote", "train", "eval", "pipeline"]
 
 
 @pytest.mark.parametrize("name", ["INF0", "BASIC_FORMAT"])
@@ -2252,20 +2353,18 @@ class TestManifest:
         }
 
     @pytest.mark.parametrize("command,name", [
-        ("train", pipeline.PSEUDO_GT), ("update", pipeline.PSEUDO_GT),
-        ("eval", pipeline.PSEUDO_GT), ("regress", pipeline.PSEUDO_GT_UPDATED),
+        ("train", pipeline.PSEUDO_GT), ("eval", pipeline.PSEUDO_GT),
         ("eval", pipeline.PSEUDO_GT_UPDATED),
     ])
     def test_pseudo_gt_of_an_unlisted_image_refused(
         self, synth_dir, finished, tmp_path, capsys, command, name
     ):
-        """Unrefused, update carries the row into its output and eval counts
-        it in ``n_pseudo_gt``."""
+        """Unrefused, train carries the row into the updated pseudo GT and
+        the regression pairs, and eval counts it in ``n_pseudo_gt``."""
         self.ghost_row_refused(synth_dir, finished, tmp_path, capsys, command, name)
 
     @pytest.mark.parametrize("command,name", [
-        ("update", pipeline.DETECTIONS_INITIAL),
-        ("regress", pipeline.DETECTIONS_UPDATED), ("eval", pipeline.DETECTIONS_INITIAL),
+        ("eval", pipeline.DETECTIONS_INITIAL),
         ("eval", pipeline.DETECTIONS_UPDATED), ("eval", pipeline.DETECTIONS_BBOXREG),
     ])
     def test_detection_of_an_unlisted_image_refused(
@@ -2347,67 +2446,65 @@ class TestManifest:
 
 
 class TestRegressFallbacks:
+    """``train``'s box regression, through the helper it calls."""
+
     @pytest.fixture()
     def regress_inputs(self, tmp_path):
         """A dataset plus pseudo GT and detections on its GT boxes."""
         data = tmp_path / "data"
         gen_dataset(SynthConfig(seed=0, n_videos=1, frames_per_video=2), data)
         gt = dataio.read_gt(data / "gt.jsonl")["obj"]
-        gts = [
-            PseudoGT(image_id=image_id, box=boxes[0], vote=30.0, support=30)
+        gts = {
+            image_id: PseudoGT(image_id=image_id, box=boxes[0], vote=30.0, support=30)
             for image_id, boxes in sorted(gt.items())
-        ]
-        dataio.write_pseudo_gts(tmp_path / "pgt.jsonl", gts)
-        dataio.write_detections(
-            tmp_path / "det.jsonl", [(g.image_id, g.box, 1.0) for g in gts]
-        )
-        return data / "manifest.json", tmp_path / "pgt.jsonl", tmp_path / "det.jsonl", gts
+        }
+        detections = [(g.image_id, g.box, 1.0) for g in gts.values()]
+        return dataio.load_manifest(data / "manifest.json"), gts, detections
 
-    def test_unrelated_error_propagates(self, regress_inputs, tmp_path, monkeypatch):
-        manifest, pgt, det, _ = regress_inputs
+    def test_unrelated_error_propagates(self, regress_inputs, monkeypatch):
+        ds, gts, detections = regress_inputs
 
         def broken(regressor, feature, box):
             raise RuntimeError("not a dimension mismatch")
 
         monkeypatch.setattr(pipeline, "apply_regressor", broken)
         with pytest.raises(RuntimeError):
-            pipeline.run_regress(
-                dataio.load_manifest(manifest), PipelineConfig(out_dir=str(tmp_path / "out")),
-                pseudo_gt=pgt, detections=det,
-            )
+            pipeline._regress(ds, PipelineConfig(), gts, detections)
 
-    def test_no_pairs_write_the_identity(self, regress_inputs, tmp_path):
-        """With no pseudo GT there is no regression pair: regress writes the
-        identity regressor and keeps every detection's box."""
-        manifest, _, det, _ = regress_inputs
-        (tmp_path / "none.jsonl").write_text("")
+    def test_no_pairs_write_the_identity(self, synth_dir, finished, tmp_path, monkeypatch):
+        """With no regression pair, ``train`` writes the identity regressor
+        and keeps every updated detection's box."""
+        monkeypatch.setattr(pipeline, "regression_pairs", lambda images, pseudo_gts: [])
         out = tmp_path / "out"
-        report = pipeline.run_regress(
-            dataio.load_manifest(manifest), PipelineConfig(out_dir=str(out)),
-            pseudo_gt=tmp_path / "none.jsonl", detections=det,
-        )
-        assert report["n_pairs"] == 0
+        assert run_cli("train", "--manifest", synth_dir / "manifest.json", "--out", out,
+                       "--seed", 0, "--pseudo-gt", finished / pipeline.PSEUDO_GT) == 0
+        assert json.loads((out / "reports" / "train.json").read_text())["regress"]["n_pairs"] == 0
         regressor = json.loads((out / pipeline.REGRESSOR).read_text())
         assert regressor["weights"] == [[0.0] * regressor["dim"]] * 4
         assert regressor["biases"] == [0.0] * 4
         refined = dataio.read_detections(out / pipeline.DETECTIONS_BBOXREG)
-        assert refined == dataio.read_detections(det)
+        assert refined == dataio.read_detections(out / pipeline.DETECTIONS_UPDATED) != []
 
-    def test_runs_without_numpy_linalg(self, regress_inputs, tmp_path, monkeypatch):
-        """The regress stage fits and applies its regressor with no LAPACK
+    def test_no_pairs_give_the_identity(self, regress_inputs):
+        """With no pseudo GT there is no regression pair: the regressor is
+        the identity and every detection keeps its box."""
+        ds, _, detections = regress_inputs
+        regressor, n_pairs, refined = pipeline._regress(ds, PipelineConfig(), {}, detections)
+        assert n_pairs == 0
+        assert regressor.weights.tolist() == [[0.0] * regressor.weights.shape[1]] * 4
+        assert regressor.biases.tolist() == [0.0] * 4
+        assert refined == detections
+
+    def test_runs_without_numpy_linalg(self, regress_inputs, monkeypatch):
+        """Box regression fits and applies its regressor with no LAPACK
         solver: each ``numpy.linalg`` solver raises here."""
-        manifest, pgt, det, gts = regress_inputs
+        ds, gts, detections = regress_inputs
 
         def refuse(*args, **kwargs):
             raise AssertionError("numpy.linalg called")
 
         for name in ("lstsq", "solve", "cholesky", "inv", "pinv"):
             monkeypatch.setattr(np.linalg, name, refuse)
-        out = tmp_path / "out"
-        report = pipeline.run_regress(
-            dataio.load_manifest(manifest), PipelineConfig(out_dir=str(out)),
-            pseudo_gt=pgt, detections=det,
-        )
-        assert report["n_pairs"] > 0 and report["n_detections"] == len(gts)
-        weights = json.loads((out / pipeline.REGRESSOR).read_text())["weights"]
-        assert any(w != 0.0 for row in weights for w in row)
+        regressor, n_pairs, refined = pipeline._regress(ds, PipelineConfig(), gts, detections)
+        assert n_pairs > 0 and len(refined) == len(gts)
+        assert np.any(regressor.weights != 0.0)

@@ -69,11 +69,12 @@ def test_benchmark_tracer_sees_every_layer(tmp_path):
     assert proc.returncode == 0, proc.stderr
     summary = json.loads(spans.read_text())
     # no run calls these one-call views of the scan and the vote, or the
-    # track-selection and cross-validation stages that match and vote
-    # absorbed, so the package no longer defines them; the tracer's targets
-    # still name them
+    # track-selection, cross-validation, update and regression stages that
+    # match, vote and train absorbed, so the package no longer defines them;
+    # the tracer's targets still name them
     assert summary["absent"] == [
-        "pipeline.select_tracks", "pipeline.cv_bandwidth", "featmap.slide_match",
+        "pipeline.select_tracks", "pipeline.cv_bandwidth", "pipeline.update", "pipeline.regress",
+        "featmap.slide_match",
         "transfer.match_region_per_frame", "transfer.match_region_to_videos",
         "voting.mean_shift_modes",
     ]
