@@ -5,12 +5,12 @@ printed to stderr and the exit code is nonzero.  ``BOXFORGE_LOG`` selects
 the log level (DEBUG, INFO, WARNING, ...); any other name is refused.
 
 :data:`COMMANDS` has one row per stage subcommand: the pipeline function it
-runs, whether ``--seed`` is required, and the flags it passes to the stage
-by keyword, its input artifacts and ``--heatmaps``.  An artifact flag left
-unset is the default file the stage reads under ``--out``.  ``match``
-writes the track selections that ``vote`` reads when it cross-validates
-the bandwidth; ``train`` writes every model and detections file that
-``eval`` reads, from the pseudo GT alone.
+runs, whether ``--seed`` is required, and whether it takes ``--heatmaps``,
+the directory ``vote`` writes its heatmaps to, which it passes to the stage
+by keyword.  A stage reads its input artifacts from ``--out``, where the
+stage before it wrote them: ``match`` writes the track selections that ``vote``
+reads when it cross-validates the bandwidth; ``train`` writes every model
+and detections file that ``eval`` reads, from the pseudo GT alone.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import logging
 import os
 import sys
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from . import pipeline
 from .config import SETTINGS, PipelineConfig, build_config
@@ -59,39 +59,20 @@ def _config_from_args(args) -> PipelineConfig:
     return build_config(args.config, {s.field: getattr(args, s.field) for s in SETTINGS})
 
 
-class Flag(NamedTuple):
-    flag: str
-    dest: str  # the stage's keyword argument
-    help: Optional[str] = None
-
-
 class Command(NamedTuple):
     name: str  # subcommand
     stage: str  # the pipeline function it runs, looked up when it runs
     need_seed: bool = False
-    flags: tuple[Flag, ...] = ()  # the stage's input artifacts and options
+    heatmaps: bool = False  # takes --heatmaps, the stage's one keyword argument
 
-
-_REGIONS = Flag("--regions", "regions", "regions.jsonl (default: <out>/regions.jsonl)")
-_SELECTIONS = Flag("--selections", "selections", "selections.jsonl")
-_TRANSFERS = Flag("--transfers", "transfers", "transfers.jsonl")
-_HEATMAPS = Flag("--heatmaps", "heatmaps", "directory for vote heatmap PGMs")
 
 COMMANDS = (
     Command("mine", "run_mine"),
-    Command("match", "run_match", flags=(_REGIONS,)),
-    Command("vote", "run_vote", need_seed=True, flags=(_SELECTIONS, _TRANSFERS, _HEATMAPS)),
-    Command("train", "run_train", need_seed=True, flags=(
-        Flag("--pseudo-gt", "pseudo_gt", "pseudo_gt.jsonl"),
-    )),
-    Command("eval", "run_eval", flags=(
-        Flag("--initial-pseudo-gt", "initial_pgt"),
-        Flag("--updated-pseudo-gt", "updated_pgt", f"default: <out>/{pipeline.PSEUDO_GT_UPDATED}"),
-        Flag("--detections", "det_initial"),
-        Flag("--detections-updated", "det_updated"),
-        Flag("--detections-bboxreg", "det_bboxreg"),
-    )),
-    Command("pipeline", "run_pipeline", need_seed=True, flags=(_HEATMAPS,)),
+    Command("match", "run_match"),
+    Command("vote", "run_vote", need_seed=True, heatmaps=True),
+    Command("train", "run_train", need_seed=True),
+    Command("eval", "run_eval"),
+    Command("pipeline", "run_pipeline", need_seed=True, heatmaps=True),
 )
 _BY_NAME = {c.name: c for c in COMMANDS}
 
@@ -115,8 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
     for command in COMMANDS:
         p = sub.add_parser(command.name, help=f"run the {command.name} stage")
         _add_config_flags(p, need_seed=command.need_seed)
-        for flag in command.flags:
-            p.add_argument(flag.flag, dest=flag.dest, help=flag.help)
+        if command.heatmaps:
+            p.add_argument("--heatmaps", help="directory for vote heatmap PGMs")
     return parser
 
 
@@ -129,7 +110,7 @@ def run_command(args) -> int:
 
     cfg = _config_from_args(args)
     command = _BY_NAME[args.command]
-    given = {f.dest: v for f in command.flags if (v := getattr(args, f.dest)) is not None}
+    given = {"heatmaps": args.heatmaps} if command.heatmaps else {}
     stage = getattr(pipeline, command.stage)
     if command.name == "pipeline":
         doc = stage(cfg, **given)

@@ -1,14 +1,14 @@
 """File-driven pipeline stages behind the CLI subcommands.
 
-Every stage has one calling shape, ``run_x(ds, cfg, *, <artifact>=None)``.
-It reads the dataset ``ds``, the one :class:`~boxforge.dataio.Dataset`
-that :func:`~boxforge.dataio.load_manifest` opens (the manifest's entries
-and files, its maps, proposals and tracks), and every setting from the
-run's :class:`~boxforge.config.PipelineConfig` ``cfg``, writes its outputs
-plus a stage report under ``cfg.out_dir`` (reports in ``<out>/reports/``)
-and returns the report.  An input artifact left unset is
-the file the stage before it wrote there: for example ``run_train`` reads
-``pseudo_gt.jsonl``.  Stages are deterministic for fixed inputs and seed.
+Every stage has one calling shape, ``run_x(ds, cfg)``.  It reads the
+dataset ``ds``, the one :class:`~boxforge.dataio.Dataset` that
+:func:`~boxforge.dataio.load_manifest` opens (the manifest's entries and
+files, its maps, proposals and tracks), and every setting from the run's
+:class:`~boxforge.config.PipelineConfig` ``cfg``.  Its input artifacts are
+the files the stages before it wrote under ``cfg.out_dir``, at fixed names:
+for example ``run_train`` reads ``pseudo_gt.jsonl``.  It writes its outputs
+plus a stage report there (reports in ``<out>/reports/``) and returns the
+report.  Stages are deterministic for fixed inputs and seed.
 
 ``run_match`` alone scans the video frames, and writes the selections it
 made with the transfers.  ``run_vote`` alone votes, choosing the bandwidth
@@ -18,10 +18,9 @@ and fits the box regressor in memory, and only ``run_eval`` reads the
 detections back.  Each detector is computed through
 :meth:`~boxforge.dataio.Dataset.memo`, keyed by the values it is computed
 from, so a stage reuses an earlier stage's detector only for equal inputs.
-``run_pipeline`` opens the dataset once and chains the stages in order with
-their default inputs.  Running the stages one by one writes the same
-artifacts.  Models and the box regressor are outputs only: no stage reads
-them back.
+``run_pipeline`` opens the dataset once and chains the stages in order.
+Running the stages one by one writes the same artifacts.  Models and the
+box regressor are outputs only: no stage reads them back.
 """
 
 from __future__ import annotations
@@ -95,13 +94,6 @@ class _Stage:
         self.out = Path(cfg.out_dir)
         self.out.mkdir(parents=True, exist_ok=True)
 
-    def input(self, path: Optional[str | Path], default: str) -> Path:
-        """``path``, which must exist, or when it is unset the file
-        ``default`` in the output directory."""
-        if path and not Path(path).exists():
-            raise MissingInputError(f"missing input file: {path}")
-        return Path(path) if path else self.out / default
-
     def report(self, fields: dict) -> dict:
         """The stage's name, ``fields`` and the elapsed time, written as its
         report and logged at INFO as one line: the report's name, then the
@@ -170,14 +162,12 @@ def _scan(ds: dataio.Dataset, cfg: PipelineConfig, mined):
     return match_regions(queries, videos, select, cfg.n_matches, cfg.frame_stride, ds.cell_stride)
 
 
-def run_match(
-    ds: dataio.Dataset, cfg: PipelineConfig, *, regions: Optional[str | Path] = None
-) -> dict:
+def run_match(ds: dataio.Dataset, cfg: PipelineConfig) -> dict:
     """Scan the mined regions over each sampled frame once, selecting each
     frame's track as the scan reaches it, and transfer the selected track
     boxes of each region's top hits back to its image."""
     stage = _Stage(cfg, "match")
-    mined = _read_regions(ds, stage.input(regions, REGIONS))
+    mined = _read_regions(ds, stage.out / REGIONS)
     selections, top_matches = _scan(ds, cfg, mined)
     region_boxes = {r.region_id: (r.image_id, r.box) for r in mined}
     selected = {(s.video_id, s.frame_idx): s for s in selections}
@@ -226,31 +216,29 @@ def _read_transfer_corners(ds: dataio.Dataset, path: Path) -> dict[str, np.ndarr
 
 
 def run_vote(
-    ds: dataio.Dataset,
-    cfg: PipelineConfig,
-    *,
-    selections: Optional[str | Path] = None,
-    transfers: Optional[str | Path] = None,
-    heatmaps: Optional[str | Path] = None,
+    ds: dataio.Dataset, cfg: PipelineConfig, *, heatmaps: Optional[str | Path] = None
 ) -> dict:
     """Mean-shift the per-image vote spaces into pseudo-GT boxes, and write
     one heatmap per image into the directory ``heatmaps`` when it is set.
 
-    The vote uses ``cfg.bandwidth``.  Without it, the whole
-    ``cfg.bandwidth_grid`` is voted, one mean-shift ascent per image, and
-    the pseudo GT written is that of the bandwidth cross-validation picks
-    on the selected tracks, as ``bandwidth_report.json`` records.
+    The vote uses ``cfg.bandwidth``, and removes a ``bandwidth_report.json``
+    an earlier vote left.  Without it, the whole ``cfg.bandwidth_grid`` is
+    voted, one mean-shift ascent per image, and the pseudo GT written is
+    that of the bandwidth cross-validation picks on the selected tracks, as
+    ``bandwidth_report.json`` records.
     """
     stage = _Stage(cfg, "vote")
-    corners_by_image = _read_transfer_corners(ds, stage.input(transfers, TRANSFERS))
+    corners_by_image = _read_transfer_corners(ds, stage.out / TRANSFERS)
     grid = cfg.bandwidth_grid if cfg.bandwidth is None else (cfg.bandwidth,)
     voted = vote_pseudo_gts(ds, corners_by_image, grid, cfg.theta)
     bandwidth, cv = cfg.bandwidth, {}
     if bandwidth is None:
-        bandwidth, scores = _cross_validate(ds, cfg, stage.input(selections, SELECTIONS), voted)
+        bandwidth, scores = _cross_validate(ds, cfg, stage.out / SELECTIONS, voted)
         cv = {"ap_per_b": {str(b): scores[b] for b in sorted(scores)}}
         # the artifact stays byte-reproducible; only the stage report is timed
         dataio.dump_json({"best_b": bandwidth, **cv}, stage.out / BANDWIDTH_REPORT)
+    else:
+        (stage.out / BANDWIDTH_REPORT).unlink(missing_ok=True)
     pseudo_gts = voted[bandwidth]
     if heatmaps is not None:
         hdir = Path(heatmaps)
@@ -341,40 +329,39 @@ def _fitted(ds: dataio.Dataset, cfg: PipelineConfig, pseudo_gts: dict[str, Pseud
 def _detect(images, model, nms_iou):
     """``(key, box, score)`` for every box of every pool in ``images`` (key ->
     :class:`ImageProposals`, of an image or a video frame) that the model
-    scores and NMS keeps, pool by pool in key order."""
-    detections = []
+    scores and NMS keeps, pool by pool in key order, and each box's index in
+    its pool: ``(detections, indices)``."""
+    detections, indices = [], []
     for image_id in sorted(images):
         image = images[image_id]
         scores = model.score(image.features)
         for i in nms(image.coords, scores, nms_iou):
             detections.append((image_id, image.box(i), float(scores[i])))
-    return detections
+            indices.append(i)
+    return detections, indices
 
 
-def _regress(ds: dataio.Dataset, cfg: PipelineConfig, pseudo_gts, detections):
+def _regress(ds: dataio.Dataset, cfg: PipelineConfig, pseudo_gts, detections, indices):
     """The box regressor fit on the proposals that overlap ``pseudo_gts``
-    well, and ``detections`` refined by it, both described by
-    :func:`pool_box_feature` on the FMAP: ``(regressor, n_pairs, refined)``.
-    Without a pair the regressor is the identity."""
+    well, and ``detections`` of ``ds.images`` refined by it, each described
+    by its proposal's pooled descriptor (``indices`` as :func:`_detect`
+    returns them): ``(regressor, n_pairs, refined)``.  Without a pair the
+    regressor is the identity."""
     images = ds.images
     pairs = regression_pairs(images, pseudo_gts)
     if pairs:
         regressor = fit_bbox_regressor(pairs, l2=cfg.regressor_l2)
     else:
         regressor = BoxRegressor.identity(next(iter(images.values())).features.shape[1])
-    load_fmap = functools.cache(ds.load_image_fmap)  # one read per image
     refined = []
-    for image_id, box, score in detections:
-        [feature] = pool_box_feature(load_fmap(image_id), box_array([box]), ds.cell_stride)
-        new_box = apply_regressor(regressor, feature, box)
+    for (image_id, box, score), i in zip(detections, indices):
+        new_box = apply_regressor(regressor, images[image_id].features[i], box)
         clipped = clip_box(new_box, *ds.image(image_id).size)
         refined.append((image_id, clipped if clipped is not None else box, score))
     return regressor, len(pairs), refined
 
 
-def run_train(
-    ds: dataio.Dataset, cfg: PipelineConfig, *, pseudo_gt: Optional[str | Path] = None
-) -> dict:
+def run_train(ds: dataio.Dataset, cfg: PipelineConfig) -> dict:
     """Turn the pseudo GT into the detector: train on it, then run at most
     ``cfg.lsvm_rounds`` latent updates, each adopting the last detector's
     detections and training again, then fit the box regressor on the
@@ -385,20 +372,20 @@ def run_train(
     detector only on the pseudo GT, so every later round would repeat it.
     """
     stage = _Stage(cfg, "train")
-    before = _read_pseudo_gts(ds, stage.input(pseudo_gt, PSEUDO_GT))
+    before = _read_pseudo_gts(ds, stage.out / PSEUDO_GT)
     positives = [i for i, entry in ds.entries.items() if entry.label == POSITIVE]
 
     def detector(pseudo_gts):
         fit = _fitted(ds, cfg, pseudo_gts)
-        detections = _detect(ds.images, fit.model, cfg.nms_iou)
+        detections, indices = _detect(ds.images, fit.model, cfg.nms_iou)
         counts = {
             "n_train_examples": fit.n_examples,
             "n_positives": fit.n_positives,
             "n_detections": len(detections),
         }
-        return fit.model, detections, counts
+        return fit.model, detections, indices, counts
 
-    model, detections, initial = detector(before)
+    model, detections, indices, initial = detector(before)
     dataio.write_model(stage.out / MODEL_INITIAL, model, ds.category)
     dataio.write_detections(stage.out / DETECTIONS_INITIAL, detections)
     after, updated = before, initial
@@ -407,12 +394,12 @@ def run_train(
         if adopted == after:
             break
         after = adopted
-        model, detections, updated = detector(after)
+        model, detections, indices, updated = detector(after)
     dataio.write_pseudo_gts(stage.out / PSEUDO_GT_UPDATED, [after[i] for i in sorted(after)])
     dataio.write_model(stage.out / MODEL_UPDATED, model, ds.category)
     dataio.write_detections(stage.out / DETECTIONS_UPDATED, detections)
 
-    regressor, n_pairs, refined = _regress(ds, cfg, after, detections)
+    regressor, n_pairs, refined = _regress(ds, cfg, after, detections, indices)
     dataio.write_regressor(stage.out / REGRESSOR, regressor)
     dataio.write_detections(stage.out / DETECTIONS_BBOXREG, refined)
     return stage.report({
@@ -430,22 +417,13 @@ def run_train(
     })
 
 
-def run_eval(
-    ds: dataio.Dataset,
-    cfg: PipelineConfig,
-    *,
-    initial_pgt: Optional[str | Path] = None,
-    updated_pgt: Optional[str | Path] = None,
-    det_initial: Optional[str | Path] = None,
-    det_updated: Optional[str | Path] = None,
-    det_bboxreg: Optional[str | Path] = None,
-) -> dict:
+def run_eval(ds: dataio.Dataset, cfg: PipelineConfig) -> dict:
     """Compute CorLoc (both accountings), error cases and 11-point (VOC 2007) AP.
 
     metrics.json's block for the category, repeated at the top level, scores
-    the best available artifacts (updated pseudo GT over initial; regressed
-    detections over plain); ``ablation`` scores each variant whose file
-    exists; an unset input whose default file is absent is skipped.
+    the best available artifacts under ``cfg.out_dir`` (updated pseudo GT
+    over initial; regressed detections over plain); ``ablation`` scores each
+    variant whose file exists, and an absent file is skipped.
     """
     stage = _Stage(cfg, "eval")
     category = ds.category
@@ -458,8 +436,8 @@ def run_eval(
     ablation = {}
     primary_pgt = None
     for tag, path in (
-        ("initial", stage.input(initial_pgt, PSEUDO_GT)),
-        ("updated", stage.input(updated_pgt, PSEUDO_GT_UPDATED)),
+        ("initial", stage.out / PSEUDO_GT),
+        ("updated", stage.out / PSEUDO_GT_UPDATED),
     ):
         if not path.exists():
             continue
@@ -477,9 +455,9 @@ def run_eval(
     primary_ap = 0.0
     primary_det_tag = None
     for tag, path in (
-        ("initial", stage.input(det_initial, DETECTIONS_INITIAL)),
-        ("updated", stage.input(det_updated, DETECTIONS_UPDATED)),
-        ("updated_bboxreg", stage.input(det_bboxreg, DETECTIONS_BBOXREG)),
+        ("initial", stage.out / DETECTIONS_INITIAL),
+        ("updated", stage.out / DETECTIONS_UPDATED),
+        ("updated_bboxreg", stage.out / DETECTIONS_BBOXREG),
     ):
         if not path.exists():
             continue
@@ -558,7 +536,7 @@ def _cross_validate(ds: dataio.Dataset, cfg: PipelineConfig, selections: Path, v
             model = _fitted(ds, cfg, voted[b]).model
         except EmptyPoolError:
             return 0.0
-        return average_precision(_detect(frames, model, cfg.nms_iou), gt) if gt else 0.0
+        return average_precision(_detect(frames, model, cfg.nms_iou)[0], gt) if gt else 0.0
 
     return cross_validate_bandwidth(cfg.bandwidth_grid, evaluate)
 

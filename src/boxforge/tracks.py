@@ -15,7 +15,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigInvalidError, NoGroundTruthError
-from .geometry import BBox, iou, iou_rows
+from .geometry import BBox, box_array, iou, iou_matrix
 
 
 @dataclass(frozen=True)
@@ -53,12 +53,20 @@ class FrameSelection:
     track_id: int
 
 
+def sum_in_order(values: np.ndarray) -> np.ndarray:
+    """The sum down the first axis of ``values``, added one row at a time
+    from 0.0, so every Python gives the same bits (3.12's ``sum`` of floats
+    compensates, 3.11's adds left to right)."""
+    zero = np.zeros((1, *values.shape[1:]))
+    return np.add.accumulate(np.concatenate([zero, values]))[-1]
+
+
 def score_track_boxes(
     boxes: Sequence[BBox], coords: np.ndarray, sims: np.ndarray
 ) -> list[float]:
     """Per box t, the sum of IOU(v_i, t) * sim_i over the match corners ``coords``
-    (m, 4) and ``sims`` (m,), added left to right (the bits of the per-pair sum)."""
-    return [sum((iou_rows(coords, t) * sims).tolist()) for t in boxes]
+    (m, 4) and ``sims`` (m,), added left to right by :func:`sum_in_order`."""
+    return sum_in_order(iou_matrix(coords, box_array(boxes)) * sims[:, None]).tolist()
 
 
 def select_track_per_frame(
@@ -122,4 +130,5 @@ def evaluate_selection(
         upper.append(max(iou(box, gt) for _, box in candidates) if candidates else 0.0)
     if not ious:
         raise NoGroundTruthError("no evaluated frame has ground truth")
-    return (sum(ious) / len(ious), sum(upper) / len(upper))
+    mean_iou, mean_upper = (sum_in_order(np.array([ious, upper]).T) / len(ious)).tolist()
+    return mean_iou, mean_upper

@@ -372,7 +372,7 @@ def test_criterion_7_detector_eval_plumbing():
     }
     existing = {"img": PseudoGT(image_id="img", box=gt_box, vote=20.0, support=20)}
     model = LinearModel(weights=np.array([1.0, 0.0]), bias=0.0)
-    updated = lsvm_update(_detect(images, model, 0.3), ["img"], existing)
+    updated = lsvm_update(_detect(images, model, 0.3)[0], ["img"], existing)
     assert updated["img"].box == prop_at(0.5)  # IOU exactly 0.5 is eligible
 
     # bbox regressor round-trip identity

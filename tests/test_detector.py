@@ -393,7 +393,7 @@ def update_from_detections(model, images, pseudo_gts):
     """The latent update on ``model``'s detections in ``images``, the rows
     the train stage writes."""
     positives = [i for i, image in images.items() if image.label == "pos"]
-    return lsvm_update(pipeline._detect(images, model, 0.3), positives, pseudo_gts)
+    return lsvm_update(pipeline._detect(images, model, 0.3)[0], positives, pseudo_gts)
 
 
 class TestLsvmUpdate:
@@ -450,7 +450,7 @@ class TestLsvmUpdate:
     def test_equal_scores_are_taken_in_nms_keep_order_whatever_the_row_order(self):
         boxes = [box(10, 0, 20, 10), box(0, 0, 10, 10)]
         images = {"img": proposals("pos", boxes, [[1.0, 0.0], [1.0, 0.0]])}
-        rows = pipeline._detect(images, model_toward([1, 0]), 0.3)
+        rows, _ = pipeline._detect(images, model_toward([1, 0]), 0.3)
         assert [b for _, b, _ in rows] == [boxes[1], boxes[0]]
         for order in (rows, rows[::-1]):
             assert lsvm_update(order, ["img"], {})["img"].box == boxes[1]
@@ -469,7 +469,7 @@ class TestLsvmUpdate:
         existing = {
             "img_move": PseudoGT(image_id="img_move", box=box(0, 0, 10, 10), vote=21.0, support=21)
         }
-        rows = pipeline._detect(images, model_toward([1.0, 0.5]), 0.3)
+        rows, _ = pipeline._detect(images, model_toward([1.0, 0.5]), 0.3)
         positives = ["img_pos", "img_tie", "img_move"]
         want = lsvm_update(rows, positives, existing)
         assert sorted(want) == sorted(positives) and want["img_move"].box == halves[0]

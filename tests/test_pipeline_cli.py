@@ -149,10 +149,22 @@ class TestConfigFile:
         assert "unrecognized arguments: --kernel gaussian" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv,message", [
-        (["update"], "invalid choice: 'update'"),
-        (["regress"], "invalid choice: 'regress'"),
-        (["train", "--seed", "0", "--tag", "updated"], "unrecognized arguments: --tag updated"),
-    ], ids=["update", "regress", "train-tag"])
+        pytest.param(["update"], "invalid choice: 'update'", id="update"),
+        pytest.param(["regress"], "invalid choice: 'regress'", id="regress"),
+        pytest.param(["train", "--seed", "0", "--tag", "updated"],
+                     "unrecognized arguments: --tag updated", id="train-tag"),
+        # a stage reads its input files under --out only
+        *(
+            pytest.param([command, "--seed", "0", flag, "x"],
+                         f"unrecognized arguments: {flag} x", id=f"{command}{flag}")
+            for command, flag in (
+                ("match", "--regions"), ("vote", "--selections"), ("vote", "--transfers"),
+                ("train", "--pseudo-gt"), ("eval", "--initial-pseudo-gt"),
+                ("eval", "--updated-pseudo-gt"), ("eval", "--detections"),
+                ("eval", "--detections-updated"), ("eval", "--detections-bboxreg"),
+            )
+        ),
+    ])
     def test_removed_flag_or_subcommand_rejected(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
@@ -396,6 +408,20 @@ class TestCliStages:
         kept = (out / pipeline.PSEUDO_GT).read_bytes()
         assert kept == (finished / pipeline.PSEUDO_GT).read_bytes()
 
+    def test_vote_at_a_set_bandwidth_removes_a_stale_bandwidth_report(
+        self, synth_dir, tmp_path
+    ):
+        """A run at a set bandwidth into the ``--out`` of a cross-validating
+        run leaves no ``bandwidth_report.json`` naming another bandwidth."""
+        out = tmp_path / "o"
+        common = ["--manifest", synth_dir / "manifest.json", "--out", out,
+                  "--target-cells", 30, "--frame-stride", 2, "--seed", 7]
+        assert run_cli("pipeline", *common, "--bandwidth-grid", "1,2,4,8") == 0
+        assert json.loads((out / pipeline.BANDWIDTH_REPORT).read_text())["best_b"] != 8.0
+        assert run_cli("pipeline", *common, "--bandwidth", 8) == 0
+        assert json.loads((out / "reports" / "vote.json").read_text())["bandwidth"] == 8.0
+        assert not (out / pipeline.BANDWIDTH_REPORT).exists()
+
     def test_vote_without_transfers_writes_empty_set(self, synth_dir, tmp_path):
         """An image with no transferred box has no vote space: the reader
         yields only images with rows, so mean-shift never sees zero points."""
@@ -454,22 +480,19 @@ class TestCliStages:
         assert json.loads(capsys.readouterr().err.strip())["error"] == "IoFailure"
 
 
-# Each stage subcommand's input-artifact flags, and the file under --out its
-# stage reads when the flag is unset.
+# Each stage subcommand's input artifacts, the files under --out its stage
+# reads (vote without a bandwidth).
 ARTIFACTS = {
-    "mine": {},
-    "match": {"--regions": "regions.jsonl"},
-    "vote": {"--selections": "selections.jsonl", "--transfers": "transfers.jsonl"},
-    "train": {"--pseudo-gt": "pseudo_gt.jsonl"},
-    "eval": {
-        "--initial-pseudo-gt": "pseudo_gt.jsonl",
-        "--updated-pseudo-gt": "pseudo_gt_updated.jsonl",
-        "--detections": "detections_initial.jsonl",
-        "--detections-updated": "detections_updated.jsonl",
-        "--detections-bboxreg": "detections_bboxreg.jsonl",
-    },
+    "mine": [],
+    "match": ["regions.jsonl"],
+    "vote": ["selections.jsonl", "transfers.jsonl"],
+    "train": ["pseudo_gt.jsonl"],
+    "eval": [
+        "pseudo_gt.jsonl", "pseudo_gt_updated.jsonl", "detections_initial.jsonl",
+        "detections_updated.jsonl", "detections_bboxreg.jsonl",
+    ],
 }
-OPTIONS = {"vote": ["--heatmaps"], "pipeline": ["--heatmaps"]}
+HEATMAPS = ["vote", "pipeline"]  # the subcommands that take --heatmaps
 STAGE_ARGS = {
     "vote": ["--seed", 7, "--bandwidth-grid", "1,2"],
     "train": ["--seed", 7],
@@ -482,7 +505,7 @@ READERS = (
 
 class TestCommandTable:
     """``cli.COMMANDS`` is the one list of subcommands and their flags, and a
-    stage reads the file its subcommand's unset flag stands for."""
+    stage reads its input artifacts under ``--out`` and nowhere else."""
 
     @pytest.fixture(scope="class")
     def run_dir(self, synth_dir, tmp_path_factory):
@@ -504,27 +527,23 @@ class TestCommandTable:
         return read
 
     def test_table_pins_every_stage_flag(self):
-        table = {c.name: [f.flag for f in c.flags] for c in cli.COMMANDS}
-        assert table == {
-            name: list(ARTIFACTS.get(name, {})) + OPTIONS.get(name, [])
-            for name in [*ARTIFACTS, "pipeline"]
-        }
+        assert [c.name for c in cli.COMMANDS] == [*ARTIFACTS, "pipeline"]
+        assert {c.name for c in cli.COMMANDS if c.heatmaps} == set(HEATMAPS)
         parser = cli.build_parser()
-        for command in cli.COMMANDS:
-            for flag in command.flags:
-                args = parser.parse_args([command.name, "--seed", "1", flag.flag, "given"])
-                assert getattr(args, flag.dest) == "given"
+        for name in HEATMAPS:
+            args = parser.parse_args([name, "--seed", "1", "--heatmaps", "given"])
+            assert args.heatmaps == "given"
 
     def test_stage_keywords_are_its_flags(self):
-        """A stage takes by keyword only its subcommand's flags, so no stage
-        takes another's result."""
+        """A stage takes by keyword only ``heatmaps``, and only when its
+        subcommand has the flag, so no stage takes another's result."""
         for command in cli.COMMANDS:
             params = inspect.signature(getattr(pipeline, command.stage)).parameters
-            flags = {f.dest for f in command.flags}
+            flags = {"heatmaps"} if command.heatmaps else set()
             assert set(params) - {"ds", "cfg"} == flags, command.name
 
     @pytest.mark.parametrize("name", sorted(ARTIFACTS))
-    def test_unset_flag_reads_the_default_file(
+    def test_stage_reads_its_input_files_under_out(
         self, name, synth_dir, run_dir, tmp_path, monkeypatch
     ):
         out = tmp_path / "out"
@@ -533,19 +552,7 @@ class TestCommandTable:
                   "--target-cells", 30, "--frame-stride", 1, *STAGE_ARGS.get(name, [])]
         read = self.spy(monkeypatch)
         assert run_cli(name, *common) == 0
-        assert sorted(read) == sorted(out / f for f in ARTIFACTS[name].values())
-
-        elsewhere = tmp_path / "elsewhere"
-        elsewhere.mkdir()
-        flags, given = [], []
-        for flag, default in ARTIFACTS[name].items():
-            path = elsewhere / flag.lstrip("-")
-            shutil.copy(out / default, path)
-            flags += [flag, path]
-            given.append(path)
-        read.clear()
-        assert run_cli(name, *common, *flags) == 0
-        assert sorted(read) == sorted(given)
+        assert sorted(read) == sorted(out / f for f in ARTIFACTS[name])
 
     def test_eval_scores_the_updated_pseudo_gt_when_it_exists(
         self, synth_dir, run_dir, tmp_path
@@ -562,21 +569,6 @@ class TestCommandTable:
         doc = json.loads((out / pipeline.METRICS).read_text())
         assert doc["primary"]["pseudo_gt"] == "initial"
         assert "corloc_all" not in doc["ablation"]["updated"]
-
-    @pytest.mark.parametrize("flag", sorted(ARTIFACTS["eval"]))
-    def test_eval_refuses_a_named_input_that_does_not_exist(
-        self, flag, synth_dir, run_dir, tmp_path, capsys
-    ):
-        out = tmp_path / "out"
-        shutil.copytree(run_dir, out)
-        missing = tmp_path / "nonexistent" / "input.jsonl"
-        code = run_cli("eval", "--manifest", synth_dir / "manifest.json", "--out", out,
-                       flag, missing)
-        assert code == 1
-        err = json.loads(capsys.readouterr().err.strip())
-        assert err == {"error": "MissingInputError",
-                       "message": f"missing input file: {missing}"}
-        assert (out / pipeline.METRICS).read_bytes() == (run_dir / pipeline.METRICS).read_bytes()
 
     @pytest.mark.parametrize("missing", ["--manifest", "--out"])
     @pytest.mark.parametrize("command", [c.name for c in cli.COMMANDS])
@@ -745,9 +737,10 @@ class TestTrainStage:
         shuffled = rows[:]
         random.Random(5).shuffle(shuffled)
         assert shuffled != rows
-        dataio.write_jsonl(tmp_path / "shuffled.jsonl", shuffled)
         out = tmp_path / "out"
-        self.train(synth_dir, out, "--pseudo-gt", tmp_path / "shuffled.jsonl")
+        out.mkdir()
+        dataio.write_jsonl(out / pipeline.PSEUDO_GT, shuffled)
+        self.train(synth_dir, out)
         self.assert_written_as(out, finished)
 
     def test_training_on_the_updated_pseudo_gt_gives_the_updated_detector(
@@ -758,7 +751,9 @@ class TestTrainStage:
         train's initial detector is the pipeline's updated one and its one
         update round changes nothing."""
         out = tmp_path / "out"
-        self.train(synth_dir, out, "--pseudo-gt", finished / pipeline.PSEUDO_GT_UPDATED)
+        out.mkdir()
+        shutil.copy(finished / pipeline.PSEUDO_GT_UPDATED, out / pipeline.PSEUDO_GT)
+        self.train(synth_dir, out)
         for ours, theirs in (
             (pipeline.MODEL_INITIAL, pipeline.MODEL_UPDATED),
             (pipeline.DETECTIONS_INITIAL, pipeline.DETECTIONS_UPDATED),
@@ -798,10 +793,10 @@ class TestTrainStage:
 
         monkeypatch.setattr(pipeline, "lsvm_update", counted)
         TestEachIntermediateOnce.count(monkeypatch, pipeline, "train_linear", fits)
+        shutil.copy(finished / pipeline.PSEUDO_GT, tmp_path / pipeline.PSEUDO_GT)
         report = pipeline.run_train(
             dataio.load_manifest(synth_dir / "manifest.json"),
             PipelineConfig(out_dir=str(tmp_path), seed=0, lsvm_rounds=lsvm_rounds),
-            pseudo_gt=finished / pipeline.PSEUDO_GT,
         )
         return report, given, len(fits)
 
@@ -1285,16 +1280,20 @@ class TestArrayStagesMatchPerProposalCode:
         assert 0 < np.sum(y > 0) < np.sum(y < 0)
 
         model = pipeline.fit_detector(ds, pseudo_gts, 50, 0.1, 1e-4, 3).model
-        assert pipeline._detect(ds.images, model, 0.3) == per_proposal_detect(images, model, 0.3)
+        detections, indices = pipeline._detect(ds.images, model, 0.3)
+        assert detections == per_proposal_detect(images, model, 0.3)
+        assert [ds.images[i].box(j) for (i, _, _), j in zip(detections, indices)] == [
+            box for _, box, _ in detections
+        ]
         positives = [i for i, entry in ds.entries.items() if entry.label == "pos"]
-        got = lsvm_update(pipeline._detect(ds.images, model, 0.3), positives, pseudo_gts)
+        got = lsvm_update(detections, positives, pseudo_gts)
         want = per_proposal_lsvm_update(model, images, pseudo_gts, 0.3)
         assert got == want
         assert any(g.updated for g in got.values())
 
     def test_regressor_pairs(self, inputs, tmp_path):
         ds, images, pseudo_gts = inputs
-        regressor, n_pairs, _ = pipeline._regress(ds, PipelineConfig(), pseudo_gts, [])
+        regressor, n_pairs, _ = pipeline._regress(ds, PipelineConfig(), pseudo_gts, [], [])
         pairs = [
             (np.asarray(feature, dtype=np.float64), box, pseudo_gts[image_id].box)
             for image_id in sorted(pseudo_gts)
@@ -1695,8 +1694,7 @@ class TestNonFiniteNumbers:
     CASES = [
         pytest.param(command, flag, name, key, id=f"{command}-{name}-{key}")
         for command, flag, name, key in (
-            ("eval", ("--detections-bboxreg", pipeline.DETECTIONS_BBOXREG),
-             pipeline.DETECTIONS_BBOXREG, "score"),
+            ("eval", (), pipeline.DETECTIONS_BBOXREG, "score"),
             ("pipeline", ("--heatmaps", "heatmaps"), "manifest.json", "size"),
             ("pipeline", (), "manifest.json", "cell_stride"),
             *(
@@ -2450,7 +2448,8 @@ class TestRegressFallbacks:
 
     @pytest.fixture()
     def regress_inputs(self, tmp_path):
-        """A dataset plus pseudo GT and detections on its GT boxes."""
+        """A dataset, pseudo GT on its GT boxes, and as detections the first
+        proposal of each pseudo GT's image, with their proposal indices."""
         data = tmp_path / "data"
         gen_dataset(SynthConfig(seed=0, n_videos=1, frames_per_video=2), data)
         gt = dataio.read_gt(data / "gt.jsonl")["obj"]
@@ -2458,26 +2457,44 @@ class TestRegressFallbacks:
             image_id: PseudoGT(image_id=image_id, box=boxes[0], vote=30.0, support=30)
             for image_id, boxes in sorted(gt.items())
         }
-        detections = [(g.image_id, g.box, 1.0) for g in gts.values()]
-        return dataio.load_manifest(data / "manifest.json"), gts, detections
+        ds = dataio.load_manifest(data / "manifest.json")
+        detections = [(image_id, ds.images[image_id].box(0), 1.0) for image_id in gts]
+        return ds, gts, detections, [0] * len(detections)
+
+    def test_detections_reuse_the_proposal_descriptors(self, regress_inputs, monkeypatch):
+        """A detection is a proposal: ``_regress`` reads its descriptor from
+        ``ds.images``, the bits pooling its box again gives, and pools none."""
+        ds, gts, detections, indices = regress_inputs
+        for (image_id, box, _), i in zip(detections, indices):
+            [pooled] = featmap.pool_box_feature(
+                ds.load_image_fmap(image_id), box_array([box]), ds.cell_stride
+            )
+            assert pooled.tobytes() == ds.images[image_id].features[i].tobytes()
+        pools = []
+        TestEachIntermediateOnce.count(monkeypatch, pipeline, "pool_box_feature", pools)
+        _, n_pairs, refined = pipeline._regress(ds, PipelineConfig(), gts, detections, indices)
+        assert n_pairs > 0 and len(refined) == len(detections)
+        assert pools == []
 
     def test_unrelated_error_propagates(self, regress_inputs, monkeypatch):
-        ds, gts, detections = regress_inputs
+        ds, gts, detections, indices = regress_inputs
 
         def broken(regressor, feature, box):
             raise RuntimeError("not a dimension mismatch")
 
         monkeypatch.setattr(pipeline, "apply_regressor", broken)
         with pytest.raises(RuntimeError):
-            pipeline._regress(ds, PipelineConfig(), gts, detections)
+            pipeline._regress(ds, PipelineConfig(), gts, detections, indices)
 
     def test_no_pairs_write_the_identity(self, synth_dir, finished, tmp_path, monkeypatch):
         """With no regression pair, ``train`` writes the identity regressor
         and keeps every updated detection's box."""
         monkeypatch.setattr(pipeline, "regression_pairs", lambda images, pseudo_gts: [])
         out = tmp_path / "out"
+        out.mkdir()
+        shutil.copy(finished / pipeline.PSEUDO_GT, out / pipeline.PSEUDO_GT)
         assert run_cli("train", "--manifest", synth_dir / "manifest.json", "--out", out,
-                       "--seed", 0, "--pseudo-gt", finished / pipeline.PSEUDO_GT) == 0
+                       "--seed", 0) == 0
         assert json.loads((out / "reports" / "train.json").read_text())["regress"]["n_pairs"] == 0
         regressor = json.loads((out / pipeline.REGRESSOR).read_text())
         assert regressor["weights"] == [[0.0] * regressor["dim"]] * 4
@@ -2488,8 +2505,10 @@ class TestRegressFallbacks:
     def test_no_pairs_give_the_identity(self, regress_inputs):
         """With no pseudo GT there is no regression pair: the regressor is
         the identity and every detection keeps its box."""
-        ds, _, detections = regress_inputs
-        regressor, n_pairs, refined = pipeline._regress(ds, PipelineConfig(), {}, detections)
+        ds, _, detections, indices = regress_inputs
+        regressor, n_pairs, refined = pipeline._regress(
+            ds, PipelineConfig(), {}, detections, indices
+        )
         assert n_pairs == 0
         assert regressor.weights.tolist() == [[0.0] * regressor.weights.shape[1]] * 4
         assert regressor.biases.tolist() == [0.0] * 4
@@ -2498,13 +2517,15 @@ class TestRegressFallbacks:
     def test_runs_without_numpy_linalg(self, regress_inputs, monkeypatch):
         """Box regression fits and applies its regressor with no LAPACK
         solver: each ``numpy.linalg`` solver raises here."""
-        ds, gts, detections = regress_inputs
+        ds, gts, detections, indices = regress_inputs
 
         def refuse(*args, **kwargs):
             raise AssertionError("numpy.linalg called")
 
         for name in ("lstsq", "solve", "cholesky", "inv", "pinv"):
             monkeypatch.setattr(np.linalg, name, refuse)
-        regressor, n_pairs, refined = pipeline._regress(ds, PipelineConfig(), gts, detections)
+        regressor, n_pairs, refined = pipeline._regress(
+            ds, PipelineConfig(), gts, detections, indices
+        )
         assert n_pairs > 0 and len(refined) == len(gts)
         assert np.any(regressor.weights != 0.0)

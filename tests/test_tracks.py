@@ -1,3 +1,7 @@
+import functools
+import math
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -57,8 +61,8 @@ def arrays(frame_matches):
 
 
 def score_track_box(t, frame_matches):
-    """The per-pair sum the scoring is defined by."""
-    return sum(iou(v, t) * sim for v, sim in frame_matches)
+    """The per-pair sum the scoring is defined by, added left to right."""
+    return functools.reduce(operator.add, (iou(v, t) * sim for v, sim in frame_matches), 0.0)
 
 
 # Integer corners on a small grid, so drawn boxes often touch or coincide.
@@ -96,6 +100,14 @@ class TestScoreTrackBox:
         assert score_track_boxes(boxes, *arrays(frame_matches)) == [
             score_track_box(t, frame_matches) for t in boxes
         ]
+
+    def test_adds_left_to_right_on_every_python(self):
+        """Ten products of 0.1 add up left to right to 0.9999999999999999;
+        a compensated sum, as Python 3.12's ``sum`` is, gives 1.0."""
+        products = [iou(UNIT, UNIT) * 0.1] * 10
+        want = functools.reduce(operator.add, products, 0.0)
+        assert want != math.fsum(products)
+        assert score_track_boxes([UNIT], *arrays([(UNIT, 0.1)] * 10)) == [want]
 
 
 class TestSelectTrackPerFrame:
@@ -177,6 +189,18 @@ class TestEvaluateSelection:
         ]
         assert mean_iou == pytest.approx(sum(per_frame) / 3)
         assert mean_iou <= upper
+
+    def test_means_add_left_to_right_on_every_python(self):
+        """Ten IOUs of 0.1 add up left to right to 0.9999999999999999, not
+        to the 1.0 of a compensated sum."""
+        thin = box(0, 0, 1, 10)  # IOU 10 / 100 with UNIT
+        tracks = {"v": [Track("v", 0, 1, tuple((f, thin) for f in range(10)))]}
+        gt = {("v", f): UNIT for f in range(10)}
+        sels = [FrameSelection("v", f, thin, 1.0, 0) for f in range(10)]
+        ious = [iou(thin, UNIT)] * 10
+        want = functools.reduce(operator.add, ious, 0.0) / 10
+        assert want != math.fsum(ious) / 10
+        assert evaluate_selection(sels, tracks, gt) == (want, want)
 
     def test_no_ground_truth(self):
         with pytest.raises(NoGroundTruthError):
